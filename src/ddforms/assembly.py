@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from ddforms.mesh import MeshError, orientation_sign
-from ddforms.polyforms import geometry
+from ddforms.polyforms import simplex_metrics
 
 
 class AssemblyError(ValueError):
@@ -44,12 +44,16 @@ def mesh_weight(pair, simplex, top=None):
     return h ** (top - simplex.dim)
 
 
-def _element_gram(pair, family, m, k, simplex):
-    key = ("elgram", family.kind, family.r, m, k, simplex.vertices)
+def _element_grams(pair, family, stratum):
+    """Unweighted element Grams of every simplex of a stratum, stacked in
+    stratum order: one batched geometry and one contraction per stratum."""
+    key = ("elgram", family.kind, family.r, stratum.m, stratum.k)
     G = pair._cache.get(key)
     if G is None:
-        space = family.space(m, k)
-        G = space.gram(geometry(pair, simplex)) if space.size else np.zeros((0, 0))
+        coords = np.asarray(pair.coords, float)
+        cells = np.array([s.vertices for s in stratum.simplices])
+        G = family.space(stratum.m, stratum.k).gram(
+            *simplex_metrics(coords[cells]))
         pair._cache[key] = G
     return G
 
@@ -122,12 +126,14 @@ class BrokenSpace:
         if self._gram is None:
             G = np.zeros((self.dim, self.dim))
             for s in self.strata:
+                if not (s.block and s.simplices):
+                    continue
+                blocks = _element_grams(self.pair, self.family, s)
                 for i, c in enumerate(s.simplices):
                     w = mesh_weight(self.pair, c, self.weight_top) \
                         if self.weighted else 1.0
                     sl = self.block_slice(s, i)
-                    G[sl, sl] = w * _element_gram(
-                        self.pair, self.family, s.m, s.k, c)
+                    G[sl, sl] = w * blocks[i]
             self._gram = G
         return self._gram
 

@@ -10,7 +10,9 @@ Meshes come from a JSON file or from the built-in catalog via
 ``catalog:name`` or ``catalog:name:size``.  Structured output is canonical
 JSON with sorted keys and fixed float formatting, so identical
 configurations produce byte-identical reports.  The exit status is zero
-exactly when every requested verification passes.
+exactly when every requested verification passes, one when one fails,
+and two, with a single ``error:`` line, for invalid input or an
+unsupported configuration.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from ddforms.assembly import export_matrix, operator_D, operator_T
 from ddforms.hilbert import harmonic_space, hodge_laplacian, laplace_solve
 from ddforms.mesh import (MeshError, betti_numbers, build_complex,
                           generate_mesh, load_mesh_file)
-from ddforms.polyforms import Family
+from ddforms.polyforms import Family, FamilyError
 
 CATALOG = ("interval", "triangle", "tetrahedron", "square_grid", "annulus",
            "cube_tet", "solid_ring", "sphere_boundary")
@@ -45,7 +47,10 @@ def resolve_mesh(spec, mark):
     if spec.startswith("catalog:"):
         parts = spec.split(":")
         name = parts[1]
-        size = int(parts[2]) if len(parts) > 2 else 1
+        try:
+            size = int(parts[2]) if len(parts) > 2 else 1
+        except ValueError:
+            raise MeshError(f"catalog size must be an integer: {spec}") from None
         if mark == "file":
             raise MeshError("marking mode 'file' needs a mesh file")
         return generate_mesh(name, size, mark)
@@ -289,6 +294,9 @@ def main(argv=None, out=None):
             dump_operators(pair, family, args.dump_operators)
     except MeshError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FamilyError as exc:
+        print(f"error: unsupported configuration: {exc}", file=sys.stderr)
         return 2
 
     doc = {

@@ -481,12 +481,32 @@ def load_mesh_file(path):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MeshError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise MeshError(f"{path}: top level must be a JSON object")
     for key in ("ambient_dim", "vertices", "cells"):
         if key not in data:
             raise MeshError(f"{path}: missing field {key!r}")
-    if any(len(p) != data["ambient_dim"] for p in data["vertices"]):
+    dim, cells = data["ambient_dim"], data["cells"]
+    marked = data.get("marked", [])
+    if not _is_index(dim):
+        raise MeshError(f"{path}: ambient_dim must be an integer")
+    for field, entries in (("cells", cells), ("marked", marked)):
+        if not isinstance(entries, list) or not all(
+                isinstance(e, list) and all(_is_index(v) for v in e)
+                for e in entries):
+            raise MeshError(
+                f"{path}: {field} must be lists of integer vertex indices")
+    top = max((len(c) - 1 for c in cells), default=0)
+    if dim < top:
+        raise MeshError(
+            f"{path}: ambient_dim {dim} is below the top cell dimension {top}")
+    if any(len(p) != dim for p in data["vertices"]):
         raise MeshError(f"{path}: vertex coordinates disagree with ambient_dim")
-    return build_complex(data["cells"], data["vertices"], data.get("marked", []))
+    return build_complex(cells, data["vertices"], marked)
+
+
+def _is_index(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def save_mesh_file(pair, path):

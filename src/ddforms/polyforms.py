@@ -100,6 +100,14 @@ def _compositions_leq(total, parts):
     return tuple(out)
 
 
+def _unit_monomial_integral(alpha):
+    """Integral of lambda^alpha over an m-simplex of unit volume,
+    prod(alpha!) * m! / (|alpha| + m)! with m = len(alpha) - 1."""
+    m = len(alpha) - 1
+    num = math.prod(math.factorial(a) for a in alpha) * math.factorial(m)
+    return num / math.factorial(sum(alpha) + m)
+
+
 # -- forms ----------------------------------------------------------------
 
 
@@ -304,6 +312,35 @@ def _nullspace(mat, rtol=1e-9):
 # -- geometry -------------------------------------------------------------
 
 
+def simplex_metrics(points):
+    """Volumes and barycentric gradient Grams of a stack of m-simplices.
+
+    ``points`` has shape (c, m+1, n): c simplices of m+1 vertices in R^n.
+    Returns ``(volumes, grad_grams)`` of shapes (c,) and (c, m+1, m+1),
+    where ``grad_grams[c, i, j] = g(d lambda_i, d lambda_j)`` on simplex c.
+    The edge Grams are factored in one batched call; a single degenerate
+    simplex in the stack raises FormError.
+    """
+    pts = np.asarray(points, float)
+    c, m = pts.shape[0], pts.shape[1] - 1
+    if m == 0:
+        return np.ones(c), np.zeros((c, 1, 1))
+    edges = pts[:, 1:] - pts[:, :1]
+    M = edges @ edges.transpose(0, 2, 1)
+    det = np.linalg.det(M)
+    scale = np.abs(M).max(axis=(1, 2), initial=0.0)
+    scale[scale == 0.0] = 1.0
+    if np.any(det <= 1e-24 * scale ** m):
+        raise FormError("degenerate simplex geometry")
+    Gsub = np.linalg.inv(M)
+    G = np.empty((c, m + 1, m + 1))
+    G[:, 1:, 1:] = Gsub
+    G[:, 0, 1:] = -Gsub.sum(axis=1)
+    G[:, 1:, 0] = -Gsub.sum(axis=2)
+    G[:, 0, 0] = Gsub.sum(axis=(1, 2))
+    return np.sqrt(det) / math.factorial(m), G
+
+
 class SimplexGeometry:
     """Metric data of an embedded m-simplex: volume, gradient Gram, star."""
 
@@ -312,28 +349,11 @@ class SimplexGeometry:
         self.points = pts
         self.dim = len(pts) - 1
         self.parity = parity
-        m = self.dim
-        if m == 0:
-            self.volume = 1.0
-            self.grad_gram = np.zeros((1, 1))
-            self.vol_coeff = float(parity)
-            return
-        edges = pts[1:] - pts[0]
-        M = edges @ edges.T
-        det = float(np.linalg.det(M))
-        scale = float(np.max(np.abs(M))) or 1.0
-        if det <= 1e-24 * scale ** m:
-            raise FormError("degenerate simplex geometry")
-        self.volume = math.sqrt(det) / math.factorial(m)
-        Gsub = np.linalg.inv(M)
-        G = np.zeros((m + 1, m + 1))
-        G[1:, 1:] = Gsub
-        G[0, 1:] = -Gsub.sum(axis=0)
-        G[1:, 0] = -Gsub.sum(axis=1)
-        G[0, 0] = Gsub.sum()
-        self.grad_gram = G
+        volumes, grad_grams = simplex_metrics(pts[None])
+        self.volume = float(volumes[0])
+        self.grad_gram = grad_grams[0]
         # volume form = vol_coeff * dL1^...^dLm
-        self.vol_coeff = parity * math.factorial(m) * self.volume
+        self.vol_coeff = parity * math.factorial(self.dim) * self.volume
 
     def metric(self, sigma, tau):
         """Pointwise inner product g(dL_sigma, dL_tau) of constant wedges."""
@@ -346,9 +366,7 @@ class SimplexGeometry:
 
     def integrate_monomial(self, alpha):
         """Exact integral of lambda^alpha over the simplex."""
-        m = self.dim
-        num = math.prod(math.factorial(a) for a in alpha) * math.factorial(m)
-        return self.volume * num / math.factorial(sum(alpha) + m)
+        return self.volume * _unit_monomial_integral(alpha)
 
     def inner_product(self, w, e):
         """L2 inner product of two equal-degree forms on this simplex."""
@@ -408,30 +426,6 @@ def geometry(pair, simplex):
     """SimplexGeometry of a mesh simplex, honoring its stored orientation."""
     parity = _permutation_parity(simplex.orientation, simplex.vertices)
     return SimplexGeometry(pair.points(simplex), parity)
-
-
-def l2_inner_product(w, e, geo):
-    return geo.inner_product(w, e)
-
-
-def exterior_derivative(form):
-    return form.derivative()
-
-
-def wedge(w, e):
-    return w.wedge(e)
-
-
-def hodge_star(form, geo):
-    return geo.star(form)
-
-
-def codifferential(form, geo):
-    return geo.codifferential(form)
-
-
-def trace_to_face(form, positions):
-    return form.trace(positions)
 
 
 def normal_trace(form, positions, geo, face_geo=None):
@@ -520,6 +514,7 @@ class ElementSpace:
         self.basis = list(basis)
         self.frame_degree = frame_degree
         self.frame = reduced_frame(dim, max(degree, 0), frame_degree)
+        self._reference = None
         if self.basis:
             self.matrix = np.column_stack(
                 [coeff_vector(f, self.frame) for f in self.basis])
@@ -549,13 +544,53 @@ class ElementSpace:
                 out = out + f * float(c)
         return out
 
-    def gram(self, geo):
-        n = self.size
-        G = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                G[i, j] = G[j, i] = geo.inner_product(self.basis[i], self.basis[j])
-        return G
+    @property
+    def reference_tensor(self):
+        """A[s, t, i, j]: the Gram of basis forms i, j on a unit-volume
+        simplex, restricted to the wedges sigma_s of i and sigma_t of j.
+
+        With sigma_s running over the canonical k-subsets of {1..m}, the
+        Gram on a simplex C is |C| * sum over (s, t) of
+        det(g_C[sigma_s, sigma_t]) * A[s, t]: A does not depend on the
+        geometry.  Built from exact monomial integrals on first use and
+        kept on the space.
+        """
+        if self._reference is None:
+            m, n = self.dim, self.size
+            sigs = {s: i for i, s in enumerate(
+                itertools.combinations(range(1, m + 1), self.degree))}
+            alphas = {a: i for i, a in enumerate(sorted(
+                {a for f in self.basis for a, _s in f.terms}))}
+            C = np.zeros((len(sigs), n, len(alphas)))
+            for i, f in enumerate(self.basis):
+                for (a, s), c in f.terms.items():
+                    C[sigs[s], i, alphas[a]] += c
+            M = np.array([[_unit_monomial_integral(
+                tuple(x + y for x, y in zip(a, b))) for b in alphas]
+                for a in alphas])
+            self._reference = np.einsum("sia,tja->stij", C @ M, C)
+        return self._reference
+
+    def gram(self, volumes, grad_grams):
+        """Element Grams on a stack of simplices, shape (c, size, size).
+
+        ``volumes`` and ``grad_grams`` are as returned by simplex_metrics.
+        One batched determinant gives the k x k minors
+        g(dL_sigma, dL_tau) of every cell, and one contraction with the
+        reference tensor gives every cell's Gram.
+        """
+        m, k = self.dim, self.degree
+        c = len(volumes)
+        if self.size == 0:
+            return np.zeros((c, 0, 0))
+        # for k = 0 the minors are determinants of 0 x 0 matrices, i.e. 1
+        sigs = np.array(list(itertools.combinations(range(1, m + 1), k)), int)
+        minors = np.linalg.det(
+            grad_grams[:, sigs[:, None, :, None], sigs[None, :, None, :]])
+        G = np.einsum("cst,stij->cij", minors, self.reference_tensor)
+        G *= np.asarray(volumes, float)[:, None, None]
+        # exact symmetry, as the pairwise inner products had
+        return 0.5 * (G + G.transpose(0, 2, 1))
 
 
 def whitney_form(m, rho):

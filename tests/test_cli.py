@@ -114,3 +114,21 @@ def test_degree_two_family():
                       "--degree", "2", "--format", "structured"])
     assert code == 0
     assert json.loads(text)["passed"]
+
+
+def test_bad_catalog_size(capsys):
+    with pytest.raises(MeshError):
+        resolve_mesh("catalog:annulus:x", "none")
+    code, _text = run(["betti", "--mesh", "catalog:annulus:x"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_unsupported_full_family(capsys):
+    code, _text = run(["chain", "--mesh", "catalog:triangle",
+                       "--family", "full", "--degree", "1"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: unsupported configuration: ")

@@ -150,3 +150,20 @@ def test_mesh_file_errors(tmp_path):
     missing.write_text(json.dumps({"vertices": [], "cells": []}))
     with pytest.raises(MeshError):
         load_mesh_file(missing)
+    tri = {"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
+           "cells": [[0, 1, 2]], "marked": [[0, 1]]}
+    for field, value in (("cells", [[0, 1.0, 2]]), ("cells", [["0", 1, 2]]),
+                         ("cells", [[0, 1, True]]), ("cells", [3]),
+                         ("marked", [[0, 1.5]]), ("ambient_dim", 1.0)):
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(dict(tri, **{field: value})))
+        with pytest.raises(MeshError):
+            load_mesh_file(path)
+    low = tmp_path / "low.json"
+    low.write_text(json.dumps(dict(tri, ambient_dim=1,
+                                   vertices=[[0], [1], [2]])))
+    with pytest.raises(MeshError, match="ambient_dim"):
+        load_mesh_file(low)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(tri))
+    assert load_mesh_file(good).top_dim == 2

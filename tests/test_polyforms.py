@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 import sympy
 
-from ddforms.mesh import generate_mesh
+from ddforms.assembly import broken_space
+from ddforms.mesh import build_complex, generate_mesh
 from ddforms.polyforms import (BarycentricForm, Family, FamilyError, FormError,
                                SimplexGeometry, build_element_space,
                                check_geometric_decomposition,
                                check_local_exactness,
-                               check_trace_surjectivity, exterior_derivative,
-                               geometry, stokes_residual, trimmed_dimension,
-                               whitney, whitney_form)
+                               check_trace_surjectivity, geometry,
+                               simplex_metrics, stokes_residual,
+                               trimmed_dimension, whitney, whitney_form)
 
 REF_TRI = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 REF_TET = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
@@ -133,7 +134,7 @@ def test_full_family_closed_under_derivative():
             for i in range(space.size):
                 coeffs = np.zeros(space.size)
                 coeffs[i] = 1.0
-                df = exterior_derivative(space.from_coefficients(coeffs))
+                df = space.from_coefficients(coeffs).derivative()
                 target.coefficients(df)
 
 
@@ -183,3 +184,53 @@ def test_build_element_space_bubble_traces_vanish():
         for j in range(3):
             positions = tuple(p for p in range(3) if p != j)
             assert f.trace(positions).is_zero(tol=1e-9)
+
+
+def pairwise_gram(space, geo):
+    """The element Gram entry by entry from SimplexGeometry.inner_product."""
+    n = space.size
+    G = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            G[i, j] = geo.inner_product(space.basis[i], space.basis[j])
+    return G
+
+
+def random_points(rng, m, cells=2):
+    """A stack of non-degenerate m-simplices in R^(m+1)."""
+    out = []
+    while len(out) < cells:
+        pts = rng.standard_normal((m + 1, m + 1))
+        edges = pts[1:] - pts[0]
+        if m == 0 or np.linalg.cond(edges @ edges.T) < 1e4:
+            out.append(pts)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind,r", [("trimmed", 1), ("trimmed", 2),
+                                    ("trimmed", 3), ("full", 1), ("full", 2)])
+def test_reference_tensor_gram_matches_pairwise(kind, r):
+    rng = np.random.default_rng(20 + r)
+    fam = Family(kind, r)
+    for m in range(4):
+        pts = random_points(rng, m)
+        volumes, grad_grams = simplex_metrics(pts)
+        for k in range(m + 1):
+            space = fam.space(m, k)
+            stack = space.gram(volumes, grad_grams)
+            assert stack.shape == (len(pts), space.size, space.size)
+            for c, cell in enumerate(pts):
+                ref = pairwise_gram(space, SimplexGeometry(cell))
+                scale = max(np.abs(ref).max(initial=0.0), 1e-300)
+                assert np.abs(stack[c] - ref).max(initial=0.0) <= 1e-12 * scale, \
+                    (kind, r, m, k, c)
+
+
+def test_flat_simplex_in_stratum_raises():
+    # two triangles in R^3, the second one flat (collinear vertices)
+    coords = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (3, 0, 0)]
+    pair = build_complex([(0, 1, 2), (1, 3, 4)], coords)
+    with pytest.raises(FormError):
+        broken_space(pair, 2, 1, whitney()).gram
+    with pytest.raises(FormError):
+        simplex_metrics(np.array(coords, float)[[[0, 1, 2], [1, 3, 4]]])
