@@ -4,12 +4,14 @@ A broken space is a direct sum of per-simplex element spaces over one or
 several strata (m, k): k-forms attached to the unmarked m-simplices.  The
 module assembles the piecewise exterior derivative D, the signed trace sum
 T, and the combined distributional derivative on graded spaces, together
-with mesh-weighted Gram matrices, metric adjoints and kernel subspaces.
+with mesh-weighted Gram matrices, their block Cholesky factors, metric
+adjoints and kernel subspaces.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partialmethod
 
 import numpy as np
 
@@ -58,6 +60,39 @@ def _element_grams(pair, family, stratum):
     return G
 
 
+class GramFactor:
+    """The Cholesky factor L of a block-diagonal Gram matrix, G = L L^T.
+
+    ``blocks`` lists (first row, (cells, b, b) stack of lower-triangular
+    element factors) per stratum; rows outside them whiten by the identity,
+    so ``GramFactor()`` is the factor of an identity Gram.  ``mul_lt``,
+    ``mul_l``, ``solve_l`` and ``solve_lt`` apply L^T (whitening), L, L^-1
+    and L^-T (unwhitening) to the rows of a vector or matrix, with one
+    batched product per stratum, and return a new array.
+    """
+
+    def __init__(self, blocks=()):
+        self.blocks = [(offset, L, np.linalg.inv(L)) for offset, L in blocks]
+
+    def _apply(self, x, inverse, transpose):
+        out = np.array(x, float)
+        cols = out if out.ndim == 2 else out[:, None]
+        for offset, L, L_inv in self.blocks:
+            F = L_inv if inverse else L
+            if transpose:
+                F = F.transpose(0, 2, 1)
+            cells, b = F.shape[:2]
+            rows = slice(offset, offset + cells * b)
+            block = cols[rows].reshape(cells, b, cols.shape[1])
+            cols[rows] = (F @ block).reshape(cells * b, cols.shape[1])
+        return out
+
+    mul_lt = partialmethod(_apply, inverse=False, transpose=True)
+    mul_l = partialmethod(_apply, inverse=False, transpose=False)
+    solve_l = partialmethod(_apply, inverse=True, transpose=False)
+    solve_lt = partialmethod(_apply, inverse=True, transpose=True)
+
+
 class _Stratum:
     __slots__ = ("m", "k", "simplices", "block", "offset", "index")
 
@@ -99,11 +134,7 @@ class BrokenSpace:
             offset += block * len(simplices)
         self.dim = offset
         self._gram = None
-
-    @property
-    def key(self):
-        return (id(self.pair), tuple((s.m, s.k) for s in self.strata),
-                self.family, self.weight_top, self.sign_top, self.weighted)
+        self._whitening = None
 
     def stratum(self, m, k=None):
         for s in self.strata:
@@ -121,21 +152,36 @@ class BrokenSpace:
         start = stratum.offset + i * stratum.block
         return slice(start, start + stratum.block)
 
+    def _blocks(self):
+        """The diagonal blocks of the Gram: per nonempty stratum, the
+        mesh-weighted element Grams stacked as a (cells, b, b) array."""
+        for s in self.strata:
+            if s.block and s.simplices:
+                G = _element_grams(self.pair, self.family, s)
+                if self.weighted:
+                    w = [mesh_weight(self.pair, c, self.weight_top)
+                         for c in s.simplices]
+                    G = np.asarray(w)[:, None, None] * G
+                yield s, G
+
     @property
     def gram(self):
         if self._gram is None:
             G = np.zeros((self.dim, self.dim))
-            for s in self.strata:
-                if not (s.block and s.simplices):
-                    continue
-                blocks = _element_grams(self.pair, self.family, s)
-                for i, c in enumerate(s.simplices):
-                    w = mesh_weight(self.pair, c, self.weight_top) \
-                        if self.weighted else 1.0
+            for s, blocks in self._blocks():
+                for i in range(len(s.simplices)):
                     sl = self.block_slice(s, i)
-                    G[sl, sl] = w * blocks[i]
+                    G[sl, sl] = blocks[i]
             self._gram = G
         return self._gram
+
+    @property
+    def whitening(self):
+        """The block Cholesky factor of the Gram, built on first use."""
+        if self._whitening is None:
+            self._whitening = GramFactor(
+                [(s.offset, np.linalg.cholesky(G)) for s, G in self._blocks()])
+        return self._whitening
 
     def describe(self):
         return [(s.m, s.k, len(s.simplices), s.block) for s in self.strata]
@@ -157,27 +203,15 @@ class LinearOp:
         self.codomain = codomain
         self.matrix = matrix
 
-    def __call__(self, x):
-        return self.matrix @ x
-
-    def compose(self, other):
-        """self after other."""
-        if other.codomain.dim != self.domain.dim:
-            raise AssemblyError("composition dimension mismatch")
-        return LinearOp(other.domain, self.codomain, self.matrix @ other.matrix)
-
-    def norm(self):
-        return float(np.linalg.norm(self.matrix))
-
     def __repr__(self):
         return f"LinearOp({self.codomain.dim}x{self.domain.dim})"
 
 
 def adjoint(op):
-    """Adjoint with respect to the two spaces' Gram inner products."""
-    M_dom = op.domain.gram
-    M_cod = op.codomain.gram
-    mat = np.linalg.solve(M_dom, op.matrix.T @ M_cod)
+    """Adjoint with respect to the two spaces' Gram inner products:
+    G_dom^-1 A^T G_cod, with G = L L^T and G^-1 = L^-T L^-1."""
+    dom, cod = op.domain.whitening, op.codomain.whitening
+    mat = dom.solve_lt(dom.solve_l(cod.mul_l(cod.mul_lt(op.matrix)).T))
     return LinearOp(op.codomain, op.domain, mat)
 
 
@@ -192,6 +226,8 @@ class Subspace:
         self.basis = basis
         self.dim = basis.shape[1]
 
+    whitening = GramFactor()
+
     @property
     def gram(self):
         return np.eye(self.dim)
@@ -204,14 +240,14 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.ambient.dim})"
 
 
-def gram_orthonormalize(gram, columns):
-    """Orthonormalize independent columns with respect to a Gram matrix."""
+def gram_orthonormalize(space, columns):
+    """Orthonormalize independent columns in a space's Gram inner product."""
     columns = np.asarray(columns, float)
     if columns.shape[1] == 0:
         return columns
-    L = np.linalg.cholesky(gram)
-    Q, _R = np.linalg.qr(L.T @ columns)
-    return np.linalg.solve(L.T, Q)
+    W = space.whitening
+    Q, _R = np.linalg.qr(W.mul_lt(columns))
+    return W.solve_lt(Q)
 
 
 def broken_space(pair, m, k, family, weight_top=None):
@@ -336,7 +372,7 @@ def kernel_space(pair, m, k, family, which, weight_top=None, rtol=1e-9):
     else:
         space = op.domain
         null = matrix_nullspace(op.matrix, rtol)
-    basis = gram_orthonormalize(space.gram, null)
+    basis = gram_orthonormalize(space, null)
     return Subspace(space, basis)
 
 

@@ -27,12 +27,9 @@ import numpy as np
 from ddforms import distrib
 from ddforms.assembly import export_matrix, operator_D, operator_T
 from ddforms.hilbert import harmonic_space, hodge_laplacian, laplace_solve
-from ddforms.mesh import (MeshError, betti_numbers, build_complex,
-                          generate_mesh, load_mesh_file)
+from ddforms.mesh import (MeshError, betti_numbers, generate_mesh,
+                          load_mesh_file, mark_pair)
 from ddforms.polyforms import Family, FamilyError
-
-CATALOG = ("interval", "triangle", "tetrahedron", "square_grid", "annulus",
-           "cube_tet", "solid_ring", "sphere_boundary")
 
 
 def parse_mesh_file(path):
@@ -55,20 +52,7 @@ def resolve_mesh(spec, mark):
             raise MeshError("marking mode 'file' needs a mesh file")
         return generate_mesh(name, size, mark)
     pair = parse_mesh_file(spec)
-    if mark == "file":
-        return pair
-    cells = [list(s.vertices) for s in pair.simplices(pair.top_dim)]
-    coords = [list(p) for p in pair.coords]
-    if mark == "none":
-        marked = []
-    elif mark == "full":
-        marked = [list(f.vertices) for f in pair.boundary_facets()]
-    elif mark == "half":
-        from ddforms.mesh import _half_marked
-        marked = _half_marked(pair)
-    else:
-        raise MeshError(f"unknown marking mode {mark!r}")
-    return build_complex(cells, coords, marked)
+    return pair if mark == "file" else mark_pair(pair, mark)
 
 
 def make_family(name, degree):

@@ -21,9 +21,10 @@ from ddforms.mesh import betti_numbers, skeleton_pair
 from ddforms.polyforms import (check_geometric_decomposition,
                                check_local_exactness)
 from ddforms.mesh import check_local_patch_condition
-from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
-                              broken_space, derivative_operator,
-                              graded_space, gram_orthonormalize, kernel_space,
+from ddforms.assembly import (AssemblyError, BrokenSpace, GramFactor,
+                              LinearOp, Subspace, broken_space,
+                              derivative_operator, graded_space,
+                              gram_orthonormalize, kernel_space,
                               matrix_nullspace, operator_D, operator_T,
                               adjoint)
 from ddforms.hilbert import (ComplexInstance, harmonic_space, pseudoinverse,
@@ -34,9 +35,11 @@ class CoordSpace:
     """A kernel subspace in its own orthonormal coordinates.
 
     Appears as a space of a complex instance: dimension is the subspace
-    dimension and the Gram matrix is the identity.  ``embed`` maps
+    dimension and the Gram matrix is the identity; ``subspace.basis`` maps
     coordinates back to the ambient broken space.
     """
+
+    whitening = GramFactor()
 
     def __init__(self, subspace, label=""):
         self.subspace = subspace
@@ -47,9 +50,6 @@ class CoordSpace:
     @property
     def ambient(self):
         return self.subspace.ambient
-
-    def embed(self, x):
-        return self.subspace.basis @ x
 
     def __repr__(self):
         return f"CoordSpace({self.label!r}, dim={self.dim})"
@@ -358,7 +358,7 @@ def _cocycle_projector(cx, i):
     if i >= len(cx.diffs) or cx.diffs[i].matrix.shape[0] == 0:
         return np.eye(sp.dim)
     K = matrix_nullspace(cx.diffs[i].matrix)
-    Kb = gram_orthonormalize(sp.gram, K)
+    Kb = gram_orthonormalize(sp, K)
     return Kb @ (Kb.T @ sp.gram)
 
 
@@ -479,10 +479,6 @@ def exactness_witness(pair, family, k, b, weight_top=None):
 # -- end-to-end verification ----------------------------------------------
 
 
-def _betti(pair):
-    return _cached(pair, ("betti",), lambda: betti_numbers(pair))
-
-
 def verify_chain(pair, family, k, weight_top=None, smin_tol=1e-6):
     """The full isomorphism chain from simplicial homology at index n-k to
     the conforming harmonic space of degree k.
@@ -494,7 +490,7 @@ def verify_chain(pair, family, k, weight_top=None, smin_tol=1e-6):
     """
     n = pair.top_dim
     m = n - k
-    target = _betti(pair)[m]
+    target = betti_numbers(pair)[m]
     steps = []
 
     def record(label, ok, **extra):
@@ -597,7 +593,7 @@ def skeleton_projection(pair, family, k, weight_top=None, smin_tol=1e-6):
     if t_rows is not None:
         stack.append(t_rows.matrix)
     K = matrix_nullspace(np.vstack(stack))
-    Kb = gram_orthonormalize(skel_amb.gram, K)
+    Kb = gram_orthonormalize(skel_amb, K)
 
     comp = h2.basis[amb.stratum_slice(n - 1)]
     projected = Kb @ (Kb.T @ (skel_amb.gram @ comp))
@@ -733,7 +729,7 @@ def verify_double_complex(pair, family, weight_top=None):
         report["columns"][k] = {"indices": entries, "ok": bool(ok_all)}
         report["passed"] = report["passed"] and ok_all
 
-    betti = _betti(pair)
+    betti = betti_numbers(pair)
     for k in range(n + 1):
         hk = harmonic_conforming(pair, family, k, weight_top).dim
         ck = harmonic_chain(pair, family, n - k, weight_top).dim

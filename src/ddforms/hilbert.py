@@ -5,14 +5,16 @@ matrices whose consecutive compositions vanish.  Harmonic spaces, Hodge
 decompositions, the Hodge Laplacian and its solve, and metric Moore-Penrose
 pseudoinverses are all computed after whitening: the Cholesky factor of
 each Gram matrix maps to an orthonormal frame, where plain SVD machinery
-gives the metric-correct answers.
+gives the metric-correct answers.  Every space carries that factor as its
+``whitening`` (block by block for broken spaces, the identity for
+coordinate spaces).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ddforms.assembly import (AssemblyError, LinearOp, Subspace,
+from ddforms.assembly import (AssemblyError, LinearOp, Subspace, adjoint,
                               matrix_nullspace)
 
 
@@ -28,6 +30,7 @@ class ComplexInstance:
         self.spaces = list(spaces)
         self.diffs = list(diffs)
         self.label = label
+        self._harmonic = {}
         if check:
             for i in range(len(diffs) - 1):
                 a, b = diffs[i + 1].matrix, diffs[i].matrix
@@ -44,35 +47,16 @@ class ComplexInstance:
         return [s.dim for s in self.spaces]
 
     def whitening(self, i):
-        return _chol(self.spaces[i].gram)
+        return self.spaces[i].whitening
 
     def whitened_diff(self, i):
-        """The differential i expressed between orthonormal frames."""
-        L0 = self.whitening(i)
-        L1 = self.whitening(i + 1)
-        return L1.T @ _solve_lt(L0, self.diffs[i].matrix)
+        """The differential i expressed between orthonormal frames:
+        L_{i+1}^T d_i L_i^-T."""
+        W0, W1 = self.whitening(i), self.whitening(i + 1)
+        return W1.mul_lt(W0.solve_l(self.diffs[i].matrix.T).T)
 
     def __repr__(self):
         return f"ComplexInstance({self.label!r}, dims={self.dims()})"
-
-
-def _chol(gram):
-    if gram.shape[0] == 0:
-        return np.zeros((0, 0))
-    return np.linalg.cholesky(gram)
-
-
-def _solve_lt(L, mat):
-    """Right-solve mat @ inv(L.T) for a lower-triangular Cholesky factor."""
-    if L.shape[0] == 0:
-        return mat
-    return np.linalg.solve(L, mat.T).T
-
-
-def _unwhiten(L, cols):
-    if L.shape[0] == 0:
-        return cols
-    return np.linalg.solve(L.T, cols)
 
 
 def _range_basis(mat, rtol=1e-9):
@@ -89,20 +73,23 @@ def harmonic_space(cx, i, rtol=1e-9):
     """Harmonic forms at index i: ker d_i intersected with ker d*_{i-1}.
 
     Computed as the nullspace of the whitened stacked matrix
-    [d_i; d_{i-1}^T]; the returned basis is Gram-orthonormal.
+    [d_i; d_{i-1}^T]; the returned basis is Gram-orthonormal.  The result
+    is memoised on the complex instance per (i, rtol).
     """
-    rows = []
-    n = cx.spaces[i].dim
-    if i < len(cx.diffs):
-        rows.append(cx.whitened_diff(i))
-    if i > 0:
-        rows.append(cx.whitened_diff(i - 1).T)
-    if rows:
-        null = matrix_nullspace(np.vstack(rows), rtol)
-    else:
-        null = np.eye(n)
-    basis = _unwhiten(cx.whitening(i), null)
-    return Subspace(cx.spaces[i], basis)
+    h = cx._harmonic.get((i, rtol))
+    if h is None:
+        rows = []
+        if i < len(cx.diffs):
+            rows.append(cx.whitened_diff(i))
+        if i > 0:
+            rows.append(cx.whitened_diff(i - 1).T)
+        if rows:
+            null = matrix_nullspace(np.vstack(rows), rtol)
+        else:
+            null = np.eye(cx.spaces[i].dim)
+        h = Subspace(cx.spaces[i], cx.whitening(i).solve_lt(null))
+        cx._harmonic[(i, rtol)] = h
+    return h
 
 
 def betti_from_complex(cx, rtol=1e-9):
@@ -112,8 +99,8 @@ def betti_from_complex(cx, rtol=1e-9):
 
 def hodge_decompose(x, cx, i, rtol=1e-9):
     """Split x into exact, coexact and harmonic parts, Gram-orthogonally."""
-    L = cx.whitening(i)
-    xw = L.T @ x if L.shape[0] else np.asarray(x, float)
+    W = cx.whitening(i)
+    xw = W.mul_lt(x)
     if i > 0:
         Bex = _range_basis(cx.whitened_diff(i - 1), rtol)
     else:
@@ -125,13 +112,11 @@ def hodge_decompose(x, cx, i, rtol=1e-9):
     x_ex = Bex @ (Bex.T @ xw)
     x_co = Bco @ (Bco.T @ xw)
     x_h = xw - x_ex - x_co
-    return tuple(_unwhiten(L, c) for c in (x_ex, x_co, x_h))
+    return tuple(W.solve_lt(c) for c in (x_ex, x_co, x_h))
 
 
 def hodge_laplacian(cx, i):
     """The operator d*_i d_i + d_{i-1} d*_{i-1}, Gram-self-adjoint."""
-    from ddforms.assembly import adjoint
-
     n = cx.spaces[i].dim
     mat = np.zeros((n, n))
     if i < len(cx.diffs):
@@ -146,8 +131,8 @@ def hodge_laplacian(cx, i):
 def laplace_solve(cx, i, f, rtol=1e-9):
     """Solve the Hodge-Laplace problem: u orthogonal to harmonics with
     Laplacian(u) = f - p, p the harmonic part of f.  Returns (u, p)."""
-    L = cx.whitening(i)
-    fw = L.T @ f if L.shape[0] else np.asarray(f, float)
+    W = cx.whitening(i)
+    fw = W.mul_lt(f)
     lap = np.zeros((cx.spaces[i].dim, cx.spaces[i].dim))
     if i < len(cx.diffs):
         a = cx.whitened_diff(i)
@@ -156,23 +141,19 @@ def laplace_solve(cx, i, f, rtol=1e-9):
         a = cx.whitened_diff(i - 1)
         lap += a @ a.T
     h = harmonic_space(cx, i, rtol)
-    hw = L.T @ h.basis if L.shape[0] else h.basis
+    hw = W.mul_lt(h.basis)
     pw = hw @ (hw.T @ fw)
     uw = np.linalg.pinv(lap, rcond=rtol) @ (fw - pw)
-    return _unwhiten(L, uw), _unwhiten(L, pw)
+    return W.solve_lt(uw), W.solve_lt(pw)
 
 
 def pseudoinverse(op, rtol=1e-9):
-    """Metric Moore-Penrose pseudoinverse of an operator between spaces."""
-    L_dom = _chol(op.domain.gram)
-    L_cod = _chol(op.codomain.gram)
-    Aw = _solve_lt(L_dom, op.matrix)
-    if L_cod.shape[0]:
-        Aw = L_cod.T @ Aw
+    """Metric Moore-Penrose pseudoinverse of an operator between spaces:
+    L_dom^-T pinv(L_cod^T A L_dom^-T) L_cod^T."""
+    dom, cod = op.domain.whitening, op.codomain.whitening
+    Aw = cod.mul_lt(dom.solve_l(op.matrix.T).T)
     pw = np.linalg.pinv(Aw, rcond=rtol)
-    if L_cod.shape[0]:
-        pw = pw @ L_cod.T
-    mat = _unwhiten(L_dom, pw)
+    mat = dom.solve_lt(cod.mul_l(pw.T).T)
     return LinearOp(op.codomain, op.domain, mat)
 
 

@@ -277,14 +277,19 @@ def integer_rank(mat):
 
 
 def betti_numbers(pair):
-    """Relative Betti numbers b_0 .. b_n of (T, U), exactly over the rationals."""
-    n = pair.top_dim
-    dims = [len(pair.stratum(m)) for m in range(n + 1)]
-    ranks = [0] * (n + 2)
-    for m in range(1, n + 1):
-        mat = boundary_matrix(pair, m)
-        ranks[m] = integer_rank(mat) if mat and mat[0] else 0
-    return [dims[m] - ranks[m] - ranks[m + 1] for m in range(n + 1)]
+    """Relative Betti numbers b_0 .. b_n of (T, U), exactly over the
+    rationals; computed once per pair, returned as a fresh list."""
+    betti = pair._cache.get(("betti",))
+    if betti is None:
+        n = pair.top_dim
+        dims = [len(pair.stratum(m)) for m in range(n + 1)]
+        ranks = [0] * (n + 2)
+        for m in range(1, n + 1):
+            mat = boundary_matrix(pair, m)
+            ranks[m] = integer_rank(mat) if mat and mat[0] else 0
+        betti = [dims[m] - ranks[m] - ranks[m + 1] for m in range(n + 1)]
+        pair._cache[("betti",)] = betti
+    return list(betti)
 
 
 # -- patches and skeletons ------------------------------------------------
@@ -404,19 +409,25 @@ def _kuhn_cells_3d(keep):
     return cells, coords
 
 
-def _half_marked(pair):
-    """Boundary facets with lowest centroid in the last coordinate (a disk
-    on the boundary for the catalog meshes), as input to build_complex."""
-    facets = pair.boundary_facets()
-    if not facets:
-        return []
+def mark_pair(pair, mode):
+    """Re-mark a pair, keeping every simplex of it: "none" marks nothing,
+    "full" every boundary facet, "half" the boundary facets lowest in the
+    last coordinate (a disk on the boundary for the catalog meshes).
+    Returns the pair itself when its marking does not change."""
+    if mode not in ("none", "full", "half"):
+        raise MeshError(f"unknown marking mode {mode!r}")
+    facets = pair.boundary_facets() if mode != "none" else []
+    if mode == "half" and facets:
+        def level(f):
+            return sum(p[-1] for p in pair.points(f)) / (f.dim + 1)
 
-    def level(f):
-        pts = pair.points(f)
-        return sum(p[-1] for p in pts) / len(pts)
-
-    lo = min(level(f) for f in facets)
-    return [list(f.vertices) for f in facets if level(f) < lo + 1e-9]
+        lo = min(level(f) for f in facets)
+        facets = [f for f in facets if level(f) < lo + 1e-9]
+    marked = {g for f in facets for g in f.subsimplices()}
+    if marked == pair.marked:
+        return pair
+    return RelativePair(pair.coords, pair.all_simplices(), marked,
+                        top_dim=pair.top_dim)
 
 
 def generate_mesh(name, size=1, mark="none"):
@@ -457,18 +468,7 @@ def generate_mesh(name, size=1, mark="none"):
     else:
         raise MeshError(f"unknown catalog mesh {name!r}")
 
-    pair = build_complex(cells, coords)
-    if mark == "none":
-        marked = []
-    elif mark == "full":
-        marked = [list(f.vertices) for f in pair.boundary_facets()]
-    elif mark == "half":
-        marked = _half_marked(pair)
-    else:
-        raise MeshError(f"unknown marking mode {mark!r}")
-    if marked:
-        pair = build_complex(cells, coords, marked)
-    return pair
+    return mark_pair(build_complex(cells, coords), mark)
 
 
 # -- mesh files -----------------------------------------------------------

@@ -5,7 +5,7 @@ lambda^alpha times a wedge of barycentric differentials d(lambda_i).  The
 wedge part is kept canonical by eliminating d(lambda_0) through the
 relation sum_i d(lambda_i) = 0, and the polynomial part can be reduced to
 the variables lambda_1..lambda_m for unique coefficient vectors.  On top
-of this the module provides the exterior derivative, traces, wedge, Hodge
+of this the module provides the exterior derivative, traces, Hodge
 star, codifferential, exact L2 inner products, the standard polynomial
 element families, trace-free (bubble) subspaces and extension operators,
 and checkers for local exactness and geometric decomposability.
@@ -191,19 +191,6 @@ class BarycentricForm:
                 na = alpha[:i] + (ai - 1,) + alpha[i + 1:]
                 for nsig, w in _canon_wedge((i,) + sig, self.dim).items():
                     out._add((na, nsig), c * ai * w)
-        return out
-
-    def wedge(self, other):
-        self._like(other)
-        out = BarycentricForm(self.dim, self.degree + other.degree)
-        if out.degree > self.dim:
-            raise FormError("wedge degree exceeds simplex dimension")
-        for (a1, s1), c1 in self.terms.items():
-            for (a2, s2), c2 in other.terms.items():
-                srt, sign = _sort_with_parity(s1 + s2)
-                if sign:
-                    alpha = tuple(x + y for x, y in zip(a1, a2))
-                    out._add((alpha, srt), c1 * c2 * sign)
         return out
 
     def trace(self, positions):
@@ -749,10 +736,6 @@ def _bubble_space(kind, r, m, k):
     return ElementSpace(m, k, basis, src.frame_degree), null
 
 
-def bubble_dimension(kind, r, m, k):
-    return _bubble_space(kind, r, m, k)[0].size
-
-
 @lru_cache(maxsize=None)
 def _full_support_generators(kind, r, mf, k):
     """Symbolic generators on an mf-simplex touching every vertex.
@@ -910,43 +893,54 @@ def check_geometric_decomposition(pair, family, k):
 
     For each simplex dimension present, verifies that extended bubble
     spaces of all faces are independent and jointly span the element
-    space, and that the trace/extension identities hold.
+    space, and that the trace/extension identities hold.  A dimension whose
+    bubbles have no extension into the family space fails with the reason.
     """
     n = pair.top_dim
     report = {"family": family.label, "degree": k, "dims": {}, "passed": True}
     for m in range(k, n + 1):
         if not pair.simplices(m):
             continue
-        space = family.space(m, k)
-        columns = []
-        frame = reduced_frame(m, k, space.frame_degree)
-        for mf in range(k, m + 1):
-            bubble, _ = _bubble_space(family.kind, family.r, mf, k)
-            if bubble.size == 0:
-                continue
-            for positions in itertools.combinations(range(m + 1), mf + 1):
-                for f in bubble.basis:
-                    ext = extension(f, positions, m, family)
-                    space.coefficients(ext)
-                    columns.append(coeff_vector(ext, frame))
-        count = len(columns)
-        if count:
-            rank = int(np.linalg.matrix_rank(np.column_stack(columns), tol=1e-9))
-        else:
-            rank = 0
-        identities = all(
-            _check_extension_identities(family, mf, k, m)
-            for mf in range(k, m + 1))
-        ok = count == space.size and rank == space.size and identities
-        report["dims"][m] = {
-            "space_dim": space.size,
-            "bubble_sum": count,
-            "rank": rank,
-            "identities": bool(identities),
-            "ok": bool(ok),
-        }
-        report["passed"] = report["passed"] and ok
+        try:
+            entry = _decomposition_entry(family, m, k)
+        except (FamilyError, FormError) as exc:
+            entry = {"ok": False, "reason": str(exc)}
+        report["dims"][m] = entry
+        report["passed"] = report["passed"] and entry["ok"]
     return report
+
+
+def _decomposition_entry(family, m, k):
+    """Decomposition report of the k-form element space on an m-simplex;
+    raises FamilyError or FormError when a bubble cannot be extended."""
+    space = family.space(m, k)
+    columns = []
+    frame = reduced_frame(m, k, space.frame_degree)
+    for mf in range(k, m + 1):
+        bubble, _ = _bubble_space(family.kind, family.r, mf, k)
+        if bubble.size == 0:
+            continue
+        for positions in itertools.combinations(range(m + 1), mf + 1):
+            for f in bubble.basis:
+                ext = extension(f, positions, m, family)
+                space.coefficients(ext)
+                columns.append(coeff_vector(ext, frame))
+    count = len(columns)
+    if count:
+        rank = int(np.linalg.matrix_rank(np.column_stack(columns), tol=1e-9))
+    else:
+        rank = 0
+    identities = all(
+        _check_extension_identities(family, mf, k, m)
+        for mf in range(k, m + 1))
+    ok = count == space.size and rank == space.size and identities
+    return {
+        "space_dim": space.size,
+        "bubble_sum": count,
+        "rank": rank,
+        "identities": bool(identities),
+        "ok": bool(ok),
+    }
 
 
 def check_trace_surjectivity(family, m, k):

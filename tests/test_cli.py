@@ -126,9 +126,32 @@ def test_bad_catalog_size(capsys):
 
 
 def test_unsupported_full_family(capsys):
-    code, _text = run(["chain", "--mesh", "catalog:triangle",
-                       "--family", "full", "--degree", "1"])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: unsupported configuration: ")
+    """The full family at r <= n has no geometric decomposition on the
+    triangle: the condition check reports it and the run gives a verdict."""
+    args = ["--mesh", "catalog:triangle", "--family", "full", "--degree", "1",
+            "--format", "structured"]
+    for command in ("chain", "harmonic"):
+        code, text = run([command] + args)
+        assert code in (0, 1)
+        assert "condition checkers reported failures" in \
+            json.loads(text)["warnings"]
+    code, text = run(["check"] + args)
+    assert code == 1
+    report = json.loads(text)["report"]
+    assert report["decomposition"]["1"] is False
+    assert not report["passed"]
+    assert run(["chain", "--strict"] + args)[0] == 1
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_file_mesh_keeps_dangling_edge(tmp_path):
+    path = tmp_path / "dangling.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 2,
+        "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
+        "cells": [[0, 1, 2], [2, 3]],
+    }))
+    code, text = run(["betti", "--mesh", str(path), "--mark", "none",
+                      "--format", "structured"])
+    assert code == 0
+    assert json.loads(text)["mesh"]["simplices"] == {"0": 4, "1": 4, "2": 1}

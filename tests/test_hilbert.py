@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from ddforms.assembly import (AssemblyError, LinearOp, operator_D,
-                              operator_T)
+from ddforms.assembly import (AssemblyError, LinearOp, adjoint,
+                              derivative_operator, graded_space,
+                              gram_orthonormalize, operator_D, operator_T)
 from ddforms.hilbert import (ComplexInstance, betti_from_complex,
                              harmonic_space, hodge_decompose,
                              hodge_laplacian, laplace_solve, pseudoinverse,
                              subspace_equality_defect, subspace_transfer)
-from ddforms.mesh import betti_numbers
-from ddforms.polyforms import whitney
+from ddforms.mesh import betti_numbers, build_complex, generate_mesh
+from ddforms.polyforms import Family, whitney
 from ddforms import distrib
 
 
@@ -136,3 +137,62 @@ def test_subspace_equality_defect(annulus_cx):
     assert subspace_equality_defect(h, h) < 1e-12
     t = subspace_transfer(h, h)
     assert np.allclose(t, np.eye(h.dim))
+
+
+def jittered(name, size, seed):
+    """A catalog mesh with every vertex moved at random by up to 0.15."""
+    base = generate_mesh(name, size)
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-0.15, 0.15, (len(base.coords), base.ambient_dim))
+    coords = np.array(base.coords) + shift
+    cells = [s.vertices for s in base.simplices(base.top_dim)]
+    return build_complex(cells, coords)
+
+
+def dense_whitened(op):
+    """L_cod^T A L_dom^-T from dense Cholesky factors of the two Grams."""
+    L_dom = np.linalg.cholesky(op.domain.gram)
+    L_cod = np.linalg.cholesky(op.codomain.gram)
+    return L_cod.T @ np.linalg.solve(L_dom, op.matrix.T).T
+
+
+@pytest.mark.parametrize("name,r", [("annulus", 1), ("annulus", 2),
+                                    ("solid_ring", 1), ("solid_ring", 2)])
+def test_block_whitening_matches_dense_cholesky(name, r):
+    pair = jittered(name, 1, seed=7 + r)
+    fam = Family("trimmed", r)
+    n = pair.top_dim
+    rng = np.random.default_rng(r)
+    for k in range(1, n):
+        space = graded_space(pair, n, k, k + 1, fam)
+        assert len(space.strata) > 1
+        op = derivative_operator(space)
+        assert len(op.codomain.strata) > 1
+
+        ref = dense_whitened(op)
+        got = ComplexInstance([op.domain, op.codomain], [op]).whitened_diff(0)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+        ref = np.linalg.solve(op.domain.gram, op.matrix.T @ op.codomain.gram)
+        got = adjoint(op).matrix
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+        cols = rng.standard_normal((space.dim, 5))
+        L = np.linalg.cholesky(space.gram)
+        ref = np.linalg.solve(L.T, np.linalg.qr(L.T @ cols)[0])
+        got = gram_orthonormalize(space, cols)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(got.T @ space.gram @ got - np.eye(5)) < 1e-12
+
+
+def test_harmonic_space_memoised_per_complex():
+    fam = whitney()
+    cx = distrib.total_complex(generate_mesh("annulus", 1, "full"), fam)
+    fresh = distrib.total_complex(generate_mesh("annulus", 1, "full"), fam)
+    assert fresh is not cx
+    for i in range(len(cx)):
+        h = harmonic_space(cx, i)
+        assert harmonic_space(cx, i) is h
+        again = harmonic_space(fresh, i)
+        assert again is not h and again.dim == h.dim
+        assert subspace_equality_defect(h, again) < 1e-12

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import sympy
 
+from ddforms import mesh
 from ddforms.mesh import (MeshError, Simplex, betti_numbers, boundary_matrix,
                           build_complex, check_local_patch_condition,
                           generate_mesh, integer_rank, load_mesh_file,
-                          orientation_sign, patch_pair, save_mesh_file,
-                          skeleton_pair)
+                          mark_pair, orientation_sign, patch_pair,
+                          save_mesh_file, skeleton_pair)
 
 
 def test_simplex_faces_and_dim():
@@ -73,6 +74,33 @@ def test_betti_annulus_and_ring(catalog):
     assert betti_numbers(catalog("annulus", 1, "full")) == [0, 1, 1]
     assert betti_numbers(catalog("solid_ring")) == [1, 1, 0, 0]
     assert betti_numbers(catalog("solid_ring", 1, "full")) == [0, 0, 1, 1]
+
+
+def test_betti_numbers_computed_once_per_pair(monkeypatch):
+    pair = generate_mesh("annulus")
+    first = betti_numbers(pair)
+    first[0] = 99
+
+    def no_rank(mat):
+        raise AssertionError("Betti numbers recomputed")
+
+    monkeypatch.setattr(mesh, "integer_rank", no_rank)
+    assert betti_numbers(pair) == [1, 1, 0]
+
+
+def test_mark_pair_keeps_simplices():
+    # a triangle with a dangling edge: re-marking must keep the edge
+    pair = build_complex([[0, 1, 2], [2, 3]],
+                         [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
+                         marked=[[0, 1]])
+    unmarked = mark_pair(pair, "none")
+    assert not unmarked.marked
+    assert [len(unmarked.simplices(m)) for m in range(3)] == [4, 4, 1]
+    full = mark_pair(unmarked, "full")
+    assert full.marked == {(0, 1), (0, 2), (1, 2), (0,), (1,), (2,)}
+    assert mark_pair(full, "full") is full
+    with pytest.raises(MeshError):
+        mark_pair(pair, "file")
 
 
 def test_marked_set_closure_enforced():
