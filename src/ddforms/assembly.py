@@ -10,13 +10,12 @@ adjoints and kernel subspaces.
 
 from __future__ import annotations
 
-import itertools
 from functools import partialmethod
 
 import numpy as np
 
 from ddforms.mesh import MeshError, orientation_sign
-from ddforms.polyforms import simplex_metrics
+from ddforms.polyforms import rank_split, simplex_metrics
 
 
 class AssemblyError(ValueError):
@@ -348,13 +347,7 @@ def derivative_operator(space):
 
 def matrix_nullspace(mat, rtol=1e-9):
     """Orthonormal (Euclidean) nullspace columns of a dense matrix."""
-    mat = np.asarray(mat, float)
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        return np.eye(mat.shape[1])
-    u, s, vt = np.linalg.svd(mat)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rtol * max(smax, 1.0)))
-    return vt[rank:].T.copy()
+    return rank_split(mat, rtol).null
 
 
 def kernel_space(pair, m, k, family, which, weight_top=None, rtol=1e-9):

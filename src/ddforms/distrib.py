@@ -164,38 +164,46 @@ def redirected_lambda(pair, family, k0, weight_top=None):
 def redirected_gamma(pair, family, m0, weight_top=None):
     """The stratum-redirected complex: piecewise-constant-like (kernel of
     the cellwise derivative) spaces above stratum m0, then graded broken
-    spaces.  m0 = n gives the total complex, m0 = -1 the chain-like one.
+    spaces.  m0 = n gives the total complex, which is the very instance
+    ``redirected_lambda(pair, family, 0)`` returns; m0 = -1 gives the
+    chain-like one.
     """
     n = pair.top_dim
     if not -1 <= m0 <= n:
         raise AssemblyError(f"redirect stratum {m0} out of range")
+    if m0 == n:
+        return redirected_lambda(pair, family, 0, weight_top)
     key = ("redirG", family, m0, weight_top)
+    return _cached(pair, key,
+                   lambda: _build_gamma(pair, family, m0, weight_top))
 
-    def build():
-        spaces = []
-        ops = []
-        subs = []
-        for m in range(n, m0, -1):
-            subs.append(_kernel(pair, m, 0, family, "horizontal", weight_top))
-        for i, sub in enumerate(subs):
-            spaces.append(CoordSpace(sub, f"G0(T{n - i})"))
-        for i in range(len(subs) - 1):
-            mat = _restricted_diff(pair, subs[i], subs[i + 1], n - i - 1)
-            ops.append(LinearOp(spaces[i], spaces[i + 1], mat))
-        if m0 >= 0:
-            cur = BrokenSpace(pair, [(m0, 0)], family, weight_top=weight_top)
-            spaces.append(cur)
-            if subs:
-                ops.append(LinearOp(spaces[-2], cur,
-                                    _transition_diff(subs[-1], cur, m0)))
-            for _i in range(m0):
-                d = derivative_operator(cur)
-                spaces.append(d.codomain)
-                ops.append(d)
-                cur = d.codomain
-        return ComplexInstance(spaces, ops, f"redirected-stratum({m0})")
 
-    return _cached(pair, key, build)
+def _build_gamma(pair, family, m0, weight_top):
+    """Assemble the stratum-redirected complex at m0 from the stratum side,
+    uncached."""
+    n = pair.top_dim
+    spaces = []
+    ops = []
+    subs = []
+    for m in range(n, m0, -1):
+        subs.append(_kernel(pair, m, 0, family, "horizontal", weight_top))
+    for i, sub in enumerate(subs):
+        spaces.append(CoordSpace(sub, f"G0(T{n - i})"))
+    for i in range(len(subs) - 1):
+        mat = _restricted_diff(pair, subs[i], subs[i + 1], n - i - 1)
+        ops.append(LinearOp(spaces[i], spaces[i + 1], mat))
+    if m0 >= 0:
+        cur = BrokenSpace(pair, [(m0, 0)], family, weight_top=weight_top)
+        spaces.append(cur)
+        if subs:
+            ops.append(LinearOp(spaces[-2], cur,
+                                _transition_diff(subs[-1], cur, m0)))
+        for _i in range(m0):
+            d = derivative_operator(cur)
+            spaces.append(d.codomain)
+            ops.append(d)
+            cur = d.codomain
+    return ComplexInstance(spaces, ops, f"redirected-stratum({m0})")
 
 
 def total_complex(pair, family, weight_top=None, weighted=True):
@@ -351,15 +359,19 @@ def regularizer_S(pair, family, m, b, weight_top=None):
     return LinearOp(sp, sp, mat)
 
 
-def _cocycle_projector(cx, i):
-    """Gram-orthogonal projection onto the kernel of the differential at
-    index i; the identity when there is no outgoing differential."""
+def _project_cocycles(cx, i, x):
+    """Gram-orthogonal projection of the columns of x onto the kernel of
+    the differential at index i; x itself when there is no outgoing
+    differential.  The Gram-orthonormal kernel basis is memoised on the
+    complex instance per index."""
     sp = cx.spaces[i]
     if i >= len(cx.diffs) or cx.diffs[i].matrix.shape[0] == 0:
-        return np.eye(sp.dim)
-    K = matrix_nullspace(cx.diffs[i].matrix)
-    Kb = gram_orthonormalize(sp, K)
-    return Kb @ (Kb.T @ sp.gram)
+        return x
+    Kb = cx._cocycles.get(i)
+    if Kb is None:
+        Kb = gram_orthonormalize(sp, matrix_nullspace(cx.diffs[i].matrix))
+        cx._cocycles[i] = Kb
+    return Kb @ (Kb.T @ (sp.gram @ x))
 
 
 def iso_step(pair, family, side, index, b, weight_top=None, project=True,
@@ -394,8 +406,7 @@ def iso_step(pair, family, side, index, b, weight_top=None, project=True,
     src_vectors = emb @ h_src.basis
     rstar = adjoint(reg).matrix
     moved = rstar @ src_vectors
-    Q = _cocycle_projector(cx, pos) if project else np.eye(sp.dim)
-    image = Q @ moved
+    image = _project_cocycles(cx, pos, moved) if project else moved
     transfer = h_tgt.basis.T @ sp.gram @ image
     if h_src.dim:
         pairing = src_vectors.T @ sp.gram @ image
@@ -518,8 +529,9 @@ def verify_chain(pair, family, k, weight_top=None, smin_tol=1e-6):
                st["ok"] and st["src_dim"] == target,
                dims=(st["src_dim"], st["tgt_dim"]), smin=st["smin_rel"])
 
-    # central identity: the two maximal graded complexes coincide
-    tg = redirected_gamma(pair, family, n, weight_top)
+    # central identity: the maximal graded complex, assembled afresh from
+    # the stratum side, coincides with the shared total complex
+    tg = _build_gamma(pair, family, n, weight_top)
     tl = redirected_lambda(pair, family, 0, weight_top)
     same = len(tg) == len(tl)
     max_diff = 0.0

@@ -7,15 +7,17 @@ pseudoinverses are all computed after whitening: the Cholesky factor of
 each Gram matrix maps to an orthonormal frame, where plain SVD machinery
 gives the metric-correct answers.  Every space carries that factor as its
 ``whitening`` (block by block for broken spaces, the identity for
-coordinate spaces).
+coordinate spaces).  Each of those SVDs is one ``rank_split``; the
+harmonic one of an index is memoised on its complex and also serves the
+Laplace solve there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ddforms.assembly import (AssemblyError, LinearOp, Subspace, adjoint,
-                              matrix_nullspace)
+from ddforms.assembly import AssemblyError, LinearOp, Subspace, adjoint
+from ddforms.polyforms import rank_split
 
 
 class ComplexInstance:
@@ -31,6 +33,7 @@ class ComplexInstance:
         self.diffs = list(diffs)
         self.label = label
         self._harmonic = {}
+        self._cocycles = {}
         if check:
             for i in range(len(diffs) - 1):
                 a, b = diffs[i + 1].matrix, diffs[i].matrix
@@ -59,14 +62,24 @@ class ComplexInstance:
         return f"ComplexInstance({self.label!r}, dims={self.dims()})"
 
 
-def _range_basis(mat, rtol=1e-9):
-    """Orthonormal basis of the column span."""
-    if mat.shape[1] == 0 or mat.shape[0] == 0:
-        return np.zeros((mat.shape[0], 0))
-    u, s, _vt = np.linalg.svd(mat, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rtol * max(smax, 1.0)))
-    return u[:, :rank]
+def _harmonic_split(cx, i, rtol):
+    """The memo entry of index i: the harmonic subspace, plus the positive
+    singular values s_r and leading right singular vectors V_r of the
+    whitened stacked matrix A = [d_i; d_{i-1}^T], which diagonalise the
+    whitened Laplacian A^T A."""
+    entry = cx._harmonic.get((i, rtol))
+    if entry is None:
+        rows = []
+        if i < len(cx.diffs):
+            rows.append(cx.whitened_diff(i))
+        if i > 0:
+            rows.append(cx.whitened_diff(i - 1).T)
+        A = np.vstack(rows) if rows else np.zeros((0, cx.spaces[i].dim))
+        split = rank_split(A, rtol)
+        h = Subspace(cx.spaces[i], cx.whitening(i).solve_lt(split.null))
+        entry = (h, split.s[:split.rank], split.row_range)
+        cx._harmonic[(i, rtol)] = entry
+    return entry
 
 
 def harmonic_space(cx, i, rtol=1e-9):
@@ -76,20 +89,7 @@ def harmonic_space(cx, i, rtol=1e-9):
     [d_i; d_{i-1}^T]; the returned basis is Gram-orthonormal.  The result
     is memoised on the complex instance per (i, rtol).
     """
-    h = cx._harmonic.get((i, rtol))
-    if h is None:
-        rows = []
-        if i < len(cx.diffs):
-            rows.append(cx.whitened_diff(i))
-        if i > 0:
-            rows.append(cx.whitened_diff(i - 1).T)
-        if rows:
-            null = matrix_nullspace(np.vstack(rows), rtol)
-        else:
-            null = np.eye(cx.spaces[i].dim)
-        h = Subspace(cx.spaces[i], cx.whitening(i).solve_lt(null))
-        cx._harmonic[(i, rtol)] = h
-    return h
+    return _harmonic_split(cx, i, rtol)[0]
 
 
 def betti_from_complex(cx, rtol=1e-9):
@@ -102,11 +102,11 @@ def hodge_decompose(x, cx, i, rtol=1e-9):
     W = cx.whitening(i)
     xw = W.mul_lt(x)
     if i > 0:
-        Bex = _range_basis(cx.whitened_diff(i - 1), rtol)
+        Bex = rank_split(cx.whitened_diff(i - 1), rtol).range
     else:
         Bex = np.zeros((cx.spaces[i].dim, 0))
     if i < len(cx.diffs):
-        Bco = _range_basis(cx.whitened_diff(i).T, rtol)
+        Bco = rank_split(cx.whitened_diff(i).T, rtol).range
     else:
         Bco = np.zeros((cx.spaces[i].dim, 0))
     x_ex = Bex @ (Bex.T @ xw)
@@ -130,20 +130,16 @@ def hodge_laplacian(cx, i):
 
 def laplace_solve(cx, i, f, rtol=1e-9):
     """Solve the Hodge-Laplace problem: u orthogonal to harmonics with
-    Laplacian(u) = f - p, p the harmonic part of f.  Returns (u, p)."""
+    Laplacian(u) = f - p, p the harmonic part of f.  Returns (u, p).
+
+    Reuses the SVD behind ``harmonic_space``: in whitened coordinates
+    u = V_r diag(s_r^-2) V_r^T (f - p)."""
     W = cx.whitening(i)
     fw = W.mul_lt(f)
-    lap = np.zeros((cx.spaces[i].dim, cx.spaces[i].dim))
-    if i < len(cx.diffs):
-        a = cx.whitened_diff(i)
-        lap += a.T @ a
-    if i > 0:
-        a = cx.whitened_diff(i - 1)
-        lap += a @ a.T
-    h = harmonic_space(cx, i, rtol)
+    h, s, V = _harmonic_split(cx, i, rtol)
     hw = W.mul_lt(h.basis)
     pw = hw @ (hw.T @ fw)
-    uw = np.linalg.pinv(lap, rcond=rtol) @ (fw - pw)
+    uw = V @ ((V.T @ (fw - pw)) / s ** 2)
     return W.solve_lt(uw), W.solve_lt(pw)
 
 

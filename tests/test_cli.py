@@ -155,3 +155,75 @@ def test_file_mesh_keeps_dangling_edge(tmp_path):
                       "--format", "structured"])
     assert code == 0
     assert json.loads(text)["mesh"]["simplices"] == {"0": 4, "1": 4, "2": 1}
+
+
+# Relative Betti numbers of the ladder meshes under each marking.
+LADDER_BETTI = {
+    ("annulus", "none"): [1, 1, 0],
+    ("annulus", "full"): [0, 1, 1],
+    ("annulus", "half"): [0, 1, 0],
+    ("cube_tet", "none"): [1, 0, 0, 0],
+    ("cube_tet", "full"): [0, 0, 0, 1],
+    ("cube_tet", "half"): [0, 0, 0, 0],
+}
+
+# `solve`: [dim, harmonic dim] of the conforming space at every index.
+LADDER_SOLVE = {
+    ("annulus", 1, "none"): [[0, 0], [16, 1], [16, 1]],
+    ("annulus", 1, "full"): [[16, 1], [32, 1], [16, 0]],
+    ("annulus", 1, "half"): [[2, 0], [19, 1], [16, 0]],
+    ("annulus", 2, "none"): [[16, 0], [64, 1], [48, 1]],
+    ("annulus", 2, "full"): [[48, 1], [96, 1], [48, 0]],
+    ("annulus", 2, "half"): [[21, 0], [70, 1], [48, 0]],
+    ("cube_tet", 1, "none"): [[0, 0], [1, 0], [6, 0], [6, 1]],
+    ("cube_tet", 1, "full"): [[8, 1], [19, 0], [18, 0], [6, 0]],
+    ("cube_tet", 1, "half"): [[0, 0], [2, 0], [8, 0], [6, 0]],
+    ("cube_tet", 2, "none"): [[1, 0], [14, 0], [36, 0], [24, 1]],
+    ("cube_tet", 2, "full"): [[27, 1], [74, 0], [72, 0], [24, 0]],
+    ("cube_tet", 2, "half"): [[2, 0], [20, 0], [42, 0], [24, 0]],
+}
+
+
+def _verdicts(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key in ("ok", "passed"):
+                yield item
+            else:
+                yield from _verdicts(item)
+
+
+@pytest.mark.parametrize("mark", ["none", "full", "half"])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("name", ["annulus", "cube_tet"])
+def test_ladder_dimensions(name, r, mark):
+    """chain, solve and harmonic against fixed dimensions: every harmonic
+    dimension along the chain is the Betti number it stands for."""
+    betti = LADDER_BETTI[(name, mark)]
+    n = len(betti) - 1
+    reports = {}
+    for command in ("chain", "solve", "harmonic"):
+        code, text = run([command, "--mesh", f"catalog:{name}", "--mark", mark,
+                          "--degree", str(r), "--format", "structured"])
+        doc = json.loads(text)
+        assert code == 0 and doc["passed"] and not doc["warnings"]
+        assert all(_verdicts(doc["report"])), command
+        assert doc["mesh"]["betti"] == betti
+        reports[command] = doc["report"]
+
+    chain = reports["chain"]
+    for k in range(n + 1):
+        assert chain[str(k)]["betti"] == betti[n - k]
+        assert chain[str(k)]["dims"] == [betti[n - k]] * (2 * k + 5)
+
+    solve = reports["solve"]
+    assert [[solve[str(i)]["dim"], solve[str(i)].get("harmonic_dim", 0)]
+            for i in range(n + 1)] == LADDER_SOLVE[(name, r, mark)]
+
+    harmonic = reports["harmonic"]
+    assert harmonic["degree_graded"] == {
+        f"{k},{b}": betti[n - k] for k in range(n + 1) for b in range(1, k + 2)}
+    assert harmonic["stratum_graded"] == {
+        f"{m},{b}": betti[m] for m in range(n + 1) for b in range(1, n - m + 2)}
+    assert harmonic["conforming"] == {str(k): betti[n - k] for k in range(n + 1)}
+    assert harmonic["chain"] == {str(m): betti[m] for m in range(n + 1)}

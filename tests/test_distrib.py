@@ -3,7 +3,7 @@ import pytest
 
 from ddforms.assembly import AssemblyError, derivative_operator
 from ddforms.hilbert import betti_from_complex, harmonic_space
-from ddforms.mesh import betti_numbers, build_complex
+from ddforms.mesh import betti_numbers, build_complex, generate_mesh
 from ddforms.polyforms import Family, whitney
 from ddforms import distrib
 
@@ -25,6 +25,41 @@ def test_total_complex_identity(catalog):
     assert tl.dims() == tg.dims()
     for a, b in zip(tl.diffs, tg.diffs):
         assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_total_complex_shared(catalog):
+    pair = catalog("annulus", 1, "full")
+    n = pair.top_dim
+    tg = distrib.redirected_gamma(pair, FAM, n)
+    assert tg is distrib.redirected_lambda(pair, FAM, 0)
+    assert tg is distrib.total_complex(pair, FAM)
+
+
+def test_central_identity_compares_fresh_assembly(monkeypatch):
+    """The central step compares an uncached stratum-side assembly with the
+    shared total complex, so a perturbed stratum side makes it fail."""
+    pair = generate_mesh("annulus", 1, "full")
+    k = 1
+
+    def central(report):
+        (step,) = [s for s in report["steps"]
+                   if s["label"] == "central graded identity"]
+        return step
+
+    assert central(distrib.verify_chain(pair, FAM, k))["ok"]
+    build = distrib._build_gamma
+
+    def perturbed(pair_, family, m0, weight_top):
+        cx = build(pair_, family, m0, weight_top)
+        if m0 == pair_.top_dim:
+            cx.diffs[0].matrix[0, 0] += 1e-6
+        return cx
+
+    monkeypatch.setattr(distrib, "_build_gamma", perturbed)
+    report = distrib.verify_chain(pair, FAM, k)
+    assert not central(report)["ok"]
+    assert central(report)["matrix_defect"] > 1e-7
+    assert not report["passed"]
 
 
 def test_redirected_at_top_matches_conforming(catalog):

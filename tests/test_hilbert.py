@@ -8,7 +8,7 @@ from ddforms.hilbert import (ComplexInstance, betti_from_complex,
                              harmonic_space, hodge_decompose,
                              hodge_laplacian, laplace_solve, pseudoinverse,
                              subspace_equality_defect, subspace_transfer)
-from ddforms.mesh import betti_numbers, build_complex, generate_mesh
+from ddforms.mesh import betti_numbers, build_complex, generate_mesh, mark_pair
 from ddforms.polyforms import Family, whitney
 from ddforms import distrib
 
@@ -196,3 +196,29 @@ def test_harmonic_space_memoised_per_complex():
         again = harmonic_space(fresh, i)
         assert again is not h and again.dim == h.dim
         assert subspace_equality_defect(h, again) < 1e-12
+
+
+@pytest.mark.parametrize("name,mark", [("annulus", "none"), ("annulus", "full"),
+                                       ("solid_ring", "none"),
+                                       ("solid_ring", "half")])
+def test_laplace_solve_from_harmonic_svd(name, mark):
+    """The solve built from the harmonic SVD inverts the adjoint-assembled
+    Laplacian off the harmonic space and stays orthogonal to it."""
+    pair = mark_pair(jittered(name, 1, seed=11), mark)
+    fam = whitney()
+    rng = np.random.default_rng(5)
+    for cx in (distrib.conforming_complex(pair, fam),
+               distrib.total_complex(pair, fam)):
+        for i in range(len(cx)):
+            dim = cx.spaces[i].dim
+            if dim == 0:
+                continue
+            gram = cx.spaces[i].gram
+            f = rng.standard_normal(dim)
+            u, p = laplace_solve(cx, i, f)
+            res = hodge_laplacian(cx, i).matrix @ u - (f - p)
+            rhs = f - p
+            assert np.sqrt(res @ gram @ res) < 1e-10 * np.sqrt(rhs @ gram @ rhs)
+            h = harmonic_space(cx, i)
+            u_norm = np.sqrt(u @ gram @ u)
+            assert np.linalg.norm(h.basis.T @ gram @ u) < 1e-12 * max(u_norm, 1)

@@ -40,6 +40,19 @@ def test_integer_rank_matches_sympy():
     for _ in range(20):
         mat = rng.integers(-3, 4, size=rng.integers(1, 7, size=2))
         assert integer_rank(mat) == sympy.Matrix(mat.tolist()).rank()
+    # larger sparse boundary-like matrices: a few +-1 (sometimes +-2)
+    # entries per column, some columns combinations of others
+    for trial in range(6):
+        rows, cols = 30 + 3 * trial, 40 - 2 * trial
+        mat = np.zeros((rows, cols), dtype=int)
+        for j in range(cols):
+            idx = rng.choice(rows, size=3, replace=False)
+            mat[idx, j] = rng.choice([-1, 1, 1, 2], size=3) * \
+                rng.choice([-1, 1], size=3)
+        for j in rng.choice(cols, size=8, replace=False):
+            a, b = rng.choice(cols, size=2, replace=False)
+            mat[:, j] = mat[:, a] - 2 * mat[:, b]
+        assert integer_rank(mat) == sympy.Matrix(mat.tolist()).rank()
 
 
 def test_betti_ball_like():
@@ -135,6 +148,17 @@ def test_patch_condition_catalog(catalog):
     for name in ("square_grid", "annulus", "cube_tet"):
         rep = check_local_patch_condition(catalog(name))
         assert rep["passed"] and not rep["failures"]
+
+
+@pytest.mark.parametrize("mark", ["none", "full", "half"])
+def test_patch_condition_matches_patch_pairs(catalog, mark):
+    for name in ("interval", "triangle", "tetrahedron", "square_grid",
+                 "annulus", "cube_tet", "sphere_boundary"):
+        pair = catalog(name, 1, mark)
+        rep = check_local_patch_condition(pair)
+        for f in pair.all_simplices():
+            assert rep["betti"][f.vertices] == \
+                betti_numbers(patch_pair(pair, f)), (name, mark, f)
 
 
 def test_patch_condition_pinched_fails():

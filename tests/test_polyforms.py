@@ -11,7 +11,7 @@ from ddforms.polyforms import (BarycentricForm, Family, FamilyError, FormError,
                                check_geometric_decomposition,
                                check_local_exactness,
                                check_trace_surjectivity, geometry,
-                               simplex_metrics, stokes_residual,
+                               rank_split, simplex_metrics, stokes_residual,
                                trimmed_dimension, whitney, whitney_form)
 
 REF_TRI = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
@@ -151,6 +151,59 @@ def test_geometric_decomposition(catalog):
         for k in range(3):
             rep = check_geometric_decomposition(pair, fam, k)
             assert rep["passed"], (fam.label, k)
+
+
+def test_full_family_decomposition():
+    # above the dimension every degree decomposes, identities included
+    for name, r in (("square_grid", 3), ("cube_tet", 4)):
+        pair = generate_mesh(name)
+        for k in range(pair.top_dim + 1):
+            rep = check_geometric_decomposition(pair, Family("full", r), k)
+            assert rep["passed"], (name, r, k, rep)
+            assert all(e["identities"] for e in rep["dims"].values())
+    # at r <= n only degree r fails: its P_0 bubble has no extension
+    for name, r in (("square_grid", 2), ("cube_tet", 3)):
+        pair = generate_mesh(name)
+        for k in range(pair.top_dim + 1):
+            rep = check_geometric_decomposition(pair, Family("full", r), k)
+            assert rep["passed"] == (k != r), (name, r, k, rep)
+            failed = [e for e in rep["dims"].values() if not e["ok"]]
+            assert len(failed) == (k == r)
+            if failed:
+                assert "no full-support generators" in failed[0]["reason"]
+
+
+def _projector(basis):
+    return basis @ basis.T
+
+
+@pytest.mark.parametrize("shape,rank", [((40, 25), 17), ((25, 40), 17),
+                                        ((30, 30), 30), ((30, 30), 12),
+                                        ((12, 20), 12), ((0, 7), 0),
+                                        ((7, 0), 0), ((9, 5), 0)])
+def test_rank_split_matches_full_svd(shape, rank):
+    rng = np.random.default_rng(sum(shape) + rank)
+    rows, cols = shape
+    mat = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    split = rank_split(mat)
+    assert split.rank == rank
+    assert split.null.shape == (cols, cols - rank)
+    assert split.range.shape == (rows, rank)
+    assert split.row_range.shape == (cols, rank)
+    if rows and cols:
+        u, s, vt = np.linalg.svd(mat, full_matrices=True)
+        ref_rank = int(np.sum(s > 1e-9 * max(s[0], 1.0)))
+        assert split.rank == ref_rank
+        assert np.allclose(split.s, s)
+        ref = {"null": vt[ref_rank:].T, "range": u[:, :ref_rank],
+               "row_range": vt[:ref_rank].T}
+        for name, basis in ref.items():
+            got = getattr(split, name)
+            assert np.linalg.norm(got.T @ got - np.eye(got.shape[1])) < 1e-12
+            assert np.linalg.norm(
+                _projector(got) - _projector(basis)) < 1e-12, name
+    else:
+        assert np.array_equal(split.null, np.eye(cols))
 
 
 def test_trace_surjectivity():
