@@ -57,8 +57,6 @@ from ddforms.hilbert import (
     pseudoinverse,
 )
 from ddforms.distrib import (
-    FamilySpec,
-    build_family,
     total_complex,
     conforming_complex,
     chainlike_complex,
@@ -116,8 +114,6 @@ __all__ = [
     "hodge_laplacian",
     "laplace_solve",
     "pseudoinverse",
-    "FamilySpec",
-    "build_family",
     "total_complex",
     "conforming_complex",
     "chainlike_complex",

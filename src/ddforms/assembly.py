@@ -28,35 +28,34 @@ def mesh_weight(pair, simplex, top=None):
     h_C is the diameter of C, or the mean diameter of adjacent edges when
     C is a vertex.
     """
-    top = pair.top_dim if top is None else top
-    key = ("hweight", simplex.vertices)
-    h = pair._cache.get(key)
-    if h is None:
+
+    def build():
         if simplex.dim >= 1:
-            h = pair.diameter(simplex)
-        else:
-            v = simplex.vertices[0]
-            lengths = [pair.diameter(e) for e in pair.simplices(1)
-                       if v in e.vertices]
-            if not lengths:
-                raise MeshError(f"isolated vertex {v} has no adjacent edges")
-            h = sum(lengths) / len(lengths)
-        pair._cache[key] = h
+            return pair.diameter(simplex)
+        v = simplex.vertices[0]
+        lengths = [pair.diameter(e) for e in pair.simplices(1)
+                   if v in e.vertices]
+        if not lengths:
+            raise MeshError(f"isolated vertex {v} has no adjacent edges")
+        return sum(lengths) / len(lengths)
+
+    top = pair.top_dim if top is None else top
+    h = pair.cached(("hweight", simplex.vertices), build)
     return h ** (top - simplex.dim)
 
 
 def _element_grams(pair, family, stratum):
     """Unweighted element Grams of every simplex of a stratum, stacked in
     stratum order: one batched geometry and one contraction per stratum."""
-    key = ("elgram", family.kind, family.r, stratum.m, stratum.k)
-    G = pair._cache.get(key)
-    if G is None:
+
+    def build():
         coords = np.asarray(pair.coords, float)
         cells = np.array([s.vertices for s in stratum.simplices])
-        G = family.space(stratum.m, stratum.k).gram(
+        return family.space(stratum.m, stratum.k).gram(
             *simplex_metrics(coords[cells]))
-        pair._cache[key] = G
-    return G
+
+    key = ("elgram", family.kind, family.r, stratum.m, stratum.k)
+    return pair.cached(key, build)
 
 
 class GramFactor:
@@ -107,17 +106,15 @@ class _Stratum:
 class BrokenSpace:
     """Direct sum of element spaces over strata (m, k), with a Gram matrix.
 
-    Strata are kept in decreasing simplex dimension; the sign and weight
-    conventions refer to ``sign_top`` and ``weight_top`` (both default to
-    the mesh's top dimension), which skeleton constructions override.
+    Strata are kept in decreasing simplex dimension; the mesh weights refer
+    to ``weight_top`` (default: the mesh's top dimension), which skeleton
+    constructions override.
     """
 
-    def __init__(self, pair, strata, family, weight_top=None, sign_top=None,
-                 weighted=True):
+    def __init__(self, pair, strata, family, weight_top=None, weighted=True):
         self.pair = pair
         self.family = family
         self.weight_top = pair.top_dim if weight_top is None else weight_top
-        self.sign_top = pair.top_dim if sign_top is None else sign_top
         self.weighted = weighted
         strata = sorted(set(strata), key=lambda mk: (-mk[0], mk[1]))
         if len({m for m, _ in strata}) != len(strata):
@@ -254,8 +251,7 @@ def broken_space(pair, m, k, family, weight_top=None):
     return BrokenSpace(pair, [(m, k)], family, weight_top=weight_top)
 
 
-def graded_space(pair, m, k, b, family, kind="down", weight_top=None,
-                 sign_top=None):
+def graded_space(pair, m, k, b, family, kind="down", weight_top=None):
     """Graded broken space: "down" stacks (m-j, k-j), "up" stacks (m+j, k+j)
     for j = 0..b-1, dropping combinatorially empty strata."""
     strata = []
@@ -264,8 +260,7 @@ def graded_space(pair, m, k, b, family, kind="down", weight_top=None,
         mj, kj = mk
         if 0 <= kj <= mj and mj <= pair.top_dim:
             strata.append(mk)
-    return BrokenSpace(pair, strata, family, weight_top=weight_top,
-                       sign_top=sign_top)
+    return BrokenSpace(pair, strata, family, weight_top=weight_top)
 
 
 def operator_D(pair, m, k, family, weight_top=None):
@@ -324,7 +319,8 @@ def derivative_operator(space):
     """The distributional exterior derivative of a graded broken space.
 
     Each stratum (m, k) contributes (-1)^i D into (m, k+1) and -(-1)^i T
-    into (m-1, k), where i = sign_top - m; invalid targets are dropped.
+    into (m-1, k), where i = n - m for the mesh's top dimension n; invalid
+    targets are dropped.
     """
     pair, family = space.pair, space.family
     targets = set()
@@ -334,10 +330,10 @@ def derivative_operator(space):
         if s.m >= 1 and s.k <= s.m - 1:
             targets.add((s.m - 1, s.k))
     tgt = BrokenSpace(pair, targets, family, weight_top=space.weight_top,
-                      sign_top=space.sign_top, weighted=space.weighted)
+                      weighted=space.weighted)
     A = np.zeros((tgt.dim, space.dim))
     for s in space.strata:
-        sign = (-1.0) ** (space.sign_top - s.m)
+        sign = (-1.0) ** (pair.top_dim - s.m)
         if s.k + 1 <= s.m:
             _fill_D(A, s, tgt.stratum(s.m, s.k + 1), family, sign)
         if s.m >= 1 and s.k <= s.m - 1:

@@ -13,8 +13,6 @@ exactness checks, and the skeleton projection isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ddforms.mesh import betti_numbers, skeleton_pair
@@ -55,12 +53,6 @@ class CoordSpace:
         return f"CoordSpace({self.label!r}, dim={self.dim})"
 
 
-def _cached(pair, key, builder):
-    if key not in pair._cache:
-        pair._cache[key] = builder()
-    return pair._cache[key]
-
-
 def inject_matrix(small, big):
     """Stratum-wise injection of one broken space into a larger one."""
     A = np.zeros((big.dim, small.dim))
@@ -75,52 +67,61 @@ def inject_matrix(small, big):
 
 
 def _kernel(pair, m, k, family, which, weight_top=None):
-    key = ("kernel", which, family, m, k, weight_top)
-    return _cached(pair, key, lambda: kernel_space(
-        pair, m, k, family, which, weight_top))
+    return pair.cached(("kernel", which, family, m, k, weight_top),
+                       lambda: kernel_space(pair, m, k, family, which,
+                                            weight_top))
 
 
-def _restricted_diff(pair, sub_src, sub_tgt, target_m):
-    """Differential between two kernel subspaces, in their coordinates.
+def _kernel_diff(sub, target):
+    """The graded derivative on a kernel subspace, into the next space of a
+    graded complex: a kernel subspace (in its coordinates) or a broken
+    space, either on a single stratum.
 
-    Applies the graded derivative of the ambient single-stratum space and
-    keeps the rows of the target stratum; the remaining rows must vanish
-    on the subspace (that is what makes the restriction well defined).
+    Keeps the rows of the target's stratum; the other rows must vanish on
+    the subspace, and the image must lie in a kernel target.
     """
-    d_full = derivative_operator(sub_src.ambient)
-    img = d_full.matrix @ sub_src.basis
-    comp = np.zeros((sub_tgt.ambient.dim, sub_src.dim))
-    rest = img.copy()
-    if d_full.codomain.stratum(target_m) is not None:
-        sl = d_full.codomain.stratum_slice(target_m)
-        comp = img[sl]
-        rest[sl] = 0.0
-    if np.linalg.norm(rest) > 1e-8 * max(1.0, np.linalg.norm(img)):
-        raise AssemblyError("restricted differential leaves the subspace")
-    mat = sub_tgt.basis.T @ sub_tgt.ambient.gram @ comp
-    resid = np.linalg.norm(comp - sub_tgt.basis @ mat)
-    if resid > 1e-8 * max(1.0, np.linalg.norm(comp)):
+    tgt = target.ambient if isinstance(target, CoordSpace) else target
+    (ts,) = tgt.strata
+    d_full = derivative_operator(sub.ambient)
+    img = d_full.matrix @ sub.basis
+    scale = max(1.0, np.linalg.norm(img))
+    sl = d_full.codomain.stratum_slice(ts.m)
+    rows = img[sl].copy()
+    img[sl] = 0.0
+    if np.linalg.norm(img) > 1e-8 * scale:
+        raise AssemblyError("differential leaves the target stratum")
+    if not isinstance(target, CoordSpace):
+        return rows
+    basis = target.subspace.basis
+    mat = basis.T @ tgt.gram @ rows
+    resid = np.linalg.norm(rows - basis @ mat)
+    if resid > 1e-8 * max(1.0, np.linalg.norm(rows)):
         raise AssemblyError("differential image falls outside the subspace")
     return mat
 
 
-def _transition_diff(sub_src, target_space, target_m):
-    """Differential from a kernel subspace into a broken graded space."""
-    d_full = derivative_operator(sub_src.ambient)
-    img = d_full.matrix @ sub_src.basis
-    mat = np.zeros((target_space.dim, sub_src.dim))
-    rest = img.copy()
-    ts = d_full.codomain.stratum(target_m)
-    if ts is not None:
-        sl = d_full.codomain.stratum_slice(target_m)
-        rows = img[sl]
-        rest[sl] = 0.0
-        tt = target_space.stratum(target_m)
-        size = tt.block * len(tt.simplices)
-        mat[tt.offset:tt.offset + size] = rows
-    if np.linalg.norm(rest) > 1e-8 * max(1.0, np.linalg.norm(img)):
-        raise AssemblyError("transition map leaves extra components")
-    return mat
+def _graded_complex(pair, family, kernels, head, weight_top, label,
+                    weighted=True):
+    """The one shape of every graded complex.
+
+    A run of kernel subspaces, given as (m, k, which) triples, is joined by
+    the graded derivative to the graded broken spaces that start on the
+    stratum ``head`` = (m, k) and take m - k derivative steps; ``head`` is
+    None when the complex ends with its kernels.
+    """
+    spaces = [CoordSpace(_kernel(pair, m, k, family, which, weight_top),
+                         f"L{k}(conf)" if which == "vertical" else f"G0(T{m})")
+              for m, k, which in kernels]
+    if head is not None:
+        spaces.append(BrokenSpace(pair, [head], family, weight_top=weight_top,
+                                  weighted=weighted))
+    ops = [LinearOp(a, b, _kernel_diff(a.subspace, b))
+           for a, b in zip(spaces, spaces[1:])]
+    for _i in range(head[0] - head[1] if head is not None else 0):
+        d = derivative_operator(spaces[-1])
+        spaces.append(d.codomain)
+        ops.append(d)
+    return ComplexInstance(spaces, ops, label)
 
 
 def redirected_lambda(pair, family, k0, weight_top=None):
@@ -133,32 +134,11 @@ def redirected_lambda(pair, family, k0, weight_top=None):
     n = pair.top_dim
     if not 0 <= k0 <= n + 1:
         raise AssemblyError(f"redirect degree {k0} out of range")
-    key = ("redirL", family, k0, weight_top)
-
-    def build():
-        spaces = []
-        subs = [_kernel(pair, n, k, family, "vertical", weight_top)
-                for k in range(min(k0, n + 1))]
-        for k, sub in enumerate(subs):
-            spaces.append(CoordSpace(sub, f"L{k}(conf)"))
-        ops = []
-        for k in range(len(subs) - 1):
-            mat = _restricted_diff(pair, subs[k], subs[k + 1], n)
-            ops.append(LinearOp(spaces[k], spaces[k + 1], mat))
-        if k0 <= n:
-            cur = BrokenSpace(pair, [(n, k0)], family, weight_top=weight_top)
-            spaces.append(cur)
-            if subs:
-                ops.append(LinearOp(spaces[k0 - 1], cur,
-                                    _transition_diff(subs[-1], cur, n)))
-            for _i in range(k0, n):
-                d = derivative_operator(cur)
-                spaces.append(d.codomain)
-                ops.append(d)
-                cur = d.codomain
-        return ComplexInstance(spaces, ops, f"redirected-degree({k0})")
-
-    return _cached(pair, key, build)
+    kernels = [(n, k, "vertical") for k in range(min(k0, n + 1))]
+    head = (n, k0) if k0 <= n else None
+    label = f"redirected-degree({k0})"
+    return pair.cached(("redirL", family, k0, weight_top), lambda: (
+        _graded_complex(pair, family, kernels, head, weight_top, label)))
 
 
 def redirected_gamma(pair, family, m0, weight_top=None):
@@ -173,58 +153,26 @@ def redirected_gamma(pair, family, m0, weight_top=None):
         raise AssemblyError(f"redirect stratum {m0} out of range")
     if m0 == n:
         return redirected_lambda(pair, family, 0, weight_top)
-    key = ("redirG", family, m0, weight_top)
-    return _cached(pair, key,
-                   lambda: _build_gamma(pair, family, m0, weight_top))
+    return pair.cached(("redirG", family, m0, weight_top),
+                       lambda: _build_gamma(pair, family, m0, weight_top))
 
 
 def _build_gamma(pair, family, m0, weight_top):
     """Assemble the stratum-redirected complex at m0 from the stratum side,
     uncached."""
     n = pair.top_dim
-    spaces = []
-    ops = []
-    subs = []
-    for m in range(n, m0, -1):
-        subs.append(_kernel(pair, m, 0, family, "horizontal", weight_top))
-    for i, sub in enumerate(subs):
-        spaces.append(CoordSpace(sub, f"G0(T{n - i})"))
-    for i in range(len(subs) - 1):
-        mat = _restricted_diff(pair, subs[i], subs[i + 1], n - i - 1)
-        ops.append(LinearOp(spaces[i], spaces[i + 1], mat))
-    if m0 >= 0:
-        cur = BrokenSpace(pair, [(m0, 0)], family, weight_top=weight_top)
-        spaces.append(cur)
-        if subs:
-            ops.append(LinearOp(spaces[-2], cur,
-                                _transition_diff(subs[-1], cur, m0)))
-        for _i in range(m0):
-            d = derivative_operator(cur)
-            spaces.append(d.codomain)
-            ops.append(d)
-            cur = d.codomain
-    return ComplexInstance(spaces, ops, f"redirected-stratum({m0})")
+    kernels = [(m, 0, "horizontal") for m in range(n, m0, -1)]
+    head = (m0, 0) if m0 >= 0 else None
+    return _graded_complex(pair, family, kernels, head, weight_top,
+                           f"redirected-stratum({m0})")
 
 
 def total_complex(pair, family, weight_top=None, weighted=True):
     if weighted:
         return redirected_lambda(pair, family, 0, weight_top)
-    key = ("totalUW", family, weight_top)
-
-    def build():
-        n = pair.top_dim
-        cur = BrokenSpace(pair, [(n, 0)], family, weight_top=weight_top,
-                          weighted=False)
-        spaces = [cur]
-        ops = []
-        for _i in range(n):
-            d = derivative_operator(cur)
-            spaces.append(d.codomain)
-            ops.append(d)
-            cur = d.codomain
-        return ComplexInstance(spaces, ops, "total(unweighted)")
-
-    return _cached(pair, key, build)
+    return pair.cached(("totalUW", family, weight_top), lambda: (
+        _graded_complex(pair, family, [], (pair.top_dim, 0), weight_top,
+                        "total(unweighted)", weighted=False)))
 
 
 def conforming_complex(pair, family, weight_top=None):
@@ -247,25 +195,21 @@ def horizontal_complex(pair, family, m, weight_top=None):
     return ComplexInstance(spaces, ops, f"horizontal(m={m})")
 
 
-def vertical_complex(pair, family, k, weight_top=None, augmented=True):
+def vertical_complex(pair, family, k, weight_top=None):
     """The trace-jump complex at form degree k (one column of the double
-    complex), optionally augmented by the single-valued space in front."""
+    complex), augmented by the single-valued space in front."""
     n = pair.top_dim
-    spaces = []
+    sub = _kernel(pair, n, k, family, "vertical", weight_top)
+    spaces = [CoordSpace(sub, f"L{k}(conf)")]
     ops = []
-    if augmented:
-        sub = _kernel(pair, n, k, family, "vertical", weight_top)
-        spaces.append(CoordSpace(sub, f"L{k}(conf)"))
-    prev = None
     for m in range(n, k - 1, -1):
         sp = broken_space(pair, m, k, family, weight_top)
-        if augmented and m == n:
-            ops.append(LinearOp(spaces[0], sp, spaces[0].subspace.basis))
-        if prev is not None:
-            t = operator_T(pair, m + 1, k, family, weight_top)
-            ops.append(LinearOp(prev, sp, t.matrix))
+        if m == n:
+            mat = sub.basis
+        else:
+            mat = operator_T(pair, m + 1, k, family, weight_top).matrix
+        ops.append(LinearOp(spaces[-1], sp, mat))
         spaces.append(sp)
-        prev = sp
     return ComplexInstance(spaces, ops, f"vertical(k={k})")
 
 
@@ -374,6 +318,19 @@ def _project_cocycles(cx, i, x):
     return Kb @ (Kb.T @ (sp.gram @ x))
 
 
+def _transfer_verdict(transfer, src_dim, tgt_dim, smin_tol):
+    """The smallest relative singular value of a harmonic transfer matrix
+    and whether it is a bijection: equal dimensions, and either both zero
+    or smin_rel above smin_tol."""
+    if src_dim and src_dim == tgt_dim:
+        s = np.linalg.svd(transfer, compute_uv=False)
+        smin_rel = float(s[-1] / s[0]) if s[0] > 0 else 0.0
+    else:
+        smin_rel = 1.0 if src_dim == tgt_dim else 0.0
+    ok = src_dim == tgt_dim and (src_dim == 0 or smin_rel > smin_tol)
+    return smin_rel, ok
+
+
 def iso_step(pair, family, side, index, b, weight_top=None, project=True,
              smin_tol=1e-6):
     """One harmonic-space transfer between grading depths b-1 and b.
@@ -413,12 +370,7 @@ def iso_step(pair, family, side, index, b, weight_top=None, project=True,
         pairing_defect = float(np.linalg.norm(pairing - np.eye(h_src.dim)))
     else:
         pairing_defect = 0.0
-    if h_src.dim and h_src.dim == h_tgt.dim:
-        s = np.linalg.svd(transfer, compute_uv=False)
-        smin_rel = float(s[-1] / s[0]) if s[0] > 0 else 0.0
-    else:
-        smin_rel = 1.0 if h_src.dim == h_tgt.dim else 0.0
-    ok = h_src.dim == h_tgt.dim and (h_src.dim == 0 or smin_rel > smin_tol)
+    smin_rel, ok = _transfer_verdict(transfer, h_src.dim, h_tgt.dim, smin_tol)
     return {
         "side": side,
         "index": index,
@@ -580,7 +532,7 @@ def verify_chain(pair, family, k, weight_top=None, smin_tol=1e-6):
     }
 
 
-def skeleton_projection(pair, family, k, weight_top=None, smin_tol=1e-6):
+def skeleton_projection(pair, family, k, smin_tol=1e-6):
     """The codimension-one skeleton isomorphism at degree k >= 2.
 
     Projects the depth-2 harmonic space of the full mesh onto the
@@ -611,12 +563,7 @@ def skeleton_projection(pair, family, k, weight_top=None, smin_tol=1e-6):
     projected = Kb @ (Kb.T @ (skel_amb.gram @ comp))
     h_skel_emb = skel_cx.spaces[k - 1].subspace.basis @ h_skel.basis
     transfer = h_skel_emb.T @ skel_amb.gram @ projected
-    if h2.dim and h2.dim == h_skel.dim:
-        s = np.linalg.svd(transfer, compute_uv=False)
-        smin_rel = float(s[-1] / s[0]) if s[0] > 0 else 0.0
-    else:
-        smin_rel = 1.0 if h2.dim == h_skel.dim else 0.0
-    ok = h2.dim == h_skel.dim and (h2.dim == 0 or smin_rel > smin_tol)
+    smin_rel, ok = _transfer_verdict(transfer, h2.dim, h_skel.dim, smin_tol)
     return {
         "degree": k,
         "dims": (h2.dim, h_skel.dim),
@@ -769,49 +716,6 @@ def harmonic_family(pair, family, weight_top=None):
             report["gamma"][(m, b)] = harmonic_gamma(
                 pair, family, m, b, weight_top).dim
     return report
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Names one complex family: the kind plus its fixed index.
-
-    kinds: "horizontal" (index = stratum m), "vertical" (index = degree k),
-    "conforming", "chainlike", "total", "redirected_lambda" (index = k0),
-    "redirected_gamma" (index = m0), "skeleton_lambda" (index = skeleton
-    dimension m), "skeleton_gamma" (index = skeleton dimension m).
-    """
-
-    kind: str
-    index: int = 0
-
-
-def build_family(pair, family, spec, weight_top=None, strict=False):
-    """Build the complex instance a FamilySpec names."""
-    if strict:
-        check_conditions(pair, family, strict=True)
-    n = pair.top_dim
-    kind = spec.kind
-    if kind == "horizontal":
-        return horizontal_complex(pair, family, spec.index, weight_top)
-    if kind == "vertical":
-        return vertical_complex(pair, family, spec.index, weight_top)
-    if kind == "conforming":
-        return conforming_complex(pair, family, weight_top)
-    if kind == "chainlike":
-        return chainlike_complex(pair, family, weight_top)
-    if kind == "total":
-        return total_complex(pair, family, weight_top)
-    if kind == "redirected_lambda":
-        return redirected_lambda(pair, family, spec.index, weight_top)
-    if kind == "redirected_gamma":
-        return redirected_gamma(pair, family, spec.index, weight_top)
-    if kind == "skeleton_lambda":
-        return total_complex(skeleton_pair(pair, spec.index), family,
-                             weight_top=n if weight_top is None else weight_top)
-    if kind == "skeleton_gamma":
-        return chainlike_complex(skeleton_pair(pair, spec.index), family,
-                                 weight_top=n if weight_top is None else weight_top)
-    raise AssemblyError(f"unknown complex kind {kind!r}")
 
 
 def check_conditions(pair, family, strict=False):

@@ -96,6 +96,12 @@ class RelativePair:
         self._cache = {}
         self._validate()
 
+    def cached(self, key, build):
+        """The value memoised under key on this pair, built on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def _validate(self):
         for s in self._lookup.values():
             for f in s.faces():
@@ -293,17 +299,17 @@ def _sparse_rank(rows):
 def betti_numbers(pair):
     """Relative Betti numbers b_0 .. b_n of (T, U), exactly over the
     rationals; computed once per pair, returned as a fresh list."""
-    betti = pair._cache.get(("betti",))
-    if betti is None:
+
+    def build():
         n = pair.top_dim
         dims = [len(pair.stratum(m)) for m in range(n + 1)]
         ranks = [0] * (n + 2)
         for m in range(1, n + 1):
             mat = boundary_matrix(pair, m)
             ranks[m] = integer_rank(mat) if mat and mat[0] else 0
-        betti = [dims[m] - ranks[m] - ranks[m + 1] for m in range(n + 1)]
-        pair._cache[("betti",)] = betti
-    return list(betti)
+        return [dims[m] - ranks[m] - ranks[m + 1] for m in range(n + 1)]
+
+    return list(pair.cached(("betti",), build))
 
 
 # -- patches and skeletons ------------------------------------------------

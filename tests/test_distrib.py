@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from ddforms.assembly import AssemblyError, derivative_operator
+from ddforms.assembly import (AssemblyError, Subspace, broken_space,
+                              derivative_operator)
 from ddforms.hilbert import betti_from_complex, harmonic_space
-from ddforms.mesh import betti_numbers, build_complex, generate_mesh
+from ddforms.mesh import (betti_numbers, build_complex, generate_mesh,
+                          skeleton_pair)
 from ddforms.polyforms import Family, whitney
 from ddforms import distrib
 
@@ -235,16 +237,65 @@ def test_harmonic_family_table(catalog):
     assert rep["conforming"][1] == rep["chain"][1] == 1
 
 
-def test_build_family_dispatch(catalog):
+def test_every_complex_family_builds(catalog):
     pair = catalog("square_grid")
-    for kind, idx in [("horizontal", 2), ("vertical", 0), ("conforming", 0),
-                      ("chainlike", 0), ("total", 0),
-                      ("redirected_lambda", 1), ("redirected_gamma", 0),
-                      ("skeleton_lambda", 1), ("skeleton_gamma", 1)]:
-        cx = distrib.build_family(pair, FAM, distrib.FamilySpec(kind, idx))
+    n = pair.top_dim
+    skel = skeleton_pair(pair, 1)
+    for cx in [distrib.horizontal_complex(pair, FAM, 2),
+               distrib.vertical_complex(pair, FAM, 0),
+               distrib.conforming_complex(pair, FAM),
+               distrib.chainlike_complex(pair, FAM),
+               distrib.total_complex(pair, FAM),
+               distrib.redirected_lambda(pair, FAM, 1),
+               distrib.redirected_gamma(pair, FAM, 0),
+               distrib.total_complex(skel, FAM, weight_top=n),
+               distrib.chainlike_complex(skel, FAM, weight_top=n)]:
         assert len(cx) >= 1
-    with pytest.raises(AssemblyError):
-        distrib.build_family(pair, FAM, distrib.FamilySpec("bogus"))
+        for a, b in zip(cx.diffs, cx.diffs[1:]):
+            assert np.linalg.norm(b.matrix @ a.matrix) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["annulus", "cube_tet"])
+def test_graded_complexes_match_betti(catalog, name):
+    """Every redirected complex, on both sides and at every redirect
+    index, and the unweighted total complex carry the relative homology
+    in reverse order."""
+    for mark in ("none", "full", "half"):
+        pair = catalog(name, 1, mark)
+        n = pair.top_dim
+        expected = betti_numbers(pair)[::-1]
+        for fam in (FAM, Family("trimmed", 2)):
+            cxs = [distrib.redirected_lambda(pair, fam, k0)
+                   for k0 in range(n + 2)]
+            cxs += [distrib.redirected_gamma(pair, fam, m0)
+                    for m0 in range(-1, n + 1)]
+            cxs.append(distrib.total_complex(pair, fam, weighted=False))
+            for cx in cxs:
+                assert betti_from_complex(cx) == expected, (mark, fam, cx)
+
+
+def test_kernel_diff_guards(catalog):
+    pair = catalog("annulus", 1, "full")
+    n = pair.top_dim
+    rng = np.random.default_rng(11)
+    # a source column outside ker T has trace jumps off the target stratum
+    amb = broken_space(pair, n, 0, FAM)
+    off = Subspace(amb, rng.standard_normal((amb.dim, 1)))
+    with pytest.raises(AssemblyError, match="leaves the target stratum"):
+        distrib._kernel_diff(off, broken_space(pair, n, 1, FAM))
+    # a kernel target missing one direction of the image
+    src = distrib._kernel(pair, n, 0, FAM, "vertical")
+    tgt = distrib._kernel(pair, n, 1, FAM, "vertical")
+    mat = distrib._kernel_diff(src, distrib.CoordSpace(tgt))
+    assert mat.shape == (tgt.dim, src.dim)
+    G = tgt.ambient.gram
+    v = rng.standard_normal(tgt.ambient.dim)
+    v -= tgt.basis @ (tgt.basis.T @ G @ v)
+    basis = tgt.basis.copy()
+    basis[:, np.argmax(np.linalg.norm(mat, axis=1))] = v / np.sqrt(v @ G @ v)
+    bad = distrib.CoordSpace(Subspace(tgt.ambient, basis))
+    with pytest.raises(AssemblyError, match="falls outside the subspace"):
+        distrib._kernel_diff(src, bad)
 
 
 def test_metric_independence(catalog):
