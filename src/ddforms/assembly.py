@@ -3,9 +3,10 @@
 A broken space is a direct sum of per-simplex element spaces over one or
 several strata (m, k): k-forms attached to the unmarked m-simplices.  The
 module assembles the piecewise exterior derivative D, the signed trace sum
-T, and the combined distributional derivative on graded spaces, together
-with mesh-weighted Gram matrices, their block Cholesky factors, metric
-adjoints and kernel subspaces.
+T, and the combined distributional derivative on graded spaces as integer
+triplet operators, together with mesh-weighted Gram matrices, their block
+Cholesky factors, metric adjoints and kernel subspaces with exact integer
+kernels.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from functools import partialmethod
 
 import numpy as np
 
-from ddforms.mesh import MeshError, orientation_sign
-from ddforms.polyforms import rank_split, simplex_metrics
+from ddforms import exact
+from ddforms.mesh import MeshError, facet_incidence
+from ddforms.polyforms import FamilyError, rank_split, simplex_metrics
 
 
 class AssemblyError(ValueError):
@@ -26,15 +28,15 @@ def mesh_weight(pair, simplex, top=None):
     """The scaling weight h_C^(top - dim C) of the mesh inner product.
 
     h_C is the diameter of C, or the mean diameter of adjacent edges when
-    C is a vertex.
+    C is a vertex (the edges of the parent mesh, for a skeleton).
     """
 
     def build():
         if simplex.dim >= 1:
             return pair.diameter(simplex)
         v = simplex.vertices[0]
-        lengths = [pair.diameter(e) for e in pair.simplices(1)
-                   if v in e.vertices]
+        edges = (pair.parent or pair).simplices(1)
+        lengths = [pair.diameter(e) for e in edges if v in e.vertices]
         if not lengths:
             raise MeshError(f"isolated vertex {v} has no adjacent edges")
         return sum(lengths) / len(lengths)
@@ -92,7 +94,7 @@ class GramFactor:
 
 
 class _Stratum:
-    __slots__ = ("m", "k", "simplices", "block", "offset", "index")
+    __slots__ = ("m", "k", "simplices", "block", "offset")
 
     def __init__(self, m, k, simplices, block, offset):
         self.m = m
@@ -100,7 +102,6 @@ class _Stratum:
         self.simplices = simplices
         self.block = block
         self.offset = offset
-        self.index = {s.vertices: i for i, s in enumerate(simplices)}
 
 
 class BrokenSpace:
@@ -187,17 +188,40 @@ class BrokenSpace:
 
 
 class LinearOp:
-    """A matrix between two broken spaces (or coordinate spaces)."""
+    """A matrix between two broken spaces (or coordinate spaces).
 
-    def __init__(self, domain, codomain, matrix):
-        matrix = np.asarray(matrix, float)
-        if matrix.shape != (codomain.dim, domain.dim):
-            raise AssemblyError(
-                f"operator shape {matrix.shape} does not match spaces "
-                f"({codomain.dim}, {domain.dim})")
+    Given either dense, or as integer triplets (rows, cols, vals) with
+    distinct (row, col) pairs; ``matrix`` is then a dense float view built
+    on first use.
+    """
+
+    def __init__(self, domain, codomain, matrix=None, triplets=None):
         self.domain = domain
         self.codomain = codomain
-        self.matrix = matrix
+        self.triplets = triplets
+        self._matrix = None
+        if triplets is None:
+            matrix = np.asarray(matrix, float)
+            if matrix.shape != (codomain.dim, domain.dim):
+                raise AssemblyError(
+                    f"operator shape {matrix.shape} does not match spaces "
+                    f"({codomain.dim}, {domain.dim})")
+            self._matrix = matrix
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            rows, cols, vals = self.triplets
+            self._matrix = np.zeros((self.codomain.dim, self.domain.dim))
+            self._matrix[rows, cols] = vals
+        return self._matrix
+
+    def integer_rows(self):
+        """The rows of a triplet operator as {column: value} dicts."""
+        out = [{} for _ in range(self.codomain.dim)]
+        for i, j, v in zip(*(a.tolist() for a in self.triplets)):
+            out[i][j] = v
+        return out
 
     def __repr__(self):
         return f"LinearOp({self.codomain.dim}x{self.domain.dim})"
@@ -263,17 +287,47 @@ def graded_space(pair, m, k, b, family, kind="down", weight_top=None):
     return BrokenSpace(pair, strata, family, weight_top=weight_top)
 
 
+def _integer_table(table):
+    """An element table as an int array; FamilyError unless every entry is
+    within 1e-9 of an integer."""
+    rounded = np.rint(table)
+    deviation = float(np.abs(table - rounded).max(initial=0.0))
+    if deviation > 1e-9:
+        raise FamilyError(f"element table off an integer by {deviation:.3g}")
+    return rounded.astype(np.int64)
+
+
+def _triplets(pair, family, op, m, k):
+    """Integer triplets (rows, cols, vals) of D (op "D") or T (op "T") on
+    the (m, k) stratum, indexed within the source and target strata: one
+    scatter of the signed element blocks, built once per pair."""
+
+    def build():
+        if op == "D":
+            cell = facet = np.arange(len(pair.stratum(m)))
+            j, sign = np.zeros_like(cell), np.ones_like(cell)
+            tables = [family.d_matrix(m, k)]
+        else:
+            cell, facet, j, sign = facet_incidence(pair, m)
+            tables = [family.trace_matrix(m, k, i) for i in range(m + 1)]
+        blocks = np.stack([_integer_table(t) for t in tables])[j]
+        blocks *= sign[:, None, None]
+        _cells, bt, bs = blocks.shape
+        e, a, b = np.nonzero(blocks)
+        return facet[e] * bt + a, cell[e] * bs + b, blocks[e, a, b]
+
+    return pair.cached((op, family, m, k), build)
+
+
+_NO_TRIPLETS = (np.zeros(0, np.int64),) * 3
+
+
 def operator_D(pair, m, k, family, weight_top=None):
     """Piecewise exterior derivative on the (m, k) stratum."""
     src = broken_space(pair, m, k, family, weight_top)
-    tgt = BrokenSpace(pair, [(m, min(k + 1, m))] if k + 1 <= m else [],
-                      family, weight_top=weight_top)
-    if k + 1 > m:
-        return LinearOp(src, BrokenSpace(pair, [], family, weight_top=weight_top),
-                        np.zeros((0, src.dim)))
-    A = np.zeros((tgt.dim, src.dim))
-    _fill_D(A, src.stratum(m, k), tgt.stratum(m, k + 1), family, 1.0)
-    return LinearOp(src, tgt, A)
+    tgt = BrokenSpace(pair, [(m, k + 1)] if k + 1 <= m else [], family,
+                      weight_top=weight_top)
+    return LinearOp(src, tgt, triplets=_triplets(pair, family, "D", m, k))
 
 
 def operator_T(pair, m, k, family, weight_top=None):
@@ -281,38 +335,9 @@ def operator_T(pair, m, k, family, weight_top=None):
     if m < 1:
         raise AssemblyError("trace operator needs m >= 1")
     src = broken_space(pair, m, k, family, weight_top)
-    if k > m - 1:
-        return LinearOp(src, BrokenSpace(pair, [], family, weight_top=weight_top),
-                        np.zeros((0, src.dim)))
-    tgt = broken_space(pair, m - 1, k, family, weight_top)
-    A = np.zeros((tgt.dim, src.dim))
-    _fill_T(A, pair, src.stratum(m, k), tgt.stratum(m - 1, k), family, 1.0)
-    return LinearOp(src, tgt, A)
-
-
-def _fill_D(A, src, tgt, family, factor):
-    block = family.d_matrix(src.m, src.k)
-    for i, _c in enumerate(src.simplices):
-        rs = tgt.offset + i * tgt.block
-        cs = src.offset + i * src.block
-        A[rs:rs + tgt.block, cs:cs + src.block] += factor * block
-    return A
-
-
-def _fill_T(A, pair, src, tgt, family, factor):
-    m, k = src.m, src.k
-    for i, c in enumerate(src.simplices):
-        cs = src.offset + i * src.block
-        for j in range(m + 1):
-            fverts = c.vertices[:j] + c.vertices[j + 1:]
-            fi = tgt.index.get(fverts)
-            if fi is None:
-                continue
-            sign = orientation_sign(pair.simplex(fverts), c)
-            block = family.trace_matrix(m, k, j)
-            rs = tgt.offset + fi * tgt.block
-            A[rs:rs + tgt.block, cs:cs + src.block] += factor * sign * block
-    return A
+    tgt = BrokenSpace(pair, [(m - 1, k)] if k <= m - 1 else [], family,
+                      weight_top=weight_top)
+    return LinearOp(src, tgt, triplets=_triplets(pair, family, "T", m, k))
 
 
 def derivative_operator(space):
@@ -331,14 +356,16 @@ def derivative_operator(space):
             targets.add((s.m - 1, s.k))
     tgt = BrokenSpace(pair, targets, family, weight_top=space.weight_top,
                       weighted=space.weighted)
-    A = np.zeros((tgt.dim, space.dim))
+    parts = [_NO_TRIPLETS]
     for s in space.strata:
-        sign = (-1.0) ** (pair.top_dim - s.m)
-        if s.k + 1 <= s.m:
-            _fill_D(A, s, tgt.stratum(s.m, s.k + 1), family, sign)
-        if s.m >= 1 and s.k <= s.m - 1:
-            _fill_T(A, pair, s, tgt.stratum(s.m - 1, s.k), family, -sign)
-    return LinearOp(space, tgt, A)
+        sign = (-1) ** (pair.top_dim - s.m)
+        for op, t, factor in (("D", tgt.stratum(s.m, s.k + 1), sign),
+                              ("T", tgt.stratum(s.m - 1, s.k), -sign)):
+            if t is not None:
+                rows, cols, vals = _triplets(pair, family, op, s.m, s.k)
+                parts.append((rows + t.offset, cols + s.offset, factor * vals))
+    triplets = tuple(np.concatenate(a) for a in zip(*parts))
+    return LinearOp(space, tgt, triplets=triplets)
 
 
 def matrix_nullspace(mat, rtol=1e-9):
@@ -346,9 +373,10 @@ def matrix_nullspace(mat, rtol=1e-9):
     return rank_split(mat, rtol).null
 
 
-def kernel_space(pair, m, k, family, which, weight_top=None, rtol=1e-9):
+def kernel_space(pair, m, k, family, which, weight_top=None):
     """Kernel subspaces: "vertical" = ker T (single-valued traces, the
-    conforming space), "horizontal" = ker D (piecewise-constant-like)."""
+    conforming space), "horizontal" = ker D (piecewise-constant-like).
+    The exact integer kernel of the operator is Gram-orthonormalized."""
     if which == "vertical":
         op = operator_T(pair, m, k, family, weight_top) if m >= 1 else None
     elif which == "horizontal":
@@ -356,12 +384,10 @@ def kernel_space(pair, m, k, family, which, weight_top=None, rtol=1e-9):
     else:
         raise AssemblyError(f"unknown kernel kind {which!r}")
     if op is None:
-        space = broken_space(pair, m, k, family, weight_top)
-        null = np.eye(space.dim)
+        space, rows = broken_space(pair, m, k, family, weight_top), []
     else:
-        space = op.domain
-        null = matrix_nullspace(op.matrix, rtol)
-    basis = gram_orthonormalize(space, null)
+        space, rows = op.domain, op.integer_rows()
+    basis = gram_orthonormalize(space, exact.kernel(rows, space.dim))
     return Subspace(space, basis)
 
 
@@ -372,11 +398,8 @@ def export_matrix(matrix, path, tol=0.0):
     0-based, in row-major order.
     """
     matrix = np.asarray(matrix, float)
-    entries = [(i, j, matrix[i, j])
-               for i in range(matrix.shape[0])
-               for j in range(matrix.shape[1])
-               if abs(matrix[i, j]) > tol]
+    rows, cols = np.nonzero(np.abs(matrix) > tol)
     with open(path, "w") as fh:
-        fh.write(f"{matrix.shape[0]} {matrix.shape[1]} {len(entries)}\n")
-        for i, j, v in entries:
-            fh.write(f"{i} {j} {v:.17g}\n")
+        fh.write(f"{matrix.shape[0]} {matrix.shape[1]} {len(rows)}\n")
+        for i, j in zip(rows, cols):
+            fh.write(f"{i} {j} {matrix[i, j]:.17g}\n")

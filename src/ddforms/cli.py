@@ -195,15 +195,10 @@ def dump_operators(pair, family, directory):
     os.makedirs(directory, exist_ok=True)
     n = pair.top_dim
     for m in range(n + 1):
-        for k in range(m + 1):
-            if k < m:
-                op = operator_D(pair, m, k, family)
-                export_matrix(op.matrix,
-                              os.path.join(directory, f"D_{m}_{k}.txt"))
-            if m >= 1 and k <= m - 1:
-                op = operator_T(pair, m, k, family)
-                export_matrix(op.matrix,
-                              os.path.join(directory, f"T_{m}_{k}.txt"))
+        for k in range(m):
+            for name, build in (("D", operator_D), ("T", operator_T)):
+                export_matrix(build(pair, m, k, family).matrix,
+                              os.path.join(directory, f"{name}_{m}_{k}.txt"))
     cx = distrib.total_complex(pair, family)
     for i, d in enumerate(cx.diffs):
         export_matrix(d.matrix, os.path.join(directory, f"d_total_{i}.txt"))

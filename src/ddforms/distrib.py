@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ddforms.mesh import betti_numbers, skeleton_pair
+from ddforms import exact
+from ddforms.mesh import (betti_numbers, check_local_patch_condition,
+                          check_pure, skeleton_pair)
 from ddforms.polyforms import (check_geometric_decomposition,
                                check_local_exactness)
-from ddforms.mesh import check_local_patch_condition
 from ddforms.assembly import (AssemblyError, BrokenSpace, GramFactor,
                               LinearOp, Subspace, broken_space,
                               derivative_operator, graded_space,
@@ -251,56 +252,42 @@ def _embedded(coord_harmonic, space):
 # -- regularizers and isomorphism steps -----------------------------------
 
 
-def regularizer_R(pair, family, k, b, weight_top=None):
-    """The preimage regularizer on the degree-graded space at depth b.
-
-    Subtracts the derivative of a right-inverse lift of the deepest graded
-    component; the result of applying it to a cocycle has vanishing
-    deepest component and an unchanged derivative.
-    """
-    n = pair.top_dim
-    if not 2 <= b <= k + 1:
-        raise AssemblyError(f"depth {b} out of range for regularizer (k={k})")
-    cx = redirected_lambda(pair, family, k - b + 1, weight_top)
-    sp = cx.spaces[k]
-    sp_prev = cx.spaces[k - 1]
-    d_prev = cx.diffs[k - 1]
-    deep_m, deep_k = n - b + 1, k - b + 1
-    t_op = operator_T(pair, deep_m + 1, deep_k, family, weight_top)
-    E = pseudoinverse(t_op)
-    proj = np.zeros((E.domain.dim, sp.dim))
-    sl = sp.stratum_slice(deep_m)
-    proj[:, sl] = np.eye(E.domain.dim)
-    inj = np.zeros((sp_prev.dim, E.codomain.dim))
-    sl = sp_prev.stratum_slice(deep_m + 1)
-    inj[sl, :] = np.eye(E.codomain.dim)
-    mat = np.eye(sp.dim) - (-1.0) ** (b + 1) * (
-        d_prev.matrix @ inj @ E.matrix @ proj)
+def _regularizer(cx, i, op, sign):
+    """I + sign * d_{i-1} E on space i of a graded complex, where E, the
+    metric pseudoinverse of op, reads the stratum of op's codomain in
+    space i and writes into the stratum of op's domain in space i-1."""
+    sp = cx.spaces[i]
+    cols = cx.spaces[i - 1].stratum_slice(op.domain.strata[0].m)
+    mat = np.eye(sp.dim)
+    mat[:, sp.stratum_slice(op.codomain.strata[0].m)] += sign * (
+        cx.diffs[i - 1].matrix[:, cols] @ pseudoinverse(op).matrix)
     return LinearOp(sp, sp, mat)
 
 
+def regularizer_R(pair, family, k, b, weight_top=None):
+    """The preimage regularizer on the degree-graded space at depth b.
+
+    Subtracts the derivative of a right-inverse lift (through T) of the
+    deepest graded component; the result of applying it to a cocycle has
+    vanishing deepest component and an unchanged derivative.
+    """
+    if not 2 <= b <= k + 1:
+        raise AssemblyError(f"depth {b} out of range for regularizer (k={k})")
+    cx = redirected_lambda(pair, family, k - b + 1, weight_top)
+    t_op = operator_T(pair, pair.top_dim - b + 2, k - b + 1, family,
+                      weight_top)
+    return _regularizer(cx, k, t_op, (-1.0) ** b)
+
+
 def regularizer_S(pair, family, m, b, weight_top=None):
-    """Chain-side mirror of regularizer_R on the stratum-graded space."""
+    """Chain-side mirror of regularizer_R on the stratum-graded space,
+    lifting through D."""
     n = pair.top_dim
     if not 2 <= b <= n - m + 1:
         raise AssemblyError(f"depth {b} out of range for regularizer (m={m})")
     cx = redirected_gamma(pair, family, m + b - 1, weight_top)
-    idx = n - m
-    sp = cx.spaces[idx]
-    sp_prev = cx.spaces[idx - 1]
-    d_prev = cx.diffs[idx - 1]
-    deep_m, deep_k = m + b - 1, b - 1
-    d_op = operator_D(pair, deep_m, deep_k - 1, family, weight_top)
-    P = pseudoinverse(d_op)
-    proj = np.zeros((P.domain.dim, sp.dim))
-    sl = sp.stratum_slice(deep_m)
-    proj[:, sl] = np.eye(P.domain.dim)
-    inj = np.zeros((sp_prev.dim, P.codomain.dim))
-    sl = sp_prev.stratum_slice(deep_m)
-    inj[sl, :] = np.eye(P.codomain.dim)
-    mat = np.eye(sp.dim) + (-1.0) ** (b + n - m) * (
-        d_prev.matrix @ inj @ P.matrix @ proj)
-    return LinearOp(sp, sp, mat)
+    d_op = operator_D(pair, m + b - 1, b - 2, family, weight_top)
+    return _regularizer(cx, n - m, d_op, (-1.0) ** (b + n - m))
 
 
 def _project_cocycles(cx, i, x):
@@ -451,6 +438,7 @@ def verify_chain(pair, family, k, weight_top=None, smin_tol=1e-6):
     harmonic transfer matrices, and the central identity by comparing the
     two graded complexes space by space and matrix by matrix.
     """
+    check_pure(pair)
     n = pair.top_dim
     m = n - k
     target = betti_numbers(pair)[m]
@@ -550,14 +538,10 @@ def skeleton_projection(pair, family, k, smin_tol=1e-6):
     skel_amb = skel_cx.spaces[k - 1].ambient
 
     # single-valued cocycles inside the stratum (n-1, k-1)
-    t_rows = operator_T(skel, n - 1, k - 1, family, weight_top=n) \
-        if n - 1 >= 1 else None
-    d_rows = operator_D(skel, n - 1, k - 1, family, weight_top=n)
-    stack = [d_rows.matrix]
-    if t_rows is not None:
-        stack.append(t_rows.matrix)
-    K = matrix_nullspace(np.vstack(stack))
-    Kb = gram_orthonormalize(skel_amb, K)
+    d_op = operator_D(skel, n - 1, k - 1, family, weight_top=n)
+    rows = d_op.integer_rows() + operator_T(
+        skel, n - 1, k - 1, family, weight_top=n).integer_rows()
+    Kb = gram_orthonormalize(skel_amb, exact.kernel(rows, d_op.domain.dim))
 
     comp = h2.basis[amb.stratum_slice(n - 1)]
     projected = Kb @ (Kb.T @ (skel_amb.gram @ comp))
@@ -585,17 +569,16 @@ def skeleton_degree_zero_identity(pair, family, m):
         raise AssemblyError("stratum out of range")
     skel = skeleton_pair(pair, m)
     d0 = operator_D(skel, m, 0, family, weight_top=n)
-    stack = [d0.matrix]
+    rows = d0.integer_rows()
     if m >= 1:
-        t0 = operator_T(skel, m, 0, family, weight_top=n)
-        stack.append(t0.matrix)
-    lhs = matrix_nullspace(np.vstack(stack)).shape[1]
+        rows += operator_T(skel, m, 0, family, weight_top=n).integer_rows()
+    lhs = d0.domain.dim - exact.rank(rows)
     rhs = harmonic_chain(pair, family, m).dim
     if m + 1 <= n:
-        gamma_up = _kernel(pair, m + 1, 0, family, "horizontal")
-        t = operator_T(pair, m + 1, 0, family)
-        img = t.matrix @ gamma_up.basis
-        rhs += int(np.linalg.matrix_rank(img, tol=1e-9))
+        # rank of T on ker D is rank [D; T] - rank D
+        d = operator_D(pair, m + 1, 0, family).integer_rows()
+        t = operator_T(pair, m + 1, 0, family).integer_rows()
+        rhs += exact.rank(d + t) - exact.rank(d)
     return {"stratum": m, "lhs": int(lhs), "rhs": int(rhs),
             "ok": bool(lhs == rhs)}
 
@@ -629,64 +612,42 @@ def check_subcomplex_nesting(pair, family, k0, weight_top=None):
     return defect
 
 
+def _exact_sequence(labels, dims, ranks, front):
+    """Exactness of a sequence augmented in front: at each position the
+    kernel dims[i] - ranks[i] of the outgoing map equals the rank of the
+    incoming one, ``front`` at the first position."""
+    incoming = [front] + ranks[:-1]
+    entries = {lab: {"dim": d, "kernel": d - r, "ok": d - r == inc}
+               for lab, d, r, inc in zip(labels, dims, ranks, incoming)}
+    return {"indices": entries, "ok": all(e["ok"] for e in entries.values())}
+
+
 def verify_double_complex(pair, family, weight_top=None):
-    """Row and column exactness of the broken double complex plus the
-    dimension identities tying harmonic spaces to Betti numbers."""
+    """Row and column exactness of the broken double complex, with exact
+    integer ranks, plus the dimension identities tying harmonic spaces to
+    Betti numbers."""
     n = pair.top_dim
-    report = {"rows": {}, "columns": {}, "dimensions": {}, "passed": True}
+    report = {"rows": {}, "columns": {}, "dimensions": {}}
+
+    def dims(strata):
+        return [broken_space(pair, m, k, family, weight_top).dim
+                for m, k in strata]
 
     for m in range(n + 1):
-        ranks = {}
-        dims = {}
-        for k in range(m + 1):
-            sp = broken_space(pair, m, k, family, weight_top)
-            dims[k] = sp.dim
-            if k < m:
-                op = operator_D(pair, m, k, family, weight_top)
-                ranks[k] = int(np.linalg.matrix_rank(op.matrix, tol=1e-9)) \
-                    if op.matrix.size else 0
-            else:
-                ranks[k] = 0
-        cells = len(pair.stratum(m))
-        entries = {}
-        ok_all = True
-        for k in range(m + 1):
-            nullity = dims[k] - ranks[k]
-            if k == 0:
-                ok = nullity == cells
-            else:
-                ok = nullity == ranks[k - 1]
-            entries[k] = {"dim": dims[k], "kernel": nullity, "ok": bool(ok)}
-            ok_all = ok_all and ok
-        report["rows"][m] = {"indices": entries, "ok": bool(ok_all)}
-        report["passed"] = report["passed"] and ok_all
-
+        ks = range(m + 1)
+        ranks = [exact.rank(operator_D(pair, m, k, family, weight_top)
+                            .integer_rows()) for k in ks]
+        report["rows"][m] = _exact_sequence(
+            ks, dims([(m, k) for k in ks]), ranks, len(pair.stratum(m)))
     for k in range(n + 1):
-        dims = {}
-        ranks = {}
-        for m in range(n, k - 1, -1):
-            sp = broken_space(pair, m, k, family, weight_top)
-            dims[m] = sp.dim
-            if m < n:
-                op = operator_T(pair, m + 1, k, family, weight_top)
-                ranks[m] = int(np.linalg.matrix_rank(op.matrix, tol=1e-9)) \
-                    if op.matrix.size else 0
-            else:
-                ranks[m] = 0
+        ms = range(n, k - 1, -1)
+        ranks = [exact.rank(operator_T(pair, m, k, family, weight_top)
+                            .integer_rows()) if m > k else 0 for m in ms]
         conf = _kernel(pair, n, k, family, "vertical", weight_top).dim
-        entries = {}
-        ok_all = True
-        for m in range(n, k - 1, -1):
-            out_rank = ranks.get(m - 1, 0) if m > k else 0
-            nullity = dims[m] - out_rank
-            if m == n:
-                ok = nullity == conf
-            else:
-                ok = nullity == ranks[m]
-            entries[m] = {"dim": dims[m], "kernel": nullity, "ok": bool(ok)}
-            ok_all = ok_all and ok
-        report["columns"][k] = {"indices": entries, "ok": bool(ok_all)}
-        report["passed"] = report["passed"] and ok_all
+        report["columns"][k] = _exact_sequence(
+            ms, dims([(m, k) for m in ms]), ranks, conf)
+    report["passed"] = all(r["ok"] for part in ("rows", "columns")
+                           for r in report[part].values())
 
     betti = betti_numbers(pair)
     for k in range(n + 1):
@@ -720,16 +681,18 @@ def harmonic_family(pair, family, weight_top=None):
 
 def check_conditions(pair, family, strict=False):
     """The three structural conditions a family must satisfy on a mesh:
-    per-simplex exactness, face decomposition, and local patch homology."""
+    per-simplex exactness, face decomposition, and local patch homology.
+    A non-pure complex raises MeshError."""
+    check_pure(pair)
     n = pair.top_dim
-    exact = {m: check_local_exactness(family, m) for m in range(n + 1)
+    local = {m: check_local_exactness(family, m) for m in range(n + 1)
              if pair.simplices(m)}
     decomp = {k: check_geometric_decomposition(pair, family, k)
               for k in range(n + 1)}
     patch = check_local_patch_condition(pair)
-    passed = all(r["passed"] for r in exact.values()) and \
+    passed = all(r["passed"] for r in local.values()) and \
         all(r["passed"] for r in decomp.values()) and patch["passed"]
     if strict and not passed:
         raise AssemblyError("family/mesh condition check failed")
-    return {"local_exactness": exact, "decomposition": decomp,
+    return {"local_exactness": local, "decomposition": decomp,
             "patch": patch, "passed": bool(passed)}

@@ -13,8 +13,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+
+import numpy as np
+
+from ddforms import exact
 
 
 class MeshError(ValueError):
@@ -77,9 +80,10 @@ def _permutation_parity(seq, target):
 
 
 class RelativePair:
-    """A simplicial complex T with a marked subcomplex U and coordinates."""
+    """A simplicial complex T with a marked subcomplex U and coordinates;
+    ``parent`` is the pair a skeleton was cut from, if any."""
 
-    def __init__(self, coords, simplices, marked, top_dim=None):
+    def __init__(self, coords, simplices, marked, top_dim=None, parent=None):
         self.coords = tuple(tuple(float(x) for x in p) for p in coords)
         self.ambient_dim = len(self.coords[0]) if self.coords else 0
         if any(len(p) != self.ambient_dim for p in self.coords):
@@ -93,6 +97,7 @@ class RelativePair:
             self._by_dim[d].sort(key=lambda s: s.vertices)
         self.marked = frozenset(marked)
         self.top_dim = top_dim if top_dim is not None else max(self._by_dim, default=0)
+        self.parent = parent
         self._cache = {}
         self._validate()
 
@@ -167,8 +172,6 @@ class RelativePair:
 
 def _euclid_orientation(vertices, coords):
     """Reorder an n-cell in ambient dim n to positive Euclidean volume."""
-    import numpy as np
-
     pts = [coords[v] for v in vertices]
     edges = np.array([[pj - p0 for pj, p0 in zip(p, pts[0])] for p in pts[1:]])
     det = float(np.linalg.det(edges))
@@ -238,6 +241,22 @@ def orientation_sign(face, cell):
     return (-1) ** j * _permutation_parity(induced, face.orientation)
 
 
+def facet_incidence(pair, m):
+    """The signed facet incidence of the m-stratum, computed once per pair:
+    int arrays (cell, facet, j, sign) with one entry per unmarked facet of
+    an unmarked m-cell; cell and facet index the m- and (m-1)-strata, j is
+    the local vertex the facet omits and sign is o(F, C)."""
+
+    def build():
+        index = {s.vertices: i for i, s in enumerate(pair.stratum(m - 1))}
+        entries = [(ci, index[f], j, orientation_sign(pair.simplex(f), c))
+                   for ci, c in enumerate(pair.stratum(m))
+                   for j, f in enumerate(c.faces()) if f in index]
+        return np.array(entries, dtype=np.int64).reshape(-1, 4).T
+
+    return pair.cached(("incidence", m), build)
+
+
 def boundary_matrix(pair, m):
     """Relative boundary matrix from the m-stratum to the (m-1)-stratum.
 
@@ -245,55 +264,17 @@ def boundary_matrix(pair, m):
     """
     if m < 1 or m > pair.top_dim:
         raise MeshError(f"boundary dimension {m} out of range")
-    rows = pair.stratum(m - 1)
-    cols = pair.stratum(m)
-    row_index = {s.vertices: i for i, s in enumerate(rows)}
-    mat = [[0] * len(cols) for _ in rows]
-    for j, c in enumerate(cols):
-        for f in c.faces():
-            i = row_index.get(f)
-            if i is not None:
-                mat[i][j] = orientation_sign(pair.simplex(f), c)
+    mat = [[0] * len(pair.stratum(m)) for _ in pair.stratum(m - 1)]
+    cell, facet, _j, sign = facet_incidence(pair, m).tolist()
+    for c, f, s in zip(cell, facet, sign):
+        mat[f][c] = s
     return mat
 
 
 def integer_rank(mat):
     """Exact rank of a dense integer matrix (sparse elimination over Z)."""
-    return _sparse_rank([{j: int(v) for j, v in enumerate(row) if v}
-                         for row in mat])
-
-
-def _sparse_rank(rows):
-    """Exact rank of integer rows stored as {column: value} dicts.
-
-    Each row is reduced against the pivot rows by its leading column until
-    it is zero or holds a new leading column.  A +-1 entry is preferred as
-    pivot; combinations are fraction-free, pv * row - f * pivot, and a row
-    combined with a non-unit pivot is divided by its content (the gcd of
-    its entries)."""
-    pivots = {}
-    for row in rows:
-        r = dict(row)
-        while r:
-            c = min(r)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = r
-                break
-            if abs(p[c]) != 1 and abs(r[c]) == 1:
-                pivots[c], r, p = r, p, r
-            f, pv = r[c], p[c]
-            r = {cc: pv * v for cc, v in r.items()}
-            for cc, v in p.items():
-                x = r.get(cc, 0) - f * v
-                if x:
-                    r[cc] = x
-                else:
-                    r.pop(cc, None)
-            if r and abs(pv) != 1:
-                g = math.gcd(*r.values())
-                r = {cc: v // g for cc, v in r.items()}
-    return len(pivots)
+    return exact.rank([{j: int(v) for j, v in enumerate(row) if v}
+                       for row in mat])
 
 
 def betti_numbers(pair):
@@ -382,10 +363,22 @@ def _open_star_betti(pair, f, cells, faces):
     ranks = [0] * (n + 2)
     for m in range(1, n + 1):
         index = {g: i for i, g in enumerate(by_dim[m - 1])}
-        ranks[m] = _sparse_rank(
+        ranks[m] = exact.rank(
             {index[h]: sign for h, sign in faces[g] if h in index}
             for g in by_dim[m])
     return [len(by_dim[m]) - ranks[m] - ranks[m + 1] for m in range(n + 1)]
+
+
+def check_pure(pair):
+    """MeshError unless every simplex lies in a top cell: the theory covers
+    triangulations, so a non-pure complex is an unsupported configuration.
+    Names the stray simplex of highest dimension."""
+    covered = {g for c in pair.simplices(pair.top_dim)
+               for g in c.subsimplices()}
+    stray = [s for s in pair.all_simplices() if s.vertices not in covered]
+    if stray:
+        raise MeshError(f"unsupported configuration: non-pure complex, "
+                        f"{stray[-1]} lies in no {pair.top_dim}-cell")
 
 
 def skeleton_pair(pair, m):
@@ -404,7 +397,8 @@ def skeleton_pair(pair, m):
                 continue
             members.append(s)
     marked = {v for v in pair.marked if len(v) - 1 <= m - 1}
-    return RelativePair(pair.coords, members, marked, top_dim=m)
+    return RelativePair(pair.coords, members, marked, top_dim=m,
+                        parent=pair.parent or pair)
 
 
 # -- mesh catalog ---------------------------------------------------------

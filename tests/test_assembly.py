@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from ddforms import exact
 from ddforms.assembly import (AssemblyError, BrokenSpace, adjoint,
                               broken_space, derivative_operator,
                               export_matrix, graded_space, kernel_space,
                               matrix_nullspace, mesh_weight, operator_D,
                               operator_T)
-from ddforms.mesh import generate_mesh
-from ddforms.polyforms import Family, whitney
+from ddforms.mesh import generate_mesh, orientation_sign
+from ddforms.polyforms import Family, FamilyError, whitney
 
 
 def rel(a, scale):
@@ -122,6 +123,70 @@ def test_invalid_stratum_rejected(catalog):
     pair = catalog("square_grid")
     with pytest.raises(AssemblyError):
         BrokenSpace(pair, [(1, 2)], whitney())
+
+
+def reference_fill(pair, family, op, m, k):
+    """D or T on the (m, k) stratum, filled block by block from the float
+    element tables with one orientation sign per (cell, facet)."""
+    cells = pair.stratum(m)
+    bs = family.space(m, k).size
+    if op == "D":
+        bt = family.space(m, k + 1).size
+        A = np.zeros((bt * len(cells), bs * len(cells)))
+        for i in range(len(cells)):
+            A[i * bt:(i + 1) * bt, i * bs:(i + 1) * bs] = family.d_matrix(m, k)
+        return A
+    faces = {s.vertices: i for i, s in enumerate(pair.stratum(m - 1))}
+    bt = family.space(m - 1, k).size
+    A = np.zeros((bt * len(faces), bs * len(cells)))
+    for i, c in enumerate(cells):
+        for j in range(m + 1):
+            fverts = c.vertices[:j] + c.vertices[j + 1:]
+            fi = faces.get(fverts)
+            if fi is None:
+                continue
+            sign = orientation_sign(pair.simplex(fverts), c)
+            A[fi * bt:(fi + 1) * bt, i * bs:(i + 1) * bs] += \
+                sign * family.trace_matrix(m, k, j)
+    return A
+
+
+FAMILIES = [Family("trimmed", 1), Family("trimmed", 2), Family("full", 2)]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label)
+@pytest.mark.parametrize("name", ["annulus", "cube_tet", "solid_ring"])
+def test_triplet_operators_and_exact_kernels(catalog, name, family):
+    for mark in ("none", "full", "half"):
+        pair = catalog(name, 1, mark)
+        n = pair.top_dim
+        ops = [("D", m, k) for m in range(n + 1) for k in range(m)]
+        ops += [("T", m, k) for m in range(1, n + 1) for k in range(m)]
+        for op, m, k in ops:
+            build = operator_D if op == "D" else operator_T
+            A = build(pair, m, k, family)
+            ref = reference_fill(pair, family, op, m, k)
+            assert np.abs(A.matrix - ref).max(initial=0.0) <= 1e-12
+            K = exact.kernel(A.integer_rows(), A.domain.dim)
+            rows, cols, vals = A.triplets
+            AK = np.zeros((A.codomain.dim, K.shape[1]), dtype=np.int64)
+            np.add.at(AK, rows, vals[:, None] * K[cols])
+            assert not np.any(AK)
+            N = matrix_nullspace(A.matrix)
+            assert K.shape == N.shape
+            Q = np.linalg.qr(K.astype(float))[0]
+            assert np.abs(Q @ Q.T - N @ N.T).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("table", ["d_matrix", "trace_matrix"])
+def test_non_integral_element_table_raises(monkeypatch, table):
+    original = getattr(Family, table)
+    monkeypatch.setattr(Family, table,
+                        lambda self, *a: original(self, *a) + 1e-6)
+    pair = generate_mesh("square_grid", 1)
+    build = operator_D if table == "d_matrix" else operator_T
+    with pytest.raises(FamilyError):
+        build(pair, 2, 0, whitney())
 
 
 def test_matrix_nullspace():

@@ -157,6 +157,23 @@ def test_file_mesh_keeps_dangling_edge(tmp_path):
     assert json.loads(text)["mesh"]["simplices"] == {"0": 4, "1": 4, "2": 1}
 
 
+def test_non_pure_mesh_is_unsupported(tmp_path, capsys):
+    path = tmp_path / "dangling.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 2,
+        "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
+        "cells": [[0, 1, 2], [2, 3]],
+    }))
+    for command in ("check", "harmonic", "chain", "solve"):
+        for mark in ("none", "half"):
+            code, text = run([command, "--mesh", str(path), "--mark", mark])
+            err = capsys.readouterr().err
+            assert (code, text) == (2, "")
+            assert err.startswith("error: unsupported configuration: ")
+            assert err.count("\n") == 1
+    assert run(["betti", "--mesh", str(path)])[0] == 0
+
+
 # Relative Betti numbers of the ladder meshes under each marking.
 LADDER_BETTI = {
     ("annulus", "none"): [1, 1, 0],

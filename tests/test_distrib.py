@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from ddforms import exact
 from ddforms.assembly import (AssemblyError, Subspace, broken_space,
-                              derivative_operator)
+                              derivative_operator, operator_T)
 from ddforms.hilbert import betti_from_complex, harmonic_space
-from ddforms.mesh import (betti_numbers, build_complex, generate_mesh,
-                          skeleton_pair)
+from ddforms.mesh import (MeshError, betti_numbers, build_complex,
+                          generate_mesh, skeleton_pair)
 from ddforms.polyforms import Family, whitney
 from ddforms import distrib
 
@@ -272,6 +273,45 @@ def test_graded_complexes_match_betti(catalog, name):
             cxs.append(distrib.total_complex(pair, fam, weighted=False))
             for cx in cxs:
                 assert betti_from_complex(cx) == expected, (mark, fam, cx)
+
+
+@pytest.mark.parametrize("name", ["annulus", "cube_tet", "square_grid"])
+def test_zero_skeleton_complexes_match_betti(catalog, name):
+    """The 0-skeleton has no edges: its vertex weights come from the parent
+    mesh, and its chain-like complex carries the skeleton's homology."""
+    for mark in ("none", "full", "half"):
+        pair = catalog(name, 2 if name == "square_grid" else 1, mark)
+        skel = skeleton_pair(pair, 0)
+        assert skel.parent is pair
+        for fam in (FAM, Family("full", 2)):
+            cx = distrib.chainlike_complex(skel, fam, weight_top=pair.top_dim)
+            assert betti_from_complex(cx) == betti_numbers(skel)[::-1]
+
+
+def test_non_pure_complex_unsupported():
+    pair = build_complex([[0, 1, 2], [2, 3]],
+                         [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    assert betti_numbers(pair) == [1, 0, 0]
+    with pytest.raises(MeshError, match=r"Simplex\(2, 3\) lies in no 2-cell"):
+        distrib.check_conditions(pair, FAM)
+    with pytest.raises(MeshError, match="unsupported configuration"):
+        distrib.verify_chain(pair, FAM, 1)
+
+
+def test_skeleton_ranks_are_exact(catalog):
+    """The skeleton identities and the double complex take their ranks and
+    kernels from exact elimination; they agree with the float ranks."""
+    for mark in ("none", "full", "half"):
+        pair = catalog("annulus", 1, mark)
+        for m in range(pair.top_dim + 1):
+            rep = distrib.skeleton_degree_zero_identity(pair, FAM, m)
+            assert rep["ok"], rep
+        assert distrib.skeleton_projection(pair, FAM, 2)["ok"]
+        for m in range(1, pair.top_dim + 1):
+            for k in range(m):
+                t = operator_T(pair, m, k, FAM)
+                assert exact.rank(t.integer_rows()) == \
+                    np.linalg.matrix_rank(t.matrix, tol=1e-9)
 
 
 def test_kernel_diff_guards(catalog):
