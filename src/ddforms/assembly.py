@@ -17,7 +17,7 @@ import numpy as np
 
 from ddforms import exact
 from ddforms.mesh import MeshError, facet_incidence
-from ddforms.polyforms import FamilyError, rank_split, simplex_metrics
+from ddforms.polyforms import _integer_table, simplex_metrics
 
 
 class AssemblyError(ValueError):
@@ -218,10 +218,7 @@ class LinearOp:
 
     def integer_rows(self):
         """The rows of a triplet operator as {column: value} dicts."""
-        out = [{} for _ in range(self.codomain.dim)]
-        for i, j, v in zip(*(a.tolist() for a in self.triplets)):
-            out[i][j] = v
-        return out
+        return exact.triplet_rows(*self.triplets, self.codomain.dim)
 
     def __repr__(self):
         return f"LinearOp({self.codomain.dim}x{self.domain.dim})"
@@ -285,16 +282,6 @@ def graded_space(pair, m, k, b, family, kind="down", weight_top=None):
         if 0 <= kj <= mj and mj <= pair.top_dim:
             strata.append(mk)
     return BrokenSpace(pair, strata, family, weight_top=weight_top)
-
-
-def _integer_table(table):
-    """An element table as an int array; FamilyError unless every entry is
-    within 1e-9 of an integer."""
-    rounded = np.rint(table)
-    deviation = float(np.abs(table - rounded).max(initial=0.0))
-    if deviation > 1e-9:
-        raise FamilyError(f"element table off an integer by {deviation:.3g}")
-    return rounded.astype(np.int64)
 
 
 def _triplets(pair, family, op, m, k):
@@ -366,11 +353,6 @@ def derivative_operator(space):
                 parts.append((rows + t.offset, cols + s.offset, factor * vals))
     triplets = tuple(np.concatenate(a) for a in zip(*parts))
     return LinearOp(space, tgt, triplets=triplets)
-
-
-def matrix_nullspace(mat, rtol=1e-9):
-    """Orthonormal (Euclidean) nullspace columns of a dense matrix."""
-    return rank_split(mat, rtol).null
 
 
 def kernel_space(pair, m, k, family, which, weight_top=None):

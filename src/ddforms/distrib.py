@@ -24,8 +24,7 @@ from ddforms.assembly import (AssemblyError, BrokenSpace, GramFactor,
                               LinearOp, Subspace, broken_space,
                               derivative_operator, graded_space,
                               gram_orthonormalize, kernel_space,
-                              matrix_nullspace, operator_D, operator_T,
-                              adjoint)
+                              operator_D, operator_T, adjoint)
 from ddforms.hilbert import (ComplexInstance, harmonic_space, pseudoinverse,
                              subspace_equality_defect)
 
@@ -292,15 +291,18 @@ def regularizer_S(pair, family, m, b, weight_top=None):
 
 def _project_cocycles(cx, i, x):
     """Gram-orthogonal projection of the columns of x onto the kernel of
-    the differential at index i; x itself when there is no outgoing
-    differential.  The Gram-orthonormal kernel basis is memoised on the
-    complex instance per index."""
+    the differential at index i, a graded derivative; x itself when there
+    is no outgoing differential.  The exact integer kernel is
+    Gram-orthonormalized once and memoised on the complex instance per
+    index."""
     sp = cx.spaces[i]
-    if i >= len(cx.diffs) or cx.diffs[i].matrix.shape[0] == 0:
+    if i >= len(cx.diffs) or cx.diffs[i].codomain.dim == 0:
         return x
     Kb = cx._cocycles.get(i)
     if Kb is None:
-        Kb = gram_orthonormalize(sp, matrix_nullspace(cx.diffs[i].matrix))
+        d = cx.diffs[i]
+        Kb = gram_orthonormalize(sp, exact.kernel(d.integer_rows(),
+                                                  d.domain.dim))
         cx._cocycles[i] = Kb
     return Kb @ (Kb.T @ (sp.gram @ x))
 

@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers on sparse rows.
 
 A matrix is given by its rows, each a {column: value} dict of its nonzero
-integer entries.  One fraction-free elimination serves the rank and the
-kernel, so neither depends on a floating-point threshold.
+integer entries.  One fraction-free elimination serves the rank, the
+independent rows and the kernel, so none depends on a floating-point
+threshold.
 """
 
 from __future__ import annotations
@@ -29,36 +30,60 @@ def _combine(r, p, c):
     return {cc: v // g for cc, v in out.items()} if g > 1 else out
 
 
-def _eliminate(rows):
-    """Row echelon form, as {leading column: pivot row}: each row is reduced
-    by its leading column until it is zero or leads a new column, with +-1
-    pivots preferred.  The input rows are not modified."""
-    pivots = {}
-    for r in rows:
-        while r:
-            c = min(r)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = r
-                break
-            if abs(p[c]) != 1 and abs(r[c]) == 1:
-                pivots[c], r, p = r, p, r
-            r = _combine(r, p, c)
-    return pivots
+def _insert(pivots, r):
+    """Reduce row r by the pivots, {leading column: pivot row}, until it is
+    zero or leads a new column, with +-1 pivots preferred; whether it led
+    one, i.e. raised the rank.  The row itself is not modified."""
+    while r:
+        c = min(r)
+        p = pivots.get(c)
+        if p is None:
+            pivots[c] = r
+            return True
+        if abs(p[c]) != 1 and abs(r[c]) == 1:
+            pivots[c], r, p = r, p, r
+        r = _combine(r, p, c)
+    return False
+
+
+def triplet_rows(rows, cols, vals, nrows):
+    """The rows of an integer matrix given as triplets with distinct
+    (row, col) pairs, as {column: value} dicts."""
+    out = [{} for _ in range(nrows)]
+    for i, j, v in zip(*(np.asarray(a).tolist() for a in (rows, cols, vals))):
+        out[i][j] = v
+    return out
+
+
+def dense_rows(mat):
+    """The rows of a dense integer array as {column: value} dicts."""
+    mat = np.asarray(mat)
+    i, j = np.nonzero(mat)
+    return triplet_rows(i, j, mat[i, j], len(mat))
 
 
 def rank(rows):
     """Exact rank of integer rows."""
-    return len(_eliminate(rows))
+    return len(independent(rows))
+
+
+def independent(rows):
+    """The indices of the rows that raise the rank of the rows before them:
+    the first maximal independent subset, in order."""
+    pivots = {}
+    return [i for i, r in enumerate(rows) if _insert(pivots, r)]
 
 
 def kernel(rows, ncols):
-    """An integer basis of {x : A x = 0}, int64 of shape (ncols, nullity).
+    """An integer basis of {x : A x = 0}, of shape (ncols, nullity): int64
+    when every entry fits, else Python ints (object dtype).
 
     Back-substitution brings the echelon rows to reduced form.  Column i
     belongs to the i-th free column f: x_f is the least positive integer
     that makes every pivot entry integral, other free entries are zero."""
-    pivots = _eliminate(rows)
+    pivots = {}
+    for r in rows:
+        _insert(pivots, r)
     for c in sorted(pivots, reverse=True):
         for cc in [cc for cc in pivots[c] if cc != c and cc in pivots]:
             pivots[c] = _combine(pivots[c], pivots[cc], cc)
@@ -70,10 +95,11 @@ def kernel(rows, ncols):
             if f != c:
                 scale[free[f]] = math.lcm(scale[free[f]],
                                           abs(r[c]) // math.gcd(r[c], v))
-    K = np.zeros((ncols, len(free)), dtype=np.int64)
-    K[list(free), range(len(free))] = scale
-    for c, r in pivots.items():
-        for f, v in r.items():
-            if f != c:
-                K[c, free[f]] = -v * scale[free[f]] // r[c]
+    entries = [(f, i, scale[i]) for f, i in free.items()]
+    entries += [(c, free[f], -v * scale[free[f]] // r[c])
+                for c, r in pivots.items() for f, v in r.items() if f != c]
+    fits = all(-2**63 <= v < 2**63 for _c, _i, v in entries)
+    K = np.zeros((ncols, len(free)), dtype=np.int64 if fits else object)
+    for c, i, v in entries:
+        K[c, i] = v
     return K

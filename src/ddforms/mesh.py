@@ -271,12 +271,6 @@ def boundary_matrix(pair, m):
     return mat
 
 
-def integer_rank(mat):
-    """Exact rank of a dense integer matrix (sparse elimination over Z)."""
-    return exact.rank([{j: int(v) for j, v in enumerate(row) if v}
-                       for row in mat])
-
-
 def betti_numbers(pair):
     """Relative Betti numbers b_0 .. b_n of (T, U), exactly over the
     rationals; computed once per pair, returned as a fresh list."""
@@ -286,8 +280,9 @@ def betti_numbers(pair):
         dims = [len(pair.stratum(m)) for m in range(n + 1)]
         ranks = [0] * (n + 2)
         for m in range(1, n + 1):
-            mat = boundary_matrix(pair, m)
-            ranks[m] = integer_rank(mat) if mat and mat[0] else 0
+            cell, facet, _j, sign = facet_incidence(pair, m)
+            ranks[m] = exact.rank(exact.triplet_rows(
+                facet, cell, sign, len(pair.stratum(m - 1))))
         return [dims[m] - ranks[m] - ranks[m + 1] for m in range(n + 1)]
 
     return list(pair.cached(("betti",), build))

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ddforms import exact
 from ddforms.mesh import _permutation_parity
 
 
@@ -281,6 +282,14 @@ def coeff_vector(form, frame):
     return v
 
 
+def _coeff_matrix(forms, frame):
+    """The coefficient vectors of forms in a frame, as columns."""
+    out = np.zeros((len(frame), len(forms)))
+    for j, f in enumerate(forms):
+        out[:, j] = coeff_vector(f, frame)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _frame_index(frame):
     return {key: i for i, key in enumerate(frame)}
@@ -521,27 +530,15 @@ class ElementSpace:
         self.frame_degree = frame_degree
         self.frame = reduced_frame(dim, max(degree, 0), frame_degree)
         self._reference = None
-        if self.basis:
-            self.matrix = np.column_stack(
-                [coeff_vector(f, self.frame) for f in self.basis])
-        else:
-            self.matrix = np.zeros((len(self.frame), 0))
+        self.matrix = _coeff_matrix(self.basis, self.frame)
 
     @property
     def size(self):
         return len(self.basis)
 
     def coefficients(self, form, tol=1e-8):
-        """Coordinates of a form in this basis; errors if not a member."""
-        v = coeff_vector(form, self.frame)
-        if self.size == 0:
-            if np.linalg.norm(v) > tol:
-                raise FormError("form not in the zero space")
-            return np.zeros(0)
-        sol, *_ = np.linalg.lstsq(self.matrix, v, rcond=None)
-        if np.linalg.norm(self.matrix @ sol - v) > tol * max(1.0, np.linalg.norm(v)):
-            raise FormError("form is not a member of the element space")
-        return sol
+        """Coordinates of a form in this basis; FormError if not a member."""
+        return _solve_in_space(self, [form], tol, FormError)[:, 0]
 
     def from_coefficients(self, coeffs):
         out = BarycentricForm(self.dim, self.degree)
@@ -645,27 +642,16 @@ def _full_space(m, k, rp):
 
 
 def _trimmed_space(m, k, r):
-    """Span of lambda^alpha * whitney(rho), |alpha| = r-1, greedily reduced
-    to an independent basis in generator order."""
+    """Span of lambda^alpha * whitney(rho), |alpha| = r-1, reduced to the
+    generators that are independent of those before them (exactly: their
+    coefficients are integers)."""
+    gens = [_monomial_times(alpha, whitney_form(m, rho))
+            for rho in itertools.combinations(range(m + 1), k + 1)
+            for alpha in sorted(_compositions(r - 1, m + 1))]
     frame = reduced_frame(m, k, r)
-    basis = []
-    vectors = []
-    for rho in itertools.combinations(range(m + 1), k + 1):
-        w = whitney_form(m, rho)
-        for alpha in sorted(_compositions(r - 1, m + 1)):
-            gen = _monomial_times(alpha, w)
-            v = coeff_vector(gen, frame)
-            nv = np.linalg.norm(v)
-            if nv < 1e-12:
-                continue
-            if vectors:
-                A = np.column_stack(vectors)
-                sol, *_ = np.linalg.lstsq(A, v, rcond=None)
-                if np.linalg.norm(A @ sol - v) < 1e-8 * nv:
-                    continue
-            basis.append(gen)
-            vectors.append(v)
-    return ElementSpace(m, k, basis, r)
+    table = _integer_table(_coeff_matrix(gens, frame).T)
+    keep = exact.independent(exact.dense_rows(table))
+    return ElementSpace(m, k, [gens[i] for i in keep], r)
 
 
 def trimmed_dimension(m, k, r):
@@ -690,25 +676,42 @@ def build_element_space(m, k, family, variant="plain"):
 # -- derivative / trace matrices, bubbles, extensions ---------------------
 
 
-def _solve_in_space(space, forms, tol=1e-8):
-    """Coefficient matrix of the given forms in a space's basis."""
-    frame = reduced_frame(space.dim, space.degree, max(
-        space.frame_degree, max((_form_poly_degree(f) for f in forms), default=0)))
-    target = np.zeros((len(frame), space.size))
-    if space.size:
-        target = np.column_stack([coeff_vector(f, frame) for f in space.basis])
-    out = np.zeros((space.size, len(forms)))
-    for j, f in enumerate(forms):
-        v = coeff_vector(f, frame)
-        if space.size == 0:
-            if np.linalg.norm(v) > tol:
-                raise FamilyError("form falls outside the zero target space")
-            continue
-        sol, *_ = np.linalg.lstsq(target, v, rcond=None)
-        if np.linalg.norm(target @ sol - v) > tol * max(1.0, np.linalg.norm(v)):
-            raise FamilyError("family is not closed under the requested operation")
-        out[:, j] = sol
+_NOT_A_MEMBER = {
+    FamilyError: "family is not closed under the requested operation",
+    FormError: "form is not a member of the element space",
+}
+
+
+def _solve_in_space(space, forms, tol=1e-8, error=FamilyError):
+    """Coefficient matrix of the given forms in a space's basis, by one
+    least-squares solve.  Raises ``error`` unless each form's residual is
+    within tol * max(1, |form|), or within tol for the zero space."""
+    frame, target = space.frame, space.matrix
+    degree = max((_form_poly_degree(f) for f in forms), default=0)
+    if degree > space.frame_degree:
+        frame = reduced_frame(space.dim, space.degree, degree)
+        target = _coeff_matrix(space.basis, frame)
+    V = _coeff_matrix(forms, frame)
+    out = np.linalg.lstsq(target, V, rcond=None)[0]
+    scale = np.maximum(1.0, np.linalg.norm(V, axis=0)) if space.size else 1.0
+    if np.any(np.linalg.norm(target @ out - V, axis=0) > tol * scale):
+        raise error(_NOT_A_MEMBER[error])
     return out
+
+
+def _integer_table(table):
+    """An element table as an int array; FamilyError unless every entry is
+    within 1e-9 of an integer."""
+    rounded = np.rint(table)
+    deviation = float(np.abs(table - rounded).max(initial=0.0))
+    if deviation > 1e-9:
+        raise FamilyError(f"element table off an integer by {deviation:.3g}")
+    return rounded.astype(np.int64)
+
+
+def _table_rank(table):
+    """Exact rank of an integral element table."""
+    return exact.rank(exact.dense_rows(_integer_table(table)))
 
 
 @lru_cache(maxsize=None)
@@ -740,17 +743,18 @@ def _trace_matrix(kind, r, m, k, j):
 def _bubble_space(kind, r, m, k):
     """The trace-free subspace of the family space on an m-simplex.
 
-    Returns (space, coeffs) with coeffs mapping the bubble basis into the
-    parent basis.
+    Returns (space, coeffs) with coeffs, an integer basis of the kernel of
+    the stacked trace tables, mapping the bubble basis into the parent
+    basis.
     """
     src = _family_space(kind, r, m, k)
     if src.size == 0:
-        return src, np.zeros((0, 0))
+        return src, np.zeros((0, 0), dtype=np.int64)
     if m == 0 or k > m - 1:
-        return src, np.eye(src.size)
-    rows = [_trace_matrix(kind, r, m, k, j) for j in range(m + 1)]
-    stacked = np.vstack(rows)
-    null = rank_split(stacked).null
+        return src, np.eye(src.size, dtype=np.int64)
+    stacked = np.vstack([_trace_matrix(kind, r, m, k, j)
+                         for j in range(m + 1)])
+    null = exact.kernel(exact.dense_rows(_integer_table(stacked)), src.size)
     basis = [src.from_coefficients(null[:, i]) for i in range(null.shape[1])]
     return ElementSpace(m, k, basis, src.frame_degree), null
 
@@ -806,12 +810,10 @@ def _extension_lift(kind, r, mf, k):
     if not gens:
         raise FamilyError(
             f"{kind}(r={r}): no full-support generators for k={k} on dim {mf}")
-    frame = bubble.frame
-    G = np.column_stack([
-        coeff_vector(_instantiate_generator(kind, a, i, tuple(range(mf + 1)), mf),
-                     frame)
-        for a, i in gens])
-    B = np.column_stack([coeff_vector(f, frame) for f in bubble.basis])
+    G = _coeff_matrix([_instantiate_generator(kind, a, i, tuple(range(mf + 1)),
+                                              mf) for a, i in gens],
+                      bubble.frame)
+    B = bubble.matrix
     lift = np.linalg.pinv(G) @ B
     if np.linalg.norm(G @ lift - B) > 1e-8 * max(1.0, np.linalg.norm(B)):
         raise FamilyError(
@@ -851,10 +853,7 @@ def check_local_exactness(family, m):
     surjectivity onto the top-degree space.
     """
     report = {"dim": m, "family": family.label, "indices": {}, "passed": True}
-    ranks = {}
-    for k in range(m + 1):
-        d = family.d_matrix(m, k)
-        ranks[k] = int(np.linalg.matrix_rank(d, tol=1e-9)) if d.size else 0
+    ranks = {k: _table_rank(family.d_matrix(m, k)) for k in range(m + 1)}
     for k in range(m + 1):
         n = family.space(m, k).size
         nullity = n - ranks[k]
@@ -940,22 +939,13 @@ def _decomposition_entry(family, m, k):
     """Decomposition report of the k-form element space on an m-simplex;
     raises FamilyError or FormError when a bubble cannot be extended."""
     space = family.space(m, k)
-    columns = []
-    frame = reduced_frame(m, k, space.frame_degree)
-    for mf in range(k, m + 1):
-        bubble, _ = _bubble_space(family.kind, family.r, mf, k)
-        if bubble.size == 0:
-            continue
-        for positions in itertools.combinations(range(m + 1), mf + 1):
-            for f in bubble.basis:
-                ext = extension(f, positions, m, family)
-                space.coefficients(ext)
-                columns.append(coeff_vector(ext, frame))
-    count = len(columns)
-    if count:
-        rank = int(np.linalg.matrix_rank(np.column_stack(columns), tol=1e-9))
-    else:
-        rank = 0
+    exts = [extension(f, positions, m, family)
+            for mf in range(k, m + 1)
+            for positions in itertools.combinations(range(m + 1), mf + 1)
+            for f in _bubble_space(family.kind, family.r, mf, k)[0].basis]
+    _solve_in_space(space, exts, error=FormError)
+    count = len(exts)
+    rank = rank_split(_coeff_matrix(exts, space.frame)).rank
     identities = all(
         _check_extension_identities(family, mf, k, m)
         for mf in range(k, m + 1))
@@ -977,4 +967,4 @@ def check_trace_surjectivity(family, m, k):
     t = family.trace_matrix(m, k, 0)
     if tgt.size == 0:
         return True
-    return int(np.linalg.matrix_rank(t, tol=1e-9)) == tgt.size
+    return _table_rank(t) == tgt.size

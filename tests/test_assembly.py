@@ -5,10 +5,9 @@ from ddforms import exact
 from ddforms.assembly import (AssemblyError, BrokenSpace, adjoint,
                               broken_space, derivative_operator,
                               export_matrix, graded_space, kernel_space,
-                              matrix_nullspace, mesh_weight, operator_D,
-                              operator_T)
+                              mesh_weight, operator_D, operator_T)
 from ddforms.mesh import generate_mesh, orientation_sign
-from ddforms.polyforms import Family, FamilyError, whitney
+from ddforms.polyforms import Family, FamilyError, rank_split, whitney
 
 
 def rel(a, scale):
@@ -172,7 +171,7 @@ def test_triplet_operators_and_exact_kernels(catalog, name, family):
             AK = np.zeros((A.codomain.dim, K.shape[1]), dtype=np.int64)
             np.add.at(AK, rows, vals[:, None] * K[cols])
             assert not np.any(AK)
-            N = matrix_nullspace(A.matrix)
+            N = rank_split(A.matrix).null
             assert K.shape == N.shape
             Q = np.linalg.qr(K.astype(float))[0]
             assert np.abs(Q @ Q.T - N @ N.T).max(initial=0.0) <= 1e-12
@@ -187,13 +186,6 @@ def test_non_integral_element_table_raises(monkeypatch, table):
     build = operator_D if table == "d_matrix" else operator_T
     with pytest.raises(FamilyError):
         build(pair, 2, 0, whitney())
-
-
-def test_matrix_nullspace():
-    mat = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    null = matrix_nullspace(mat)
-    assert null.shape == (3, 1)
-    assert np.linalg.norm(mat @ null) < 1e-12
 
 
 def test_export_matrix_format(tmp_path):

@@ -3,11 +3,12 @@ import pytest
 
 from ddforms import exact
 from ddforms.assembly import (AssemblyError, Subspace, broken_space,
-                              derivative_operator, operator_T)
+                              derivative_operator, gram_orthonormalize,
+                              operator_T)
 from ddforms.hilbert import betti_from_complex, harmonic_space
 from ddforms.mesh import (MeshError, betti_numbers, build_complex,
                           generate_mesh, skeleton_pair)
-from ddforms.polyforms import Family, whitney
+from ddforms.polyforms import Family, rank_split, whitney
 from ddforms import distrib
 
 FAM = whitney()
@@ -343,3 +344,29 @@ def test_metric_independence(catalog):
     w = betti_from_complex(distrib.total_complex(pair, FAM))
     u = betti_from_complex(distrib.total_complex(pair, FAM, weighted=False))
     assert w == u
+
+
+@pytest.mark.parametrize("family", [FAM, Family("full", 2)],
+                         ids=lambda f: f.label)
+@pytest.mark.parametrize("name", ["annulus", "cube_tet"])
+def test_cocycle_projection_matches_svd_nullspace(catalog, name, family):
+    """The projector onto the exact integer kernel of each graded
+    derivative an isomorphism step projects with equals the one onto the
+    float SVD nullspace."""
+    for mark in ("none", "full", "half"):
+        pair = catalog(name, 1, mark)
+        n = pair.top_dim
+        cases = [(distrib.redirected_lambda(pair, family, k - b + 1), k)
+                 for k in range(1, n + 1) for b in range(2, k + 2)]
+        cases += [(distrib.redirected_gamma(pair, family, m + b - 1), n - m)
+                  for m in range(n) for b in range(2, n - m + 2)]
+        for cx, pos in cases:
+            if pos >= len(cx.diffs):
+                continue
+            sp = cx.spaces[pos]
+            P = distrib._project_cocycles(cx, pos, np.eye(sp.dim))
+            Kb = gram_orthonormalize(sp, rank_split(cx.diffs[pos].matrix).null)
+            ref = Kb @ (Kb.T @ sp.gram)
+            scale = max(1.0, np.abs(ref).max(initial=0.0))
+            assert np.abs(P - ref).max(initial=0.0) <= 1e-12 * scale, \
+                (name, mark, cx.label, pos)

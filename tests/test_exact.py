@@ -45,3 +45,65 @@ def test_elimination_leaves_rows_unchanged():
     exact.kernel(rows, 3)
     exact.rank(rows)
     assert rows == before
+
+
+def test_rank_matches_sympy():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        mat = rng.integers(-3, 4, size=rng.integers(1, 7, size=2))
+        assert exact.rank(exact.dense_rows(mat)) == \
+            sympy.Matrix(mat.tolist()).rank()
+    # larger sparse boundary-like matrices: a few +-1 (sometimes +-2)
+    # entries per column, some columns combinations of others
+    for trial in range(6):
+        rows, cols = 30 + 3 * trial, 40 - 2 * trial
+        mat = np.zeros((rows, cols), dtype=int)
+        for j in range(cols):
+            idx = rng.choice(rows, size=3, replace=False)
+            mat[idx, j] = rng.choice([-1, 1, 1, 2], size=3) * \
+                rng.choice([-1, 1], size=3)
+        for j in rng.choice(cols, size=8, replace=False):
+            a, b = rng.choice(cols, size=2, replace=False)
+            mat[:, j] = mat[:, a] - 2 * mat[:, b]
+        assert exact.rank(exact.dense_rows(mat)) == \
+            sympy.Matrix(mat.tolist()).rank()
+
+
+def test_kernel_past_int64_stays_exact():
+    # rows 2 x_i - x_(i+1) = 0: the kernel is (1, 2, 4, ..., 2^69)
+    n = 69
+    rows = [{i: 2, i + 1: -1} for i in range(n)]
+    K = exact.kernel(rows, n + 1)
+    assert K.dtype == object and K.shape == (n + 1, 1)
+    assert [int(x) for x in K[:, 0]] == [2 ** i for i in range(n + 1)]
+    A = np.zeros((n, n + 1), dtype=np.int64)
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            A[i, j] = v
+    assert all(x == 0 for x in (A @ K).ravel())
+    # a short chain stays int64
+    assert exact.kernel(rows[:10], 11).dtype == np.int64
+
+
+def test_independent_rows_match_sympy_ranks():
+    rng = np.random.default_rng(5)
+    for _trial in range(100):
+        mat = rng.integers(-2, 3, size=rng.integers(1, 9, size=2))
+        mat *= rng.random(mat.shape) < 0.5
+        if len(mat) > 2:
+            mat[-1] = mat[0] - 3 * mat[1]
+        keep = exact.independent(exact.dense_rows(mat))
+        for i in range(len(mat) + 1):
+            # a row is kept exactly when it raises the rank of those before
+            head = sympy.Matrix(mat[:i].tolist()).rank() if i else 0
+            assert sum(j < i for j in keep) == head
+        assert len(keep) == sympy.Matrix(mat.tolist()).rank()
+
+
+def test_dense_and_triplet_rows_agree():
+    mat = np.array([[0, 3, 0], [0, 0, 0], [-1, 0, 2]])
+    rows = exact.dense_rows(mat)
+    assert rows == [{1: 3}, {}, {0: -1, 2: 2}]
+    i, j = np.nonzero(mat)
+    assert exact.triplet_rows(i, j, mat[i, j], 3) == rows
+    assert all(type(v) is int for r in rows for v in r.values())

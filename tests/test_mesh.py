@@ -2,12 +2,11 @@ import json
 
 import numpy as np
 import pytest
-import sympy
 
-from ddforms import mesh
+from ddforms import exact
 from ddforms.mesh import (MeshError, Simplex, betti_numbers, boundary_matrix,
                           build_complex, check_local_patch_condition,
-                          generate_mesh, integer_rank, load_mesh_file,
+                          generate_mesh, load_mesh_file,
                           mark_pair, orientation_sign, patch_pair,
                           save_mesh_file, skeleton_pair)
 
@@ -33,26 +32,6 @@ def test_boundary_of_boundary_vanishes():
         b1 = np.array(boundary_matrix(pair, m))
         b2 = np.array(boundary_matrix(pair, m - 1))
         assert not np.any(b2 @ b1)
-
-
-def test_integer_rank_matches_sympy():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        mat = rng.integers(-3, 4, size=rng.integers(1, 7, size=2))
-        assert integer_rank(mat) == sympy.Matrix(mat.tolist()).rank()
-    # larger sparse boundary-like matrices: a few +-1 (sometimes +-2)
-    # entries per column, some columns combinations of others
-    for trial in range(6):
-        rows, cols = 30 + 3 * trial, 40 - 2 * trial
-        mat = np.zeros((rows, cols), dtype=int)
-        for j in range(cols):
-            idx = rng.choice(rows, size=3, replace=False)
-            mat[idx, j] = rng.choice([-1, 1, 1, 2], size=3) * \
-                rng.choice([-1, 1], size=3)
-        for j in rng.choice(cols, size=8, replace=False):
-            a, b = rng.choice(cols, size=2, replace=False)
-            mat[:, j] = mat[:, a] - 2 * mat[:, b]
-        assert integer_rank(mat) == sympy.Matrix(mat.tolist()).rank()
 
 
 def test_betti_ball_like():
@@ -94,10 +73,10 @@ def test_betti_numbers_computed_once_per_pair(monkeypatch):
     first = betti_numbers(pair)
     first[0] = 99
 
-    def no_rank(mat):
+    def no_rank(rows):
         raise AssertionError("Betti numbers recomputed")
 
-    monkeypatch.setattr(mesh, "integer_rank", no_rank)
+    monkeypatch.setattr(exact, "rank", no_rank)
     assert betti_numbers(pair) == [1, 1, 0]
 
 

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import sympy
 
+from ddforms import polyforms
 from ddforms.assembly import broken_space
 from ddforms.mesh import build_complex, generate_mesh
 from ddforms.polyforms import (BarycentricForm, Family, FamilyError, FormError,
@@ -287,3 +289,55 @@ def test_flat_simplex_in_stratum_raises():
         broken_space(pair, 2, 1, whitney()).gram
     with pytest.raises(FormError):
         simplex_metrics(np.array(coords, float)[[[0, 1, 2], [1, 3, 4]]])
+
+
+def float_greedy_trimmed(m, k, r):
+    """The trimmed basis as the float greedy loop chose it: a generator is
+    kept unless one least-squares solve puts it within 1e-8 of the span of
+    those kept before it."""
+    frame = polyforms.reduced_frame(m, k, r)
+    basis, vectors = [], []
+    for rho in itertools.combinations(range(m + 1), k + 1):
+        w = whitney_form(m, rho)
+        for alpha in sorted(polyforms._compositions(r - 1, m + 1)):
+            gen = polyforms._monomial_times(alpha, w)
+            v = polyforms.coeff_vector(gen, frame)
+            nv = np.linalg.norm(v)
+            if nv < 1e-12:
+                continue
+            if vectors:
+                A = np.column_stack(vectors)
+                sol, *_ = np.linalg.lstsq(A, v, rcond=None)
+                if np.linalg.norm(A @ sol - v) < 1e-8 * nv:
+                    continue
+            basis.append(gen)
+            vectors.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_trimmed_basis_matches_float_greedy(r):
+    for m in range(4):
+        for k in range(m + 1):
+            space = polyforms._trimmed_space(m, k, r)
+            ref = float_greedy_trimmed(m, k, r)
+            assert [f.terms for f in space.basis] == [f.terms for f in ref]
+            assert space.size == trimmed_dimension(m, k, r), (m, k, r)
+
+
+@pytest.mark.parametrize("kind,r", [("trimmed", 1), ("trimmed", 2),
+                                    ("trimmed", 3), ("full", 1), ("full", 2),
+                                    ("full", 3)])
+def test_bubble_bases_are_exact_trace_kernels(kind, r):
+    for m in range(1, 4):
+        for k in range(m):
+            bubble, null = polyforms._bubble_space(kind, r, m, k)
+            src = polyforms._family_space(kind, r, m, k)
+            assert np.issubdtype(null.dtype, np.integer)
+            assert null.shape == (src.size, bubble.size)
+            for j in range(m + 1):
+                table = polyforms._integer_table(
+                    polyforms._trace_matrix(kind, r, m, k, j))
+                assert not np.any(table @ null), (kind, r, m, k, j)
+            if null.size:
+                assert np.linalg.matrix_rank(null) == bubble.size
