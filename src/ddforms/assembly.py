@@ -188,7 +188,7 @@ class BrokenSpace:
 
 
 class LinearOp:
-    """A matrix between two broken spaces (or coordinate spaces).
+    """A matrix between two broken spaces (or kernel subspaces).
 
     Given either dense, or as integer triplets (rows, cols, vals) with
     distinct (row, col) pairs; ``matrix`` is then a dense float view built
@@ -373,14 +373,14 @@ def kernel_space(pair, m, k, family, which, weight_top=None):
     return Subspace(space, basis)
 
 
-def export_matrix(matrix, path, tol=0.0):
+def export_matrix(matrix, path):
     """Write a matrix in a plain coordinate text format.
 
     First line: rows cols nnz.  Then one "row col value" triple per line,
     0-based, in row-major order.
     """
     matrix = np.asarray(matrix, float)
-    rows, cols = np.nonzero(np.abs(matrix) > tol)
+    rows, cols = np.nonzero(matrix)
     with open(path, "w") as fh:
         fh.write(f"{matrix.shape[0]} {matrix.shape[1]} {len(rows)}\n")
         for i, j in zip(rows, cols):

@@ -29,7 +29,7 @@ from ddforms.assembly import export_matrix, operator_D, operator_T
 from ddforms.hilbert import harmonic_space, hodge_laplacian, laplace_solve
 from ddforms.mesh import (MeshError, betti_numbers, generate_mesh,
                           load_mesh_file, mark_pair)
-from ddforms.polyforms import Family, FamilyError
+from ddforms.polyforms import Family, FamilyError, FormError
 
 
 def parse_mesh_file(path):
@@ -253,8 +253,8 @@ def build_parser():
 def main(argv=None, out=None):
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    if args.tol <= 0:
-        print("error: tolerance must be positive", file=sys.stderr)
+    if not 0 < args.tol < np.inf:
+        print("error: tolerance must be positive and finite", file=sys.stderr)
         return 2
     try:
         pair = resolve_mesh(args.mesh, args.mark)
@@ -271,7 +271,7 @@ def main(argv=None, out=None):
         passed = passed and ok
         if args.dump_operators:
             dump_operators(pair, family, args.dump_operators)
-    except MeshError as exc:
+    except (MeshError, FormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FamilyError as exc:

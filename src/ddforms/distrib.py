@@ -20,37 +20,16 @@ from ddforms.mesh import (betti_numbers, check_local_patch_condition,
                           check_pure, skeleton_pair)
 from ddforms.polyforms import (check_geometric_decomposition,
                                check_local_exactness)
-from ddforms.assembly import (AssemblyError, BrokenSpace, GramFactor,
-                              LinearOp, Subspace, broken_space,
-                              derivative_operator, graded_space,
-                              gram_orthonormalize, kernel_space,
-                              operator_D, operator_T, adjoint)
+from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
+                              broken_space, derivative_operator, graded_space,
+                              kernel_space, operator_D, operator_T, adjoint)
 from ddforms.hilbert import (ComplexInstance, harmonic_space, pseudoinverse,
                              subspace_equality_defect)
 
 
-class CoordSpace:
-    """A kernel subspace in its own orthonormal coordinates.
-
-    Appears as a space of a complex instance: dimension is the subspace
-    dimension and the Gram matrix is the identity; ``subspace.basis`` maps
-    coordinates back to the ambient broken space.
-    """
-
-    whitening = GramFactor()
-
-    def __init__(self, subspace, label=""):
-        self.subspace = subspace
-        self.dim = subspace.dim
-        self.label = label
-        self.gram = np.eye(self.dim)
-
-    @property
-    def ambient(self):
-        return self.subspace.ambient
-
-    def __repr__(self):
-        return f"CoordSpace({self.label!r}, dim={self.dim})"
+# The smallest relative singular value a harmonic transfer between equal
+# dimensions must exceed to count as a bijection.
+SMIN_TOL = 1e-6
 
 
 def inject_matrix(small, big):
@@ -74,13 +53,13 @@ def _kernel(pair, m, k, family, which, weight_top=None):
 
 def _kernel_diff(sub, target):
     """The graded derivative on a kernel subspace, into the next space of a
-    graded complex: a kernel subspace (in its coordinates) or a broken
-    space, either on a single stratum.
+    graded complex: a kernel subspace (in the coordinates of its
+    orthonormal basis) or a broken space, either on a single stratum.
 
     Keeps the rows of the target's stratum; the other rows must vanish on
     the subspace, and the image must lie in a kernel target.
     """
-    tgt = target.ambient if isinstance(target, CoordSpace) else target
+    tgt = target.ambient if isinstance(target, Subspace) else target
     (ts,) = tgt.strata
     d_full = derivative_operator(sub.ambient)
     img = d_full.matrix @ sub.basis
@@ -90,9 +69,9 @@ def _kernel_diff(sub, target):
     img[sl] = 0.0
     if np.linalg.norm(img) > 1e-8 * scale:
         raise AssemblyError("differential leaves the target stratum")
-    if not isinstance(target, CoordSpace):
+    if not isinstance(target, Subspace):
         return rows
-    basis = target.subspace.basis
+    basis = target.basis
     mat = basis.T @ tgt.gram @ rows
     resid = np.linalg.norm(rows - basis @ mat)
     if resid > 1e-8 * max(1.0, np.linalg.norm(rows)):
@@ -109,13 +88,12 @@ def _graded_complex(pair, family, kernels, head, weight_top, label,
     stratum ``head`` = (m, k) and take m - k derivative steps; ``head`` is
     None when the complex ends with its kernels.
     """
-    spaces = [CoordSpace(_kernel(pair, m, k, family, which, weight_top),
-                         f"L{k}(conf)" if which == "vertical" else f"G0(T{m})")
+    spaces = [_kernel(pair, m, k, family, which, weight_top)
               for m, k, which in kernels]
     if head is not None:
         spaces.append(BrokenSpace(pair, [head], family, weight_top=weight_top,
                                   weighted=weighted))
-    ops = [LinearOp(a, b, _kernel_diff(a.subspace, b))
+    ops = [LinearOp(a, b, _kernel_diff(a, b))
            for a, b in zip(spaces, spaces[1:])]
     for _i in range(head[0] - head[1] if head is not None else 0):
         d = derivative_operator(spaces[-1])
@@ -200,7 +178,7 @@ def vertical_complex(pair, family, k, weight_top=None):
     complex), augmented by the single-valued space in front."""
     n = pair.top_dim
     sub = _kernel(pair, n, k, family, "vertical", weight_top)
-    spaces = [CoordSpace(sub, f"L{k}(conf)")]
+    spaces = [sub]
     ops = []
     for m in range(n, k - 1, -1):
         sp = broken_space(pair, m, k, family, weight_top)
@@ -243,8 +221,8 @@ def harmonic_chain(pair, family, m, weight_top=None):
 
 
 def _embedded(coord_harmonic, space):
-    """View a CoordSpace harmonic basis inside its ambient broken space."""
-    basis = space.subspace.basis @ coord_harmonic.basis
+    """View a harmonic basis of a kernel subspace in its broken space."""
+    basis = space.basis @ coord_harmonic.basis
     return Subspace(space.ambient, basis)
 
 
@@ -289,46 +267,28 @@ def regularizer_S(pair, family, m, b, weight_top=None):
     return _regularizer(cx, n - m, d_op, (-1.0) ** (b + n - m))
 
 
-def _project_cocycles(cx, i, x):
-    """Gram-orthogonal projection of the columns of x onto the kernel of
-    the differential at index i, a graded derivative; x itself when there
-    is no outgoing differential.  The exact integer kernel is
-    Gram-orthonormalized once and memoised on the complex instance per
-    index."""
-    sp = cx.spaces[i]
-    if i >= len(cx.diffs) or cx.diffs[i].codomain.dim == 0:
-        return x
-    Kb = cx._cocycles.get(i)
-    if Kb is None:
-        d = cx.diffs[i]
-        Kb = gram_orthonormalize(sp, exact.kernel(d.integer_rows(),
-                                                  d.domain.dim))
-        cx._cocycles[i] = Kb
-    return Kb @ (Kb.T @ (sp.gram @ x))
-
-
-def _transfer_verdict(transfer, src_dim, tgt_dim, smin_tol):
+def _transfer_verdict(transfer, src_dim, tgt_dim):
     """The smallest relative singular value of a harmonic transfer matrix
     and whether it is a bijection: equal dimensions, and either both zero
-    or smin_rel above smin_tol."""
+    or smin_rel above SMIN_TOL."""
     if src_dim and src_dim == tgt_dim:
         s = np.linalg.svd(transfer, compute_uv=False)
         smin_rel = float(s[-1] / s[0]) if s[0] > 0 else 0.0
     else:
         smin_rel = 1.0 if src_dim == tgt_dim else 0.0
-    ok = src_dim == tgt_dim and (src_dim == 0 or smin_rel > smin_tol)
+    ok = src_dim == tgt_dim and (src_dim == 0 or smin_rel > SMIN_TOL)
     return smin_rel, ok
 
 
-def iso_step(pair, family, side, index, b, weight_top=None, project=True,
-             smin_tol=1e-6):
+def iso_step(pair, family, side, index, b, weight_top=None):
     """One harmonic-space transfer between grading depths b-1 and b.
 
     side "lambda" fixes the form degree (index = k), side "gamma" fixes
-    the stratum (index = m).  The transfer composes the adjoint of the
-    regularizer with the cocycle projection and is reported with its
-    smallest relative singular value; the underlying theory makes it a
-    bijection.
+    the stratum (index = m).  The transfer pairs the target harmonic forms
+    with the adjoint of the regularizer applied to the source ones and is
+    reported with its smallest relative singular value; the underlying
+    theory makes it a bijection.  Both harmonic bases are cocycles here,
+    so a (Gram-self-adjoint) cocycle projection would change nothing.
     """
     n = pair.top_dim
     if side == "lambda":
@@ -350,16 +310,14 @@ def iso_step(pair, family, side, index, b, weight_top=None, project=True,
     sp = cx.spaces[pos]
     emb = inject_matrix(h_src.ambient, sp)
     src_vectors = emb @ h_src.basis
-    rstar = adjoint(reg).matrix
-    moved = rstar @ src_vectors
-    image = _project_cocycles(cx, pos, moved) if project else moved
-    transfer = h_tgt.basis.T @ sp.gram @ image
+    image = sp.gram @ (adjoint(reg).matrix @ src_vectors)
+    transfer = h_tgt.basis.T @ image
     if h_src.dim:
-        pairing = src_vectors.T @ sp.gram @ image
+        pairing = src_vectors.T @ image
         pairing_defect = float(np.linalg.norm(pairing - np.eye(h_src.dim)))
     else:
         pairing_defect = 0.0
-    smin_rel, ok = _transfer_verdict(transfer, h_src.dim, h_tgt.dim, smin_tol)
+    smin_rel, ok = _transfer_verdict(transfer, h_src.dim, h_tgt.dim)
     return {
         "side": side,
         "index": index,
@@ -431,7 +389,7 @@ def exactness_witness(pair, family, k, b, weight_top=None):
 # -- end-to-end verification ----------------------------------------------
 
 
-def verify_chain(pair, family, k, weight_top=None, smin_tol=1e-6):
+def verify_chain(pair, family, k, weight_top=None):
     """The full isomorphism chain from simplicial homology at index n-k to
     the conforming harmonic space of degree k.
 
@@ -465,8 +423,7 @@ def verify_chain(pair, family, k, weight_top=None, smin_tol=1e-6):
 
     # chain-side isomorphism steps
     for b in range(2, k + 2):
-        st = iso_step(pair, family, "gamma", m, b, weight_top,
-                      smin_tol=smin_tol)
+        st = iso_step(pair, family, "gamma", m, b, weight_top)
         record(f"chain transfer depth {b - 1}->{b}",
                st["ok"] and st["src_dim"] == target,
                dims=(st["src_dim"], st["tgt_dim"]), smin=st["smin_rel"])
@@ -491,8 +448,7 @@ def verify_chain(pair, family, k, weight_top=None, smin_tol=1e-6):
 
     # degree-side isomorphism steps
     for b in range(k + 1, 1, -1):
-        st = iso_step(pair, family, "lambda", k, b, weight_top,
-                      smin_tol=smin_tol)
+        st = iso_step(pair, family, "lambda", k, b, weight_top)
         record(f"degree transfer depth {b - 1}->{b}",
                st["ok"] and st["src_dim"] == target,
                dims=(st["src_dim"], st["tgt_dim"]), smin=st["smin_rel"])
@@ -522,12 +478,12 @@ def verify_chain(pair, family, k, weight_top=None, smin_tol=1e-6):
     }
 
 
-def skeleton_projection(pair, family, k, smin_tol=1e-6):
+def skeleton_projection(pair, family, k):
     """The codimension-one skeleton isomorphism at degree k >= 2.
 
-    Projects the depth-2 harmonic space of the full mesh onto the
-    single-valued cocycles living on the skeleton stratum and compares the
-    image with the skeleton's conforming harmonic space at degree k-1.
+    Pairs the skeleton-stratum part of the depth-2 harmonic space of the
+    full mesh with the skeleton's conforming harmonic space at degree k-1,
+    which lies in ker D and ker T already, so needs no cocycle projection.
     """
     n = pair.top_dim
     if k < 2:
@@ -539,17 +495,10 @@ def skeleton_projection(pair, family, k, smin_tol=1e-6):
     h_skel = harmonic_space(skel_cx, k - 1)
     skel_amb = skel_cx.spaces[k - 1].ambient
 
-    # single-valued cocycles inside the stratum (n-1, k-1)
-    d_op = operator_D(skel, n - 1, k - 1, family, weight_top=n)
-    rows = d_op.integer_rows() + operator_T(
-        skel, n - 1, k - 1, family, weight_top=n).integer_rows()
-    Kb = gram_orthonormalize(skel_amb, exact.kernel(rows, d_op.domain.dim))
-
     comp = h2.basis[amb.stratum_slice(n - 1)]
-    projected = Kb @ (Kb.T @ (skel_amb.gram @ comp))
-    h_skel_emb = skel_cx.spaces[k - 1].subspace.basis @ h_skel.basis
-    transfer = h_skel_emb.T @ skel_amb.gram @ projected
-    smin_rel, ok = _transfer_verdict(transfer, h2.dim, h_skel.dim, smin_tol)
+    h_skel_emb = skel_cx.spaces[k - 1].basis @ h_skel.basis
+    transfer = h_skel_emb.T @ skel_amb.gram @ comp
+    smin_rel, ok = _transfer_verdict(transfer, h2.dim, h_skel.dim)
     return {
         "degree": k,
         "dims": (h2.dim, h_skel.dim),
@@ -598,12 +547,10 @@ def check_subcomplex_nesting(pair, family, k0, weight_top=None):
     def emb(i):
         sa = cxa.spaces[i]
         sb = cxb.spaces[i]
-        if isinstance(sa, CoordSpace):
-            if isinstance(sb, CoordSpace):
-                basis_a = sa.subspace.basis
-                basis_b = sb.subspace.basis
-                return basis_b.T @ sb.ambient.gram @ basis_a
-            return inject_matrix(sa.ambient, sb) @ sa.subspace.basis
+        if isinstance(sa, Subspace):
+            if isinstance(sb, Subspace):
+                return sb.basis.T @ sb.ambient.gram @ sa.basis
+            return inject_matrix(sa.ambient, sb) @ sa.basis
         return inject_matrix(sa, sb)
 
     defect = 0.0
@@ -681,7 +628,7 @@ def harmonic_family(pair, family, weight_top=None):
     return report
 
 
-def check_conditions(pair, family, strict=False):
+def check_conditions(pair, family):
     """The three structural conditions a family must satisfy on a mesh:
     per-simplex exactness, face decomposition, and local patch homology.
     A non-pure complex raises MeshError."""
@@ -694,7 +641,5 @@ def check_conditions(pair, family, strict=False):
     patch = check_local_patch_condition(pair)
     passed = all(r["passed"] for r in local.values()) and \
         all(r["passed"] for r in decomp.values()) and patch["passed"]
-    if strict and not passed:
-        raise AssemblyError("family/mesh condition check failed")
     return {"local_exactness": local, "decomposition": decomp,
             "patch": patch, "passed": bool(passed)}

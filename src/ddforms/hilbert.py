@@ -7,7 +7,7 @@ pseudoinverses are all computed after whitening: the Cholesky factor of
 each Gram matrix maps to an orthonormal frame, where plain SVD machinery
 gives the metric-correct answers.  Every space carries that factor as its
 ``whitening`` (block by block for broken spaces, the identity for
-coordinate spaces).  Each of those SVDs is one ``rank_split``; the
+kernel subspaces).  Each of those SVDs is one ``rank_split``; the
 harmonic one of an index is memoised on its complex and also serves the
 Laplace solve there.
 """
@@ -17,13 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from ddforms.assembly import AssemblyError, LinearOp, Subspace, adjoint
-from ddforms.polyforms import rank_split
+from ddforms.polyforms import RANK_RTOL, rank_split
 
 
 class ComplexInstance:
     """Spaces with differentials diffs[i]: spaces[i] -> spaces[i+1]."""
 
-    def __init__(self, spaces, diffs, label="", check=True, tol=1e-10):
+    def __init__(self, spaces, diffs, label=""):
         if len(diffs) != len(spaces) - 1:
             raise AssemblyError("need one differential per consecutive pair")
         for i, d in enumerate(diffs):
@@ -33,15 +33,13 @@ class ComplexInstance:
         self.diffs = list(diffs)
         self.label = label
         self._harmonic = {}
-        self._cocycles = {}
-        if check:
-            for i in range(len(diffs) - 1):
-                a, b = diffs[i + 1].matrix, diffs[i].matrix
-                scale = max(np.linalg.norm(a) * np.linalg.norm(b), 1.0)
-                if np.linalg.norm(a @ b) > tol * scale:
-                    raise AssemblyError(
-                        f"{label or 'complex'}: differentials {i}, {i + 1} "
-                        "do not compose to zero")
+        for i in range(len(diffs) - 1):
+            a, b = diffs[i + 1].matrix, diffs[i].matrix
+            scale = max(np.linalg.norm(a) * np.linalg.norm(b), 1.0)
+            if np.linalg.norm(a @ b) > 1e-10 * scale:
+                raise AssemblyError(
+                    f"{label or 'complex'}: differentials {i}, {i + 1} "
+                    "do not compose to zero")
 
     def __len__(self):
         return len(self.spaces)
@@ -62,12 +60,12 @@ class ComplexInstance:
         return f"ComplexInstance({self.label!r}, dims={self.dims()})"
 
 
-def _harmonic_split(cx, i, rtol):
+def _harmonic_split(cx, i):
     """The memo entry of index i: the harmonic subspace, plus the positive
     singular values s_r and leading right singular vectors V_r of the
     whitened stacked matrix A = [d_i; d_{i-1}^T], which diagonalise the
     whitened Laplacian A^T A."""
-    entry = cx._harmonic.get((i, rtol))
+    entry = cx._harmonic.get(i)
     if entry is None:
         rows = []
         if i < len(cx.diffs):
@@ -75,38 +73,38 @@ def _harmonic_split(cx, i, rtol):
         if i > 0:
             rows.append(cx.whitened_diff(i - 1).T)
         A = np.vstack(rows) if rows else np.zeros((0, cx.spaces[i].dim))
-        split = rank_split(A, rtol)
+        split = rank_split(A)
         h = Subspace(cx.spaces[i], cx.whitening(i).solve_lt(split.null))
         entry = (h, split.s[:split.rank], split.row_range)
-        cx._harmonic[(i, rtol)] = entry
+        cx._harmonic[i] = entry
     return entry
 
 
-def harmonic_space(cx, i, rtol=1e-9):
+def harmonic_space(cx, i):
     """Harmonic forms at index i: ker d_i intersected with ker d*_{i-1}.
 
     Computed as the nullspace of the whitened stacked matrix
     [d_i; d_{i-1}^T]; the returned basis is Gram-orthonormal.  The result
-    is memoised on the complex instance per (i, rtol).
+    is memoised on the complex instance per index.
     """
-    return _harmonic_split(cx, i, rtol)[0]
+    return _harmonic_split(cx, i)[0]
 
 
-def betti_from_complex(cx, rtol=1e-9):
+def betti_from_complex(cx):
     """Homology dimensions at every index via harmonic spaces."""
-    return [harmonic_space(cx, i, rtol).dim for i in range(len(cx))]
+    return [harmonic_space(cx, i).dim for i in range(len(cx))]
 
 
-def hodge_decompose(x, cx, i, rtol=1e-9):
+def hodge_decompose(x, cx, i):
     """Split x into exact, coexact and harmonic parts, Gram-orthogonally."""
     W = cx.whitening(i)
     xw = W.mul_lt(x)
     if i > 0:
-        Bex = rank_split(cx.whitened_diff(i - 1), rtol).range
+        Bex = rank_split(cx.whitened_diff(i - 1)).range
     else:
         Bex = np.zeros((cx.spaces[i].dim, 0))
     if i < len(cx.diffs):
-        Bco = rank_split(cx.whitened_diff(i).T, rtol).range
+        Bco = rank_split(cx.whitened_diff(i).T).range
     else:
         Bco = np.zeros((cx.spaces[i].dim, 0))
     x_ex = Bex @ (Bex.T @ xw)
@@ -128,7 +126,7 @@ def hodge_laplacian(cx, i):
     return LinearOp(cx.spaces[i], cx.spaces[i], mat)
 
 
-def laplace_solve(cx, i, f, rtol=1e-9):
+def laplace_solve(cx, i, f):
     """Solve the Hodge-Laplace problem: u orthogonal to harmonics with
     Laplacian(u) = f - p, p the harmonic part of f.  Returns (u, p).
 
@@ -136,19 +134,19 @@ def laplace_solve(cx, i, f, rtol=1e-9):
     u = V_r diag(s_r^-2) V_r^T (f - p)."""
     W = cx.whitening(i)
     fw = W.mul_lt(f)
-    h, s, V = _harmonic_split(cx, i, rtol)
+    h, s, V = _harmonic_split(cx, i)
     hw = W.mul_lt(h.basis)
     pw = hw @ (hw.T @ fw)
     uw = V @ ((V.T @ (fw - pw)) / s ** 2)
     return W.solve_lt(uw), W.solve_lt(pw)
 
 
-def pseudoinverse(op, rtol=1e-9):
+def pseudoinverse(op):
     """Metric Moore-Penrose pseudoinverse of an operator between spaces:
     L_dom^-T pinv(L_cod^T A L_dom^-T) L_cod^T."""
     dom, cod = op.domain.whitening, op.codomain.whitening
     Aw = cod.mul_lt(dom.solve_l(op.matrix.T).T)
-    pw = np.linalg.pinv(Aw, rcond=rtol)
+    pw = np.linalg.pinv(Aw, rcond=RANK_RTOL)
     mat = dom.solve_lt(cod.mul_l(pw.T).T)
     return LinearOp(op.codomain, op.domain, mat)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -536,13 +537,24 @@ def load_mesh_file(path):
     if dim < top:
         raise MeshError(
             f"{path}: ambient_dim {dim} is below the top cell dimension {top}")
-    if any(len(p) != dim for p in data["vertices"]):
+    vertices = data["vertices"]
+    if not isinstance(vertices, list) or not all(
+            isinstance(p, list) and all(_is_coordinate(x) for x in p)
+            for p in vertices):
+        raise MeshError(f"{path}: vertices must be lists of finite numbers")
+    if any(len(p) != dim for p in vertices):
         raise MeshError(f"{path}: vertex coordinates disagree with ambient_dim")
-    return build_complex(cells, data["vertices"], marked)
+    return build_complex(cells, vertices, marked)
 
 
 def _is_index(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_coordinate(value):
+    """A number that converts to a finite float (NaN compares false)."""
+    return (_is_index(value) or isinstance(value, float)) and \
+        abs(value) <= sys.float_info.max
 
 
 def save_mesh_file(pair, path):

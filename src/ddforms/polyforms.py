@@ -310,9 +310,14 @@ class RankSplit(NamedTuple):
     rank: int
 
 
-def rank_split(mat, rtol=1e-9):
+# The relative singular-value cutoff of every float rank (against
+# max(s_max, 1) in rank_split) and of the metric pseudoinverse.
+RANK_RTOL = 1e-9
+
+
+def rank_split(mat):
     """The rank-revealing SVD of a dense matrix: singular values above
-    rtol * max(s_max, 1) count.  The full V is formed only for wide
+    RANK_RTOL * max(s_max, 1) count.  The full V is formed only for wide
     matrices, the only shape whose economy V misses kernel directions."""
     mat = np.asarray(mat, float)
     rows, cols = mat.shape
@@ -320,7 +325,7 @@ def rank_split(mat, rtol=1e-9):
         return RankSplit(np.eye(cols), np.zeros((rows, 0)),
                          np.zeros((cols, 0)), np.zeros(0), 0)
     u, s, vt = np.linalg.svd(mat, full_matrices=rows < cols)
-    rank = int(np.sum(s > rtol * max(s[0], 1.0)))
+    rank = int(np.sum(s > RANK_RTOL * max(s[0], 1.0)))
     return RankSplit(vt[rank:].T.copy(), u[:, :rank], vt[:rank].T, s, rank)
 
 
@@ -822,24 +827,26 @@ def _extension_lift(kind, r, mf, k):
     return gens, lift
 
 
-def extension(form, positions, mc, family):
-    """Extend a trace-free form on a face into the mc-simplex.
-
-    ``positions`` locates the face's vertices inside the larger simplex.
-    The extension restricts back to the original form, vanishes on faces
-    not containing the source face, and lands in the family space.
-    """
-    mf = len(positions) - 1
-    bubble, _coeffs = _bubble_space(family.kind, family.r, mf, form.degree)
-    c = bubble.coefficients(form)
-    gens, lift = _extension_lift(family.kind, family.r, mf, form.degree)
-    gc = lift @ c
-    out = BarycentricForm(mc, form.degree)
-    for w, (alpha, idx) in zip(gc, gens):
-        if abs(w) > 1e-14:
-            out = out + _instantiate_generator(
-                family.kind, alpha, idx, tuple(positions), mc) * float(w)
-    return out
+@lru_cache(maxsize=None)
+def _extensions(kind, r, mf, k, mc):
+    """{positions of each mf-face of the mc-simplex: the extensions of the
+    face's bubble basis of k-forms}.  Extension i is column i of the lift
+    over the full-support generators instantiated at the face: it
+    restricts back to bubble form i, vanishes on faces not containing the
+    source face, and lands in the family space."""
+    gens, lift = _extension_lift(kind, r, mf, k)
+    table = {}
+    for positions in itertools.combinations(range(mc + 1), mf + 1):
+        inst = [_instantiate_generator(kind, alpha, idx, positions, mc)
+                for alpha, idx in gens]
+        table[positions] = forms = []
+        for gc in lift.T:
+            out = BarycentricForm(mc, k)
+            for w, g in zip(gc, inst):
+                if abs(w) > 1e-14:
+                    out = out + g * float(w)
+            forms.append(out)
+    return table
 
 
 # -- family condition checkers --------------------------------------------
@@ -886,13 +893,13 @@ def _vanishes(form, tol):
 
 def _check_extension_identities(family, mf, k, mc, tol=1e-9):
     """Trace/extension identities for one face-in-simplex configuration."""
-    bubble, _ = _bubble_space(family.kind, family.r, mf, k)
+    kind, r = family.kind, family.r
+    bubble, _ = _bubble_space(kind, r, mf, k)
     if bubble.size == 0:
         return True
-    for positions in itertools.combinations(range(mc + 1), mf + 1):
+    for positions, exts in _extensions(kind, r, mf, k, mc).items():
         pos_set = set(positions)
-        for f in bubble.basis:
-            ext = extension(f, positions, mc, family)
+        for i, (f, ext) in enumerate(zip(bubble.basis, exts)):
             back = ext.trace(positions)
             if not _vanishes(back - f, tol):
                 return False
@@ -905,7 +912,7 @@ def _check_extension_identities(family, mf, k, mc, tol=1e-9):
                     if pos_set <= gset:
                         remap = tuple(sorted(gset)).index
                         inner = tuple(remap(p) for p in positions)
-                        via = extension(f, inner, gsize - 1, family)
+                        via = _extensions(kind, r, mf, k, gsize - 1)[inner][i]
                         if not _vanishes(tr - via, tol):
                             return False
                     elif not _vanishes(tr, tol):
@@ -939,10 +946,9 @@ def _decomposition_entry(family, m, k):
     """Decomposition report of the k-form element space on an m-simplex;
     raises FamilyError or FormError when a bubble cannot be extended."""
     space = family.space(m, k)
-    exts = [extension(f, positions, m, family)
-            for mf in range(k, m + 1)
-            for positions in itertools.combinations(range(m + 1), mf + 1)
-            for f in _bubble_space(family.kind, family.r, mf, k)[0].basis]
+    exts = [ext for mf in range(k, m + 1)
+            for face in _extensions(family.kind, family.r, mf, k, m).values()
+            for ext in face]
     _solve_in_space(space, exts, error=FormError)
     count = len(exts)
     rank = rank_split(_coeff_matrix(exts, space.frame)).rank

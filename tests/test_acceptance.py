@@ -135,7 +135,7 @@ def test_criterion_05_isomorphism_chain(catalog):
     for name, size, mark in CATALOG_MARKED:
         pair = catalog(name, size, mark)
         for k in range(pair.top_dim + 1):
-            rep = distrib.verify_chain(pair, WHITNEY, k, smin_tol=1e-6)
+            rep = distrib.verify_chain(pair, WHITNEY, k)
             ok = ok and rep["passed"]
             ok = ok and all(d == rep["betti"] for d in rep["chain_dims"])
     report(5, "homology-to-harmonic isomorphism chain", ok)
@@ -207,7 +207,7 @@ def test_criterion_08_skeleton_projection(catalog):
                                 ("square_grid", 1, "full", 2),
                                 ("annulus", 1, "none", 2)]:
         rep = distrib.skeleton_projection(catalog(name, size, mark), WHITNEY,
-                                          k, smin_tol=1e-6)
+                                          k)
         ok = ok and rep["ok"]
     report(8, "skeleton projection isomorphism", ok)
 

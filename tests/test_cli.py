@@ -90,10 +90,48 @@ def test_missing_mesh_file():
     assert code == 2
 
 
-def test_invalid_tolerance():
-    code, _text = run(["betti", "--mesh", "catalog:triangle",
-                       "--tol", "-1"])
-    assert code == 2
+def test_invalid_tolerance(capsys):
+    for tol in ("-1", "0", "nan", "inf"):
+        code, text = run(["solve", "--mesh", "catalog:triangle",
+                          "--tol", tol])
+        err = capsys.readouterr().err
+        assert (code, text) == (2, ""), tol
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _error_exit(capsys, args):
+    code, text = run(args)
+    err = capsys.readouterr().err
+    return code == 2 and text == "" and err.startswith("error:") \
+        and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("vertices", [
+    5, [5, 6, 7], [["a", "b"], ["c", "d"], ["e", "f"]],
+    [[0, 0], [1, 0], [0, float("nan")]], [[0, 0], [1, 0], [0, 1e400]],
+    [[0, 0], [1, 0], [0, 10 ** 400]], [[0, 0], [1, 0], [0, True]]],
+    ids=["scalar", "flat", "strings", "nan", "inf", "huge-int", "bool"])
+def test_mesh_file_vertices_must_be_finite_numbers(tmp_path, capsys, vertices):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "vertices": vertices,
+                                "cells": [[0, 1, 2]]}))
+    with pytest.raises(MeshError):
+        parse_mesh_file(str(path))
+    for command in ("betti", "solve", "chain"):
+        assert _error_exit(capsys, [command, "--mesh", str(path)]), command
+
+
+def test_flat_triangle_in_space(tmp_path, capsys):
+    """A triangle with collinear vertices in R^3 has Betti numbers but no
+    metric: the metric commands end in one error line."""
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 3,
+        "vertices": [[0, 0, 0], [1, 0, 0], [2, 0, 0]],
+        "cells": [[0, 1, 2]]}))
+    for command in ("harmonic", "chain", "solve"):
+        assert _error_exit(capsys, [command, "--mesh", str(path)]), command
+    assert run(["betti", "--mesh", str(path)])[0] == 0
 
 
 def test_dump_operators(tmp_path):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ddforms import exact
-from ddforms.assembly import (AssemblyError, Subspace, broken_space,
+from ddforms.assembly import (AssemblyError, Subspace, adjoint, broken_space,
                               derivative_operator, gram_orthonormalize,
-                              operator_T)
+                              operator_D, operator_T)
 from ddforms.hilbert import betti_from_complex, harmonic_space
 from ddforms.mesh import (MeshError, betti_numbers, build_complex,
                           generate_mesh, skeleton_pair)
@@ -169,13 +169,6 @@ def test_iso_step_pairing(catalog):
     assert st["ok"] and st["src_dim"] == 1
 
 
-def test_iso_step_no_projection(catalog):
-    pair = catalog("annulus", 1, "full")
-    st = distrib.iso_step(pair, FAM, "lambda", 2, 2, project=False)
-    # without the projection only the dimension/surjectivity data is claimed
-    assert st["src_dim"] == st["tgt_dim"]
-
-
 def test_exactness_witness(catalog):
     pair = catalog("annulus", 1, "full")
     for k, b in [(1, 2), (2, 2), (2, 3)]:
@@ -327,14 +320,14 @@ def test_kernel_diff_guards(catalog):
     # a kernel target missing one direction of the image
     src = distrib._kernel(pair, n, 0, FAM, "vertical")
     tgt = distrib._kernel(pair, n, 1, FAM, "vertical")
-    mat = distrib._kernel_diff(src, distrib.CoordSpace(tgt))
+    mat = distrib._kernel_diff(src, tgt)
     assert mat.shape == (tgt.dim, src.dim)
     G = tgt.ambient.gram
     v = rng.standard_normal(tgt.ambient.dim)
     v -= tgt.basis @ (tgt.basis.T @ G @ v)
     basis = tgt.basis.copy()
     basis[:, np.argmax(np.linalg.norm(mat, axis=1))] = v / np.sqrt(v @ G @ v)
-    bad = distrib.CoordSpace(Subspace(tgt.ambient, basis))
+    bad = Subspace(tgt.ambient, basis)
     with pytest.raises(AssemblyError, match="falls outside the subspace"):
         distrib._kernel_diff(src, bad)
 
@@ -346,27 +339,83 @@ def test_metric_independence(catalog):
     assert w == u
 
 
+def _cocycle_projector(space, matrix):
+    """The Gram-orthogonal projector onto the float SVD nullspace of a
+    matrix on a space."""
+    Kb = gram_orthonormalize(space, rank_split(matrix).null)
+    return Kb @ (Kb.T @ space.gram)
+
+
+def projected_iso_step(pair, family, side, index, b):
+    """Transfer and pairing of an isomorphism step, built as the adjoint
+    of the regularizer followed by the projection onto the cocycles of the
+    outgoing graded derivative."""
+    if side == "lambda":
+        cx = distrib.redirected_lambda(pair, family, index - b + 1)
+        reg = distrib.regularizer_R(pair, family, index, b)
+        h_src = distrib.harmonic_lambda(pair, family, index, b - 1)
+        h_tgt = distrib.harmonic_lambda(pair, family, index, b)
+        pos = index
+    else:
+        cx = distrib.redirected_gamma(pair, family, index + b - 1)
+        reg = distrib.regularizer_S(pair, family, index, b)
+        h_src = distrib.harmonic_gamma(pair, family, index, b - 1)
+        h_tgt = distrib.harmonic_gamma(pair, family, index, b)
+        pos = pair.top_dim - index
+    sp = cx.spaces[pos]
+    src = distrib.inject_matrix(h_src.ambient, sp) @ h_src.basis
+    image = adjoint(reg).matrix @ src
+    if pos < len(cx.diffs) and cx.diffs[pos].codomain.dim:
+        image = _cocycle_projector(sp, cx.diffs[pos].matrix) @ image
+    return h_tgt.basis.T @ sp.gram @ image, src.T @ sp.gram @ image
+
+
+def projected_skeleton_transfer(pair, family, k):
+    """The skeleton transfer with the skeleton-stratum component projected
+    onto ker D and ker T before pairing."""
+    n = pair.top_dim
+    h2 = distrib.harmonic_lambda(pair, family, k, 2)
+    skel = skeleton_pair(pair, n - 1)
+    skel_cx = distrib.conforming_complex(skel, family, weight_top=n)
+    h_skel = harmonic_space(skel_cx, k - 1)
+    amb = skel_cx.spaces[k - 1].ambient
+    DT = np.vstack([op(skel, n - 1, k - 1, family, weight_top=n).matrix
+                    for op in (operator_D, operator_T)])
+    comp = h2.basis[h2.ambient.stratum_slice(n - 1)]
+    emb = skel_cx.spaces[k - 1].basis @ h_skel.basis
+    return emb.T @ amb.gram @ _cocycle_projector(amb, DT) @ comp
+
+
+def _close(a, b):
+    scale = max(1.0, np.abs(b).max(initial=0.0))
+    return a.shape == b.shape and \
+        np.abs(a - b).max(initial=0.0) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("family", [FAM, Family("full", 2)],
                          ids=lambda f: f.label)
 @pytest.mark.parametrize("name", ["annulus", "cube_tet"])
-def test_cocycle_projection_matches_svd_nullspace(catalog, name, family):
-    """The projector onto the exact integer kernel of each graded
-    derivative an isomorphism step projects with equals the one onto the
-    float SVD nullspace."""
+def test_transfers_match_cocycle_projection(catalog, name, family):
+    """Harmonic forms are cocycles, so every isomorphism-step transfer and
+    pairing, and every skeleton transfer, equals the one taken after the
+    Gram-orthogonal projection onto the cocycles."""
     for mark in ("none", "full", "half"):
         pair = catalog(name, 1, mark)
         n = pair.top_dim
-        cases = [(distrib.redirected_lambda(pair, family, k - b + 1), k)
-                 for k in range(1, n + 1) for b in range(2, k + 2)]
-        cases += [(distrib.redirected_gamma(pair, family, m + b - 1), n - m)
-                  for m in range(n) for b in range(2, n - m + 2)]
-        for cx, pos in cases:
-            if pos >= len(cx.diffs):
-                continue
-            sp = cx.spaces[pos]
-            P = distrib._project_cocycles(cx, pos, np.eye(sp.dim))
-            Kb = gram_orthonormalize(sp, rank_split(cx.diffs[pos].matrix).null)
-            ref = Kb @ (Kb.T @ sp.gram)
-            scale = max(1.0, np.abs(ref).max(initial=0.0))
-            assert np.abs(P - ref).max(initial=0.0) <= 1e-12 * scale, \
-                (name, mark, cx.label, pos)
+        cases = [("lambda", k, b) for k in range(1, n + 1)
+                 for b in range(2, k + 2)]
+        cases += [("gamma", m, b) for m in range(n)
+                  for b in range(2, n - m + 2)]
+        for side, index, b in cases:
+            st = distrib.iso_step(pair, family, side, index, b)
+            transfer, pairing = projected_iso_step(pair, family, side,
+                                                   index, b)
+            assert _close(st["transfer"], transfer), (mark, side, index, b)
+            if st["src_dim"]:
+                defect = np.linalg.norm(pairing - np.eye(st["src_dim"]))
+                assert abs(st["pairing_defect"] - defect) <= 1e-12
+        for k in range(2, n + 1):
+            st = distrib.skeleton_projection(pair, family, k)
+            assert _close(st["transfer"],
+                          projected_skeleton_transfer(pair, family, k)), \
+                (mark, k)

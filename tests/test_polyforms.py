@@ -341,3 +341,45 @@ def test_bubble_bases_are_exact_trace_kernels(kind, r):
                 assert not np.any(table @ null), (kind, r, m, k, j)
             if null.size:
                 assert np.linalg.matrix_rank(null) == bubble.size
+
+
+def lstsq_extension(form, positions, mc, family):
+    """One form's extension, from its least-squares coordinates in the
+    bubble basis lifted over the full-support generators."""
+    kind, r, k = family.kind, family.r, form.degree
+    mf = len(positions) - 1
+    bubble, _ = polyforms._bubble_space(kind, r, mf, k)
+    gens, lift = polyforms._extension_lift(kind, r, mf, k)
+    out = BarycentricForm(mc, k)
+    for w, (alpha, idx) in zip(lift @ bubble.coefficients(form), gens):
+        if abs(w) > 1e-14:
+            out = out + polyforms._instantiate_generator(
+                kind, alpha, idx, positions, mc) * float(w)
+    return out
+
+
+@pytest.mark.parametrize("kind,r", [("trimmed", 1), ("trimmed", 2),
+                                    ("trimmed", 3), ("full", 1), ("full", 2),
+                                    ("full", 3)])
+def test_extension_table_matches_lstsq_extension(kind, r):
+    family = Family(kind, r)
+    for mc in range(4):
+        for mf in range(mc + 1):
+            for k in range(mf + 1):
+                bubble, _ = polyforms._bubble_space(kind, r, mf, k)
+                try:
+                    table = polyforms._extensions(kind, r, mf, k, mc)
+                except FamilyError:
+                    with pytest.raises(FamilyError):
+                        lstsq_extension(bubble.basis[0], tuple(range(mf + 1)),
+                                        mc, family)
+                    continue
+                assert list(table) == list(
+                    itertools.combinations(range(mc + 1), mf + 1))
+                for positions, exts in table.items():
+                    assert len(exts) == bubble.size
+                    for f, ext in zip(bubble.basis, exts):
+                        ref = lstsq_extension(f, positions, mc, family)
+                        diff = (ext - ref).reduced().values()
+                        assert max(map(abs, diff), default=0.0) <= 1e-12, \
+                            (kind, r, mc, mf, k, positions)
