@@ -29,7 +29,6 @@ from ddforms.polyforms import (
     Family,
     whitney,
     whitney_form,
-    build_element_space,
     check_local_exactness,
     check_geometric_decomposition,
     check_trace_surjectivity,
@@ -92,7 +91,6 @@ __all__ = [
     "Family",
     "whitney",
     "whitney_form",
-    "build_element_space",
     "check_local_exactness",
     "check_geometric_decomposition",
     "check_trace_surjectivity",

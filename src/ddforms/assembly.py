@@ -6,7 +6,9 @@ module assembles the piecewise exterior derivative D, the signed trace sum
 T, and the combined distributional derivative on graded spaces as integer
 triplet operators, together with mesh-weighted Gram matrices, their block
 Cholesky factors, metric adjoints and kernel subspaces with exact integer
-kernels.
+kernels.  The mesh weights, and so the metric, are a function of the pair
+alone: their exponent is the top dimension of the root mesh, read through
+``pair.parent`` on a skeleton.
 """
 
 from __future__ import annotations
@@ -24,26 +26,28 @@ class AssemblyError(ValueError):
     """Inconsistent spaces or operators."""
 
 
-def mesh_weight(pair, simplex, top=None):
-    """The scaling weight h_C^(top - dim C) of the mesh inner product.
+def mesh_weight(pair, simplex):
+    """The scaling weight h_C^(n - dim C) of the mesh inner product.
 
-    h_C is the diameter of C, or the mean diameter of adjacent edges when
-    C is a vertex (the edges of the parent mesh, for a skeleton).
+    n is the top dimension of the root mesh (``pair.parent`` for a
+    skeleton), so a skeleton keeps the weights of the mesh it was cut
+    from.  h_C is the diameter of C, or the mean diameter of adjacent
+    edges when C is a vertex (the edges of the root mesh, for a skeleton).
     """
+    root = pair.parent or pair
 
     def build():
         if simplex.dim >= 1:
             return pair.diameter(simplex)
         v = simplex.vertices[0]
-        edges = (pair.parent or pair).simplices(1)
+        edges = root.simplices(1)
         lengths = [pair.diameter(e) for e in edges if v in e.vertices]
         if not lengths:
             raise MeshError(f"isolated vertex {v} has no adjacent edges")
         return sum(lengths) / len(lengths)
 
-    top = pair.top_dim if top is None else top
     h = pair.cached(("hweight", simplex.vertices), build)
-    return h ** (top - simplex.dim)
+    return h ** (root.top_dim - simplex.dim)
 
 
 def _element_grams(pair, family, stratum):
@@ -107,16 +111,14 @@ class _Stratum:
 class BrokenSpace:
     """Direct sum of element spaces over strata (m, k), with a Gram matrix.
 
-    Strata are kept in decreasing simplex dimension; the mesh weights refer
-    to ``weight_top`` (default: the mesh's top dimension), which skeleton
-    constructions override.
+    Strata are kept in decreasing simplex dimension.  The Gram weights
+    each element block by ``mesh_weight``, whose exponent is the top
+    dimension of the root mesh (``pair.parent`` for a skeleton).
     """
 
-    def __init__(self, pair, strata, family, weight_top=None, weighted=True):
+    def __init__(self, pair, strata, family):
         self.pair = pair
         self.family = family
-        self.weight_top = pair.top_dim if weight_top is None else weight_top
-        self.weighted = weighted
         strata = sorted(set(strata), key=lambda mk: (-mk[0], mk[1]))
         if len({m for m, _ in strata}) != len(strata):
             raise AssemblyError("two strata on the same simplex dimension")
@@ -155,11 +157,8 @@ class BrokenSpace:
         for s in self.strata:
             if s.block and s.simplices:
                 G = _element_grams(self.pair, self.family, s)
-                if self.weighted:
-                    w = [mesh_weight(self.pair, c, self.weight_top)
-                         for c in s.simplices]
-                    G = np.asarray(w)[:, None, None] * G
-                yield s, G
+                w = [mesh_weight(self.pair, c) for c in s.simplices]
+                yield s, np.asarray(w)[:, None, None] * G
 
     @property
     def gram(self):
@@ -267,21 +266,17 @@ def gram_orthonormalize(space, columns):
     return W.solve_lt(Q)
 
 
-def broken_space(pair, m, k, family, weight_top=None):
+def broken_space(pair, m, k, family):
     """The single-stratum space of k-forms on the unmarked m-simplices."""
-    return BrokenSpace(pair, [(m, k)], family, weight_top=weight_top)
+    return BrokenSpace(pair, [(m, k)], family)
 
 
-def graded_space(pair, m, k, b, family, kind="down", weight_top=None):
-    """Graded broken space: "down" stacks (m-j, k-j), "up" stacks (m+j, k+j)
-    for j = 0..b-1, dropping combinatorially empty strata."""
-    strata = []
-    for j in range(b):
-        mk = (m - j, k - j) if kind == "down" else (m + j, k + j)
-        mj, kj = mk
-        if 0 <= kj <= mj and mj <= pair.top_dim:
-            strata.append(mk)
-    return BrokenSpace(pair, strata, family, weight_top=weight_top)
+def graded_space(pair, m, k, b, family):
+    """Graded broken space stacking (m-j, k-j) for j = 0..b-1, dropping
+    combinatorially empty strata."""
+    strata = [(m - j, k - j) for j in range(b)
+              if 0 <= k - j <= m - j <= pair.top_dim]
+    return BrokenSpace(pair, strata, family)
 
 
 def _triplets(pair, family, op, m, k):
@@ -309,21 +304,19 @@ def _triplets(pair, family, op, m, k):
 _NO_TRIPLETS = (np.zeros(0, np.int64),) * 3
 
 
-def operator_D(pair, m, k, family, weight_top=None):
+def operator_D(pair, m, k, family):
     """Piecewise exterior derivative on the (m, k) stratum."""
-    src = broken_space(pair, m, k, family, weight_top)
-    tgt = BrokenSpace(pair, [(m, k + 1)] if k + 1 <= m else [], family,
-                      weight_top=weight_top)
+    src = broken_space(pair, m, k, family)
+    tgt = BrokenSpace(pair, [(m, k + 1)] if k + 1 <= m else [], family)
     return LinearOp(src, tgt, triplets=_triplets(pair, family, "D", m, k))
 
 
-def operator_T(pair, m, k, family, weight_top=None):
+def operator_T(pair, m, k, family):
     """Signed trace-sum (jump) operator from the m- to the (m-1)-stratum."""
     if m < 1:
         raise AssemblyError("trace operator needs m >= 1")
-    src = broken_space(pair, m, k, family, weight_top)
-    tgt = BrokenSpace(pair, [(m - 1, k)] if k <= m - 1 else [], family,
-                      weight_top=weight_top)
+    src = broken_space(pair, m, k, family)
+    tgt = BrokenSpace(pair, [(m - 1, k)] if k <= m - 1 else [], family)
     return LinearOp(src, tgt, triplets=_triplets(pair, family, "T", m, k))
 
 
@@ -341,8 +334,7 @@ def derivative_operator(space):
             targets.add((s.m, s.k + 1))
         if s.m >= 1 and s.k <= s.m - 1:
             targets.add((s.m - 1, s.k))
-    tgt = BrokenSpace(pair, targets, family, weight_top=space.weight_top,
-                      weighted=space.weighted)
+    tgt = BrokenSpace(pair, targets, family)
     parts = [_NO_TRIPLETS]
     for s in space.strata:
         sign = (-1) ** (pair.top_dim - s.m)
@@ -355,18 +347,18 @@ def derivative_operator(space):
     return LinearOp(space, tgt, triplets=triplets)
 
 
-def kernel_space(pair, m, k, family, which, weight_top=None):
+def kernel_space(pair, m, k, family, which):
     """Kernel subspaces: "vertical" = ker T (single-valued traces, the
     conforming space), "horizontal" = ker D (piecewise-constant-like).
     The exact integer kernel of the operator is Gram-orthonormalized."""
     if which == "vertical":
-        op = operator_T(pair, m, k, family, weight_top) if m >= 1 else None
+        op = operator_T(pair, m, k, family) if m >= 1 else None
     elif which == "horizontal":
-        op = operator_D(pair, m, k, family, weight_top)
+        op = operator_D(pair, m, k, family)
     else:
         raise AssemblyError(f"unknown kernel kind {which!r}")
     if op is None:
-        space, rows = broken_space(pair, m, k, family, weight_top), []
+        space, rows = broken_space(pair, m, k, family), []
     else:
         space, rows = op.domain, op.integer_rows()
     basis = gram_orthonormalize(space, exact.kernel(rows, space.dim))

@@ -270,7 +270,11 @@ def main(argv=None, out=None):
         report, ok = RUNNERS[args.command](pair, family, args)
         passed = passed and ok
         if args.dump_operators:
-            dump_operators(pair, family, args.dump_operators)
+            try:
+                dump_operators(pair, family, args.dump_operators)
+            except OSError as exc:
+                print(f"error: cannot write operators: {exc}", file=sys.stderr)
+                return 2
     except (MeshError, FormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,10 +45,9 @@ def inject_matrix(small, big):
     return A
 
 
-def _kernel(pair, m, k, family, which, weight_top=None):
-    return pair.cached(("kernel", which, family, m, k, weight_top),
-                       lambda: kernel_space(pair, m, k, family, which,
-                                            weight_top))
+def _kernel(pair, m, k, family, which):
+    return pair.cached(("kernel", which, family, m, k),
+                       lambda: kernel_space(pair, m, k, family, which))
 
 
 def _kernel_diff(sub, target):
@@ -79,8 +78,7 @@ def _kernel_diff(sub, target):
     return mat
 
 
-def _graded_complex(pair, family, kernels, head, weight_top, label,
-                    weighted=True):
+def _graded_complex(pair, family, kernels, head, label):
     """The one shape of every graded complex.
 
     A run of kernel subspaces, given as (m, k, which) triples, is joined by
@@ -88,11 +86,9 @@ def _graded_complex(pair, family, kernels, head, weight_top, label,
     stratum ``head`` = (m, k) and take m - k derivative steps; ``head`` is
     None when the complex ends with its kernels.
     """
-    spaces = [_kernel(pair, m, k, family, which, weight_top)
-              for m, k, which in kernels]
+    spaces = [_kernel(pair, m, k, family, which) for m, k, which in kernels]
     if head is not None:
-        spaces.append(BrokenSpace(pair, [head], family, weight_top=weight_top,
-                                  weighted=weighted))
+        spaces.append(BrokenSpace(pair, [head], family))
     ops = [LinearOp(a, b, _kernel_diff(a, b))
            for a, b in zip(spaces, spaces[1:])]
     for _i in range(head[0] - head[1] if head is not None else 0):
@@ -102,7 +98,7 @@ def _graded_complex(pair, family, kernels, head, weight_top, label,
     return ComplexInstance(spaces, ops, label)
 
 
-def redirected_lambda(pair, family, k0, weight_top=None):
+def redirected_lambda(pair, family, k0):
     """The degree-redirected complex: conforming spaces below k0, then the
     graded broken spaces with the distributional derivative.
 
@@ -115,11 +111,11 @@ def redirected_lambda(pair, family, k0, weight_top=None):
     kernels = [(n, k, "vertical") for k in range(min(k0, n + 1))]
     head = (n, k0) if k0 <= n else None
     label = f"redirected-degree({k0})"
-    return pair.cached(("redirL", family, k0, weight_top), lambda: (
-        _graded_complex(pair, family, kernels, head, weight_top, label)))
+    return pair.cached(("redirL", family, k0), lambda: (
+        _graded_complex(pair, family, kernels, head, label)))
 
 
-def redirected_gamma(pair, family, m0, weight_top=None):
+def redirected_gamma(pair, family, m0):
     """The stratum-redirected complex: piecewise-constant-like (kernel of
     the cellwise derivative) spaces above stratum m0, then graded broken
     spaces.  m0 = n gives the total complex, which is the very instance
@@ -130,62 +126,57 @@ def redirected_gamma(pair, family, m0, weight_top=None):
     if not -1 <= m0 <= n:
         raise AssemblyError(f"redirect stratum {m0} out of range")
     if m0 == n:
-        return redirected_lambda(pair, family, 0, weight_top)
-    return pair.cached(("redirG", family, m0, weight_top),
-                       lambda: _build_gamma(pair, family, m0, weight_top))
+        return redirected_lambda(pair, family, 0)
+    return pair.cached(("redirG", family, m0),
+                       lambda: _build_gamma(pair, family, m0))
 
 
-def _build_gamma(pair, family, m0, weight_top):
+def _build_gamma(pair, family, m0):
     """Assemble the stratum-redirected complex at m0 from the stratum side,
     uncached."""
     n = pair.top_dim
     kernels = [(m, 0, "horizontal") for m in range(n, m0, -1)]
     head = (m0, 0) if m0 >= 0 else None
-    return _graded_complex(pair, family, kernels, head, weight_top,
+    return _graded_complex(pair, family, kernels, head,
                            f"redirected-stratum({m0})")
 
 
-def total_complex(pair, family, weight_top=None, weighted=True):
-    if weighted:
-        return redirected_lambda(pair, family, 0, weight_top)
-    return pair.cached(("totalUW", family, weight_top), lambda: (
-        _graded_complex(pair, family, [], (pair.top_dim, 0), weight_top,
-                        "total(unweighted)", weighted=False)))
+def total_complex(pair, family):
+    return redirected_lambda(pair, family, 0)
 
 
-def conforming_complex(pair, family, weight_top=None):
-    return redirected_lambda(pair, family, pair.top_dim + 1, weight_top)
+def conforming_complex(pair, family):
+    return redirected_lambda(pair, family, pair.top_dim + 1)
 
 
-def chainlike_complex(pair, family, weight_top=None):
-    return redirected_gamma(pair, family, -1, weight_top)
+def chainlike_complex(pair, family):
+    return redirected_gamma(pair, family, -1)
 
 
-def horizontal_complex(pair, family, m, weight_top=None):
+def horizontal_complex(pair, family, m):
     """The cellwise-derivative complex on the m-stratum (one row of the
     double complex, without augmentation)."""
-    spaces = [broken_space(pair, m, k, family, weight_top)
-              for k in range(m + 1)]
+    spaces = [broken_space(pair, m, k, family) for k in range(m + 1)]
     ops = []
     for k in range(m):
-        op = operator_D(pair, m, k, family, weight_top)
+        op = operator_D(pair, m, k, family)
         ops.append(LinearOp(spaces[k], spaces[k + 1], op.matrix))
     return ComplexInstance(spaces, ops, f"horizontal(m={m})")
 
 
-def vertical_complex(pair, family, k, weight_top=None):
+def vertical_complex(pair, family, k):
     """The trace-jump complex at form degree k (one column of the double
     complex), augmented by the single-valued space in front."""
     n = pair.top_dim
-    sub = _kernel(pair, n, k, family, "vertical", weight_top)
+    sub = _kernel(pair, n, k, family, "vertical")
     spaces = [sub]
     ops = []
     for m in range(n, k - 1, -1):
-        sp = broken_space(pair, m, k, family, weight_top)
+        sp = broken_space(pair, m, k, family)
         if m == n:
             mat = sub.basis
         else:
-            mat = operator_T(pair, m + 1, k, family, weight_top).matrix
+            mat = operator_T(pair, m + 1, k, family).matrix
         ops.append(LinearOp(spaces[-1], sp, mat))
         spaces.append(sp)
     return ComplexInstance(spaces, ops, f"vertical(k={k})")
@@ -194,29 +185,29 @@ def vertical_complex(pair, family, k, weight_top=None):
 # -- harmonic spaces ------------------------------------------------------
 
 
-def harmonic_lambda(pair, family, k, b, weight_top=None):
+def harmonic_lambda(pair, family, k, b):
     """The degree-k harmonic space at grading depth b (b = 1..k+1)."""
     if not 1 <= b <= k + 1:
         raise AssemblyError(f"grading depth {b} out of range for degree {k}")
-    cx = redirected_lambda(pair, family, k - b + 1, weight_top)
+    cx = redirected_lambda(pair, family, k - b + 1)
     return harmonic_space(cx, k)
 
 
-def harmonic_gamma(pair, family, m, b, weight_top=None):
+def harmonic_gamma(pair, family, m, b):
     """The chain-side harmonic space over the m-stratum at depth b."""
     n = pair.top_dim
     if not 1 <= b <= n - m + 1:
         raise AssemblyError(f"grading depth {b} out of range for stratum {m}")
-    cx = redirected_gamma(pair, family, m + b - 1, weight_top)
+    cx = redirected_gamma(pair, family, m + b - 1)
     return harmonic_space(cx, n - m)
 
 
-def harmonic_conforming(pair, family, k, weight_top=None):
-    return harmonic_space(conforming_complex(pair, family, weight_top), k)
+def harmonic_conforming(pair, family, k):
+    return harmonic_space(conforming_complex(pair, family), k)
 
 
-def harmonic_chain(pair, family, m, weight_top=None):
-    cx = chainlike_complex(pair, family, weight_top)
+def harmonic_chain(pair, family, m):
+    cx = chainlike_complex(pair, family)
     return harmonic_space(cx, pair.top_dim - m)
 
 
@@ -241,7 +232,7 @@ def _regularizer(cx, i, op, sign):
     return LinearOp(sp, sp, mat)
 
 
-def regularizer_R(pair, family, k, b, weight_top=None):
+def regularizer_R(pair, family, k, b):
     """The preimage regularizer on the degree-graded space at depth b.
 
     Subtracts the derivative of a right-inverse lift (through T) of the
@@ -250,20 +241,19 @@ def regularizer_R(pair, family, k, b, weight_top=None):
     """
     if not 2 <= b <= k + 1:
         raise AssemblyError(f"depth {b} out of range for regularizer (k={k})")
-    cx = redirected_lambda(pair, family, k - b + 1, weight_top)
-    t_op = operator_T(pair, pair.top_dim - b + 2, k - b + 1, family,
-                      weight_top)
+    cx = redirected_lambda(pair, family, k - b + 1)
+    t_op = operator_T(pair, pair.top_dim - b + 2, k - b + 1, family)
     return _regularizer(cx, k, t_op, (-1.0) ** b)
 
 
-def regularizer_S(pair, family, m, b, weight_top=None):
+def regularizer_S(pair, family, m, b):
     """Chain-side mirror of regularizer_R on the stratum-graded space,
     lifting through D."""
     n = pair.top_dim
     if not 2 <= b <= n - m + 1:
         raise AssemblyError(f"depth {b} out of range for regularizer (m={m})")
-    cx = redirected_gamma(pair, family, m + b - 1, weight_top)
-    d_op = operator_D(pair, m + b - 1, b - 2, family, weight_top)
+    cx = redirected_gamma(pair, family, m + b - 1)
+    d_op = operator_D(pair, m + b - 1, b - 2, family)
     return _regularizer(cx, n - m, d_op, (-1.0) ** (b + n - m))
 
 
@@ -280,7 +270,7 @@ def _transfer_verdict(transfer, src_dim, tgt_dim):
     return smin_rel, ok
 
 
-def iso_step(pair, family, side, index, b, weight_top=None):
+def iso_step(pair, family, side, index, b):
     """One harmonic-space transfer between grading depths b-1 and b.
 
     side "lambda" fixes the form degree (index = k), side "gamma" fixes
@@ -293,17 +283,17 @@ def iso_step(pair, family, side, index, b, weight_top=None):
     n = pair.top_dim
     if side == "lambda":
         k = index
-        cx = redirected_lambda(pair, family, k - b + 1, weight_top)
-        reg = regularizer_R(pair, family, k, b, weight_top)
-        h_src = harmonic_lambda(pair, family, k, b - 1, weight_top)
-        h_tgt = harmonic_lambda(pair, family, k, b, weight_top)
+        cx = redirected_lambda(pair, family, k - b + 1)
+        reg = regularizer_R(pair, family, k, b)
+        h_src = harmonic_lambda(pair, family, k, b - 1)
+        h_tgt = harmonic_lambda(pair, family, k, b)
         pos = k
     elif side == "gamma":
         m = index
-        cx = redirected_gamma(pair, family, m + b - 1, weight_top)
-        reg = regularizer_S(pair, family, m, b, weight_top)
-        h_src = harmonic_gamma(pair, family, m, b - 1, weight_top)
-        h_tgt = harmonic_gamma(pair, family, m, b, weight_top)
+        cx = redirected_gamma(pair, family, m + b - 1)
+        reg = regularizer_S(pair, family, m, b)
+        h_src = harmonic_gamma(pair, family, m, b - 1)
+        h_tgt = harmonic_gamma(pair, family, m, b)
         pos = n - m
     else:
         raise AssemblyError(f"unknown side {side!r}")
@@ -331,7 +321,7 @@ def iso_step(pair, family, side, index, b, weight_top=None):
     }
 
 
-def exactness_witness(pair, family, k, b, weight_top=None):
+def exactness_witness(pair, family, k, b):
     """Constructive pairing witnesses for harmonic forms at depth b-1.
 
     For each harmonic basis vector at depth b-1, builds a preimage-style
@@ -342,12 +332,11 @@ def exactness_witness(pair, family, k, b, weight_top=None):
     n = pair.top_dim
     if not 2 <= b <= k + 1:
         raise AssemblyError("depth out of range")
-    h = harmonic_lambda(pair, family, k, b - 1, weight_top)
+    h = harmonic_lambda(pair, family, k, b - 1)
     if h.dim == 0:
         return []
     amb = h.ambient
-    xi_space = graded_space(pair, n, k - 1, b - 1, family,
-                            weight_top=weight_top)
+    xi_space = graded_space(pair, n, k - 1, b - 1, family)
     d_xi = derivative_operator(xi_space)
     emb = inject_matrix(amb, d_xi.codomain)
     pinvs = {}
@@ -366,14 +355,13 @@ def exactness_witness(pair, family, k, b, weight_top=None):
             if j >= 1:
                 t = t_ops.get(mj + 1)
                 if t is None:
-                    t = t_ops[mj + 1] = operator_T(pair, mj + 1, kj, family,
-                                                   weight_top)
+                    t = t_ops[mj + 1] = operator_T(pair, mj + 1, kj, family)
                 rhs = rhs - (-1.0) ** j * (t.matrix @ prev)
             key = (mj, kj - 1)
             P = pinvs.get(key)
             if P is None:
                 P = pinvs[key] = pseudoinverse(
-                    operator_D(pair, mj, kj - 1, family, weight_top))
+                    operator_D(pair, mj, kj - 1, family))
             xij = (-1.0) ** j * (P.matrix @ rhs)
             sl = xi_space.stratum_slice(mj)
             xi[sl] = xij
@@ -389,7 +377,7 @@ def exactness_witness(pair, family, k, b, weight_top=None):
 # -- end-to-end verification ----------------------------------------------
 
 
-def verify_chain(pair, family, k, weight_top=None):
+def verify_chain(pair, family, k):
     """The full isomorphism chain from simplicial homology at index n-k to
     the conforming harmonic space of degree k.
 
@@ -410,28 +398,28 @@ def verify_chain(pair, family, k, weight_top=None):
         steps.append(entry)
 
     # simplicial homology vs the chain-complex harmonic space
-    c0 = harmonic_chain(pair, family, m, weight_top)
+    c0 = harmonic_chain(pair, family, m)
     record("homology vs chain harmonic", c0.dim == target,
            dims=(target, c0.dim))
 
     # depth-1 equality on the chain side
-    cg1 = harmonic_gamma(pair, family, m, 1, weight_top)
-    chain_cx = chainlike_complex(pair, family, weight_top)
+    cg1 = harmonic_gamma(pair, family, m, 1)
+    chain_cx = chainlike_complex(pair, family)
     emb0 = _embedded(c0, chain_cx.spaces[n - m])
     defect = subspace_equality_defect(emb0, cg1)
     record("chain harmonic depth-1 equality", defect < 1e-8, defect=defect)
 
     # chain-side isomorphism steps
     for b in range(2, k + 2):
-        st = iso_step(pair, family, "gamma", m, b, weight_top)
+        st = iso_step(pair, family, "gamma", m, b)
         record(f"chain transfer depth {b - 1}->{b}",
                st["ok"] and st["src_dim"] == target,
                dims=(st["src_dim"], st["tgt_dim"]), smin=st["smin_rel"])
 
     # central identity: the maximal graded complex, assembled afresh from
     # the stratum side, coincides with the shared total complex
-    tg = _build_gamma(pair, family, n, weight_top)
-    tl = redirected_lambda(pair, family, 0, weight_top)
+    tg = _build_gamma(pair, family, n)
+    tl = redirected_lambda(pair, family, 0)
     same = len(tg) == len(tl)
     max_diff = 0.0
     if same:
@@ -448,15 +436,15 @@ def verify_chain(pair, family, k, weight_top=None):
 
     # degree-side isomorphism steps
     for b in range(k + 1, 1, -1):
-        st = iso_step(pair, family, "lambda", k, b, weight_top)
+        st = iso_step(pair, family, "lambda", k, b)
         record(f"degree transfer depth {b - 1}->{b}",
                st["ok"] and st["src_dim"] == target,
                dims=(st["src_dim"], st["tgt_dim"]), smin=st["smin_rel"])
 
     # depth-1 equality on the degree side
-    h1 = harmonic_lambda(pair, family, k, 1, weight_top)
-    hc = harmonic_conforming(pair, family, k, weight_top)
-    conf_cx = conforming_complex(pair, family, weight_top)
+    h1 = harmonic_lambda(pair, family, k, 1)
+    hc = harmonic_conforming(pair, family, k)
+    conf_cx = conforming_complex(pair, family)
     embc = _embedded(hc, conf_cx.spaces[k])
     defect = subspace_equality_defect(embc, h1)
     record("conforming harmonic depth-1 equality", defect < 1e-8,
@@ -464,9 +452,8 @@ def verify_chain(pair, family, k, weight_top=None):
     record("conforming dimension", hc.dim == target, dims=(target, hc.dim))
 
     dims = [target, c0.dim, cg1.dim]
-    dims += [harmonic_gamma(pair, family, m, b, weight_top).dim
-             for b in range(2, k + 2)]
-    dims += [harmonic_lambda(pair, family, k, b, weight_top).dim
+    dims += [harmonic_gamma(pair, family, m, b).dim for b in range(2, k + 2)]
+    dims += [harmonic_lambda(pair, family, k, b).dim
              for b in range(k + 1, 0, -1)]
     dims.append(hc.dim)
     return {
@@ -491,7 +478,7 @@ def skeleton_projection(pair, family, k):
     h2 = harmonic_lambda(pair, family, k, 2)
     amb = h2.ambient
     skel = skeleton_pair(pair, n - 1)
-    skel_cx = conforming_complex(skel, family, weight_top=n)
+    skel_cx = conforming_complex(skel, family)
     h_skel = harmonic_space(skel_cx, k - 1)
     skel_amb = skel_cx.spaces[k - 1].ambient
 
@@ -519,10 +506,10 @@ def skeleton_degree_zero_identity(pair, family, m):
     if m < 0 or m > n:
         raise AssemblyError("stratum out of range")
     skel = skeleton_pair(pair, m)
-    d0 = operator_D(skel, m, 0, family, weight_top=n)
+    d0 = operator_D(skel, m, 0, family)
     rows = d0.integer_rows()
     if m >= 1:
-        rows += operator_T(skel, m, 0, family, weight_top=n).integer_rows()
+        rows += operator_T(skel, m, 0, family).integer_rows()
     lhs = d0.domain.dim - exact.rank(rows)
     rhs = harmonic_chain(pair, family, m).dim
     if m + 1 <= n:
@@ -534,15 +521,15 @@ def skeleton_degree_zero_identity(pair, family, m):
             "ok": bool(lhs == rhs)}
 
 
-def check_subcomplex_nesting(pair, family, k0, weight_top=None):
+def check_subcomplex_nesting(pair, family, k0):
     """The redirected complex at k0 embeds block-wise into the one at
     k0 - 1 from index k0 - 1 on (with the conforming space embedded by its
     basis).  Returns the largest commutation defect."""
     n = pair.top_dim
     if not 1 <= k0 <= n:
         raise AssemblyError("nesting needs 1 <= k0 <= n")
-    cxa = redirected_lambda(pair, family, k0, weight_top)
-    cxb = redirected_lambda(pair, family, k0 - 1, weight_top)
+    cxa = redirected_lambda(pair, family, k0)
+    cxb = redirected_lambda(pair, family, k0 - 1)
 
     def emb(i):
         sa = cxa.spaces[i]
@@ -571,7 +558,7 @@ def _exact_sequence(labels, dims, ranks, front):
     return {"indices": entries, "ok": all(e["ok"] for e in entries.values())}
 
 
-def verify_double_complex(pair, family, weight_top=None):
+def verify_double_complex(pair, family):
     """Row and column exactness of the broken double complex, with exact
     integer ranks, plus the dimension identities tying harmonic spaces to
     Betti numbers."""
@@ -579,20 +566,19 @@ def verify_double_complex(pair, family, weight_top=None):
     report = {"rows": {}, "columns": {}, "dimensions": {}}
 
     def dims(strata):
-        return [broken_space(pair, m, k, family, weight_top).dim
-                for m, k in strata]
+        return [broken_space(pair, m, k, family).dim for m, k in strata]
 
     for m in range(n + 1):
         ks = range(m + 1)
-        ranks = [exact.rank(operator_D(pair, m, k, family, weight_top)
+        ranks = [exact.rank(operator_D(pair, m, k, family)
                             .integer_rows()) for k in ks]
         report["rows"][m] = _exact_sequence(
             ks, dims([(m, k) for k in ks]), ranks, len(pair.stratum(m)))
     for k in range(n + 1):
         ms = range(n, k - 1, -1)
-        ranks = [exact.rank(operator_T(pair, m, k, family, weight_top)
+        ranks = [exact.rank(operator_T(pair, m, k, family)
                             .integer_rows()) if m > k else 0 for m in ms]
-        conf = _kernel(pair, n, k, family, "vertical", weight_top).dim
+        conf = _kernel(pair, n, k, family, "vertical").dim
         report["columns"][k] = _exact_sequence(
             ms, dims([(m, k) for m in ms]), ranks, conf)
     report["passed"] = all(r["ok"] for part in ("rows", "columns")
@@ -600,8 +586,8 @@ def verify_double_complex(pair, family, weight_top=None):
 
     betti = betti_numbers(pair)
     for k in range(n + 1):
-        hk = harmonic_conforming(pair, family, k, weight_top).dim
-        ck = harmonic_chain(pair, family, n - k, weight_top).dim
+        hk = harmonic_conforming(pair, family, k).dim
+        ck = harmonic_chain(pair, family, n - k).dim
         ok = hk == betti[n - k] == ck
         report["dimensions"][k] = {
             "conforming": hk, "chain": ck, "betti": betti[n - k],
@@ -610,21 +596,19 @@ def verify_double_complex(pair, family, weight_top=None):
     return report
 
 
-def harmonic_family(pair, family, weight_top=None):
+def harmonic_family(pair, family):
     """Dimension table of every graded harmonic space on this mesh."""
     n = pair.top_dim
     report = {"lambda": {}, "gamma": {}, "conforming": {}, "chain": {}}
     for k in range(n + 1):
-        report["conforming"][k] = harmonic_conforming(
-            pair, family, k, weight_top).dim
+        report["conforming"][k] = harmonic_conforming(pair, family, k).dim
         for b in range(1, k + 2):
             report["lambda"][(k, b)] = harmonic_lambda(
-                pair, family, k, b, weight_top).dim
+                pair, family, k, b).dim
     for m in range(n + 1):
-        report["chain"][m] = harmonic_chain(pair, family, m, weight_top).dim
+        report["chain"][m] = harmonic_chain(pair, family, m).dim
         for b in range(1, n - m + 2):
-            report["gamma"][(m, b)] = harmonic_gamma(
-                pair, family, m, b, weight_top).dim
+            report["gamma"][(m, b)] = harmonic_gamma(pair, family, m, b).dim
     return report
 
 

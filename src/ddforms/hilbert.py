@@ -47,13 +47,10 @@ class ComplexInstance:
     def dims(self):
         return [s.dim for s in self.spaces]
 
-    def whitening(self, i):
-        return self.spaces[i].whitening
-
     def whitened_diff(self, i):
         """The differential i expressed between orthonormal frames:
         L_{i+1}^T d_i L_i^-T."""
-        W0, W1 = self.whitening(i), self.whitening(i + 1)
+        W0, W1 = self.spaces[i].whitening, self.spaces[i + 1].whitening
         return W1.mul_lt(W0.solve_l(self.diffs[i].matrix.T).T)
 
     def __repr__(self):
@@ -74,7 +71,7 @@ def _harmonic_split(cx, i):
             rows.append(cx.whitened_diff(i - 1).T)
         A = np.vstack(rows) if rows else np.zeros((0, cx.spaces[i].dim))
         split = rank_split(A)
-        h = Subspace(cx.spaces[i], cx.whitening(i).solve_lt(split.null))
+        h = Subspace(cx.spaces[i], cx.spaces[i].whitening.solve_lt(split.null))
         entry = (h, split.s[:split.rank], split.row_range)
         cx._harmonic[i] = entry
     return entry
@@ -97,7 +94,7 @@ def betti_from_complex(cx):
 
 def hodge_decompose(x, cx, i):
     """Split x into exact, coexact and harmonic parts, Gram-orthogonally."""
-    W = cx.whitening(i)
+    W = cx.spaces[i].whitening
     xw = W.mul_lt(x)
     if i > 0:
         Bex = rank_split(cx.whitened_diff(i - 1)).range
@@ -132,7 +129,7 @@ def laplace_solve(cx, i, f):
 
     Reuses the SVD behind ``harmonic_space``: in whitened coordinates
     u = V_r diag(s_r^-2) V_r^T (f - p)."""
-    W = cx.whitening(i)
+    W = cx.spaces[i].whitening
     fw = W.mul_lt(f)
     h, s, V = _harmonic_split(cx, i)
     hw = W.mul_lt(h.basis)

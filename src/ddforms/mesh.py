@@ -189,8 +189,8 @@ def build_complex(cells, vertices, marked=()):
     """Close a list of cells (vertex-index lists) into a RelativePair.
 
     ``marked`` lists simplices whose closure forms the subcomplex U.  Cells
-    of full ambient dimension are stored with Euclidean (positive volume)
-    orientation.
+    of full ambient dimension d >= 1 are stored with Euclidean (positive
+    volume) orientation.
     """
     coords = [tuple(float(x) for x in p) for p in vertices]
     nv = len(coords)
@@ -210,7 +210,7 @@ def build_complex(cells, vertices, marked=()):
             raise MeshError(f"duplicate cell {cell}")
         seen.add(key)
         orientation = key
-        if len(key) - 1 == len(coords[0]):
+        if 1 < len(key) == len(coords[0]) + 1:
             orientation = _euclid_orientation(key, coords)
         members[key] = Simplex(key, orientation)
         for r in range(1, len(key)):
@@ -513,11 +513,15 @@ def generate_mesh(name, size=1, mark="none"):
 
 def load_mesh_file(path):
     """Read the JSON mesh format (ambient_dim, vertices, cells, marked)."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MeshError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise MeshError(f"{path}: cannot read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise MeshError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise MeshError(f"{path}: top level must be a JSON object")
     for key in ("ambient_dim", "vertices", "cells"):

@@ -541,9 +541,9 @@ class ElementSpace:
     def size(self):
         return len(self.basis)
 
-    def coefficients(self, form, tol=1e-8):
+    def coefficients(self, form):
         """Coordinates of a form in this basis; FormError if not a member."""
-        return _solve_in_space(self, [form], tol, FormError)[:, 0]
+        return _solve_in_space(self, [form], FormError)[:, 0]
 
     def from_coefficients(self, coeffs):
         out = BarycentricForm(self.dim, self.degree)
@@ -664,20 +664,6 @@ def trimmed_dimension(m, k, r):
     return math.comb(r + k - 1, k) * math.comb(r + m, m - k)
 
 
-def build_element_space(m, k, family, variant="plain"):
-    """Element space on an m-simplex: the family space or its bubble.
-
-    ``variant`` is "plain" or "bubble".  For the full family this returns
-    degree r regardless of k (the complex-forming degree pattern is applied
-    by Family.space).
-    """
-    if variant == "bubble":
-        return family.bubble(m, k)
-    if family.kind == "full":
-        return _full_space(m, k, family.r) if 0 <= k <= m else _empty_space(m, k, 0)
-    return family.space(m, k)
-
-
 # -- derivative / trace matrices, bubbles, extensions ---------------------
 
 
@@ -687,10 +673,10 @@ _NOT_A_MEMBER = {
 }
 
 
-def _solve_in_space(space, forms, tol=1e-8, error=FamilyError):
+def _solve_in_space(space, forms, error=FamilyError):
     """Coefficient matrix of the given forms in a space's basis, by one
     least-squares solve.  Raises ``error`` unless each form's residual is
-    within tol * max(1, |form|), or within tol for the zero space."""
+    within 1e-8 * max(1, |form|), or within 1e-8 for the zero space."""
     frame, target = space.frame, space.matrix
     degree = max((_form_poly_degree(f) for f in forms), default=0)
     if degree > space.frame_degree:
@@ -699,7 +685,7 @@ def _solve_in_space(space, forms, tol=1e-8, error=FamilyError):
     V = _coeff_matrix(forms, frame)
     out = np.linalg.lstsq(target, V, rcond=None)[0]
     scale = np.maximum(1.0, np.linalg.norm(V, axis=0)) if space.size else 1.0
-    if np.any(np.linalg.norm(target @ out - V, axis=0) > tol * scale):
+    if np.any(np.linalg.norm(target @ out - V, axis=0) > 1e-8 * scale):
         raise error(_NOT_A_MEMBER[error])
     return out
 
@@ -884,14 +870,14 @@ def check_local_exactness(family, m):
     return report
 
 
-def _vanishes(form, tol):
-    """Whether a form is zero: term-wise first, else on the reduced
+def _vanishes(form):
+    """Whether a form is zero to 1e-9: term-wise first, else on the reduced
     coefficients, where forms equal only after sum(lambda) = 1 agree."""
-    return form.is_zero(tol) or all(
-        abs(c) <= tol for c in form.reduced().values())
+    return form.is_zero(1e-9) or all(
+        abs(c) <= 1e-9 for c in form.reduced().values())
 
 
-def _check_extension_identities(family, mf, k, mc, tol=1e-9):
+def _check_extension_identities(family, mf, k, mc):
     """Trace/extension identities for one face-in-simplex configuration."""
     kind, r = family.kind, family.r
     bubble, _ = _bubble_space(kind, r, mf, k)
@@ -901,7 +887,7 @@ def _check_extension_identities(family, mf, k, mc, tol=1e-9):
         pos_set = set(positions)
         for i, (f, ext) in enumerate(zip(bubble.basis, exts)):
             back = ext.trace(positions)
-            if not _vanishes(back - f, tol):
+            if not _vanishes(back - f):
                 return False
             for gsize in range(max(mf + 1, k + 1), mc + 1):
                 for gpos in itertools.combinations(range(mc + 1), gsize):
@@ -913,9 +899,9 @@ def _check_extension_identities(family, mf, k, mc, tol=1e-9):
                         remap = tuple(sorted(gset)).index
                         inner = tuple(remap(p) for p in positions)
                         via = _extensions(kind, r, mf, k, gsize - 1)[inner][i]
-                        if not _vanishes(tr - via, tol):
+                        if not _vanishes(tr - via):
                             return False
-                    elif not _vanishes(tr, tol):
+                    elif not _vanishes(tr):
                         return False
     return True
 

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from ddforms.mesh import generate_mesh
+from ddforms import assembly, distrib
+from ddforms.mesh import RelativePair, generate_mesh
 
 _CACHE = {}
 
@@ -16,3 +18,32 @@ def catalog():
         return _CACHE[key]
 
     return get
+
+
+@pytest.fixture
+def unweighted_total(monkeypatch):
+    """The total complex of a pair under a second metric: built on a fresh
+    copy of the pair, whose mesh weights are all 1.  Asserts that the
+    copy's Grams differ from the weighted ones of the pair itself, so a
+    comparison of the two complexes compares two different metrics."""
+    copies = []
+    weight = assembly.mesh_weight
+
+    def unit_on_copies(pair, simplex):
+        if any(pair is c for c in copies):
+            return 1.0
+        return weight(pair, simplex)
+
+    monkeypatch.setattr(assembly, "mesh_weight", unit_on_copies)
+
+    def build(pair, family):
+        copy = RelativePair(pair.coords, pair.all_simplices(), pair.marked,
+                            top_dim=pair.top_dim, parent=pair.parent)
+        copies.append(copy)
+        cx = distrib.total_complex(copy, family)
+        weighted = distrib.total_complex(pair, family)
+        assert any(not np.allclose(a.gram, b.gram)
+                   for a, b in zip(cx.spaces, weighted.spaces))
+        return cx
+
+    return build

@@ -256,13 +256,12 @@ def test_criterion_10_stokes_identity():
     report(10, f"integration by parts (worst {worst:.2e})", worst < 1e-10)
 
 
-def test_criterion_11_metric_independence(catalog):
+def test_criterion_11_metric_independence(catalog, unweighted_total):
     ok = True
     for name, size, mark in CATALOG_MARKED:
         pair = catalog(name, size, mark)
         w = betti_from_complex(distrib.total_complex(pair, WHITNEY))
-        u = betti_from_complex(distrib.total_complex(pair, WHITNEY,
-                                                     weighted=False))
+        u = betti_from_complex(unweighted_total(pair, WHITNEY))
         ok = ok and w == u
     report(11, "harmonic dims independent of gram weights", ok)
 

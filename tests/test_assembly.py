@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ddforms import exact
-from ddforms.assembly import (AssemblyError, BrokenSpace, adjoint,
-                              broken_space, derivative_operator,
+from ddforms.assembly import (AssemblyError, BrokenSpace, _element_grams,
+                              adjoint, broken_space, derivative_operator,
                               export_matrix, graded_space, kernel_space,
                               mesh_weight, operator_D, operator_T)
-from ddforms.mesh import generate_mesh, orientation_sign
+from ddforms.mesh import generate_mesh, orientation_sign, skeleton_pair
 from ddforms.polyforms import Family, FamilyError, rank_split, whitney
 
 
@@ -38,6 +38,34 @@ def test_mesh_weight_scaling(catalog):
     edge = pair.simplices(1)[0]
     assert mesh_weight(pair, cell) == pytest.approx(1.0)
     assert mesh_weight(pair, edge) == pytest.approx(pair.diameter(edge))
+
+
+@pytest.mark.parametrize("name", ["annulus", "cube_tet"])
+def test_skeleton_weight_exponent_from_root(catalog, name):
+    """On a codimension-one skeleton, each Gram block is the unweighted
+    element Gram times h_C^(n - m), n the top dimension of the root mesh
+    (not of the skeleton)."""
+    for mark in ("none", "half"):
+        pair = catalog(name, 1, mark)
+        n = pair.top_dim
+        skel = skeleton_pair(pair, n - 1)
+        for fam in (whitney(), Family("full", 2)):
+            for m in range(n):
+                for k in range(m + 1):
+                    sp = broken_space(skel, m, k, fam)
+                    (s,) = sp.strata
+                    grams = _element_grams(skel, fam, s)
+                    for i, c in enumerate(s.simplices):
+                        if m:
+                            h = skel.diameter(c)
+                        else:
+                            h = np.mean([pair.diameter(e)
+                                         for e in pair.simplices(1)
+                                         if c.vertices[0] in e.vertices])
+                        sl = sp.block_slice(s, i)
+                        assert np.allclose(sp.gram[sl, sl],
+                                           h ** (n - m) * grams[i],
+                                           rtol=1e-12, atol=0), (m, k, c)
 
 
 def test_identities_whitney(catalog):
@@ -114,8 +142,6 @@ def test_graded_space_strata(catalog):
     pair = catalog("annulus")
     sp = graded_space(pair, 2, 1, 2, whitney())
     assert [(s.m, s.k) for s in sp.strata] == [(2, 1), (1, 0)]
-    up = graded_space(pair, 0, 0, 2, whitney(), kind="up")
-    assert [(s.m, s.k) for s in up.strata] == [(1, 1), (0, 0)]
 
 
 def test_invalid_stratum_rejected(catalog):

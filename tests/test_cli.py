@@ -282,3 +282,37 @@ def test_ladder_dimensions(name, r, mark):
         f"{m},{b}": betti[m] for m in range(n + 1) for b in range(1, n - m + 2)}
     assert harmonic["conforming"] == {str(k): betti[n - k] for k in range(n + 1)}
     assert harmonic["chain"] == {str(m): betti[m] for m in range(n + 1)}
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_mesh_file(tmp_path, capsys, kind):
+    path = tmp_path / "mesh.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(MeshError):
+        parse_mesh_file(str(path))
+    assert _error_exit(capsys, ["betti", "--mesh", str(path)])
+
+
+def test_dump_operators_unwritable(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert _error_exit(capsys, ["betti", "--mesh", "catalog:triangle",
+                                "--dump-operators", str(blocker / "ops")])
+
+
+def test_zero_dimensional_mesh(tmp_path, capsys):
+    """A single vertex has Betti numbers and passes the checks, but has no
+    edge to give its vertex a mesh weight."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"ambient_dim": 0, "vertices": [[]],
+                                "cells": [[0]]}))
+    args = ["--mesh", str(path), "--format", "structured"]
+    code, text = run(["betti"] + args)
+    assert code == 0 and json.loads(text)["report"]["betti"] == [1]
+    code, text = run(["check"] + args)
+    assert code == 0 and json.loads(text)["report"]["passed"]
+    for command in ("harmonic", "chain", "solve"):
+        assert _error_exit(capsys, [command] + args), command

@@ -53,8 +53,8 @@ def test_central_identity_compares_fresh_assembly(monkeypatch):
     assert central(distrib.verify_chain(pair, FAM, k))["ok"]
     build = distrib._build_gamma
 
-    def perturbed(pair_, family, m0, weight_top):
-        cx = build(pair_, family, m0, weight_top)
+    def perturbed(pair_, family, m0):
+        cx = build(pair_, family, m0)
         if m0 == pair_.top_dim:
             cx.diffs[0].matrix[0, 0] += 1e-6
         return cx
@@ -234,7 +234,6 @@ def test_harmonic_family_table(catalog):
 
 def test_every_complex_family_builds(catalog):
     pair = catalog("square_grid")
-    n = pair.top_dim
     skel = skeleton_pair(pair, 1)
     for cx in [distrib.horizontal_complex(pair, FAM, 2),
                distrib.vertical_complex(pair, FAM, 0),
@@ -243,15 +242,15 @@ def test_every_complex_family_builds(catalog):
                distrib.total_complex(pair, FAM),
                distrib.redirected_lambda(pair, FAM, 1),
                distrib.redirected_gamma(pair, FAM, 0),
-               distrib.total_complex(skel, FAM, weight_top=n),
-               distrib.chainlike_complex(skel, FAM, weight_top=n)]:
+               distrib.total_complex(skel, FAM),
+               distrib.chainlike_complex(skel, FAM)]:
         assert len(cx) >= 1
         for a, b in zip(cx.diffs, cx.diffs[1:]):
             assert np.linalg.norm(b.matrix @ a.matrix) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["annulus", "cube_tet"])
-def test_graded_complexes_match_betti(catalog, name):
+def test_graded_complexes_match_betti(catalog, unweighted_total, name):
     """Every redirected complex, on both sides and at every redirect
     index, and the unweighted total complex carry the relative homology
     in reverse order."""
@@ -264,7 +263,7 @@ def test_graded_complexes_match_betti(catalog, name):
                    for k0 in range(n + 2)]
             cxs += [distrib.redirected_gamma(pair, fam, m0)
                     for m0 in range(-1, n + 1)]
-            cxs.append(distrib.total_complex(pair, fam, weighted=False))
+            cxs.append(unweighted_total(pair, fam))
             for cx in cxs:
                 assert betti_from_complex(cx) == expected, (mark, fam, cx)
 
@@ -278,7 +277,7 @@ def test_zero_skeleton_complexes_match_betti(catalog, name):
         skel = skeleton_pair(pair, 0)
         assert skel.parent is pair
         for fam in (FAM, Family("full", 2)):
-            cx = distrib.chainlike_complex(skel, fam, weight_top=pair.top_dim)
+            cx = distrib.chainlike_complex(skel, fam)
             assert betti_from_complex(cx) == betti_numbers(skel)[::-1]
 
 
@@ -332,10 +331,10 @@ def test_kernel_diff_guards(catalog):
         distrib._kernel_diff(src, bad)
 
 
-def test_metric_independence(catalog):
+def test_metric_independence(catalog, unweighted_total):
     pair = catalog("annulus")
     w = betti_from_complex(distrib.total_complex(pair, FAM))
-    u = betti_from_complex(distrib.total_complex(pair, FAM, weighted=False))
+    u = betti_from_complex(unweighted_total(pair, FAM))
     assert w == u
 
 
@@ -376,10 +375,10 @@ def projected_skeleton_transfer(pair, family, k):
     n = pair.top_dim
     h2 = distrib.harmonic_lambda(pair, family, k, 2)
     skel = skeleton_pair(pair, n - 1)
-    skel_cx = distrib.conforming_complex(skel, family, weight_top=n)
+    skel_cx = distrib.conforming_complex(skel, family)
     h_skel = harmonic_space(skel_cx, k - 1)
     amb = skel_cx.spaces[k - 1].ambient
-    DT = np.vstack([op(skel, n - 1, k - 1, family, weight_top=n).matrix
+    DT = np.vstack([op(skel, n - 1, k - 1, family).matrix
                     for op in (operator_D, operator_T)])
     comp = h2.basis[h2.ambient.stratum_slice(n - 1)]
     emb = skel_cx.spaces[k - 1].basis @ h_skel.basis

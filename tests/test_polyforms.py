@@ -9,8 +9,7 @@ from ddforms import polyforms
 from ddforms.assembly import broken_space
 from ddforms.mesh import build_complex, generate_mesh
 from ddforms.polyforms import (BarycentricForm, Family, FamilyError, FormError,
-                               SimplexGeometry, build_element_space,
-                               check_geometric_decomposition,
+                               SimplexGeometry, check_geometric_decomposition,
                                check_local_exactness,
                                check_trace_surjectivity, geometry,
                                rank_split, simplex_metrics, stokes_residual,
@@ -231,7 +230,7 @@ def test_geometry_orientation_from_mesh(catalog):
 
 def test_build_element_space_bubble_traces_vanish():
     fam = Family("trimmed", 2)
-    bubble, _coeffs = build_element_space(2, 1, fam, variant="bubble")
+    bubble, _coeffs = fam.bubble(2, 1)
     for i in range(bubble.size):
         coeffs = np.zeros(bubble.size)
         coeffs[i] = 1.0
