@@ -19,10 +19,10 @@ from ddforms import exact
 from ddforms.mesh import (betti_numbers, check_local_patch_condition,
                           check_pure, skeleton_pair)
 from ddforms.polyforms import (check_geometric_decomposition,
-                               check_local_exactness)
+                               check_local_exactness, rank_split)
 from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
                               broken_space, derivative_operator, graded_space,
-                              kernel_space, operator_D, operator_T, adjoint)
+                              kernel_space, operator_D, operator_T)
 from ddforms.hilbert import (ComplexInstance, harmonic_space, pseudoinverse,
                              subspace_equality_defect)
 
@@ -262,7 +262,7 @@ def _transfer_verdict(transfer, src_dim, tgt_dim):
     and whether it is a bijection: equal dimensions, and either both zero
     or smin_rel above SMIN_TOL."""
     if src_dim and src_dim == tgt_dim:
-        s = np.linalg.svd(transfer, compute_uv=False)
+        s = rank_split(transfer).s
         smin_rel = float(s[-1] / s[0]) if s[0] > 0 else 0.0
     else:
         smin_rel = 1.0 if src_dim == tgt_dim else 0.0
@@ -275,10 +275,11 @@ def iso_step(pair, family, side, index, b):
 
     side "lambda" fixes the form degree (index = k), side "gamma" fixes
     the stratum (index = m).  The transfer pairs the target harmonic forms
-    with the adjoint of the regularizer applied to the source ones and is
-    reported with its smallest relative singular value; the underlying
-    theory makes it a bijection.  Both harmonic bases are cocycles here,
-    so a (Gram-self-adjoint) cocycle projection would change nothing.
+    with G R* y = R^T G y, the adjoint of the regularizer applied to the
+    source forms y, and is reported with its smallest relative singular
+    value; the underlying theory makes it a bijection.  Both harmonic
+    bases are cocycles here, so a (Gram-self-adjoint) cocycle projection
+    would change nothing.
     """
     n = pair.top_dim
     if side == "lambda":
@@ -300,7 +301,7 @@ def iso_step(pair, family, side, index, b):
     sp = cx.spaces[pos]
     emb = inject_matrix(h_src.ambient, sp)
     src_vectors = emb @ h_src.basis
-    image = sp.gram @ (adjoint(reg).matrix @ src_vectors)
+    image = reg.matrix.T @ (sp.gram @ src_vectors)
     transfer = h_tgt.basis.T @ image
     if h_src.dim:
         pairing = src_vectors.T @ image
@@ -324,10 +325,10 @@ def iso_step(pair, family, side, index, b):
 def exactness_witness(pair, family, k, b):
     """Constructive pairing witnesses for harmonic forms at depth b-1.
 
-    For each harmonic basis vector at depth b-1, builds a preimage-style
-    potential by the right-inverse recursion and reports the relative
-    defect of the pairing of its derivative with the harmonic form, which
-    the theory forces to equal the squared norm.
+    For every harmonic basis vector at depth b-1, all in one pass, builds
+    a preimage-style potential by the right-inverse recursion and reports
+    the relative defect of the pairing of its derivative with the
+    harmonic form, which the theory forces to equal the squared norm.
     """
     n = pair.top_dim
     if not 2 <= b <= k + 1:
@@ -338,40 +339,22 @@ def exactness_witness(pair, family, k, b):
     amb = h.ambient
     xi_space = graded_space(pair, n, k - 1, b - 1, family)
     d_xi = derivative_operator(xi_space)
-    emb = inject_matrix(amb, d_xi.codomain)
-    pinvs = {}
-    t_ops = {}
-    out = []
-    for col in range(h.dim):
-        omega = h.basis[:, col]
-        xi = np.zeros(xi_space.dim)
-        prev = None
-        for j in range(b - 1):
-            mj, kj = n - j, k - j
-            st = amb.stratum(mj)
-            size = st.block * len(st.simplices)
-            wj = omega[st.offset:st.offset + size]
-            rhs = wj.copy()
-            if j >= 1:
-                t = t_ops.get(mj + 1)
-                if t is None:
-                    t = t_ops[mj + 1] = operator_T(pair, mj + 1, kj, family)
-                rhs = rhs - (-1.0) ** j * (t.matrix @ prev)
-            key = (mj, kj - 1)
-            P = pinvs.get(key)
-            if P is None:
-                P = pinvs[key] = pseudoinverse(
-                    operator_D(pair, mj, kj - 1, family))
-            xij = (-1.0) ** j * (P.matrix @ rhs)
-            sl = xi_space.stratum_slice(mj)
-            xi[sl] = xij
-            prev = xij
-        dxi = d_xi.matrix @ xi
-        w_emb = emb @ omega
-        value = dxi @ d_xi.codomain.gram @ w_emb
-        norm2 = w_emb @ d_xi.codomain.gram @ w_emb
-        out.append(abs(value - norm2) / max(norm2, 1e-30))
-    return out
+    xi = np.zeros((xi_space.dim, h.dim))
+    for j in range(b - 1):
+        mj, kj = n - j, k - j
+        st = amb.stratum(mj)
+        rhs = h.basis[st.offset:st.offset + st.block * len(st.simplices)]
+        if j >= 1:
+            t = operator_T(pair, mj + 1, kj, family)
+            rhs = rhs - (-1.0) ** j * (t.matrix @ prev)
+        P = pseudoinverse(operator_D(pair, mj, kj - 1, family))
+        prev = (-1.0) ** j * (P.matrix @ rhs)
+        xi[xi_space.stratum_slice(mj)] = prev
+    w_emb = inject_matrix(amb, d_xi.codomain) @ h.basis
+    g_w = d_xi.codomain.gram @ w_emb
+    values = np.sum((d_xi.matrix @ xi) * g_w, axis=0)
+    norm2 = np.sum(w_emb * g_w, axis=0)
+    return list(np.abs(values - norm2) / np.maximum(norm2, 1e-30))
 
 
 # -- end-to-end verification ----------------------------------------------

@@ -7,9 +7,9 @@ pseudoinverses are all computed after whitening: the Cholesky factor of
 each Gram matrix maps to an orthonormal frame, where plain SVD machinery
 gives the metric-correct answers.  Every space carries that factor as its
 ``whitening`` (block by block for broken spaces, the identity for
-kernel subspaces).  Each of those SVDs is one ``rank_split``; the
-harmonic one of an index is memoised on its complex and also serves the
-Laplace solve there.
+kernel subspaces).  Each of those SVDs, the pseudoinverse's included,
+is one ``rank_split``; the harmonic one of an index is memoised on its
+complex and also serves the Laplace solve there.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ddforms.assembly import AssemblyError, LinearOp, Subspace, adjoint
-from ddforms.polyforms import RANK_RTOL, rank_split
+from ddforms.polyforms import rank_split
 
 
 class ComplexInstance:
@@ -140,10 +140,15 @@ def laplace_solve(cx, i, f):
 
 def pseudoinverse(op):
     """Metric Moore-Penrose pseudoinverse of an operator between spaces:
-    L_dom^-T pinv(L_cod^T A L_dom^-T) L_cod^T."""
+    L_dom^-T pinv(Aw) L_cod^T, Aw = L_cod^T A L_dom^-T.  pinv(Aw) splits
+    the taller of Aw and Aw^T = pinv(Aw^T)^T, forming no null space."""
     dom, cod = op.domain.whitening, op.codomain.whitening
     Aw = cod.mul_lt(dom.solve_l(op.matrix.T).T)
-    pw = np.linalg.pinv(Aw, rcond=RANK_RTOL)
+    rows, cols = Aw.shape
+    if rows >= cols:
+        pw = rank_split(Aw).solve(np.eye(rows))
+    else:
+        pw = rank_split(Aw.T).solve(np.eye(cols)).T
     mat = dom.solve_lt(cod.mul_l(pw.T).T)
     return LinearOp(op.codomain, op.domain, mat)
 
@@ -162,5 +167,5 @@ def subspace_equality_defect(a, b):
         return float(abs(a.dim - b.dim))
     if a.dim == 0:
         return 0.0
-    s = np.linalg.svd(subspace_transfer(a, b), compute_uv=False)
+    s = rank_split(subspace_transfer(a, b)).s
     return float(np.max(np.abs(s - 1.0)))

@@ -160,7 +160,8 @@ class RelativePair:
         count = {}
         for c in self._by_dim.get(self.top_dim, []):
             for f in c.faces():
-                count[f] = count.get(f, 0) + 1
+                if len(f) >= 1:
+                    count[f] = count.get(f, 0) + 1
         return [self._lookup[f] for f, n in sorted(count.items()) if n == 1]
 
     def __repr__(self):
@@ -522,6 +523,8 @@ def load_mesh_file(path):
         raise MeshError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise MeshError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise MeshError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise MeshError(f"{path}: top level must be a JSON object")
     for key in ("ambient_dim", "vertices", "cells"):

@@ -309,16 +309,22 @@ class RankSplit(NamedTuple):
     s: np.ndarray
     rank: int
 
+    def solve(self, rhs):
+        """The minimum-norm least-squares solution X of mat X = rhs over
+        the singular values that count, for a 2-D rhs."""
+        return self.row_range @ ((self.range.T @ rhs)
+                                 / self.s[:self.rank, None])
 
-# The relative singular-value cutoff of every float rank (against
-# max(s_max, 1) in rank_split) and of the metric pseudoinverse.
+
+# The relative singular-value cutoff of every float truncation, against
+# max(s_max, 1).
 RANK_RTOL = 1e-9
 
 
 def rank_split(mat):
-    """The rank-revealing SVD of a dense matrix: singular values above
-    RANK_RTOL * max(s_max, 1) count.  The full V is formed only for wide
-    matrices, the only shape whose economy V misses kernel directions."""
+    """The one float decomposition, a rank-revealing SVD: singular values
+    above RANK_RTOL * max(s_max, 1) count.  The full V is formed only for
+    wide matrices, the only shape whose economy V misses kernel directions."""
     mat = np.asarray(mat, float)
     rows, cols = mat.shape
     if rows == 0 or cols == 0:
@@ -683,7 +689,7 @@ def _solve_in_space(space, forms, error=FamilyError):
         frame = reduced_frame(space.dim, space.degree, degree)
         target = _coeff_matrix(space.basis, frame)
     V = _coeff_matrix(forms, frame)
-    out = np.linalg.lstsq(target, V, rcond=None)[0]
+    out = rank_split(target).solve(V)
     scale = np.maximum(1.0, np.linalg.norm(V, axis=0)) if space.size else 1.0
     if np.any(np.linalg.norm(target @ out - V, axis=0) > 1e-8 * scale):
         raise error(_NOT_A_MEMBER[error])
@@ -805,7 +811,7 @@ def _extension_lift(kind, r, mf, k):
                                               mf) for a, i in gens],
                       bubble.frame)
     B = bubble.matrix
-    lift = np.linalg.pinv(G) @ B
+    lift = rank_split(G).solve(B)
     if np.linalg.norm(G @ lift - B) > 1e-8 * max(1.0, np.linalg.norm(B)):
         raise FamilyError(
             f"{kind}(r={r}): bubble space on dim {mf}, k={k} is not covered "

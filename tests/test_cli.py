@@ -284,13 +284,15 @@ def test_ladder_dimensions(name, r, mark):
     assert harmonic["chain"] == {str(m): betti[m] for m in range(n + 1)}
 
 
-@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "deeply nested"])
 def test_unreadable_mesh_file(tmp_path, capsys, kind):
     path = tmp_path / "mesh.json"
     if kind == "directory":
         path.mkdir()
-    else:
+    elif kind == "not-utf8":
         path.write_bytes(b"\xff\xfe{")
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(MeshError):
         parse_mesh_file(str(path))
     assert _error_exit(capsys, ["betti", "--mesh", str(path)])
@@ -304,15 +306,19 @@ def test_dump_operators_unwritable(tmp_path, capsys):
 
 
 def test_zero_dimensional_mesh(tmp_path, capsys):
-    """A single vertex has Betti numbers and passes the checks, but has no
-    edge to give its vertex a mesh weight."""
+    """A single vertex has Betti numbers and passes the checks under every
+    marking (it has no boundary facet), but has no edge to give its vertex
+    a mesh weight."""
     path = tmp_path / "point.json"
-    path.write_text(json.dumps({"ambient_dim": 0, "vertices": [[]],
-                                "cells": [[0]]}))
-    args = ["--mesh", str(path), "--format", "structured"]
-    code, text = run(["betti"] + args)
-    assert code == 0 and json.loads(text)["report"]["betti"] == [1]
-    code, text = run(["check"] + args)
-    assert code == 0 and json.loads(text)["report"]["passed"]
-    for command in ("harmonic", "chain", "solve"):
-        assert _error_exit(capsys, [command] + args), command
+    for dim, point in ((0, []), (3, [0, 3, 3])):
+        path.write_text(json.dumps({"ambient_dim": dim, "vertices": [point],
+                                    "cells": [[0]]}))
+        for mark in ("none", "full", "half"):
+            args = ["--mesh", str(path), "--mark", mark,
+                    "--format", "structured"]
+            code, text = run(["betti"] + args)
+            assert code == 0 and json.loads(text)["report"]["betti"] == [1]
+            code, text = run(["check"] + args)
+            assert code == 0 and json.loads(text)["report"]["passed"]
+            for command in ("harmonic", "chain", "solve"):
+                assert _error_exit(capsys, [command] + args), (command, mark)

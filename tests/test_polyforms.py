@@ -1,5 +1,7 @@
+import io
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import sympy
 
 from ddforms import polyforms
 from ddforms.assembly import broken_space
+from ddforms.cli import main
 from ddforms.mesh import build_complex, generate_mesh
 from ddforms.polyforms import (BarycentricForm, Family, FamilyError, FormError,
                                SimplexGeometry, check_geometric_decomposition,
@@ -205,6 +208,38 @@ def test_rank_split_matches_full_svd(shape, rank):
                 _projector(got) - _projector(basis)) < 1e-12, name
     else:
         assert np.array_equal(split.null, np.eye(cols))
+    rhs = rng.standard_normal((rows, 3))
+    ref = np.linalg.pinv(mat, rcond=1e-9) @ rhs
+    got = split.solve(rhs)
+    assert got.shape == (cols, 3)
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-10 * max(
+        1.0, np.abs(ref).max(initial=0.0))
+
+
+def test_every_float_decomposition_is_rank_split(monkeypatch):
+    """A chain and a solve, cold element tables included, take every SVD
+    inside rank_split and call no pinv or lstsq."""
+    for value in vars(polyforms).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    callers = set()
+    svd = np.linalg.svd
+
+    def traced_svd(*args, **kwargs):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return svd(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a float decomposition outside rank_split")
+
+    monkeypatch.setattr(np.linalg, "svd", traced_svd)
+    monkeypatch.setattr(np.linalg, "pinv", refused)
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    for argv in (["chain", "--mesh", "catalog:annulus", "--mark", "half"],
+                 ["solve", "--mesh", "catalog:cube_tet", "--mark", "half",
+                  "--degree", "2"]):
+        assert main(argv, out=io.StringIO()) == 0, argv
+    assert callers == {"rank_split"}
 
 
 def test_trace_surjectivity():
