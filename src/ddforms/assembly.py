@@ -5,15 +5,15 @@ several strata (m, k): k-forms attached to the unmarked m-simplices.  The
 module assembles the piecewise exterior derivative D, the signed trace sum
 T, and the combined distributional derivative on graded spaces as integer
 triplet operators, together with mesh-weighted Gram matrices, their block
-Cholesky factors, metric adjoints and kernel subspaces with exact integer
-kernels.  The mesh weights, and so the metric, are a function of the pair
-alone: their exponent is the top dimension of the root mesh, read through
-``pair.parent`` on a skeleton.
+Cholesky factors, metric adjoints and kernel subspaces spanned by exact
+integer kernels.  The mesh weights, and so the metric, are a function of
+the pair alone: their exponent is the top dimension of the root mesh,
+read through ``pair.parent`` on a skeleton.
 """
 
 from __future__ import annotations
 
-from functools import partialmethod
+from functools import cached_property, partialmethod
 
 import numpy as np
 
@@ -68,14 +68,14 @@ class GramFactor:
     """The Cholesky factor L of a block-diagonal Gram matrix, G = L L^T.
 
     ``blocks`` lists (first row, (cells, b, b) stack of lower-triangular
-    element factors) per stratum; rows outside them whiten by the identity,
-    so ``GramFactor()`` is the factor of an identity Gram.  ``mul_lt``,
-    ``mul_l``, ``solve_l`` and ``solve_lt`` apply L^T (whitening), L, L^-1
-    and L^-T (unwhitening) to the rows of a vector or matrix, with one
-    batched product per stratum, and return a new array.
+    element factors) per stratum, or one (1, n, n) factor for a dense Gram;
+    rows outside them whiten by the identity.  ``mul_lt``, ``mul_l``,
+    ``solve_l`` and ``solve_lt`` apply L^T (whitening), L, L^-1 and L^-T
+    (unwhitening) to the rows of a vector or matrix, with one batched
+    product per block, and return a new array.
     """
 
-    def __init__(self, blocks=()):
+    def __init__(self, blocks):
         self.blocks = [(offset, L, np.linalg.inv(L)) for offset, L in blocks]
 
     def _apply(self, x, inverse, transpose):
@@ -133,7 +133,6 @@ class BrokenSpace:
             offset += block * len(simplices)
         self.dim = offset
         self._gram = None
-        self._whitening = None
 
     def stratum(self, m, k=None):
         for s in self.strata:
@@ -171,13 +170,11 @@ class BrokenSpace:
             self._gram = G
         return self._gram
 
-    @property
+    @cached_property
     def whitening(self):
         """The block Cholesky factor of the Gram, built on first use."""
-        if self._whitening is None:
-            self._whitening = GramFactor(
-                [(s.offset, np.linalg.cholesky(G)) for s, G in self._blocks()])
-        return self._whitening
+        return GramFactor(
+            [(s.offset, np.linalg.cholesky(G)) for s, G in self._blocks()])
 
     def describe(self):
         return [(s.m, s.k, len(s.simplices), s.block) for s in self.strata]
@@ -232,38 +229,28 @@ def adjoint(op):
 
 
 class Subspace:
-    """A subspace of a broken space with a Gram-orthonormal basis."""
+    """The span of ``basis`` in a space: an exact integer kernel Z,
+    diagonal on its ``free`` columns, or a Gram-orthonormal harmonic basis.
+    Its Gram Z^T G Z and that Gram's dense Cholesky factor, its whitening,
+    are built on first use."""
 
-    def __init__(self, ambient, basis):
-        basis = np.asarray(basis, float)
-        if basis.ndim != 2:
-            basis = basis.reshape(ambient.dim, -1)
+    def __init__(self, ambient, basis, free=None):
         self.ambient = ambient
-        self.basis = basis
-        self.dim = basis.shape[1]
+        self.basis = np.asarray(basis)
+        self.free = free
+        self.dim = self.basis.shape[1]
 
-    whitening = GramFactor()
-
-    @property
+    @cached_property
     def gram(self):
-        return np.eye(self.dim)
+        Y = self.ambient.whitening.mul_lt(self.basis)
+        return Y.T @ Y
 
-    def orthonormality_defect(self):
-        return float(np.linalg.norm(
-            self.basis.T @ self.ambient.gram @ self.basis - np.eye(self.dim)))
+    @cached_property
+    def whitening(self):
+        return GramFactor([(0, np.linalg.cholesky(self.gram)[None])])
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient.dim})"
-
-
-def gram_orthonormalize(space, columns):
-    """Orthonormalize independent columns in a space's Gram inner product."""
-    columns = np.asarray(columns, float)
-    if columns.shape[1] == 0:
-        return columns
-    W = space.whitening
-    Q, _R = np.linalg.qr(W.mul_lt(columns))
-    return W.solve_lt(Q)
 
 
 def broken_space(pair, m, k, family):
@@ -350,7 +337,7 @@ def derivative_operator(space):
 def kernel_space(pair, m, k, family, which):
     """Kernel subspaces: "vertical" = ker T (single-valued traces, the
     conforming space), "horizontal" = ker D (piecewise-constant-like).
-    The exact integer kernel of the operator is Gram-orthonormalized."""
+    The basis is the exact integer kernel of the operator."""
     if which == "vertical":
         op = operator_T(pair, m, k, family) if m >= 1 else None
     elif which == "horizontal":
@@ -361,8 +348,7 @@ def kernel_space(pair, m, k, family, which):
         space, rows = broken_space(pair, m, k, family), []
     else:
         space, rows = op.domain, op.integer_rows()
-    basis = gram_orthonormalize(space, exact.kernel(rows, space.dim))
-    return Subspace(space, basis)
+    return Subspace(space, *exact.kernel(rows, space.dim))
 
 
 def export_matrix(matrix, path):

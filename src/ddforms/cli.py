@@ -42,7 +42,7 @@ def parse_mesh_file(path):
 def resolve_mesh(spec, mark):
     """Build the mesh a --mesh argument names, applying the marking mode."""
     if spec.startswith("catalog:"):
-        parts = spec.split(":")
+        parts = spec.split(":", 2)
         name = parts[1]
         try:
             size = int(parts[2]) if len(parts) > 2 else 1
@@ -165,9 +165,9 @@ def run_solve(pair, family, args):
         u, p = laplace_solve(cx, i, f)
         lap = hodge_laplacian(cx, i)
         gram = cx.spaces[i].gram
-        rhs = f - p
-        res_vec = lap.matrix @ u - rhs
-        scale = max(np.sqrt(rhs @ gram @ rhs), 1e-30)
+        res_vec = lap.matrix @ u - (f - p)
+        # relative to the source: f - p is roundoff when f is harmonic
+        scale = max(np.sqrt(f @ gram @ f), 1e-30)
         residual = float(np.sqrt(res_vec @ gram @ res_vec) / scale)
         h = harmonic_space(cx, i)
         overlap = float(np.linalg.norm(h.basis.T @ gram @ u)) if h.dim else 0.0

@@ -50,32 +50,45 @@ def _kernel(pair, m, k, family, which):
                        lambda: kernel_space(pair, m, k, family, which))
 
 
+def _int_product(a, B, nrows):
+    """The exact product of an integer matrix a, as triplets (rows, cols,
+    vals), with a dense integer matrix B: in int64 when no sum can reach
+    2^62, else in Python ints (object dtype)."""
+    rows, cols, vals = a
+    va, vb = (float(np.abs(x).max(initial=0)) for x in (vals, B))
+    dtype = np.int64 if len(vals) * va * vb < 2.0 ** 62 else object
+    out = np.zeros((nrows, B.shape[1]), dtype)
+    np.add.at(out, rows, vals.astype(dtype)[:, None] * B.astype(dtype)[cols])
+    return out
+
+
 def _kernel_diff(sub, target):
     """The graded derivative on a kernel subspace, into the next space of a
-    graded complex: a kernel subspace (in the coordinates of its
-    orthonormal basis) or a broken space, either on a single stratum.
+    graded complex: a kernel subspace (in the coordinates of its integer
+    basis) or a broken space, either on a single stratum.
 
-    Keeps the rows of the target's stratum; the other rows must vanish on
-    the subspace, and the image must lie in a kernel target.
-    """
+    In exact integers: the image rows off the target's stratum must vanish,
+    and a kernel target's coordinates, read off its free columns, must
+    reproduce the image."""
     tgt = target.ambient if isinstance(target, Subspace) else target
     (ts,) = tgt.strata
-    d_full = derivative_operator(sub.ambient)
-    img = d_full.matrix @ sub.basis
-    scale = max(1.0, np.linalg.norm(img))
-    sl = d_full.codomain.stratum_slice(ts.m)
-    rows = img[sl].copy()
-    img[sl] = 0.0
-    if np.linalg.norm(img) > 1e-8 * scale:
+    d = derivative_operator(sub.ambient)
+    img = _int_product(d.triplets, sub.basis, d.codomain.dim)
+    sl = d.codomain.stratum_slice(ts.m)
+    rows = img[sl]
+    if np.any(img[:sl.start]) or np.any(img[sl.stop:]):
         raise AssemblyError("differential leaves the target stratum")
     if not isinstance(target, Subspace):
         return rows
-    basis = target.basis
-    mat = basis.T @ tgt.gram @ rows
-    resid = np.linalg.norm(rows - basis @ mat)
-    if resid > 1e-8 * max(1.0, np.linalg.norm(rows)):
+    Z, free = target.basis, target.free
+    scale = Z[free, np.arange(target.dim)].astype(object)
+    lcm = np.lcm.reduce(scale, initial=1)
+    i, j = np.nonzero(Z)
+    span = _int_product((i, j, Z[i, j] * (lcm // scale[j])), rows[free],
+                        len(rows))
+    if np.any(span % lcm) or np.any(span // lcm != rows):
         raise AssemblyError("differential image falls outside the subspace")
-    return mat
+    return rows[free] / scale.astype(float)[:, None]
 
 
 def _graded_complex(pair, family, kernels, head, label):
@@ -506,8 +519,8 @@ def skeleton_degree_zero_identity(pair, family, m):
 
 def check_subcomplex_nesting(pair, family, k0):
     """The redirected complex at k0 embeds block-wise into the one at
-    k0 - 1 from index k0 - 1 on (with the conforming space embedded by its
-    basis).  Returns the largest commutation defect."""
+    k0 - 1 from index k0 - 2 on (a shared kernel space by the identity, the
+    conforming space by its basis).  Returns the largest commutation defect."""
     n = pair.top_dim
     if not 1 <= k0 <= n:
         raise AssemblyError("nesting needs 1 <= k0 <= n")
@@ -517,9 +530,9 @@ def check_subcomplex_nesting(pair, family, k0):
     def emb(i):
         sa = cxa.spaces[i]
         sb = cxb.spaces[i]
+        if sa is sb:
+            return np.eye(sa.dim)
         if isinstance(sa, Subspace):
-            if isinstance(sb, Subspace):
-                return sb.basis.T @ sb.ambient.gram @ sa.basis
             return inject_matrix(sa.ambient, sb) @ sa.basis
         return inject_matrix(sa, sb)
 

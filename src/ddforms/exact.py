@@ -75,12 +75,13 @@ def independent(rows):
 
 
 def kernel(rows, ncols):
-    """An integer basis of {x : A x = 0}, of shape (ncols, nullity): int64
-    when every entry fits, else Python ints (object dtype).
+    """An integer basis K of {x : A x = 0}, of shape (ncols, nullity), and
+    its free columns f, increasing.  K is int64 when every entry fits, else
+    Python ints (object dtype).
 
     Back-substitution brings the echelon rows to reduced form.  Column i
-    belongs to the i-th free column f: x_f is the least positive integer
-    that makes every pivot entry integral, other free entries are zero."""
+    belongs to f[i]: K[f[i], i] is the least positive integer that makes
+    every pivot entry integral, other free entries are zero."""
     pivots = {}
     for r in rows:
         _insert(pivots, r)
@@ -102,4 +103,4 @@ def kernel(rows, ncols):
     K = np.zeros((ncols, len(free)), dtype=np.int64 if fits else object)
     for c, i, v in entries:
         K[c, i] = v
-    return K
+    return K, np.fromiter(free, np.int64, len(free))

@@ -6,10 +6,10 @@ decompositions, the Hodge Laplacian and its solve, and metric Moore-Penrose
 pseudoinverses are all computed after whitening: the Cholesky factor of
 each Gram matrix maps to an orthonormal frame, where plain SVD machinery
 gives the metric-correct answers.  Every space carries that factor as its
-``whitening`` (block by block for broken spaces, the identity for
-kernel subspaces).  Each of those SVDs, the pseudoinverse's included,
-is one ``rank_split``; the harmonic one of an index is memoised on its
-complex and also serves the Laplace solve there.
+``whitening``: block by block for a broken space, one dense factor of
+Z^T G Z for a kernel subspace with integer basis Z.  Each SVD, the
+pseudoinverse's included, is one ``rank_split``; the harmonic one of an
+index is memoised on its complex and also serves the Laplace solve there.
 """
 
 from __future__ import annotations

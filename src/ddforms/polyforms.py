@@ -751,7 +751,7 @@ def _bubble_space(kind, r, m, k):
         return src, np.eye(src.size, dtype=np.int64)
     stacked = np.vstack([_trace_matrix(kind, r, m, k, j)
                          for j in range(m + 1)])
-    null = exact.kernel(exact.dense_rows(_integer_table(stacked)), src.size)
+    null = exact.kernel(exact.dense_rows(_integer_table(stacked)), src.size)[0]
     basis = [src.from_coefficients(null[:, i]) for i in range(null.shape[1])]
     return ElementSpace(m, k, basis, src.frame_degree), null
 

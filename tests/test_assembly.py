@@ -120,10 +120,19 @@ def test_kernel_space_dims(catalog):
     assert kernel_space(empty, 2, 0, fam, "horizontal").dim == 2
 
 
-def test_kernel_space_orthonormal(catalog):
+def test_kernel_space_is_exact_kernel(catalog):
     pair = catalog("annulus")
-    sub = kernel_space(pair, 2, 1, whitney(), "vertical")
-    assert sub.orthonormality_defect() < 1e-10
+    fam = whitney()
+    for which, build in (("vertical", operator_T), ("horizontal", operator_D)):
+        sub = kernel_space(pair, 2, 1, fam, which)
+        op = build(pair, 2, 1, fam)
+        Z, free = exact.kernel(op.integer_rows(), op.domain.dim)
+        assert sub.dim and np.array_equal(sub.basis, Z)
+        assert np.array_equal(sub.free, free)
+        rows, cols, vals = op.triplets
+        image = np.zeros((op.codomain.dim, sub.dim), dtype=np.int64)
+        np.add.at(image, rows, vals[:, None] * sub.basis[cols])
+        assert not np.any(image)
 
 
 def test_adjoint_identity(catalog):
@@ -192,7 +201,7 @@ def test_triplet_operators_and_exact_kernels(catalog, name, family):
             A = build(pair, m, k, family)
             ref = reference_fill(pair, family, op, m, k)
             assert np.abs(A.matrix - ref).max(initial=0.0) <= 1e-12
-            K = exact.kernel(A.integer_rows(), A.domain.dim)
+            K, _free = exact.kernel(A.integer_rows(), A.domain.dim)
             rows, cols, vals = A.triplets
             AK = np.zeros((A.codomain.dim, K.shape[1]), dtype=np.int64)
             np.add.at(AK, rows, vals[:, None] * K[cols])

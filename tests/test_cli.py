@@ -155,12 +155,12 @@ def test_degree_two_family():
 
 
 def test_bad_catalog_size(capsys):
-    with pytest.raises(MeshError):
-        resolve_mesh("catalog:annulus:x", "none")
-    code, _text = run(["betti", "--mesh", "catalog:annulus:x"])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
+    # a field past catalog:name:size is part of the size, not ignored
+    for spec in ("catalog:annulus:x", "catalog:square_grid:1:2"):
+        with pytest.raises(MeshError):
+            resolve_mesh(spec, "none")
+        for command in ("betti", "chain"):
+            assert _error_exit(capsys, [command, "--mesh", spec]), command
 
 
 def test_unsupported_full_family(capsys):

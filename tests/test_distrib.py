@@ -3,8 +3,7 @@ import pytest
 
 from ddforms import exact
 from ddforms.assembly import (AssemblyError, Subspace, adjoint, broken_space,
-                              derivative_operator, gram_orthonormalize,
-                              operator_D, operator_T)
+                              derivative_operator, operator_D, operator_T)
 from ddforms.hilbert import betti_from_complex, harmonic_space
 from ddforms.mesh import (MeshError, betti_numbers, build_complex,
                           generate_mesh, skeleton_pair)
@@ -310,10 +309,9 @@ def test_skeleton_ranks_are_exact(catalog):
 def test_kernel_diff_guards(catalog):
     pair = catalog("annulus", 1, "full")
     n = pair.top_dim
-    rng = np.random.default_rng(11)
     # a source column outside ker T has trace jumps off the target stratum
     amb = broken_space(pair, n, 0, FAM)
-    off = Subspace(amb, rng.standard_normal((amb.dim, 1)))
+    off = Subspace(amb, np.eye(amb.dim, 1, dtype=np.int64))
     with pytest.raises(AssemblyError, match="leaves the target stratum"):
         distrib._kernel_diff(off, broken_space(pair, n, 1, FAM))
     # a kernel target missing one direction of the image
@@ -321,14 +319,54 @@ def test_kernel_diff_guards(catalog):
     tgt = distrib._kernel(pair, n, 1, FAM, "vertical")
     mat = distrib._kernel_diff(src, tgt)
     assert mat.shape == (tgt.dim, src.dim)
-    G = tgt.ambient.gram
-    v = rng.standard_normal(tgt.ambient.dim)
-    v -= tgt.basis @ (tgt.basis.T @ G @ v)
-    basis = tgt.basis.copy()
-    basis[:, np.argmax(np.linalg.norm(mat, axis=1))] = v / np.sqrt(v @ G @ v)
-    bad = Subspace(tgt.ambient, basis)
+    assert np.array_equal(tgt.basis @ mat, distrib._kernel_diff(
+        src, tgt.ambient))
+    drop = np.argmax(np.abs(mat).sum(axis=1))
+    keep = np.arange(tgt.dim) != drop
+    bad = Subspace(tgt.ambient, tgt.basis[:, keep], tgt.free[keep])
     with pytest.raises(AssemblyError, match="falls outside the subspace"):
         distrib._kernel_diff(src, bad)
+
+
+def test_kernel_diff_reads_scaled_free_columns(catalog):
+    """A kernel column scaled by s on its free column (2, or past int64)
+    has coordinates divided by s, decided in exact integers."""
+    pair = catalog("annulus", 1, "full")
+    n = pair.top_dim
+    src = distrib._kernel(pair, n, 0, FAM, "vertical")
+    tgt = distrib._kernel(pair, n, 1, FAM, "vertical")
+    mat = distrib._kernel_diff(src, tgt)
+    for s in (2, 2 ** 70):
+        basis = tgt.basis.astype(object)
+        basis[:, 0] *= s
+        scaled = Subspace(tgt.ambient, basis, tgt.free)
+        want = mat.copy()
+        want[0] /= s
+        assert np.array_equal(distrib._kernel_diff(src, scaled), want)
+
+
+CATALOG = ["interval", "triangle", "tetrahedron", "square_grid", "annulus",
+           "cube_tet", "solid_ring", "sphere_boundary"]
+
+
+@pytest.mark.parametrize("family", [FAM, Family("trimmed", 2),
+                                    Family("full", 2)], ids=lambda f: f.label)
+@pytest.mark.parametrize("name", CATALOG)
+def test_kernel_diffs_are_integral(catalog, name, family):
+    """Every differential out of a kernel subspace, in the coordinates of
+    its integer basis, has integer entries."""
+    for mark in ("none", "full", "half"):
+        pair = catalog(name, 1, mark)
+        n = pair.top_dim
+        complexes = [distrib.redirected_lambda(pair, family, k0)
+                     for k0 in range(1, n + 2)]
+        complexes += [distrib.redirected_gamma(pair, family, m0)
+                      for m0 in range(-1, n)]
+        diffs = [d for cx in complexes for d in cx.diffs
+                 if isinstance(d.domain, Subspace)]
+        assert len(diffs) == n * (n + 3)
+        for d in diffs:
+            assert np.array_equal(d.matrix, np.rint(d.matrix))
 
 
 def test_metric_independence(catalog, unweighted_total):
@@ -340,8 +378,9 @@ def test_metric_independence(catalog, unweighted_total):
 
 def _cocycle_projector(space, matrix):
     """The Gram-orthogonal projector onto the float SVD nullspace of a
-    matrix on a space."""
-    Kb = gram_orthonormalize(space, rank_split(matrix).null)
+    matrix on a space, from a QR of the whitened nullspace basis."""
+    W = space.whitening
+    Kb = W.solve_lt(np.linalg.qr(W.mul_lt(rank_split(matrix).null))[0])
     return Kb @ (Kb.T @ space.gram)
 
 

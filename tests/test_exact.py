@@ -17,25 +17,32 @@ def test_kernel_matches_sympy_nullity():
         if trial % 3 == 0 and rows > 2:
             # force a dependent row
             mat[-1] = 2 * mat[0] - mat[1]
-        K = exact.kernel(sparse_rows(mat), cols)
+        K, free = exact.kernel(sparse_rows(mat), cols)
         nullity = cols - sympy.Matrix(mat.tolist()).rank()
         assert K.shape == (cols, nullity)
         assert not np.any(mat @ K)
+        assert len(free) == nullity
+        # the basis is diagonal, with positive entries, on the free columns
+        diag = K[free]
+        assert np.array_equal(diag, np.diag(np.diag(diag)))
+        assert np.all(np.diag(diag) > 0)
         assert exact.rank(sparse_rows(mat)) == cols - nullity
 
 
 def test_kernel_basis_is_integral_and_independent():
     # a boundary-like matrix with a non-unit pivot
     mat = np.array([[2, 1, 0, 1], [0, 3, 3, 0], [2, 4, 3, 1]])
-    K = exact.kernel(sparse_rows(mat), 4)
+    K, _free = exact.kernel(sparse_rows(mat), 4)
     assert K.dtype == np.int64
     assert not np.any(mat @ K)
     assert np.linalg.matrix_rank(K) == K.shape[1] == 2
 
 
 def test_kernel_of_no_rows_is_identity():
-    assert np.array_equal(exact.kernel([], 3), np.eye(3, dtype=np.int64))
-    assert exact.kernel([{}, {}], 2).shape == (2, 2)
+    K, free = exact.kernel([], 3)
+    assert np.array_equal(K, np.eye(3, dtype=np.int64))
+    assert list(free) == [0, 1, 2]
+    assert exact.kernel([{}, {}], 2)[0].shape == (2, 2)
     assert exact.rank([]) == 0
 
 
@@ -73,7 +80,8 @@ def test_kernel_past_int64_stays_exact():
     # rows 2 x_i - x_(i+1) = 0: the kernel is (1, 2, 4, ..., 2^69)
     n = 69
     rows = [{i: 2, i + 1: -1} for i in range(n)]
-    K = exact.kernel(rows, n + 1)
+    K, free = exact.kernel(rows, n + 1)
+    assert list(free) == [n]
     assert K.dtype == object and K.shape == (n + 1, 1)
     assert [int(x) for x in K[:, 0]] == [2 ** i for i in range(n + 1)]
     A = np.zeros((n, n + 1), dtype=np.int64)
@@ -82,7 +90,7 @@ def test_kernel_past_int64_stays_exact():
             A[i, j] = v
     assert all(x == 0 for x in (A @ K).ravel())
     # a short chain stays int64
-    assert exact.kernel(rows[:10], 11).dtype == np.int64
+    assert exact.kernel(rows[:10], 11)[0].dtype == np.int64
 
 
 def test_independent_rows_match_sympy_ranks():

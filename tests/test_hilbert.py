@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ddforms.assembly import (AssemblyError, LinearOp, adjoint,
-                              derivative_operator, graded_space,
-                              gram_orthonormalize, operator_D, operator_T)
+                              derivative_operator, graded_space, kernel_space,
+                              operator_D, operator_T)
 from ddforms.hilbert import (ComplexInstance, betti_from_complex,
                              harmonic_space, hodge_decompose,
                              hodge_laplacian, laplace_solve, pseudoinverse,
@@ -177,12 +177,21 @@ def test_block_whitening_matches_dense_cholesky(name, r):
         got = adjoint(op).matrix
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
-        cols = rng.standard_normal((space.dim, 5))
-        L = np.linalg.cholesky(space.gram)
-        ref = np.linalg.solve(L.T, np.linalg.qr(L.T @ cols)[0])
-        got = gram_orthonormalize(space, cols)
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert np.linalg.norm(got.T @ space.gram @ got - np.eye(5)) < 1e-12
+        for which in ("vertical", "horizontal"):
+            sub = kernel_space(pair, n, k, fam, which)
+            assert sub.dim
+            Z = sub.basis
+            ref = Z.T @ sub.ambient.gram @ Z
+            assert np.linalg.norm(sub.gram - ref) <= \
+                1e-12 * np.linalg.norm(ref)
+            L = np.linalg.cholesky(ref)
+            x = rng.standard_normal((sub.dim, 5))
+            for got, want in ((sub.whitening.mul_lt(x), L.T @ x),
+                              (sub.whitening.mul_l(x), L @ x),
+                              (sub.whitening.solve_lt(x),
+                               np.linalg.solve(L.T, x))):
+                assert np.linalg.norm(got - want) <= \
+                    1e-10 * np.linalg.norm(want)
 
 
 def test_harmonic_space_memoised_per_complex():
