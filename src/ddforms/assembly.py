@@ -186,23 +186,27 @@ class BrokenSpace:
 class LinearOp:
     """A matrix between two broken spaces (or kernel subspaces).
 
-    Given either dense, or as integer triplets (rows, cols, vals) with
-    distinct (row, col) pairs; ``matrix`` is then a dense float view built
-    on first use.
+    Given dense, or as integer triplets (rows, cols, vals) with distinct
+    (row, col) pairs, which a dense integer-dtype matrix is kept as;
+    ``matrix`` is then a dense float view built on first use.
     """
 
     def __init__(self, domain, codomain, matrix=None, triplets=None):
         self.domain = domain
         self.codomain = codomain
-        self.triplets = triplets
         self._matrix = None
         if triplets is None:
-            matrix = np.asarray(matrix, float)
+            matrix = np.asarray(matrix)
             if matrix.shape != (codomain.dim, domain.dim):
                 raise AssemblyError(
                     f"operator shape {matrix.shape} does not match spaces "
                     f"({codomain.dim}, {domain.dim})")
-            self._matrix = matrix
+            if matrix.dtype.kind in "iO":
+                i, j = np.nonzero(matrix)
+                triplets = (i, j, matrix[i, j])
+            else:
+                self._matrix = np.asarray(matrix, float)
+        self.triplets = triplets
 
     @property
     def matrix(self):
@@ -212,9 +216,13 @@ class LinearOp:
             self._matrix[rows, cols] = vals
         return self._matrix
 
-    def integer_rows(self):
-        """The rows of a triplet operator as {column: value} dicts."""
-        return exact.triplet_rows(*self.triplets, self.codomain.dim)
+    def integer_rows(self, transpose=False):
+        """The rows (the columns, if ``transpose``) of a triplet operator
+        as {column: value} dicts."""
+        rows, cols, vals = self.triplets
+        if transpose:
+            return exact.triplet_rows(cols, rows, vals, self.domain.dim)
+        return exact.triplet_rows(rows, cols, vals, self.codomain.dim)
 
     def __repr__(self):
         return f"LinearOp({self.codomain.dim}x{self.domain.dim})"

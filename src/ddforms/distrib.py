@@ -69,7 +69,8 @@ def _kernel_diff(sub, target):
 
     In exact integers: the image rows off the target's stratum must vanish,
     and a kernel target's coordinates, read off its free columns, must
-    reproduce the image."""
+    reproduce the image.  The operator keeps its integer triplets unless a
+    coordinate is fractional."""
     tgt = target.ambient if isinstance(target, Subspace) else target
     (ts,) = tgt.strata
     d = derivative_operator(sub.ambient)
@@ -79,7 +80,7 @@ def _kernel_diff(sub, target):
     if np.any(img[:sl.start]) or np.any(img[sl.stop:]):
         raise AssemblyError("differential leaves the target stratum")
     if not isinstance(target, Subspace):
-        return rows
+        return LinearOp(sub, target, rows)
     Z, free = target.basis, target.free
     scale = Z[free, np.arange(target.dim)].astype(object)
     lcm = np.lcm.reduce(scale, initial=1)
@@ -88,7 +89,10 @@ def _kernel_diff(sub, target):
                         len(rows))
     if np.any(span % lcm) or np.any(span // lcm != rows):
         raise AssemblyError("differential image falls outside the subspace")
-    return rows[free] / scale.astype(float)[:, None]
+    coords, scale = rows[free], Z[free, np.arange(target.dim)][:, None]
+    if np.any(coords % scale):
+        return LinearOp(sub, target, coords / scale.astype(float))
+    return LinearOp(sub, target, coords // scale)
 
 
 def _graded_complex(pair, family, kernels, head, label):
@@ -102,8 +106,7 @@ def _graded_complex(pair, family, kernels, head, label):
     spaces = [_kernel(pair, m, k, family, which) for m, k, which in kernels]
     if head is not None:
         spaces.append(BrokenSpace(pair, [head], family))
-    ops = [LinearOp(a, b, _kernel_diff(a, b))
-           for a, b in zip(spaces, spaces[1:])]
+    ops = [_kernel_diff(a, b) for a, b in zip(spaces, spaces[1:])]
     for _i in range(head[0] - head[1] if head is not None else 0):
         d = derivative_operator(spaces[-1])
         spaces.append(d.codomain)
@@ -173,7 +176,7 @@ def horizontal_complex(pair, family, m):
     ops = []
     for k in range(m):
         op = operator_D(pair, m, k, family)
-        ops.append(LinearOp(spaces[k], spaces[k + 1], op.matrix))
+        ops.append(LinearOp(spaces[k], spaces[k + 1], triplets=op.triplets))
     return ComplexInstance(spaces, ops, f"horizontal(m={m})")
 
 
@@ -187,10 +190,10 @@ def vertical_complex(pair, family, k):
     for m in range(n, k - 1, -1):
         sp = broken_space(pair, m, k, family)
         if m == n:
-            mat = sub.basis
+            ops.append(LinearOp(sub, sp, sub.basis))
         else:
-            mat = operator_T(pair, m + 1, k, family).matrix
-        ops.append(LinearOp(spaces[-1], sp, mat))
+            t = operator_T(pair, m + 1, k, family)
+            ops.append(LinearOp(spaces[-1], sp, triplets=t.triplets))
         spaces.append(sp)
     return ComplexInstance(spaces, ops, f"vertical(k={k})")
 

@@ -104,3 +104,16 @@ def kernel(rows, ncols):
     for c, i, v in entries:
         K[c, i] = v
     return K, np.fromiter(free, np.int64, len(free))
+
+
+def product_vanishes(a, b):
+    """Whether A B = 0 for integer matrices given by their rows, the rows
+    of B indexed by the columns of A."""
+    for row in a:
+        out = {}
+        for k, v in row.items():
+            for j, w in b[k].items():
+                out[j] = out.get(j, 0) + v * w
+        if any(out.values()):
+            return False
+    return True

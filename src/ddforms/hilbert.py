@@ -1,27 +1,28 @@
 """Finite-dimensional Hilbert complex machinery.
 
-A complex instance is a sequence of inner-product spaces with differential
-matrices whose consecutive compositions vanish.  Harmonic spaces, Hodge
-decompositions, the Hodge Laplacian and its solve, and metric Moore-Penrose
-pseudoinverses are all computed after whitening: the Cholesky factor of
-each Gram matrix maps to an orthonormal frame, where plain SVD machinery
-gives the metric-correct answers.  Every space carries that factor as its
-``whitening``: block by block for a broken space, one dense factor of
-Z^T G Z for a kernel subspace with integer basis Z.  Each SVD, the
-pseudoinverse's included, is one ``rank_split``; the harmonic one of an
-index is memoised on its complex and also serves the Laplace solve there.
+A complex instance is a sequence of inner-product spaces with integer
+differentials whose consecutive compositions vanish exactly.  Harmonic
+spaces, Hodge decompositions, the Hodge Laplacian and its solve, and metric
+Moore-Penrose pseudoinverses are computed after whitening: the Cholesky
+factor of each Gram matrix, the space's ``whitening`` (block by block for a
+broken space, dense for a kernel subspace), maps to an orthonormal frame.
+A harmonic dimension is decided by exact selection of independent integer
+rows and columns; one QR, memoised per index, gives the harmonic basis and
+the ranges on which the Laplace solve takes two Cholesky factors.  Every
+SVD is one ``rank_split``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ddforms import exact
 from ddforms.assembly import AssemblyError, LinearOp, Subspace, adjoint
 from ddforms.polyforms import rank_split
 
 
 class ComplexInstance:
-    """Spaces with differentials diffs[i]: spaces[i] -> spaces[i+1]."""
+    """Spaces with integer differentials diffs[i]: spaces[i] -> spaces[i+1]."""
 
     def __init__(self, spaces, diffs, label=""):
         if len(diffs) != len(spaces) - 1:
@@ -29,14 +30,17 @@ class ComplexInstance:
         for i, d in enumerate(diffs):
             if d.matrix.shape != (spaces[i + 1].dim, spaces[i].dim):
                 raise AssemblyError(f"differential {i} has the wrong shape")
+            if d.triplets is None:
+                raise AssemblyError(
+                    f"{label or 'complex'}: differential {i} has no "
+                    "integer rows")
         self.spaces = list(spaces)
         self.diffs = list(diffs)
         self.label = label
         self._harmonic = {}
         for i in range(len(diffs) - 1):
-            a, b = diffs[i + 1].matrix, diffs[i].matrix
-            scale = max(np.linalg.norm(a) * np.linalg.norm(b), 1.0)
-            if np.linalg.norm(a @ b) > 1e-10 * scale:
+            if not exact.product_vanishes(diffs[i + 1].integer_rows(),
+                                          diffs[i].integer_rows()):
                 raise AssemblyError(
                     f"{label or 'complex'}: differentials {i}, {i + 1} "
                     "do not compose to zero")
@@ -57,32 +61,44 @@ class ComplexInstance:
         return f"ComplexInstance({self.label!r}, dims={self.dims()})"
 
 
-def _harmonic_split(cx, i):
-    """The memo entry of index i: the harmonic subspace, plus the positive
-    singular values s_r and leading right singular vectors V_r of the
-    whitened stacked matrix A = [d_i; d_{i-1}^T], which diagonalise the
-    whitened Laplacian A^T A."""
+def _harmonic_split(cx, i, ranges=False):
+    """The memo entry of index i: the harmonic subspace, the complete
+    orthogonal factor Q of one QR (None where none ran) and r1 = |R|.
+
+    The rows R of d_i and the columns C of d_{i-1} independent over the
+    integers span the row space of d_i and the range of d_{i-1}, so the
+    harmonic dimension is n - |R| - |C|.  Where it is positive, or
+    ``ranges`` asks for Q, Q is that of the whitened
+    S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], whose blocks are orthogonal
+    as d_i d_{i-1} = 0: its leading r1 columns span the coexact range, the
+    next |C| the exact range, the rest (unwhitened) the harmonic forms."""
     entry = cx._harmonic.get(i)
-    if entry is None:
-        rows = []
+    if entry is None or ranges and entry[1] is None:
+        space = cx.spaces[i]
+        W, n = space.whitening, space.dim
+        S = np.zeros((n, 0))
         if i < len(cx.diffs):
-            rows.append(cx.whitened_diff(i))
+            d = cx.diffs[i]
+            S = W.solve_l(d.matrix[exact.independent(d.integer_rows())].T)
+        r1 = S.shape[1]
         if i > 0:
-            rows.append(cx.whitened_diff(i - 1).T)
-        A = np.vstack(rows) if rows else np.zeros((0, cx.spaces[i].dim))
-        split = rank_split(A)
-        h = Subspace(cx.spaces[i], cx.spaces[i].whitening.solve_lt(split.null))
-        entry = (h, split.s[:split.rank], split.row_range)
-        cx._harmonic[i] = entry
+            d = cx.diffs[i - 1]
+            cols = exact.independent(d.integer_rows(transpose=True))
+            S = np.hstack([S, W.mul_lt(d.matrix[:, cols])])
+        Q, basis = None, np.zeros((n, 0))
+        if S.shape[1] < n or ranges:
+            Q = np.linalg.qr(S, mode="complete")[0]
+            basis = W.solve_lt(Q[:, S.shape[1]:])
+        entry = cx._harmonic[i] = (Subspace(space, basis), Q, r1)
     return entry
 
 
 def harmonic_space(cx, i):
     """Harmonic forms at index i: ker d_i intersected with ker d*_{i-1}.
 
-    Computed as the nullspace of the whitened stacked matrix
-    [d_i; d_{i-1}^T]; the returned basis is Gram-orthonormal.  The result
-    is memoised on the complex instance per index.
+    Its dimension is decided by exact row and column selection on the
+    integer differentials, its Gram-orthonormal basis by one QR.  The
+    result is memoised on the complex instance per index.
     """
     return _harmonic_split(cx, i)[0]
 
@@ -93,21 +109,14 @@ def betti_from_complex(cx):
 
 
 def hodge_decompose(x, cx, i):
-    """Split x into exact, coexact and harmonic parts, Gram-orthogonally."""
+    """Split x into exact, coexact and harmonic parts, Gram-orthogonally,
+    by the column blocks of Q of the memoised harmonic split."""
     W = cx.spaces[i].whitening
-    xw = W.mul_lt(x)
-    if i > 0:
-        Bex = rank_split(cx.whitened_diff(i - 1)).range
-    else:
-        Bex = np.zeros((cx.spaces[i].dim, 0))
-    if i < len(cx.diffs):
-        Bco = rank_split(cx.whitened_diff(i).T).range
-    else:
-        Bco = np.zeros((cx.spaces[i].dim, 0))
-    x_ex = Bex @ (Bex.T @ xw)
-    x_co = Bco @ (Bco.T @ xw)
-    x_h = xw - x_ex - x_co
-    return tuple(W.solve_lt(c) for c in (x_ex, x_co, x_h))
+    h, Q, r1 = _harmonic_split(cx, i, ranges=True)
+    r = Q.shape[1] - h.dim
+    c = Q.T @ W.mul_lt(x)
+    parts = (Q[:, r1:r] @ c[r1:r], Q[:, :r1] @ c[:r1], Q[:, r:] @ c[r:])
+    return tuple(W.solve_lt(part) for part in parts)
 
 
 def hodge_laplacian(cx, i):
@@ -127,28 +136,30 @@ def laplace_solve(cx, i, f):
     """Solve the Hodge-Laplace problem: u orthogonal to harmonics with
     Laplacian(u) = f - p, p the harmonic part of f.  Returns (u, p).
 
-    Reuses the SVD behind ``harmonic_space``: in whitened coordinates
-    u = V_r diag(s_r^-2) V_r^T (f - p)."""
+    In whitened coordinates, with Q of the harmonic split, p projects onto
+    the harmonic columns of Q, and the Laplacian maps the coexact range Q1
+    and the exact range Q2 into themselves, as M^T M with M = A_i Q1 and
+    M = A_{i-1}^T Q2; each block is solved by its Cholesky factor."""
     W = cx.spaces[i].whitening
-    fw = W.mul_lt(f)
-    h, s, V = _harmonic_split(cx, i)
-    hw = W.mul_lt(h.basis)
-    pw = hw @ (hw.T @ fw)
-    uw = V @ ((V.T @ (fw - pw)) / s ** 2)
-    return W.solve_lt(uw), W.solve_lt(pw)
+    h, Q, r1 = _harmonic_split(cx, i, ranges=True)
+    r = Q.shape[1] - h.dim
+    c = Q.T @ W.mul_lt(f)
+    y = c[:r].copy()
+    for lo, hi, A in ((0, r1, lambda: cx.whitened_diff(i)),
+                      (r1, r, lambda: cx.whitened_diff(i - 1).T)):
+        if lo < hi:
+            M = A() @ Q[:, lo:hi]
+            L = np.linalg.cholesky(M.T @ M)
+            y[lo:hi] = np.linalg.solve(L.T, np.linalg.solve(L, c[lo:hi]))
+    return W.solve_lt(Q[:, :r] @ y), W.solve_lt(Q[:, r:] @ c[r:])
 
 
 def pseudoinverse(op):
     """Metric Moore-Penrose pseudoinverse of an operator between spaces:
-    L_dom^-T pinv(Aw) L_cod^T, Aw = L_cod^T A L_dom^-T.  pinv(Aw) splits
-    the taller of Aw and Aw^T = pinv(Aw^T)^T, forming no null space."""
+    L_dom^-T pinv(Aw) L_cod^T, Aw = L_cod^T A L_dom^-T."""
     dom, cod = op.domain.whitening, op.codomain.whitening
     Aw = cod.mul_lt(dom.solve_l(op.matrix.T).T)
-    rows, cols = Aw.shape
-    if rows >= cols:
-        pw = rank_split(Aw).solve(np.eye(rows))
-    else:
-        pw = rank_split(Aw.T).solve(np.eye(cols)).T
+    pw = rank_split(Aw).solve(np.eye(Aw.shape[0]))
     mat = dom.solve_lt(cod.mul_l(pw.T).T)
     return LinearOp(op.codomain, op.domain, mat)
 

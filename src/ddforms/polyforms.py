@@ -298,12 +298,11 @@ def _frame_index(frame):
 class RankSplit(NamedTuple):
     """A dense matrix split by one SVD at its numerical rank.
 
-    ``null`` and ``row_range`` are orthonormal bases of the kernel and of
-    the row space (the leading right singular vectors), ``range`` one of
-    the column space; ``s`` holds every singular value, largest first.
+    ``range`` and ``row_range`` are orthonormal bases of the column space
+    and of the row space (the leading left and right singular vectors);
+    ``s`` holds every singular value, largest first.
     """
 
-    null: np.ndarray
     range: np.ndarray
     row_range: np.ndarray
     s: np.ndarray
@@ -322,17 +321,16 @@ RANK_RTOL = 1e-9
 
 
 def rank_split(mat):
-    """The one float decomposition, a rank-revealing SVD: singular values
-    above RANK_RTOL * max(s_max, 1) count.  The full V is formed only for
-    wide matrices, the only shape whose economy V misses kernel directions."""
+    """The one float decomposition, an economy rank-revealing SVD: singular
+    values above RANK_RTOL * max(s_max, 1) count."""
     mat = np.asarray(mat, float)
     rows, cols = mat.shape
     if rows == 0 or cols == 0:
-        return RankSplit(np.eye(cols), np.zeros((rows, 0)),
-                         np.zeros((cols, 0)), np.zeros(0), 0)
-    u, s, vt = np.linalg.svd(mat, full_matrices=rows < cols)
+        return RankSplit(np.zeros((rows, 0)), np.zeros((cols, 0)),
+                         np.zeros(0), 0)
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > RANK_RTOL * max(s[0], 1.0)))
-    return RankSplit(vt[rank:].T.copy(), u[:, :rank], vt[:rank].T, s, rank)
+    return RankSplit(u[:, :rank], vt[:rank].T, s, rank)
 
 
 # -- geometry -------------------------------------------------------------

@@ -3,8 +3,21 @@ import pytest
 
 from ddforms import assembly, distrib
 from ddforms.mesh import RelativePair, generate_mesh
+from ddforms.polyforms import RANK_RTOL
 
 _CACHE = {}
+
+
+def svd_null(mat):
+    """The float nullspace of a matrix from its full SVD, with singular
+    values above RANK_RTOL * max(s_max, 1) counted: an orthonormal basis,
+    and the singular values that count."""
+    mat = np.asarray(mat, float)
+    if not mat.size:
+        return np.eye(mat.shape[1]), np.zeros(0)
+    s, vt = np.linalg.svd(mat)[1:]
+    rank = int(np.sum(s > RANK_RTOL * max(s[0], 1.0)))
+    return vt[rank:].T, s[:rank]
 
 
 @pytest.fixture(scope="session")

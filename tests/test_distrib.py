@@ -7,8 +7,10 @@ from ddforms.assembly import (AssemblyError, Subspace, adjoint, broken_space,
 from ddforms.hilbert import betti_from_complex, harmonic_space
 from ddforms.mesh import (MeshError, betti_numbers, build_complex,
                           generate_mesh, skeleton_pair)
-from ddforms.polyforms import Family, rank_split, whitney
+from ddforms.polyforms import Family, whitney
 from ddforms import distrib
+
+from conftest import svd_null
 
 FAM = whitney()
 
@@ -317,10 +319,10 @@ def test_kernel_diff_guards(catalog):
     # a kernel target missing one direction of the image
     src = distrib._kernel(pair, n, 0, FAM, "vertical")
     tgt = distrib._kernel(pair, n, 1, FAM, "vertical")
-    mat = distrib._kernel_diff(src, tgt)
+    mat = distrib._kernel_diff(src, tgt).matrix
     assert mat.shape == (tgt.dim, src.dim)
     assert np.array_equal(tgt.basis @ mat, distrib._kernel_diff(
-        src, tgt.ambient))
+        src, tgt.ambient).matrix)
     drop = np.argmax(np.abs(mat).sum(axis=1))
     keep = np.arange(tgt.dim) != drop
     bad = Subspace(tgt.ambient, tgt.basis[:, keep], tgt.free[keep])
@@ -330,19 +332,23 @@ def test_kernel_diff_guards(catalog):
 
 def test_kernel_diff_reads_scaled_free_columns(catalog):
     """A kernel column scaled by s on its free column (2, or past int64)
-    has coordinates divided by s, decided in exact integers."""
+    has coordinates divided by s, decided in exact integers; fractional
+    coordinates leave the operator without integer triplets."""
     pair = catalog("annulus", 1, "full")
     n = pair.top_dim
     src = distrib._kernel(pair, n, 0, FAM, "vertical")
     tgt = distrib._kernel(pair, n, 1, FAM, "vertical")
-    mat = distrib._kernel_diff(src, tgt)
+    mat = distrib._kernel_diff(src, tgt).matrix
+    assert np.any(mat[0] % 2)
     for s in (2, 2 ** 70):
         basis = tgt.basis.astype(object)
         basis[:, 0] *= s
         scaled = Subspace(tgt.ambient, basis, tgt.free)
         want = mat.copy()
         want[0] /= s
-        assert np.array_equal(distrib._kernel_diff(src, scaled), want)
+        op = distrib._kernel_diff(src, scaled)
+        assert op.triplets is None
+        assert np.array_equal(op.matrix, want)
 
 
 CATALOG = ["interval", "triangle", "tetrahedron", "square_grid", "annulus",
@@ -380,7 +386,7 @@ def _cocycle_projector(space, matrix):
     """The Gram-orthogonal projector onto the float SVD nullspace of a
     matrix on a space, from a QR of the whitened nullspace basis."""
     W = space.whitening
-    Kb = W.solve_lt(np.linalg.qr(W.mul_lt(rank_split(matrix).null))[0])
+    Kb = W.solve_lt(np.linalg.qr(W.mul_lt(svd_null(matrix)[0]))[0])
     return Kb @ (Kb.T @ space.gram)
 
 

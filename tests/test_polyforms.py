@@ -191,7 +191,6 @@ def test_rank_split_matches_full_svd(shape, rank):
     mat = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
     split = rank_split(mat)
     assert split.rank == rank
-    assert split.null.shape == (cols, cols - rank)
     assert split.range.shape == (rows, rank)
     assert split.row_range.shape == (cols, rank)
     if rows and cols:
@@ -199,15 +198,12 @@ def test_rank_split_matches_full_svd(shape, rank):
         ref_rank = int(np.sum(s > 1e-9 * max(s[0], 1.0)))
         assert split.rank == ref_rank
         assert np.allclose(split.s, s)
-        ref = {"null": vt[ref_rank:].T, "range": u[:, :ref_rank],
-               "row_range": vt[:ref_rank].T}
+        ref = {"range": u[:, :ref_rank], "row_range": vt[:ref_rank].T}
         for name, basis in ref.items():
             got = getattr(split, name)
             assert np.linalg.norm(got.T @ got - np.eye(got.shape[1])) < 1e-12
             assert np.linalg.norm(
                 _projector(got) - _projector(basis)) < 1e-12, name
-    else:
-        assert np.array_equal(split.null, np.eye(cols))
     rhs = rng.standard_normal((rows, 3))
     ref = np.linalg.pinv(mat, rcond=1e-9) @ rhs
     got = split.solve(rhs)
@@ -218,28 +214,41 @@ def test_rank_split_matches_full_svd(shape, rank):
 
 def test_every_float_decomposition_is_rank_split(monkeypatch):
     """A chain and a solve, cold element tables included, take every SVD
-    inside rank_split and call no pinv or lstsq."""
+    inside rank_split and every QR inside the harmonic split, reach no SVD
+    from the harmonic split or the Laplace solve, and call no pinv or
+    lstsq."""
     for value in vars(polyforms).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
-    callers = set()
-    svd = np.linalg.svd
+    callers = {"svd": set(), "qr": set()}
+    svd_under = set()
 
-    def traced_svd(*args, **kwargs):
-        callers.add(sys._getframe(1).f_code.co_name)
-        return svd(*args, **kwargs)
+    def traced(name):
+        call = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            callers[name].add(frame.f_code.co_name)
+            while name == "svd" and frame is not None:
+                svd_under.add(frame.f_code.co_name)
+                frame = frame.f_back
+            return call(*args, **kwargs)
+
+        return wrapper
 
     def refused(*args, **kwargs):
         raise AssertionError("a float decomposition outside rank_split")
 
-    monkeypatch.setattr(np.linalg, "svd", traced_svd)
+    for name in callers:
+        monkeypatch.setattr(np.linalg, name, traced(name))
     monkeypatch.setattr(np.linalg, "pinv", refused)
     monkeypatch.setattr(np.linalg, "lstsq", refused)
     for argv in (["chain", "--mesh", "catalog:annulus", "--mark", "half"],
                  ["solve", "--mesh", "catalog:cube_tet", "--mark", "half",
                   "--degree", "2"]):
         assert main(argv, out=io.StringIO()) == 0, argv
-    assert callers == {"rank_split"}
+    assert callers == {"svd": {"rank_split"}, "qr": {"_harmonic_split"}}
+    assert not svd_under & {"_harmonic_split", "laplace_solve"}
 
 
 def test_trace_surjectivity():
