@@ -31,14 +31,12 @@ from ddforms.polyforms import (
     whitney_form,
     check_local_exactness,
     check_geometric_decomposition,
-    check_trace_surjectivity,
 )
 from ddforms.assembly import (
     BrokenSpace,
     LinearOp,
     Subspace,
     broken_space,
-    graded_space,
     operator_D,
     operator_T,
     derivative_operator,
@@ -49,8 +47,6 @@ from ddforms.assembly import (
 from ddforms.hilbert import (
     ComplexInstance,
     harmonic_space,
-    betti_from_complex,
-    hodge_decompose,
     hodge_laplacian,
     laplace_solve,
     pseudoinverse,
@@ -93,12 +89,10 @@ __all__ = [
     "whitney_form",
     "check_local_exactness",
     "check_geometric_decomposition",
-    "check_trace_surjectivity",
     "BrokenSpace",
     "LinearOp",
     "Subspace",
     "broken_space",
-    "graded_space",
     "operator_D",
     "operator_T",
     "derivative_operator",
@@ -107,8 +101,6 @@ __all__ = [
     "export_matrix",
     "ComplexInstance",
     "harmonic_space",
-    "betti_from_complex",
-    "hodge_decompose",
     "hodge_laplacian",
     "laplace_solve",
     "pseudoinverse",

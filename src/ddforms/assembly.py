@@ -176,11 +176,9 @@ class BrokenSpace:
         return GramFactor(
             [(s.offset, np.linalg.cholesky(G)) for s, G in self._blocks()])
 
-    def describe(self):
-        return [(s.m, s.k, len(s.simplices), s.block) for s in self.strata]
-
     def __repr__(self):
-        return f"BrokenSpace(dim={self.dim}, strata={self.describe()})"
+        strata = [(s.m, s.k, len(s.simplices), s.block) for s in self.strata]
+        return f"BrokenSpace(dim={self.dim}, strata={strata})"
 
 
 class LinearOp:
@@ -264,14 +262,6 @@ class Subspace:
 def broken_space(pair, m, k, family):
     """The single-stratum space of k-forms on the unmarked m-simplices."""
     return BrokenSpace(pair, [(m, k)], family)
-
-
-def graded_space(pair, m, k, b, family):
-    """Graded broken space stacking (m-j, k-j) for j = 0..b-1, dropping
-    combinatorially empty strata."""
-    strata = [(m - j, k - j) for j in range(b)
-              if 0 <= k - j <= m - j <= pair.top_dim]
-    return BrokenSpace(pair, strata, family)
 
 
 def _triplets(pair, family, op, m, k):

@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Subcommands: betti (relative Betti numbers), check (the three structural
-condition checkers), harmonic (dimension table of all graded harmonic
-spaces plus the Betti dimension identities), chain (the full isomorphism
-chain verification for every form degree), and solve (the discrete
-Hodge-Laplace problem on the conforming complex with a built-in source).
+condition checkers, and the row and column exactness of the broken double
+complex under ``double_complex``), harmonic (dimension table of all graded
+harmonic spaces, the Betti dimension identities, and under ``skeleton``
+the codimension-one skeleton projection for every degree k >= 2 and the
+degree-0 skeleton identity for every stratum), chain (the full
+isomorphism chain verification for every form degree), and solve (the
+discrete Hodge-Laplace problem on the conforming complex with a built-in
+source).
 
 Meshes come from a JSON file or from the built-in catalog via
 ``catalog:name`` or ``catalog:name:size``.  Structured output is canonical
@@ -82,6 +86,7 @@ def run_betti(pair, family, args):
 
 def run_check(pair, family, args):
     rep = distrib.check_conditions(pair, family)
+    double = distrib.verify_double_complex(pair, family)
     out = {
         "local_exactness": {str(m): r["passed"]
                             for m, r in rep["local_exactness"].items()},
@@ -91,9 +96,10 @@ def run_check(pair, family, args):
             "passed": rep["patch"]["passed"],
             "failures": [list(v) for v in rep["patch"]["failures"]],
         },
-        "passed": rep["passed"],
+        "double_complex": double,
+        "passed": rep["passed"] and double["passed"],
     }
-    return out, rep["passed"]
+    return out, out["passed"]
 
 
 def run_harmonic(pair, family, args):
@@ -109,6 +115,16 @@ def run_harmonic(pair, family, args):
         identities[str(k)] = {"conforming": conf, "chain": chain,
                               "betti": betti[n - k], "ok": good}
         ok = ok and good
+    projection = {}
+    for k in range(2, n + 1):
+        rep = distrib.skeleton_projection(pair, family, k)
+        projection[str(k)] = {"dims": list(rep["dims"]),
+                              "smin": _num(rep["smin_rel"]), "ok": rep["ok"]}
+    degree_zero = {str(m): distrib.skeleton_degree_zero_identity(
+        pair, family, m) for m in range(n + 1)}
+    skeleton_ok = all(e["ok"] for part in (projection, degree_zero)
+                      for e in part.values())
+    ok = ok and skeleton_ok
     out = {
         "degree_graded": {f"{k},{b}": v
                           for (k, b), v in sorted(fam_rep["lambda"].items())},
@@ -117,6 +133,8 @@ def run_harmonic(pair, family, args):
         "conforming": {str(k): v for k, v in fam_rep["conforming"].items()},
         "chain": {str(m): v for m, v in fam_rep["chain"].items()},
         "identities": identities,
+        "skeleton": {"projection": projection, "degree_zero": degree_zero,
+                     "passed": skeleton_ok},
         "passed": ok,
     }
     return out, ok

@@ -1,14 +1,14 @@
 """Distributional complexes over a mesh and their harmonic space theory.
 
-This module builds every complex family the library knows: per-stratum
-horizontal and vertical complexes, conforming and chain-like complexes,
-the redirected complexes that interpolate between them, the full graded
-(total) complex, and their skeleton variants.  On top of the builders sit
-the regularizing operators, the isomorphism steps between harmonic spaces
-of consecutive gradings, and end-to-end verification routines: homology
-dimensions against the mesh's Betti numbers, the full isomorphism chain
-from simplicial homology to conforming harmonic forms, the double-complex
-exactness checks, and the skeleton projection isomorphism.
+This module builds every complex family the library knows: conforming
+and chain-like complexes, the redirected complexes that interpolate
+between them, the full graded (total) complex, and their skeleton
+variants.  On top of the builders sit the regularizing operators, the
+isomorphism steps between harmonic spaces of consecutive gradings, and
+end-to-end verification routines: homology dimensions against the mesh's
+Betti numbers, the full isomorphism chain from simplicial homology to
+conforming harmonic forms, the row and column exactness of the broken
+double complex, and the skeleton projection and degree-0 identities.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from ddforms.mesh import (betti_numbers, check_local_patch_condition,
 from ddforms.polyforms import (check_geometric_decomposition,
                                check_local_exactness, rank_split)
 from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
-                              broken_space, derivative_operator, graded_space,
-                              kernel_space, operator_D, operator_T)
+                              broken_space, derivative_operator, kernel_space,
+                              operator_D, operator_T)
 from ddforms.hilbert import (ComplexInstance, harmonic_space, pseudoinverse,
                              subspace_equality_defect)
 
@@ -169,35 +169,6 @@ def chainlike_complex(pair, family):
     return redirected_gamma(pair, family, -1)
 
 
-def horizontal_complex(pair, family, m):
-    """The cellwise-derivative complex on the m-stratum (one row of the
-    double complex, without augmentation)."""
-    spaces = [broken_space(pair, m, k, family) for k in range(m + 1)]
-    ops = []
-    for k in range(m):
-        op = operator_D(pair, m, k, family)
-        ops.append(LinearOp(spaces[k], spaces[k + 1], triplets=op.triplets))
-    return ComplexInstance(spaces, ops, f"horizontal(m={m})")
-
-
-def vertical_complex(pair, family, k):
-    """The trace-jump complex at form degree k (one column of the double
-    complex), augmented by the single-valued space in front."""
-    n = pair.top_dim
-    sub = _kernel(pair, n, k, family, "vertical")
-    spaces = [sub]
-    ops = []
-    for m in range(n, k - 1, -1):
-        sp = broken_space(pair, m, k, family)
-        if m == n:
-            ops.append(LinearOp(sub, sp, sub.basis))
-        else:
-            t = operator_T(pair, m + 1, k, family)
-            ops.append(LinearOp(spaces[-1], sp, triplets=t.triplets))
-        spaces.append(sp)
-    return ComplexInstance(spaces, ops, f"vertical(k={k})")
-
-
 # -- harmonic spaces ------------------------------------------------------
 
 
@@ -336,41 +307,6 @@ def iso_step(pair, family, side, index, b):
         "ok": bool(ok),
         "transfer": transfer,
     }
-
-
-def exactness_witness(pair, family, k, b):
-    """Constructive pairing witnesses for harmonic forms at depth b-1.
-
-    For every harmonic basis vector at depth b-1, all in one pass, builds
-    a preimage-style potential by the right-inverse recursion and reports
-    the relative defect of the pairing of its derivative with the
-    harmonic form, which the theory forces to equal the squared norm.
-    """
-    n = pair.top_dim
-    if not 2 <= b <= k + 1:
-        raise AssemblyError("depth out of range")
-    h = harmonic_lambda(pair, family, k, b - 1)
-    if h.dim == 0:
-        return []
-    amb = h.ambient
-    xi_space = graded_space(pair, n, k - 1, b - 1, family)
-    d_xi = derivative_operator(xi_space)
-    xi = np.zeros((xi_space.dim, h.dim))
-    for j in range(b - 1):
-        mj, kj = n - j, k - j
-        st = amb.stratum(mj)
-        rhs = h.basis[st.offset:st.offset + st.block * len(st.simplices)]
-        if j >= 1:
-            t = operator_T(pair, mj + 1, kj, family)
-            rhs = rhs - (-1.0) ** j * (t.matrix @ prev)
-        P = pseudoinverse(operator_D(pair, mj, kj - 1, family))
-        prev = (-1.0) ** j * (P.matrix @ rhs)
-        xi[xi_space.stratum_slice(mj)] = prev
-    w_emb = inject_matrix(amb, d_xi.codomain) @ h.basis
-    g_w = d_xi.codomain.gram @ w_emb
-    values = np.sum((d_xi.matrix @ xi) * g_w, axis=0)
-    norm2 = np.sum(w_emb * g_w, axis=0)
-    return list(np.abs(values - norm2) / np.maximum(norm2, 1e-30))
 
 
 # -- end-to-end verification ----------------------------------------------
@@ -516,35 +452,7 @@ def skeleton_degree_zero_identity(pair, family, m):
         d = operator_D(pair, m + 1, 0, family).integer_rows()
         t = operator_T(pair, m + 1, 0, family).integer_rows()
         rhs += exact.rank(d + t) - exact.rank(d)
-    return {"stratum": m, "lhs": int(lhs), "rhs": int(rhs),
-            "ok": bool(lhs == rhs)}
-
-
-def check_subcomplex_nesting(pair, family, k0):
-    """The redirected complex at k0 embeds block-wise into the one at
-    k0 - 1 from index k0 - 2 on (a shared kernel space by the identity, the
-    conforming space by its basis).  Returns the largest commutation defect."""
-    n = pair.top_dim
-    if not 1 <= k0 <= n:
-        raise AssemblyError("nesting needs 1 <= k0 <= n")
-    cxa = redirected_lambda(pair, family, k0)
-    cxb = redirected_lambda(pair, family, k0 - 1)
-
-    def emb(i):
-        sa = cxa.spaces[i]
-        sb = cxb.spaces[i]
-        if sa is sb:
-            return np.eye(sa.dim)
-        if isinstance(sa, Subspace):
-            return inject_matrix(sa.ambient, sb) @ sa.basis
-        return inject_matrix(sa, sb)
-
-    defect = 0.0
-    for i in range(max(k0 - 2, 0), n):
-        lhs = cxb.diffs[i].matrix @ emb(i)
-        rhs = emb(i + 1) @ cxa.diffs[i].matrix
-        defect = max(defect, float(np.linalg.norm(lhs - rhs)))
-    return defect
+    return {"lhs": int(lhs), "rhs": int(rhs), "ok": bool(lhs == rhs)}
 
 
 def _exact_sequence(labels, dims, ranks, front):
@@ -559,10 +467,9 @@ def _exact_sequence(labels, dims, ranks, front):
 
 def verify_double_complex(pair, family):
     """Row and column exactness of the broken double complex, with exact
-    integer ranks, plus the dimension identities tying harmonic spaces to
-    Betti numbers."""
+    integer ranks."""
     n = pair.top_dim
-    report = {"rows": {}, "columns": {}, "dimensions": {}}
+    report = {"rows": {}, "columns": {}}
 
     def dims(strata):
         return [broken_space(pair, m, k, family).dim for m, k in strata]
@@ -582,16 +489,6 @@ def verify_double_complex(pair, family):
             ms, dims([(m, k) for m in ms]), ranks, conf)
     report["passed"] = all(r["ok"] for part in ("rows", "columns")
                            for r in report[part].values())
-
-    betti = betti_numbers(pair)
-    for k in range(n + 1):
-        hk = harmonic_conforming(pair, family, k).dim
-        ck = harmonic_chain(pair, family, n - k).dim
-        ok = hk == betti[n - k] == ck
-        report["dimensions"][k] = {
-            "conforming": hk, "chain": ck, "betti": betti[n - k],
-            "ok": bool(ok)}
-        report["passed"] = report["passed"] and ok
     return report
 
 

@@ -2,14 +2,15 @@
 
 A complex instance is a sequence of inner-product spaces with integer
 differentials whose consecutive compositions vanish exactly.  Harmonic
-spaces, Hodge decompositions, the Hodge Laplacian and its solve, and metric
-Moore-Penrose pseudoinverses are computed after whitening: the Cholesky
-factor of each Gram matrix, the space's ``whitening`` (block by block for a
-broken space, dense for a kernel subspace), maps to an orthonormal frame.
-A harmonic dimension is decided by exact selection of independent integer
-rows and columns; one QR, memoised per index, gives the harmonic basis and
-the ranges on which the Laplace solve takes two Cholesky factors.  Every
-SVD is one ``rank_split``.
+spaces, the Hodge Laplacian and its solve, and metric Moore-Penrose
+pseudoinverses are computed after whitening: the Cholesky factor of each
+Gram matrix, the space's ``whitening`` (block by block for a broken space,
+dense for a kernel subspace), maps to an orthonormal frame.  A harmonic
+dimension is decided by exact selection of independent integer rows and
+columns; one QR, memoised per index, gives the harmonic basis and, where
+the Laplace solve asks for them (its only caller), the exact and coexact
+ranges on which it takes two Cholesky factors.  Every SVD is one
+``rank_split``.
 """
 
 from __future__ import annotations
@@ -101,22 +102,6 @@ def harmonic_space(cx, i):
     result is memoised on the complex instance per index.
     """
     return _harmonic_split(cx, i)[0]
-
-
-def betti_from_complex(cx):
-    """Homology dimensions at every index via harmonic spaces."""
-    return [harmonic_space(cx, i).dim for i in range(len(cx))]
-
-
-def hodge_decompose(x, cx, i):
-    """Split x into exact, coexact and harmonic parts, Gram-orthogonally,
-    by the column blocks of Q of the memoised harmonic split."""
-    W = cx.spaces[i].whitening
-    h, Q, r1 = _harmonic_split(cx, i, ranges=True)
-    r = Q.shape[1] - h.dim
-    c = Q.T @ W.mul_lt(x)
-    parts = (Q[:, r1:r] @ c[r1:r], Q[:, :r1] @ c[:r1], Q[:, r:] @ c[r:])
-    return tuple(W.solve_lt(part) for part in parts)
 
 
 def hodge_laplacian(cx, i):

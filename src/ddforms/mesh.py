@@ -141,10 +141,6 @@ class RelativePair:
     def simplex(self, vertices):
         return self._lookup[tuple(vertices)]
 
-    def is_marked(self, simplex):
-        v = simplex.vertices if isinstance(simplex, Simplex) else tuple(simplex)
-        return v in self.marked
-
     def points(self, simplex):
         return [self.coords[v] for v in simplex.vertices]
 

@@ -240,22 +240,6 @@ class BarycentricForm:
                     out.pop(key, None)
         return out
 
-    def render(self):
-        """Deterministic human-readable expansion (for debugging/goldens)."""
-        parts = []
-        for (alpha, sig), c in sorted(self.terms.items()):
-            mono = "".join(
-                f"L{i}" + (f"^{a}" if a > 1 else "")
-                for i, a in enumerate(alpha) if a
-            )
-            wedge = "^".join(f"dL{i}" for i in sig)
-            body = "*".join(x for x in (mono, wedge) if x) or "1"
-            parts.append(f"{c:+.12g}*{body}")
-        return " ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"BarycentricForm(dim={self.dim}, degree={self.degree}, {self.render()})"
-
 
 def _form_poly_degree(form):
     return max((sum(a) for (a, _s) in form.terms), default=0)
@@ -434,12 +418,6 @@ class SimplexGeometry:
         sign = float((-1) ** (m * (k + 1) + 1))
         return self.star(self.star(form).derivative()) * sign
 
-    def volume_form(self):
-        m = self.dim
-        alpha = tuple(0 for _ in range(m + 1))
-        return BarycentricForm.monomial(m, alpha, tuple(range(1, m + 1)),
-                                        self.vol_coeff)
-
     def face(self, positions):
         """Geometry of the face at the given vertex positions (ascending
         orientation)."""
@@ -519,9 +497,6 @@ class Family:
 
     def trace_matrix(self, m, k, j):
         return _trace_matrix(self.kind, self.r, m, k, j)
-
-    def bubble(self, m, k):
-        return _bubble_space(self.kind, self.r, m, k)
 
 
 def whitney(r=1):
@@ -953,14 +928,3 @@ def _decomposition_entry(family, m, k):
         "identities": bool(identities),
         "ok": bool(ok),
     }
-
-
-def check_trace_surjectivity(family, m, k):
-    """Whether traces onto a facet hit the facet's whole element space."""
-    if m == 0 or k > m - 1:
-        return True
-    tgt = family.space(m - 1, k)
-    t = family.trace_matrix(m, k, 0)
-    if tgt.size == 0:
-        return True
-    return _table_rank(t) == tgt.size

@@ -4,7 +4,7 @@ import pytest
 from ddforms import exact
 from ddforms.assembly import (AssemblyError, BrokenSpace, _element_grams,
                               adjoint, broken_space, derivative_operator,
-                              export_matrix, graded_space, kernel_space,
+                              export_matrix, kernel_space,
                               mesh_weight, operator_D, operator_T)
 from ddforms.mesh import generate_mesh, orientation_sign, skeleton_pair
 from ddforms.polyforms import Family, FamilyError, whitney
@@ -104,7 +104,7 @@ def test_one_dimensional_trace_signs():
 def test_derivative_squares_to_zero_graded(catalog):
     pair = catalog("annulus")
     fam = whitney()
-    sp = graded_space(pair, 2, 0, 1, fam)
+    sp = broken_space(pair, 2, 0, fam)
     d0 = derivative_operator(sp)
     d1 = derivative_operator(d0.codomain)
     scale = np.linalg.norm(d1.matrix) * np.linalg.norm(d0.matrix)
@@ -150,8 +150,9 @@ def test_adjoint_identity(catalog):
 
 
 def test_graded_space_strata(catalog):
+    # strata are kept in decreasing simplex dimension, given in any order
     pair = catalog("annulus")
-    sp = graded_space(pair, 2, 1, 2, whitney())
+    sp = BrokenSpace(pair, [(1, 0), (2, 1)], whitney())
     assert [(s.m, s.k) for s in sp.strata] == [(2, 1), (1, 0)]
 
 

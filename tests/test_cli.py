@@ -253,11 +253,13 @@ def _verdicts(value):
 @pytest.mark.parametrize("name", ["annulus", "cube_tet"])
 def test_ladder_dimensions(name, r, mark):
     """chain, solve and harmonic against fixed dimensions: every harmonic
-    dimension along the chain is the Betti number it stands for."""
+    dimension along the chain is the Betti number it stands for.  Every
+    verdict of check (the double complex included) and of harmonic (the
+    skeleton identities included) holds."""
     betti = LADDER_BETTI[(name, mark)]
     n = len(betti) - 1
     reports = {}
-    for command in ("chain", "solve", "harmonic"):
+    for command in ("chain", "solve", "harmonic", "check"):
         code, text = run([command, "--mesh", f"catalog:{name}", "--mark", mark,
                           "--degree", str(r), "--format", "structured"])
         doc = json.loads(text)
@@ -275,7 +277,15 @@ def test_ladder_dimensions(name, r, mark):
     assert [[solve[str(i)]["dim"], solve[str(i)].get("harmonic_dim", 0)]
             for i in range(n + 1)] == LADDER_SOLVE[(name, r, mark)]
 
+    double = reports["check"]["double_complex"]
+    assert list(double["rows"]) == list(double["columns"]) == \
+        [str(i) for i in range(n + 1)]
+
     harmonic = reports["harmonic"]
+    skeleton = harmonic["skeleton"]
+    assert {k: p["dims"] for k, p in skeleton["projection"].items()} == {
+        str(k): [betti[n - k]] * 2 for k in range(2, n + 1)}
+    assert list(skeleton["degree_zero"]) == [str(m) for m in range(n + 1)]
     assert harmonic["degree_graded"] == {
         f"{k},{b}": betti[n - k] for k in range(n + 1) for b in range(1, k + 2)}
     assert harmonic["stratum_graded"] == {

@@ -99,8 +99,8 @@ def test_marked_set_closure_enforced():
     cells = [[0, 1, 2]]
     coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     pair = build_complex(cells, coords, marked=[[0, 1]])
-    assert pair.is_marked((0,)) and pair.is_marked((1,))
-    assert not pair.is_marked((2,))
+    assert {(0,), (1,)} <= pair.marked
+    assert (2,) not in pair.marked
 
 
 def test_stratum_excludes_marked(catalog):
