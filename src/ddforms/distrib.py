@@ -207,20 +207,19 @@ def _embedded(coord_harmonic, space):
 # -- regularizers and isomorphism steps -----------------------------------
 
 
-def _regularizer(cx, i, op, sign):
-    """I + sign * d_{i-1} E on space i of a graded complex, where E, the
+def _regularizer(cx, i, op, sign, x):
+    """(I + sign * d_{i-1} E) x on space i of a graded complex, where E, the
     metric pseudoinverse of op, reads the stratum of op's codomain in
     space i and writes into the stratum of op's domain in space i-1."""
-    sp = cx.spaces[i]
+    rows = cx.spaces[i].stratum_slice(op.codomain.strata[0].m)
     cols = cx.spaces[i - 1].stratum_slice(op.domain.strata[0].m)
-    mat = np.eye(sp.dim)
-    mat[:, sp.stratum_slice(op.codomain.strata[0].m)] += sign * (
-        cx.diffs[i - 1].matrix[:, cols] @ pseudoinverse(op).matrix)
-    return LinearOp(sp, sp, mat)
+    return x + sign * (cx.diffs[i - 1].matrix[:, cols]
+                       @ pseudoinverse(op, x[rows]))
 
 
-def regularizer_R(pair, family, k, b):
-    """The preimage regularizer on the degree-graded space at depth b.
+def regularizer_R(pair, family, k, b, x):
+    """The preimage regularizer on the degree-graded space at depth b,
+    applied to x.
 
     Subtracts the derivative of a right-inverse lift (through T) of the
     deepest graded component; the result of applying it to a cocycle has
@@ -230,10 +229,10 @@ def regularizer_R(pair, family, k, b):
         raise AssemblyError(f"depth {b} out of range for regularizer (k={k})")
     cx = redirected_lambda(pair, family, k - b + 1)
     t_op = operator_T(pair, pair.top_dim - b + 2, k - b + 1, family)
-    return _regularizer(cx, k, t_op, (-1.0) ** b)
+    return _regularizer(cx, k, t_op, (-1.0) ** b, x)
 
 
-def regularizer_S(pair, family, m, b):
+def regularizer_S(pair, family, m, b, x):
     """Chain-side mirror of regularizer_R on the stratum-graded space,
     lifting through D."""
     n = pair.top_dim
@@ -241,7 +240,7 @@ def regularizer_S(pair, family, m, b):
         raise AssemblyError(f"depth {b} out of range for regularizer (m={m})")
     cx = redirected_gamma(pair, family, m + b - 1)
     d_op = operator_D(pair, m + b - 1, b - 2, family)
-    return _regularizer(cx, n - m, d_op, (-1.0) ** (b + n - m))
+    return _regularizer(cx, n - m, d_op, (-1.0) ** (b + n - m), x)
 
 
 def _transfer_verdict(transfer, src_dim, tgt_dim):
@@ -261,40 +260,36 @@ def iso_step(pair, family, side, index, b):
     """One harmonic-space transfer between grading depths b-1 and b.
 
     side "lambda" fixes the form degree (index = k), side "gamma" fixes
-    the stratum (index = m).  The transfer pairs the target harmonic forms
-    with G R* y = R^T G y, the adjoint of the regularizer applied to the
-    source forms y, and is reported with its smallest relative singular
-    value; the underlying theory makes it a bijection.  Both harmonic
-    bases are cocycles here, so a (Gram-self-adjoint) cocycle projection
-    would change nothing.
+    the stratum (index = m).  One application of the regularizer R to the
+    target harmonic forms h and the source forms y gives the transfer
+    (R h)^T G y = h^T R^T G y and the pairing (R y)^T G y; the transfer is
+    reported with its smallest relative singular value, and the theory
+    makes it a bijection.  Both harmonic bases are cocycles here, so a
+    (Gram-self-adjoint) cocycle projection would change nothing.
     """
     n = pair.top_dim
     if side == "lambda":
         k = index
         cx = redirected_lambda(pair, family, k - b + 1)
-        reg = regularizer_R(pair, family, k, b)
         h_src = harmonic_lambda(pair, family, k, b - 1)
         h_tgt = harmonic_lambda(pair, family, k, b)
-        pos = k
+        pos, regularizer = k, regularizer_R
     elif side == "gamma":
         m = index
         cx = redirected_gamma(pair, family, m + b - 1)
-        reg = regularizer_S(pair, family, m, b)
         h_src = harmonic_gamma(pair, family, m, b - 1)
         h_tgt = harmonic_gamma(pair, family, m, b)
-        pos = n - m
+        pos, regularizer = n - m, regularizer_S
     else:
         raise AssemblyError(f"unknown side {side!r}")
     sp = cx.spaces[pos]
-    emb = inject_matrix(h_src.ambient, sp)
-    src_vectors = emb @ h_src.basis
-    image = reg.matrix.T @ (sp.gram @ src_vectors)
-    transfer = h_tgt.basis.T @ image
-    if h_src.dim:
-        pairing = src_vectors.T @ image
-        pairing_defect = float(np.linalg.norm(pairing - np.eye(h_src.dim)))
-    else:
-        pairing_defect = 0.0
+    src_vectors = inject_matrix(h_src.ambient, sp) @ h_src.basis
+    g_src = sp.gram @ src_vectors
+    reg = regularizer(pair, family, index, b,
+                      np.hstack([h_tgt.basis, src_vectors]))
+    transfer = reg[:, :h_tgt.dim].T @ g_src
+    pairing = reg[:, h_tgt.dim:].T @ g_src
+    pairing_defect = float(np.linalg.norm(pairing - np.eye(h_src.dim)))
     smin_rel, ok = _transfer_verdict(transfer, h_src.dim, h_tgt.dim)
     return {
         "side": side,

@@ -9,8 +9,8 @@ dense for a kernel subspace), maps to an orthonormal frame.  A harmonic
 dimension is decided by exact selection of independent integer rows and
 columns; one QR, memoised per index, gives the harmonic basis and, where
 the Laplace solve asks for them (its only caller), the exact and coexact
-ranges on which it takes two Cholesky factors.  Every SVD is one
-``rank_split``.
+ranges on which it takes two Cholesky factors.  Pseudoinverses are applied
+by exact row selection and one thin QR; the one SVD is a ``rank_split``.
 """
 
 from __future__ import annotations
@@ -139,14 +139,19 @@ def laplace_solve(cx, i, f):
     return W.solve_lt(Q[:, :r] @ y), W.solve_lt(Q[:, r:] @ c[r:])
 
 
-def pseudoinverse(op):
-    """Metric Moore-Penrose pseudoinverse of an operator between spaces:
-    L_dom^-T pinv(Aw) L_cod^T, Aw = L_cod^T A L_dom^-T."""
+def pseudoinverse(op, rhs):
+    """E @ rhs, E = L_dom^-T pinv(Aw) L_cod^T the metric Moore-Penrose
+    pseudoinverse, Aw = L_cod^T A L_dom^-T.  The integer-independent rows R
+    of A span the row space: with H = L_dom^-1 A[R]^T, pinv(Aw) z = H a, a
+    the least-squares solution of Aw H a = z by one thin QR."""
     dom, cod = op.domain.whitening, op.codomain.whitening
-    Aw = cod.mul_lt(dom.solve_l(op.matrix.T).T)
-    pw = rank_split(Aw).solve(np.eye(Aw.shape[0]))
-    mat = dom.solve_lt(cod.mul_l(pw.T).T)
-    return LinearOp(op.codomain, op.domain, mat)
+    rows = exact.independent(op.integer_rows())
+    out = np.zeros((op.domain.dim,) + np.shape(rhs)[1:])
+    if not rows or not out.size:
+        return out
+    H = dom.solve_l(op.matrix[rows].T)
+    Q, T = np.linalg.qr(cod.mul_lt(op.matrix @ dom.solve_lt(H)))
+    return dom.solve_lt(H @ np.linalg.solve(T, Q.T @ cod.mul_lt(rhs)))
 
 
 def subspace_transfer(a, b):

@@ -154,12 +154,12 @@ def test_criterion_06_regularizers(catalog):
             if side == "lambda":
                 cx = distrib.redirected_lambda(pair, WHITNEY, idx - b + 1)
                 pos = idx
-                reg = distrib.regularizer_R(pair, WHITNEY, idx, b)
+                regularizer = distrib.regularizer_R
                 deep = cx.spaces[pos].stratum_slice(n - b + 1)
             else:
                 cx = distrib.redirected_gamma(pair, WHITNEY, idx + b - 1)
                 pos = n - idx
-                reg = distrib.regularizer_S(pair, WHITNEY, idx, b)
+                regularizer = distrib.regularizer_S
                 deep = cx.spaces[pos].stratum_slice(idx + b - 1)
             d_prev = cx.diffs[pos - 1].matrix
             h = harmonic_space(cx, pos)
@@ -168,7 +168,7 @@ def test_criterion_06_regularizers(catalog):
                 z = d_prev @ rng.standard_normal(d_prev.shape[1])
                 if h.dim:
                     z = z + h.basis @ rng.standard_normal(h.dim)
-                out = reg.matrix @ z
+                out = regularizer(pair, WHITNEY, idx, b, z)
                 scale = max(np.linalg.norm(z), 1.0)
                 worst = max(worst, np.linalg.norm(out[deep]) / scale)
                 if d_next is not None:
@@ -189,7 +189,7 @@ def test_criterion_07_pseudoinverse_contracts(catalog):
                 for op in (operator_D(pair, m, k, WHITNEY),
                            operator_T(pair, m, k, WHITNEY)):
                     A = op.matrix
-                    P = pseudoinverse(op).matrix
+                    P = pseudoinverse(op, np.eye(op.codomain.dim))
                     scale = max(np.linalg.norm(A), 1.0)
                     worst = max(worst,
                                 np.linalg.norm(A @ P @ A - A) / scale)

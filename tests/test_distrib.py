@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ddforms import exact
-from ddforms.assembly import (AssemblyError, BrokenSpace, Subspace, adjoint,
-                              broken_space, derivative_operator, operator_D,
-                              operator_T)
+from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
+                              adjoint, broken_space, derivative_operator,
+                              operator_D, operator_T)
 from ddforms.cli import main
 from ddforms.hilbert import harmonic_space, pseudoinverse
 from ddforms.mesh import (MeshError, betti_numbers, build_complex,
@@ -140,13 +140,12 @@ def test_regularizer_R_on_cocycles(catalog):
     for k, b in [(1, 2), (2, 2), (2, 3)]:
         cx = distrib.redirected_lambda(pair, FAM, k - b + 1)
         sp = cx.spaces[k]
-        R = distrib.regularizer_R(pair, FAM, k, b)
         d_prev = cx.diffs[k - 1].matrix
         h = harmonic_space(cx, k)
         z = d_prev @ rng.standard_normal(d_prev.shape[1])
         if h.dim:
             z = z + h.basis @ rng.standard_normal(h.dim)
-        out = R.matrix @ z
+        out = distrib.regularizer_R(pair, FAM, k, b, z)
         deep = sp.stratum_slice(pair.top_dim - b + 1)
         assert np.linalg.norm(out[deep]) < 1e-9 * max(np.linalg.norm(z), 1.0)
         if k < len(cx.diffs):
@@ -159,12 +158,12 @@ def test_regularizer_R_fixes_shallow(catalog):
     k, b = 2, 2
     cx = distrib.redirected_lambda(pair, FAM, k - b + 1)
     sp = cx.spaces[k]
-    R = distrib.regularizer_R(pair, FAM, k, b)
     x = np.zeros(sp.dim)
     top = sp.stratum_slice(pair.top_dim)
     rng = np.random.default_rng(9)
     x[top] = rng.standard_normal(top.stop - top.start)
-    assert np.linalg.norm(R.matrix @ x - x) < 1e-12 * np.linalg.norm(x)
+    out = distrib.regularizer_R(pair, FAM, k, b, x)
+    assert np.linalg.norm(out - x) < 1e-12 * np.linalg.norm(x)
 
 
 def test_regularizer_S_on_cocycles(catalog):
@@ -175,13 +174,12 @@ def test_regularizer_S_on_cocycles(catalog):
         cx = distrib.redirected_gamma(pair, FAM, m + b - 1)
         idx = n - m
         sp = cx.spaces[idx]
-        S = distrib.regularizer_S(pair, FAM, m, b)
         d_prev = cx.diffs[idx - 1].matrix
         h = harmonic_space(cx, idx)
         z = d_prev @ rng.standard_normal(d_prev.shape[1])
         if h.dim:
             z = z + h.basis @ rng.standard_normal(h.dim)
-        out = S.matrix @ z
+        out = distrib.regularizer_S(pair, FAM, m, b, z)
         deep = sp.stratum_slice(m + b - 1)
         assert np.linalg.norm(out[deep]) < 1e-9 * max(np.linalg.norm(z), 1.0)
         if idx < len(cx.diffs):
@@ -217,8 +215,8 @@ def test_exactness_witness(catalog):
             if j >= 1:
                 t = operator_T(pair, mj + 1, kj, FAM)
                 rhs = rhs - (-1.0) ** j * (t.matrix @ prev)
-            P = pseudoinverse(operator_D(pair, mj, kj - 1, FAM))
-            prev = (-1.0) ** j * (P.matrix @ rhs)
+            d_op = operator_D(pair, mj, kj - 1, FAM)
+            prev = (-1.0) ** j * pseudoinverse(d_op, rhs)
             xi[xi_space.stratum_slice(mj)] = prev
         w = distrib.inject_matrix(amb, d_xi.codomain) @ h.basis
         g_w = d_xi.codomain.gram @ w
@@ -459,17 +457,19 @@ def projected_iso_step(pair, family, side, index, b):
     outgoing graded derivative."""
     if side == "lambda":
         cx = distrib.redirected_lambda(pair, family, index - b + 1)
-        reg = distrib.regularizer_R(pair, family, index, b)
+        regularizer = distrib.regularizer_R
         h_src = distrib.harmonic_lambda(pair, family, index, b - 1)
         h_tgt = distrib.harmonic_lambda(pair, family, index, b)
         pos = index
     else:
         cx = distrib.redirected_gamma(pair, family, index + b - 1)
-        reg = distrib.regularizer_S(pair, family, index, b)
+        regularizer = distrib.regularizer_S
         h_src = distrib.harmonic_gamma(pair, family, index, b - 1)
         h_tgt = distrib.harmonic_gamma(pair, family, index, b)
         pos = pair.top_dim - index
     sp = cx.spaces[pos]
+    reg = LinearOp(sp, sp, regularizer(pair, family, index, b,
+                                       np.eye(sp.dim)))
     src = distrib.inject_matrix(h_src.ambient, sp) @ h_src.basis
     image = adjoint(reg).matrix @ src
     if pos < len(cx.diffs) and cx.diffs[pos].codomain.dim:

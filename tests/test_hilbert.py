@@ -8,7 +8,7 @@ from ddforms.hilbert import (ComplexInstance, harmonic_space, hodge_laplacian,
                              laplace_solve, pseudoinverse,
                              subspace_equality_defect, subspace_transfer)
 from ddforms.mesh import betti_numbers, build_complex, generate_mesh, mark_pair
-from ddforms.polyforms import Family, whitney
+from ddforms.polyforms import RANK_RTOL, Family, whitney
 from ddforms import distrib
 
 from conftest import svd_null
@@ -125,8 +125,7 @@ def test_pseudoinverse_contracts(catalog):
     fam = whitney()
     for op in (operator_T(pair, 2, 0, fam), operator_T(pair, 2, 1, fam),
                operator_D(pair, 2, 0, fam), operator_D(pair, 1, 0, fam)):
-        E = pseudoinverse(op)
-        A, P = op.matrix, E.matrix
+        A, P = op.matrix, pseudoinverse(op, np.eye(op.codomain.dim))
         scale = max(np.linalg.norm(A), 1.0)
         assert np.linalg.norm(A @ P @ A - A) < 1e-10 * scale
         assert np.linalg.norm(P @ A @ P - P) < 1e-10 * max(np.linalg.norm(P), 1.0)
@@ -140,9 +139,64 @@ def test_pseudoinverse_contracts(catalog):
 
 def test_pseudoinverse_of_identity(annulus_cx):
     sp = annulus_cx.spaces[1]
-    op = LinearOp(sp, sp, np.eye(sp.dim))
-    E = pseudoinverse(op)
-    assert np.linalg.norm(E.matrix - np.eye(sp.dim)) < 1e-10
+    op = LinearOp(sp, sp, np.eye(sp.dim, dtype=np.int64))
+    E = pseudoinverse(op, np.eye(sp.dim))
+    assert np.linalg.norm(E - np.eye(sp.dim)) < 1e-10
+
+
+CATALOG = [("interval", 2), ("triangle", 1), ("tetrahedron", 1),
+           ("square_grid", 1), ("annulus", 1), ("cube_tet", 1),
+           ("solid_ring", 1), ("sphere_boundary", 2)]
+
+
+def svd_pseudoinverse(op):
+    """The dense metric pseudoinverse from the SVD of the whitened
+    operator, singular values above RANK_RTOL * max(s_max, 1) counted."""
+    dom, cod = op.domain.whitening, op.codomain.whitening
+    Aw = cod.mul_lt(dom.solve_l(op.matrix.T).T)
+    if not Aw.size:
+        return np.zeros(op.matrix.T.shape)
+    u, s, vt = np.linalg.svd(Aw, full_matrices=False)
+    rank = int(np.sum(s > RANK_RTOL * max(s[0], 1.0)))
+    pw = vt[:rank].T @ (u[:, :rank].T / s[:rank, None])
+    return dom.solve_lt(cod.mul_l(pw.T).T)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("name,size", CATALOG)
+def test_pseudoinverse_matches_svd(catalog, name, size, r):
+    """pseudoinverse(op, x) equals E @ x for E the whitened-SVD metric
+    pseudoinverse, for D and T on every stratum of the mesh."""
+    fam = Family("trimmed", r)
+    rng = np.random.default_rng(r)
+    for mark in ("none", "full", "half"):
+        pair = catalog(name, size, mark)
+        for m in range(1, pair.top_dim + 1):
+            for k in range(m):
+                for op in (operator_D(pair, m, k, fam),
+                           operator_T(pair, m, k, fam)):
+                    x = rng.standard_normal((op.codomain.dim, 3))
+                    ref = svd_pseudoinverse(op) @ x
+                    got = pseudoinverse(op, x)
+                    scale = np.abs(ref).max(initial=0.0)
+                    assert np.abs(got - ref).max(initial=0.0) <= \
+                        1e-12 * scale, (mark, m, k, op)
+
+
+def test_pseudoinverse_degenerate(catalog):
+    """A rank-0 operator, an empty codomain and a right-hand side with no
+    columns each give zeros of the domain's shape."""
+    pair = catalog("annulus", 1, "full")
+    sp = BrokenSpace(pair, [(2, 1)], whitney())
+    empty = BrokenSpace(pair, [], whitney())
+    zero = LinearOp(sp, sp, np.zeros((sp.dim, sp.dim), np.int64))
+    assert not pseudoinverse(zero, np.ones((sp.dim, 2))).any()
+    assert pseudoinverse(zero, np.ones(sp.dim)).shape == (sp.dim,)
+    to_empty = LinearOp(sp, empty, np.zeros((0, sp.dim), np.int64))
+    assert not pseudoinverse(to_empty, np.zeros((0, 2))).any()
+    assert pseudoinverse(to_empty, np.zeros((0, 2))).shape == (sp.dim, 2)
+    ident = LinearOp(sp, sp, np.eye(sp.dim, dtype=np.int64))
+    assert pseudoinverse(ident, np.zeros((sp.dim, 0))).shape == (sp.dim, 0)
 
 
 def test_subspace_equality_defect(annulus_cx):

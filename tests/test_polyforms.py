@@ -214,8 +214,9 @@ def test_rank_split_matches_full_svd(shape, rank):
 
 def test_every_float_decomposition_is_rank_split(monkeypatch):
     """A chain and a solve, cold element tables included, take every SVD
-    inside rank_split and every QR inside the harmonic split, reach no SVD
-    from the harmonic split or the Laplace solve, and call no pinv or
+    inside rank_split and every QR inside the harmonic split or the
+    pseudoinverse, reach no SVD from the harmonic split, the Laplace
+    solve, the pseudoinverse or the regularizers, and call no pinv or
     lstsq."""
     for value in vars(polyforms).values():
         if hasattr(value, "cache_clear"):
@@ -247,8 +248,11 @@ def test_every_float_decomposition_is_rank_split(monkeypatch):
                  ["solve", "--mesh", "catalog:cube_tet", "--mark", "half",
                   "--degree", "2"]):
         assert main(argv, out=io.StringIO()) == 0, argv
-    assert callers == {"svd": {"rank_split"}, "qr": {"_harmonic_split"}}
-    assert not svd_under & {"_harmonic_split", "laplace_solve"}
+    assert callers == {"svd": {"rank_split"},
+                       "qr": {"_harmonic_split", "pseudoinverse"}}
+    assert not svd_under & {"_harmonic_split", "laplace_solve",
+                            "pseudoinverse", "_regularizer",
+                            "regularizer_R", "regularizer_S"}
 
 
 def test_trace_surjectivity():

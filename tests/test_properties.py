@@ -1,9 +1,11 @@
 """Property-based checks on random marked sub-grids of the square grid."""
 
+import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ddforms import distrib
+from ddforms.hilbert import harmonic_space
 from ddforms.mesh import _grid_cells_2d, betti_numbers, build_complex
 from ddforms.polyforms import whitney
 
@@ -28,9 +30,13 @@ def marked_subgrids(draw):
     return build_complex(cells, coords, marked)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.filter_too_much,
-                                 HealthCheck.too_slow])
+DRAWN = settings(max_examples=40, derandomize=True, deadline=None,
+                 database=None,
+                 suppress_health_check=[HealthCheck.filter_too_much,
+                                        HealthCheck.too_slow])
+
+
+@DRAWN
 @given(marked_subgrids())
 def test_harmonic_dimensions_match_betti(pair):
     fam = whitney()
@@ -41,3 +47,33 @@ def test_harmonic_dimensions_match_betti(pair):
         assert distrib.harmonic_conforming(pair, fam, k).dim == betti[n - k]
         assert distrib.harmonic_chain(pair, fam, n - k).dim == betti[n - k]
         assert distrib.verify_chain(pair, fam, k)["passed"]
+
+
+@DRAWN
+@given(marked_subgrids())
+def test_regularizers_on_cocycles(pair):
+    """Criterion 6 on drawn meshes: R and S, applied to random cocycles
+    (exact forms plus harmonic ones), zero the deepest graded component
+    and leave the derivative unchanged."""
+    fam = whitney()
+    assume(distrib.check_conditions(pair, fam)["passed"])
+    rng = np.random.default_rng(6)
+    n = pair.top_dim
+    jobs = [(distrib.regularizer_R, k, b, distrib.redirected_lambda(
+                pair, fam, k - b + 1), k, n - b + 1)
+            for k, b in [(1, 2), (2, 2), (2, 3)]]
+    jobs += [(distrib.regularizer_S, m, b, distrib.redirected_gamma(
+                 pair, fam, m + b - 1), n - m, m + b - 1)
+             for m, b in [(1, 2), (0, 2), (0, 3)]]
+    for regularizer, index, b, cx, pos, deep in jobs:
+        d_prev = cx.diffs[pos - 1].matrix
+        h = harmonic_space(cx, pos)
+        z = d_prev @ rng.standard_normal((d_prev.shape[1], 3))
+        z += h.basis @ rng.standard_normal((h.dim, 3))
+        out = regularizer(pair, fam, index, b, z)
+        scale = max(np.linalg.norm(z), 1.0)
+        deep_rows = out[cx.spaces[pos].stratum_slice(deep)]
+        assert np.linalg.norm(deep_rows) <= 1e-10 * scale
+        if pos < len(cx.diffs):
+            d_next = cx.diffs[pos].matrix
+            assert np.linalg.norm(d_next @ (out - z)) <= 1e-10 * scale
