@@ -284,7 +284,7 @@ def iso_step(pair, family, side, index, b):
         raise AssemblyError(f"unknown side {side!r}")
     sp = cx.spaces[pos]
     src_vectors = inject_matrix(h_src.ambient, sp) @ h_src.basis
-    g_src = sp.gram @ src_vectors
+    g_src = sp.whitening.mul_l(sp.whitening.mul_lt(src_vectors))
     reg = regularizer(pair, family, index, b,
                       np.hstack([h_tgt.basis, src_vectors]))
     transfer = reg[:, :h_tgt.dim].T @ g_src
