@@ -305,7 +305,7 @@ RANK_RTOL = 1e-9
 
 
 def rank_split(mat):
-    """The one float decomposition, an economy rank-revealing SVD: singular
+    """The one SVD, an economy rank-revealing decomposition: singular
     values above RANK_RTOL * max(s_max, 1) count."""
     mat = np.asarray(mat, float)
     rows, cols = mat.shape
