@@ -140,10 +140,10 @@ def laplace_solve(cx, i, f):
 
 
 def pseudoinverse(op, rhs):
-    """E @ rhs, E = L_dom^-T pinv(Aw) L_cod^T the metric Moore-Penrose
-    pseudoinverse, Aw = L_cod^T A L_dom^-T.  The integer-independent rows R
-    of A span the row space: with H = L_dom^-1 A[R]^T, pinv(Aw) z = H a, a
-    the least-squares solution of Aw H a = z by one thin QR."""
+    """E @ rhs, E = L_dom^-T pinv(Aw) L_cod^T the metric pseudoinverse of an
+    integer operator A, Aw = L_cod^T A L_dom^-T.  A's integer-independent
+    rows R span its row space: with H = L_dom^-1 A[R]^T, pinv(Aw) z = H a,
+    a the least-squares solution of Aw H a = z by one thin QR."""
     dom, cod = op.domain.whitening, op.codomain.whitening
     rows = exact.independent(op.integer_rows())
     out = np.zeros((op.domain.dim,) + np.shape(rhs)[1:])
