@@ -5,10 +5,10 @@ several strata (m, k): k-forms attached to the unmarked m-simplices.  The
 module assembles the piecewise exterior derivative D, the signed trace sum
 T, and the combined distributional derivative on graded spaces as integer
 triplet operators, together with mesh-weighted Gram matrices, their block
-Cholesky factors, metric adjoints and kernel subspaces spanned by exact
-integer kernels.  The mesh weights, and so the metric, are a function of
-the pair alone: their exponent is the top dimension of the root mesh,
-read through ``pair.parent`` on a skeleton.
+Cholesky factors, metric adjoints (applied to vectors) and kernel subspaces
+spanned by exact integer kernels.  The mesh weights, and so the metric,
+are a function of the pair alone: their exponent is the top dimension of
+the root mesh, read through ``pair.parent`` on a skeleton.
 """
 
 from __future__ import annotations
@@ -217,6 +217,9 @@ class LinearOp:
     def integer_rows(self, transpose=False):
         """The rows (the columns, if ``transpose``) of a triplet operator
         as {column: value} dicts."""
+        if self.triplets is None:
+            raise AssemblyError(
+                f"{self!r} is a float operator and has no integer rows")
         rows, cols, vals = self.triplets
         if transpose:
             return exact.triplet_rows(cols, rows, vals, self.domain.dim)
@@ -226,12 +229,12 @@ class LinearOp:
         return f"LinearOp({self.codomain.dim}x{self.domain.dim})"
 
 
-def adjoint(op):
-    """Adjoint with respect to the two spaces' Gram inner products:
-    G_dom^-1 A^T G_cod, with G = L L^T and G^-1 = L^-T L^-1."""
+def adjoint(op, x):
+    """The adjoint with respect to the two spaces' Gram inner products,
+    applied to x: G_dom^-1 A^T G_cod x, with G = L L^T and
+    G^-1 = L^-T L^-1."""
     dom, cod = op.domain.whitening, op.codomain.whitening
-    mat = dom.solve_lt(dom.solve_l(cod.mul_l(cod.mul_lt(op.matrix)).T))
-    return LinearOp(op.codomain, op.domain, mat)
+    return dom.solve_lt(dom.solve_l(op.matrix.T @ cod.mul_l(cod.mul_lt(x))))
 
 
 class Subspace:

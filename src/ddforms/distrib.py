@@ -53,12 +53,32 @@ def _kernel(pair, m, k, family, which):
 def _int_product(a, B, nrows):
     """The exact product of an integer matrix a, as triplets (rows, cols,
     vals), with a dense integer matrix B: in int64 when no sum can reach
-    2^62, else in Python ints (object dtype)."""
-    rows, cols, vals = a
+    2^62, else in Python ints (object dtype).
+
+    Each triplet (i, c, v) meets each nonzero B[c, j] = w in one term
+    v * w of entry (i, j); the terms are sorted by entry and each entry is
+    summed once, over its segment."""
+    rows, cols, vals = (np.asarray(x) for x in a)
     va, vb = (float(np.abs(x).max(initial=0)) for x in (vals, B))
     dtype = np.int64 if len(vals) * va * vb < 2.0 ** 62 else object
     out = np.zeros((nrows, B.shape[1]), dtype)
-    np.add.at(out, rows, vals.astype(dtype)[:, None] * B.astype(dtype)[cols])
+    bi, bj = np.nonzero(B)
+    order = np.argsort(cols, kind="stable")
+    count = np.bincount(cols, minlength=len(B))[bi]
+    total = int(count.sum())
+    if not total:
+        return out
+    # term t pairs B's nonzero e = pick[t] with the triplet at sorted
+    # position start[e] + (t - first term of e)
+    pick = np.repeat(np.arange(len(bi)), count)
+    start = np.searchsorted(cols[order], bi) - np.cumsum(count) + count
+    tri = order[start[pick] + np.arange(total)]
+    key = rows[tri] * B.shape[1] + bj[pick]
+    terms = vals[tri].astype(dtype) * B[bi, bj].astype(dtype)[pick]
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    out.flat[key[first]] = np.add.reduceat(terms[by_key], first)
     return out
 
 

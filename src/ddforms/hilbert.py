@@ -11,6 +11,8 @@ columns; one QR, memoised per index, gives the harmonic basis and, where
 the Laplace solve asks for them (its only caller), the exact and coexact
 ranges on which it takes two Cholesky factors.  Pseudoinverses are applied
 by exact row selection and one thin QR; the one SVD is a ``rank_split``.
+The Laplacian, the metric adjoints and the whitened differentials are
+applied to vectors and never formed as matrices.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ddforms import exact
-from ddforms.assembly import AssemblyError, LinearOp, Subspace, adjoint
+from ddforms.assembly import AssemblyError, Subspace, adjoint
 from ddforms.polyforms import rank_split
 
 
@@ -52,11 +54,15 @@ class ComplexInstance:
     def dims(self):
         return [s.dim for s in self.spaces]
 
-    def whitened_diff(self, i):
-        """The differential i expressed between orthonormal frames:
-        L_{i+1}^T d_i L_i^-T."""
+    def whitened_diff(self, i, x, transpose=False):
+        """The differential i between orthonormal frames,
+        L_{i+1}^T d_i L_i^-T, or its transpose L_i^-1 d_i^T L_{i+1},
+        applied to x right to left."""
         W0, W1 = self.spaces[i].whitening, self.spaces[i + 1].whitening
-        return W1.mul_lt(W0.solve_l(self.diffs[i].matrix.T).T)
+        d = self.diffs[i].matrix
+        if transpose:
+            return W0.solve_l(d.T @ W1.mul_l(x))
+        return W1.mul_lt(d @ W0.solve_lt(x))
 
     def __repr__(self):
         return f"ComplexInstance({self.label!r}, dims={self.dims()})"
@@ -104,17 +110,17 @@ def harmonic_space(cx, i):
     return _harmonic_split(cx, i)[0]
 
 
-def hodge_laplacian(cx, i):
-    """The operator d*_i d_i + d_{i-1} d*_{i-1}, Gram-self-adjoint."""
-    n = cx.spaces[i].dim
-    mat = np.zeros((n, n))
+def hodge_laplacian(cx, i, u):
+    """The Hodge Laplacian d*_i d_i + d_{i-1} d*_{i-1} at index i, a
+    Gram-self-adjoint operator, applied to u."""
+    out = np.zeros(np.shape(u))
     if i < len(cx.diffs):
         d = cx.diffs[i]
-        mat += adjoint(d).matrix @ d.matrix
+        out += adjoint(d, d.matrix @ u)
     if i > 0:
         d = cx.diffs[i - 1]
-        mat += d.matrix @ adjoint(d).matrix
-    return LinearOp(cx.spaces[i], cx.spaces[i], mat)
+        out += d.matrix @ adjoint(d, u)
+    return out
 
 
 def laplace_solve(cx, i, f):
@@ -124,16 +130,16 @@ def laplace_solve(cx, i, f):
     In whitened coordinates, with Q of the harmonic split, p projects onto
     the harmonic columns of Q, and the Laplacian maps the coexact range Q1
     and the exact range Q2 into themselves, as M^T M with M = A_i Q1 and
-    M = A_{i-1}^T Q2; each block is solved by its Cholesky factor."""
+    M = A_{i-1}^T Q2, the whitened differentials applied to those columns;
+    each block is solved by its Cholesky factor."""
     W = cx.spaces[i].whitening
     h, Q, r1 = _harmonic_split(cx, i, ranges=True)
     r = Q.shape[1] - h.dim
     c = Q.T @ W.mul_lt(f)
     y = c[:r].copy()
-    for lo, hi, A in ((0, r1, lambda: cx.whitened_diff(i)),
-                      (r1, r, lambda: cx.whitened_diff(i - 1).T)):
+    for lo, hi, j, transpose in ((0, r1, i, False), (r1, r, i - 1, True)):
         if lo < hi:
-            M = A() @ Q[:, lo:hi]
+            M = cx.whitened_diff(j, Q[:, lo:hi], transpose)
             L = np.linalg.cholesky(M.T @ M)
             y[lo:hi] = np.linalg.solve(L.T, np.linalg.solve(L, c[lo:hi]))
     return W.solve_lt(Q[:, :r] @ y), W.solve_lt(Q[:, r:] @ c[r:])

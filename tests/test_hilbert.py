@@ -43,12 +43,12 @@ def test_harmonic_dims_match_betti(catalog, annulus_cx):
 def test_harmonic_equals_laplacian_kernel(annulus_cx):
     for i in range(len(annulus_cx)):
         h = harmonic_space(annulus_cx, i)
-        lap = hodge_laplacian(annulus_cx, i)
-        s = np.linalg.svd(lap.matrix, compute_uv=False)
+        lap = hodge_laplacian(annulus_cx, i, np.eye(annulus_cx.spaces[i].dim))
+        s = np.linalg.svd(lap, compute_uv=False)
         kdim = int(np.sum(s < 1e-9 * max(s[0], 1.0)))
         assert kdim == h.dim
         if h.dim:
-            resid = np.linalg.norm(lap.matrix @ h.basis)
+            resid = np.linalg.norm(lap @ h.basis)
             assert resid < 1e-9
 
 
@@ -57,8 +57,7 @@ def hodge_parts(cx, i, x):
     x = d d* u + d* d u + p, with (u, p) = laplace_solve(cx, i, x)."""
     u, p = laplace_solve(cx, i, x)
     d0, d1 = cx.diffs[i - 1], cx.diffs[i]
-    return (d0.matrix @ (adjoint(d0).matrix @ u),
-            adjoint(d1).matrix @ (d1.matrix @ u), p)
+    return (d0.matrix @ adjoint(d0, u), adjoint(d1, d1.matrix @ u), p)
 
 
 def test_hodge_decomposition(annulus_cx):
@@ -89,7 +88,7 @@ def test_hodge_projector_identities(annulus_cx):
 def test_rank_identity(annulus_cx):
     # rank of d_i equals dim of space i+1 minus the codifferential kernel
     for i in range(len(annulus_cx.diffs)):
-        a = annulus_cx.whitened_diff(i)
+        a = annulus_cx.whitened_diff(i, np.eye(annulus_cx.spaces[i].dim))
         rank = np.linalg.matrix_rank(a, tol=1e-9)
         coker = a.shape[0] - np.linalg.matrix_rank(a.T, tol=1e-9)
         assert rank == annulus_cx.spaces[i + 1].dim - coker
@@ -103,8 +102,8 @@ def test_laplace_solve(annulus_cx):
             continue
         f = rng.standard_normal(dim)
         u, p = laplace_solve(annulus_cx, i, f)
-        lap = hodge_laplacian(annulus_cx, i)
-        resid = np.linalg.norm(lap.matrix @ u - (f - p))
+        lap = hodge_laplacian(annulus_cx, i, np.eye(dim))
+        resid = np.linalg.norm(lap @ u - (f - p))
         assert resid < 1e-8 * max(np.linalg.norm(f), 1.0)
         h = harmonic_space(annulus_cx, i)
         if h.dim:
@@ -240,11 +239,12 @@ def test_block_whitening_matches_dense_cholesky(name, r):
         assert len(op.codomain.strata) > 1
 
         ref = dense_whitened(op)
-        got = ComplexInstance([op.domain, op.codomain], [op]).whitened_diff(0)
+        got = ComplexInstance([op.domain, op.codomain], [op]).whitened_diff(
+            0, np.eye(op.domain.dim))
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
         ref = np.linalg.solve(op.domain.gram, op.matrix.T @ op.codomain.gram)
-        got = adjoint(op).matrix
+        got = adjoint(op, np.eye(op.codomain.dim))
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
         for which in ("vertical", "horizontal"):
@@ -296,7 +296,7 @@ def test_laplace_solve_in_harmonic_complement(name, mark):
             gram = cx.spaces[i].gram
             f = rng.standard_normal(dim)
             u, p = laplace_solve(cx, i, f)
-            res = hodge_laplacian(cx, i).matrix @ u - (f - p)
+            res = hodge_laplacian(cx, i, np.eye(dim)) @ u - (f - p)
             rhs = f - p
             assert np.sqrt(res @ gram @ res) < 1e-10 * np.sqrt(rhs @ gram @ rhs)
             h = harmonic_space(cx, i)
@@ -308,9 +308,10 @@ def svd_harmonic(cx, i):
     """The whitened harmonic basis of the stacked-SVD split: the float
     nullspace of the whitened [d_i; d_{i-1}^T], with the singular values
     behind its rank."""
-    rows = [cx.whitened_diff(i)] if i < len(cx.diffs) else []
+    eye = np.eye(cx.spaces[i].dim)
+    rows = [cx.whitened_diff(i, eye)] if i < len(cx.diffs) else []
     if i > 0:
-        rows.append(cx.whitened_diff(i - 1).T)
+        rows.append(cx.whitened_diff(i - 1, eye, transpose=True))
     return svd_null(np.vstack(rows) if rows
                     else np.zeros((0, cx.spaces[i].dim)))
 
@@ -343,3 +344,54 @@ def test_exact_dims_on_squeezed_meshes(record_property):
     record_property("smallest_relative_singular_value", gap)
     print(f"float mis-ranks: {misranks}; smallest relative singular "
           f"value behind a float rank: {gap:.1e}")
+
+
+def test_pseudoinverse_of_float_operator_names_the_cause(catalog):
+    """A float operator has no integer rows to select from: the metric
+    pseudoinverse refuses it with an AssemblyError."""
+    sp = BrokenSpace(catalog("annulus", 1, "full"), [(2, 1)], whitney())
+    op = LinearOp(sp, sp, np.eye(sp.dim))
+    with pytest.raises(AssemblyError, match="no integer rows"):
+        pseudoinverse(op, np.ones(sp.dim))
+
+
+def _rel(got, ref):
+    return np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1e-300)
+
+
+@pytest.mark.parametrize("name", ["annulus", "cube_tet"])
+def test_applied_operators_match_dense(catalog, name):
+    """The applied adjoint, Hodge Laplacian and whitened differential (both
+    directions) equal dense references built from the Grams and their
+    Cholesky factors: G_dom^-1 A^T G_cod, the Laplacian assembled from
+    them, and L_{i+1}^T d_i L_i^-T, on the conforming and the total
+    complex, trimmed r=2."""
+    pair = catalog(name, 1, "half")
+    fam = Family("trimmed", 2)
+    rng = np.random.default_rng(12)
+    for cx in (distrib.conforming_complex(pair, fam),
+               distrib.total_complex(pair, fam)):
+        grams = [sp.gram for sp in cx.spaces]
+        dense_adj = [np.linalg.solve(grams[i], d.matrix.T @ grams[i + 1])
+                     for i, d in enumerate(cx.diffs)]
+        for i, d in enumerate(cx.diffs):
+            n0, n1 = d.domain.dim, d.codomain.dim
+            y = rng.standard_normal((n1, 3))
+            assert _rel(adjoint(d, y), dense_adj[i] @ y) <= 1e-12
+            L0 = np.linalg.cholesky(grams[i])
+            L1 = np.linalg.cholesky(grams[i + 1])
+            ref = L1.T @ np.linalg.solve(L0, d.matrix.T).T
+            x = rng.standard_normal((n0, 3))
+            assert _rel(cx.whitened_diff(i, x), ref @ x) <= 1e-12
+            assert _rel(cx.whitened_diff(i, y, transpose=True),
+                        ref.T @ y) <= 1e-12
+        for i, sp in enumerate(cx.spaces):
+            lap = np.zeros((sp.dim, sp.dim))
+            if i < len(cx.diffs):
+                lap += dense_adj[i] @ cx.diffs[i].matrix
+            if i > 0:
+                lap += cx.diffs[i - 1].matrix @ dense_adj[i - 1]
+            u = rng.standard_normal((sp.dim, 3))
+            assert _rel(hodge_laplacian(cx, i, u), lap @ u) <= 1e-12
+            assert _rel(hodge_laplacian(cx, i, u[:, 0]), lap @ u[:, 0]) <= \
+                1e-12
