@@ -56,28 +56,32 @@ def _int_product(a, B, nrows):
     2^62, else in Python ints (object dtype).
 
     Each triplet (i, c, v) meets each nonzero B[c, j] = w in one term
-    v * w of entry (i, j); the terms are sorted by entry and each entry is
-    summed once, over its segment."""
-    rows, cols, vals = (np.asarray(x) for x in a)
+    v * w of entry (i, j).  ``np.nonzero`` lists B's nonzeros row by row,
+    so those of row c are one run; the terms are sorted by entry and each
+    entry is summed once, over its segment."""
+    rows, cols, vals = a
     va, vb = (float(np.abs(x).max(initial=0)) for x in (vals, B))
     dtype = np.int64 if len(vals) * va * vb < 2.0 ** 62 else object
     out = np.zeros((nrows, B.shape[1]), dtype)
     bi, bj = np.nonzero(B)
-    order = np.argsort(cols, kind="stable")
-    count = np.bincount(cols, minlength=len(B))[bi]
+    per_row = np.bincount(bi, minlength=len(B))
+    count = per_row[cols]
     total = int(count.sum())
     if not total:
         return out
-    # term t pairs B's nonzero e = pick[t] with the triplet at sorted
-    # position start[e] + (t - first term of e)
-    pick = np.repeat(np.arange(len(bi)), count)
-    start = np.searchsorted(cols[order], bi) - np.cumsum(count) + count
-    tri = order[start[pick] + np.arange(total)]
-    key = rows[tri] * B.shape[1] + bj[pick]
-    terms = vals[tri].astype(dtype) * B[bi, bj].astype(dtype)[pick]
-    by_key = np.argsort(key, kind="stable")
+    # term t joins triplet pick[t] with the nonzero of B at position
+    # (start of row cols[pick[t]]) + (t - first term of pick[t])
+    pick = np.repeat(np.arange(len(vals)), count)
+    skip = (np.cumsum(per_row) - per_row)[cols] - np.cumsum(count) + count
+    nz = skip[pick] + np.arange(total)
+    key = rows[pick] * B.shape[1] + bj[nz]
+    terms = vals.astype(dtype)[pick] * B[bi, bj].astype(dtype)[nz]
+    # Python's sort: numpy's would page in a few hundred KB of sort code,
+    # more than the few thousand keys here are worth
+    by_key = np.array(sorted(range(total), key=key.tolist().__getitem__),
+                      np.intp)
     key = key[by_key]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    first = np.flatnonzero(np.diff(key, prepend=-1))
     out.flat[key[first]] = np.add.reduceat(terms[by_key], first)
     return out
 
