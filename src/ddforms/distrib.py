@@ -66,19 +66,16 @@ def _int_product(a, B, nrows):
     bi, bj = np.nonzero(B)
     per_row = np.bincount(bi, minlength=len(B))
     count = per_row[cols]
-    total = int(count.sum())
-    if not total:
-        return out
     # term t joins triplet pick[t] with the nonzero of B at position
     # (start of row cols[pick[t]]) + (t - first term of pick[t])
     pick = np.repeat(np.arange(len(vals)), count)
     skip = (np.cumsum(per_row) - per_row)[cols] - np.cumsum(count) + count
-    nz = skip[pick] + np.arange(total)
+    nz = skip[pick] + np.arange(len(pick))
     key = rows[pick] * B.shape[1] + bj[nz]
     terms = vals.astype(dtype)[pick] * B[bi, bj].astype(dtype)[nz]
     # Python's sort: numpy's would page in a few hundred KB of sort code,
     # more than the few thousand keys here are worth
-    by_key = np.array(sorted(range(total), key=key.tolist().__getitem__),
+    by_key = np.array(sorted(range(len(key)), key=key.tolist().__getitem__),
                       np.intp)
     key = key[by_key]
     first = np.flatnonzero(np.diff(key, prepend=-1))
