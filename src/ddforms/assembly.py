@@ -19,7 +19,7 @@ import numpy as np
 
 from ddforms import exact
 from ddforms.mesh import MeshError, facet_incidence
-from ddforms.polyforms import _integer_table, simplex_metrics
+from ddforms.polyforms import simplex_metrics
 
 
 class AssemblyError(ValueError):
@@ -280,7 +280,7 @@ def _triplets(pair, family, op, m, k):
         else:
             cell, facet, j, sign = facet_incidence(pair, m)
             tables = [family.trace_matrix(m, k, i) for i in range(m + 1)]
-        blocks = np.stack([_integer_table(t) for t in tables])[j]
+        blocks = np.stack(tables)[j]
         blocks *= sign[:, None, None]
         _cells, bt, bs = blocks.shape
         e, a, b = np.nonzero(blocks)

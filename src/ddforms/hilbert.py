@@ -10,7 +10,7 @@ dimension is decided by exact selection of independent integer rows and
 columns; one QR, memoised per index, gives the harmonic basis and, where
 the Laplace solve asks for them (its only caller), the exact and coexact
 ranges on which it takes two Cholesky factors.  Pseudoinverses are applied
-by exact row selection and one thin QR; the one SVD is a ``rank_split``.
+by exact row selection and one thin QR.
 The Laplacian, the metric adjoints and the whitened differentials are
 applied to vectors and never formed as matrices.
 """
@@ -21,7 +21,6 @@ import numpy as np
 
 from ddforms import exact
 from ddforms.assembly import AssemblyError, Subspace, adjoint
-from ddforms.polyforms import rank_split
 
 
 class ComplexInstance:
@@ -174,5 +173,5 @@ def subspace_equality_defect(a, b):
         return float(abs(a.dim - b.dim))
     if a.dim == 0:
         return 0.0
-    s = rank_split(subspace_transfer(a, b)).s
+    s = np.linalg.svd(subspace_transfer(a, b), compute_uv=False)
     return float(np.max(np.abs(s - 1.0)))

@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -257,18 +256,22 @@ def reduced_frame(m, k, R):
 
 
 def coeff_vector(form, frame):
+    """The integer coefficients of a form in a reduced frame; FormError for
+    a term outside the frame or a non-integral coefficient."""
     index = _frame_index(frame)
-    v = np.zeros(len(frame))
+    v = np.zeros(len(frame), dtype=np.int64)
     for key, c in form.reduced().items():
         if key not in index:
             raise FormError(f"term {key} outside frame")
+        if c != round(c):
+            raise FormError(f"non-integral coefficient {c} of term {key}")
         v[index[key]] = c
     return v
 
 
 def _coeff_matrix(forms, frame):
-    """The coefficient vectors of forms in a frame, as columns."""
-    out = np.zeros((len(frame), len(forms)))
+    """The integer coefficient vectors of forms in a frame, as columns."""
+    out = np.zeros((len(frame), len(forms)), dtype=np.int64)
     for j, f in enumerate(forms):
         out[:, j] = coeff_vector(f, frame)
     return out
@@ -277,44 +280,6 @@ def _coeff_matrix(forms, frame):
 @lru_cache(maxsize=None)
 def _frame_index(frame):
     return {key: i for i, key in enumerate(frame)}
-
-
-class RankSplit(NamedTuple):
-    """A dense matrix split by one SVD at its numerical rank.
-
-    ``range`` and ``row_range`` are orthonormal bases of the column space
-    and of the row space (the leading left and right singular vectors);
-    ``s`` holds every singular value, largest first.
-    """
-
-    range: np.ndarray
-    row_range: np.ndarray
-    s: np.ndarray
-    rank: int
-
-    def solve(self, rhs):
-        """The minimum-norm least-squares solution X of mat X = rhs over
-        the singular values that count, for a 2-D rhs."""
-        return self.row_range @ ((self.range.T @ rhs)
-                                 / self.s[:self.rank, None])
-
-
-# The relative singular-value cutoff of every float truncation, against
-# max(s_max, 1).
-RANK_RTOL = 1e-9
-
-
-def rank_split(mat):
-    """The one SVD, an economy rank-revealing decomposition: singular
-    values above RANK_RTOL * max(s_max, 1) count."""
-    mat = np.asarray(mat, float)
-    rows, cols = mat.shape
-    if rows == 0 or cols == 0:
-        return RankSplit(np.zeros((rows, 0)), np.zeros((cols, 0)),
-                         np.zeros(0), 0)
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > RANK_RTOL * max(s[0], 1.0)))
-    return RankSplit(u[:, :rank], vt[:rank].T, s, rank)
 
 
 # -- geometry -------------------------------------------------------------
@@ -632,8 +597,7 @@ def _trimmed_space(m, k, r):
     gens = [_monomial_times(alpha, whitney_form(m, rho))
             for rho in itertools.combinations(range(m + 1), k + 1)
             for alpha in sorted(_compositions(r - 1, m + 1))]
-    frame = reduced_frame(m, k, r)
-    table = _integer_table(_coeff_matrix(gens, frame).T)
+    table = _coeff_matrix(gens, reduced_frame(m, k, r)).T
     keep = exact.independent(exact.dense_rows(table))
     return ElementSpace(m, k, [gens[i] for i in keep], r)
 
@@ -652,36 +616,31 @@ _NOT_A_MEMBER = {
 }
 
 
+def _lift(A, B, error, reason):
+    """The integer X with A X = B for integer A and B, read off the exact
+    kernel of [A | -B]; free columns of A get zero.  Raises error(reason)
+    unless every column of B is a free column of unit scale, i.e. unless
+    it is an integer combination of the pivot columns of A."""
+    n, nb = A.shape[1], B.shape[1]
+    K, free = exact.kernel(exact.dense_rows(np.hstack([A, -B])), n + nb)
+    lead = len(free) - nb
+    if lead < 0 or not np.array_equal(free[lead:], np.arange(n, n + nb)) \
+            or np.any(np.diagonal(K[n:, lead:]) != 1):
+        raise error(reason)
+    return K[:n, lead:].astype(np.int64)
+
+
 def _solve_in_space(space, forms, error=FamilyError):
-    """Coefficient matrix of the given forms in a space's basis, by one
-    least-squares solve.  Raises ``error`` unless each form's residual is
-    within 1e-8 * max(1, |form|), or within 1e-8 for the zero space."""
+    """Integer coefficient matrix of the given forms in a space's basis, by
+    one exact lift; raises ``error`` unless each form is an integer
+    combination of the basis."""
     frame, target = space.frame, space.matrix
     degree = max((_form_poly_degree(f) for f in forms), default=0)
     if degree > space.frame_degree:
         frame = reduced_frame(space.dim, space.degree, degree)
         target = _coeff_matrix(space.basis, frame)
-    V = _coeff_matrix(forms, frame)
-    out = rank_split(target).solve(V)
-    scale = np.maximum(1.0, np.linalg.norm(V, axis=0)) if space.size else 1.0
-    if np.any(np.linalg.norm(target @ out - V, axis=0) > 1e-8 * scale):
-        raise error(_NOT_A_MEMBER[error])
-    return out
-
-
-def _integer_table(table):
-    """An element table as an int array; FamilyError unless every entry is
-    within 1e-9 of an integer."""
-    rounded = np.rint(table)
-    deviation = float(np.abs(table - rounded).max(initial=0.0))
-    if deviation > 1e-9:
-        raise FamilyError(f"element table off an integer by {deviation:.3g}")
-    return rounded.astype(np.int64)
-
-
-def _table_rank(table):
-    """Exact rank of an integral element table."""
-    return exact.rank(exact.dense_rows(_integer_table(table)))
+    return _lift(target, _coeff_matrix(forms, frame), error,
+                 _NOT_A_MEMBER[error])
 
 
 @lru_cache(maxsize=None)
@@ -690,7 +649,7 @@ def _d_matrix(kind, r, m, k):
     src = _family_space(kind, r, m, k)
     tgt = _family_space(kind, r, m, k + 1)
     if src.size == 0 or k >= m:
-        return np.zeros((tgt.size, src.size))
+        return np.zeros((tgt.size, src.size), dtype=np.int64)
     return _solve_in_space(tgt, [f.derivative() for f in src.basis])
 
 
@@ -703,9 +662,9 @@ def _trace_matrix(kind, r, m, k, j):
     if src.size == 0 or tgt.size == 0:
         if src.size and k <= m - 1:
             for f in src.basis:
-                if not f.trace(positions).is_zero(1e-12):
+                if not f.trace(positions).is_zero():
                     raise FamilyError("nonzero trace into an empty face space")
-        return np.zeros((tgt.size, src.size))
+        return np.zeros((tgt.size, src.size), dtype=np.int64)
     return _solve_in_space(tgt, [f.trace(positions) for f in src.basis])
 
 
@@ -724,7 +683,7 @@ def _bubble_space(kind, r, m, k):
         return src, np.eye(src.size, dtype=np.int64)
     stacked = np.vstack([_trace_matrix(kind, r, m, k, j)
                          for j in range(m + 1)])
-    null = exact.kernel(exact.dense_rows(_integer_table(stacked)), src.size)[0]
+    null = exact.kernel(exact.dense_rows(stacked), src.size)[0]
     basis = [src.from_coefficients(null[:, i]) for i in range(null.shape[1])]
     return ElementSpace(m, k, basis, src.frame_degree), null
 
@@ -771,25 +730,21 @@ def _instantiate_generator(kind, alpha, idx, positions, mc):
 
 @lru_cache(maxsize=None)
 def _extension_lift(kind, r, mf, k):
-    """Least-squares representation of the bubble basis over the
-    full-support generators; raises if the span is insufficient."""
+    """Integer representation of the bubble basis over the full-support
+    generators, by one exact lift; raises if the span is insufficient."""
     bubble, _coeffs = _bubble_space(kind, r, mf, k)
     gens = _full_support_generators(kind, r, mf, k)
     if bubble.size == 0:
-        return gens, np.zeros((len(gens), 0))
+        return gens, np.zeros((len(gens), 0), dtype=np.int64)
     if not gens:
         raise FamilyError(
             f"{kind}(r={r}): no full-support generators for k={k} on dim {mf}")
     G = _coeff_matrix([_instantiate_generator(kind, a, i, tuple(range(mf + 1)),
                                               mf) for a, i in gens],
                       bubble.frame)
-    B = bubble.matrix
-    lift = rank_split(G).solve(B)
-    if np.linalg.norm(G @ lift - B) > 1e-8 * max(1.0, np.linalg.norm(B)):
-        raise FamilyError(
-            f"{kind}(r={r}): bubble space on dim {mf}, k={k} is not covered "
-            "by full-support generators; no extension operator available")
-    return gens, lift
+    return gens, _lift(G, bubble.matrix, FamilyError, (
+        f"{kind}(r={r}): bubble space on dim {mf}, k={k} is not covered "
+        "by full-support generators; no extension operator available"))
 
 
 @lru_cache(maxsize=None)
@@ -807,9 +762,9 @@ def _extensions(kind, r, mf, k, mc):
         table[positions] = forms = []
         for gc in lift.T:
             out = BarycentricForm(mc, k)
-            for w, g in zip(gc, inst):
-                if abs(w) > 1e-14:
-                    out = out + g * float(w)
+            for w, g in zip(gc.tolist(), inst):
+                if w:
+                    out = out + g * w
             forms.append(out)
     return table
 
@@ -825,7 +780,8 @@ def check_local_exactness(family, m):
     surjectivity onto the top-degree space.
     """
     report = {"dim": m, "family": family.label, "indices": {}, "passed": True}
-    ranks = {k: _table_rank(family.d_matrix(m, k)) for k in range(m + 1)}
+    ranks = {k: exact.rank(exact.dense_rows(family.d_matrix(m, k)))
+             for k in range(m + 1)}
     for k in range(m + 1):
         n = family.space(m, k).size
         nullity = n - ranks[k]
@@ -850,10 +806,9 @@ def check_local_exactness(family, m):
 
 
 def _vanishes(form):
-    """Whether a form is zero to 1e-9: term-wise first, else on the reduced
+    """Whether a form is zero: term-wise first, else on the reduced
     coefficients, where forms equal only after sum(lambda) = 1 agree."""
-    return form.is_zero(1e-9) or all(
-        abs(c) <= 1e-9 for c in form.reduced().values())
+    return form.is_zero() or not form.reduced()
 
 
 def _check_extension_identities(family, mf, k, mc):
@@ -916,7 +871,7 @@ def _decomposition_entry(family, m, k):
             for ext in face]
     _solve_in_space(space, exts, error=FormError)
     count = len(exts)
-    rank = rank_split(_coeff_matrix(exts, space.frame)).rank
+    rank = exact.rank(exact.dense_rows(_coeff_matrix(exts, space.frame).T))
     identities = all(
         _check_extension_identities(family, mf, k, m)
         for mf in range(k, m + 1))

@@ -3,7 +3,10 @@ import pytest
 
 from ddforms import assembly, distrib
 from ddforms.mesh import RelativePair, generate_mesh
-from ddforms.polyforms import RANK_RTOL
+
+# The reference relative singular-value cutoff of the float cross-checks,
+# against max(s_max, 1).
+RANK_RTOL = 1e-9
 
 _CACHE = {}
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from ddforms import exact
+from ddforms import exact, polyforms
 from ddforms.assembly import (AssemblyError, BrokenSpace, _element_grams,
                               adjoint, broken_space, derivative_operator,
                               export_matrix, kernel_space,
                               mesh_weight, operator_D, operator_T)
 from ddforms.mesh import generate_mesh, orientation_sign, skeleton_pair
-from ddforms.polyforms import Family, FamilyError, whitney
+from ddforms.polyforms import ElementSpace, Family, FamilyError, whitney
 
 from conftest import svd_null
 
@@ -217,13 +217,29 @@ def test_triplet_operators_and_exact_kernels(catalog, name, family):
 
 @pytest.mark.parametrize("table", ["d_matrix", "trace_matrix"])
 def test_non_integral_element_table_raises(monkeypatch, table):
-    original = getattr(Family, table)
-    monkeypatch.setattr(Family, table,
-                        lambda self, *a: original(self, *a) + 1e-6)
+    """A target space whose basis is twice the Whitney basis gives the
+    table half-integral coordinates, which the exact lift refuses."""
+    target = (2, 1) if table == "d_matrix" else (1, 0)
+    space = polyforms._family_space
+
+    def doubled(kind, r, m, k):
+        src = space(kind, r, m, k)
+        if (m, k) != target:
+            return src
+        return ElementSpace(m, k, [f * 2 for f in src.basis],
+                            src.frame_degree)
+
+    monkeypatch.setattr(polyforms, "_family_space", doubled)
     pair = generate_mesh("square_grid", 1)
     build = operator_D if table == "d_matrix" else operator_T
-    with pytest.raises(FamilyError):
-        build(pair, 2, 0, whitney())
+    polyforms._d_matrix.cache_clear()
+    polyforms._trace_matrix.cache_clear()
+    try:
+        with pytest.raises(FamilyError, match="not closed"):
+            build(pair, 2, 0, whitney())
+    finally:
+        polyforms._d_matrix.cache_clear()
+        polyforms._trace_matrix.cache_clear()
 
 
 def test_export_matrix_format(tmp_path):

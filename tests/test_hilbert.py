@@ -8,10 +8,10 @@ from ddforms.hilbert import (ComplexInstance, harmonic_space, hodge_laplacian,
                              laplace_solve, pseudoinverse,
                              subspace_equality_defect, subspace_transfer)
 from ddforms.mesh import betti_numbers, build_complex, generate_mesh, mark_pair
-from ddforms.polyforms import RANK_RTOL, Family, whitney
+from ddforms.polyforms import Family, whitney
 from ddforms import distrib
 
-from conftest import svd_null
+from conftest import RANK_RTOL, svd_null
 
 
 @pytest.fixture(scope="module")

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 import sympy
 
-from ddforms import polyforms
+from ddforms import exact, polyforms
 from ddforms.assembly import broken_space
 from ddforms.cli import main
 from ddforms.mesh import build_complex, generate_mesh
 from ddforms.polyforms import (BarycentricForm, Family, FamilyError, FormError,
                                SimplexGeometry, check_geometric_decomposition,
                                check_local_exactness, geometry,
-                               rank_split, simplex_metrics, stokes_residual,
+                               simplex_metrics, stokes_residual,
                                trimmed_dimension, whitney, whitney_form)
 
 REF_TRI = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
@@ -177,50 +177,12 @@ def test_full_family_decomposition():
                 assert "no full-support generators" in failed[0]["reason"]
 
 
-def _projector(basis):
-    return basis @ basis.T
-
-
-@pytest.mark.parametrize("shape,rank", [((40, 25), 17), ((25, 40), 17),
-                                        ((30, 30), 30), ((30, 30), 12),
-                                        ((12, 20), 12), ((0, 7), 0),
-                                        ((7, 0), 0), ((9, 5), 0)])
-def test_rank_split_matches_full_svd(shape, rank):
-    rng = np.random.default_rng(sum(shape) + rank)
-    rows, cols = shape
-    mat = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
-    split = rank_split(mat)
-    assert split.rank == rank
-    assert split.range.shape == (rows, rank)
-    assert split.row_range.shape == (cols, rank)
-    if rows and cols:
-        u, s, vt = np.linalg.svd(mat, full_matrices=True)
-        ref_rank = int(np.sum(s > 1e-9 * max(s[0], 1.0)))
-        assert split.rank == ref_rank
-        assert np.allclose(split.s, s)
-        ref = {"range": u[:, :ref_rank], "row_range": vt[:ref_rank].T}
-        for name, basis in ref.items():
-            got = getattr(split, name)
-            assert np.linalg.norm(got.T @ got - np.eye(got.shape[1])) < 1e-12
-            assert np.linalg.norm(
-                _projector(got) - _projector(basis)) < 1e-12, name
-    rhs = rng.standard_normal((rows, 3))
-    ref = np.linalg.pinv(mat, rcond=1e-9) @ rhs
-    got = split.solve(rhs)
-    assert got.shape == (cols, 3)
-    assert np.abs(got - ref).max(initial=0.0) <= 1e-10 * max(
-        1.0, np.abs(ref).max(initial=0.0))
-
-
 def test_every_float_decomposition_is_rank_split(monkeypatch):
-    """A chain and a solve, cold element tables included, take every SVD
-    inside rank_split and every QR inside the harmonic split or the
-    pseudoinverse, reach no SVD from the harmonic split, the Laplace
-    solve, the pseudoinverse or the regularizers, and call no pinv or
-    lstsq."""
-    for value in vars(polyforms).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    """A chain, a solve and a check, each with cold element tables, take
+    the only SVDs in the two harmonic-transfer metrics and every QR inside
+    the harmonic split or the pseudoinverse; no SVD runs under the harmonic
+    split, the Laplace solve, the pseudoinverse, the regularizers or the
+    structural conditions, and no pinv or lstsq runs at all."""
     callers = {"svd": set(), "qr": set()}
     svd_under = set()
 
@@ -238,7 +200,7 @@ def test_every_float_decomposition_is_rank_split(monkeypatch):
         return wrapper
 
     def refused(*args, **kwargs):
-        raise AssertionError("a float decomposition outside rank_split")
+        raise AssertionError("a float decomposition outside the metric")
 
     for name in callers:
         monkeypatch.setattr(np.linalg, name, traced(name))
@@ -246,13 +208,19 @@ def test_every_float_decomposition_is_rank_split(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", refused)
     for argv in (["chain", "--mesh", "catalog:annulus", "--mark", "half"],
                  ["solve", "--mesh", "catalog:cube_tet", "--mark", "half",
+                  "--degree", "2"],
+                 ["check", "--mesh", "catalog:cube_tet", "--mark", "half",
                   "--degree", "2"]):
+        for value in vars(polyforms).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
         assert main(argv, out=io.StringIO()) == 0, argv
-    assert callers == {"svd": {"rank_split"},
+    assert callers == {"svd": {"_transfer_verdict", "subspace_equality_defect"},
                        "qr": {"_harmonic_split", "pseudoinverse"}}
     assert not svd_under & {"_harmonic_split", "laplace_solve",
                             "pseudoinverse", "_regularizer",
-                            "regularizer_R", "regularizer_S"}
+                            "regularizer_R", "regularizer_S",
+                            "check_conditions"}
 
 
 def test_trace_surjectivity():
@@ -261,7 +229,9 @@ def test_trace_surjectivity():
         for m in (1, 2, 3):
             for k in range(m):
                 table = fam.trace_matrix(m, k, 0)
-                assert polyforms._table_rank(table) == fam.space(m - 1, k).size
+                assert table.dtype == np.int64
+                assert exact.rank(exact.dense_rows(table)) == \
+                    fam.space(m - 1, k).size
 
 
 def test_element_space_membership_rejects_outside():
@@ -384,16 +354,16 @@ def test_bubble_bases_are_exact_trace_kernels(kind, r):
             assert np.issubdtype(null.dtype, np.integer)
             assert null.shape == (src.size, bubble.size)
             for j in range(m + 1):
-                table = polyforms._integer_table(
-                    polyforms._trace_matrix(kind, r, m, k, j))
+                table = polyforms._trace_matrix(kind, r, m, k, j)
+                assert table.dtype == np.int64
                 assert not np.any(table @ null), (kind, r, m, k, j)
             if null.size:
                 assert np.linalg.matrix_rank(null) == bubble.size
 
 
 def lstsq_extension(form, positions, mc, family):
-    """One form's extension, from its least-squares coordinates in the
-    bubble basis lifted over the full-support generators."""
+    """One form's extension, from its coordinates in the bubble basis
+    lifted over the full-support generators."""
     kind, r, k = family.kind, family.r, form.degree
     mf = len(positions) - 1
     bubble, _ = polyforms._bubble_space(kind, r, mf, k)
@@ -431,3 +401,33 @@ def test_extension_table_matches_lstsq_extension(kind, r):
                         diff = (ext - ref).reduced().values()
                         assert max(map(abs, diff), default=0.0) <= 1e-12, \
                             (kind, r, mc, mf, k, positions)
+
+
+@pytest.mark.parametrize("kind", ["trimmed", "full"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_element_tables_are_exact_integer_lifts(kind, r):
+    """Every d and trace table is int64 and maps the source basis to the
+    coefficients of its images in the target basis, exactly."""
+    for m in range(4):
+        for k in range(m + 1):
+            src = polyforms._family_space(kind, r, m, k)
+            cases = [(polyforms._d_matrix(kind, r, m, k),
+                      polyforms._family_space(kind, r, m, k + 1),
+                      [f.derivative() for f in src.basis])]
+            for j in range(m + 1 if m else 0):
+                positions = tuple(i for i in range(m + 1) if i != j)
+                cases.append((polyforms._trace_matrix(kind, r, m, k, j),
+                              polyforms._family_space(kind, r, m - 1, k),
+                              [f.trace(positions) for f in src.basis]))
+            for table, target, images in cases:
+                assert table.dtype == np.int64
+                assert np.array_equal(
+                    target.matrix @ table,
+                    polyforms._coeff_matrix(images, target.frame)), \
+                    (kind, r, m, k)
+
+
+def test_non_integral_coefficient_raises():
+    half = BarycentricForm.monomial(2, (1, 0, 0), (1,), 0.5)
+    with pytest.raises(FormError, match="non-integral"):
+        polyforms.coeff_vector(half, polyforms.reduced_frame(2, 1, 1))

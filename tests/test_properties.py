@@ -1,13 +1,15 @@
-"""Property-based checks on random marked sub-grids of the square grid."""
+"""Property-based checks on random marked sub-grids of the square grid,
+and on the exact integer lift of the element layer."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ddforms import distrib
+from ddforms import distrib, exact
 from ddforms.hilbert import harmonic_space
 from ddforms.mesh import _grid_cells_2d, betti_numbers, build_complex
-from ddforms.polyforms import whitney
+from ddforms.polyforms import FamilyError, _lift, whitney
 
 JITTER = st.floats(-0.15, 0.15)
 
@@ -77,3 +79,50 @@ def test_regularizers_on_cocycles(pair):
         if pos < len(cx.diffs):
             d_next = cx.diffs[pos].matrix
             assert np.linalg.norm(d_next @ (out - z)) <= 1e-10 * scale
+
+
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def injective_lifts(draw):
+    """An integer A of full column rank and an integer X, as int64."""
+    n = draw(st.integers(0, 4))
+    rows = draw(st.integers(n, 6))
+    A = np.array(draw(st.lists(st.lists(SMALL, min_size=n, max_size=n),
+                               min_size=rows, max_size=rows)),
+                 dtype=np.int64).reshape(rows, n)
+    assume(exact.rank(exact.dense_rows(A)) == n)
+    nb = draw(st.integers(0, 3))
+    X = np.array(draw(st.lists(st.lists(SMALL, min_size=nb, max_size=nb),
+                               min_size=n, max_size=n)),
+                 dtype=np.int64).reshape(n, nb)
+    return A, X
+
+
+@DRAWN
+@given(injective_lifts())
+def test_lift_recovers_integer_solution(ax):
+    A, X = ax
+    got = _lift(A, A @ X, FamilyError, "drawn")
+    assert got.dtype == np.int64
+    assert np.array_equal(got, X)
+
+
+@DRAWN
+@given(injective_lifts(), st.lists(SMALL, min_size=6, max_size=6))
+def test_lift_refuses_column_outside_range(ax, col):
+    A, X = ax
+    b = np.array(col[:len(A)], dtype=np.int64)[:, None]
+    assume(exact.rank(exact.dense_rows(np.hstack([A, b]))) > A.shape[1])
+    with pytest.raises(FamilyError, match="drawn"):
+        _lift(A, np.hstack([A @ X, b]), FamilyError, "drawn")
+
+
+@DRAWN
+@given(injective_lifts())
+def test_lift_refuses_half_integral_solution(ax):
+    A, X = ax
+    assume(np.any(X % 2))
+    with pytest.raises(FamilyError, match="drawn"):
+        _lift(2 * A, A @ X, FamilyError, "drawn")
