@@ -173,5 +173,6 @@ def subspace_equality_defect(a, b):
         return float(abs(a.dim - b.dim))
     if a.dim == 0:
         return 0.0
-    s = np.linalg.svd(subspace_transfer(a, b), compute_uv=False)
+    # the thin SVD, as in distrib._transfer_verdict
+    s = np.linalg.svd(subspace_transfer(a, b), full_matrices=False)[1]
     return float(np.max(np.abs(s - 1.0)))
