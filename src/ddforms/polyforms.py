@@ -869,9 +869,11 @@ def _decomposition_entry(family, m, k):
     exts = [ext for mf in range(k, m + 1)
             for face in _extensions(family.kind, family.r, mf, k, m).values()
             for ext in face]
-    _solve_in_space(space, exts, error=FormError)
+    # the basis is independent, so the extensions' rank is their
+    # coordinates' rank
+    coords = _solve_in_space(space, exts, error=FormError)
     count = len(exts)
-    rank = exact.rank(exact.dense_rows(_coeff_matrix(exts, space.frame).T))
+    rank = exact.rank(exact.dense_rows(coords.T))
     identities = all(
         _check_extension_identities(family, mf, k, m)
         for mf in range(k, m + 1))
