@@ -214,16 +214,19 @@ class LinearOp:
             self._matrix[rows, cols] = vals
         return self._matrix
 
-    def integer_rows(self, transpose=False):
-        """The rows (the columns, if ``transpose``) of a triplet operator
-        as {column: value} dicts."""
+    def integer_rows(self):
+        """The rows of a triplet operator as {column: value} dicts."""
         if self.triplets is None:
             raise AssemblyError(
                 f"{self!r} is a float operator and has no integer rows")
-        rows, cols, vals = self.triplets
-        if transpose:
-            return exact.triplet_rows(cols, rows, vals, self.domain.dim)
-        return exact.triplet_rows(rows, cols, vals, self.codomain.dim)
+        return exact.triplet_rows(*self.triplets, self.codomain.dim)
+
+    @cached_property
+    def echelon(self):
+        """The first maximal independent rows and the sorted pivot columns
+        of one exact elimination; the pivot rows are not kept."""
+        rows, pivots = exact.echelon(self.integer_rows())
+        return rows, sorted(pivots)
 
     def __repr__(self):
         return f"LinearOp({self.codomain.dim}x{self.domain.dim})"

@@ -466,10 +466,10 @@ def skeleton_degree_zero_identity(pair, family, m):
     lhs = d0.domain.dim - exact.rank(rows)
     rhs = harmonic_chain(pair, family, m).dim
     if m + 1 <= n:
-        # rank of T on ker D is rank [D; T] - rank D
+        # the rank of T on ker D: the T rows that raise the rank of [D; T]
         d = operator_D(pair, m + 1, 0, family).integer_rows()
         t = operator_T(pair, m + 1, 0, family).integer_rows()
-        rhs += exact.rank(d + t) - exact.rank(d)
+        rhs += sum(i >= len(d) for i in exact.echelon(d + t)[0])
     return {"lhs": int(lhs), "rhs": int(rhs), "ok": bool(lhs == rhs)}
 
 

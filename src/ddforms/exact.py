@@ -2,8 +2,8 @@
 
 A matrix is given by its rows, each a {column: value} dict of its nonzero
 integer entries.  One fraction-free elimination serves the rank, the
-independent rows and the kernel, so none depends on a floating-point
-threshold.
+independent rows and columns and the kernel, so none depends on a
+floating-point threshold.
 """
 
 from __future__ import annotations
@@ -64,14 +64,15 @@ def dense_rows(mat):
 
 def rank(rows):
     """Exact rank of integer rows."""
-    return len(independent(rows))
+    return len(echelon(rows)[0])
 
 
-def independent(rows):
-    """The indices of the rows that raise the rank of the rows before them:
-    the first maximal independent subset, in order."""
+def echelon(rows):
+    """The rows that raise the rank of those before them and the pivots,
+    {leading column: pivot row}, whose sorted leading columns are likewise
+    the first maximal independent subset of the columns."""
     pivots = {}
-    return [i for i, r in enumerate(rows) if _insert(pivots, r)]
+    return [i for i, r in enumerate(rows) if _insert(pivots, r)], pivots
 
 
 def kernel(rows, ncols):
@@ -82,9 +83,7 @@ def kernel(rows, ncols):
     Back-substitution brings the echelon rows to reduced form.  Column i
     belongs to f[i]: K[f[i], i] is the least positive integer that makes
     every pivot entry integral, other free entries are zero."""
-    pivots = {}
-    for r in rows:
-        _insert(pivots, r)
+    pivots = echelon(rows)[1]
     for c in sorted(pivots, reverse=True):
         for cc in [cc for cc in pivots[c] if cc != c and cc in pivots]:
             pivots[c] = _combine(pivots[c], pivots[cc], cc)

@@ -6,11 +6,12 @@ spaces, the Hodge Laplacian and its solve, and metric Moore-Penrose
 pseudoinverses are computed after whitening: the Cholesky factor of each
 Gram matrix, the space's ``whitening`` (block by block for a broken space,
 dense for a kernel subspace), maps to an orthonormal frame.  A harmonic
-dimension is decided by exact selection of independent integer rows and
-columns; one QR, memoised per index, gives the harmonic basis and, where
-the Laplace solve asks for them (its only caller), the exact and coexact
-ranges on which it takes two Cholesky factors.  Pseudoinverses are applied
-by exact row selection and one thin QR.
+dimension is decided by one exact elimination per integer differential,
+which selects its independent rows and columns; one QR, memoised per
+index, gives the harmonic basis and, where the Laplace solve asks for them
+(its only caller), the exact and coexact ranges on which it takes two
+Cholesky factors.  Pseudoinverses are applied by exact row selection and
+one thin QR.
 The Laplacian, the metric adjoints and the whitened differentials are
 applied to vectors and never formed as matrices.
 """
@@ -73,7 +74,8 @@ def _harmonic_split(cx, i, ranges=False):
 
     The rows R of d_i and the columns C of d_{i-1} independent over the
     integers span the row space of d_i and the range of d_{i-1}, so the
-    harmonic dimension is n - |R| - |C|.  Where it is positive, or
+    harmonic dimension is n - |R| - |C|; R and C are read off the one
+    ``LinearOp.echelon`` of d_i and of d_{i-1}.  Where it is positive, or
     ``ranges`` asks for Q, Q is that of the whitened
     S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], whose blocks are orthogonal
     as d_i d_{i-1} = 0: its leading r1 columns span the coexact range, the
@@ -85,12 +87,11 @@ def _harmonic_split(cx, i, ranges=False):
         S = np.zeros((n, 0))
         if i < len(cx.diffs):
             d = cx.diffs[i]
-            S = W.solve_l(d.matrix[exact.independent(d.integer_rows())].T)
+            S = W.solve_l(d.matrix[d.echelon[0]].T)
         r1 = S.shape[1]
         if i > 0:
             d = cx.diffs[i - 1]
-            cols = exact.independent(d.integer_rows(transpose=True))
-            S = np.hstack([S, W.mul_lt(d.matrix[:, cols])])
+            S = np.hstack([S, W.mul_lt(d.matrix[:, d.echelon[1]])])
         Q, basis = None, np.zeros((n, 0))
         if S.shape[1] < n or ranges:
             Q = np.linalg.qr(S, mode="complete")[0]
@@ -150,7 +151,7 @@ def pseudoinverse(op, rhs):
     rows R span its row space: with H = L_dom^-1 A[R]^T, pinv(Aw) z = H a,
     a the least-squares solution of Aw H a = z by one thin QR."""
     dom, cod = op.domain.whitening, op.codomain.whitening
-    rows = exact.independent(op.integer_rows())
+    rows = op.echelon[0]
     out = np.zeros((op.domain.dim,) + np.shape(rhs)[1:])
     if not rows or not out.size:
         return out

@@ -598,7 +598,7 @@ def _trimmed_space(m, k, r):
             for rho in itertools.combinations(range(m + 1), k + 1)
             for alpha in sorted(_compositions(r - 1, m + 1))]
     table = _coeff_matrix(gens, reduced_frame(m, k, r)).T
-    keep = exact.independent(exact.dense_rows(table))
+    keep = exact.echelon(exact.dense_rows(table))[0]
     return ElementSpace(m, k, [gens[i] for i in keep], r)
 
 
@@ -794,12 +794,9 @@ def check_local_exactness(family, m):
                     space.coefficients(const)
                 except FormError:
                     ok = False
-        elif k < m:
-            ok = nullity == ranks[k - 1]
         else:
-            ok = n - ranks.get(k - 1, 0) == (0 if m > 0 else 1)
-            if m == 0:
-                ok = n == 1
+            # the top d table is zero, so at k = m this is surjectivity
+            ok = nullity == ranks[k - 1]
         report["indices"][k] = {"dim": n, "kernel": nullity, "ok": bool(ok)}
         report["passed"] = report["passed"] and ok
     return report

@@ -51,6 +51,7 @@ def test_elimination_leaves_rows_unchanged():
     before = [dict(r) for r in rows]
     exact.kernel(rows, 3)
     exact.rank(rows)
+    exact.echelon(rows)
     assert rows == before
 
 
@@ -100,12 +101,18 @@ def test_independent_rows_match_sympy_ranks():
         mat *= rng.random(mat.shape) < 0.5
         if len(mat) > 2:
             mat[-1] = mat[0] - 3 * mat[1]
-        keep = exact.independent(exact.dense_rows(mat))
+        keep, pivots = exact.echelon(exact.dense_rows(mat))
         for i in range(len(mat) + 1):
             # a row is kept exactly when it raises the rank of those before
             head = sympy.Matrix(mat[:i].tolist()).rank() if i else 0
             assert sum(j < i for j in keep) == head
         assert len(keep) == sympy.Matrix(mat.tolist()).rank()
+        # a column leads a pivot row exactly when it raises the rank of
+        # the columns before it
+        ranks = [sympy.Matrix(mat[:, :j].tolist()).rank() if j else 0
+                 for j in range(mat.shape[1] + 1)]
+        assert sorted(pivots) == [j for j in range(mat.shape[1])
+                                  if ranks[j + 1] > ranks[j]]
 
 
 def test_dense_and_triplet_rows_agree():

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from ddforms.hilbert import (ComplexInstance, harmonic_space, hodge_laplacian,
                              subspace_equality_defect, subspace_transfer)
 from ddforms.mesh import betti_numbers, build_complex, generate_mesh, mark_pair
 from ddforms.polyforms import Family, whitney
-from ddforms import distrib
+from ddforms import distrib, exact
 
 from conftest import RANK_RTOL, svd_null
 
@@ -344,6 +346,33 @@ def test_exact_dims_on_squeezed_meshes(record_property):
     record_property("smallest_relative_singular_value", gap)
     print(f"float mis-ranks: {misranks}; smallest relative singular "
           f"value behind a float rank: {gap:.1e}")
+
+
+def test_one_elimination_per_differential(monkeypatch):
+    """The harmonic spaces and the Laplace solves at every index of a
+    complex eliminate each integer differential once: its rows R and the
+    columns C read by the next index come from the same echelon."""
+    calls = []
+    echelon = exact.echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return echelon(rows)
+
+    rng = np.random.default_rng(3)
+    for build in (distrib.conforming_complex, distrib.total_complex):
+        cx = build(generate_mesh("cube_tet", 1, "half"), Family("trimmed", 2))
+        calls.clear()
+        monkeypatch.setattr(exact, "echelon", counted)
+        for i in range(len(cx)):
+            harmonic_space(cx, i)
+            if cx.spaces[i].dim:
+                laplace_solve(cx, i, rng.standard_normal(cx.spaces[i].dim))
+        monkeypatch.undo()
+        assert len(calls) == len(cx.diffs)
+        assert all("echelon" in vars(d) for d in cx.diffs)
+    assert list(inspect.signature(LinearOp.integer_rows).parameters) == \
+        ["self"]
 
 
 def test_pseudoinverse_of_float_operator_names_the_cause(catalog):
