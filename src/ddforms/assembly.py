@@ -182,43 +182,37 @@ class BrokenSpace:
 
 
 class LinearOp:
-    """A matrix between two broken spaces (or kernel subspaces).
+    """An integer matrix between two broken spaces (or kernel subspaces).
 
-    Given dense, or as integer triplets (rows, cols, vals) with distinct
-    (row, col) pairs, which a dense integer-dtype matrix is kept as;
-    ``matrix`` is then a dense float view built on first use.
+    Kept as triplets (rows, cols, vals) with distinct (row, col) pairs, to
+    which a dense integer-dtype matrix is converted; a float matrix is
+    refused.  ``matrix`` is a dense float view built on first use.
     """
 
     def __init__(self, domain, codomain, matrix=None, triplets=None):
         self.domain = domain
         self.codomain = codomain
-        self._matrix = None
-        if triplets is None:
+        if matrix is not None:
             matrix = np.asarray(matrix)
+            if matrix.dtype.kind not in "iO":
+                raise AssemblyError(
+                    f"operator matrix of dtype {matrix.dtype} is not integer")
             if matrix.shape != (codomain.dim, domain.dim):
                 raise AssemblyError(
                     f"operator shape {matrix.shape} does not match spaces "
                     f"({codomain.dim}, {domain.dim})")
-            if matrix.dtype.kind in "iO":
-                i, j = np.nonzero(matrix)
-                triplets = (i, j, matrix[i, j])
-            else:
-                self._matrix = np.asarray(matrix, float)
+            triplets = exact.dense_triplets(matrix)
         self.triplets = triplets
 
-    @property
+    @cached_property
     def matrix(self):
-        if self._matrix is None:
-            rows, cols, vals = self.triplets
-            self._matrix = np.zeros((self.codomain.dim, self.domain.dim))
-            self._matrix[rows, cols] = vals
-        return self._matrix
+        rows, cols, vals = self.triplets
+        out = np.zeros((self.codomain.dim, self.domain.dim))
+        out[rows, cols] = vals
+        return out
 
     def integer_rows(self):
-        """The rows of a triplet operator as {column: value} dicts."""
-        if self.triplets is None:
-            raise AssemblyError(
-                f"{self!r} is a float operator and has no integer rows")
+        """The rows as {column: value} dicts."""
         return exact.triplet_rows(*self.triplets, self.codomain.dim)
 
     @cached_property
@@ -279,11 +273,11 @@ def _triplets(pair, family, op, m, k):
         if op == "D":
             cell = facet = np.arange(len(pair.stratum(m)))
             j, sign = np.zeros_like(cell), np.ones_like(cell)
-            tables = [family.d_matrix(m, k)]
+            tables = family.d_matrix(m, k)[None]
         else:
             cell, facet, j, sign = facet_incidence(pair, m)
-            tables = [family.trace_matrix(m, k, i) for i in range(m + 1)]
-        blocks = np.stack(tables)[j]
+            tables = family.trace_matrix(m, k)
+        blocks = tables[j]
         blocks *= sign[:, None, None]
         _cells, bt, bs = blocks.shape
         e, a, b = np.nonzero(blocks)

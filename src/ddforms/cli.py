@@ -36,13 +36,6 @@ from ddforms.mesh import (MeshError, betti_numbers, generate_mesh,
 from ddforms.polyforms import Family, FamilyError, FormError
 
 
-def parse_mesh_file(path):
-    """Load a mesh file, with context attached to any failure."""
-    if not os.path.exists(path):
-        raise MeshError(f"mesh file not found: {path}")
-    return load_mesh_file(path)
-
-
 def resolve_mesh(spec, mark):
     """Build the mesh a --mesh argument names, applying the marking mode."""
     if spec.startswith("catalog:"):
@@ -55,7 +48,7 @@ def resolve_mesh(spec, mark):
         if mark == "file":
             raise MeshError("marking mode 'file' needs a mesh file")
         return generate_mesh(name, size, mark)
-    pair = parse_mesh_file(spec)
+    pair = load_mesh_file(spec)
     return pair if mark == "file" else mark_pair(pair, mark)
 
 

@@ -50,70 +50,39 @@ def _kernel(pair, m, k, family, which):
                        lambda: kernel_space(pair, m, k, family, which))
 
 
-def _int_product(a, B, nrows):
-    """The exact product of an integer matrix a, as triplets (rows, cols,
-    vals), with a dense integer matrix B: in int64 when no sum can reach
-    2^62, else in Python ints (object dtype).
-
-    Each triplet (i, c, v) meets each nonzero B[c, j] = w in one term
-    v * w of entry (i, j).  ``np.nonzero`` lists B's nonzeros row by row,
-    so those of row c are one run; the terms are sorted by entry and each
-    entry is summed once, over its segment."""
-    rows, cols, vals = a
-    va, vb = (float(np.abs(x).max(initial=0)) for x in (vals, B))
-    dtype = np.int64 if len(vals) * va * vb < 2.0 ** 62 else object
-    out = np.zeros((nrows, B.shape[1]), dtype)
-    bi, bj = np.nonzero(B)
-    per_row = np.bincount(bi, minlength=len(B))
-    count = per_row[cols]
-    # term t joins triplet pick[t] with the nonzero of B at position
-    # (start of row cols[pick[t]]) + (t - first term of pick[t])
-    pick = np.repeat(np.arange(len(vals)), count)
-    skip = (np.cumsum(per_row) - per_row)[cols] - np.cumsum(count) + count
-    nz = skip[pick] + np.arange(len(pick))
-    key = rows[pick] * B.shape[1] + bj[nz]
-    terms = vals.astype(dtype)[pick] * B[bi, bj].astype(dtype)[nz]
-    # Python's sort: numpy's would page in a few hundred KB of sort code,
-    # more than the few thousand keys here are worth
-    by_key = np.array(sorted(range(len(key)), key=key.tolist().__getitem__),
-                      np.intp)
-    key = key[by_key]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    out.flat[key[first]] = np.add.reduceat(terms[by_key], first)
-    return out
-
-
 def _kernel_diff(sub, target):
     """The graded derivative on a kernel subspace, into the next space of a
     graded complex: a kernel subspace (in the coordinates of its integer
     basis) or a broken space, either on a single stratum.
 
     In exact integers: the image rows off the target's stratum must vanish,
-    and a kernel target's coordinates, read off its free columns, must
-    reproduce the image.  The operator keeps its integer triplets unless a
-    coordinate is fractional."""
+    and a kernel target's coordinates, read off its free columns, must be
+    integers that reproduce the image."""
     tgt = target.ambient if isinstance(target, Subspace) else target
     (ts,) = tgt.strata
     d = derivative_operator(sub.ambient)
-    img = _int_product(d.triplets, sub.basis, d.codomain.dim)
+    rows, cols, vals = exact.product(d.triplets,
+                                     exact.dense_triplets(sub.basis),
+                                     (d.codomain.dim, sub.dim))
     sl = d.codomain.stratum_slice(ts.m)
-    rows = img[sl]
-    if np.any(img[:sl.start]) or np.any(img[sl.stop:]):
+    if np.any((rows < sl.start) | (rows >= sl.stop)):
         raise AssemblyError("differential leaves the target stratum")
+    rows = rows - sl.start
     if not isinstance(target, Subspace):
-        return LinearOp(sub, target, rows)
+        return LinearOp(sub, target, triplets=(rows, cols, vals))
     Z, free = target.basis, target.free
-    scale = Z[free, np.arange(target.dim)].astype(object)
-    lcm = np.lcm.reduce(scale, initial=1)
-    i, j = np.nonzero(Z)
-    span = _int_product((i, j, Z[i, j] * (lcm // scale[j])), rows[free],
-                        len(rows))
-    if np.any(span % lcm) or np.any(span // lcm != rows):
+    coord = np.full(tgt.dim, -1)
+    coord[free] = np.arange(target.dim)
+    on = coord[rows] >= 0
+    at, scale = coord[rows[on]], Z[free, np.arange(target.dim)]
+    if np.any(vals[on] % scale[at]):
+        raise AssemblyError(
+            "differential image has fractional coordinates in the subspace")
+    coords = (at, cols[on], vals[on] // scale[at])
+    span = exact.product(exact.dense_triplets(Z), coords, (tgt.dim, sub.dim))
+    if not all(map(np.array_equal, span, (rows, cols, vals))):
         raise AssemblyError("differential image falls outside the subspace")
-    coords, scale = rows[free], Z[free, np.arange(target.dim)][:, None]
-    if np.any(coords % scale):
-        return LinearOp(sub, target, coords / scale.astype(float))
-    return LinearOp(sub, target, coords // scale)
+    return LinearOp(sub, target, triplets=coords)
 
 
 def _graded_complex(pair, family, kernels, head, label):

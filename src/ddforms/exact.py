@@ -1,9 +1,10 @@
-"""Exact linear algebra over the integers on sparse rows.
+"""Exact linear algebra over the integers on sparse matrices.
 
-A matrix is given by its rows, each a {column: value} dict of its nonzero
-integer entries.  One fraction-free elimination serves the rank, the
-independent rows and columns and the kernel, so none depends on a
-floating-point threshold.
+The elimination takes a matrix by its rows, each a {column: value} dict of
+its nonzero integer entries.  One fraction-free elimination serves the
+rank, the independent rows and columns and the kernel, so none depends on
+a floating-point threshold.  The product takes two matrices as triplets
+(rows, cols, vals) of their nonzero entries.
 """
 
 from __future__ import annotations
@@ -55,11 +56,17 @@ def triplet_rows(rows, cols, vals, nrows):
     return out
 
 
+def dense_triplets(mat):
+    """The triplets (rows, cols, vals) of the nonzero entries of a dense
+    integer array, in row-major order."""
+    i, j = np.nonzero(mat)
+    return i, j, mat[i, j]
+
+
 def dense_rows(mat):
     """The rows of a dense integer array as {column: value} dicts."""
     mat = np.asarray(mat)
-    i, j = np.nonzero(mat)
-    return triplet_rows(i, j, mat[i, j], len(mat))
+    return triplet_rows(*dense_triplets(mat), len(mat))
 
 
 def rank(rows):
@@ -105,14 +112,42 @@ def kernel(rows, ncols):
     return K, np.fromiter(free, np.int64, len(free))
 
 
-def product_vanishes(a, b):
-    """Whether A B = 0 for integer matrices given by their rows, the rows
-    of B indexed by the columns of A."""
-    for row in a:
-        out = {}
-        for k, v in row.items():
-            for j, w in b[k].items():
-                out[j] = out.get(j, 0) + v * w
-        if any(out.values()):
-            return False
-    return True
+def _order(keys):
+    """The permutation that sorts integer keys, by Python's sort: numpy's
+    would page in a few hundred KB of sort code, more than the few
+    thousand keys here are worth."""
+    keys = np.asarray(keys).tolist()
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__), np.intp)
+
+
+def product(a, b, shape):
+    """The nonzero entries of A B as triplets (rows, cols, vals), in
+    row-major order, for integer matrices A and B given as triplets with
+    distinct (row, col) pairs in any order; ``shape`` is that of A B.  The
+    sums are taken in int64 when none can reach 2^62, else in Python ints
+    (object dtype).
+
+    Each triplet (i, c, v) of A meets each triplet (c, j, w) of B in one
+    term v * w of entry (i, j).  Sorted by row, the triplets of row c of B
+    are one run; the terms are sorted by entry and each entry is summed
+    once, over its segment."""
+    (ar, ac, av), (br, bc, bv) = ([np.asarray(x) for x in m] for m in (a, b))
+    va, vb = (float(np.abs(v).max(initial=0)) for v in (av, bv))
+    dtype = np.int64 if len(av) * va * vb < 2.0 ** 62 else object
+    by_row = _order(br)
+    br, bc, bv = br[by_row], bc[by_row], bv[by_row]
+    start = np.searchsorted(br, ac)
+    count = np.searchsorted(br, ac, side="right") - start
+    # term t joins triplet pick[t] of A with triplet
+    # start[pick[t]] + (t - first term of pick[t]) of B
+    pick = np.repeat(np.arange(len(av)), count)
+    nz = (start - np.cumsum(count) + count)[pick] + np.arange(len(pick))
+    key = ar[pick] * shape[1] + bc[nz]
+    terms = av.astype(dtype)[pick] * bv.astype(dtype)[nz]
+    by_key = _order(key)
+    key = key[by_key]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    vals = np.add.reduceat(terms[by_key], first)
+    keep = vals != 0
+    rows, cols = np.divmod(key[first[keep]], shape[1])
+    return rows, cols, vals[keep]

@@ -31,19 +31,17 @@ class ComplexInstance:
         if len(diffs) != len(spaces) - 1:
             raise AssemblyError("need one differential per consecutive pair")
         for i, d in enumerate(diffs):
-            if d.matrix.shape != (spaces[i + 1].dim, spaces[i].dim):
+            if (d.codomain.dim, d.domain.dim) != (spaces[i + 1].dim,
+                                                  spaces[i].dim):
                 raise AssemblyError(f"differential {i} has the wrong shape")
-            if d.triplets is None:
-                raise AssemblyError(
-                    f"{label or 'complex'}: differential {i} has no "
-                    "integer rows")
         self.spaces = list(spaces)
         self.diffs = list(diffs)
         self.label = label
         self._harmonic = {}
         for i in range(len(diffs) - 1):
-            if not exact.product_vanishes(diffs[i + 1].integer_rows(),
-                                          diffs[i].integer_rows()):
+            shape = (spaces[i + 2].dim, spaces[i].dim)
+            if len(exact.product(diffs[i + 1].triplets, diffs[i].triplets,
+                                 shape)[0]):
                 raise AssemblyError(
                     f"{label or 'complex'}: differentials {i}, {i + 1} "
                     "do not compose to zero")

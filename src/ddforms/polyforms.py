@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -460,8 +460,8 @@ class Family:
     def d_matrix(self, m, k):
         return _d_matrix(self.kind, self.r, m, k)
 
-    def trace_matrix(self, m, k, j):
-        return _trace_matrix(self.kind, self.r, m, k, j)
+    def trace_matrix(self, m, k):
+        return _trace_matrix(self.kind, self.r, m, k)
 
 
 def whitney(r=1):
@@ -478,7 +478,6 @@ class ElementSpace:
         self.basis = list(basis)
         self.frame_degree = frame_degree
         self.frame = reduced_frame(dim, max(degree, 0), frame_degree)
-        self._reference = None
         self.matrix = _coeff_matrix(self.basis, self.frame)
 
     @property
@@ -496,7 +495,7 @@ class ElementSpace:
                 out = out + f * float(c)
         return out
 
-    @property
+    @cached_property
     def reference_tensor(self):
         """A[s, t, i, j]: the Gram of basis forms i, j on a unit-volume
         simplex, restricted to the wedges sigma_s of i and sigma_t of j.
@@ -507,21 +506,19 @@ class ElementSpace:
         geometry.  Built from exact monomial integrals on first use and
         kept on the space.
         """
-        if self._reference is None:
-            m, n = self.dim, self.size
-            sigs = {s: i for i, s in enumerate(
-                itertools.combinations(range(1, m + 1), self.degree))}
-            alphas = {a: i for i, a in enumerate(sorted(
-                {a for f in self.basis for a, _s in f.terms}))}
-            C = np.zeros((len(sigs), n, len(alphas)))
-            for i, f in enumerate(self.basis):
-                for (a, s), c in f.terms.items():
-                    C[sigs[s], i, alphas[a]] += c
-            M = np.array([[_unit_monomial_integral(
-                tuple(x + y for x, y in zip(a, b))) for b in alphas]
-                for a in alphas])
-            self._reference = np.einsum("sia,tja->stij", C @ M, C)
-        return self._reference
+        m, n = self.dim, self.size
+        sigs = {s: i for i, s in enumerate(
+            itertools.combinations(range(1, m + 1), self.degree))}
+        alphas = {a: i for i, a in enumerate(sorted(
+            {a for f in self.basis for a, _s in f.terms}))}
+        C = np.zeros((len(sigs), n, len(alphas)))
+        for i, f in enumerate(self.basis):
+            for (a, s), c in f.terms.items():
+                C[sigs[s], i, alphas[a]] += c
+        M = np.array([[_unit_monomial_integral(
+            tuple(x + y for x, y in zip(a, b))) for b in alphas]
+            for a in alphas])
+        return np.einsum("sia,tja->stij", C @ M, C)
 
     def gram(self, volumes, grad_grams):
         """Element Grams on a stack of simplices, shape (c, size, size).
@@ -654,18 +651,21 @@ def _d_matrix(kind, r, m, k):
 
 
 @lru_cache(maxsize=None)
-def _trace_matrix(kind, r, m, k, j):
-    """Matrix of the trace onto the facet omitting local vertex j."""
+def _trace_matrix(kind, r, m, k):
+    """The matrices of the traces onto the facets of an m-simplex, stacked
+    as (m + 1, target size, source size) and indexed by the omitted local
+    vertex; one exact lift solves for all of them."""
     src = _family_space(kind, r, m, k)
     tgt = _family_space(kind, r, m - 1, k)
-    positions = tuple(i for i in range(m + 1) if i != j)
+    facets = [tuple(i for i in range(m + 1) if i != j) for j in range(m + 1)]
     if src.size == 0 or tgt.size == 0:
-        if src.size and k <= m - 1:
-            for f in src.basis:
-                if not f.trace(positions).is_zero():
-                    raise FamilyError("nonzero trace into an empty face space")
-        return np.zeros((tgt.size, src.size), dtype=np.int64)
-    return _solve_in_space(tgt, [f.trace(positions) for f in src.basis])
+        if k <= m - 1 and not all(f.trace(positions).is_zero()
+                                  for positions in facets for f in src.basis):
+            raise FamilyError("nonzero trace into an empty face space")
+        return np.zeros((m + 1, tgt.size, src.size), dtype=np.int64)
+    table = _solve_in_space(tgt, [f.trace(positions) for positions in facets
+                                  for f in src.basis])
+    return table.reshape(tgt.size, m + 1, src.size).transpose(1, 0, 2)
 
 
 @lru_cache(maxsize=None)
@@ -681,8 +681,7 @@ def _bubble_space(kind, r, m, k):
         return src, np.zeros((0, 0), dtype=np.int64)
     if m == 0 or k > m - 1:
         return src, np.eye(src.size, dtype=np.int64)
-    stacked = np.vstack([_trace_matrix(kind, r, m, k, j)
-                         for j in range(m + 1)])
+    stacked = _trace_matrix(kind, r, m, k).reshape(-1, src.size)
     null = exact.kernel(exact.dense_rows(stacked), src.size)[0]
     basis = [src.from_coefficients(null[:, i]) for i in range(null.shape[1])]
     return ElementSpace(m, k, basis, src.frame_degree), null

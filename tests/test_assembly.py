@@ -184,7 +184,7 @@ def reference_fill(pair, family, op, m, k):
                 continue
             sign = orientation_sign(pair.simplex(fverts), c)
             A[fi * bt:(fi + 1) * bt, i * bs:(i + 1) * bs] += \
-                sign * family.trace_matrix(m, k, j)
+                sign * family.trace_matrix(m, k)[j]
     return A
 
 

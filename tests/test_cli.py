@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from ddforms.cli import main, parse_mesh_file, resolve_mesh
-from ddforms.mesh import MeshError, generate_mesh, save_mesh_file
+from ddforms.cli import main, resolve_mesh
+from ddforms.mesh import (MeshError, generate_mesh, load_mesh_file,
+                          save_mesh_file)
 
 
 def run(args):
@@ -80,14 +81,15 @@ def test_malformed_mesh_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{]")
     with pytest.raises(MeshError):
-        parse_mesh_file(str(path))
+        load_mesh_file(str(path))
     code, _text = run(["betti", "--mesh", str(path)])
     assert code == 2
 
 
-def test_missing_mesh_file():
-    code, _text = run(["betti", "--mesh", "/nonexistent/mesh.json"])
-    assert code == 2
+def test_missing_mesh_file(capsys):
+    with pytest.raises(MeshError, match="cannot read"):
+        load_mesh_file("/nonexistent/mesh.json")
+    assert _error_exit(capsys, ["betti", "--mesh", "/nonexistent/mesh.json"])
 
 
 def test_invalid_tolerance(capsys):
@@ -116,7 +118,7 @@ def test_mesh_file_vertices_must_be_finite_numbers(tmp_path, capsys, vertices):
     path.write_text(json.dumps({"ambient_dim": 2, "vertices": vertices,
                                 "cells": [[0, 1, 2]]}))
     with pytest.raises(MeshError):
-        parse_mesh_file(str(path))
+        load_mesh_file(str(path))
     for command in ("betti", "solve", "chain"):
         assert _error_exit(capsys, [command, "--mesh", str(path)]), command
 
@@ -304,7 +306,7 @@ def test_unreadable_mesh_file(tmp_path, capsys, kind):
     else:
         path.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(MeshError):
-        parse_mesh_file(str(path))
+        load_mesh_file(str(path))
     assert _error_exit(capsys, ["betti", "--mesh", str(path)])
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ddforms import exact
-from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
-                              adjoint, broken_space, derivative_operator,
-                              operator_D, operator_T)
+from ddforms.assembly import (AssemblyError, BrokenSpace, Subspace,
+                              broken_space, derivative_operator, operator_D,
+                              operator_T)
 from ddforms.cli import main
 from ddforms.hilbert import harmonic_space, pseudoinverse
 from ddforms.mesh import (MeshError, betti_numbers, build_complex,
@@ -392,76 +392,28 @@ def test_kernel_diff_guards(catalog):
 
 def test_kernel_diff_reads_scaled_free_columns(catalog):
     """A kernel column scaled by s on its free column (2, or past int64)
-    has coordinates divided by s, decided in exact integers; fractional
-    coordinates leave the operator without integer triplets."""
+    divides its coordinate by s, decided in exact integers: a fractional
+    coordinate is refused, and with the source basis scaled by s as well
+    every coordinate divides exactly, in Python ints past int64."""
     pair = catalog("annulus", 1, "full")
     n = pair.top_dim
     src = distrib._kernel(pair, n, 0, FAM, "vertical")
     tgt = distrib._kernel(pair, n, 1, FAM, "vertical")
-    mat = distrib._kernel_diff(src, tgt).matrix
+    mat = distrib._kernel_diff(src, tgt).matrix.astype(np.int64)
     assert np.any(mat[0] % 2)
     for s in (2, 2 ** 70):
         basis = tgt.basis.astype(object)
         basis[:, 0] *= s
         scaled = Subspace(tgt.ambient, basis, tgt.free)
-        want = mat.copy()
-        want[0] /= s
-        op = distrib._kernel_diff(src, scaled)
-        assert op.triplets is None
-        assert np.array_equal(op.matrix, want)
-
-
-def python_int_product(triplets, B, nrows):
-    """The product of a triplet matrix with B, summed in Python ints."""
-    out = [[0] * B.shape[1] for _ in range(nrows)]
-    for i, c, v in zip(*(np.asarray(a).tolist() for a in triplets)):
-        for j in range(B.shape[1]):
-            out[i][j] += int(v) * int(B[c, j])
-    return out
-
-
-@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
-def test_int_product_matches_python_ints(big):
-    """The segment-summed sparse product equals a dense Python-int product:
-    random triplets with repeated rows and columns against a sparse B, in
-    int64, and with entries near 2^40, where a sum of int64 terms could
-    overflow, in Python ints."""
-    rng = np.random.default_rng(3)
-    nrows, inner, ncols, nnz = 17, 23, 9, 60
-    for _trial in range(5):
-        cells = rng.choice(nrows * inner, nnz, replace=False)
-        rows, cols = np.divmod(cells, inner)
-        rows[: nnz // 2] = rng.integers(0, 3, nnz // 2)
-        order = np.unique(rows * inner + cols, return_index=True)[1]
-        rows, cols = rows[order], cols[order]
-        vals = rng.integers(-5, 6, len(rows))
-        B = rng.integers(-3, 4, (inner, ncols)) * (rng.random((inner, ncols))
-                                                   < 0.2)
-        if big:
-            vals = vals.astype(object) * 2 ** 40 + 1
-            B = B.astype(object) * 2 ** 40 - 7 * (B != 0)
-        got = distrib._int_product((rows, cols, vals), B, nrows)
-        assert got.dtype == (object if big else np.int64)
-        assert got.tolist() == python_int_product((rows, cols, vals), B,
-                                                  nrows)
-
-
-def test_int_product_degenerate():
-    """Empty triplets, an all-zero B and a B with no columns give zeros of
-    the product's shape."""
-    rows, cols, vals = (np.array([0, 2, 2]), np.array([1, 0, 3]),
-                        np.array([4, -1, 2]))
-    none = (np.zeros(0, np.int64),) * 3
-    B = np.arange(8).reshape(4, 2)
-    for a, b, shape in ((none, B, (3, 2)),
-                        ((rows, cols, vals), np.zeros((4, 2), np.int64),
-                         (3, 2)),
-                        ((rows, cols, vals), np.zeros((4, 0), np.int64),
-                         (3, 0))):
-        got = distrib._int_product(a, b, 3)
-        assert got.shape == shape and not got.any()
-    got = distrib._int_product((rows, cols, vals), B, 3)
-    assert got.tolist() == python_int_product((rows, cols, vals), B, 3)
+        with pytest.raises(AssemblyError, match="fractional coordinates"):
+            distrib._kernel_diff(src, scaled)
+        both = Subspace(src.ambient, src.basis.astype(object) * s, src.free)
+        want = mat.astype(object) * s
+        want[0] = mat[0]
+        rows, cols, vals = distrib._kernel_diff(both, scaled).triplets
+        got = np.zeros(want.shape, object)
+        got[rows, cols] = vals
+        assert got.tolist() == want.tolist()
 
 
 CATALOG = ["interval", "triangle", "tetrahedron", "square_grid", "annulus",
@@ -521,10 +473,9 @@ def projected_iso_step(pair, family, side, index, b):
         h_tgt = distrib.harmonic_gamma(pair, family, index, b)
         pos = pair.top_dim - index
     sp = cx.spaces[pos]
-    reg = LinearOp(sp, sp, regularizer(pair, family, index, b,
-                                       np.eye(sp.dim)))
+    reg = regularizer(pair, family, index, b, np.eye(sp.dim))
     src = distrib.inject_matrix(h_src.ambient, sp) @ h_src.basis
-    image = adjoint(reg, src)
+    image = np.linalg.solve(sp.gram, reg.T @ sp.gram @ src)
     if pos < len(cx.diffs) and cx.diffs[pos].codomain.dim:
         image = _cocycle_projector(sp, cx.diffs[pos].matrix) @ image
     return h_tgt.basis.T @ sp.gram @ image, src.T @ sp.gram @ image

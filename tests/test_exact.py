@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import sympy
 
 from ddforms import exact
@@ -122,3 +123,79 @@ def test_dense_and_triplet_rows_agree():
     i, j = np.nonzero(mat)
     assert exact.triplet_rows(i, j, mat[i, j], 3) == rows
     assert all(type(v) is int for r in rows for v in r.values())
+
+
+def python_int_product(a, b, shape):
+    """The product of two triplet matrices, summed in Python ints."""
+    out = [[0] * shape[1] for _ in range(shape[0])]
+    for i, c, v in zip(*(np.asarray(x).tolist() for x in a)):
+        for cc, j, w in zip(*(np.asarray(x).tolist() for x in b)):
+            if cc == c:
+                out[i][j] += int(v) * int(w)
+    return out
+
+
+def dense_product(a, b, shape):
+    """exact.product as a dense list of Python ints, after checking that
+    it lists nonzero entries in row-major order."""
+    rows, cols, vals = exact.product(a, b, shape)
+    key = rows * shape[1] + cols
+    assert np.all(np.diff(key) > 0) and all(v != 0 for v in vals)
+    out = [[0] * shape[1] for _ in range(shape[0])]
+    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        out[i][j] = v
+    return out
+
+
+def shuffled(triplets, rng):
+    order = rng.permutation(len(triplets[0]))
+    return tuple(np.asarray(x)[order] for x in triplets)
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+def test_product_matches_python_ints(big):
+    """The segment-summed sparse product equals a Python-int product:
+    random triplets with repeated rows and columns against a sparse B given
+    in shuffled row order, in int64, and with entries near 2^40, where a
+    sum of int64 terms could overflow, in Python ints.  The product with
+    an exact kernel basis of A, also shuffled, vanishes."""
+    rng = np.random.default_rng(3)
+    nrows, inner, ncols, nnz = 17, 23, 9, 60
+    for _trial in range(5):
+        cells = rng.choice(nrows * inner, nnz, replace=False)
+        rows, cols = np.divmod(cells, inner)
+        rows[: nnz // 2] = rng.integers(0, 3, nnz // 2)
+        order = np.unique(rows * inner + cols, return_index=True)[1]
+        rows, cols = rows[order], cols[order]
+        vals = rng.integers(-5, 6, len(rows))
+        B = rng.integers(-3, 4, (inner, ncols)) * (rng.random((inner, ncols))
+                                                   < 0.2)
+        if big:
+            vals = vals.astype(object) * 2 ** 40 + 1
+            B = B.astype(object) * 2 ** 40 - 7 * (B != 0)
+        a = (rows, cols, vals)
+        b = shuffled(exact.dense_triplets(B), rng)
+        assert exact.product(a, b, (nrows, ncols))[2].dtype == \
+            (object if big else np.int64)
+        assert dense_product(a, b, (nrows, ncols)) == \
+            python_int_product(a, b, (nrows, ncols))
+        nz = vals != 0
+        K = exact.kernel(exact.triplet_rows(rows[nz], cols[nz], vals[nz],
+                                            nrows), inner)[0]
+        assert K.shape[1] > 0
+        k = shuffled(exact.dense_triplets(K), rng)
+        assert not any(map(len, exact.product(a, k, (nrows, K.shape[1]))))
+
+
+def test_product_degenerate():
+    """Empty triplets on either side and a B with no columns give an empty
+    product; a generic product equals the Python-int reference."""
+    rows, cols, vals = (np.array([0, 2, 2]), np.array([1, 0, 3]),
+                        np.array([4, -1, 2]))
+    none = (np.zeros(0, np.int64),) * 3
+    b = exact.dense_triplets(np.arange(8).reshape(4, 2))
+    for x, y, shape in ((none, b, (3, 2)), ((rows, cols, vals), none, (3, 2)),
+                        ((rows, cols, vals), none, (3, 0))):
+        assert not any(map(len, exact.product(x, y, shape)))
+    assert dense_product((rows, cols, vals), b, (3, 2)) == \
+        python_int_product((rows, cols, vals), b, (3, 2))

@@ -29,9 +29,26 @@ def test_complex_validates_composition(catalog):
            for i in range(len(cx.diffs))]
     with pytest.raises(AssemblyError, match="do not compose to zero"):
         ComplexInstance(cx.spaces, bad, "broken-on-purpose")
-    floats = [LinearOp(d.domain, d.codomain, d.matrix) for d in cx.diffs]
-    with pytest.raises(AssemblyError, match="no integer rows"):
-        ComplexInstance(cx.spaces, floats, "float-on-purpose")
+    for d in cx.diffs:
+        with pytest.raises(AssemblyError, match="is not integer"):
+            LinearOp(d.domain, d.codomain, d.matrix)
+
+
+def test_complex_checks_composition_on_triplets(catalog, monkeypatch):
+    """The d o d = 0 check of a new complex is one exact product of the
+    two triplet sets: it builds no dict rows and no dense copy of either
+    differential."""
+    cx = distrib.total_complex(catalog("annulus"), whitney())
+    diffs = [LinearOp(d.domain, d.codomain, triplets=d.triplets)
+             for d in cx.diffs]
+
+    def refused(*_args):
+        raise AssertionError("dict rows built")
+
+    monkeypatch.setattr(exact, "triplet_rows", refused)
+    monkeypatch.setattr(LinearOp, "integer_rows", refused)
+    ComplexInstance(cx.spaces, diffs, "triplets")
+    assert not any("matrix" in vars(d) for d in diffs)
 
 
 def test_harmonic_dims_match_betti(catalog, annulus_cx):
@@ -376,12 +393,12 @@ def test_one_elimination_per_differential(monkeypatch):
 
 
 def test_pseudoinverse_of_float_operator_names_the_cause(catalog):
-    """A float operator has no integer rows to select from: the metric
-    pseudoinverse refuses it with an AssemblyError."""
+    """A float matrix has no integer rows to select from, so it makes no
+    operator: LinearOp refuses it at construction with an AssemblyError
+    that names its dtype, before any pseudoinverse could meet it."""
     sp = BrokenSpace(catalog("annulus", 1, "full"), [(2, 1)], whitney())
-    op = LinearOp(sp, sp, np.eye(sp.dim))
-    with pytest.raises(AssemblyError, match="no integer rows"):
-        pseudoinverse(op, np.ones(sp.dim))
+    with pytest.raises(AssemblyError, match="float64 is not integer"):
+        LinearOp(sp, sp, np.eye(sp.dim))
 
 
 def _rel(got, ref):
