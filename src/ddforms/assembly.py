@@ -64,6 +64,22 @@ def _element_grams(pair, family, stratum):
     return pair.cached(key, build)
 
 
+def _tril_inverse(L):
+    """The inverse of a stack of lower-triangular factors, by halves:
+    [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], with the
+    general inverse only on leaves of at most 128 rows."""
+    n = L.shape[-1]
+    if n <= 128:
+        return np.linalg.inv(L)
+    h = n // 2
+    A_inv, B_inv = _tril_inverse(L[..., :h, :h]), _tril_inverse(L[..., h:, h:])
+    out = np.zeros_like(L)
+    out[..., :h, :h] = A_inv
+    out[..., h:, h:] = B_inv
+    out[..., h:, :h] = -B_inv @ (L[..., h:, :h] @ A_inv)
+    return out
+
+
 class GramFactor:
     """The Cholesky factor L of a block-diagonal Gram matrix, G = L L^T.
 
@@ -72,11 +88,12 @@ class GramFactor:
     rows outside them whiten by the identity.  ``mul_lt``, ``mul_l``,
     ``solve_l`` and ``solve_lt`` apply L^T (whitening), L, L^-1 and L^-T
     (unwhitening) to the rows of a vector or matrix, with one batched
-    product per block, and return a new array.
+    product per block, and return a new array.  Each factor is inverted
+    once, at construction, by ``_tril_inverse``: by halves above 128 rows.
     """
 
     def __init__(self, blocks):
-        self.blocks = [(offset, L, np.linalg.inv(L)) for offset, L in blocks]
+        self.blocks = [(offset, L, _tril_inverse(L)) for offset, L in blocks]
 
     def _apply(self, x, inverse, transpose):
         out = np.array(x, float)

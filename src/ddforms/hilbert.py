@@ -2,18 +2,19 @@
 
 A complex instance is a sequence of inner-product spaces with integer
 differentials whose consecutive compositions vanish exactly.  Harmonic
-spaces, the Hodge Laplacian and its solve, and metric Moore-Penrose
-pseudoinverses are computed after whitening: the Cholesky factor of each
+spaces, the Hodge Laplacian and metric Moore-Penrose pseudoinverses are
+computed after whitening: the Cholesky factor of each
 Gram matrix, the space's ``whitening`` (block by block for a broken space,
 dense for a kernel subspace), maps to an orthonormal frame.  A harmonic
 dimension is decided by one exact elimination per integer differential,
-which selects its independent rows and columns; one QR, memoised per
-index, gives the harmonic basis and, where the Laplace solve asks for them
-(its only caller), the exact and coexact ranges on which it takes two
-Cholesky factors.  Pseudoinverses are applied by exact row selection and
-one thin QR.
-The Laplacian, the metric adjoints and the whitened differentials are
-applied to vectors and never formed as matrices.
+which selects its independent rows and columns; only where it is positive
+does one QR give the harmonic basis, and the per-index memo keeps that
+subspace alone.  The Laplace solve is one symmetric positive definite
+system in Gram form per index, assembled from the Grams, the integer
+differentials and the harmonic basis.  Pseudoinverses are applied by exact
+row selection and one thin QR.  The Laplacian, the metric adjoints and the
+whitened differentials are applied to vectors and never formed as
+matrices.
 """
 
 from __future__ import annotations
@@ -66,46 +67,36 @@ class ComplexInstance:
         return f"ComplexInstance({self.label!r}, dims={self.dims()})"
 
 
-def _harmonic_split(cx, i, ranges=False):
-    """The memo entry of index i: the harmonic subspace, the complete
-    orthogonal factor Q of one QR (None where none ran) and r1 = |R|.
+def harmonic_space(cx, i):
+    """Harmonic forms at index i: ker d_i intersected with ker d*_{i-1}.
 
     The rows R of d_i and the columns C of d_{i-1} independent over the
     integers span the row space of d_i and the range of d_{i-1}, so the
     harmonic dimension is n - |R| - |C|; R and C are read off the one
-    ``LinearOp.echelon`` of d_i and of d_{i-1}.  Where it is positive, or
-    ``ranges`` asks for Q, Q is that of the whitened
-    S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], whose blocks are orthogonal
-    as d_i d_{i-1} = 0: its leading r1 columns span the coexact range, the
-    next |C| the exact range, the rest (unwhitened) the harmonic forms."""
-    entry = cx._harmonic.get(i)
-    if entry is None or ranges and entry[1] is None:
+    ``LinearOp.echelon`` of d_i and of d_{i-1}.  Only where it is positive
+    does one complete QR run, of the whitened
+    S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], whose blocks are orthogonal as
+    d_i d_{i-1} = 0: its trailing columns, unwhitened, are the
+    Gram-orthonormal basis.  The subspace is memoised on the complex
+    instance per index.
+    """
+    h = cx._harmonic.get(i)
+    if h is None:
         space = cx.spaces[i]
         W, n = space.whitening, space.dim
-        S = np.zeros((n, 0))
-        if i < len(cx.diffs):
-            d = cx.diffs[i]
-            S = W.solve_l(d.matrix[d.echelon[0]].T)
-        r1 = S.shape[1]
-        if i > 0:
-            d = cx.diffs[i - 1]
-            S = np.hstack([S, W.mul_lt(d.matrix[:, d.echelon[1]])])
-        Q, basis = None, np.zeros((n, 0))
-        if S.shape[1] < n or ranges:
+        rows = cx.diffs[i].echelon[0] if i < len(cx.diffs) else []
+        cols = cx.diffs[i - 1].echelon[1] if i > 0 else []
+        basis = np.zeros((n, 0))
+        if len(rows) + len(cols) < n:
+            S = np.zeros((n, 0))
+            if rows:
+                S = W.solve_l(cx.diffs[i].matrix[rows].T)
+            if cols:
+                S = np.hstack([S, W.mul_lt(cx.diffs[i - 1].matrix[:, cols])])
             Q = np.linalg.qr(S, mode="complete")[0]
             basis = W.solve_lt(Q[:, S.shape[1]:])
-        entry = cx._harmonic[i] = (Subspace(space, basis), Q, r1)
-    return entry
-
-
-def harmonic_space(cx, i):
-    """Harmonic forms at index i: ker d_i intersected with ker d*_{i-1}.
-
-    Its dimension is decided by exact row and column selection on the
-    integer differentials, its Gram-orthonormal basis by one QR.  The
-    result is memoised on the complex instance per index.
-    """
-    return _harmonic_split(cx, i)[0]
+        h = cx._harmonic[i] = Subspace(space, basis)
+    return h
 
 
 def hodge_laplacian(cx, i, u):
@@ -123,24 +114,27 @@ def hodge_laplacian(cx, i, u):
 
 def laplace_solve(cx, i, f):
     """Solve the Hodge-Laplace problem: u orthogonal to harmonics with
-    Laplacian(u) = f - p, p the harmonic part of f.  Returns (u, p).
+    Laplacian(u) = f - p, p = H H^T G f the harmonic part of f, H the
+    Gram-orthonormal harmonic basis.  Returns (u, p).
 
-    In whitened coordinates, with Q of the harmonic split, p projects onto
-    the harmonic columns of Q, and the Laplacian maps the coexact range Q1
-    and the exact range Q2 into themselves, as M^T M with M = A_i Q1 and
-    M = A_{i-1}^T Q2, the whitened differentials applied to those columns;
-    each block is solved by its Cholesky factor."""
-    W = cx.spaces[i].whitening
-    h, Q, r1 = _harmonic_split(cx, i, ranges=True)
-    r = Q.shape[1] - h.dim
-    c = Q.T @ W.mul_lt(f)
-    y = c[:r].copy()
-    for lo, hi, j, transpose in ((0, r1, i, False), (r1, r, i - 1, True)):
-        if lo < hi:
-            M = cx.whitened_diff(j, Q[:, lo:hi], transpose)
-            L = np.linalg.cholesky(M.T @ M)
-            y[lo:hi] = np.linalg.solve(L.T, np.linalg.solve(L, c[lo:hi]))
-    return W.solve_lt(Q[:, :r] @ y), W.solve_lt(Q[:, r:] @ c[r:])
+    With G_j = L_j L_j^T the Gram of space j and G = G_i, u solves one
+    symmetric positive definite system K u = G (f - p),
+    K = A^T A + B^T B + (H^T G)^T (H^T G), A = L_{i+1}^T d_i and
+    B = L_{i-1}^-1 d_{i-1}^T G, that is K = G Laplacian + G H H^T G.  The
+    projector term vanishes off the harmonic space and the Laplacian on
+    it, so the solution is orthogonal to the harmonic forms."""
+    G = cx.spaces[i].gram
+    H = harmonic_space(cx, i).basis
+    HG = H.T @ G
+    p = H @ (HG @ f)
+    K = HG.T @ HG
+    if i < len(cx.diffs):
+        A = cx.spaces[i + 1].whitening.mul_lt(cx.diffs[i].matrix)
+        K += A.T @ A
+    if i > 0:
+        B = cx.spaces[i - 1].whitening.solve_l(cx.diffs[i - 1].matrix.T @ G)
+        K += B.T @ B
+    return np.linalg.solve(K, G @ (f - p)), p
 
 
 def pseudoinverse(op, rhs):

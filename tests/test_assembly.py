@@ -3,9 +3,10 @@ import pytest
 
 from ddforms import exact, polyforms
 from ddforms.assembly import (AssemblyError, BrokenSpace, _element_grams,
-                              adjoint, broken_space, derivative_operator,
-                              export_matrix, kernel_space,
-                              mesh_weight, operator_D, operator_T)
+                              _tril_inverse, adjoint, broken_space,
+                              derivative_operator, export_matrix,
+                              kernel_space, mesh_weight, operator_D,
+                              operator_T)
 from ddforms.mesh import generate_mesh, orientation_sign, skeleton_pair
 from ddforms.polyforms import ElementSpace, Family, FamilyError, whitney
 
@@ -240,6 +241,22 @@ def test_non_integral_element_table_raises(monkeypatch, table):
     finally:
         polyforms._d_matrix.cache_clear()
         polyforms._trace_matrix.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 128, 129, 300])
+def test_tril_inverse_by_halves(n):
+    """The inverse of a stack of Cholesky factors taken by halves, above
+    the 128-row leaf and at it, equals the general inverse to roundoff, is
+    lower triangular and inverts each factor."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((2, n, n))
+    L = np.linalg.cholesky(a @ a.transpose(0, 2, 1) + n * np.eye(n))
+    got = _tril_inverse(L)
+    assert got.shape == L.shape
+    assert not np.triu(got, 1).any()
+    assert np.abs(got @ L - np.eye(n)).max() <= 1e-13
+    ref = np.linalg.inv(L)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_export_matrix_format(tmp_path):

@@ -1,11 +1,14 @@
 import inspect
+import io
+import json
 
 import numpy as np
 import pytest
 
-from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, adjoint,
-                              derivative_operator, kernel_space, operator_D,
-                              operator_T)
+from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
+                              adjoint, derivative_operator, kernel_space,
+                              operator_D, operator_T)
+from ddforms.cli import main
 from ddforms.hilbert import (ComplexInstance, harmonic_space, hodge_laplacian,
                              laplace_solve, pseudoinverse,
                              subspace_equality_defect, subspace_transfer)
@@ -300,8 +303,8 @@ def test_harmonic_space_memoised_per_complex():
                                        ("solid_ring", "none"),
                                        ("solid_ring", "half")])
 def test_laplace_solve_in_harmonic_complement(name, mark):
-    """The solve built from the range bases of the harmonic split inverts
-    the adjoint-assembled Laplacian off the harmonic space and stays
+    """The one Gram-form symmetric positive definite solve inverts the
+    adjoint-assembled Laplacian off the harmonic space and stays
     orthogonal to it."""
     pair = mark_pair(jittered(name, 1, seed=11), mark)
     fam = whitney()
@@ -321,6 +324,98 @@ def test_laplace_solve_in_harmonic_complement(name, mark):
             h = harmonic_space(cx, i)
             u_norm = np.sqrt(u @ gram @ u)
             assert np.linalg.norm(h.basis.T @ gram @ u) < 1e-12 * max(u_norm, 1)
+
+
+def eigh_laplace_solve(cx, i, f):
+    """(u, p) from the eigh pseudo-inverse of the whitened Laplacian
+    A_i^T A_i + A_{i-1} A_{i-1}^T, each A formed by ``whitened_diff`` on
+    the identity: p projects the whitened f onto the eigenvectors of the h
+    smallest eigenvalues, h the exact dimension of ``harmonic_space``, and
+    u divides the rest by their eigenvalues.  The h smallest eigenvalues
+    and the others are returned too, so the gap behind h can be checked."""
+    n = cx.spaces[i].dim
+    lap = np.zeros((n, n))
+    if i < len(cx.diffs):
+        a = cx.whitened_diff(i, np.eye(n))
+        lap += a.T @ a
+    if i > 0:
+        a = cx.whitened_diff(i - 1, np.eye(cx.spaces[i - 1].dim))
+        lap += a @ a.T
+    w, v = np.linalg.eigh(lap)
+    h = harmonic_space(cx, i).dim
+    W = cx.spaces[i].whitening
+    fw = W.mul_lt(f)
+    p = v[:, :h] @ (v[:, :h].T @ fw)
+    u = v[:, h:] @ ((v[:, h:].T @ fw) / w[h:])
+    return W.solve_lt(u), W.solve_lt(p), (w[:h], w[h:])
+
+
+@pytest.mark.parametrize("name,mark,r", [("annulus", "none", 1),
+                                         ("annulus", "full", 2),
+                                         ("cube_tet", "none", 2)])
+def test_laplace_solve_matches_eigh_reference(name, mark, r):
+    """(u, p) of the Gram-form solve equal the dense eigh reference on the
+    conforming and the total complex, at indices with and without
+    harmonic forms."""
+    pair = mark_pair(jittered(name, 1, seed=4), mark)
+    rng = np.random.default_rng(8)
+    harmonic = set()
+    for cx in (distrib.conforming_complex(pair, Family("trimmed", r)),
+               distrib.total_complex(pair, Family("trimmed", r))):
+        for i in range(len(cx)):
+            if not cx.spaces[i].dim:
+                continue
+            f = rng.standard_normal(cx.spaces[i].dim)
+            u, p = laplace_solve(cx, i, f)
+            u_ref, p_ref, (zero, positive) = eigh_laplace_solve(cx, i, f)
+            assert np.abs(zero).max(initial=0.0) < 1e-9 * positive.min()
+            assert _rel(u, u_ref) <= 1e-11, (cx.label, i)
+            assert np.linalg.norm(p - p_ref) <= 1e-11 * np.linalg.norm(f)
+            harmonic.add(len(zero) > 0)
+    assert harmonic == {False, True}
+
+
+def test_solve_without_harmonic_forms_runs_no_qr(monkeypatch):
+    """Where every harmonic dimension is 0 (solid_ring:1, half marked,
+    trimmed r=2), ``solve`` takes no QR: the harmonic spaces are empty by
+    the exact count alone, and the solve needs no range basis."""
+    def refused(*_args, **_kwargs):
+        raise AssertionError("a QR ran")
+
+    monkeypatch.setattr(np.linalg, "qr", refused)
+    out = io.StringIO()
+    assert main(["solve", "--mesh", "catalog:solid_ring:1", "--mark", "half",
+                 "--degree", "2", "--format", "structured"], out=out) == 0
+    report = json.loads(out.getvalue())["report"]
+    dims = [e["harmonic_dim"] for i, e in report.items()
+            if i != "passed" and e["dim"]]
+    assert dims and not any(dims)
+
+
+def test_harmonic_memo_holds_no_square_array():
+    """The per-index memo keeps the harmonic subspace alone: after the
+    harmonic spaces, their whitenings and a Laplace solve at every index,
+    no array it holds is larger than the n x h basis."""
+    pair = generate_mesh("annulus", 1, "none")
+    rng = np.random.default_rng(9)
+    for cx in (distrib.conforming_complex(pair, whitney()),
+               distrib.total_complex(pair, whitney())):
+        for i in range(len(cx)):
+            h = harmonic_space(cx, i)
+            h.whitening
+            if cx.spaces[i].dim:
+                laplace_solve(cx, i, rng.standard_normal(cx.spaces[i].dim))
+        assert sorted(cx._harmonic) == list(range(len(cx)))
+        for i, entry in cx._harmonic.items():
+            n = cx.spaces[i].dim
+            assert isinstance(entry, Subspace)
+            assert entry.basis.shape == (n, entry.dim)
+            arrays = [a for a in vars(entry).values()
+                      if isinstance(a, np.ndarray)]
+            arrays += [a for block in entry.whitening.blocks
+                       for a in block[1:]]
+            assert all(a.size <= n * entry.dim for a in arrays), (cx.label, i)
+        assert any(e.dim for e in cx._harmonic.values())
 
 
 def svd_harmonic(cx, i):

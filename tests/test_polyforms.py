@@ -180,8 +180,8 @@ def test_full_family_decomposition():
 def test_every_float_decomposition_is_rank_split(monkeypatch):
     """A chain, a solve and a check, each with cold element tables, take
     the only SVDs in the two harmonic-transfer metrics and every QR inside
-    the harmonic split or the pseudoinverse; no SVD runs under the harmonic
-    split, the Laplace solve, the pseudoinverse, the regularizers or the
+    the harmonic space or the pseudoinverse; no SVD runs under the harmonic
+    space, the Laplace solve, the pseudoinverse, the regularizers or the
     structural conditions, and no pinv or lstsq runs at all."""
     callers = {"svd": set(), "qr": set()}
     svd_under = set()
@@ -216,8 +216,8 @@ def test_every_float_decomposition_is_rank_split(monkeypatch):
                 value.cache_clear()
         assert main(argv, out=io.StringIO()) == 0, argv
     assert callers == {"svd": {"_transfer_verdict", "subspace_equality_defect"},
-                       "qr": {"_harmonic_split", "pseudoinverse"}}
-    assert not svd_under & {"_harmonic_split", "laplace_solve",
+                       "qr": {"harmonic_space", "pseudoinverse"}}
+    assert not svd_under & {"harmonic_space", "laplace_solve",
                             "pseudoinverse", "_regularizer",
                             "regularizer_R", "regularizer_S",
                             "check_conditions"}

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ddforms import distrib, exact
-from ddforms.hilbert import harmonic_space
+from ddforms.hilbert import harmonic_space, hodge_laplacian, laplace_solve
 from ddforms.mesh import _grid_cells_2d, betti_numbers, build_complex
 from ddforms.polyforms import FamilyError, _lift, whitney
 
@@ -79,6 +79,40 @@ def test_regularizers_on_cocycles(pair):
         if pos < len(cx.diffs):
             d_next = cx.diffs[pos].matrix
             assert np.linalg.norm(d_next @ (out - z)) <= 1e-10 * scale
+
+
+def test_laplace_solve_on_drawn_subgrids():
+    """The Laplace solve on the conforming complex of drawn sub-grids, with
+    the bounds of the catalog solve test: the Gram-norm residual against
+    f - p and the harmonic overlap of u.  Holes and disconnected or fully
+    marked pieces give harmonic spaces of dimension 2 and more, which no
+    catalog mesh has; at least one drawn case must reach one."""
+    widest = []
+
+    @DRAWN
+    @given(marked_subgrids())
+    def solve(pair):
+        cx = distrib.conforming_complex(pair, whitney())
+        rng = np.random.default_rng(10)
+        for i in range(len(cx)):
+            dim = cx.spaces[i].dim
+            if dim == 0:
+                continue
+            gram = cx.spaces[i].gram
+            f = rng.standard_normal(dim)
+            u, p = laplace_solve(cx, i, f)
+            res = hodge_laplacian(cx, i, u) - (f - p)
+            rhs = f - p
+            assert np.sqrt(res @ gram @ res) < \
+                1e-10 * np.sqrt(rhs @ gram @ rhs)
+            h = harmonic_space(cx, i)
+            u_norm = np.sqrt(u @ gram @ u)
+            assert np.linalg.norm(h.basis.T @ gram @ u) < \
+                1e-12 * max(u_norm, 1)
+            widest.append(h.dim)
+
+    solve()
+    assert max(widest) >= 2
 
 
 SMALL = st.integers(-3, 3)
