@@ -201,24 +201,17 @@ class BrokenSpace:
 class LinearOp:
     """An integer matrix between two broken spaces (or kernel subspaces).
 
-    Kept as triplets (rows, cols, vals) with distinct (row, col) pairs, to
-    which a dense integer-dtype matrix is converted; a float matrix is
-    refused.  ``matrix`` is a dense float view built on first use.
+    Kept as triplets (rows, cols, vals) with distinct (row, col) pairs;
+    float values are refused.  ``matrix`` is a dense float view built on
+    first use.
     """
 
-    def __init__(self, domain, codomain, matrix=None, triplets=None):
+    def __init__(self, domain, codomain, triplets):
+        dtype = np.asarray(triplets[2]).dtype
+        if dtype.kind not in "iO":
+            raise AssemblyError(f"operator of dtype {dtype} is not integer")
         self.domain = domain
         self.codomain = codomain
-        if matrix is not None:
-            matrix = np.asarray(matrix)
-            if matrix.dtype.kind not in "iO":
-                raise AssemblyError(
-                    f"operator matrix of dtype {matrix.dtype} is not integer")
-            if matrix.shape != (codomain.dim, domain.dim):
-                raise AssemblyError(
-                    f"operator shape {matrix.shape} does not match spaces "
-                    f"({codomain.dim}, {domain.dim})")
-            triplets = exact.dense_triplets(matrix)
         self.triplets = triplets
 
     @cached_property

@@ -9,15 +9,18 @@ from ddforms.assembly import (AssemblyError, BrokenSpace, Subspace,
                               broken_space, derivative_operator, operator_D,
                               operator_T)
 from ddforms.cli import main
-from ddforms.hilbert import harmonic_space, pseudoinverse
+from ddforms.hilbert import ComplexInstance, harmonic_space, pseudoinverse
 from ddforms.mesh import (MeshError, betti_numbers, build_complex,
-                          generate_mesh, skeleton_pair)
+                          skeleton_pair)
 from ddforms.polyforms import Family, whitney
 from ddforms import distrib
 
 from conftest import svd_null
 
 FAM = whitney()
+
+CATALOG = ["interval", "triangle", "tetrahedron", "square_grid", "annulus",
+           "cube_tet", "solid_ring", "sphere_boundary"]
 
 
 def test_redirect_bounds(catalog):
@@ -28,48 +31,14 @@ def test_redirect_bounds(catalog):
         distrib.redirected_gamma(pair, FAM, 3)
 
 
-def test_total_complex_identity(catalog):
-    pair = catalog("annulus", 1, "full")
-    tl = distrib.total_complex(pair, FAM)
-    tg = distrib.redirected_gamma(pair, FAM, pair.top_dim)
-    assert tl.dims() == tg.dims()
-    for a, b in zip(tl.diffs, tg.diffs):
-        assert np.array_equal(a.matrix, b.matrix)
-
-
 def test_total_complex_shared(catalog):
-    pair = catalog("annulus", 1, "full")
-    n = pair.top_dim
-    tg = distrib.redirected_gamma(pair, FAM, n)
-    assert tg is distrib.redirected_lambda(pair, FAM, 0)
-    assert tg is distrib.total_complex(pair, FAM)
-
-
-def test_central_identity_compares_fresh_assembly(monkeypatch):
-    """The central step compares an uncached stratum-side assembly with the
-    shared total complex, so a perturbed stratum side makes it fail."""
-    pair = generate_mesh("annulus", 1, "full")
-    k = 1
-
-    def central(report):
-        (step,) = [s for s in report["steps"]
-                   if s["label"] == "central graded identity"]
-        return step
-
-    assert central(distrib.verify_chain(pair, FAM, k))["ok"]
-    build = distrib._build_gamma
-
-    def perturbed(pair_, family, m0):
-        cx = build(pair_, family, m0)
-        if m0 == pair_.top_dim:
-            cx.diffs[0].matrix[0, 0] += 1e-6
-        return cx
-
-    monkeypatch.setattr(distrib, "_build_gamma", perturbed)
-    report = distrib.verify_chain(pair, FAM, k)
-    assert not central(report)["ok"]
-    assert central(report)["matrix_defect"] > 1e-7
-    assert not report["passed"]
+    """Both redirections reach the total complex as one shared instance."""
+    for name in CATALOG:
+        for mark in ("none", "full", "half"):
+            pair = catalog(name, 1, mark)
+            tg = distrib.redirected_gamma(pair, FAM, pair.top_dim)
+            assert tg is distrib.redirected_lambda(pair, FAM, 0)
+            assert tg is distrib.total_complex(pair, FAM)
 
 
 def test_redirected_at_top_matches_conforming(catalog):
@@ -98,8 +67,8 @@ def test_subcomplex_nesting(catalog):
             if sa is sb:
                 return np.eye(sa.dim)
             if isinstance(sa, Subspace):
-                return distrib.inject_matrix(sa.ambient, sb) @ sa.basis
-            return distrib.inject_matrix(sa, sb)
+                return distrib.inject(sa.ambient, sb, sa.basis)
+            return distrib.inject(sa, sb, np.eye(sa.dim))
 
         for i in range(max(k0 - 2, 0), pair.top_dim):
             lhs = cxb.diffs[i].matrix @ emb(i)
@@ -218,7 +187,7 @@ def test_exactness_witness(catalog):
             d_op = operator_D(pair, mj, kj - 1, FAM)
             prev = (-1.0) ** j * pseudoinverse(d_op, rhs)
             xi[xi_space.stratum_slice(mj)] = prev
-        w = distrib.inject_matrix(amb, d_xi.codomain) @ h.basis
+        w = distrib.inject(amb, d_xi.codomain, h.basis)
         g_w = d_xi.codomain.gram @ w
         values = np.sum((d_xi.matrix @ xi) * g_w, axis=0)
         norm2 = np.sum(w * g_w, axis=0)
@@ -241,6 +210,65 @@ def test_verify_chain_trimmed_r2(catalog):
     rep = distrib.verify_chain(pair, fam, 1)
     assert rep["passed"]
     assert all(d == 1 for d in rep["chain_dims"])
+
+
+def _failed(report):
+    return [s["label"] for s in report["steps"] if not s["ok"]]
+
+
+def test_verify_chain_fails_a_zero_transfer(catalog, monkeypatch):
+    """A regularizer that maps everything to zero makes each chain-side
+    transfer zero, which no step forgives."""
+    pair = catalog("annulus", 1, "full")
+    assert distrib.verify_chain(pair, FAM, 1)["passed"]
+    monkeypatch.setattr(distrib, "regularizer_S",
+                        lambda pair_, family, m, b, x: np.zeros_like(x))
+    report = distrib.verify_chain(pair, FAM, 1)
+    assert _failed(report) == ["chain transfer depth 1->2"]
+    assert not report["passed"]
+
+
+@pytest.mark.parametrize("side", ["chain", "conforming"])
+def test_verify_chain_fails_a_perturbed_harmonic_basis(catalog, monkeypatch,
+                                                       side):
+    """A harmonic basis moved off its space, with its dimension kept, fails
+    the depth-1 equality that reads it."""
+    pair = catalog("annulus", 1, "full")
+    assert distrib.verify_chain(pair, FAM, 1)["passed"]
+    name = f"harmonic_{side}"
+    unperturbed = getattr(distrib, name)
+    rng = np.random.default_rng(22)
+
+    def perturbed(*args):
+        h = unperturbed(*args)
+        noise = rng.standard_normal(h.basis.shape)
+        return Subspace(h.ambient, h.basis + 1e-4 * np.abs(h.basis).max()
+                        * noise)
+
+    monkeypatch.setattr(distrib, name, perturbed)
+    report = distrib.verify_chain(pair, FAM, 1)
+    assert _failed(report) == [f"{side} harmonic depth-1 equality"]
+    assert not report["passed"]
+
+
+def test_verify_chain_rebuilds_nothing(catalog, monkeypatch):
+    """Every complex of the chain is memoised on the pair, so a second run
+    of each degree constructs no complex."""
+    pair = catalog("annulus", 1, "full")
+    n = pair.top_dim
+    for k in range(n + 1):
+        distrib.verify_chain(pair, FAM, k)
+    built = []
+    init = ComplexInstance.__init__
+
+    def counted(self, spaces, diffs, label=""):
+        built.append(label)
+        init(self, spaces, diffs, label)
+
+    monkeypatch.setattr(ComplexInstance, "__init__", counted)
+    assert all(distrib.verify_chain(pair, FAM, k)["passed"]
+               for k in range(n + 1))
+    assert not built
 
 
 def test_skeleton_projection(catalog):
@@ -416,10 +444,6 @@ def test_kernel_diff_reads_scaled_free_columns(catalog):
         assert got.tolist() == want.tolist()
 
 
-CATALOG = ["interval", "triangle", "tetrahedron", "square_grid", "annulus",
-           "cube_tet", "solid_ring", "sphere_boundary"]
-
-
 @pytest.mark.parametrize("family", [FAM, Family("trimmed", 2),
                                     Family("full", 2)], ids=lambda f: f.label)
 @pytest.mark.parametrize("name", CATALOG)
@@ -474,7 +498,7 @@ def projected_iso_step(pair, family, side, index, b):
         pos = pair.top_dim - index
     sp = cx.spaces[pos]
     reg = regularizer(pair, family, index, b, np.eye(sp.dim))
-    src = distrib.inject_matrix(h_src.ambient, sp) @ h_src.basis
+    src = distrib.inject(h_src.ambient, sp, h_src.basis)
     image = np.linalg.solve(sp.gram, reg.T @ sp.gram @ src)
     if pos < len(cx.diffs) and cx.diffs[pos].codomain.dim:
         image = _cocycle_projector(sp, cx.diffs[pos].matrix) @ image

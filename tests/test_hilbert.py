@@ -27,14 +27,13 @@ def annulus_cx(catalog):
 
 def test_complex_validates_composition(catalog):
     cx = distrib.total_complex(catalog("annulus"), whitney())
-    bad = [LinearOp(cx.spaces[i], cx.spaces[i + 1],
-                    np.ones(cx.diffs[i].matrix.shape, np.int64))
-           for i in range(len(cx.diffs))]
+    bad = [LinearOp(d.domain, d.codomain, exact.dense_triplets(
+                np.ones(d.matrix.shape, np.int64))) for d in cx.diffs]
     with pytest.raises(AssemblyError, match="do not compose to zero"):
         ComplexInstance(cx.spaces, bad, "broken-on-purpose")
     for d in cx.diffs:
         with pytest.raises(AssemblyError, match="is not integer"):
-            LinearOp(d.domain, d.codomain, d.matrix)
+            LinearOp(d.domain, d.codomain, exact.dense_triplets(d.matrix))
 
 
 def test_complex_checks_composition_on_triplets(catalog, monkeypatch):
@@ -160,7 +159,8 @@ def test_pseudoinverse_contracts(catalog):
 
 def test_pseudoinverse_of_identity(annulus_cx):
     sp = annulus_cx.spaces[1]
-    op = LinearOp(sp, sp, np.eye(sp.dim, dtype=np.int64))
+    op = LinearOp(sp, sp, exact.dense_triplets(
+        np.eye(sp.dim, dtype=np.int64)))
     E = pseudoinverse(op, np.eye(sp.dim))
     assert np.linalg.norm(E - np.eye(sp.dim)) < 1e-10
 
@@ -210,13 +210,16 @@ def test_pseudoinverse_degenerate(catalog):
     pair = catalog("annulus", 1, "full")
     sp = BrokenSpace(pair, [(2, 1)], whitney())
     empty = BrokenSpace(pair, [], whitney())
-    zero = LinearOp(sp, sp, np.zeros((sp.dim, sp.dim), np.int64))
+    zero = LinearOp(sp, sp, exact.dense_triplets(
+        np.zeros((sp.dim, sp.dim), np.int64)))
     assert not pseudoinverse(zero, np.ones((sp.dim, 2))).any()
     assert pseudoinverse(zero, np.ones(sp.dim)).shape == (sp.dim,)
-    to_empty = LinearOp(sp, empty, np.zeros((0, sp.dim), np.int64))
+    to_empty = LinearOp(sp, empty, exact.dense_triplets(
+        np.zeros((0, sp.dim), np.int64)))
     assert not pseudoinverse(to_empty, np.zeros((0, 2))).any()
     assert pseudoinverse(to_empty, np.zeros((0, 2))).shape == (sp.dim, 2)
-    ident = LinearOp(sp, sp, np.eye(sp.dim, dtype=np.int64))
+    ident = LinearOp(sp, sp, exact.dense_triplets(
+        np.eye(sp.dim, dtype=np.int64)))
     assert pseudoinverse(ident, np.zeros((sp.dim, 0))).shape == (sp.dim, 0)
 
 
@@ -488,12 +491,13 @@ def test_one_elimination_per_differential(monkeypatch):
 
 
 def test_pseudoinverse_of_float_operator_names_the_cause(catalog):
-    """A float matrix has no integer rows to select from, so it makes no
-    operator: LinearOp refuses it at construction with an AssemblyError
-    that names its dtype, before any pseudoinverse could meet it."""
+    """Float values have no integer rows to select from, so they make no
+    operator: LinearOp refuses float triplet values at construction with
+    an AssemblyError that names their dtype, before any pseudoinverse could
+    meet them."""
     sp = BrokenSpace(catalog("annulus", 1, "full"), [(2, 1)], whitney())
     with pytest.raises(AssemblyError, match="float64 is not integer"):
-        LinearOp(sp, sp, np.eye(sp.dim))
+        LinearOp(sp, sp, exact.dense_triplets(np.eye(sp.dim)))
 
 
 def _rel(got, ref):
