@@ -31,6 +31,15 @@ def test_redirect_bounds(catalog):
         distrib.redirected_gamma(pair, FAM, 3)
 
 
+def test_total_complex_identity(catalog):
+    pair = catalog("annulus", 1, "full")
+    tl = distrib.total_complex(pair, FAM)
+    tg = distrib.redirected_gamma(pair, FAM, pair.top_dim)
+    assert tl.dims() == tg.dims()
+    for a, b in zip(tl.diffs, tg.diffs):
+        assert np.array_equal(a.matrix, b.matrix)
+
+
 def test_total_complex_shared(catalog):
     """Both redirections reach the total complex as one shared instance."""
     for name in CATALOG:
