@@ -4,9 +4,10 @@ A broken space is a direct sum of per-simplex element spaces over one or
 several strata (m, k): k-forms attached to the unmarked m-simplices.  The
 module assembles the piecewise exterior derivative D, the signed trace sum
 T, and the combined distributional derivative on graded spaces as integer
-triplet operators, together with mesh-weighted Gram matrices, their block
-Cholesky factors, metric adjoints (applied to vectors) and kernel subspaces
-spanned by exact integer kernels.  The mesh weights, and so the metric,
+triplet operators, together with mesh-weighted Gram matrices and their
+block Cholesky factors, both built once per (family, m, k) stratum of a
+mesh, metric adjoints (applied to vectors) and kernel subspaces spanned by
+exact integer kernels.  The mesh weights, and so the metric,
 are a function of the pair alone: their exponent is the top dimension of
 the root mesh, read through ``pair.parent`` on a skeleton.
 """
@@ -35,33 +36,34 @@ def mesh_weight(pair, simplex):
     edges when C is a vertex (the edges of the root mesh, for a skeleton).
     """
     root = pair.parent or pair
-
-    def build():
-        if simplex.dim >= 1:
-            return pair.diameter(simplex)
+    if simplex.dim >= 1:
+        h = pair.diameter(simplex)
+    else:
         v = simplex.vertices[0]
         edges = root.simplices(1)
         lengths = [pair.diameter(e) for e in edges if v in e.vertices]
         if not lengths:
             raise MeshError(f"isolated vertex {v} has no adjacent edges")
-        return sum(lengths) / len(lengths)
-
-    h = pair.cached(("hweight", simplex.vertices), build)
+        h = sum(lengths) / len(lengths)
     return h ** (root.top_dim - simplex.dim)
 
 
-def _element_grams(pair, family, stratum):
-    """Unweighted element Grams of every simplex of a stratum, stacked in
-    stratum order: one batched geometry and one contraction per stratum."""
+def _stratum_factor(pair, family, m, k):
+    """The (cells, b, b) stack of mesh-weighted element Grams of the (m, k)
+    stratum in stratum order, their Cholesky factors and the factors'
+    inverses: one batched pass of each per stratum and pair."""
 
     def build():
+        simplices = pair.stratum(m)
         coords = np.asarray(pair.coords, float)
-        cells = np.array([s.vertices for s in stratum.simplices])
-        return family.space(stratum.m, stratum.k).gram(
+        cells = np.array([s.vertices for s in simplices])
+        w = np.asarray([mesh_weight(pair, c) for c in simplices])
+        G = w[:, None, None] * family.space(m, k).gram(
             *simplex_metrics(coords[cells]))
+        L = np.linalg.cholesky(G)
+        return G, L, _tril_inverse(L)
 
-    key = ("elgram", family.kind, family.r, stratum.m, stratum.k)
-    return pair.cached(key, build)
+    return pair.cached(("stratum", family.kind, family.r, m, k), build)
 
 
 def _tril_inverse(L):
@@ -84,16 +86,16 @@ class GramFactor:
     """The Cholesky factor L of a block-diagonal Gram matrix, G = L L^T.
 
     ``blocks`` lists (first row, (cells, b, b) stack of lower-triangular
-    element factors) per stratum, or one (1, n, n) factor for a dense Gram;
-    rows outside them whiten by the identity.  ``mul_lt``, ``mul_l``,
-    ``solve_l`` and ``solve_lt`` apply L^T (whitening), L, L^-1 and L^-T
-    (unwhitening) to the rows of a vector or matrix, with one batched
-    product per block, and return a new array.  Each factor is inverted
-    once, at construction, by ``_tril_inverse``: by halves above 128 rows.
+    element factors, their inverses) per stratum, or one (1, n, n) factor
+    and its inverse for a dense Gram; rows outside them whiten by the
+    identity.  ``mul_lt``, ``mul_l``, ``solve_l`` and ``solve_lt`` apply
+    L^T (whitening), L, L^-1 and L^-T (unwhitening) to the rows of a
+    vector or matrix, with one batched product per block, and return a
+    new array.
     """
 
     def __init__(self, blocks):
-        self.blocks = [(offset, L, _tril_inverse(L)) for offset, L in blocks]
+        self.blocks = blocks
 
     def _apply(self, x, inverse, transpose):
         out = np.array(x, float)
@@ -167,20 +169,17 @@ class BrokenSpace:
         start = stratum.offset + i * stratum.block
         return slice(start, start + stratum.block)
 
-    def _blocks(self):
-        """The diagonal blocks of the Gram: per nonempty stratum, the
-        mesh-weighted element Grams stacked as a (cells, b, b) array."""
+    def _factors(self):
+        """Per nonempty stratum, its ``_stratum_factor`` record."""
         for s in self.strata:
             if s.block and s.simplices:
-                G = _element_grams(self.pair, self.family, s)
-                w = [mesh_weight(self.pair, c) for c in s.simplices]
-                yield s, np.asarray(w)[:, None, None] * G
+                yield s, _stratum_factor(self.pair, self.family, s.m, s.k)
 
     @property
     def gram(self):
         if self._gram is None:
             G = np.zeros((self.dim, self.dim))
-            for s, blocks in self._blocks():
+            for s, (blocks, _L, _L_inv) in self._factors():
                 for i in range(len(s.simplices)):
                     sl = self.block_slice(s, i)
                     G[sl, sl] = blocks[i]
@@ -189,9 +188,9 @@ class BrokenSpace:
 
     @cached_property
     def whitening(self):
-        """The block Cholesky factor of the Gram, built on first use."""
-        return GramFactor(
-            [(s.offset, np.linalg.cholesky(G)) for s, G in self._blocks()])
+        """The block Cholesky factor of the Gram, from the strata's records."""
+        return GramFactor([(s.offset, L, L_inv)
+                           for s, (_G, L, L_inv) in self._factors()])
 
     def __repr__(self):
         strata = [(s.m, s.k, len(s.simplices), s.block) for s in self.strata]
@@ -263,7 +262,8 @@ class Subspace:
 
     @cached_property
     def whitening(self):
-        return GramFactor([(0, np.linalg.cholesky(self.gram)[None])])
+        L = np.linalg.cholesky(self.gram)[None]
+        return GramFactor([(0, L, _tril_inverse(L))])
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient.dim})"

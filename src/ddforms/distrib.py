@@ -3,8 +3,9 @@
 This module builds every complex family the library knows: conforming
 and chain-like complexes, the redirected complexes that interpolate
 between them, the full graded (total) complex, and their skeleton
-variants.  On top of the builders sit the regularizing operators, the
-isomorphism steps between harmonic spaces of consecutive gradings, and
+variants.  On top of the builders sit the isomorphism steps between
+harmonic spaces of consecutive gradings, each the matrix that the stratum
+injection induces on them (the paper's regularizers invert it), and
 end-to-end verification routines: homology dimensions against the mesh's
 Betti numbers, the full isomorphism chain from simplicial homology to
 conforming harmonic forms, the row and column exactness of the broken
@@ -246,36 +247,27 @@ def iso_step(pair, family, side, index, b):
     """One harmonic-space transfer between grading depths b-1 and b.
 
     side "lambda" fixes the form degree (index = k), side "gamma" fixes
-    the stratum (index = m).  One application of the regularizer R to the
-    target harmonic forms h and the source forms y gives the transfer
-    (R h)^T G y = h^T R^T G y and the pairing (R y)^T G y; the transfer is
-    reported with its smallest relative singular value, and the theory
-    makes it a bijection.  Both harmonic bases are cocycles here, so a
-    (Gram-self-adjoint) cocycle projection would change nothing.
+    the stratum (index = m).  ``inject`` places the source harmonic forms
+    y, cocycles, in the target space; the transfer h^T G inject(y) is the
+    map the injection induces on cohomology in the two harmonic bases, and
+    the theory makes it a bijection.  The paper's regularizer R gives its
+    inverse transpose (R h)^T G inject(y), with the same smin_rel.
     """
-    n = pair.top_dim
     if side == "lambda":
-        k = index
-        cx = redirected_lambda(pair, family, k - b + 1)
-        h_src = harmonic_lambda(pair, family, k, b - 1)
-        h_tgt = harmonic_lambda(pair, family, k, b)
-        pos, regularizer = k, regularizer_R
+        cx = redirected_lambda(pair, family, index - b + 1)
+        h_src = harmonic_lambda(pair, family, index, b - 1)
+        h_tgt = harmonic_lambda(pair, family, index, b)
+        pos = index
     elif side == "gamma":
-        m = index
-        cx = redirected_gamma(pair, family, m + b - 1)
-        h_src = harmonic_gamma(pair, family, m, b - 1)
-        h_tgt = harmonic_gamma(pair, family, m, b)
-        pos, regularizer = n - m, regularizer_S
+        cx = redirected_gamma(pair, family, index + b - 1)
+        h_src = harmonic_gamma(pair, family, index, b - 1)
+        h_tgt = harmonic_gamma(pair, family, index, b)
+        pos = pair.top_dim - index
     else:
         raise AssemblyError(f"unknown side {side!r}")
-    sp = cx.spaces[pos]
-    src_vectors = inject(h_src.ambient, sp, h_src.basis)
-    g_src = sp.whitening.mul_l(sp.whitening.mul_lt(src_vectors))
-    reg = regularizer(pair, family, index, b,
-                      np.hstack([h_tgt.basis, src_vectors]))
-    transfer = reg[:, :h_tgt.dim].T @ g_src
-    pairing = reg[:, h_tgt.dim:].T @ g_src
-    pairing_defect = float(np.linalg.norm(pairing - np.eye(h_src.dim)))
+    W = cx.spaces[pos].whitening
+    src = W.mul_lt(inject(h_src.ambient, cx.spaces[pos], h_src.basis))
+    transfer = W.mul_lt(h_tgt.basis).T @ src
     smin_rel, ok = _transfer_verdict(transfer, h_src.dim, h_tgt.dim)
     return {
         "side": side,
@@ -284,7 +276,6 @@ def iso_step(pair, family, side, index, b):
         "src_dim": h_src.dim,
         "tgt_dim": h_tgt.dim,
         "smin_rel": smin_rel,
-        "pairing_defect": pairing_defect,
         "ok": bool(ok),
         "transfer": transfer,
     }

@@ -11,8 +11,9 @@ which selects its independent rows and columns; only where it is positive
 does one QR give the harmonic basis, and the per-index memo keeps that
 subspace alone.  The Laplace solve is one symmetric positive definite
 system in Gram form per index, assembled from the Grams, the integer
-differentials and the harmonic basis.  Pseudoinverses are applied by exact
-row selection and one thin QR.  The Laplacian, the metric adjoints and the
+differentials and the harmonic basis.  The pseudoinverse, applied by
+exact row selection and one thin QR, serves the paper's regularizers
+alone; no verdict calls it.  The Laplacian, the metric adjoints and the
 whitened differentials are applied to vectors and never formed as
 matrices.
 """

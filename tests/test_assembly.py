@@ -1,14 +1,17 @@
+import io
+
 import numpy as np
 import pytest
 
 from ddforms import exact, polyforms
-from ddforms.assembly import (AssemblyError, BrokenSpace, _element_grams,
-                              _tril_inverse, adjoint, broken_space,
-                              derivative_operator, export_matrix,
-                              kernel_space, mesh_weight, operator_D,
-                              operator_T)
+from ddforms.assembly import (AssemblyError, BrokenSpace, _tril_inverse,
+                              adjoint, broken_space, derivative_operator,
+                              export_matrix, kernel_space, mesh_weight,
+                              operator_D, operator_T)
+from ddforms.cli import main
 from ddforms.mesh import generate_mesh, orientation_sign, skeleton_pair
-from ddforms.polyforms import ElementSpace, Family, FamilyError, whitney
+from ddforms.polyforms import (ElementSpace, Family, FamilyError,
+                               simplex_metrics, whitney)
 
 from conftest import svd_null
 
@@ -57,7 +60,10 @@ def test_skeleton_weight_exponent_from_root(catalog, name):
                 for k in range(m + 1):
                     sp = broken_space(skel, m, k, fam)
                     (s,) = sp.strata
-                    grams = _element_grams(skel, fam, s)
+                    coords = np.asarray(skel.coords, float)
+                    cells = np.array([c.vertices for c in s.simplices])
+                    grams = fam.space(m, k).gram(
+                        *simplex_metrics(coords[cells]))
                     for i, c in enumerate(s.simplices):
                         if m:
                             h = skel.diameter(c)
@@ -69,6 +75,28 @@ def test_skeleton_weight_exponent_from_root(catalog, name):
                         assert np.allclose(sp.gram[sl, sl],
                                            h ** (n - m) * grams[i],
                                            rtol=1e-12, atol=0), (m, k, c)
+
+
+@pytest.mark.parametrize("name,size", [("square_grid", 6), ("cube_tet", 1)])
+def test_each_stratum_is_factored_once(monkeypatch, name, size):
+    """A cold chain factors the element Grams of each (m, k) stratum of its
+    mesh with one batched Cholesky call, however many broken spaces share
+    the stratum."""
+    batched = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            batched.append(np.shape(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    assert main(["chain", "--mesh", f"catalog:{name}:{size}", "--mark",
+                 "half"], out=io.StringIO()) == 0
+    pair = generate_mesh(name, size, "half")
+    strata = [(m, k) for m in range(pair.top_dim + 1) for k in range(m + 1)
+              if pair.stratum(m)]
+    assert len(batched) == len(strata), batched
 
 
 def test_identities_whitney(catalog):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
 
 from ddforms import exact
 from ddforms.assembly import (AssemblyError, BrokenSpace, Subspace,
@@ -16,6 +17,7 @@ from ddforms.polyforms import Family, whitney
 from ddforms import distrib
 
 from conftest import svd_null
+from test_properties import DRAWN, marked_subgrids
 
 FAM = whitney()
 
@@ -165,15 +167,6 @@ def test_regularizer_S_on_cocycles(catalog):
             assert np.linalg.norm(d_next @ out - d_next @ z) < 1e-9
 
 
-def test_iso_step_pairing(catalog):
-    pair = catalog("annulus", 1, "full")
-    st = distrib.iso_step(pair, FAM, "lambda", 1, 2)
-    assert st["ok"] and st["src_dim"] == st["tgt_dim"] == 1
-    assert st["pairing_defect"] < 1e-9
-    st = distrib.iso_step(pair, FAM, "gamma", 1, 2)
-    assert st["ok"] and st["src_dim"] == 1
-
-
 def test_exactness_witness(catalog):
     """For every harmonic form w at depth b-1, the potential xi built by
     the right-inverse recursion through D and T, stratum by stratum, pairs
@@ -226,14 +219,15 @@ def _failed(report):
 
 
 def test_verify_chain_fails_a_zero_transfer(catalog, monkeypatch):
-    """A regularizer that maps everything to zero makes each chain-side
+    """A stratum injection that maps everything to zero makes every
     transfer zero, which no step forgives."""
     pair = catalog("annulus", 1, "full")
     assert distrib.verify_chain(pair, FAM, 1)["passed"]
-    monkeypatch.setattr(distrib, "regularizer_S",
-                        lambda pair_, family, m, b, x: np.zeros_like(x))
+    monkeypatch.setattr(distrib, "inject", lambda small, big, x: np.zeros(
+        (big.dim,) + np.shape(x)[1:]))
     report = distrib.verify_chain(pair, FAM, 1)
-    assert _failed(report) == ["chain transfer depth 1->2"]
+    assert _failed(report) == ["chain transfer depth 1->2",
+                               "degree transfer depth 1->2"]
     assert not report["passed"]
 
 
@@ -489,29 +483,38 @@ def _cocycle_projector(space, matrix):
     return Kb @ (Kb.T @ space.gram)
 
 
-def projected_iso_step(pair, family, side, index, b):
-    """Transfer and pairing of an isomorphism step, built as the adjoint
-    of the regularizer followed by the projection onto the cocycles of the
-    outgoing graded derivative."""
+def _step(pair, family, side, index, b):
+    """The complex and index of an isomorphism step's target space, the
+    regularizer of its side, and the source and target harmonic spaces."""
     if side == "lambda":
-        cx = distrib.redirected_lambda(pair, family, index - b + 1)
-        regularizer = distrib.regularizer_R
-        h_src = distrib.harmonic_lambda(pair, family, index, b - 1)
-        h_tgt = distrib.harmonic_lambda(pair, family, index, b)
-        pos = index
-    else:
-        cx = distrib.redirected_gamma(pair, family, index + b - 1)
-        regularizer = distrib.regularizer_S
-        h_src = distrib.harmonic_gamma(pair, family, index, b - 1)
-        h_tgt = distrib.harmonic_gamma(pair, family, index, b)
-        pos = pair.top_dim - index
+        return (distrib.redirected_lambda(pair, family, index - b + 1), index,
+                distrib.regularizer_R,
+                distrib.harmonic_lambda(pair, family, index, b - 1),
+                distrib.harmonic_lambda(pair, family, index, b))
+    return (distrib.redirected_gamma(pair, family, index + b - 1),
+            pair.top_dim - index, distrib.regularizer_S,
+            distrib.harmonic_gamma(pair, family, index, b - 1),
+            distrib.harmonic_gamma(pair, family, index, b))
+
+
+def _steps(n):
+    """Every isomorphism step (side, index, b) on a mesh of dimension n."""
+    cases = [("lambda", k, b) for k in range(1, n + 1)
+             for b in range(2, k + 2)]
+    return cases + [("gamma", m, b) for m in range(n)
+                    for b in range(2, n - m + 2)]
+
+
+def projected_iso_step(pair, family, side, index, b):
+    """The transfer of an isomorphism step with the injected source forms
+    projected onto the cocycles of the target's outgoing graded
+    derivative before pairing."""
+    cx, pos, _reg, h_src, h_tgt = _step(pair, family, side, index, b)
     sp = cx.spaces[pos]
-    reg = regularizer(pair, family, index, b, np.eye(sp.dim))
-    src = distrib.inject(h_src.ambient, sp, h_src.basis)
-    image = np.linalg.solve(sp.gram, reg.T @ sp.gram @ src)
+    image = distrib.inject(h_src.ambient, sp, h_src.basis)
     if pos < len(cx.diffs) and cx.diffs[pos].codomain.dim:
         image = _cocycle_projector(sp, cx.diffs[pos].matrix) @ image
-    return h_tgt.basis.T @ sp.gram @ image, src.T @ sp.gram @ image
+    return h_tgt.basis.T @ sp.gram @ image
 
 
 def projected_skeleton_transfer(pair, family, k):
@@ -541,25 +544,64 @@ def _close(a, b):
 @pytest.mark.parametrize("name", ["annulus", "cube_tet"])
 def test_transfers_match_cocycle_projection(catalog, name, family):
     """Harmonic forms are cocycles, so every isomorphism-step transfer and
-    pairing, and every skeleton transfer, equals the one taken after the
-    Gram-orthogonal projection onto the cocycles."""
+    every skeleton transfer equals the one taken after the Gram-orthogonal
+    projection onto the cocycles."""
     for mark in ("none", "full", "half"):
         pair = catalog(name, 1, mark)
         n = pair.top_dim
-        cases = [("lambda", k, b) for k in range(1, n + 1)
-                 for b in range(2, k + 2)]
-        cases += [("gamma", m, b) for m in range(n)
-                  for b in range(2, n - m + 2)]
-        for side, index, b in cases:
+        for side, index, b in _steps(n):
             st = distrib.iso_step(pair, family, side, index, b)
-            transfer, pairing = projected_iso_step(pair, family, side,
-                                                   index, b)
-            assert _close(st["transfer"], transfer), (mark, side, index, b)
-            if st["src_dim"]:
-                defect = np.linalg.norm(pairing - np.eye(st["src_dim"]))
-                assert abs(st["pairing_defect"] - defect) <= 1e-12
+            assert _close(st["transfer"],
+                          projected_iso_step(pair, family, side, index, b)), \
+                (mark, side, index, b)
         for k in range(2, n + 1):
             st = distrib.skeleton_projection(pair, family, k)
             assert _close(st["transfer"],
                           projected_skeleton_transfer(pair, family, k)), \
                 (mark, k)
+
+
+def _inverse_transfer_widths(pair, family):
+    """Every isomorphism step of a pair, against the paper's regularizer R
+    of its side: R fixes the injected source forms inject(y), and
+    T_R = (R h)^T G inject(y) inverts the transpose of the step's transfer
+    T = h^T G inject(y), so both have the same smallest relative singular
+    value; every step between equal dimensions passes.  Returns the width
+    of each transfer."""
+    widths = []
+    for side, index, b in _steps(pair.top_dim):
+        cx, pos, regularizer, h_src, h_tgt = _step(pair, family, side,
+                                                   index, b)
+        sp = cx.spaces[pos]
+        y = distrib.inject(h_src.ambient, sp, h_src.basis)
+        assert np.array_equal(regularizer(pair, family, index, b, y), y)
+        st = distrib.iso_step(pair, family, side, index, b)
+        assert st["ok"] == (st["src_dim"] == st["tgt_dim"])
+        t_r = regularizer(pair, family, index, b, h_tgt.basis).T @ \
+            sp.gram @ y
+        assert np.linalg.norm(t_r.T @ st["transfer"]
+                              - np.eye(h_src.dim)) <= 1e-12, \
+            (side, index, b)
+        widths.append(h_src.dim)
+    return widths
+
+
+def test_regularized_transfer_inverts_the_transfer(catalog):
+    """The regularizer R behind the paper's isomorphism steps gives the
+    inverse transpose of each step's transfer, on the catalog and on drawn
+    sub-grids, where holes make transfers 2 wide and more."""
+    widths = []
+    for name in ("annulus", "cube_tet"):
+        for mark in ("none", "full", "half"):
+            for family in (FAM, Family("full", 2)):
+                widths += _inverse_transfer_widths(catalog(name, 1, mark),
+                                                   family)
+
+    @DRAWN
+    @given(marked_subgrids())
+    def drawn(pair):
+        assume(distrib.check_conditions(pair, FAM)["passed"])
+        widths.extend(_inverse_transfer_widths(pair, FAM))
+
+    drawn()
+    assert max(widths) >= 2

@@ -50,6 +50,11 @@ UNREACHED = {
     "mesh.RelativePair.contains": "membership test of patch_pair",
     "polyforms.trimmed_dimension": "closed-form oracle of trimmed dimensions",
     "polyforms.whitney": "the lowest-order family of the tests",
+    # the paper's regularizers, which the transfers no longer apply
+    "distrib.regularizer_R": "criteria 6–7 and the inverse-transfer test",
+    "distrib.regularizer_S": "criteria 6–7 and the inverse-transfer test",
+    "distrib._regularizer": "criteria 6–7 and the inverse-transfer test",
+    "hilbert.pseudoinverse": "criteria 6–7 and the inverse-transfer test",
     # __repr__s
     "mesh.Simplex.__repr__": "repr",
     "mesh.RelativePair.__repr__": "repr",
