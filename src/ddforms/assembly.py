@@ -90,7 +90,7 @@ class GramFactor:
     and its inverse for a dense Gram; rows outside them whiten by the
     identity.  ``mul_lt``, ``mul_l``, ``solve_l`` and ``solve_lt`` apply
     L^T (whitening), L, L^-1 and L^-T (unwhitening) to the rows of a
-    vector or matrix, with one batched product per block, and return a
+    vector or matrix, with one batched product per block written into a
     new array.
     """
 
@@ -98,17 +98,23 @@ class GramFactor:
         self.blocks = blocks
 
     def _apply(self, x, inverse, transpose):
-        out = np.array(x, float)
-        cols = out if out.ndim == 2 else out[:, None]
+        x = np.asarray(x, float)
+        cols = x if x.ndim == 2 else x[:, None]
+        out = np.empty(cols.shape)
+        done = 0
         for offset, L, L_inv in self.blocks:
             F = L_inv if inverse else L
             if transpose:
                 F = F.transpose(0, 2, 1)
             cells, b = F.shape[:2]
-            rows = slice(offset, offset + cells * b)
-            block = cols[rows].reshape(cells, b, cols.shape[1])
-            cols[rows] = (F @ block).reshape(cells * b, cols.shape[1])
-        return out
+            stop = offset + cells * b
+            out[done:offset] = cols[done:offset]
+            shape = (cells, b, cols.shape[1])
+            np.matmul(F, cols[offset:stop].reshape(shape),
+                      out=out[offset:stop].reshape(shape))
+            done = stop
+        out[done:] = cols[done:]
+        return out.reshape(x.shape)
 
     mul_lt = partialmethod(_apply, inverse=False, transpose=True)
     mul_l = partialmethod(_apply, inverse=False, transpose=False)
@@ -202,7 +208,7 @@ class LinearOp:
 
     Kept as triplets (rows, cols, vals) with distinct (row, col) pairs;
     float values are refused.  ``matrix`` is a dense float view built on
-    first use.
+    first use; ``submatrix`` builds selected rows or columns alone.
     """
 
     def __init__(self, domain, codomain, triplets):
@@ -215,9 +221,25 @@ class LinearOp:
 
     @cached_property
     def matrix(self):
-        rows, cols, vals = self.triplets
-        out = np.zeros((self.codomain.dim, self.domain.dim))
-        out[rows, cols] = vals
+        return self.submatrix()
+
+    def submatrix(self, rows=None, cols=None):
+        """The dense float rows ``rows`` and columns ``cols`` (all where
+        None), in the given order, scattered from the triplets without
+        the whole ``matrix``."""
+        index = list(self.triplets[:2])
+        vals = self.triplets[2]
+        shape = [self.codomain.dim, self.domain.dim]
+        keep = np.ones(len(vals), bool)
+        for axis, sel in enumerate((rows, cols)):
+            if sel is not None:
+                pos = np.full(shape[axis], -1)
+                pos[sel] = np.arange(len(sel))
+                index[axis] = pos[index[axis]]
+                keep &= index[axis] >= 0
+                shape[axis] = len(sel)
+        out = np.zeros(shape)
+        out[index[0][keep], index[1][keep]] = vals[keep]
         return out
 
     def integer_rows(self):

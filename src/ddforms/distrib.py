@@ -251,7 +251,9 @@ def iso_step(pair, family, side, index, b):
     y, cocycles, in the target space; the transfer h^T G inject(y) is the
     map the injection induces on cohomology in the two harmonic bases, and
     the theory makes it a bijection.  The paper's regularizer R gives its
-    inverse transpose (R h)^T G inject(y), with the same smin_rel.
+    inverse transpose (R h)^T G inject(y), with the same smin_rel.  Where
+    either harmonic space is empty the transfer is empty and no space is
+    whitened.
     """
     if side == "lambda":
         cx = redirected_lambda(pair, family, index - b + 1)
@@ -265,9 +267,11 @@ def iso_step(pair, family, side, index, b):
         pos = pair.top_dim - index
     else:
         raise AssemblyError(f"unknown side {side!r}")
-    W = cx.spaces[pos].whitening
-    src = W.mul_lt(inject(h_src.ambient, cx.spaces[pos], h_src.basis))
-    transfer = W.mul_lt(h_tgt.basis).T @ src
+    transfer = np.zeros((h_tgt.dim, h_src.dim))
+    if transfer.size:
+        W = cx.spaces[pos].whitening
+        src = W.mul_lt(inject(h_src.ambient, cx.spaces[pos], h_src.basis))
+        transfer = W.mul_lt(h_tgt.basis).T @ src
     smin_rel, ok = _transfer_verdict(transfer, h_src.dim, h_tgt.dim)
     return {
         "side": side,

@@ -7,15 +7,16 @@ computed after whitening: the Cholesky factor of each
 Gram matrix, the space's ``whitening`` (block by block for a broken space,
 dense for a kernel subspace), maps to an orthonormal frame.  A harmonic
 dimension is decided by one exact elimination per integer differential,
-which selects its independent rows and columns; only where it is positive
-does one QR give the harmonic basis, and the per-index memo keeps that
-subspace alone.  The Laplace solve is one symmetric positive definite
-system in Gram form per index, assembled from the Grams, the integer
-differentials and the harmonic basis.  The pseudoinverse, applied by
-exact row selection and one thin QR, serves the paper's regularizers
-alone; no verdict calls it.  The Laplacian, the metric adjoints and the
-whitened differentials are applied to vectors and never formed as
-matrices.
+which selects its independent rows and columns.  Only where it is
+positive is the space whitened, and one raw Householder QR of those rows
+and columns gives the harmonic basis from its reflectors, with no square
+Q; the per-index memo keeps that subspace alone.  The Laplace solve is
+one symmetric positive definite system in Gram form per index, assembled
+from the Grams, the integer differentials and the harmonic basis.  The
+pseudoinverse, applied by exact row selection and one thin QR, serves the
+paper's regularizers alone; no verdict calls it.  The Laplacian, the
+metric adjoints and the whitened differentials are applied to vectors and
+never formed as matrices.
 """
 
 from __future__ import annotations
@@ -73,31 +74,48 @@ def harmonic_space(cx, i):
 
     The rows R of d_i and the columns C of d_{i-1} independent over the
     integers span the row space of d_i and the range of d_{i-1}, so the
-    harmonic dimension is n - |R| - |C|; R and C are read off the one
-    ``LinearOp.echelon`` of d_i and of d_{i-1}.  Only where it is positive
-    does one complete QR run, of the whitened
-    S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], whose blocks are orthogonal as
-    d_i d_{i-1} = 0: its trailing columns, unwhitened, are the
-    Gram-orthonormal basis.  The subspace is memoised on the complex
-    instance per index.
+    harmonic dimension is h = n - |R| - |C|; R and C are read off the one
+    ``LinearOp.echelon`` of d_i and of d_{i-1}.  Where h = 0 the subspace
+    is empty and no float work runs.  Otherwise one Householder QR, kept
+    in raw form, runs on the whitened
+    S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], built from the two slices
+    alone; its blocks are orthogonal as d_i d_{i-1} = 0.  The trailing h
+    columns of its complete Q, unwhitened, are the Gram-orthonormal basis.
+    The subspace is memoised on the complex instance per index.
     """
     h = cx._harmonic.get(i)
     if h is None:
         space = cx.spaces[i]
-        W, n = space.whitening, space.dim
+        n = space.dim
         rows = cx.diffs[i].echelon[0] if i < len(cx.diffs) else []
         cols = cx.diffs[i - 1].echelon[1] if i > 0 else []
         basis = np.zeros((n, 0))
         if len(rows) + len(cols) < n:
+            W = space.whitening
             S = np.zeros((n, 0))
             if rows:
-                S = W.solve_l(cx.diffs[i].matrix[rows].T)
+                S = W.solve_l(cx.diffs[i].submatrix(rows=rows).T)
             if cols:
-                S = np.hstack([S, W.mul_lt(cx.diffs[i - 1].matrix[:, cols])])
-            Q = np.linalg.qr(S, mode="complete")[0]
-            basis = W.solve_lt(Q[:, S.shape[1]:])
+                S = np.hstack(
+                    [S, W.mul_lt(cx.diffs[i - 1].submatrix(cols=cols))])
+            basis = W.solve_lt(_trailing_q(*np.linalg.qr(S, mode="raw")))
         h = cx._harmonic[i] = Subspace(space, basis)
     return h
+
+
+def _trailing_q(raw, tau):
+    """The last n - k columns of the complete Q = H_0 ... H_{k-1} of an
+    n x k matrix, from its raw QR (k x n reflectors, scales tau): the
+    reflectors H_j = I - tau_j v_j v_j^T, v_j = (0, 1, raw[j, j+1:]),
+    applied last to first to the last n - k columns of the identity, with
+    no n x n Q formed."""
+    k, n = raw.shape
+    Q = np.eye(n, n - k, -k)
+    for j in range(k - 1, -1, -1):
+        v = raw[j, j:].copy()
+        v[0] = 1.0
+        Q[j:] -= np.outer(tau[j] * v, v @ Q[j:])
+    return Q
 
 
 def hodge_laplacian(cx, i, u):
@@ -154,10 +172,12 @@ def pseudoinverse(op, rhs):
 
 
 def subspace_transfer(a, b):
-    """The matrix of Gram pairings between two orthonormal subspace bases."""
+    """The matrix of Gram pairings between two orthonormal subspace bases,
+    (L^T a)^T (L^T b) through the ambient's Cholesky factor L."""
     if a.ambient is not b.ambient and a.ambient.dim != b.ambient.dim:
         raise AssemblyError("subspaces live in different ambient spaces")
-    return a.basis.T @ a.ambient.gram @ b.basis
+    W = a.ambient.whitening
+    return W.mul_lt(a.basis).T @ W.mul_lt(b.basis)
 
 
 def subspace_equality_defect(a, b):

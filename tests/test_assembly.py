@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from ddforms import exact, polyforms
-from ddforms.assembly import (AssemblyError, BrokenSpace, _tril_inverse,
-                              adjoint, broken_space, derivative_operator,
-                              export_matrix, kernel_space, mesh_weight,
-                              operator_D, operator_T)
+from ddforms.assembly import (AssemblyError, BrokenSpace, GramFactor,
+                              _tril_inverse, adjoint, broken_space,
+                              derivative_operator, export_matrix,
+                              kernel_space, mesh_weight, operator_D,
+                              operator_T)
 from ddforms.cli import main
-from ddforms.mesh import generate_mesh, orientation_sign, skeleton_pair
+from ddforms.mesh import (RelativePair, generate_mesh, orientation_sign,
+                          skeleton_pair)
 from ddforms.polyforms import (ElementSpace, Family, FamilyError,
                                simplex_metrics, whitney)
 
@@ -79,24 +81,73 @@ def test_skeleton_weight_exponent_from_root(catalog, name):
 
 @pytest.mark.parametrize("name,size", [("square_grid", 6), ("cube_tet", 1)])
 def test_each_stratum_is_factored_once(monkeypatch, name, size):
-    """A cold chain factors the element Grams of each (m, k) stratum of its
-    mesh with one batched Cholesky call, however many broken spaces share
-    the stratum."""
-    batched = []
-    cholesky = np.linalg.cholesky
+    """A cold chain factors the element Grams of an (m, k) stratum of its
+    mesh at most once, with one batched Cholesky call, however many broken
+    spaces share the stratum; a stratum no harmonic space whitens is not
+    factored at all, so unmarked strata are and half-marked ones are
+    not."""
+    batched, built = [], []
+    cholesky, cached = np.linalg.cholesky, RelativePair.cached
 
     def counted(a, *args, **kwargs):
         if np.ndim(a) == 3:
             batched.append(np.shape(a))
         return cholesky(a, *args, **kwargs)
 
+    def counted_build(self, key, build):
+        if key[0] == "stratum" and key not in self._cache:
+            built.append(key[3:])
+        return cached(self, key, build)
+
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    assert main(["chain", "--mesh", f"catalog:{name}:{size}", "--mark",
-                 "half"], out=io.StringIO()) == 0
-    pair = generate_mesh(name, size, "half")
-    strata = [(m, k) for m in range(pair.top_dim + 1) for k in range(m + 1)
-              if pair.stratum(m)]
-    assert len(batched) == len(strata), batched
+    monkeypatch.setattr(RelativePair, "cached", counted_build)
+    for mark in ("none", "half"):
+        batched.clear()
+        built.clear()
+        assert main(["chain", "--mesh", f"catalog:{name}:{size}", "--mark",
+                     mark], out=io.StringIO()) == 0
+        pair = generate_mesh(name, size, mark)
+        assert len(set(built)) == len(built) == len(batched), \
+            (mark, built, batched)
+        assert all(pair.stratum(m) for m, _k in built)
+        assert bool(built) == (mark == "none"), (mark, built)
+
+
+def test_gram_factor_writes_blocks_and_keeps_other_rows():
+    """Each block of a factor applies its batched element factors in place
+    of the rows it covers, rows outside every block pass unchanged, and a
+    vector or a column-major matrix comes back as a new array of its
+    shape."""
+    rng = np.random.default_rng(2)
+    L = np.tril(rng.standard_normal((3, 2, 2))) + 3 * np.eye(2)
+    factor = GramFactor([(1, L, _tril_inverse(L)),
+                         (8, L[:1], _tril_inverse(L[:1]))])
+    dense = np.eye(11)
+    for c in range(3):
+        dense[1 + 2 * c:3 + 2 * c, 1 + 2 * c:3 + 2 * c] = L[c]
+    dense[8:10, 8:10] = L[0]
+    x = np.asfortranarray(rng.standard_normal((11, 4)))
+    for got, want in ((factor.mul_l(x), dense @ x),
+                      (factor.mul_lt(x), dense.T @ x),
+                      (factor.solve_l(x), np.linalg.solve(dense, x)),
+                      (factor.solve_lt(x[:, 0]),
+                       np.linalg.solve(dense.T, x[:, 0]))):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    before = x.copy()
+    factor.mul_lt(x)[:] = 0
+    assert np.array_equal(x, before)
+
+
+def test_submatrix_matches_dense_rows_and_columns(catalog):
+    d = derivative_operator(BrokenSpace(catalog("annulus"), [(2, 1), (1, 0)],
+                                        whitney()))
+    rows, cols = [5, 0, 3], [7, 2]
+    dense = d.submatrix()
+    assert np.array_equal(dense, d.matrix)
+    assert np.array_equal(d.submatrix(rows=rows), dense[rows])
+    assert np.array_equal(d.submatrix(cols=cols), dense[:, cols])
+    assert np.array_equal(d.submatrix(rows, cols), dense[np.ix_(rows, cols)])
 
 
 def test_identities_whitney(catalog):

@@ -1,6 +1,7 @@
 import inspect
 import io
 import json
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
                               adjoint, derivative_operator, kernel_space,
                               operator_D, operator_T)
 from ddforms.cli import main
-from ddforms.hilbert import (ComplexInstance, harmonic_space, hodge_laplacian,
-                             laplace_solve, pseudoinverse,
+from ddforms.hilbert import (ComplexInstance, _trailing_q, harmonic_space,
+                             hodge_laplacian, laplace_solve, pseudoinverse,
                              subspace_equality_defect, subspace_transfer)
 from ddforms.mesh import betti_numbers, build_complex, generate_mesh, mark_pair
 from ddforms.polyforms import Family, whitney
@@ -393,6 +394,93 @@ def test_solve_without_harmonic_forms_runs_no_qr(monkeypatch):
     dims = [e["harmonic_dim"] for i, e in report.items()
             if i != "passed" and e["dim"]]
     assert dims and not any(dims)
+
+
+def test_chain_takes_no_square_decomposition(monkeypatch):
+    """A cold chain builds neither a whole dense differential nor a dense
+    broken-space Gram, and takes each harmonic QR in raw form; where every
+    harmonic space is empty (square_grid:6, half marked) it factors no
+    Gram and takes no QR."""
+    counts = {"matrix": 0, "gram": 0, "cholesky": 0}
+    qr_modes = []
+    matrix = LinearOp.__dict__["matrix"].func
+    gram = BrokenSpace.gram.fget
+    cholesky, qr = np.linalg.cholesky, np.linalg.qr
+
+    def counted(name, call, fresh=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            counts[name] += fresh(*args)
+            return call(*args, **kwargs)
+        return wrapper
+
+    def counted_qr(a, mode="reduced"):
+        qr_modes.append(mode)
+        return qr(a, mode=mode)
+
+    built = cached_property(counted("matrix", matrix))
+    built.__set_name__(LinearOp, "matrix")
+    monkeypatch.setattr(LinearOp, "matrix", built)
+    monkeypatch.setattr(BrokenSpace, "gram", property(
+        counted("gram", gram, lambda space: space._gram is None)))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    for mark in ("none", "full", "half"):
+        assert main(["chain", "--mesh", "catalog:annulus", "--mark", mark,
+                     "--degree", "2"], out=io.StringIO()) == 0, mark
+        assert counts["matrix"] == counts["gram"] == 0, (mark, counts)
+    assert qr_modes and set(qr_modes) == {"raw"}
+    counts["cholesky"], qr_modes[:] = 0, []
+    assert main(["chain", "--mesh", "catalog:square_grid:6", "--mark",
+                 "half"], out=io.StringIO()) == 0
+    assert counts["cholesky"] == 0 and not qr_modes
+
+
+@pytest.mark.parametrize("n,k", [(9, 0), (9, 8), (12, 5), (40, 39)])
+def test_trailing_q_is_the_complement_of_a_complete_qr(n, k):
+    """The reflector complement of a raw QR equals the trailing columns of
+    the complete Q, is orthonormal and is orthogonal to the matrix."""
+    S = np.random.default_rng(n + k).standard_normal((n, k))
+    check_trailing_q(S)
+
+
+def check_trailing_q(S):
+    n, k = S.shape
+    got = _trailing_q(*np.linalg.qr(S, mode="raw"))
+    assert got.shape == (n, n - k)
+    want = np.linalg.qr(S, mode="complete")[0][:, k:]
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13
+    assert np.abs(got.T @ got - np.eye(n - k)).max(initial=0.0) <= 1e-13
+    scale = max(np.linalg.norm(S, 2), 1.0) if S.size else 1.0
+    assert np.abs(S.T @ got).max(initial=0.0) <= 1e-13 * scale
+
+
+def test_trailing_q_of_catalog_harmonic_spaces(catalog):
+    """On the whitened S of each catalog harmonic space with forms, the
+    reflector complement is the complete Q's, and unwhitened it is the
+    harmonic basis."""
+    pair = catalog("annulus", 1, "full")
+    seen = 0
+    for cx in (distrib.total_complex(pair, Family("trimmed", 2)),
+               distrib.chainlike_complex(pair, whitney())):
+        for i in range(len(cx)):
+            h = harmonic_space(cx, i)
+            if not h.dim:
+                continue
+            W = cx.spaces[i].whitening
+            parts = [np.zeros((cx.spaces[i].dim, 0))]
+            if i < len(cx.diffs):
+                rows = cx.diffs[i].echelon[0]
+                parts.append(W.solve_l(cx.diffs[i].matrix[rows].T))
+            if i > 0:
+                cols = cx.diffs[i - 1].echelon[1]
+                parts.append(W.mul_lt(cx.diffs[i - 1].matrix[:, cols]))
+            S = np.hstack(parts)
+            check_trailing_q(S)
+            basis = W.solve_lt(_trailing_q(*np.linalg.qr(S, mode="raw")))
+            assert np.abs(basis - h.basis).max() <= 1e-13 * \
+                max(np.abs(basis).max(), 1.0)
+            seen += 1
+    assert seen
 
 
 def test_harmonic_memo_holds_no_square_array():
