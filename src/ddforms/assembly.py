@@ -369,16 +369,12 @@ def kernel_space(pair, m, k, family, which):
     conforming space), "horizontal" = ker D (piecewise-constant-like).
     The basis is the exact integer kernel of the operator."""
     if which == "vertical":
-        op = operator_T(pair, m, k, family) if m >= 1 else None
+        op = operator_T(pair, m, k, family)
     elif which == "horizontal":
         op = operator_D(pair, m, k, family)
     else:
         raise AssemblyError(f"unknown kernel kind {which!r}")
-    if op is None:
-        space, rows = broken_space(pair, m, k, family), []
-    else:
-        space, rows = op.domain, op.integer_rows()
-    return Subspace(space, *exact.kernel(rows, space.dim))
+    return Subspace(op.domain, *exact.kernel(op.integer_rows(), op.domain.dim))
 
 
 def export_matrix(matrix, path):

@@ -1,13 +1,14 @@
 """Distributional complexes over a mesh and their harmonic space theory.
 
-This module builds every complex family the library knows: conforming
-and chain-like complexes, the redirected complexes that interpolate
-between them, the full graded (total) complex, and their skeleton
-variants.  On top of the builders sit the isomorphism steps between
-harmonic spaces of consecutive gradings, each the matrix that the stratum
-injection induces on them (the paper's regularizers invert it), and
-end-to-end verification routines: homology dimensions against the mesh's
-Betti numbers, the full isomorphism chain from simplicial homology to
+This module builds every complex family the library knows, each once per
+pair: the degree- and stratum-redirected complexes, whose ends are the
+conforming complex (degree n), the chain-like complex (stratum 0) and the
+full graded (total) complex they share, and their skeleton variants.  On
+top of the builders sit the isomorphism steps between harmonic spaces of
+consecutive gradings, each the matrix that the stratum injection induces
+on them (the paper's regularizers invert it), and end-to-end
+verification routines: homology dimensions against the mesh's Betti
+numbers, the full isomorphism chain from simplicial homology to
 conforming harmonic forms, the row and column exactness of the broken
 double complex, and the skeleton projection and degree-0 identities.
 """
@@ -25,7 +26,7 @@ from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
                               broken_space, derivative_operator, kernel_space,
                               operator_D, operator_T)
 from ddforms.hilbert import (ComplexInstance, harmonic_space, pseudoinverse,
-                             subspace_equality_defect)
+                             subspace_equality_defect, subspace_transfer)
 
 
 # The smallest relative singular value a harmonic transfer between equal
@@ -92,14 +93,12 @@ def _graded_complex(pair, family, kernels, head, label):
 
     A run of kernel subspaces, given as (m, k, which) triples, is joined by
     the graded derivative to the graded broken spaces that start on the
-    stratum ``head`` = (m, k) and take m - k derivative steps; ``head`` is
-    None when the complex ends with its kernels.
+    stratum ``head`` = (m, k) and take m - k derivative steps.
     """
     spaces = [_kernel(pair, m, k, family, which) for m, k, which in kernels]
-    if head is not None:
-        spaces.append(BrokenSpace(pair, [head], family))
+    spaces.append(BrokenSpace(pair, [head], family))
     ops = [_kernel_diff(a, b) for a, b in zip(spaces, spaces[1:])]
-    for _i in range(head[0] - head[1] if head is not None else 0):
+    for _i in range(head[0] - head[1]):
         d = derivative_operator(spaces[-1])
         spaces.append(d.codomain)
         ops.append(d)
@@ -110,36 +109,36 @@ def redirected_lambda(pair, family, k0):
     """The degree-redirected complex: conforming spaces below k0, then the
     graded broken spaces with the distributional derivative.
 
-    k0 = 0 gives the fully graded (total) complex; k0 = n + 1 gives the
-    conforming complex.
+    k0 = 0 gives the fully graded (total) complex; k0 = n gives the
+    conforming complex, whose top space, n-forms with no trace to jump,
+    is the whole broken space.
     """
     n = pair.top_dim
-    if not 0 <= k0 <= n + 1:
+    if not 0 <= k0 <= n:
         raise AssemblyError(f"redirect degree {k0} out of range")
-    kernels = [(n, k, "vertical") for k in range(min(k0, n + 1))]
-    head = (n, k0) if k0 <= n else None
+    kernels = [(n, k, "vertical") for k in range(k0)]
     label = f"redirected-degree({k0})"
     return pair.cached(("redirL", family, k0), lambda: (
-        _graded_complex(pair, family, kernels, head, label)))
+        _graded_complex(pair, family, kernels, (n, k0), label)))
 
 
 def redirected_gamma(pair, family, m0):
     """The stratum-redirected complex: piecewise-constant-like (kernel of
     the cellwise derivative) spaces above stratum m0, then graded broken
     spaces.  m0 = n gives the total complex, which is the very instance
-    ``redirected_lambda(pair, family, 0)`` returns; m0 = -1 gives the
-    chain-like one.
+    ``redirected_lambda(pair, family, 0)`` returns; m0 = 0 gives the
+    chain-like one, whose vertex space, with no derivative to take, is the
+    whole broken space.
     """
     n = pair.top_dim
-    if not -1 <= m0 <= n:
+    if not 0 <= m0 <= n:
         raise AssemblyError(f"redirect stratum {m0} out of range")
     if m0 == n:
         return redirected_lambda(pair, family, 0)
     kernels = [(m, 0, "horizontal") for m in range(n, m0, -1)]
-    head = (m0, 0) if m0 >= 0 else None
     label = f"redirected-stratum({m0})"
     return pair.cached(("redirG", family, m0), lambda: (
-        _graded_complex(pair, family, kernels, head, label)))
+        _graded_complex(pair, family, kernels, (m0, 0), label)))
 
 
 def total_complex(pair, family):
@@ -147,11 +146,11 @@ def total_complex(pair, family):
 
 
 def conforming_complex(pair, family):
-    return redirected_lambda(pair, family, pair.top_dim + 1)
+    return redirected_lambda(pair, family, pair.top_dim)
 
 
 def chainlike_complex(pair, family):
-    return redirected_gamma(pair, family, -1)
+    return redirected_gamma(pair, family, 0)
 
 
 # -- harmonic spaces ------------------------------------------------------
@@ -184,7 +183,10 @@ def harmonic_chain(pair, family, m):
 
 
 def _embedded(coord_harmonic, space):
-    """View a harmonic basis of a kernel subspace in its broken space."""
+    """View a harmonic basis of a kernel subspace in its broken space; a
+    harmonic space of a broken space is returned as it is."""
+    if isinstance(space, BrokenSpace):
+        return coord_harmonic
     basis = space.basis @ coord_harmonic.basis
     return Subspace(space.ambient, basis)
 
@@ -248,30 +250,26 @@ def iso_step(pair, family, side, index, b):
 
     side "lambda" fixes the form degree (index = k), side "gamma" fixes
     the stratum (index = m).  ``inject`` places the source harmonic forms
-    y, cocycles, in the target space; the transfer h^T G inject(y) is the
-    map the injection induces on cohomology in the two harmonic bases, and
-    the theory makes it a bijection.  The paper's regularizer R gives its
+    y, cocycles, in the target's broken space; the transfer
+    h^T G inject(y), taken by ``subspace_transfer``, is the map the
+    injection induces on cohomology in the two harmonic bases, and the
+    theory makes it a bijection.  The paper's regularizer R gives its
     inverse transpose (R h)^T G inject(y), with the same smin_rel.  Where
     either harmonic space is empty the transfer is empty and no space is
     whitened.
     """
     if side == "lambda":
-        cx = redirected_lambda(pair, family, index - b + 1)
         h_src = harmonic_lambda(pair, family, index, b - 1)
         h_tgt = harmonic_lambda(pair, family, index, b)
-        pos = index
     elif side == "gamma":
-        cx = redirected_gamma(pair, family, index + b - 1)
         h_src = harmonic_gamma(pair, family, index, b - 1)
         h_tgt = harmonic_gamma(pair, family, index, b)
-        pos = pair.top_dim - index
     else:
         raise AssemblyError(f"unknown side {side!r}")
     transfer = np.zeros((h_tgt.dim, h_src.dim))
     if transfer.size:
-        W = cx.spaces[pos].whitening
-        src = W.mul_lt(inject(h_src.ambient, cx.spaces[pos], h_src.basis))
-        transfer = W.mul_lt(h_tgt.basis).T @ src
+        y = inject(h_src.ambient, h_tgt.ambient, h_src.basis)
+        transfer = subspace_transfer(h_tgt, Subspace(h_tgt.ambient, y))
     smin_rel, ok = _transfer_verdict(transfer, h_src.dim, h_tgt.dim)
     return {
         "side": side,
@@ -296,6 +294,8 @@ def verify_chain(pair, family, k):
     subspace coincidences and isomorphism steps by the singular values of
     the harmonic transfer matrices.  The two transfer ladders meet at the
     total complex, one shared instance, so no step compares it with itself.
+    At k = n each depth-1 equality compares one end instance with itself;
+    both stay so that every degree reports the same steps.
     """
     check_pure(pair)
     n = pair.top_dim
@@ -364,24 +364,21 @@ def skeleton_projection(pair, family, k):
     Pairs the skeleton-stratum part of the depth-2 harmonic space of the
     full mesh with the skeleton's conforming harmonic space at degree k-1,
     which lies in ker D and ker T already, so needs no cocycle projection.
+    Both live in the skeleton's broken space, and ``subspace_transfer``
+    pairs them through its block factor.
     """
     n = pair.top_dim
     if k < 2:
         raise AssemblyError("the skeleton projection needs k >= 2")
     h2 = harmonic_lambda(pair, family, k, 2)
-    amb = h2.ambient
-    skel = skeleton_pair(pair, n - 1)
-    skel_cx = conforming_complex(skel, family)
-    h_skel = harmonic_space(skel_cx, k - 1)
-    skel_amb = skel_cx.spaces[k - 1].ambient
-
-    comp = h2.basis[amb.stratum_slice(n - 1)]
-    h_skel_emb = skel_cx.spaces[k - 1].basis @ h_skel.basis
-    transfer = h_skel_emb.T @ skel_amb.gram @ comp
-    smin_rel, ok = _transfer_verdict(transfer, h2.dim, h_skel.dim)
+    skel_cx = conforming_complex(skeleton_pair(pair, n - 1), family)
+    emb = _embedded(harmonic_space(skel_cx, k - 1), skel_cx.spaces[k - 1])
+    comp = h2.basis[h2.ambient.stratum_slice(n - 1)]
+    transfer = subspace_transfer(emb, Subspace(emb.ambient, comp))
+    smin_rel, ok = _transfer_verdict(transfer, h2.dim, emb.dim)
     return {
         "degree": k,
-        "dims": (h2.dim, h_skel.dim),
+        "dims": (h2.dim, emb.dim),
         "smin_rel": smin_rel,
         "transfer": transfer,
         "ok": bool(ok),

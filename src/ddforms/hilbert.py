@@ -172,8 +172,9 @@ def pseudoinverse(op, rhs):
 
 
 def subspace_transfer(a, b):
-    """The matrix of Gram pairings between two orthonormal subspace bases,
-    (L^T a)^T (L^T b) through the ambient's Cholesky factor L."""
+    """The Gram pairings a^T G b of a Gram-orthonormal basis a with a basis
+    b that need not be orthonormal, (L^T a)^T (L^T b) through the
+    ambient's Cholesky factor L: the coordinates of b's projection on a."""
     if a.ambient is not b.ambient and a.ambient.dim != b.ambient.dim:
         raise AssemblyError("subspaces live in different ambient spaces")
     W = a.ambient.whitening

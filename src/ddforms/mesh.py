@@ -383,15 +383,19 @@ def skeleton_pair(pair, m):
     """
     if m < 0 or m > pair.top_dim:
         raise MeshError(f"skeleton dimension {m} out of range")
-    members = []
-    for d in range(m + 1):
-        for s in pair.simplices(d):
-            if d == m and s.vertices in pair.marked:
-                continue
-            members.append(s)
-    marked = {v for v in pair.marked if len(v) - 1 <= m - 1}
-    return RelativePair(pair.coords, members, marked, top_dim=m,
-                        parent=pair.parent or pair)
+
+    def build():
+        members = []
+        for d in range(m + 1):
+            for s in pair.simplices(d):
+                if d == m and s.vertices in pair.marked:
+                    continue
+                members.append(s)
+        marked = {v for v in pair.marked if len(v) - 1 <= m - 1}
+        return RelativePair(pair.coords, members, marked, top_dim=m,
+                            parent=pair.parent or pair)
+
+    return pair.cached(("skeleton", m), build)
 
 
 # -- mesh catalog ---------------------------------------------------------

@@ -200,6 +200,9 @@ def test_kernel_space_dims(catalog):
     assert kernel_space(full, 2, 0, fam, "vertical").dim == 4
     # cellwise constants
     assert kernel_space(empty, 2, 0, fam, "horizontal").dim == 2
+    # vertices have no trace: no complex asks for ker T there
+    with pytest.raises(AssemblyError, match="trace operator needs m >= 1"):
+        kernel_space(empty, 0, 0, fam, "vertical")
 
 
 def test_kernel_space_is_exact_kernel(catalog):

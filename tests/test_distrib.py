@@ -27,10 +27,13 @@ CATALOG = ["interval", "triangle", "tetrahedron", "square_grid", "annulus",
 
 def test_redirect_bounds(catalog):
     pair = catalog("square_grid")
-    with pytest.raises(AssemblyError):
-        distrib.redirected_lambda(pair, FAM, 4)
-    with pytest.raises(AssemblyError):
-        distrib.redirected_gamma(pair, FAM, 3)
+    n = pair.top_dim
+    for k0 in (-1, n + 1):
+        with pytest.raises(AssemblyError):
+            distrib.redirected_lambda(pair, FAM, k0)
+    for m0 in (-1, n + 1):
+        with pytest.raises(AssemblyError):
+            distrib.redirected_gamma(pair, FAM, m0)
 
 
 def test_total_complex_identity(catalog):
@@ -53,14 +56,17 @@ def test_total_complex_shared(catalog):
 
 
 def test_redirected_at_top_matches_conforming(catalog):
-    # redirecting at the top degree only breaks the top space, which is
-    # already discontinuity-free there, so harmonic dims agree throughout
-    pair = catalog("annulus", 1, "full")
-    n = pair.top_dim
-    a = distrib.redirected_lambda(pair, FAM, n)
-    c = distrib.conforming_complex(pair, FAM)
-    assert [harmonic_space(a, i).dim for i in range(len(a))] == \
-        [harmonic_space(c, i).dim for i in range(len(c))]
+    """n-forms have no trace and vertex forms no derivative, so the
+    conforming and chain-like complexes are the redirected complexes at
+    the top degree and at the vertex stratum: one shared instance each."""
+    for name in CATALOG:
+        for mark in ("none", "full", "half"):
+            pair = catalog(name, 1, mark)
+            n = pair.top_dim
+            assert distrib.conforming_complex(pair, FAM) is \
+                distrib.redirected_lambda(pair, FAM, n)
+            assert distrib.chainlike_complex(pair, FAM) is \
+                distrib.redirected_gamma(pair, FAM, 0)
 
 
 def test_subcomplex_nesting(catalog):
@@ -350,9 +356,9 @@ def test_graded_complexes_match_betti(catalog, unweighted_total, name):
         expected = betti_numbers(pair)[::-1]
         for fam in (FAM, Family("trimmed", 2)):
             cxs = [distrib.redirected_lambda(pair, fam, k0)
-                   for k0 in range(n + 2)]
+                   for k0 in range(n + 1)]
             cxs += [distrib.redirected_gamma(pair, fam, m0)
-                    for m0 in range(-1, n + 1)]
+                    for m0 in range(n + 1)]
             cxs.append(unweighted_total(pair, fam))
             for cx in cxs:
                 dims = [harmonic_space(cx, i).dim for i in range(len(cx))]
@@ -457,12 +463,12 @@ def test_kernel_diffs_are_integral(catalog, name, family):
         pair = catalog(name, 1, mark)
         n = pair.top_dim
         complexes = [distrib.redirected_lambda(pair, family, k0)
-                     for k0 in range(1, n + 2)]
+                     for k0 in range(1, n + 1)]
         complexes += [distrib.redirected_gamma(pair, family, m0)
-                      for m0 in range(-1, n)]
+                      for m0 in range(n)]
         diffs = [d for cx in complexes for d in cx.diffs
                  if isinstance(d.domain, Subspace)]
-        assert len(diffs) == n * (n + 3)
+        assert len(diffs) == n * (n + 1)
         for d in diffs:
             assert np.array_equal(d.matrix, np.rint(d.matrix))
 
@@ -525,11 +531,14 @@ def projected_skeleton_transfer(pair, family, k):
     skel = skeleton_pair(pair, n - 1)
     skel_cx = distrib.conforming_complex(skel, family)
     h_skel = harmonic_space(skel_cx, k - 1)
-    amb = skel_cx.spaces[k - 1].ambient
+    sp = skel_cx.spaces[k - 1]
+    # the top skeleton space is a broken space, its own ambient
+    amb, basis = ((sp.ambient, sp.basis) if isinstance(sp, Subspace)
+                  else (sp, np.eye(sp.dim)))
     DT = np.vstack([op(skel, n - 1, k - 1, family).matrix
                     for op in (operator_D, operator_T)])
     comp = h2.basis[h2.ambient.stratum_slice(n - 1)]
-    emb = skel_cx.spaces[k - 1].basis @ h_skel.basis
+    emb = basis @ h_skel.basis
     return emb.T @ amb.gram @ _cocycle_projector(amb, DT) @ comp
 
 

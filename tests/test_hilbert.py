@@ -435,6 +435,46 @@ def test_chain_takes_no_square_decomposition(monkeypatch):
     assert counts["cholesky"] == 0 and not qr_modes
 
 
+def test_each_integer_matrix_is_eliminated_once(monkeypatch):
+    """A cold run eliminates no integer matrix twice: the conforming and
+    chain-like complexes are the end redirects, not second copies, and a
+    skeleton is built once per pair.  A harmonic run forms no dense
+    broken-space Gram."""
+    keys, grams = [], []
+    echelon = LinearOp.__dict__["echelon"].func
+    gram = BrokenSpace.gram.fget
+
+    def keyed(op):
+        rows, cols, vals = op.triplets
+        keys.append(((op.codomain.dim, op.domain.dim),
+                     tuple(sorted(zip(rows.tolist(), cols.tolist(),
+                                      vals.tolist())))))
+        return echelon(op)
+
+    def counted_gram(space):
+        grams.append(space.dim)
+        return gram(space)
+
+    eliminated = cached_property(keyed)
+    eliminated.__set_name__(LinearOp, "echelon")
+    monkeypatch.setattr(LinearOp, "echelon", eliminated)
+    monkeypatch.setattr(BrokenSpace, "gram", property(counted_gram))
+    runs = [["chain", "--mesh", "catalog:square_grid:6", "--mark", mark]
+            for mark in ("none", "full", "half")]
+    runs += [["chain", "--mesh", "catalog:annulus", "--mark", "half",
+              "--degree", "2"],
+             ["harmonic", "--mesh", "catalog:cube_tet", "--mark", "half",
+              "--family", "full", "--degree", "2"]]
+    for args in runs:
+        keys.clear()
+        assert main(args, out=io.StringIO()) == 0, args
+        assert keys, args
+        assert len(keys) == len(set(keys)), (args, len(keys), len(set(keys)))
+    assert main(["harmonic", "--mesh", "catalog:annulus", "--degree", "2"],
+                out=io.StringIO()) == 0
+    assert not grams
+
+
 @pytest.mark.parametrize("n,k", [(9, 0), (9, 8), (12, 5), (40, 39)])
 def test_trailing_q_is_the_complement_of_a_complete_qr(n, k):
     """The reflector complement of a raw QR equals the trailing columns of
