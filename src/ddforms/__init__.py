@@ -69,56 +69,8 @@ from ddforms.distrib import (
     check_conditions,
 )
 
-__all__ = [
-    "Simplex",
-    "RelativePair",
-    "build_complex",
-    "orientation_sign",
-    "boundary_matrix",
-    "betti_numbers",
-    "patch_pair",
-    "check_local_patch_condition",
-    "skeleton_pair",
-    "generate_mesh",
-    "mark_pair",
-    "load_mesh_file",
-    "save_mesh_file",
-    "BarycentricForm",
-    "Family",
-    "whitney",
-    "whitney_form",
-    "check_local_exactness",
-    "check_geometric_decomposition",
-    "BrokenSpace",
-    "LinearOp",
-    "Subspace",
-    "broken_space",
-    "operator_D",
-    "operator_T",
-    "derivative_operator",
-    "kernel_space",
-    "adjoint",
-    "export_matrix",
-    "ComplexInstance",
-    "harmonic_space",
-    "hodge_laplacian",
-    "laplace_solve",
-    "pseudoinverse",
-    "total_complex",
-    "conforming_complex",
-    "chainlike_complex",
-    "redirected_lambda",
-    "redirected_gamma",
-    "harmonic_lambda",
-    "harmonic_gamma",
-    "harmonic_family",
-    "regularizer_R",
-    "regularizer_S",
-    "iso_step",
-    "verify_chain",
-    "skeleton_projection",
-    "verify_double_complex",
-    "check_conditions",
-]
+# every name imported above from a submodule, each listed once
+__all__ = [name for name, value in globals().items()
+           if getattr(value, "__module__", "").startswith("ddforms.")]
 
 __version__ = "0.1.0"

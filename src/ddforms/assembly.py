@@ -6,8 +6,9 @@ module assembles the piecewise exterior derivative D, the signed trace sum
 T, and the combined distributional derivative on graded spaces as integer
 triplet operators, together with mesh-weighted Gram matrices and their
 block Cholesky factors, both built once per (family, m, k) stratum of a
-mesh, metric adjoints (applied to vectors) and kernel subspaces spanned by
-exact integer kernels.  The mesh weights, and so the metric,
+mesh, metric adjoints (applied to vectors) and kernel subspaces, whose
+exact integer bases are kept as triplets and never as dense arrays, with
+Grams assembled element by element.  The mesh weights, and so the metric,
 are a function of the pair alone: their exponent is the top dimension of
 the root mesh, read through ``pair.parent`` on a skeleton.
 """
@@ -265,22 +266,57 @@ def adjoint(op, x):
     return dom.solve_lt(dom.solve_l(op.matrix.T @ cod.mul_l(cod.mul_lt(x))))
 
 
-class Subspace:
-    """The span of ``basis`` in a space: an exact integer kernel Z,
-    diagonal on its ``free`` columns, or a Gram-orthonormal harmonic basis.
-    Its Gram Z^T G Z and that Gram's dense Cholesky factor, its whitening,
-    are built on first use."""
+# The element-block entry pairs a kernel Gram takes at a time: a basis
+# with dense rows has many pairs per cell, and their index and value
+# arrays would otherwise outweigh the dense basis they replace.
+_GRAM_PAIRS = 2 ** 16
 
-    def __init__(self, ambient, basis, free=None):
+
+class Subspace:
+    """The span of a basis in a space: an exact integer kernel Z, kept as
+    ``triplets`` (rows, cols, vals) sorted by row, then column, and
+    diagonal on its ``free`` columns, or a dense float ``basis`` such as a
+    Gram-orthonormal harmonic one.  Its Gram Z^T G Z and that Gram's dense
+    Cholesky factor, its whitening, are built on first use."""
+
+    def __init__(self, ambient, basis=None, triplets=None, free=None):
         self.ambient = ambient
-        self.basis = np.asarray(basis)
+        self.basis = basis
+        self.triplets = triplets
         self.free = free
-        self.dim = self.basis.shape[1]
+        self.dim = basis.shape[1] if triplets is None else len(free)
 
     @cached_property
     def gram(self):
-        Y = self.ambient.whitening.mul_lt(self.basis)
-        return Y.T @ Y
+        """Z^T G Z.  A kernel basis is assembled element by element, as
+        Z_e^T G_e Z_e over the entries of Z in each element block: every
+        pair (a, i, v), (b, j, w) of them adds v w G_e[a, b] at (i, j),
+        about _GRAM_PAIRS pairs at a time.  A dense basis has Gram
+        (L^T B)^T (L^T B)."""
+        if self.triplets is None:
+            Y = self.ambient.whitening.mul_lt(self.basis)
+            return Y.T @ Y
+        rows, cols, vals = self.triplets
+        out = np.zeros((self.dim, self.dim))
+        for s, (G, _L, _L_inv) in self.ambient._factors():
+            lo, hi = np.searchsorted(
+                rows, [s.offset, s.offset + s.block * len(s.simplices)])
+            cell, a = np.divmod(rows[lo:hi] - s.offset, s.block)
+            col, val = cols[lo:hi], vals[lo:hi].astype(float)
+            # the rows are sorted, so the entries of one cell are one run;
+            # entry t pairs with each of the count[t] entries of its run
+            start = np.searchsorted(cell, cell)
+            count = np.searchsorted(cell, cell, side="right") - start
+            for t in np.array_split(np.arange(hi - lo),
+                                    1 + count.sum() // _GRAM_PAIRS):
+                c = count[t]
+                pick = np.repeat(t, c)
+                mate = np.repeat(start[t] - np.cumsum(c) + c, c) + \
+                    np.arange(len(pick))
+                terms = val[pick] * val[mate] * \
+                    G[cell[pick], a[pick], a[mate]]
+                np.add.at(out, (col[pick], col[mate]), terms)
+        return out
 
     @cached_property
     def whitening(self):
@@ -367,14 +403,16 @@ def derivative_operator(space):
 def kernel_space(pair, m, k, family, which):
     """Kernel subspaces: "vertical" = ker T (single-valued traces, the
     conforming space), "horizontal" = ker D (piecewise-constant-like).
-    The basis is the exact integer kernel of the operator."""
+    The basis is the exact integer kernel of the operator, kept as
+    triplets."""
     if which == "vertical":
         op = operator_T(pair, m, k, family)
     elif which == "horizontal":
         op = operator_D(pair, m, k, family)
     else:
         raise AssemblyError(f"unknown kernel kind {which!r}")
-    return Subspace(op.domain, *exact.kernel(op.integer_rows(), op.domain.dim))
+    triplets, free = exact.kernel(op.integer_rows(), op.domain.dim)
+    return Subspace(op.domain, triplets=triplets, free=free)
 
 
 def export_matrix(matrix, path):

@@ -58,14 +58,14 @@ def _kernel_diff(sub, target):
     graded complex: a kernel subspace (in the coordinates of its integer
     basis) or a broken space, either on a single stratum.
 
-    In exact integers: the image rows off the target's stratum must vanish,
-    and a kernel target's coordinates, read off its free columns, must be
-    integers that reproduce the image."""
+    In exact integers, on the triplets of the kernel bases: the image rows
+    off the target's stratum must vanish, and a kernel target's
+    coordinates, read off its free columns, must be integers that
+    reproduce the image."""
     tgt = target.ambient if isinstance(target, Subspace) else target
     (ts,) = tgt.strata
     d = derivative_operator(sub.ambient)
-    rows, cols, vals = exact.product(d.triplets,
-                                     exact.dense_triplets(sub.basis),
+    rows, cols, vals = exact.product(d.triplets, sub.triplets,
                                      (d.codomain.dim, sub.dim))
     sl = d.codomain.stratum_slice(ts.m)
     if np.any((rows < sl.start) | (rows >= sl.stop)):
@@ -73,16 +73,17 @@ def _kernel_diff(sub, target):
     rows = rows - sl.start
     if not isinstance(target, Subspace):
         return LinearOp(sub, target, triplets=(rows, cols, vals))
-    Z, free = target.basis, target.free
+    zr, zc, zv = target.triplets
     coord = np.full(tgt.dim, -1)
-    coord[free] = np.arange(target.dim)
+    coord[target.free] = np.arange(target.dim)
     on = coord[rows] >= 0
-    at, scale = coord[rows[on]], Z[free, np.arange(target.dim)]
+    # Z[free[i], i], in the row order of the triplets, which is column order
+    at, scale = coord[rows[on]], zv[coord[zr] == zc]
     if np.any(vals[on] % scale[at]):
         raise AssemblyError(
             "differential image has fractional coordinates in the subspace")
     coords = (at, cols[on], vals[on] // scale[at])
-    span = exact.product(exact.dense_triplets(Z), coords, (tgt.dim, sub.dim))
+    span = exact.product(target.triplets, coords, (tgt.dim, sub.dim))
     if not all(map(np.array_equal, span, (rows, cols, vals))):
         raise AssemblyError("differential image falls outside the subspace")
     return LinearOp(sub, target, triplets=coords)
@@ -183,11 +184,15 @@ def harmonic_chain(pair, family, m):
 
 
 def _embedded(coord_harmonic, space):
-    """View a harmonic basis of a kernel subspace in its broken space; a
-    harmonic space of a broken space is returned as it is."""
+    """View a harmonic basis of a kernel subspace in its broken space, Z H
+    summed from the triplets of Z; a harmonic space of a broken space is
+    returned as it is."""
     if isinstance(space, BrokenSpace):
         return coord_harmonic
-    basis = space.basis @ coord_harmonic.basis
+    rows, cols, vals = space.triplets
+    basis = np.zeros((space.ambient.dim, coord_harmonic.dim))
+    np.add.at(basis, rows, vals.astype(float)[:, None]
+              * coord_harmonic.basis[cols])
     return Subspace(space.ambient, basis)
 
 
@@ -294,8 +299,9 @@ def verify_chain(pair, family, k):
     subspace coincidences and isomorphism steps by the singular values of
     the harmonic transfer matrices.  The two transfer ladders meet at the
     total complex, one shared instance, so no step compares it with itself.
-    At k = n each depth-1 equality compares one end instance with itself;
-    both stay so that every degree reports the same steps.
+    At k = n each depth-1 equality compares one end instance with itself,
+    a defect of 0 taken with no SVD; both stay so that every degree reports
+    the same steps.
     """
     check_pure(pair)
     n = pair.top_dim

@@ -83,8 +83,9 @@ def echelon(rows):
 
 
 def kernel(rows, ncols):
-    """An integer basis K of {x : A x = 0}, of shape (ncols, nullity), and
-    its free columns f, increasing.  K is int64 when every entry fits, else
+    """An integer basis K of {x : A x = 0}, of shape (ncols, nullity), as
+    triplets (rows, cols, vals) sorted by row, then column, and its free
+    columns f, increasing.  The values are int64 when every one fits, else
     Python ints (object dtype).
 
     Back-substitution brings the echelon rows to reduced form.  Column i
@@ -105,11 +106,13 @@ def kernel(rows, ncols):
     entries = [(f, i, scale[i]) for f, i in free.items()]
     entries += [(c, free[f], -v * scale[free[f]] // r[c])
                 for c, r in pivots.items() for f, v in r.items() if f != c]
-    fits = all(-2**63 <= v < 2**63 for _c, _i, v in entries)
-    K = np.zeros((ncols, len(free)), dtype=np.int64 if fits else object)
-    for c, i, v in entries:
-        K[c, i] = v
-    return K, np.fromiter(free, np.int64, len(free))
+    entries.sort()
+    vals = [v for _c, _i, v in entries]
+    fits = all(-2**63 <= v < 2**63 for v in vals)
+    triplets = (np.array([c for c, _i, _v in entries], np.int64),
+                np.array([i for _c, i, _v in entries], np.int64),
+                np.array(vals, np.int64 if fits else object))
+    return triplets, np.fromiter(free, np.int64, len(free))
 
 
 def _order(keys):

@@ -3,14 +3,15 @@
 A complex instance is a sequence of inner-product spaces with integer
 differentials whose consecutive compositions vanish exactly.  Harmonic
 spaces, the Hodge Laplacian and metric Moore-Penrose pseudoinverses are
-computed after whitening: the Cholesky factor of each
-Gram matrix, the space's ``whitening`` (block by block for a broken space,
-dense for a kernel subspace), maps to an orthonormal frame.  A harmonic
-dimension is decided by one exact elimination per integer differential,
-which selects its independent rows and columns.  Only where it is
-positive is the space whitened, and one raw Householder QR of those rows
-and columns gives the harmonic basis from its reflectors, with no square
-Q; the per-index memo keeps that subspace alone.  The Laplace solve is
+computed after whitening: the Cholesky factor of each Gram matrix, the
+space's ``whitening`` (block by block for a broken space, dense for a
+kernel subspace, whose integer basis is kept as triplets and whose Gram
+is assembled from the element Grams), maps to an orthonormal frame.  A
+harmonic dimension is decided by one exact elimination per integer
+differential, which selects its independent rows and columns.  Only where
+it is positive is the space whitened, and one raw Householder QR of those
+rows and columns gives the harmonic basis from its reflectors, with no
+square Q; the per-index memo keeps that subspace alone.  The Laplace solve is
 one symmetric positive definite system in Gram form per index, assembled
 from the Grams, the integer differentials and the harmonic basis.  The
 pseudoinverse, applied by exact row selection and one thin QR, serves the
@@ -183,7 +184,10 @@ def subspace_transfer(a, b):
 
 def subspace_equality_defect(a, b):
     """Zero iff the two subspaces coincide: combines the dimension gap and
-    the deviation of the principal cosines from one."""
+    the deviation of the principal cosines from one.  A subspace
+    coincides with itself without an SVD."""
+    if a is b:
+        return 0.0
     if a.dim != b.dim:
         return float(abs(a.dim - b.dim))
     if a.dim == 0:

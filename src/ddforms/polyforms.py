@@ -613,13 +613,23 @@ _NOT_A_MEMBER = {
 }
 
 
+def _kernel(table):
+    """The exact integer kernel basis of a small dense integer table, as a
+    dense array, and its free columns (see ``exact.kernel``)."""
+    (rows, cols, vals), free = exact.kernel(exact.dense_rows(table),
+                                            table.shape[1])
+    K = np.zeros((table.shape[1], len(free)), vals.dtype)
+    K[rows, cols] = vals
+    return K, free
+
+
 def _lift(A, B, error, reason):
     """The integer X with A X = B for integer A and B, read off the exact
     kernel of [A | -B]; free columns of A get zero.  Raises error(reason)
     unless every column of B is a free column of unit scale, i.e. unless
     it is an integer combination of the pivot columns of A."""
     n, nb = A.shape[1], B.shape[1]
-    K, free = exact.kernel(exact.dense_rows(np.hstack([A, -B])), n + nb)
+    K, free = _kernel(np.hstack([A, -B]))
     lead = len(free) - nb
     if lead < 0 or not np.array_equal(free[lead:], np.arange(n, n + nb)) \
             or np.any(np.diagonal(K[n:, lead:]) != 1):
@@ -682,7 +692,7 @@ def _bubble_space(kind, r, m, k):
     if m == 0 or k > m - 1:
         return src, np.eye(src.size, dtype=np.int64)
     stacked = _trace_matrix(kind, r, m, k).reshape(-1, src.size)
-    null = exact.kernel(exact.dense_rows(stacked), src.size)[0]
+    null = _kernel(stacked)[0]
     basis = [src.from_coefficients(null[:, i]) for i in range(null.shape[1])]
     return ElementSpace(m, k, basis, src.frame_degree), null
 

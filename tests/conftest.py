@@ -23,6 +23,20 @@ def svd_null(mat):
     return vt[rank:].T, s[:rank]
 
 
+def dense(triplets, shape):
+    """The dense integer matrix of triplets with distinct (row, col)
+    pairs: the tests' reference for an integer kernel basis."""
+    rows, cols, vals = triplets
+    out = np.zeros(shape, np.asarray(vals).dtype)
+    out[rows, cols] = vals
+    return out
+
+
+def dense_basis(sub):
+    """The dense integer basis Z of a kernel subspace."""
+    return dense(sub.triplets, (sub.ambient.dim, sub.dim))
+
+
 @pytest.fixture(scope="session")
 def catalog():
     """Shared mesh factory so per-mesh caches persist across tests."""

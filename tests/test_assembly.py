@@ -1,11 +1,14 @@
 import io
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
-from ddforms import exact, polyforms
+import ddforms
+from ddforms import assembly, distrib, exact, polyforms
 from ddforms.assembly import (AssemblyError, BrokenSpace, GramFactor,
-                              _tril_inverse, adjoint, broken_space,
+                              Subspace, _tril_inverse, adjoint, broken_space,
                               derivative_operator, export_matrix,
                               kernel_space, mesh_weight, operator_D,
                               operator_T)
@@ -15,7 +18,7 @@ from ddforms.mesh import (RelativePair, generate_mesh, orientation_sign,
 from ddforms.polyforms import (ElementSpace, Family, FamilyError,
                                simplex_metrics, whitney)
 
-from conftest import svd_null
+from conftest import dense, dense_basis, svd_null
 
 
 def rel(a, scale):
@@ -211,13 +214,104 @@ def test_kernel_space_is_exact_kernel(catalog):
     for which, build in (("vertical", operator_T), ("horizontal", operator_D)):
         sub = kernel_space(pair, 2, 1, fam, which)
         op = build(pair, 2, 1, fam)
-        Z, free = exact.kernel(op.integer_rows(), op.domain.dim)
-        assert sub.dim and np.array_equal(sub.basis, Z)
+        triplets, free = exact.kernel(op.integer_rows(), op.domain.dim)
+        assert sub.dim and all(map(np.array_equal, sub.triplets, triplets))
         assert np.array_equal(sub.free, free)
+        assert sub.basis is None
         rows, cols, vals = op.triplets
         image = np.zeros((op.codomain.dim, sub.dim), dtype=np.int64)
-        np.add.at(image, rows, vals[:, None] * sub.basis[cols])
+        np.add.at(image, rows, vals[:, None] * dense_basis(sub)[cols])
         assert not np.any(image)
+
+
+def kernel_strata(pair, every):
+    """(m, k, which) of every kernel subspace of a pair, or of those its
+    graded complexes use: ker T on top, ker D of vertex forms."""
+    n = pair.top_dim
+    if not every:
+        return [(n, k, "vertical") for k in range(n)] + \
+            [(m, 0, "horizontal") for m in range(1, n + 1)]
+    return [(m, k, which) for which in ("vertical", "horizontal")
+            for m in range(which == "vertical", n + 1) for k in range(m + 1)]
+
+
+@pytest.mark.parametrize("family", [Family(kind, r)
+                                    for kind in ("trimmed", "full")
+                                    for r in (1, 2, 3)], ids=lambda f: f.label)
+@pytest.mark.parametrize("name", ["annulus", "cube_tet", "solid_ring"])
+def test_kernel_gram_matches_dense_reference(catalog, name, family):
+    """The element-assembled Gram of a kernel subspace equals the dense
+    Z^T G Z of its dense integer basis and the ambient's dense Gram, to
+    1e-13 relative: every kernel subspace on annulus and cube_tet, the
+    complexes' kernels on solid_ring.  Some bases are no gluing matrix:
+    rows with many nonzeros, entries other than +-1."""
+    widest = largest = 0
+    for mark in ("none", "full", "half"):
+        pair = catalog(name, 1, mark)
+        for m, k, which in kernel_strata(pair, name != "solid_ring"):
+            sub = kernel_space(pair, m, k, family, which)
+            Z = dense_basis(sub).astype(float)
+            ref = Z.T @ sub.ambient.gram @ Z
+            assert sub.gram.shape == ref.shape == (sub.dim, sub.dim)
+            assert np.linalg.norm(sub.gram - ref) <= \
+                1e-13 * np.linalg.norm(ref), (mark, m, k, which)
+            widest = max(widest, np.count_nonzero(Z, axis=1).max(initial=0))
+            largest = max(largest, np.abs(Z).max(initial=0))
+    if (name, family.label) == ("annulus", "full(r=2)"):
+        assert widest >= 38
+    if (name, family.label) == ("cube_tet", "trimmed(r=3)"):
+        assert largest >= 10
+
+
+def test_kernel_gram_in_small_slices(catalog, monkeypatch):
+    """The kernel Gram taken a few entry pairs at a time equals the one
+    taken at once, on a basis with dense rows."""
+    pair = catalog("annulus", 1, "none")
+    family = Family("full", 2)
+    whole = kernel_space(pair, 1, 0, family, "vertical").gram
+    monkeypatch.setattr(assembly, "_GRAM_PAIRS", 5)
+    sliced = kernel_space(pair, 1, 0, family, "vertical").gram
+    assert np.linalg.norm(sliced - whole) <= 1e-13 * np.linalg.norm(whole)
+
+
+def test_cold_solve_forms_no_dense_kernel_basis():
+    """A cold solve on fully marked solid_ring:1, trimmed r=2, binds no
+    integer array of a kernel basis's (ambient x dim) shape: none is a
+    local of a package frame when it returns, nor an attribute of such a
+    local."""
+    pkg = str(pathlib.Path(ddforms.__file__).parent)
+    seen = set()
+
+    def note(value):
+        if isinstance(value, np.ndarray) and value.ndim == 2 \
+                and value.dtype.kind in "iuO":
+            seen.add(value.shape)
+
+    def profile(frame, event, _arg):
+        if event == "return" and frame.f_code.co_filename.startswith(pkg):
+            for value in list(frame.f_locals.values()):
+                note(value)
+                if type(value).__module__.startswith("ddforms."):
+                    for attr in list(getattr(value, "__dict__", {}).values()):
+                        note(attr)
+
+    for value in vars(polyforms).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    argv = ["solve", "--mesh", "catalog:solid_ring:1", "--mark", "full",
+            "--family", "trimmed", "--degree", "2", "--format", "structured"]
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        assert main(argv, out=io.StringIO()) == 0
+    finally:
+        sys.setprofile(previous)
+    cx = distrib.conforming_complex(generate_mesh("solid_ring", 1, "full"),
+                                    Family("trimmed", 2))
+    shapes = {(sp.ambient.dim, sp.dim) for sp in cx.spaces
+              if isinstance(sp, Subspace)}
+    assert (960, 480) in shapes and seen
+    assert not shapes & seen
 
 
 def test_adjoint_identity(catalog):
@@ -287,7 +381,8 @@ def test_triplet_operators_and_exact_kernels(catalog, name, family):
             A = build(pair, m, k, family)
             ref = reference_fill(pair, family, op, m, k)
             assert np.abs(A.matrix - ref).max(initial=0.0) <= 1e-12
-            K, _free = exact.kernel(A.integer_rows(), A.domain.dim)
+            triplets, free = exact.kernel(A.integer_rows(), A.domain.dim)
+            K = dense(triplets, (A.domain.dim, len(free)))
             rows, cols, vals = A.triplets
             AK = np.zeros((A.codomain.dim, K.shape[1]), dtype=np.int64)
             np.add.at(AK, rows, vals[:, None] * K[cols])

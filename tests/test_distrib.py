@@ -16,7 +16,7 @@ from ddforms.mesh import (MeshError, betti_numbers, build_complex,
 from ddforms.polyforms import Family, whitney
 from ddforms import distrib
 
-from conftest import svd_null
+from conftest import dense_basis, svd_null
 from test_properties import DRAWN, marked_subgrids
 
 FAM = whitney()
@@ -84,7 +84,7 @@ def test_subcomplex_nesting(catalog):
             if sa is sb:
                 return np.eye(sa.dim)
             if isinstance(sa, Subspace):
-                return distrib.inject(sa.ambient, sb, sa.basis)
+                return distrib.inject(sa.ambient, sb, dense_basis(sa))
             return distrib.inject(sa, sb, np.eye(sa.dim))
 
         for i in range(max(k0 - 2, 0), pair.top_dim):
@@ -405,12 +405,19 @@ def test_skeleton_ranks_are_exact(catalog):
                     np.linalg.matrix_rank(t.matrix, tol=1e-9)
 
 
+def kernel_from_dense(ambient, Z, free):
+    """A kernel subspace with the dense integer basis Z, kept as its
+    row-major triplets."""
+    return Subspace(ambient, triplets=exact.dense_triplets(Z),
+                    free=np.asarray(free))
+
+
 def test_kernel_diff_guards(catalog):
     pair = catalog("annulus", 1, "full")
     n = pair.top_dim
     # a source column outside ker T has trace jumps off the target stratum
     amb = broken_space(pair, n, 0, FAM)
-    off = Subspace(amb, np.eye(amb.dim, 1, dtype=np.int64))
+    off = kernel_from_dense(amb, np.eye(amb.dim, 1, dtype=np.int64), [0])
     with pytest.raises(AssemblyError, match="leaves the target stratum"):
         distrib._kernel_diff(off, broken_space(pair, n, 1, FAM))
     # a kernel target missing one direction of the image
@@ -418,11 +425,12 @@ def test_kernel_diff_guards(catalog):
     tgt = distrib._kernel(pair, n, 1, FAM, "vertical")
     mat = distrib._kernel_diff(src, tgt).matrix
     assert mat.shape == (tgt.dim, src.dim)
-    assert np.array_equal(tgt.basis @ mat, distrib._kernel_diff(
+    assert np.array_equal(dense_basis(tgt) @ mat, distrib._kernel_diff(
         src, tgt.ambient).matrix)
     drop = np.argmax(np.abs(mat).sum(axis=1))
     keep = np.arange(tgt.dim) != drop
-    bad = Subspace(tgt.ambient, tgt.basis[:, keep], tgt.free[keep])
+    bad = kernel_from_dense(tgt.ambient, dense_basis(tgt)[:, keep],
+                            tgt.free[keep])
     with pytest.raises(AssemblyError, match="falls outside the subspace"):
         distrib._kernel_diff(src, bad)
 
@@ -439,12 +447,13 @@ def test_kernel_diff_reads_scaled_free_columns(catalog):
     mat = distrib._kernel_diff(src, tgt).matrix.astype(np.int64)
     assert np.any(mat[0] % 2)
     for s in (2, 2 ** 70):
-        basis = tgt.basis.astype(object)
+        basis = dense_basis(tgt).astype(object)
         basis[:, 0] *= s
-        scaled = Subspace(tgt.ambient, basis, tgt.free)
+        scaled = kernel_from_dense(tgt.ambient, basis, tgt.free)
         with pytest.raises(AssemblyError, match="fractional coordinates"):
             distrib._kernel_diff(src, scaled)
-        both = Subspace(src.ambient, src.basis.astype(object) * s, src.free)
+        both = kernel_from_dense(src.ambient,
+                                 dense_basis(src).astype(object) * s, src.free)
         want = mat.astype(object) * s
         want[0] = mat[0]
         rows, cols, vals = distrib._kernel_diff(both, scaled).triplets
@@ -533,7 +542,7 @@ def projected_skeleton_transfer(pair, family, k):
     h_skel = harmonic_space(skel_cx, k - 1)
     sp = skel_cx.spaces[k - 1]
     # the top skeleton space is a broken space, its own ambient
-    amb, basis = ((sp.ambient, sp.basis) if isinstance(sp, Subspace)
+    amb, basis = ((sp.ambient, dense_basis(sp)) if isinstance(sp, Subspace)
                   else (sp, np.eye(sp.dim)))
     DT = np.vstack([op(skel, n - 1, k - 1, family).matrix
                     for op in (operator_D, operator_T)])

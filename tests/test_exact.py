@@ -4,9 +4,25 @@ import sympy
 
 from ddforms import exact
 
+from conftest import dense
+
 
 def sparse_rows(mat):
     return [{j: int(v) for j, v in enumerate(row) if v} for row in mat]
+
+
+def dense_kernel(rows, ncols):
+    """exact.kernel as a dense basis and its free columns, after checking
+    that its triplets list distinct nonzero entries sorted by row, then
+    column, and round-trip through a dense reference."""
+    (r, c, v), free = exact.kernel(rows, ncols)
+    assert r.dtype == c.dtype == np.int64 and len(r) == len(c) == len(v)
+    key = r * max(len(free), 1) + c
+    assert np.all(np.diff(key) > 0) and all(x != 0 for x in v)
+    K = dense((r, c, v), (ncols, len(free)))
+    back = exact.dense_triplets(K)
+    assert all(np.array_equal(a, b) for a, b in zip(back, (r, c, v)))
+    return K, free
 
 
 def test_kernel_matches_sympy_nullity():
@@ -18,7 +34,7 @@ def test_kernel_matches_sympy_nullity():
         if trial % 3 == 0 and rows > 2:
             # force a dependent row
             mat[-1] = 2 * mat[0] - mat[1]
-        K, free = exact.kernel(sparse_rows(mat), cols)
+        K, free = dense_kernel(sparse_rows(mat), cols)
         nullity = cols - sympy.Matrix(mat.tolist()).rank()
         assert K.shape == (cols, nullity)
         assert not np.any(mat @ K)
@@ -33,17 +49,22 @@ def test_kernel_matches_sympy_nullity():
 def test_kernel_basis_is_integral_and_independent():
     # a boundary-like matrix with a non-unit pivot
     mat = np.array([[2, 1, 0, 1], [0, 3, 3, 0], [2, 4, 3, 1]])
-    K, _free = exact.kernel(sparse_rows(mat), 4)
+    K, _free = dense_kernel(sparse_rows(mat), 4)
     assert K.dtype == np.int64
     assert not np.any(mat @ K)
     assert np.linalg.matrix_rank(K) == K.shape[1] == 2
 
 
 def test_kernel_of_no_rows_is_identity():
-    K, free = exact.kernel([], 3)
+    K, free = dense_kernel([], 3)
     assert np.array_equal(K, np.eye(3, dtype=np.int64))
     assert list(free) == [0, 1, 2]
-    assert exact.kernel([{}, {}], 2)[0].shape == (2, 2)
+    assert dense_kernel([{}, {}], 2)[0].shape == (2, 2)
+    (rows, cols, vals), free = exact.kernel([{0: 1, 1: 1}, {}], 2)
+    assert [rows.tolist(), cols.tolist(), vals.tolist()] == \
+        [[0, 1], [0, 0], [-1, 1]]
+    assert free.tolist() == [1]
+    assert all(len(x) == 0 for x in exact.kernel([{0: 1}], 1)[0])
     assert exact.rank([]) == 0
 
 
@@ -82,7 +103,7 @@ def test_kernel_past_int64_stays_exact():
     # rows 2 x_i - x_(i+1) = 0: the kernel is (1, 2, 4, ..., 2^69)
     n = 69
     rows = [{i: 2, i + 1: -1} for i in range(n)]
-    K, free = exact.kernel(rows, n + 1)
+    K, free = dense_kernel(rows, n + 1)
     assert list(free) == [n]
     assert K.dtype == object and K.shape == (n + 1, 1)
     assert [int(x) for x in K[:, 0]] == [2 ** i for i in range(n + 1)]
@@ -92,7 +113,7 @@ def test_kernel_past_int64_stays_exact():
             A[i, j] = v
     assert all(x == 0 for x in (A @ K).ravel())
     # a short chain stays int64
-    assert exact.kernel(rows[:10], 11)[0].dtype == np.int64
+    assert dense_kernel(rows[:10], 11)[0].dtype == np.int64
 
 
 def test_independent_rows_match_sympy_ranks():
@@ -180,11 +201,11 @@ def test_product_matches_python_ints(big):
         assert dense_product(a, b, (nrows, ncols)) == \
             python_int_product(a, b, (nrows, ncols))
         nz = vals != 0
-        K = exact.kernel(exact.triplet_rows(rows[nz], cols[nz], vals[nz],
-                                            nrows), inner)[0]
-        assert K.shape[1] > 0
-        k = shuffled(exact.dense_triplets(K), rng)
-        assert not any(map(len, exact.product(a, k, (nrows, K.shape[1]))))
+        k, free = exact.kernel(exact.triplet_rows(rows[nz], cols[nz],
+                                                  vals[nz], nrows), inner)
+        assert len(free) > 0
+        k = shuffled(k, rng)
+        assert not any(map(len, exact.product(a, k, (nrows, len(free)))))
 
 
 def test_product_degenerate():
