@@ -4,13 +4,17 @@ A broken space is a direct sum of per-simplex element spaces over one or
 several strata (m, k): k-forms attached to the unmarked m-simplices.  The
 module assembles the piecewise exterior derivative D, the signed trace sum
 T, and the combined distributional derivative on graded spaces as integer
-triplet operators, together with mesh-weighted Gram matrices and their
-block Cholesky factors, both built once per (family, m, k) stratum of a
-mesh, metric adjoints (applied to vectors) and kernel subspaces, whose
-exact integer bases are kept as triplets and never as dense arrays, with
-Grams assembled element by element.  The mesh weights, and so the metric,
-are a function of the pair alone: their exponent is the top dimension of
-the root mesh, read through ``pair.parent`` on a skeleton.
+triplet operators, applied to vectors and matrices from the triplets, with
+dense rows or columns scattered only on request.  It builds the
+mesh-weighted element Grams and their block Cholesky factors once per
+(family, m, k) stratum of a mesh, metric adjoints (applied to vectors) and
+kernel subspaces, whose exact integer bases are kept as triplets and never
+as dense arrays, with Grams assembled element by element.  A space keeps
+its metric only as its Cholesky factor, the ``whitening``: the dense Gram
+of a space is a reference built on request and never stored.  The mesh
+weights, and so the metric, are a function of the pair alone: their
+exponent is the top dimension of the root mesh, read through
+``pair.parent`` on a skeleton.
 """
 
 from __future__ import annotations
@@ -135,9 +139,10 @@ class _Stratum:
 
 
 class BrokenSpace:
-    """Direct sum of element spaces over strata (m, k), with a Gram matrix.
+    """Direct sum of element spaces over strata (m, k), with a block
+    diagonal metric kept as its block Cholesky factor.
 
-    Strata are kept in decreasing simplex dimension.  The Gram weights
+    Strata are kept in decreasing simplex dimension.  The metric weights
     each element block by ``mesh_weight``, whose exponent is the top
     dimension of the root mesh (``pair.parent`` for a skeleton).
     """
@@ -158,7 +163,6 @@ class BrokenSpace:
             self.strata.append(_Stratum(m, k, simplices, block, offset))
             offset += block * len(simplices)
         self.dim = offset
-        self._gram = None
 
     def stratum(self, m, k=None):
         for s in self.strata:
@@ -172,10 +176,6 @@ class BrokenSpace:
             raise AssemblyError(f"no stratum on dimension {m}")
         return slice(s.offset, s.offset + s.block * len(s.simplices))
 
-    def block_slice(self, stratum, i):
-        start = stratum.offset + i * stratum.block
-        return slice(start, start + stratum.block)
-
     def _factors(self):
         """Per nonempty stratum, its ``_stratum_factor`` record."""
         for s in self.strata:
@@ -184,14 +184,16 @@ class BrokenSpace:
 
     @property
     def gram(self):
-        if self._gram is None:
-            G = np.zeros((self.dim, self.dim))
-            for s, (blocks, _L, _L_inv) in self._factors():
-                for i in range(len(s.simplices)):
-                    sl = self.block_slice(s, i)
-                    G[sl, sl] = blocks[i]
-            self._gram = G
-        return self._gram
+        """The dense Gram, built afresh on each read: the tests' reference
+        for the factor, which is the only form the solve paths read."""
+        G = np.zeros((self.dim, self.dim))
+        for s, (blocks, _L, _L_inv) in self._factors():
+            cells, b = blocks.shape[:2]
+            stop = s.offset + cells * b
+            square = G[s.offset:stop, s.offset:stop].reshape(
+                cells, b, cells, b)
+            square[np.arange(cells), :, np.arange(cells)] = blocks
+        return G
 
     @cached_property
     def whitening(self):
@@ -208,8 +210,9 @@ class LinearOp:
     """An integer matrix between two broken spaces (or kernel subspaces).
 
     Kept as triplets (rows, cols, vals) with distinct (row, col) pairs;
-    float values are refused.  ``matrix`` is a dense float view built on
-    first use; ``submatrix`` builds selected rows or columns alone.
+    float values are refused, and no dense copy is kept.  ``apply``
+    multiplies from the triplets; ``submatrix`` scatters a dense float
+    block for a caller that needs one and frees it.
     """
 
     def __init__(self, domain, codomain, triplets):
@@ -220,14 +223,23 @@ class LinearOp:
         self.codomain = codomain
         self.triplets = triplets
 
-    @cached_property
-    def matrix(self):
-        return self.submatrix()
+    def apply(self, x, transpose=False):
+        """A x, or A^T x, for a vector or the columns of a matrix: each
+        entry's product summed into its row by one ``np.bincount``."""
+        rows, cols, vals = self.triplets
+        n = self.codomain.dim
+        if transpose:
+            rows, cols, n = cols, rows, self.domain.dim
+        x = np.asarray(x, float)
+        k = x.shape[1] if x.ndim == 2 else 1
+        terms = vals.astype(float)[:, None] * x[cols].reshape(len(cols), k)
+        slot = rows[:, None] * k + np.arange(k)
+        out = np.bincount(slot.ravel(), terms.ravel(), minlength=n * k)
+        return out.reshape((n,) + x.shape[1:])
 
     def submatrix(self, rows=None, cols=None):
         """The dense float rows ``rows`` and columns ``cols`` (all where
-        None), in the given order, scattered from the triplets without
-        the whole ``matrix``."""
+        None), in the given order, scattered from the triplets."""
         index = list(self.triplets[:2])
         vals = self.triplets[2]
         shape = [self.codomain.dim, self.domain.dim]
@@ -263,7 +275,8 @@ def adjoint(op, x):
     applied to x: G_dom^-1 A^T G_cod x, with G = L L^T and
     G^-1 = L^-T L^-1."""
     dom, cod = op.domain.whitening, op.codomain.whitening
-    return dom.solve_lt(dom.solve_l(op.matrix.T @ cod.mul_l(cod.mul_lt(x))))
+    return dom.solve_lt(dom.solve_l(
+        op.apply(cod.mul_l(cod.mul_lt(x)), transpose=True)))
 
 
 # The element-block entry pairs a kernel Gram takes at a time: a basis
@@ -276,8 +289,9 @@ class Subspace:
     """The span of a basis in a space: an exact integer kernel Z, kept as
     ``triplets`` (rows, cols, vals) sorted by row, then column, and
     diagonal on its ``free`` columns, or a dense float ``basis`` such as a
-    Gram-orthonormal harmonic one.  Its Gram Z^T G Z and that Gram's dense
-    Cholesky factor, its whitening, are built on first use."""
+    Gram-orthonormal harmonic one.  Its metric is kept only as the dense
+    Cholesky factor of its Gram Z^T G Z, its whitening, built on first
+    use from a Gram that is not kept."""
 
     def __init__(self, ambient, basis=None, triplets=None, free=None):
         self.ambient = ambient
@@ -286,13 +300,13 @@ class Subspace:
         self.free = free
         self.dim = basis.shape[1] if triplets is None else len(free)
 
-    @cached_property
+    @property
     def gram(self):
-        """Z^T G Z.  A kernel basis is assembled element by element, as
-        Z_e^T G_e Z_e over the entries of Z in each element block: every
-        pair (a, i, v), (b, j, w) of them adds v w G_e[a, b] at (i, j),
-        about _GRAM_PAIRS pairs at a time.  A dense basis has Gram
-        (L^T B)^T (L^T B)."""
+        """Z^T G Z, built afresh on each read.  A kernel basis is
+        assembled element by element, as Z_e^T G_e Z_e over the entries of
+        Z in each element block: every pair (a, i, v), (b, j, w) of them
+        adds v w G_e[a, b] at (i, j), about _GRAM_PAIRS pairs at a time.
+        A dense basis has Gram (L^T B)^T (L^T B)."""
         if self.triplets is None:
             Y = self.ambient.whitening.mul_lt(self.basis)
             return Y.T @ Y

@@ -174,13 +174,15 @@ def run_solve(pair, family, args):
             continue
         f = rng.standard_normal(dim)
         u, p = laplace_solve(cx, i, f)
-        gram = cx.spaces[i].gram
-        res_vec = hodge_laplacian(cx, i, u) - (f - p)
+        # Gram norms through the factor: x^T G x = |L^T x|^2
+        W = cx.spaces[i].whitening
+        res_vec = W.mul_lt(hodge_laplacian(cx, i, u) - (f - p))
         # relative to the source: f - p is roundoff when f is harmonic
-        scale = max(np.sqrt(f @ gram @ f), 1e-30)
-        residual = float(np.sqrt(res_vec @ gram @ res_vec) / scale)
+        scale = max(np.linalg.norm(W.mul_lt(f)), 1e-30)
+        residual = float(np.linalg.norm(res_vec) / scale)
         h = harmonic_space(cx, i)
-        overlap = float(np.linalg.norm(h.basis.T @ gram @ u)) if h.dim else 0.0
+        overlap = float(np.linalg.norm(W.mul_lt(h.basis).T @ W.mul_lt(u))) \
+            if h.dim else 0.0
         good = residual < tol and overlap < tol
         out[str(i)] = {"dim": dim, "harmonic_dim": h.dim,
                        "residual": _num(residual),
@@ -207,11 +209,12 @@ def dump_operators(pair, family, directory):
     for m in range(n + 1):
         for k in range(m):
             for name, build in (("D", operator_D), ("T", operator_T)):
-                export_matrix(build(pair, m, k, family).matrix,
+                export_matrix(build(pair, m, k, family).submatrix(),
                               os.path.join(directory, f"{name}_{m}_{k}.txt"))
     cx = distrib.total_complex(pair, family)
     for i, d in enumerate(cx.diffs):
-        export_matrix(d.matrix, os.path.join(directory, f"d_total_{i}.txt"))
+        export_matrix(d.submatrix(),
+                      os.path.join(directory, f"d_total_{i}.txt"))
 
 
 # -- rendering ------------------------------------------------------------

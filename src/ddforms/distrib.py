@@ -205,8 +205,9 @@ def _regularizer(cx, i, op, sign, x):
     space i and writes into the stratum of op's domain in space i-1."""
     rows = cx.spaces[i].stratum_slice(op.codomain.strata[0].m)
     cols = cx.spaces[i - 1].stratum_slice(op.domain.strata[0].m)
-    return x + sign * (cx.diffs[i - 1].matrix[:, cols]
-                       @ pseudoinverse(op, x[rows]))
+    y = np.zeros((cx.spaces[i - 1].dim,) + np.shape(x)[1:])
+    y[cols] = pseudoinverse(op, x[rows])
+    return x + sign * cx.diffs[i - 1].apply(y)
 
 
 def regularizer_R(pair, family, k, b, x):

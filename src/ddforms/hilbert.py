@@ -3,21 +3,23 @@
 A complex instance is a sequence of inner-product spaces with integer
 differentials whose consecutive compositions vanish exactly.  Harmonic
 spaces, the Hodge Laplacian and metric Moore-Penrose pseudoinverses are
-computed after whitening: the Cholesky factor of each Gram matrix, the
+computed after whitening: the Cholesky factor L of each Gram matrix, the
 space's ``whitening`` (block by block for a broken space, dense for a
 kernel subspace, whose integer basis is kept as triplets and whose Gram
 is assembled from the element Grams), maps to an orthonormal frame.  A
-harmonic dimension is decided by one exact elimination per integer
-differential, which selects its independent rows and columns.  Only where
-it is positive is the space whitened, and one raw Householder QR of those
-rows and columns gives the harmonic basis from its reflectors, with no
-square Q; the per-index memo keeps that subspace alone.  The Laplace solve is
-one symmetric positive definite system in Gram form per index, assembled
-from the Grams, the integer differentials and the harmonic basis.  The
-pseudoinverse, applied by exact row selection and one thin QR, serves the
-paper's regularizers alone; no verdict calls it.  The Laplacian, the
-metric adjoints and the whitened differentials are applied to vectors and
-never formed as matrices.
+metric is read only through its factor, G x = L (L^T x) and x^T G x =
+|L^T x|^2, and no dense Gram is stored.  A harmonic dimension is decided
+by one exact elimination per integer differential, which selects its
+independent rows and columns.  Only where it is positive is the space
+whitened, and one raw Householder QR of those rows and columns gives the
+harmonic basis from its reflectors, with no square Q; the per-index memo
+keeps that subspace alone.  The Laplace solve is one symmetric positive
+definite system in Gram form per index, assembled from the factors,
+dense blocks of the integer differentials freed after use, and the
+harmonic basis.  The pseudoinverse, applied by exact row selection and
+one thin QR, serves the paper's regularizers alone; no verdict calls it.
+The Laplacian, the metric adjoints and the whitened differentials apply
+the integer triplets to vectors and are never formed as matrices.
 """
 
 from __future__ import annotations
@@ -61,10 +63,10 @@ class ComplexInstance:
         L_{i+1}^T d_i L_i^-T, or its transpose L_i^-1 d_i^T L_{i+1},
         applied to x right to left."""
         W0, W1 = self.spaces[i].whitening, self.spaces[i + 1].whitening
-        d = self.diffs[i].matrix
+        d = self.diffs[i]
         if transpose:
-            return W0.solve_l(d.T @ W1.mul_l(x))
-        return W1.mul_lt(d @ W0.solve_lt(x))
+            return W0.solve_l(d.apply(W1.mul_l(x), transpose=True))
+        return W1.mul_lt(d.apply(W0.solve_lt(x)))
 
     def __repr__(self):
         return f"ComplexInstance({self.label!r}, dims={self.dims()})"
@@ -125,10 +127,10 @@ def hodge_laplacian(cx, i, u):
     out = np.zeros(np.shape(u))
     if i < len(cx.diffs):
         d = cx.diffs[i]
-        out += adjoint(d, d.matrix @ u)
+        out += adjoint(d, d.apply(u))
     if i > 0:
         d = cx.diffs[i - 1]
-        out += d.matrix @ adjoint(d, u)
+        out += d.apply(adjoint(d, u))
     return out
 
 
@@ -137,24 +139,30 @@ def laplace_solve(cx, i, f):
     Laplacian(u) = f - p, p = H H^T G f the harmonic part of f, H the
     Gram-orthonormal harmonic basis.  Returns (u, p).
 
-    With G_j = L_j L_j^T the Gram of space j and G = G_i, u solves one
-    symmetric positive definite system K u = G (f - p),
+    With G_j = L_j L_j^T the Gram of space j and G = G_i = L L^T, u solves
+    one symmetric positive definite system K u = G (f - p),
     K = A^T A + B^T B + (H^T G)^T (H^T G), A = L_{i+1}^T d_i and
-    B = L_{i-1}^-1 d_{i-1}^T G, that is K = G Laplacian + G H H^T G.  The
-    projector term vanishes off the harmonic space and the Laplacian on
-    it, so the solution is orthogonal to the harmonic forms."""
-    G = cx.spaces[i].gram
+    B = L_{i-1}^-1 (G d_{i-1})^T, that is K = G Laplacian + G H H^T G.
+    The projector term vanishes off the harmonic space and the Laplacian
+    on it, so the solution is orthogonal to the harmonic forms.  Every
+    product with G goes through L; each dense differential block is
+    freed once its term is summed into K."""
+    W = cx.spaces[i].whitening
     H = harmonic_space(cx, i).basis
-    HG = H.T @ G
+    HG = W.mul_l(W.mul_lt(H)).T
     p = H @ (HG @ f)
     K = HG.T @ HG
     if i < len(cx.diffs):
-        A = cx.spaces[i + 1].whitening.mul_lt(cx.diffs[i].matrix)
+        A = cx.spaces[i + 1].whitening.mul_lt(cx.diffs[i].submatrix())
         K += A.T @ A
+        del A
     if i > 0:
-        B = cx.spaces[i - 1].whitening.solve_l(cx.diffs[i - 1].matrix.T @ G)
+        GD = W.mul_l(W.mul_lt(cx.diffs[i - 1].submatrix()))
+        B = cx.spaces[i - 1].whitening.solve_l(GD.T)
+        del GD
         K += B.T @ B
-    return np.linalg.solve(K, G @ (f - p)), p
+        del B
+    return np.linalg.solve(K, W.mul_l(W.mul_lt(f - p))), p
 
 
 def pseudoinverse(op, rhs):
@@ -167,8 +175,8 @@ def pseudoinverse(op, rhs):
     out = np.zeros((op.domain.dim,) + np.shape(rhs)[1:])
     if not rows or not out.size:
         return out
-    H = dom.solve_l(op.matrix[rows].T)
-    Q, T = np.linalg.qr(cod.mul_lt(op.matrix @ dom.solve_lt(H)))
+    H = dom.solve_l(op.submatrix(rows=rows).T)
+    Q, T = np.linalg.qr(cod.mul_lt(op.apply(dom.solve_lt(H))))
     return dom.solve_lt(H @ np.linalg.solve(T, Q.T @ cod.mul_lt(rhs)))
 
 

@@ -239,6 +239,19 @@ def orientation_sign(face, cell):
     return (-1) ** j * _permutation_parity(induced, face.orientation)
 
 
+def _facet_signs(pair, cell):
+    """o(F, C) for the facets F of C in ``faces()`` order.  Where C and its
+    facets keep their ascending orientation, the facet omitting the j-th
+    vertex has sign (-1)^j; ``orientation_sign`` runs only where an
+    orientation was turned, as on a top cell turned to the Euclidean
+    one."""
+    faces = cell.faces()
+    if cell.orientation == cell.vertices and all(
+            pair.simplex(f).orientation == f for f in faces):
+        return [(-1) ** j for j in range(len(faces))]
+    return [orientation_sign(pair.simplex(f), cell) for f in faces]
+
+
 def facet_incidence(pair, m):
     """The signed facet incidence of the m-stratum, computed once per pair:
     int arrays (cell, facet, j, sign) with one entry per unmarked facet of
@@ -247,9 +260,11 @@ def facet_incidence(pair, m):
 
     def build():
         index = {s.vertices: i for i, s in enumerate(pair.stratum(m - 1))}
-        entries = [(ci, index[f], j, orientation_sign(pair.simplex(f), c))
+        entries = [(ci, index[f], j, sign)
                    for ci, c in enumerate(pair.stratum(m))
-                   for j, f in enumerate(c.faces()) if f in index]
+                   for j, (f, sign) in enumerate(zip(c.faces(),
+                                                     _facet_signs(pair, c)))
+                   if f in index]
         return np.array(entries, dtype=np.int64).reshape(-1, 4).T
 
     return pair.cached(("incidence", m), build)
@@ -321,19 +336,28 @@ def check_local_patch_condition(pair):
     (M_F, N_F) are the top cells containing F and the unmarked simplices of
     those cells that contain F (the open star of F), so their incidence in
     the pair is ranked directly, without building the ``patch_pair``.
+    Every open star is collected in one pass over the simplices, from the
+    top dimension down: a simplex in a top cell joins the star of each of
+    its subsimplices.
     """
     n = pair.top_dim
     star = {}
-    for c in pair.simplices(n):
-        for g in c.subsimplices():
-            star.setdefault(g, []).append(c)
-    faces = {g.vertices: [(h, orientation_sign(pair.simplex(h), g))
-                          for h in g.faces()]
-             for g in pair.all_simplices() if g.dim >= 1}
+    faces = {}
+    for m in range(n, -1, -1):
+        for g in pair.simplices(m):
+            # below the top, a simplex lies in a top cell exactly when that
+            # cell has put it in its own star
+            if m < n and (g.vertices not in star or g.vertices in pair.marked):
+                continue
+            if m:
+                faces[g.vertices] = list(zip(g.faces(),
+                                             _facet_signs(pair, g)))
+            for f in g.subsimplices():
+                star.setdefault(f, []).append(g.vertices)
     entries = {}
     failures = []
     for f in pair.all_simplices():
-        b = _open_star_betti(pair, f, star.get(f.vertices, ()), faces)
+        b = _open_star_betti(star.get(f.vertices, ()), faces, n)
         entries[f.vertices] = b
         if any(b[m] != 0 for m in range(n)):
             failures.append(f.vertices)
@@ -344,15 +368,11 @@ def check_local_patch_condition(pair):
     }
 
 
-def _open_star_betti(pair, f, cells, faces):
-    """Betti numbers of the relative chains of the patch of f, given the
-    top cells containing f and the signed faces of every simplex."""
-    n = pair.top_dim
-    fset = set(f.vertices)
-    chains = {g for c in cells for g in c.subsimplices()
-              if fset <= set(g) and (len(g) == n + 1 or g not in pair.marked)}
-    by_dim = [sorted(g for g in chains if len(g) == m + 1)
-              for m in range(n + 1)]
+def _open_star_betti(chains, faces, n):
+    """Betti numbers of the relative chains of a patch, given its open star
+    by descending dimension, each dimension in ascending order, and the
+    signed facets of every simplex."""
+    by_dim = [[g for g in chains if len(g) == m + 1] for m in range(n + 1)]
     ranks = [0] * (n + 2)
     for m in range(1, n + 1):
         index = {g: i for i, g in enumerate(by_dim[m - 1])}

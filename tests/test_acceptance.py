@@ -83,23 +83,23 @@ def test_criterion_02_differential_identities(catalog):
         for fam in (WHITNEY, TRIMMED2):
             for m in range(1, n + 1):
                 for k in range(m - 1):
-                    d0 = operator_D(pair, m, k, fam).matrix
-                    d1 = operator_D(pair, m, k + 1, fam).matrix
+                    d0 = operator_D(pair, m, k, fam).submatrix()
+                    d1 = operator_D(pair, m, k + 1, fam).submatrix()
                     scale = max(np.linalg.norm(d1) * np.linalg.norm(d0), 1.0)
                     worst = max(worst, np.linalg.norm(d1 @ d0) / scale)
-                    t0 = operator_T(pair, m, k, fam).matrix
-                    t1 = operator_T(pair, m - 1, k, fam).matrix \
+                    t0 = operator_T(pair, m, k, fam).submatrix()
+                    t1 = operator_T(pair, m - 1, k, fam).submatrix() \
                         if m >= 2 else np.zeros((0, t0.shape[0]))
                     scale = max(np.linalg.norm(t1) * np.linalg.norm(t0), 1.0)
                     worst = max(worst, np.linalg.norm(t1 @ t0) / scale)
-                    td = operator_T(pair, m, k + 1, fam).matrix @ d0
-                    dt = operator_D(pair, m - 1, k, fam).matrix @ t0 \
+                    td = operator_T(pair, m, k + 1, fam).submatrix() @ d0
+                    dt = operator_D(pair, m - 1, k, fam).submatrix() @ t0 \
                         if m >= 2 else np.zeros_like(td)
                     scale = max(np.linalg.norm(td), np.linalg.norm(dt), 1.0)
                     worst = max(worst, np.linalg.norm(td - dt) / scale)
             cx = distrib.total_complex(pair, fam)
             for i in range(len(cx.diffs) - 1):
-                a, b = cx.diffs[i + 1].matrix, cx.diffs[i].matrix
+                a, b = cx.diffs[i + 1].submatrix(), cx.diffs[i].submatrix()
                 scale = max(np.linalg.norm(a) * np.linalg.norm(b), 1.0)
                 worst = max(worst, np.linalg.norm(a @ b) / scale)
     report(2, f"differential identities (worst {worst:.2e})", worst < 1e-10)
@@ -161,9 +161,9 @@ def test_criterion_06_regularizers(catalog):
                 pos = n - idx
                 regularizer = distrib.regularizer_S
                 deep = cx.spaces[pos].stratum_slice(idx + b - 1)
-            d_prev = cx.diffs[pos - 1].matrix
+            d_prev = cx.diffs[pos - 1].submatrix()
             h = harmonic_space(cx, pos)
-            d_next = cx.diffs[pos].matrix if pos < len(cx.diffs) else None
+            d_next = cx.diffs[pos].submatrix() if pos < len(cx.diffs) else None
             for _ in range(7):
                 z = d_prev @ rng.standard_normal(d_prev.shape[1])
                 if h.dim:
@@ -188,7 +188,7 @@ def test_criterion_07_pseudoinverse_contracts(catalog):
             for k in range(m):
                 for op in (operator_D(pair, m, k, WHITNEY),
                            operator_T(pair, m, k, WHITNEY)):
-                    A = op.matrix
+                    A = op.submatrix()
                     P = pseudoinverse(op, np.eye(op.codomain.dim))
                     scale = max(np.linalg.norm(A), 1.0)
                     worst = max(worst,

@@ -1,17 +1,18 @@
 import io
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ddforms
-from ddforms import assembly, distrib, exact, polyforms
+from ddforms import assembly, cli, distrib, exact, polyforms
 from ddforms.assembly import (AssemblyError, BrokenSpace, GramFactor,
-                              Subspace, _tril_inverse, adjoint, broken_space,
-                              derivative_operator, export_matrix,
-                              kernel_space, mesh_weight, operator_D,
-                              operator_T)
+                              LinearOp, Subspace, _tril_inverse, adjoint,
+                              broken_space, derivative_operator,
+                              export_matrix, kernel_space, mesh_weight,
+                              operator_D, operator_T)
 from ddforms.cli import main
 from ddforms.mesh import (RelativePair, generate_mesh, orientation_sign,
                           skeleton_pair)
@@ -76,7 +77,8 @@ def test_skeleton_weight_exponent_from_root(catalog, name):
                             h = np.mean([pair.diameter(e)
                                          for e in pair.simplices(1)
                                          if c.vertices[0] in e.vertices])
-                        sl = sp.block_slice(s, i)
+                        sl = slice(s.offset + i * s.block,
+                                   s.offset + (i + 1) * s.block)
                         assert np.allclose(sp.gram[sl, sl],
                                            h ** (n - m) * grams[i],
                                            rtol=1e-12, atol=0), (m, k, c)
@@ -146,11 +148,28 @@ def test_submatrix_matches_dense_rows_and_columns(catalog):
     d = derivative_operator(BrokenSpace(catalog("annulus"), [(2, 1), (1, 0)],
                                         whitney()))
     rows, cols = [5, 0, 3], [7, 2]
-    dense = d.submatrix()
-    assert np.array_equal(dense, d.matrix)
-    assert np.array_equal(d.submatrix(rows=rows), dense[rows])
-    assert np.array_equal(d.submatrix(cols=cols), dense[:, cols])
-    assert np.array_equal(d.submatrix(rows, cols), dense[np.ix_(rows, cols)])
+    ref = dense(d.triplets, (d.codomain.dim, d.domain.dim))
+    assert np.array_equal(d.submatrix(), ref)
+    assert np.array_equal(d.submatrix(rows=rows), ref[rows])
+    assert np.array_equal(d.submatrix(cols=cols), ref[:, cols])
+    assert np.array_equal(d.submatrix(rows, cols), ref[np.ix_(rows, cols)])
+
+
+def test_apply_matches_dense_product(catalog):
+    """A x and A^T y from the triplets equal the dense products, for
+    vectors, for matrices and for matrices with no columns."""
+    d = derivative_operator(BrokenSpace(catalog("annulus"), [(2, 1), (1, 0)],
+                                        whitney()))
+    ref = dense(d.triplets, (d.codomain.dim, d.domain.dim)).astype(float)
+    rng = np.random.default_rng(3)
+    for cols in ((), (4,), (0,)):
+        x = rng.standard_normal((d.domain.dim,) + cols)
+        y = rng.standard_normal((d.codomain.dim,) + cols)
+        assert d.apply(x).shape == (d.codomain.dim,) + cols
+        assert np.allclose(d.apply(x), ref @ x, rtol=1e-14, atol=1e-13)
+        assert d.apply(y, transpose=True).shape == (d.domain.dim,) + cols
+        assert np.allclose(d.apply(y, transpose=True), ref.T @ y,
+                           rtol=1e-14, atol=1e-13)
 
 
 def test_identities_whitney(catalog):
@@ -159,15 +178,15 @@ def test_identities_whitney(catalog):
     m = 2
     d0 = operator_D(pair, m, 0, fam)
     d1 = operator_D(pair, m, 1, fam)
-    scale = np.linalg.norm(d1.matrix) * np.linalg.norm(d0.matrix)
-    assert rel(d1.matrix @ d0.matrix, scale) < 1e-12
+    scale = np.linalg.norm(d1.submatrix()) * np.linalg.norm(d0.submatrix())
+    assert rel(d1.submatrix() @ d0.submatrix(), scale) < 1e-12
     t2 = operator_T(pair, 2, 0, fam)
     t1 = operator_T(pair, 1, 0, fam)
-    scale = np.linalg.norm(t1.matrix) * np.linalg.norm(t2.matrix)
-    assert rel(t1.matrix @ t2.matrix, scale) < 1e-12
+    scale = np.linalg.norm(t1.submatrix()) * np.linalg.norm(t2.submatrix())
+    assert rel(t1.submatrix() @ t2.submatrix(), scale) < 1e-12
     # commutation: T after D equals D after T
-    td = operator_T(pair, 2, 1, fam).matrix @ d0.matrix
-    dt = operator_D(pair, 1, 0, fam).matrix @ t2.matrix
+    td = operator_T(pair, 2, 1, fam).submatrix() @ d0.submatrix()
+    dt = operator_D(pair, 1, 0, fam).submatrix() @ t2.submatrix()
     assert rel(td - dt, np.linalg.norm(td)) < 1e-12
 
 
@@ -177,9 +196,9 @@ def test_one_dimensional_trace_signs():
     t = operator_T(pair, 1, 0, fam)
     sp = t.domain
     x = np.zeros(sp.dim)
-    sl = sp.block_slice(sp.strata[0], 1)
-    x[sl] = 1.0
-    y = t.matrix @ x
+    (s,) = sp.strata
+    x[s.offset + s.block:s.offset + 2 * s.block] = 1.0
+    y = t.submatrix() @ x
     # the middle cell [1, 2] hits interior vertices 1 and 2 with opposite signs
     assert y[1] * y[2] < 0
 
@@ -190,8 +209,8 @@ def test_derivative_squares_to_zero_graded(catalog):
     sp = broken_space(pair, 2, 0, fam)
     d0 = derivative_operator(sp)
     d1 = derivative_operator(d0.codomain)
-    scale = np.linalg.norm(d1.matrix) * np.linalg.norm(d0.matrix)
-    assert rel(d1.matrix @ d0.matrix, scale) < 1e-12
+    scale = np.linalg.norm(d1.submatrix()) * np.linalg.norm(d0.submatrix())
+    assert rel(d1.submatrix() @ d0.submatrix(), scale) < 1e-12
 
 
 def test_kernel_space_dims(catalog):
@@ -274,6 +293,20 @@ def test_kernel_gram_in_small_slices(catalog, monkeypatch):
     assert np.linalg.norm(sliced - whole) <= 1e-13 * np.linalg.norm(whole)
 
 
+# A cold solve under the marking that sets the peak memory of the
+# benchmark's solve-3d-r2 workload.
+COLD_SOLVE = ["solve", "--mesh", "catalog:solid_ring:1", "--mark", "full",
+              "--family", "trimmed", "--degree", "2", "--format",
+              "structured"]
+
+
+def clear_tables():
+    """Empty the element-table caches, so the next run starts cold."""
+    for value in vars(polyforms).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 def test_cold_solve_forms_no_dense_kernel_basis():
     """A cold solve on fully marked solid_ring:1, trimmed r=2, binds no
     integer array of a kernel basis's (ambient x dim) shape: none is a
@@ -295,15 +328,11 @@ def test_cold_solve_forms_no_dense_kernel_basis():
                     for attr in list(getattr(value, "__dict__", {}).values()):
                         note(attr)
 
-    for value in vars(polyforms).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-    argv = ["solve", "--mesh", "catalog:solid_ring:1", "--mark", "full",
-            "--family", "trimmed", "--degree", "2", "--format", "structured"]
+    clear_tables()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        assert main(argv, out=io.StringIO()) == 0
+        assert main(COLD_SOLVE, out=io.StringIO()) == 0
     finally:
         sys.setprofile(previous)
     cx = distrib.conforming_complex(generate_mesh("solid_ring", 1, "full"),
@@ -314,6 +343,80 @@ def test_cold_solve_forms_no_dense_kernel_basis():
     assert not shapes & seen
 
 
+def reachable(root):
+    """Every ddforms object reached from root through containers and
+    instance attributes."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("ddforms."):
+            found.append(obj)
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+def test_cold_solve_keeps_no_dense_operator_or_gram(monkeypatch):
+    """After a cold solve on fully marked solid_ring:1, trimmed r=2, no
+    operator reached from the pair's cache holds a dense copy of itself,
+    and no kernel subspace holds its Gram: a space keeps its metric only
+    as its whitening."""
+    pairs = []
+    resolve = cli.resolve_mesh
+
+    def kept(*args):
+        pairs.append(resolve(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(cli, "resolve_mesh", kept)
+    clear_tables()
+    assert main(COLD_SOLVE, out=io.StringIO()) == 0
+    objects = reachable(pairs[0]._cache)
+    ops = [o for o in objects if isinstance(o, LinearOp)]
+    kernels = [o for o in objects
+               if isinstance(o, Subspace) and o.triplets is not None]
+    assert ops and any("whitening" in vars(k) for k in kernels)
+    assert 480 in {k.dim for k in kernels}
+    for op in ops:
+        assert not any(isinstance(v, np.ndarray) and v.shape ==
+                       (op.codomain.dim, op.domain.dim)
+                       for v in vars(op).values()), op
+    for sub in kernels:
+        assert not any(isinstance(v, np.ndarray) and v.ndim == 2
+                       for v in vars(sub).values()), sub
+
+
+# The traced-memory bound of the cold solve above: it reads 24.0 MiB
+# where each kernel subspace also stores its dense Gram and each
+# differential a dense copy, and 16.8 MiB where they are only built and
+# freed.
+SOLVE_BUDGET_MIB = 20
+
+
+def test_cold_solve_memory_budget():
+    """The cold solve's traced memory peak, over what is live when it
+    starts, stays under SOLVE_BUDGET_MIB."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        clear_tables()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(COLD_SOLVE, out=io.StringIO()) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < SOLVE_BUDGET_MIB * 2 ** 20, peak / 2 ** 20
+
+
 def test_adjoint_identity(catalog):
     pair = catalog("square_grid")
     fam = whitney()
@@ -321,7 +424,7 @@ def test_adjoint_identity(catalog):
     rng = np.random.default_rng(4)
     x = rng.standard_normal(op.domain.dim)
     y = rng.standard_normal(op.codomain.dim)
-    lhs = (op.matrix @ x) @ op.codomain.gram @ y
+    lhs = (op.submatrix() @ x) @ op.codomain.gram @ y
     rhs = x @ op.domain.gram @ adjoint(op, y)
     assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
@@ -380,14 +483,14 @@ def test_triplet_operators_and_exact_kernels(catalog, name, family):
             build = operator_D if op == "D" else operator_T
             A = build(pair, m, k, family)
             ref = reference_fill(pair, family, op, m, k)
-            assert np.abs(A.matrix - ref).max(initial=0.0) <= 1e-12
+            assert np.abs(A.submatrix() - ref).max(initial=0.0) <= 1e-12
             triplets, free = exact.kernel(A.integer_rows(), A.domain.dim)
             K = dense(triplets, (A.domain.dim, len(free)))
             rows, cols, vals = A.triplets
             AK = np.zeros((A.codomain.dim, K.shape[1]), dtype=np.int64)
             np.add.at(AK, rows, vals[:, None] * K[cols])
             assert not np.any(AK)
-            N = svd_null(A.matrix)[0]
+            N = svd_null(A.submatrix())[0]
             assert K.shape == N.shape
             Q = np.linalg.qr(K.astype(float))[0]
             assert np.abs(Q @ Q.T - N @ N.T).max(initial=0.0) <= 1e-12

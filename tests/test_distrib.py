@@ -42,7 +42,7 @@ def test_total_complex_identity(catalog):
     tg = distrib.redirected_gamma(pair, FAM, pair.top_dim)
     assert tl.dims() == tg.dims()
     for a, b in zip(tl.diffs, tg.diffs):
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a.submatrix(), b.submatrix())
 
 
 def test_total_complex_shared(catalog):
@@ -88,8 +88,8 @@ def test_subcomplex_nesting(catalog):
             return distrib.inject(sa, sb, np.eye(sa.dim))
 
         for i in range(max(k0 - 2, 0), pair.top_dim):
-            lhs = cxb.diffs[i].matrix @ emb(i)
-            rhs = emb(i + 1) @ cxa.diffs[i].matrix
+            lhs = cxb.diffs[i].submatrix() @ emb(i)
+            rhs = emb(i + 1) @ cxa.diffs[i].submatrix()
             assert np.linalg.norm(lhs - rhs) < 1e-10, (k0, i)
 
 
@@ -126,7 +126,7 @@ def test_regularizer_R_on_cocycles(catalog):
     for k, b in [(1, 2), (2, 2), (2, 3)]:
         cx = distrib.redirected_lambda(pair, FAM, k - b + 1)
         sp = cx.spaces[k]
-        d_prev = cx.diffs[k - 1].matrix
+        d_prev = cx.diffs[k - 1].submatrix()
         h = harmonic_space(cx, k)
         z = d_prev @ rng.standard_normal(d_prev.shape[1])
         if h.dim:
@@ -135,7 +135,7 @@ def test_regularizer_R_on_cocycles(catalog):
         deep = sp.stratum_slice(pair.top_dim - b + 1)
         assert np.linalg.norm(out[deep]) < 1e-9 * max(np.linalg.norm(z), 1.0)
         if k < len(cx.diffs):
-            d_next = cx.diffs[k].matrix
+            d_next = cx.diffs[k].submatrix()
             assert np.linalg.norm(d_next @ out - d_next @ z) < 1e-9
 
 
@@ -160,7 +160,7 @@ def test_regularizer_S_on_cocycles(catalog):
         cx = distrib.redirected_gamma(pair, FAM, m + b - 1)
         idx = n - m
         sp = cx.spaces[idx]
-        d_prev = cx.diffs[idx - 1].matrix
+        d_prev = cx.diffs[idx - 1].submatrix()
         h = harmonic_space(cx, idx)
         z = d_prev @ rng.standard_normal(d_prev.shape[1])
         if h.dim:
@@ -169,7 +169,7 @@ def test_regularizer_S_on_cocycles(catalog):
         deep = sp.stratum_slice(m + b - 1)
         assert np.linalg.norm(out[deep]) < 1e-9 * max(np.linalg.norm(z), 1.0)
         if idx < len(cx.diffs):
-            d_next = cx.diffs[idx].matrix
+            d_next = cx.diffs[idx].submatrix()
             assert np.linalg.norm(d_next @ out - d_next @ z) < 1e-9
 
 
@@ -191,13 +191,13 @@ def test_exactness_witness(catalog):
             rhs = h.basis[amb.stratum_slice(mj)]
             if j >= 1:
                 t = operator_T(pair, mj + 1, kj, FAM)
-                rhs = rhs - (-1.0) ** j * (t.matrix @ prev)
+                rhs = rhs - (-1.0) ** j * (t.submatrix() @ prev)
             d_op = operator_D(pair, mj, kj - 1, FAM)
             prev = (-1.0) ** j * pseudoinverse(d_op, rhs)
             xi[xi_space.stratum_slice(mj)] = prev
         w = distrib.inject(amb, d_xi.codomain, h.basis)
         g_w = d_xi.codomain.gram @ w
-        values = np.sum((d_xi.matrix @ xi) * g_w, axis=0)
+        values = np.sum((d_xi.submatrix() @ xi) * g_w, axis=0)
         norm2 = np.sum(w * g_w, axis=0)
         assert np.all(np.abs(values - norm2) < 1e-9 * np.maximum(norm2, 1e-30))
 
@@ -342,7 +342,7 @@ def test_every_complex_family_builds(catalog):
                distrib.chainlike_complex(skel, FAM)]:
         assert len(cx) >= 1
         for a, b in zip(cx.diffs, cx.diffs[1:]):
-            assert np.linalg.norm(b.matrix @ a.matrix) < 1e-9
+            assert np.linalg.norm(b.submatrix() @ a.submatrix()) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["annulus", "cube_tet"])
@@ -402,7 +402,7 @@ def test_skeleton_ranks_are_exact(catalog):
             for k in range(m):
                 t = operator_T(pair, m, k, FAM)
                 assert exact.rank(t.integer_rows()) == \
-                    np.linalg.matrix_rank(t.matrix, tol=1e-9)
+                    np.linalg.matrix_rank(t.submatrix(), tol=1e-9)
 
 
 def kernel_from_dense(ambient, Z, free):
@@ -423,10 +423,10 @@ def test_kernel_diff_guards(catalog):
     # a kernel target missing one direction of the image
     src = distrib._kernel(pair, n, 0, FAM, "vertical")
     tgt = distrib._kernel(pair, n, 1, FAM, "vertical")
-    mat = distrib._kernel_diff(src, tgt).matrix
+    mat = distrib._kernel_diff(src, tgt).submatrix()
     assert mat.shape == (tgt.dim, src.dim)
     assert np.array_equal(dense_basis(tgt) @ mat, distrib._kernel_diff(
-        src, tgt.ambient).matrix)
+        src, tgt.ambient).submatrix())
     drop = np.argmax(np.abs(mat).sum(axis=1))
     keep = np.arange(tgt.dim) != drop
     bad = kernel_from_dense(tgt.ambient, dense_basis(tgt)[:, keep],
@@ -444,7 +444,7 @@ def test_kernel_diff_reads_scaled_free_columns(catalog):
     n = pair.top_dim
     src = distrib._kernel(pair, n, 0, FAM, "vertical")
     tgt = distrib._kernel(pair, n, 1, FAM, "vertical")
-    mat = distrib._kernel_diff(src, tgt).matrix.astype(np.int64)
+    mat = distrib._kernel_diff(src, tgt).submatrix().astype(np.int64)
     assert np.any(mat[0] % 2)
     for s in (2, 2 ** 70):
         basis = dense_basis(tgt).astype(object)
@@ -479,7 +479,7 @@ def test_kernel_diffs_are_integral(catalog, name, family):
                  if isinstance(d.domain, Subspace)]
         assert len(diffs) == n * (n + 1)
         for d in diffs:
-            assert np.array_equal(d.matrix, np.rint(d.matrix))
+            assert np.array_equal(d.submatrix(), np.rint(d.submatrix()))
 
 
 def test_metric_independence(catalog, unweighted_total):
@@ -528,7 +528,7 @@ def projected_iso_step(pair, family, side, index, b):
     sp = cx.spaces[pos]
     image = distrib.inject(h_src.ambient, sp, h_src.basis)
     if pos < len(cx.diffs) and cx.diffs[pos].codomain.dim:
-        image = _cocycle_projector(sp, cx.diffs[pos].matrix) @ image
+        image = _cocycle_projector(sp, cx.diffs[pos].submatrix()) @ image
     return h_tgt.basis.T @ sp.gram @ image
 
 
@@ -544,7 +544,7 @@ def projected_skeleton_transfer(pair, family, k):
     # the top skeleton space is a broken space, its own ambient
     amb, basis = ((sp.ambient, dense_basis(sp)) if isinstance(sp, Subspace)
                   else (sp, np.eye(sp.dim)))
-    DT = np.vstack([op(skel, n - 1, k - 1, family).matrix
+    DT = np.vstack([op(skel, n - 1, k - 1, family).submatrix()
                     for op in (operator_D, operator_T)])
     comp = h2.basis[h2.ambient.stratum_slice(n - 1)]
     emb = basis @ h_skel.basis

@@ -29,12 +29,12 @@ def annulus_cx(catalog):
 def test_complex_validates_composition(catalog):
     cx = distrib.total_complex(catalog("annulus"), whitney())
     bad = [LinearOp(d.domain, d.codomain, exact.dense_triplets(
-                np.ones(d.matrix.shape, np.int64))) for d in cx.diffs]
+                np.ones(d.submatrix().shape, np.int64))) for d in cx.diffs]
     with pytest.raises(AssemblyError, match="do not compose to zero"):
         ComplexInstance(cx.spaces, bad, "broken-on-purpose")
     for d in cx.diffs:
         with pytest.raises(AssemblyError, match="is not integer"):
-            LinearOp(d.domain, d.codomain, exact.dense_triplets(d.matrix))
+            LinearOp(d.domain, d.codomain, exact.dense_triplets(d.submatrix()))
 
 
 def test_complex_checks_composition_on_triplets(catalog, monkeypatch):
@@ -79,7 +79,8 @@ def hodge_parts(cx, i, x):
     x = d d* u + d* d u + p, with (u, p) = laplace_solve(cx, i, x)."""
     u, p = laplace_solve(cx, i, x)
     d0, d1 = cx.diffs[i - 1], cx.diffs[i]
-    return (d0.matrix @ adjoint(d0, u), adjoint(d1, d1.matrix @ u), p)
+    return (d0.submatrix() @ adjoint(d0, u),
+            adjoint(d1, d1.submatrix() @ u), p)
 
 
 def test_hodge_decomposition(annulus_cx):
@@ -99,7 +100,7 @@ def test_hodge_projector_identities(annulus_cx):
     i = 1
     d = annulus_cx.diffs[0]
     rng = np.random.default_rng(6)
-    v = d.matrix @ rng.standard_normal(annulus_cx.spaces[0].dim)
+    v = d.submatrix() @ rng.standard_normal(annulus_cx.spaces[0].dim)
     ex, co, h = hodge_parts(annulus_cx, i, v)
     assert np.linalg.norm(ex - v) < 1e-9 * max(np.linalg.norm(v), 1.0)
     hb = harmonic_space(annulus_cx, i).basis[:, 0]
@@ -146,7 +147,7 @@ def test_pseudoinverse_contracts(catalog):
     fam = whitney()
     for op in (operator_T(pair, 2, 0, fam), operator_T(pair, 2, 1, fam),
                operator_D(pair, 2, 0, fam), operator_D(pair, 1, 0, fam)):
-        A, P = op.matrix, pseudoinverse(op, np.eye(op.codomain.dim))
+        A, P = op.submatrix(), pseudoinverse(op, np.eye(op.codomain.dim))
         scale = max(np.linalg.norm(A), 1.0)
         assert np.linalg.norm(A @ P @ A - A) < 1e-10 * scale
         assert np.linalg.norm(P @ A @ P - P) < 1e-10 * max(np.linalg.norm(P), 1.0)
@@ -175,9 +176,9 @@ def svd_pseudoinverse(op):
     """The dense metric pseudoinverse from the SVD of the whitened
     operator, singular values above RANK_RTOL * max(s_max, 1) counted."""
     dom, cod = op.domain.whitening, op.codomain.whitening
-    Aw = cod.mul_lt(dom.solve_l(op.matrix.T).T)
+    Aw = cod.mul_lt(dom.solve_l(op.submatrix().T).T)
     if not Aw.size:
-        return np.zeros(op.matrix.T.shape)
+        return np.zeros(op.submatrix().T.shape)
     u, s, vt = np.linalg.svd(Aw, full_matrices=False)
     rank = int(np.sum(s > RANK_RTOL * max(s[0], 1.0)))
     pw = vt[:rank].T @ (u[:, :rank].T / s[:rank, None])
@@ -248,7 +249,7 @@ def dense_whitened(op):
     """L_cod^T A L_dom^-T from dense Cholesky factors of the two Grams."""
     L_dom = np.linalg.cholesky(op.domain.gram)
     L_cod = np.linalg.cholesky(op.codomain.gram)
-    return L_cod.T @ np.linalg.solve(L_dom, op.matrix.T).T
+    return L_cod.T @ np.linalg.solve(L_dom, op.submatrix().T).T
 
 
 @pytest.mark.parametrize("name,r", [("annulus", 1), ("annulus", 2),
@@ -269,7 +270,8 @@ def test_block_whitening_matches_dense_cholesky(name, r):
             0, np.eye(op.domain.dim))
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
-        ref = np.linalg.solve(op.domain.gram, op.matrix.T @ op.codomain.gram)
+        ref = np.linalg.solve(op.domain.gram,
+                              op.submatrix().T @ op.codomain.gram)
         got = adjoint(op, np.eye(op.codomain.dim))
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -403,7 +405,7 @@ def test_chain_takes_no_square_decomposition(monkeypatch):
     Gram and takes no QR."""
     counts = {"matrix": 0, "gram": 0, "cholesky": 0}
     qr_modes = []
-    matrix = LinearOp.__dict__["matrix"].func
+    submatrix = LinearOp.submatrix
     gram = BrokenSpace.gram.fget
     cholesky, qr = np.linalg.cholesky, np.linalg.qr
 
@@ -417,11 +419,12 @@ def test_chain_takes_no_square_decomposition(monkeypatch):
         qr_modes.append(mode)
         return qr(a, mode=mode)
 
-    built = cached_property(counted("matrix", matrix))
-    built.__set_name__(LinearOp, "matrix")
-    monkeypatch.setattr(LinearOp, "matrix", built)
-    monkeypatch.setattr(BrokenSpace, "gram", property(
-        counted("gram", gram, lambda space: space._gram is None)))
+    def whole(op, rows=None, cols=None):
+        counts["matrix"] += rows is None and cols is None
+        return submatrix(op, rows, cols)
+
+    monkeypatch.setattr(LinearOp, "submatrix", whole)
+    monkeypatch.setattr(BrokenSpace, "gram", property(counted("gram", gram)))
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     for mark in ("none", "full", "half"):
@@ -510,10 +513,10 @@ def test_trailing_q_of_catalog_harmonic_spaces(catalog):
             parts = [np.zeros((cx.spaces[i].dim, 0))]
             if i < len(cx.diffs):
                 rows = cx.diffs[i].echelon[0]
-                parts.append(W.solve_l(cx.diffs[i].matrix[rows].T))
+                parts.append(W.solve_l(cx.diffs[i].submatrix()[rows].T))
             if i > 0:
                 cols = cx.diffs[i - 1].echelon[1]
-                parts.append(W.mul_lt(cx.diffs[i - 1].matrix[:, cols]))
+                parts.append(W.mul_lt(cx.diffs[i - 1].submatrix()[:, cols]))
             S = np.hstack(parts)
             check_trailing_q(S)
             basis = W.solve_lt(_trailing_q(*np.linalg.qr(S, mode="raw")))
@@ -645,7 +648,7 @@ def test_applied_operators_match_dense(catalog, name):
     for cx in (distrib.conforming_complex(pair, fam),
                distrib.total_complex(pair, fam)):
         grams = [sp.gram for sp in cx.spaces]
-        dense_adj = [np.linalg.solve(grams[i], d.matrix.T @ grams[i + 1])
+        dense_adj = [np.linalg.solve(grams[i], d.submatrix().T @ grams[i + 1])
                      for i, d in enumerate(cx.diffs)]
         for i, d in enumerate(cx.diffs):
             n0, n1 = d.domain.dim, d.codomain.dim
@@ -653,7 +656,7 @@ def test_applied_operators_match_dense(catalog, name):
             assert _rel(adjoint(d, y), dense_adj[i] @ y) <= 1e-12
             L0 = np.linalg.cholesky(grams[i])
             L1 = np.linalg.cholesky(grams[i + 1])
-            ref = L1.T @ np.linalg.solve(L0, d.matrix.T).T
+            ref = L1.T @ np.linalg.solve(L0, d.submatrix().T).T
             x = rng.standard_normal((n0, 3))
             assert _rel(cx.whitened_diff(i, x), ref @ x) <= 1e-12
             assert _rel(cx.whitened_diff(i, y, transpose=True),
@@ -661,9 +664,9 @@ def test_applied_operators_match_dense(catalog, name):
         for i, sp in enumerate(cx.spaces):
             lap = np.zeros((sp.dim, sp.dim))
             if i < len(cx.diffs):
-                lap += dense_adj[i] @ cx.diffs[i].matrix
+                lap += dense_adj[i] @ cx.diffs[i].submatrix()
             if i > 0:
-                lap += cx.diffs[i - 1].matrix @ dense_adj[i - 1]
+                lap += cx.diffs[i - 1].submatrix() @ dense_adj[i - 1]
             u = rng.standard_normal((sp.dim, 3))
             assert _rel(hodge_laplacian(cx, i, u), lap @ u) <= 1e-12
             assert _rel(hodge_laplacian(cx, i, u[:, 0]), lap @ u[:, 0]) <= \

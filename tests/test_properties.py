@@ -68,7 +68,7 @@ def test_regularizers_on_cocycles(pair):
                  pair, fam, m + b - 1), n - m, m + b - 1)
              for m, b in [(1, 2), (0, 2), (0, 3)]]
     for regularizer, index, b, cx, pos, deep in jobs:
-        d_prev = cx.diffs[pos - 1].matrix
+        d_prev = cx.diffs[pos - 1].submatrix()
         h = harmonic_space(cx, pos)
         z = d_prev @ rng.standard_normal((d_prev.shape[1], 3))
         z += h.basis @ rng.standard_normal((h.dim, 3))
@@ -77,7 +77,7 @@ def test_regularizers_on_cocycles(pair):
         deep_rows = out[cx.spaces[pos].stratum_slice(deep)]
         assert np.linalg.norm(deep_rows) <= 1e-10 * scale
         if pos < len(cx.diffs):
-            d_next = cx.diffs[pos].matrix
+            d_next = cx.diffs[pos].submatrix()
             assert np.linalg.norm(d_next @ (out - z)) <= 1e-10 * scale
 
 
