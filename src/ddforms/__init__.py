@@ -14,9 +14,7 @@ from ddforms.mesh import (
     RelativePair,
     build_complex,
     orientation_sign,
-    boundary_matrix,
     betti_numbers,
-    patch_pair,
     check_local_patch_condition,
     skeleton_pair,
     generate_mesh,
@@ -27,7 +25,6 @@ from ddforms.mesh import (
 from ddforms.polyforms import (
     BarycentricForm,
     Family,
-    whitney,
     whitney_form,
     check_local_exactness,
     check_geometric_decomposition,
@@ -49,7 +46,6 @@ from ddforms.hilbert import (
     harmonic_space,
     hodge_laplacian,
     laplace_solve,
-    pseudoinverse,
 )
 from ddforms.distrib import (
     total_complex,
@@ -60,8 +56,6 @@ from ddforms.distrib import (
     harmonic_lambda,
     harmonic_gamma,
     harmonic_family,
-    regularizer_R,
-    regularizer_S,
     iso_step,
     verify_chain,
     skeleton_projection,

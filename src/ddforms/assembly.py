@@ -19,13 +19,14 @@ exponent is the top dimension of the root mesh, read through
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, partialmethod
 
 import numpy as np
 
 from ddforms import exact
 from ddforms.mesh import MeshError, facet_incidence
-from ddforms.polyforms import simplex_metrics
+from ddforms.polyforms import FormError, simplex_metrics
 
 
 class AssemblyError(ValueError):
@@ -50,21 +51,32 @@ def mesh_weight(pair, simplex):
         if not lengths:
             raise MeshError(f"isolated vertex {v} has no adjacent edges")
         h = sum(lengths) / len(lengths)
-    return h ** (root.top_dim - simplex.dim)
+    try:
+        weight = h ** (root.top_dim - simplex.dim)
+    except OverflowError:
+        weight = math.inf
+    if not math.isfinite(weight):
+        raise MeshError(f"mesh weight of {simplex} beyond the floating-point "
+                        "range")
+    return weight
 
 
 def _stratum_factor(pair, family, m, k):
     """The (cells, b, b) stack of mesh-weighted element Grams of the (m, k)
     stratum in stratum order, their Cholesky factors and the factors'
-    inverses: one batched pass of each per stratum and pair."""
+    inverses: one batched pass of each per stratum and pair.  Element
+    Grams that leave the floating-point range raise FormError."""
 
     def build():
         simplices = pair.stratum(m)
         coords = np.asarray(pair.coords, float)
         cells = np.array([s.vertices for s in simplices])
         w = np.asarray([mesh_weight(pair, c) for c in simplices])
-        G = w[:, None, None] * family.space(m, k).gram(
-            *simplex_metrics(coords[cells]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = w[:, None, None] * family.space(m, k).gram(
+                *simplex_metrics(coords[cells]))
+        if not np.isfinite(G).all():
+            raise FormError("element Gram beyond the floating-point range")
         L = np.linalg.cholesky(G)
         return G, L, _tril_inverse(L)
 
@@ -429,15 +441,15 @@ def kernel_space(pair, m, k, family, which):
     return Subspace(op.domain, triplets=triplets, free=free)
 
 
-def export_matrix(matrix, path):
-    """Write a matrix in a plain coordinate text format.
+def export_matrix(op, path):
+    """Write an operator's triplets in a plain coordinate text format.
 
     First line: rows cols nnz.  Then one "row col value" triple per line,
     0-based, in row-major order.
     """
-    matrix = np.asarray(matrix, float)
-    rows, cols = np.nonzero(matrix)
+    rows, cols, vals = op.triplets
+    order = np.lexsort((cols, rows))
     with open(path, "w") as fh:
-        fh.write(f"{matrix.shape[0]} {matrix.shape[1]} {len(rows)}\n")
-        for i, j in zip(rows, cols):
-            fh.write(f"{i} {j} {matrix[i, j]:.17g}\n")
+        fh.write(f"{op.codomain.dim} {op.domain.dim} {len(order)}\n")
+        for e in order:
+            fh.write(f"{rows[e]} {cols[e]} {float(vals[e]):.17g}\n")

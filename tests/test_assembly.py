@@ -2,6 +2,7 @@ import io
 import pathlib
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ddforms.cli import main
 from ddforms.mesh import (RelativePair, generate_mesh, orientation_sign,
                           skeleton_pair)
 from ddforms.polyforms import (ElementSpace, Family, FamilyError,
-                               simplex_metrics, whitney)
+                               simplex_metrics)
 
 from conftest import dense, dense_basis, svd_null
 
@@ -28,7 +29,7 @@ def rel(a, scale):
 
 def test_broken_space_dims(catalog):
     pair = catalog("square_grid")
-    fam = whitney()
+    fam = Family("trimmed", 1)
     assert broken_space(pair, 2, 0, fam).dim == 2 * 3
     assert broken_space(pair, 2, 1, fam).dim == 2 * 3
     assert broken_space(pair, 1, 0, fam).dim == 5 * 2
@@ -37,7 +38,7 @@ def test_broken_space_dims(catalog):
 
 def test_gram_symmetric_positive(catalog):
     pair = catalog("annulus")
-    fam = whitney()
+    fam = Family("trimmed", 1)
     for m, k in [(2, 1), (1, 0), (1, 1)]:
         g = broken_space(pair, m, k, fam).gram
         assert np.allclose(g, g.T)
@@ -61,7 +62,7 @@ def test_skeleton_weight_exponent_from_root(catalog, name):
         pair = catalog(name, 1, mark)
         n = pair.top_dim
         skel = skeleton_pair(pair, n - 1)
-        for fam in (whitney(), Family("full", 2)):
+        for fam in (Family("trimmed", 1), Family("full", 2)):
             for m in range(n):
                 for k in range(m + 1):
                     sp = broken_space(skel, m, k, fam)
@@ -146,7 +147,7 @@ def test_gram_factor_writes_blocks_and_keeps_other_rows():
 
 def test_submatrix_matches_dense_rows_and_columns(catalog):
     d = derivative_operator(BrokenSpace(catalog("annulus"), [(2, 1), (1, 0)],
-                                        whitney()))
+                                        Family("trimmed", 1)))
     rows, cols = [5, 0, 3], [7, 2]
     ref = dense(d.triplets, (d.codomain.dim, d.domain.dim))
     assert np.array_equal(d.submatrix(), ref)
@@ -159,7 +160,7 @@ def test_apply_matches_dense_product(catalog):
     """A x and A^T y from the triplets equal the dense products, for
     vectors, for matrices and for matrices with no columns."""
     d = derivative_operator(BrokenSpace(catalog("annulus"), [(2, 1), (1, 0)],
-                                        whitney()))
+                                        Family("trimmed", 1)))
     ref = dense(d.triplets, (d.codomain.dim, d.domain.dim)).astype(float)
     rng = np.random.default_rng(3)
     for cols in ((), (4,), (0,)):
@@ -174,7 +175,7 @@ def test_apply_matches_dense_product(catalog):
 
 def test_identities_whitney(catalog):
     pair = catalog("annulus")
-    fam = whitney()
+    fam = Family("trimmed", 1)
     m = 2
     d0 = operator_D(pair, m, 0, fam)
     d1 = operator_D(pair, m, 1, fam)
@@ -192,7 +193,7 @@ def test_identities_whitney(catalog):
 
 def test_one_dimensional_trace_signs():
     pair = generate_mesh("interval", 3)
-    fam = whitney()
+    fam = Family("trimmed", 1)
     t = operator_T(pair, 1, 0, fam)
     sp = t.domain
     x = np.zeros(sp.dim)
@@ -205,7 +206,7 @@ def test_one_dimensional_trace_signs():
 
 def test_derivative_squares_to_zero_graded(catalog):
     pair = catalog("annulus")
-    fam = whitney()
+    fam = Family("trimmed", 1)
     sp = broken_space(pair, 2, 0, fam)
     d0 = derivative_operator(sp)
     d1 = derivative_operator(d0.codomain)
@@ -214,7 +215,7 @@ def test_derivative_squares_to_zero_graded(catalog):
 
 
 def test_kernel_space_dims(catalog):
-    fam = whitney()
+    fam = Family("trimmed", 1)
     empty = catalog("square_grid")
     full = catalog("square_grid", 1, "full")
     # single-valued vertex functions vanish where trace rows exist
@@ -229,7 +230,7 @@ def test_kernel_space_dims(catalog):
 
 def test_kernel_space_is_exact_kernel(catalog):
     pair = catalog("annulus")
-    fam = whitney()
+    fam = Family("trimmed", 1)
     for which, build in (("vertical", operator_T), ("horizontal", operator_D)):
         sub = kernel_space(pair, 2, 1, fam, which)
         op = build(pair, 2, 1, fam)
@@ -419,7 +420,7 @@ def test_cold_solve_memory_budget():
 
 def test_adjoint_identity(catalog):
     pair = catalog("square_grid")
-    fam = whitney()
+    fam = Family("trimmed", 1)
     op = operator_D(pair, 2, 0, fam)
     rng = np.random.default_rng(4)
     x = rng.standard_normal(op.domain.dim)
@@ -432,14 +433,14 @@ def test_adjoint_identity(catalog):
 def test_graded_space_strata(catalog):
     # strata are kept in decreasing simplex dimension, given in any order
     pair = catalog("annulus")
-    sp = BrokenSpace(pair, [(1, 0), (2, 1)], whitney())
+    sp = BrokenSpace(pair, [(1, 0), (2, 1)], Family("trimmed", 1))
     assert [(s.m, s.k) for s in sp.strata] == [(2, 1), (1, 0)]
 
 
 def test_invalid_stratum_rejected(catalog):
     pair = catalog("square_grid")
     with pytest.raises(AssemblyError):
-        BrokenSpace(pair, [(1, 2)], whitney())
+        BrokenSpace(pair, [(1, 2)], Family("trimmed", 1))
 
 
 def reference_fill(pair, family, op, m, k):
@@ -517,7 +518,7 @@ def test_non_integral_element_table_raises(monkeypatch, table):
     polyforms._trace_matrix.cache_clear()
     try:
         with pytest.raises(FamilyError, match="not closed"):
-            build(pair, 2, 0, whitney())
+            build(pair, 2, 0, Family("trimmed", 1))
     finally:
         polyforms._d_matrix.cache_clear()
         polyforms._trace_matrix.cache_clear()
@@ -540,12 +541,11 @@ def test_tril_inverse_by_halves(n):
 
 
 def test_export_matrix_format(tmp_path):
-    mat = np.array([[1.5, 0.0], [0.0, -2.0], [0.0, 0.0]])
+    # a 3 x 2 operator whose triplets are not in row order
+    op = LinearOp(SimpleNamespace(dim=2), SimpleNamespace(dim=3),
+                  (np.array([1, 0]), np.array([1, 0]), np.array([-2, 3])))
     path = tmp_path / "op.txt"
-    export_matrix(mat, path)
+    export_matrix(op, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0].split() == ["3", "2", "2"]
-    entries = {tuple(ln.split()[:2]): float(ln.split()[2])
-               for ln in lines[1:]}
-    assert entries[("0", "0")] == 1.5
-    assert entries[("1", "1")] == -2.0
+    assert lines[1:] == ["0 0 3", "1 1 -2"]

@@ -1,12 +1,19 @@
 import io
 import json
 import os
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddforms import distrib
+from ddforms.assembly import operator_D, operator_T
 from ddforms.cli import main, resolve_mesh
 from ddforms.mesh import (MeshError, generate_mesh, load_mesh_file,
                           save_mesh_file)
+from ddforms.polyforms import Family
 
 
 def run(args):
@@ -136,6 +143,87 @@ def test_flat_triangle_in_space(tmp_path, capsys):
     assert run(["betti", "--mesh", str(path)])[0] == 0
 
 
+def _outcome(capsys, args):
+    """Exit code, stdout and stderr of a run, with every warning an
+    error: a warning would otherwise reach stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(args)
+    return code, text, capsys.readouterr().err
+
+
+def test_huge_coordinates(tmp_path, capsys):
+    """Finite coordinates whose edge Gram, orientation determinant and
+    vertex weights overflow: betti and check give their verdict, and the
+    metric commands end in one error line that does not call the simplex
+    degenerate."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 2, "vertices": [[0, 0], [1e300, 0], [0, 1e300]],
+        "cells": [[0, 1, 2]]}))
+    args = ["--mesh", str(path), "--mark", "file"]
+    for command in ("betti", "check"):
+        code, _text, err = _outcome(capsys, [command] + args)
+        assert (code, err) == (0, ""), command
+    for command in ("harmonic", "chain", "solve"):
+        code, text, err = _outcome(capsys, [command] + args)
+        assert (code, text) == (2, "") and err.startswith("error:"), command
+        assert err.count("\n") == 1 and "degenerate" not in err, command
+
+
+@st.composite
+def mesh_documents(draw):
+    """A small mesh file: three to five vertices in R^1..R^3, at a scale
+    from 1e-300 to 1e300, at times with an int or a bool coordinate; cells
+    and marked simplices of full dimension, at times ragged or with a
+    vertex index out of range."""
+    dim = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    vertices = draw(st.lists(st.lists(
+        st.integers(-2, 2).map(lambda i: i * scale),
+        min_size=dim, max_size=dim), min_size=dim + 1, max_size=dim + 2,
+        unique_by=tuple))
+    odd = draw(st.sampled_from([None, None, None, 1, True]))
+    if odd is not None:
+        vertices[draw(st.integers(0, dim))][-1] = odd
+    nv = len(vertices)
+    full = st.lists(st.integers(0, nv - 1), min_size=dim + 1,
+                    max_size=dim + 1, unique=True)
+    ragged = st.lists(st.integers(-1, nv), min_size=1, max_size=dim + 2)
+    simplex = full | full | ragged
+    return {"ambient_dim": dim, "vertices": vertices,
+            "cells": draw(st.lists(simplex, min_size=1, max_size=3)),
+            "marked": draw(st.lists(simplex, max_size=2))}
+
+
+FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
+                database=None)
+
+
+def test_fuzzed_mesh_files(tmp_path, capsys):
+    """Any drawn mesh file loads to a pair or raises MeshError, and betti
+    and chain on it give a verdict with an empty stderr or exit 2 with one
+    error line; no run raises or warns."""
+    path = tmp_path / "mesh.json"
+
+    @FUZZ
+    @given(mesh_documents())
+    def fuzz(doc):
+        path.write_text(json.dumps(doc))
+        try:
+            load_mesh_file(str(path))
+        except MeshError:
+            pass
+        for command in ("betti", "chain"):
+            code, text, err = _outcome(
+                capsys, [command, "--mesh", str(path), "--mark", "file"])
+            assert (code in (0, 1) and err == "") or (
+                code == 2 and text == "" and err.startswith("error:")
+                and err.count("\n") == 1), (command, code, err)
+
+    fuzz()
+
+
 def test_dump_operators(tmp_path):
     target = tmp_path / "ops"
     code, _text = run(["betti", "--mesh", "catalog:square_grid",
@@ -146,6 +234,21 @@ def test_dump_operators(tmp_path):
     header = (target / "D_2_0.txt").read_text().splitlines()[0]
     rows, cols, nnz = (int(v) for v in header.split())
     assert rows == 6 and cols == 6 and nnz > 0
+    # every file holds its operator's nonzero entries, row by row
+    pair, family = generate_mesh("square_grid"), Family("trimmed", 1)
+    ops = {f"{name}_{m}_{k}.txt": build(pair, m, k, family)
+           for m in range(3) for k in range(m)
+           for name, build in (("D", operator_D), ("T", operator_T))}
+    ops.update((f"d_total_{i}.txt", d) for i, d in
+               enumerate(distrib.total_complex(pair, family).diffs))
+    assert sorted(ops) == files
+    for name, op in ops.items():
+        lines = (target / name).read_text().splitlines()
+        dense = op.submatrix()
+        i, j = np.nonzero(dense)
+        assert lines[0] == f"{dense.shape[0]} {dense.shape[1]} {len(i)}"
+        assert lines[1:] == [f"{a} {b} {dense[a, b]:.17g}"
+                             for a, b in zip(i, j)], name
 
 
 def test_degree_two_family():

@@ -11,23 +11,24 @@ from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
                               operator_D, operator_T)
 from ddforms.cli import main
 from ddforms.hilbert import (ComplexInstance, _trailing_q, harmonic_space,
-                             hodge_laplacian, laplace_solve, pseudoinverse,
+                             hodge_laplacian, laplace_solve,
                              subspace_equality_defect, subspace_transfer)
 from ddforms.mesh import betti_numbers, build_complex, generate_mesh, mark_pair
-from ddforms.polyforms import Family, whitney
+from ddforms.polyforms import Family
 from ddforms import distrib, exact
 
 from conftest import RANK_RTOL, dense_basis, svd_null
+from reference import pseudoinverse
 
 
 @pytest.fixture(scope="module")
 def annulus_cx(catalog):
     pair = catalog("annulus", 1, "full")
-    return distrib.conforming_complex(pair, whitney())
+    return distrib.conforming_complex(pair, Family("trimmed", 1))
 
 
 def test_complex_validates_composition(catalog):
-    cx = distrib.total_complex(catalog("annulus"), whitney())
+    cx = distrib.total_complex(catalog("annulus"), Family("trimmed", 1))
     bad = [LinearOp(d.domain, d.codomain, exact.dense_triplets(
                 np.ones(d.submatrix().shape, np.int64))) for d in cx.diffs]
     with pytest.raises(AssemblyError, match="do not compose to zero"):
@@ -41,7 +42,7 @@ def test_complex_checks_composition_on_triplets(catalog, monkeypatch):
     """The d o d = 0 check of a new complex is one exact product of the
     two triplet sets: it builds no dict rows and no dense copy of either
     differential."""
-    cx = distrib.total_complex(catalog("annulus"), whitney())
+    cx = distrib.total_complex(catalog("annulus"), Family("trimmed", 1))
     diffs = [LinearOp(d.domain, d.codomain, triplets=d.triplets)
              for d in cx.diffs]
 
@@ -144,7 +145,7 @@ def test_laplace_solve_harmonic_source(annulus_cx):
 
 def test_pseudoinverse_contracts(catalog):
     pair = catalog("annulus")
-    fam = whitney()
+    fam = Family("trimmed", 1)
     for op in (operator_T(pair, 2, 0, fam), operator_T(pair, 2, 1, fam),
                operator_D(pair, 2, 0, fam), operator_D(pair, 1, 0, fam)):
         A, P = op.submatrix(), pseudoinverse(op, np.eye(op.codomain.dim))
@@ -210,8 +211,8 @@ def test_pseudoinverse_degenerate(catalog):
     """A rank-0 operator, an empty codomain and a right-hand side with no
     columns each give zeros of the domain's shape."""
     pair = catalog("annulus", 1, "full")
-    sp = BrokenSpace(pair, [(2, 1)], whitney())
-    empty = BrokenSpace(pair, [], whitney())
+    sp = BrokenSpace(pair, [(2, 1)], Family("trimmed", 1))
+    empty = BrokenSpace(pair, [], Family("trimmed", 1))
     zero = LinearOp(sp, sp, exact.dense_triplets(
         np.zeros((sp.dim, sp.dim), np.int64)))
     assert not pseudoinverse(zero, np.ones((sp.dim, 2))).any()
@@ -293,7 +294,7 @@ def test_block_whitening_matches_dense_cholesky(name, r):
 
 
 def test_harmonic_space_memoised_per_complex():
-    fam = whitney()
+    fam = Family("trimmed", 1)
     cx = distrib.total_complex(generate_mesh("annulus", 1, "full"), fam)
     fresh = distrib.total_complex(generate_mesh("annulus", 1, "full"), fam)
     assert fresh is not cx
@@ -313,7 +314,7 @@ def test_laplace_solve_in_harmonic_complement(name, mark):
     adjoint-assembled Laplacian off the harmonic space and stays
     orthogonal to it."""
     pair = mark_pair(jittered(name, 1, seed=11), mark)
-    fam = whitney()
+    fam = Family("trimmed", 1)
     rng = np.random.default_rng(5)
     for cx in (distrib.conforming_complex(pair, fam),
                distrib.total_complex(pair, fam)):
@@ -504,7 +505,7 @@ def test_trailing_q_of_catalog_harmonic_spaces(catalog):
     pair = catalog("annulus", 1, "full")
     seen = 0
     for cx in (distrib.total_complex(pair, Family("trimmed", 2)),
-               distrib.chainlike_complex(pair, whitney())):
+               distrib.chainlike_complex(pair, Family("trimmed", 1))):
         for i in range(len(cx)):
             h = harmonic_space(cx, i)
             if not h.dim:
@@ -532,8 +533,8 @@ def test_harmonic_memo_holds_no_square_array():
     no array it holds is larger than the n x h basis."""
     pair = generate_mesh("annulus", 1, "none")
     rng = np.random.default_rng(9)
-    for cx in (distrib.conforming_complex(pair, whitney()),
-               distrib.total_complex(pair, whitney())):
+    for cx in (distrib.conforming_complex(pair, Family("trimmed", 1)),
+               distrib.total_complex(pair, Family("trimmed", 1))):
         for i in range(len(cx)):
             h = harmonic_space(cx, i)
             h.whitening
@@ -577,8 +578,8 @@ def test_exact_dims_on_squeezed_meshes(record_property):
             for mark in ("none", "full", "half"):
                 pair = mark_pair(jittered(name, 1, 3, squeeze), mark)
                 n, betti = pair.top_dim, betti_numbers(pair)
-                for cx in (distrib.conforming_complex(pair, whitney()),
-                           distrib.chainlike_complex(pair, whitney())):
+                for cx in (distrib.conforming_complex(pair, Family("trimmed", 1)),
+                           distrib.chainlike_complex(pair, Family("trimmed", 1))):
                     for i in range(len(cx)):
                         h = harmonic_space(cx, i)
                         assert h.dim == betti[n - i]
@@ -626,7 +627,7 @@ def test_pseudoinverse_of_float_operator_names_the_cause(catalog):
     operator: LinearOp refuses float triplet values at construction with
     an AssemblyError that names their dtype, before any pseudoinverse could
     meet them."""
-    sp = BrokenSpace(catalog("annulus", 1, "full"), [(2, 1)], whitney())
+    sp = BrokenSpace(catalog("annulus", 1, "full"), [(2, 1)], Family("trimmed", 1))
     with pytest.raises(AssemblyError, match="float64 is not integer"):
         LinearOp(sp, sp, exact.dense_triplets(np.eye(sp.dim)))
 

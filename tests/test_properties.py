@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from ddforms import distrib, exact
 from ddforms.hilbert import harmonic_space, hodge_laplacian, laplace_solve
 from ddforms.mesh import _grid_cells_2d, betti_numbers, build_complex
-from ddforms.polyforms import FamilyError, _lift, whitney
+from ddforms.polyforms import Family, FamilyError, _lift
+
+from reference import regularizer_R, regularizer_S
 
 JITTER = st.floats(-0.15, 0.15)
 
@@ -41,7 +43,7 @@ DRAWN = settings(max_examples=40, derandomize=True, deadline=None,
 @DRAWN
 @given(marked_subgrids())
 def test_harmonic_dimensions_match_betti(pair):
-    fam = whitney()
+    fam = Family("trimmed", 1)
     assume(distrib.check_conditions(pair, fam)["passed"])
     betti = betti_numbers(pair)
     n = pair.top_dim
@@ -57,14 +59,14 @@ def test_regularizers_on_cocycles(pair):
     """Criterion 6 on drawn meshes: R and S, applied to random cocycles
     (exact forms plus harmonic ones), zero the deepest graded component
     and leave the derivative unchanged."""
-    fam = whitney()
+    fam = Family("trimmed", 1)
     assume(distrib.check_conditions(pair, fam)["passed"])
     rng = np.random.default_rng(6)
     n = pair.top_dim
-    jobs = [(distrib.regularizer_R, k, b, distrib.redirected_lambda(
+    jobs = [(regularizer_R, k, b, distrib.redirected_lambda(
                 pair, fam, k - b + 1), k, n - b + 1)
             for k, b in [(1, 2), (2, 2), (2, 3)]]
-    jobs += [(distrib.regularizer_S, m, b, distrib.redirected_gamma(
+    jobs += [(regularizer_S, m, b, distrib.redirected_gamma(
                  pair, fam, m + b - 1), n - m, m + b - 1)
              for m, b in [(1, 2), (0, 2), (0, 3)]]
     for regularizer, index, b, cx, pos, deep in jobs:
@@ -92,7 +94,7 @@ def test_laplace_solve_on_drawn_subgrids():
     @DRAWN
     @given(marked_subgrids())
     def solve(pair):
-        cx = distrib.conforming_complex(pair, whitney())
+        cx = distrib.conforming_complex(pair, Family("trimmed", 1))
         rng = np.random.default_rng(10)
         for i in range(len(cx)):
             dim = cx.spaces[i].dim
