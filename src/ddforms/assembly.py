@@ -11,7 +11,10 @@ mesh-weighted element Grams and their block Cholesky factors once per
 kernel subspaces, whose exact integer bases are kept as triplets and never
 as dense arrays, with Grams assembled element by element.  A space keeps
 its metric only as its Cholesky factor, the ``whitening``: the dense Gram
-of a space is a reference built on request and never stored.  The mesh
+of a space is a reference built on request and never stored, and no
+factor keeps an inverse of more than 128 rows.  L^-1 and L^-T are
+applied by halves, with general inverses only on diagonal leaves of at
+most 128 rows, of which the element blocks are the batched case.  The mesh
 weights, and so the metric, are a function of the pair alone: their
 exponent is the top dimension of the root mesh, read through
 ``pair.parent`` on a skeleton.
@@ -64,8 +67,9 @@ def mesh_weight(pair, simplex):
 def _stratum_factor(pair, family, m, k):
     """The (cells, b, b) stack of mesh-weighted element Grams of the (m, k)
     stratum in stratum order, their Cholesky factors and the factors'
-    inverses: one batched pass of each per stratum and pair.  Element
-    Grams that leave the floating-point range raise FormError."""
+    ``_tril_inverse`` leaves, whole inverses for blocks of at most _LEAF
+    rows: one batched pass of each per stratum and pair.  Element Grams
+    that leave the floating-point range raise FormError."""
 
     def build():
         simplices = pair.stratum(m)
@@ -83,32 +87,70 @@ def _stratum_factor(pair, family, m, k):
     return pair.cached(("stratum", family.kind, family.r, m, k), build)
 
 
+# The most rows of a diagonal block whose inverse a factor keeps: a
+# larger factor is solved by halves down to blocks of at most this size.
+_LEAF = 128
+
+
 def _tril_inverse(L):
-    """The inverse of a stack of lower-triangular factors, by halves:
-    [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], with the
-    general inverse only on leaves of at most 128 rows."""
-    n = L.shape[-1]
-    if n <= 128:
-        return np.linalg.inv(L)
-    h = n // 2
-    A_inv, B_inv = _tril_inverse(L[..., :h, :h]), _tril_inverse(L[..., h:, h:])
-    out = np.zeros_like(L)
-    out[..., :h, :h] = A_inv
-    out[..., h:, h:] = B_inv
-    out[..., h:, :h] = -B_inv @ (L[..., h:, :h] @ A_inv)
+    """The inverses of the diagonal leaves of a stack of lower-triangular
+    factors: the blocks of at most _LEAF rows at which halving stops in
+    ``_tril_solve``.  The leaf on rows a:b is kept in rows a:b, columns
+    0:b-a of one (cells, n, w) stack, w the widest leaf, so a stack of at
+    most _LEAF rows keeps its whole inverse and a larger one at most
+    _LEAF floats per row."""
+    bounds = [0, L.shape[-1]]
+    while max(np.diff(bounds)) > _LEAF:
+        bounds = sorted({*bounds, *(a + (b - a) // 2 for a, b
+                                    in zip(bounds, bounds[1:])
+                                    if b - a > _LEAF)})
+    out = np.zeros(L.shape[:-1] + (max(np.diff(bounds)),))
+    for a, b in zip(bounds, bounds[1:]):
+        out[..., a:b, :b - a] = np.linalg.inv(L[..., a:b, a:b])
     return out
+
+
+def _tril_solve(L, leaves, x, out, transpose, first=0):
+    """out <- L^-1 x, or L^-T x, for a stack L of lower-triangular
+    factors and a stack x of right-hand sides; out may be x itself.
+
+    A stack of at most _LEAF rows applies its leaf inverse, read from the
+    ``_tril_inverse`` leaves of the whole factor at its first row
+    ``first``.  A larger one is solved by halves in place on out:
+    with L = [[A, 0], [C, B]], y1 <- A^-1 y1, then y2 <- B^-1 (y2 - C y1),
+    and for L^T, y2 <- B^-T y2, then y1 <- A^-T (y1 - C^T y2).
+    """
+    n = L.shape[-1]
+    if n <= _LEAF:
+        F = leaves[..., first:first + n, :n]
+        np.matmul(F.swapaxes(-1, -2) if transpose else F, x, out=out)
+        return
+    if out is not x:
+        out[...] = x
+    h = n // 2
+    A, C, B = L[..., :h, :h], L[..., h:, :h], L[..., h:, h:]
+    y1, y2 = out[..., :h, :], out[..., h:, :]
+    if transpose:
+        _tril_solve(B, leaves, y2, y2, True, first + h)
+        y1 -= C.swapaxes(-1, -2) @ y2
+        _tril_solve(A, leaves, y1, y1, True, first)
+    else:
+        _tril_solve(A, leaves, y1, y1, False, first)
+        y2 -= C @ y1
+        _tril_solve(B, leaves, y2, y2, False, first + h)
 
 
 class GramFactor:
     """The Cholesky factor L of a block-diagonal Gram matrix, G = L L^T.
 
     ``blocks`` lists (first row, (cells, b, b) stack of lower-triangular
-    element factors, their inverses) per stratum, or one (1, n, n) factor
-    and its inverse for a dense Gram; rows outside them whiten by the
-    identity.  ``mul_lt``, ``mul_l``, ``solve_l`` and ``solve_lt`` apply
-    L^T (whitening), L, L^-1 and L^-T (unwhitening) to the rows of a
-    vector or matrix, with one batched product per block written into a
-    new array.
+    element factors, their ``_tril_inverse`` leaves) per stratum, or one
+    (1, n, n) factor and its leaves for a dense Gram; rows outside them
+    whiten by the identity.  No inverse of more than _LEAF rows is kept.
+    ``mul_lt``, ``mul_l``, ``solve_l`` and ``solve_lt`` apply L^T
+    (whitening), L, L^-1 and L^-T (unwhitening) to the rows of a vector
+    or matrix, block by block into a new array: one batched product per
+    block, or for a larger factor the solve by halves of ``_tril_solve``.
     """
 
     def __init__(self, blocks):
@@ -119,16 +161,18 @@ class GramFactor:
         cols = x if x.ndim == 2 else x[:, None]
         out = np.empty(cols.shape)
         done = 0
-        for offset, L, L_inv in self.blocks:
-            F = L_inv if inverse else L
-            if transpose:
-                F = F.transpose(0, 2, 1)
-            cells, b = F.shape[:2]
+        for offset, L, leaves in self.blocks:
+            cells, b = L.shape[:2]
             stop = offset + cells * b
             out[done:offset] = cols[done:offset]
             shape = (cells, b, cols.shape[1])
-            np.matmul(F, cols[offset:stop].reshape(shape),
-                      out=out[offset:stop].reshape(shape))
+            src = cols[offset:stop].reshape(shape)
+            dst = out[offset:stop].reshape(shape)
+            if inverse:
+                _tril_solve(L, leaves, src, dst, transpose)
+            else:
+                np.matmul(L.transpose(0, 2, 1) if transpose else L, src,
+                          out=dst)
             done = stop
         out[done:] = cols[done:]
         return out.reshape(x.shape)
@@ -199,7 +243,7 @@ class BrokenSpace:
         """The dense Gram, built afresh on each read: the tests' reference
         for the factor, which is the only form the solve paths read."""
         G = np.zeros((self.dim, self.dim))
-        for s, (blocks, _L, _L_inv) in self._factors():
+        for s, (blocks, _L, _leaves) in self._factors():
             cells, b = blocks.shape[:2]
             stop = s.offset + cells * b
             square = G[s.offset:stop, s.offset:stop].reshape(
@@ -210,8 +254,8 @@ class BrokenSpace:
     @cached_property
     def whitening(self):
         """The block Cholesky factor of the Gram, from the strata's records."""
-        return GramFactor([(s.offset, L, L_inv)
-                           for s, (_G, L, L_inv) in self._factors()])
+        return GramFactor([(s.offset, L, leaves)
+                           for s, (_G, L, leaves) in self._factors()])
 
     def __repr__(self):
         strata = [(s.m, s.k, len(s.simplices), s.block) for s in self.strata]
@@ -302,8 +346,9 @@ class Subspace:
     ``triplets`` (rows, cols, vals) sorted by row, then column, and
     diagonal on its ``free`` columns, or a dense float ``basis`` such as a
     Gram-orthonormal harmonic one.  Its metric is kept only as the dense
-    Cholesky factor of its Gram Z^T G Z, its whitening, built on first
-    use from a Gram that is not kept."""
+    Cholesky factor of its Gram Z^T G Z and the inverses of its diagonal
+    leaves, its whitening, built on first use from a Gram that is not
+    kept."""
 
     def __init__(self, ambient, basis=None, triplets=None, free=None):
         self.ambient = ambient
@@ -324,7 +369,7 @@ class Subspace:
             return Y.T @ Y
         rows, cols, vals = self.triplets
         out = np.zeros((self.dim, self.dim))
-        for s, (G, _L, _L_inv) in self.ambient._factors():
+        for s, (G, _L, _leaves) in self.ambient._factors():
             lo, hi = np.searchsorted(
                 rows, [s.offset, s.offset + s.block * len(s.simplices)])
             cell, a = np.divmod(rows[lo:hi] - s.offset, s.block)

@@ -6,9 +6,10 @@ spaces and the Hodge Laplacian are computed after whitening: the
 Cholesky factor L of each Gram matrix, the space's ``whitening`` (block
 by block for a broken space, dense for a kernel subspace, whose integer
 basis is kept as triplets and whose Gram is assembled from the element
-Grams), maps to an orthonormal frame.  A
-metric is read only through its factor, G x = L (L^T x) and x^T G x =
-|L^T x|^2, and no dense Gram is stored.  A harmonic dimension is decided
+Grams), maps to an orthonormal frame.  A metric is read only through its
+factor, G x = L (L^T x) and x^T G x = |L^T x|^2, and L^-1 and L^-T by
+halves from L, so no dense Gram and no dense inverse of a factor of more
+than 128 rows is stored.  A harmonic dimension is decided
 by one exact elimination per integer differential, which selects its
 independent rows and columns.  Only where it is positive is the space
 whitened, and one raw Householder QR of those rows and columns gives the

@@ -145,6 +145,22 @@ def test_gram_factor_writes_blocks_and_keeps_other_rows():
     assert np.array_equal(x, before)
 
 
+def test_dense_whitening_keeps_factor_alone():
+    """A kernel subspace of more than 128 dimensions keeps its metric as
+    the dense Cholesky factor L alone: no other square array, and its leaf
+    inverses at most 128 floats per row."""
+    space = kernel_space(generate_mesh("square_grid", 6), 2, 1,
+                         Family("trimmed", 2), "vertical")
+    n = space.dim
+    assert n > 128
+    W = space.whitening
+    (offset, L, leaves), = W.blocks
+    assert offset == 0 and L.shape == (1, n, n)
+    assert leaves.shape[:2] == (1, n) and leaves.shape[2] <= 128
+    assert np.allclose(W.mul_l(W.mul_lt(np.eye(n)[:, :3])),
+                       space.gram[:, :3], rtol=1e-12, atol=1e-12)
+
+
 def test_submatrix_matches_dense_rows_and_columns(catalog):
     d = derivative_operator(BrokenSpace(catalog("annulus"), [(2, 1), (1, 0)],
                                         Family("trimmed", 1)))
@@ -395,9 +411,10 @@ def test_cold_solve_keeps_no_dense_operator_or_gram(monkeypatch):
 
 # The traced-memory bound of the cold solve above: it reads 24.0 MiB
 # where each kernel subspace also stores its dense Gram and each
-# differential a dense copy, and 16.8 MiB where they are only built and
-# freed.
-SOLVE_BUDGET_MIB = 20
+# differential a dense copy, 16.8 MiB where only the dense inverse of
+# each factor is kept, and 13.6 MiB where a factor keeps no inverse of
+# more than 128 rows.
+SOLVE_BUDGET_MIB = 16
 
 
 def test_cold_solve_memory_budget():
@@ -524,20 +541,29 @@ def test_non_integral_element_table_raises(monkeypatch, table):
         polyforms._trace_matrix.cache_clear()
 
 
-@pytest.mark.parametrize("n", [1, 128, 129, 300])
-def test_tril_inverse_by_halves(n):
-    """The inverse of a stack of Cholesky factors taken by halves, above
-    the 128-row leaf and at it, equals the general inverse to roundoff, is
-    lower triangular and inverts each factor."""
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300, 528])
+def test_tril_solve_by_halves(n):
+    """A dense factor applies L^-1 and L^-T by halves, above the 128-row
+    leaf and at it: both equal np.linalg.solve to roundoff on a vector and
+    on a column-major matrix, leave the input as it was, and keep no
+    inverse wider than the leaf beside L."""
     rng = np.random.default_rng(n)
-    a = rng.standard_normal((2, n, n))
-    L = np.linalg.cholesky(a @ a.transpose(0, 2, 1) + n * np.eye(n))
-    got = _tril_inverse(L)
-    assert got.shape == L.shape
-    assert not np.triu(got, 1).any()
-    assert np.abs(got @ L - np.eye(n)).max() <= 1e-13
-    ref = np.linalg.inv(L)
-    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    a = rng.standard_normal((n, n))
+    L = np.linalg.cholesky(a @ a.T + n * np.eye(n))[None]
+    leaves = _tril_inverse(L)
+    assert leaves.shape[:2] == (1, n) and leaves.shape[2] <= 128
+    if n <= 128:
+        assert np.abs(leaves[0] @ L[0] - np.eye(n)).max() <= 1e-13
+    factor = GramFactor([(0, L, leaves)])
+    for x in (rng.standard_normal(n),
+              np.asfortranarray(rng.standard_normal((n, 5)))):
+        before = x.copy()
+        for got, F in ((factor.solve_l(x), L[0]),
+                       (factor.solve_lt(x), L[0].T)):
+            want = np.linalg.solve(F, x)
+            assert got.shape == x.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(x, before)
 
 
 def test_export_matrix_format(tmp_path):

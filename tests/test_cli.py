@@ -1,6 +1,9 @@
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -66,6 +69,25 @@ def test_solve_exit_zero():
     assert code == 0
     doc = json.loads(text)
     assert doc["report"]["passed"]
+
+
+def test_solve_source_without_numpy_random():
+    """solve draws its source from the standard library's generator: a
+    fresh process never imports numpy.random, and two runs print the same
+    structured report byte for byte."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; from ddforms.cli import main; rc = main(sys.argv[1:]);"
+            " print('numpy.random' in sys.modules); sys.exit(rc)")
+    args = ["solve", "--mesh", "catalog:annulus", "--mark", "full",
+            "--degree", "2", "--format", "structured"]
+    runs = [subprocess.run([sys.executable, "-c", code] + args, env=env,
+                           capture_output=True, text=True) for _ in range(2)]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 2
+    assert runs[0].stdout == runs[1].stdout
+    report, imported = runs[0].stdout.splitlines()
+    assert imported == "False"
+    assert json.loads(report)["report"]["passed"]
 
 
 def test_mark_file_mode(tmp_path):
@@ -169,6 +191,21 @@ def test_huge_coordinates(tmp_path, capsys):
         code, text, err = _outcome(capsys, [command] + args)
         assert (code, text) == (2, "") and err.startswith("error:"), command
         assert err.count("\n") == 1 and "degenerate" not in err, command
+
+
+@pytest.mark.parametrize("scale", [1e10, 1e-16])
+def test_solve_singular_system_is_one_error_line(tmp_path, capsys, scale):
+    """A triangle scaled until the degree-2 Laplace system is numerically
+    singular gives one error line and exit 2, not a traceback."""
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 2, "cells": [[0, 1, 2]],
+        "vertices": [[0, 0], [scale, 0], [0.3 * scale, 0.9 * scale]]}))
+    code, text, err = _outcome(capsys, ["solve", "--mesh", str(path),
+                                        "--mark", "file", "--degree", "2"])
+    assert (code, text) == (2, "")
+    assert err.startswith("error: unsupported configuration: ")
+    assert err.count("\n") == 1
 
 
 @st.composite
