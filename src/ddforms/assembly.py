@@ -5,19 +5,21 @@ several strata (m, k): k-forms attached to the unmarked m-simplices.  The
 module assembles the piecewise exterior derivative D, the signed trace sum
 T, and the combined distributional derivative on graded spaces as integer
 triplet operators, applied to vectors and matrices from the triplets, with
-dense rows or columns scattered only on request.  It builds the
-mesh-weighted element Grams and their block Cholesky factors once per
-(family, m, k) stratum of a mesh, metric adjoints (applied to vectors) and
-kernel subspaces, whose exact integer bases are kept as triplets and never
-as dense arrays, with Grams assembled element by element.  A space keeps
-its metric only as its Cholesky factor, the ``whitening``: the dense Gram
-of a space is a reference built on request and never stored, and no
-factor keeps an inverse of more than 128 rows.  L^-1 and L^-T are
-applied by halves, with general inverses only on diagonal leaves of at
-most 128 rows, of which the element blocks are the batched case.  The mesh
-weights, and so the metric, are a function of the pair alone: their
-exponent is the top dimension of the root mesh, read through
-``pair.parent`` on a skeleton.
+dense rows or columns scattered only on request.  The stratum layout is
+read here alone: ``placement`` and a kernel subspace's ``embedding`` are
+the integer maps between spaces, applied by ``LinearOp.apply`` like any
+other.  It builds the mesh-weighted element Grams and
+their block Cholesky factors once per (family, m, k) stratum of a mesh,
+metric adjoints (applied to vectors) and kernel subspaces, once per pair,
+whose exact integer bases are kept as triplets and never as dense arrays,
+with Grams assembled element by element.  A space keeps its metric only
+as its Cholesky factor, the ``whitening``: the dense Gram of a space is a
+reference built on request and never stored, and no factor keeps an
+inverse of more than 128 rows.  L^-1 and L^-T are applied by halves, with
+general inverses only on diagonal leaves of at most 128 rows, of which
+the element blocks are the batched case.  The mesh weights, and so the
+metric, are a function of the pair alone: their exponent is the top
+dimension of the root mesh, read through ``pair.parent`` on a skeleton.
 """
 
 from __future__ import annotations
@@ -42,9 +44,12 @@ def mesh_weight(pair, simplex):
     n is the top dimension of the root mesh (``pair.parent`` for a
     skeleton), so a skeleton keeps the weights of the mesh it was cut
     from.  h_C is the diameter of C, or the mean diameter of adjacent
-    edges when C is a vertex (the edges of the root mesh, for a skeleton).
+    edges when C is a vertex (the edges of the root mesh, for a skeleton),
+    but a top simplex weighs h^0 = 1, so a lone vertex needs no edges.
     """
     root = pair.parent or pair
+    if simplex.dim == root.top_dim:
+        return 1.0
     if simplex.dim >= 1:
         h = pair.diameter(simplex)
     else:
@@ -220,17 +225,11 @@ class BrokenSpace:
             offset += block * len(simplices)
         self.dim = offset
 
-    def stratum(self, m, k=None):
+    def stratum(self, m, k):
         for s in self.strata:
-            if s.m == m and (k is None or s.k == k):
+            if (s.m, s.k) == (m, k):
                 return s
         return None
-
-    def stratum_slice(self, m):
-        s = self.stratum(m)
-        if s is None:
-            raise AssemblyError(f"no stratum on dimension {m}")
-        return slice(s.offset, s.offset + s.block * len(s.simplices))
 
     def _factors(self):
         """Per nonempty stratum, its ``_stratum_factor`` record."""
@@ -326,6 +325,20 @@ class LinearOp:
         return f"LinearOp({self.codomain.dim}x{self.domain.dim})"
 
 
+def placement(small, big):
+    """The integer map putting each stratum of the broken space small at its
+    rows of the broken space big, which must hold it with the same block
+    size over the same simplices; its transpose restricts big to small."""
+    rows = [np.zeros(0, np.int64)]
+    for s in small.strata:
+        t = big.stratum(s.m, s.k)
+        if t is None or t.block != s.block or t.simplices != s.simplices:
+            raise AssemblyError(f"stratum (m={s.m}, k={s.k}) does not embed")
+        rows.append(t.offset + np.arange(s.block * len(s.simplices)))
+    return LinearOp(small, big, (np.concatenate(rows), np.arange(small.dim),
+                                 np.ones(small.dim, np.int64)))
+
+
 def adjoint(op, x):
     """The adjoint with respect to the two spaces' Gram inner products,
     applied to x: G_dom^-1 A^T G_cod x, with G = L L^T and
@@ -388,6 +401,11 @@ class Subspace:
                     G[cell[pick], a[pick], a[mate]]
                 np.add.at(out, (col[pick], col[mate]), terms)
         return out
+
+    @property
+    def embedding(self):
+        """A kernel basis Z as the integer map into the ambient space."""
+        return LinearOp(self, self.ambient, self.triplets)
 
     @cached_property
     def whitening(self):
@@ -475,15 +493,17 @@ def kernel_space(pair, m, k, family, which):
     """Kernel subspaces: "vertical" = ker T (single-valued traces, the
     conforming space), "horizontal" = ker D (piecewise-constant-like).
     The basis is the exact integer kernel of the operator, kept as
-    triplets."""
-    if which == "vertical":
-        op = operator_T(pair, m, k, family)
-    elif which == "horizontal":
-        op = operator_D(pair, m, k, family)
-    else:
+    triplets, built once per pair."""
+    ops = {"vertical": operator_T, "horizontal": operator_D}
+    if which not in ops:
         raise AssemblyError(f"unknown kernel kind {which!r}")
-    triplets, free = exact.kernel(op.integer_rows(), op.domain.dim)
-    return Subspace(op.domain, triplets=triplets, free=free)
+
+    def build():
+        op = ops[which](pair, m, k, family)
+        triplets, free = exact.kernel(op.integer_rows(), op.domain.dim)
+        return Subspace(op.domain, triplets=triplets, free=free)
+
+    return pair.cached(("kernel", which, family, m, k), build)
 
 
 def export_matrix(op, path):

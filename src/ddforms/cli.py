@@ -11,9 +11,10 @@ discrete Hodge-Laplace problem on the conforming complex with a built-in
 source, drawn from the standard library's seeded generator).
 
 Meshes come from a JSON file or from the built-in catalog via
-``catalog:name`` or ``catalog:name:size``.  Structured output is canonical
-JSON with sorted keys and fixed float formatting, so identical
-configurations produce byte-identical reports.  The exit status is zero
+``catalog:name`` or ``catalog:name:size``.  Both output formats write the
+report as ``_canonical`` gives it, with fixed float formatting, and
+structured output is JSON with sorted keys, so identical configurations
+produce byte-identical reports.  The exit status is zero
 exactly when every requested verification passes, one when one fails,
 and two, with a single ``error:`` line, for invalid input or an
 unsupported configuration.
@@ -64,7 +65,7 @@ def make_family(name, degree):
 def mesh_summary(pair):
     return {
         "top_dim": pair.top_dim,
-        "simplices": {str(m): len(pair.simplices(m))
+        "simplices": {m: len(pair.simplices(m))
                       for m in range(pair.top_dim + 1)},
         "marked": len(pair.marked),
         "betti": betti_numbers(pair),
@@ -82,13 +83,13 @@ def run_check(pair, family, args):
     rep = distrib.check_conditions(pair, family)
     double = distrib.verify_double_complex(pair, family)
     out = {
-        "local_exactness": {str(m): r["passed"]
+        "local_exactness": {m: r["passed"]
                             for m, r in rep["local_exactness"].items()},
-        "decomposition": {str(k): r["passed"]
+        "decomposition": {k: r["passed"]
                           for k, r in rep["decomposition"].items()},
         "patch": {
             "passed": rep["patch"]["passed"],
-            "failures": [list(v) for v in rep["patch"]["failures"]],
+            "failures": rep["patch"]["failures"],
         },
         "double_complex": double,
         "passed": rep["passed"] and double["passed"],
@@ -106,26 +107,24 @@ def run_harmonic(pair, family, args):
         conf = fam_rep["conforming"][k]
         chain = fam_rep["chain"][n - k]
         good = conf == chain == betti[n - k]
-        identities[str(k)] = {"conforming": conf, "chain": chain,
-                              "betti": betti[n - k], "ok": good}
+        identities[k] = {"conforming": conf, "chain": chain,
+                         "betti": betti[n - k], "ok": good}
         ok = ok and good
     projection = {}
     for k in range(2, n + 1):
         rep = distrib.skeleton_projection(pair, family, k)
-        projection[str(k)] = {"dims": list(rep["dims"]),
-                              "smin": _num(rep["smin_rel"]), "ok": rep["ok"]}
-    degree_zero = {str(m): distrib.skeleton_degree_zero_identity(
+        projection[k] = {"dims": rep["dims"], "smin": rep["smin_rel"],
+                         "ok": rep["ok"]}
+    degree_zero = {m: distrib.skeleton_degree_zero_identity(
         pair, family, m) for m in range(n + 1)}
     skeleton_ok = all(e["ok"] for part in (projection, degree_zero)
                       for e in part.values())
     ok = ok and skeleton_ok
     out = {
-        "degree_graded": {f"{k},{b}": v
-                          for (k, b), v in sorted(fam_rep["lambda"].items())},
-        "stratum_graded": {f"{m},{b}": v
-                           for (m, b), v in sorted(fam_rep["gamma"].items())},
-        "conforming": {str(k): v for k, v in fam_rep["conforming"].items()},
-        "chain": {str(m): v for m, v in fam_rep["chain"].items()},
+        "degree_graded": fam_rep["lambda"],
+        "stratum_graded": fam_rep["gamma"],
+        "conforming": fam_rep["conforming"],
+        "chain": fam_rep["chain"],
         "identities": identities,
         "skeleton": {"projection": projection, "degree_zero": degree_zero,
                      "passed": skeleton_ok},
@@ -135,30 +134,10 @@ def run_harmonic(pair, family, args):
 
 
 def run_chain(pair, family, args):
-    n = pair.top_dim
-    out = {}
-    ok = True
-    for k in range(n + 1):
-        rep = distrib.verify_chain(pair, family, k)
-        steps = {}
-        for s in rep["steps"]:
-            entry = {"ok": s["ok"]}
-            if "dims" in s:
-                entry["dims"] = list(s["dims"])
-            if "smin" in s:
-                entry["smin"] = _num(s["smin"])
-            if "defect" in s:
-                entry["defect"] = _num(s["defect"])
-            steps[s["label"]] = entry
-        out[str(k)] = {
-            "betti": rep["betti"],
-            "dims": rep["chain_dims"],
-            "steps": steps,
-            "passed": rep["passed"],
-        }
-        ok = ok and rep["passed"]
-    out["passed"] = ok
-    return out, ok
+    out = {k: distrib.verify_chain(pair, family, k)
+           for k in range(pair.top_dim + 1)}
+    out["passed"] = all(rep["passed"] for rep in out.values())
+    return out, out["passed"]
 
 
 def run_solve(pair, family, args):
@@ -172,8 +151,8 @@ def run_solve(pair, family, args):
     for i in range(len(cx)):
         dim = cx.spaces[i].dim
         if dim == 0:
-            out[str(i)] = {"dim": 0, "residual": 0.0, "harmonic_overlap": 0.0,
-                           "ok": True}
+            out[i] = {"dim": 0, "residual": 0.0, "harmonic_overlap": 0.0,
+                      "ok": True}
             continue
         f = np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
         u, p = laplace_solve(cx, i, f)
@@ -187,9 +166,8 @@ def run_solve(pair, family, args):
         overlap = float(np.linalg.norm(W.mul_lt(h.basis).T @ W.mul_lt(u))) \
             if h.dim else 0.0
         good = residual < tol and overlap < tol
-        out[str(i)] = {"dim": dim, "harmonic_dim": h.dim,
-                       "residual": _num(residual),
-                       "harmonic_overlap": _num(overlap), "ok": good}
+        out[i] = {"dim": dim, "harmonic_dim": h.dim, "residual": residual,
+                  "harmonic_overlap": overlap, "ok": good}
         ok = ok and good
     out["passed"] = ok
     return out, ok
@@ -222,9 +200,18 @@ def dump_operators(pair, family, directory):
 # -- rendering ------------------------------------------------------------
 
 
-def _num(x):
-    """Fixed-precision float for byte-deterministic reports."""
-    return float(f"{float(x):.12e}")
+def _canonical(value):
+    """The report as both output formats write it, byte-deterministic:
+    floats rounded to 12 decimals in exponent form, tuples as lists and
+    keys as strings, a tuple key (k, b) as "k,b", in insertion order."""
+    if isinstance(value, dict):
+        return {",".join(map(str, key)) if isinstance(key, tuple)
+                else str(key): _canonical(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, float):
+        return float(f"{value:.12e}")
+    return value
 
 
 def _render_table(doc, out):
@@ -301,20 +288,20 @@ def main(argv=None, out=None):
               f"system ({exc})", file=sys.stderr)
         return 2
 
-    doc = {
+    doc = _canonical({
         "command": args.command,
         "config": {
             "mesh": args.mesh,
             "family": args.family,
             "degree": args.degree,
             "mark": args.mark,
-            "tol": _num(args.tol),
+            "tol": args.tol,
         },
         "mesh": mesh_summary(pair),
         "report": report,
         "warnings": warnings,
         "passed": passed,
-    }
+    })
     if args.format == "structured":
         out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         out.write("\n")

@@ -7,11 +7,12 @@ full graded (total) complex they share, and their skeleton variants.  On
 top of the builders sit the isomorphism steps between harmonic spaces of
 consecutive gradings, each the matrix that the stratum injection induces
 on them (the paper's regularizers, which the tests keep as references,
-invert it), and end-to-end
-verification routines: homology dimensions against the mesh's Betti
-numbers, the full isomorphism chain from simplicial homology to
-conforming harmonic forms, the row and column exactness of the broken
-double complex, and the skeleton projection and degree-0 identities.
+invert it), taken through the integer maps ``assembly.placement`` and
+``Subspace.embedding``, and end-to-end verification routines: homology
+dimensions against the mesh's Betti numbers, the full isomorphism chain
+from simplicial homology to conforming harmonic forms, the row and column
+exactness of the broken double complex, and the skeleton projection and
+degree-0 identities.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ddforms.polyforms import (check_geometric_decomposition,
                                check_local_exactness)
 from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
                               broken_space, derivative_operator, kernel_space,
-                              operator_D, operator_T)
+                              operator_D, operator_T, placement)
 from ddforms.hilbert import (ComplexInstance, harmonic_space,
                              subspace_equality_defect, subspace_transfer)
 
@@ -35,43 +36,26 @@ from ddforms.hilbert import (ComplexInstance, harmonic_space,
 SMIN_TOL = 1e-6
 
 
-def inject(small, big, x):
-    """The rows of x, indexed by the broken space small, placed stratum by
-    stratum at their rows of the larger broken space big; zero elsewhere."""
-    out = np.zeros((big.dim,) + np.shape(x)[1:])
-    for s in small.strata:
-        t = big.stratum(s.m, s.k)
-        if t is None or t.block != s.block or len(t.simplices) != len(s.simplices):
-            raise AssemblyError(
-                f"stratum (m={s.m}, k={s.k}) does not embed")
-        size = s.block * len(s.simplices)
-        out[t.offset:t.offset + size] = x[s.offset:s.offset + size]
-    return out
-
-
-def _kernel(pair, m, k, family, which):
-    return pair.cached(("kernel", which, family, m, k),
-                       lambda: kernel_space(pair, m, k, family, which))
-
-
 def _kernel_diff(sub, target):
     """The graded derivative on a kernel subspace, into the next space of a
     graded complex: a kernel subspace (in the coordinates of its integer
     basis) or a broken space, either on a single stratum.
 
     In exact integers, on the triplets of the kernel bases: the image rows
-    off the target's stratum must vanish, and a kernel target's
+    off the target's stratum must vanish, the others are read through the
+    target's ``placement`` in the image space, and a kernel target's
     coordinates, read off its free columns, must be integers that
     reproduce the image."""
     tgt = target.ambient if isinstance(target, Subspace) else target
-    (ts,) = tgt.strata
     d = derivative_operator(sub.ambient)
     rows, cols, vals = exact.product(d.triplets, sub.triplets,
                                      (d.codomain.dim, sub.dim))
-    sl = d.codomain.stratum_slice(ts.m)
-    if np.any((rows < sl.start) | (rows >= sl.stop)):
+    big_rows, small_rows, _ones = placement(tgt, d.codomain).triplets
+    local = np.full(d.codomain.dim, -1)
+    local[big_rows] = small_rows
+    rows = local[rows]
+    if np.any(rows < 0):
         raise AssemblyError("differential leaves the target stratum")
-    rows = rows - sl.start
     if not isinstance(target, Subspace):
         return LinearOp(sub, target, triplets=(rows, cols, vals))
     zr, zc, zv = target.triplets
@@ -97,7 +81,8 @@ def _graded_complex(pair, family, kernels, head, label):
     the graded derivative to the graded broken spaces that start on the
     stratum ``head`` = (m, k) and take m - k derivative steps.
     """
-    spaces = [_kernel(pair, m, k, family, which) for m, k, which in kernels]
+    spaces = [kernel_space(pair, m, k, family, which)
+              for m, k, which in kernels]
     spaces.append(BrokenSpace(pair, [head], family))
     ops = [_kernel_diff(a, b) for a, b in zip(spaces, spaces[1:])]
     for _i in range(head[0] - head[1]):
@@ -185,16 +170,11 @@ def harmonic_chain(pair, family, m):
 
 
 def _embedded(coord_harmonic, space):
-    """View a harmonic basis of a kernel subspace in its broken space, Z H
-    summed from the triplets of Z; a harmonic space of a broken space is
-    returned as it is."""
+    """A harmonic basis H of a kernel subspace seen in its broken space, Z H
+    by its ``embedding``; a broken space's is returned as it is."""
     if isinstance(space, BrokenSpace):
         return coord_harmonic
-    rows, cols, vals = space.triplets
-    basis = np.zeros((space.ambient.dim, coord_harmonic.dim))
-    np.add.at(basis, rows, vals.astype(float)[:, None]
-              * coord_harmonic.basis[cols])
-    return Subspace(space.ambient, basis)
+    return Subspace(space.ambient, space.embedding.apply(coord_harmonic.basis))
 
 
 # -- isomorphism steps ----------------------------------------------------
@@ -219,15 +199,14 @@ def iso_step(pair, family, side, index, b):
     """One harmonic-space transfer between grading depths b-1 and b.
 
     side "lambda" fixes the form degree (index = k), side "gamma" fixes
-    the stratum (index = m).  ``inject`` places the source harmonic forms
-    y, cocycles, in the target's broken space; the transfer
-    h^T G inject(y), taken by ``subspace_transfer``, is the map the
-    injection induces on cohomology in the two harmonic bases, and the
-    theory makes it a bijection.  The paper's regularizer R, a test
-    reference, gives its inverse transpose (R h)^T G inject(y), with the
-    same smin_rel.  Where
-    either harmonic space is empty the transfer is empty and no space is
-    whitened.
+    the stratum (index = m).  The stratum injection ι, the ``placement``
+    of the source's broken space in the target's, places the source
+    harmonic forms y, cocycles, there; the transfer h^T G ι(y), taken by
+    ``subspace_transfer``, is the map ι induces on cohomology in the two
+    harmonic bases, and the theory makes it a bijection.  The paper's
+    regularizer R, a test reference, gives its inverse transpose
+    (R h)^T G ι(y), with the same smin_rel.  Where either harmonic space
+    is empty the transfer is empty and no space is whitened.
     """
     if side == "lambda":
         h_src = harmonic_lambda(pair, family, index, b - 1)
@@ -239,7 +218,7 @@ def iso_step(pair, family, side, index, b):
         raise AssemblyError(f"unknown side {side!r}")
     transfer = np.zeros((h_tgt.dim, h_src.dim))
     if transfer.size:
-        y = inject(h_src.ambient, h_tgt.ambient, h_src.basis)
+        y = placement(h_src.ambient, h_tgt.ambient).apply(h_src.basis)
         transfer = subspace_transfer(h_tgt, Subspace(h_tgt.ambient, y))
     smin_rel, ok = _transfer_verdict(transfer, h_src.dim, h_tgt.dim)
     return {
@@ -261,9 +240,11 @@ def verify_chain(pair, family, k):
     """The full isomorphism chain from simplicial homology at index n-k to
     the conforming harmonic space of degree k.
 
-    Returns a report with one entry per step: equalities are checked as
-    subspace coincidences and isomorphism steps by the singular values of
-    the harmonic transfer matrices.  The two transfer ladders meet at the
+    Returns the report of the degree: the Betti number, the ``dims`` of
+    every space along the chain, and ``steps``, one entry per step keyed
+    by its label.  Equalities are checked as subspace coincidences and
+    isomorphism steps by the singular values of the harmonic transfer
+    matrices.  The two transfer ladders meet at the
     total complex, one shared instance, so no step compares it with itself.
     At k = n each depth-1 equality compares one end instance with itself,
     a defect of 0 taken with no SVD; both stay so that every degree reports
@@ -273,12 +254,10 @@ def verify_chain(pair, family, k):
     n = pair.top_dim
     m = n - k
     target = betti_numbers(pair)[m]
-    steps = []
+    steps = {}
 
     def record(label, ok, **extra):
-        entry = {"label": label, "ok": bool(ok)}
-        entry.update(extra)
-        steps.append(entry)
+        steps[label] = {"ok": bool(ok), **extra}
 
     # simplicial homology vs the chain-complex harmonic space
     c0 = harmonic_chain(pair, family, m)
@@ -322,11 +301,11 @@ def verify_chain(pair, family, k):
              for b in range(k + 1, 0, -1)]
     dims.append(hc.dim)
     return {
-        "degree": k,
         "betti": target,
-        "chain_dims": dims,
+        "dims": dims,
         "steps": steps,
-        "passed": all(s["ok"] for s in steps) and all(d == target for d in dims),
+        "passed": all(s["ok"] for s in steps.values())
+        and all(d == target for d in dims),
     }
 
 
@@ -336,8 +315,9 @@ def skeleton_projection(pair, family, k):
     Pairs the skeleton-stratum part of the depth-2 harmonic space of the
     full mesh with the skeleton's conforming harmonic space at degree k-1,
     which lies in ker D and ker T already, so needs no cocycle projection.
-    Both live in the skeleton's broken space, and ``subspace_transfer``
-    pairs them through its block factor.
+    The transpose of the skeleton space's ``placement`` in the depth-2
+    space restricts the depth-2 forms to the skeleton's broken space,
+    and ``subspace_transfer`` pairs them there through its block factor.
     """
     n = pair.top_dim
     if k < 2:
@@ -345,7 +325,7 @@ def skeleton_projection(pair, family, k):
     h2 = harmonic_lambda(pair, family, k, 2)
     skel_cx = conforming_complex(skeleton_pair(pair, n - 1), family)
     emb = _embedded(harmonic_space(skel_cx, k - 1), skel_cx.spaces[k - 1])
-    comp = h2.basis[h2.ambient.stratum_slice(n - 1)]
+    comp = placement(emb.ambient, h2.ambient).apply(h2.basis, transpose=True)
     transfer = subspace_transfer(emb, Subspace(emb.ambient, comp))
     smin_rel, ok = _transfer_verdict(transfer, h2.dim, emb.dim)
     return {

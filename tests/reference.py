@@ -8,7 +8,9 @@
   Betti numbers and the one-pass patch condition are checked;
 - the criterion-10 Stokes calculus on one simplex: ``geometry``,
   ``normal_trace`` and ``stokes_residual``, over ``SimplexGeometry``;
-- ``trimmed_dimension``, the closed-form dimension of a trimmed space.
+- ``trimmed_dimension``, the closed-form dimension of a trimmed space;
+- ``stratum_slice``, the rows of one stratum of a broken space, read off
+  its layout apart from ``assembly.placement``.
 """
 
 import math
@@ -20,6 +22,12 @@ from ddforms.distrib import redirected_gamma, redirected_lambda
 from ddforms.mesh import (MeshError, RelativePair, Simplex,
                           _permutation_parity, facet_incidence)
 from ddforms.polyforms import SimplexGeometry
+
+
+def stratum_slice(space, m):
+    """The rows of the stratum on dimension m of a broken space."""
+    (s,) = [s for s in space.strata if s.m == m]
+    return slice(s.offset, s.offset + s.block * len(s.simplices))
 
 
 # -- the paper's regularizers ---------------------------------------------
@@ -44,8 +52,8 @@ def _regularizer(cx, i, op, sign, x):
     """(I + sign * d_{i-1} E) x on space i of a graded complex, where E, the
     metric pseudoinverse of op, reads the stratum of op's codomain in
     space i and writes into the stratum of op's domain in space i-1."""
-    rows = cx.spaces[i].stratum_slice(op.codomain.strata[0].m)
-    cols = cx.spaces[i - 1].stratum_slice(op.domain.strata[0].m)
+    rows = stratum_slice(cx.spaces[i], op.codomain.strata[0].m)
+    cols = stratum_slice(cx.spaces[i - 1], op.domain.strata[0].m)
     y = np.zeros((cx.spaces[i - 1].dim,) + np.shape(x)[1:])
     y[cols] = pseudoinverse(op, x[rows])
     return x + sign * cx.diffs[i - 1].apply(y)

@@ -13,10 +13,10 @@ from ddforms.assembly import (AssemblyError, BrokenSpace, GramFactor,
                               LinearOp, Subspace, _tril_inverse, adjoint,
                               broken_space, derivative_operator,
                               export_matrix, kernel_space, mesh_weight,
-                              operator_D, operator_T)
+                              operator_D, operator_T, placement)
 from ddforms.cli import main
-from ddforms.mesh import (RelativePair, generate_mesh, orientation_sign,
-                          skeleton_pair)
+from ddforms.mesh import (RelativePair, build_complex, generate_mesh,
+                          orientation_sign, skeleton_pair)
 from ddforms.polyforms import (ElementSpace, Family, FamilyError,
                                simplex_metrics)
 
@@ -187,6 +187,57 @@ def test_apply_matches_dense_product(catalog):
         assert d.apply(y, transpose=True).shape == (d.domain.dim,) + cols
         assert np.allclose(d.apply(y, transpose=True), ref.T @ y,
                            rtol=1e-14, atol=1e-13)
+
+
+def test_placement_round_trip(catalog):
+    """placement(a, b) puts each stratum of a at its rows of b, zero rows
+    elsewhere, and its transpose reads them back exactly."""
+    fam = Family("trimmed", 1)
+    pair = catalog("annulus")
+    for strata in ([(1, 0)], [(2, 1), (1, 0)], [(2, 2), (0, 0)]):
+        small = BrokenSpace(pair, strata, fam)
+        big = BrokenSpace(pair, strata + [(m, 0) for m in range(3)
+                                          if m not in dict(strata)], fam)
+        p = placement(small, big)
+        x = np.random.default_rng(4).standard_normal((small.dim, 3))
+        y = p.apply(x)
+        assert np.array_equal(p.apply(y, transpose=True), x)
+        assert np.count_nonzero(y.any(axis=1)) == small.dim
+
+
+def test_placement_refuses_what_does_not_embed(catalog):
+    """A stratum the larger space lacks, holds with another block size, or
+    holds over as many other simplices does not embed."""
+    pair = catalog("annulus")
+    small = BrokenSpace(pair, [(1, 0)], Family("trimmed", 1))
+    for big in (BrokenSpace(pair, [(2, 1)], Family("trimmed", 1)),
+                BrokenSpace(pair, [(1, 0)], Family("trimmed", 2))):
+        with pytest.raises(AssemblyError, match="does not embed"):
+            placement(small, big)
+    square = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    one = build_complex([[0, 1, 2], [1, 2, 3]], square)
+    other = build_complex([[0, 1, 3], [0, 2, 3]], square)
+    fam = Family("trimmed", 1)
+    a, b = (BrokenSpace(p, [(2, 0)], fam) for p in (one, other))
+    assert a.dim == b.dim
+    with pytest.raises(AssemblyError, match="does not embed"):
+        placement(a, b)
+
+
+def test_subspace_embedding_matches_dense_basis(catalog):
+    """A kernel subspace's embedding applies its integer basis Z from the
+    triplets: Z H equals the dense product, for every kernel subspace of
+    a fully marked annulus."""
+    fam = Family("full", 2)
+    pair = catalog("annulus", 1, "full")
+    rng = np.random.default_rng(5)
+    for m, k, which in kernel_strata(pair, True):
+        sub = kernel_space(pair, m, k, fam, which)
+        H = rng.standard_normal((sub.dim, 3))
+        ref = dense_basis(sub).astype(float) @ H
+        assert sub.embedding.apply(H).shape == ref.shape
+        assert np.allclose(sub.embedding.apply(H), ref, rtol=1e-14,
+                           atol=1e-13 * max(1.0, np.abs(ref).max(initial=0)))
 
 
 def test_identities_whitney(catalog):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddforms import distrib
+from ddforms import cli, distrib
 from ddforms.assembly import operator_D, operator_T
 from ddforms.cli import main, resolve_mesh
 from ddforms.mesh import (MeshError, generate_mesh, load_mesh_file,
@@ -43,9 +43,29 @@ def test_chain_annulus_structured():
 
 
 def test_structured_output_deterministic():
-    args = ["harmonic", "--mesh", "catalog:square_grid", "--mark", "half",
-            "--format", "structured"]
-    assert run(args) == run(args)
+    """Both output formats, written from one canonical walk of the report,
+    are byte-identical from run to run."""
+    for command in ("harmonic", "chain"):
+        for fmt in ("structured", "table"):
+            args = [command, "--mesh", "catalog:square_grid", "--mark",
+                    "half", "--format", fmt]
+            assert run(args) == run(args)
+
+
+def test_canonical_report_walk():
+    """The one writer both formats read: floats, numpy ones too, with 12
+    decimals in exponent form; tuples, nested ones too, as lists; keys as
+    strings in insertion order, a tuple key joined by commas; bools, ints
+    and strings as they are."""
+    doc = {2: (np.float64(1 / 3), [True, 7, (0.1, "x", ())]),
+           "a": {(1, 2): False, 0: -2.0 / 3}}
+    out = cli._canonical(doc)
+    assert out == {"2": [0.3333333333333, [True, 7, [0.1, "x", []]]],
+                   "a": {"1,2": False, "0": -0.6666666666667}}
+    assert list(out) == ["2", "a"] and list(out["a"]) == ["1,2", "0"]
+    assert type(out["2"][0]) is float
+    assert type(out["2"][1][0]) is bool and type(out["2"][1][1]) is int
+    assert json.dumps(out) == json.dumps(cli._canonical(out))
 
 
 def test_check_pinched_fails(tmp_path):
@@ -457,20 +477,32 @@ def test_dump_operators_unwritable(tmp_path, capsys):
                                 "--dump-operators", str(blocker / "ops")])
 
 
-def test_zero_dimensional_mesh(tmp_path, capsys):
-    """A single vertex has Betti numbers and passes the checks under every
-    marking (it has no boundary facet), but has no edge to give its vertex
-    a mesh weight."""
-    path = tmp_path / "point.json"
-    for dim, point in ((0, []), (3, [0, 3, 3])):
-        path.write_text(json.dumps({"ambient_dim": dim, "vertices": [point],
-                                    "cells": [[0]]}))
-        for mark in ("none", "full", "half"):
+def test_zero_dimensional_mesh(tmp_path):
+    """A mesh of points has Betti numbers, passes the checks under every
+    marking (it has no boundary facet) and gets a verdict from every
+    metric command: a top simplex weighs 1, so a vertex needs no edge.
+    Its harmonic dimensions are the Betti numbers, one per unmarked
+    point."""
+    path = tmp_path / "points.json"
+    meshes = [(0, [[]], [], [1]), (3, [[0, 3, 3]], [], [1]),
+              (1, [[0], [1]], [], [2]), (1, [[0], [1]], [[1]], [1])]
+    for dim, points, marked, betti in meshes:
+        path.write_text(json.dumps({
+            "ambient_dim": dim, "vertices": points, "marked": marked,
+            "cells": [[v] for v in range(len(points))]}))
+        for mark in ("file", "none", "full", "half"):
+            want = betti if mark == "file" else [len(points)]
             args = ["--mesh", str(path), "--mark", mark,
                     "--format", "structured"]
             code, text = run(["betti"] + args)
-            assert code == 0 and json.loads(text)["report"]["betti"] == [1]
+            assert code == 0 and json.loads(text)["report"]["betti"] == want
             code, text = run(["check"] + args)
             assert code == 0 and json.loads(text)["report"]["passed"]
             for command in ("harmonic", "chain", "solve"):
-                assert _error_exit(capsys, [command] + args), (command, mark)
+                code, text = run([command] + args)
+                report = json.loads(text)["report"]
+                assert code == 0 and report["passed"], (command, mark)
+            assert report["0"]["harmonic_dim"] == want[0]
+            code, text = run(["harmonic"] + args)
+            report = json.loads(text)["report"]
+            assert report["conforming"] == report["chain"] == {"0": want[0]}

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given
 
 from ddforms import exact
-from ddforms.assembly import (AssemblyError, BrokenSpace, Subspace,
-                              broken_space, derivative_operator, operator_D,
-                              operator_T)
+from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
+                              broken_space, derivative_operator, kernel_space,
+                              operator_D, operator_T, placement)
 from ddforms.cli import main
 from ddforms.hilbert import ComplexInstance, harmonic_space
 from ddforms.mesh import (MeshError, betti_numbers, build_complex,
@@ -17,7 +17,8 @@ from ddforms.polyforms import Family
 from ddforms import distrib
 
 from conftest import dense_basis, svd_null
-from reference import pseudoinverse, regularizer_R, regularizer_S
+from reference import (pseudoinverse, regularizer_R, regularizer_S,
+                       stratum_slice)
 from test_properties import DRAWN, marked_subgrids
 
 FAM = Family("trimmed", 1)
@@ -85,8 +86,8 @@ def test_subcomplex_nesting(catalog):
             if sa is sb:
                 return np.eye(sa.dim)
             if isinstance(sa, Subspace):
-                return distrib.inject(sa.ambient, sb, dense_basis(sa))
-            return distrib.inject(sa, sb, np.eye(sa.dim))
+                return placement(sa.ambient, sb).apply(dense_basis(sa))
+            return placement(sa, sb).submatrix()
 
         for i in range(max(k0 - 2, 0), pair.top_dim):
             lhs = cxb.diffs[i].submatrix() @ emb(i)
@@ -133,7 +134,7 @@ def test_regularizer_R_on_cocycles(catalog):
         if h.dim:
             z = z + h.basis @ rng.standard_normal(h.dim)
         out = regularizer_R(pair, FAM, k, b, z)
-        deep = sp.stratum_slice(pair.top_dim - b + 1)
+        deep = stratum_slice(sp, pair.top_dim - b + 1)
         assert np.linalg.norm(out[deep]) < 1e-9 * max(np.linalg.norm(z), 1.0)
         if k < len(cx.diffs):
             d_next = cx.diffs[k].submatrix()
@@ -146,7 +147,7 @@ def test_regularizer_R_fixes_shallow(catalog):
     cx = distrib.redirected_lambda(pair, FAM, k - b + 1)
     sp = cx.spaces[k]
     x = np.zeros(sp.dim)
-    top = sp.stratum_slice(pair.top_dim)
+    top = stratum_slice(sp, pair.top_dim)
     rng = np.random.default_rng(9)
     x[top] = rng.standard_normal(top.stop - top.start)
     out = regularizer_R(pair, FAM, k, b, x)
@@ -167,7 +168,7 @@ def test_regularizer_S_on_cocycles(catalog):
         if h.dim:
             z = z + h.basis @ rng.standard_normal(h.dim)
         out = regularizer_S(pair, FAM, m, b, z)
-        deep = sp.stratum_slice(m + b - 1)
+        deep = stratum_slice(sp, m + b - 1)
         assert np.linalg.norm(out[deep]) < 1e-9 * max(np.linalg.norm(z), 1.0)
         if idx < len(cx.diffs):
             d_next = cx.diffs[idx].submatrix()
@@ -189,14 +190,14 @@ def test_exactness_witness(catalog):
         xi = np.zeros((xi_space.dim, h.dim))
         for j in range(b - 1):
             mj, kj = n - j, k - j
-            rhs = h.basis[amb.stratum_slice(mj)]
+            rhs = h.basis[stratum_slice(amb, mj)]
             if j >= 1:
                 t = operator_T(pair, mj + 1, kj, FAM)
                 rhs = rhs - (-1.0) ** j * (t.submatrix() @ prev)
             d_op = operator_D(pair, mj, kj - 1, FAM)
             prev = (-1.0) ** j * pseudoinverse(d_op, rhs)
-            xi[xi_space.stratum_slice(mj)] = prev
-        w = distrib.inject(amb, d_xi.codomain, h.basis)
+            xi[stratum_slice(xi_space, mj)] = prev
+        w = placement(amb, d_xi.codomain).apply(h.basis)
         g_w = d_xi.codomain.gram @ w
         values = np.sum((d_xi.submatrix() @ xi) * g_w, axis=0)
         norm2 = np.sum(w * g_w, axis=0)
@@ -210,7 +211,7 @@ def test_verify_chain_square_marks(catalog):
         for k in range(3):
             rep = distrib.verify_chain(pair, FAM, k)
             assert rep["passed"], (mark, k, rep["steps"])
-            assert all(d == betti[2 - k] for d in rep["chain_dims"])
+            assert all(d == betti[2 - k] for d in rep["dims"])
 
 
 def test_verify_chain_trimmed_r2(catalog):
@@ -218,20 +219,24 @@ def test_verify_chain_trimmed_r2(catalog):
     fam = Family("trimmed", 2)
     rep = distrib.verify_chain(pair, fam, 1)
     assert rep["passed"]
-    assert all(d == 1 for d in rep["chain_dims"])
+    assert all(d == 1 for d in rep["dims"])
 
 
 def _failed(report):
-    return [s["label"] for s in report["steps"] if not s["ok"]]
+    return [label for label, s in report["steps"].items() if not s["ok"]]
 
 
 def test_verify_chain_fails_a_zero_transfer(catalog, monkeypatch):
-    """A stratum injection that maps everything to zero makes every
+    """A stratum placement that maps everything to zero makes every
     transfer zero, which no step forgives."""
     pair = catalog("annulus", 1, "full")
     assert distrib.verify_chain(pair, FAM, 1)["passed"]
-    monkeypatch.setattr(distrib, "inject", lambda small, big, x: np.zeros(
-        (big.dim,) + np.shape(x)[1:]))
+
+    def zero_placement(small, big):
+        rows, cols, vals = placement(small, big).triplets
+        return LinearOp(small, big, (rows, cols, 0 * vals))
+
+    monkeypatch.setattr(distrib, "placement", zero_placement)
     report = distrib.verify_chain(pair, FAM, 1)
     assert _failed(report) == ["chain transfer depth 1->2",
                                "degree transfer depth 1->2"]
@@ -422,8 +427,8 @@ def test_kernel_diff_guards(catalog):
     with pytest.raises(AssemblyError, match="leaves the target stratum"):
         distrib._kernel_diff(off, broken_space(pair, n, 1, FAM))
     # a kernel target missing one direction of the image
-    src = distrib._kernel(pair, n, 0, FAM, "vertical")
-    tgt = distrib._kernel(pair, n, 1, FAM, "vertical")
+    src = kernel_space(pair, n, 0, FAM, "vertical")
+    tgt = kernel_space(pair, n, 1, FAM, "vertical")
     mat = distrib._kernel_diff(src, tgt).submatrix()
     assert mat.shape == (tgt.dim, src.dim)
     assert np.array_equal(dense_basis(tgt) @ mat, distrib._kernel_diff(
@@ -443,8 +448,8 @@ def test_kernel_diff_reads_scaled_free_columns(catalog):
     every coordinate divides exactly, in Python ints past int64."""
     pair = catalog("annulus", 1, "full")
     n = pair.top_dim
-    src = distrib._kernel(pair, n, 0, FAM, "vertical")
-    tgt = distrib._kernel(pair, n, 1, FAM, "vertical")
+    src = kernel_space(pair, n, 0, FAM, "vertical")
+    tgt = kernel_space(pair, n, 1, FAM, "vertical")
     mat = distrib._kernel_diff(src, tgt).submatrix().astype(np.int64)
     assert np.any(mat[0] % 2)
     for s in (2, 2 ** 70):
@@ -527,7 +532,7 @@ def projected_iso_step(pair, family, side, index, b):
     derivative before pairing."""
     cx, pos, _reg, h_src, h_tgt = _step(pair, family, side, index, b)
     sp = cx.spaces[pos]
-    image = distrib.inject(h_src.ambient, sp, h_src.basis)
+    image = placement(h_src.ambient, sp).apply(h_src.basis)
     if pos < len(cx.diffs) and cx.diffs[pos].codomain.dim:
         image = _cocycle_projector(sp, cx.diffs[pos].submatrix()) @ image
     return h_tgt.basis.T @ sp.gram @ image
@@ -547,7 +552,7 @@ def projected_skeleton_transfer(pair, family, k):
                   else (sp, np.eye(sp.dim)))
     DT = np.vstack([op(skel, n - 1, k - 1, family).submatrix()
                     for op in (operator_D, operator_T)])
-    comp = h2.basis[h2.ambient.stratum_slice(n - 1)]
+    comp = h2.basis[stratum_slice(h2.ambient, n - 1)]
     emb = basis @ h_skel.basis
     return emb.T @ amb.gram @ _cocycle_projector(amb, DT) @ comp
 
@@ -582,9 +587,9 @@ def test_transfers_match_cocycle_projection(catalog, name, family):
 
 def _inverse_transfer_widths(pair, family):
     """Every isomorphism step of a pair, against the paper's regularizer R
-    of its side: R fixes the injected source forms inject(y), and
-    T_R = (R h)^T G inject(y) inverts the transpose of the step's transfer
-    T = h^T G inject(y), so both have the same smallest relative singular
+    of its side: R fixes the placed source forms ι(y), and
+    T_R = (R h)^T G ι(y) inverts the transpose of the step's transfer
+    T = h^T G ι(y), so both have the same smallest relative singular
     value; every step between equal dimensions passes.  Returns the width
     of each transfer."""
     widths = []
@@ -592,7 +597,7 @@ def _inverse_transfer_widths(pair, family):
         cx, pos, regularizer, h_src, h_tgt = _step(pair, family, side,
                                                    index, b)
         sp = cx.spaces[pos]
-        y = distrib.inject(h_src.ambient, sp, h_src.basis)
+        y = placement(h_src.ambient, sp).apply(h_src.basis)
         assert np.array_equal(regularizer(pair, family, index, b, y), y)
         st = distrib.iso_step(pair, family, side, index, b)
         assert st["ok"] == (st["src_dim"] == st["tgt_dim"])

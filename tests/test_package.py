@@ -1,6 +1,9 @@
+import ast
 import inspect
+import pathlib
 
 import ddforms
+from ddforms import cli, distrib
 
 from test_reach import UNREACHED
 
@@ -26,3 +29,38 @@ def test_exports_name_nothing_test_only():
                 f"{module}.{value.__qualname__}" in UNREACHED:
             test_only.add(name)
     assert sorted(test_only - USER_OUTPUTS) == []
+
+
+
+def _tree(module):
+    return ast.parse(pathlib.Path(module.__file__).read_text())
+
+
+def test_distrib_reads_no_stratum_layout():
+    """distrib places and restricts strata only through
+    ``assembly.placement``: it reads no ``.offset`` or ``.block`` and
+    calls no ``stratum_slice``."""
+    names = {getattr(node, "attr", None) or getattr(node, "id", None)
+             for node in ast.walk(_tree(distrib))
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert not names & {"offset", "block", "stratum_slice"}
+
+
+def _formats_a_float(node):
+    """A float presentation type in a format spec, or a call of round or
+    format."""
+    if isinstance(node, ast.FormattedValue) and node.format_spec:
+        spec = "".join(v.value for v in node.format_spec.values
+                       if isinstance(v, ast.Constant))
+        return spec[-1:] in tuple("eEfFgG%")
+    return isinstance(node, ast.Call) and \
+        getattr(node.func, "id", None) in ("round", "format")
+
+
+def test_cli_formats_floats_in_one_function():
+    """Every float formatting in cli sits in the canonical report
+    writer."""
+    formatting = {fn.name for fn in _tree(cli).body
+                  if isinstance(fn, ast.FunctionDef)
+                  and any(map(_formats_a_float, ast.walk(fn)))}
+    assert formatting == {"_canonical"}
