@@ -15,9 +15,15 @@ whose exact integer bases are kept as triplets and never as dense arrays,
 with Grams assembled element by element.  A space keeps its metric only
 as its Cholesky factor, the ``whitening``: the dense Gram of a space is a
 reference built on request and never stored, and no factor keeps an
-inverse of more than 128 rows.  L^-1 and L^-T are applied by halves, with
-general inverses only on diagonal leaves of at most 128 rows, of which
-the element blocks are the batched case.  The mesh weights, and so the
+inverse of more than 128 rows.  One recursion by halves factors a Gram
+and applies L, L^T, L^-1 and L^-T, all in place, with general inverses
+only on diagonal leaves of at most 128 rows, of which the element blocks
+are the batched case.  So a factorisation holds at once the Gram, which
+becomes L, its leaf inverses and temporaries of at most half its size
+(a leaf and a 128-row strip for the factor, the off-diagonal product
+for a solve), and applying the factor to a matrix holds that matrix,
+written in place, and one product of half its rows.  The mesh weights,
+and so the
 metric, are a function of the pair alone: their exponent is the top
 dimension of the root mesh, read through ``pair.parent`` on a skeleton.
 """
@@ -54,8 +60,7 @@ def mesh_weight(pair, simplex):
         h = pair.diameter(simplex)
     else:
         v = simplex.vertices[0]
-        edges = root.simplices(1)
-        lengths = [pair.diameter(e) for e in edges if v in e.vertices]
+        lengths = [pair.diameter(e) for e in _vertex_edges(root).get(v, ())]
         if not lengths:
             raise MeshError(f"isolated vertex {v} has no adjacent edges")
         h = sum(lengths) / len(lengths)
@@ -69,12 +74,25 @@ def mesh_weight(pair, simplex):
     return weight
 
 
+def _vertex_edges(root):
+    """Each vertex's edges in the root mesh, in edge order: one pass over
+    the edges, built once per mesh for all of its vertex weights."""
+
+    def build():
+        edges = {}
+        for e in root.simplices(1):
+            for v in e.vertices:
+                edges.setdefault(v, []).append(e)
+        return edges
+
+    return root.cached(("vertex edges",), build)
+
+
 def _stratum_factor(pair, family, m, k):
     """The (cells, b, b) stack of mesh-weighted element Grams of the (m, k)
     stratum in stratum order, their Cholesky factors and the factors'
-    ``_tril_inverse`` leaves, whole inverses for blocks of at most _LEAF
-    rows: one batched pass of each per stratum and pair.  Element Grams
-    that leave the floating-point range raise FormError."""
+    ``_cholesky`` leaves: one batched pass per stratum and pair.  Element
+    Grams that leave the floating-point range raise FormError."""
 
     def build():
         simplices = pair.stratum(m)
@@ -86,101 +104,126 @@ def _stratum_factor(pair, family, m, k):
                 *simplex_metrics(coords[cells]))
         if not np.isfinite(G).all():
             raise FormError("element Gram beyond the floating-point range")
-        L = np.linalg.cholesky(G)
-        return G, L, _tril_inverse(L)
+        L = G.copy()
+        return G, L, _cholesky(L)
 
     return pair.cached(("stratum", family.kind, family.r, m, k), build)
 
 
 # The most rows of a diagonal block whose inverse a factor keeps: a
-# larger factor is solved by halves down to blocks of at most this size.
+# larger factor is factored and applied by halves down to blocks of at
+# most this size.
 _LEAF = 128
 
 
-def _tril_inverse(L):
-    """The inverses of the diagonal leaves of a stack of lower-triangular
-    factors: the blocks of at most _LEAF rows at which halving stops in
-    ``_tril_solve``.  The leaf on rows a:b is kept in rows a:b, columns
-    0:b-a of one (cells, n, w) stack, w the widest leaf, so a stack of at
-    most _LEAF rows keeps its whole inverse and a larger one at most
-    _LEAF floats per row."""
-    bounds = [0, L.shape[-1]]
-    while max(np.diff(bounds)) > _LEAF:
-        bounds = sorted({*bounds, *(a + (b - a) // 2 for a, b
-                                    in zip(bounds, bounds[1:])
-                                    if b - a > _LEAF)})
-    out = np.zeros(L.shape[:-1] + (max(np.diff(bounds)),))
-    for a, b in zip(bounds, bounds[1:]):
-        out[..., a:b, :b - a] = np.linalg.inv(L[..., a:b, a:b])
-    return out
+def _cholesky(G):
+    """Factor a stack G of symmetric positive definite matrices as L L^T
+    in place, reading only its lower triangle: on return G holds L, zero
+    above the diagonal.  Returns the inverses of L's diagonal leaves, the
+    blocks of at most _LEAF rows at which halving stops: the leaf on rows
+    a:b is kept in rows a:b, columns 0:b-a of one (cells, n, w) stack, w
+    the widest leaf, so a stack of at most _LEAF rows keeps its whole
+    inverse and a larger one at most _LEAF floats per row.
+
+    A leaf is factored by ``np.linalg.cholesky``.  A larger stack,
+    G = [[P, Q^T], [Q, R]], is factored by halves: P = A A^T, then
+    C = Q A^-T through A's leaves, written over Q, then R - C C^T = B B^T
+    after an update of R's lower triangle in place, _LEAF rows at a time.
+    """
+    def widest(n):
+        return n if n <= _LEAF else max(widest(n // 2), widest(n - n // 2))
+
+    leaves = np.zeros(G.shape[:-1] + (widest(G.shape[-1]),))
+
+    def factor(G, first):
+        n = G.shape[-1]
+        if n <= _LEAF:
+            G[...] = np.linalg.cholesky(G)
+            leaves[..., first:first + n, :n] = np.linalg.inv(G)
+            return
+        h = n // 2
+        factor(G[..., :h, :h], first)
+        C, R = G[..., h:, :h], G[..., h:, h:]
+        _tril_apply(G[..., :h, :h], leaves, C.swapaxes(-1, -2), True, False,
+                    first)
+        G[..., :h, h:] = 0.0
+        for a in range(0, n - h, _LEAF):
+            b = a + _LEAF
+            R[..., a:b, :b] -= C[..., a:b, :] @ C[..., :b, :].swapaxes(-1, -2)
+        factor(R, first + h)
+
+    factor(G, 0)
+    return leaves
 
 
-def _tril_solve(L, leaves, x, out, transpose, first=0):
-    """out <- L^-1 x, or L^-T x, for a stack L of lower-triangular
-    factors and a stack x of right-hand sides; out may be x itself.
+def _tril_apply(L, leaves, y, inverse, transpose, first=0):
+    """y <- L y, L^T y, L^-1 y or L^-T y in place, for a stack L of
+    lower-triangular factors with their ``_cholesky`` leaves and a stack y
+    of right-hand sides.
 
-    A stack of at most _LEAF rows applies its leaf inverse, read from the
-    ``_tril_inverse`` leaves of the whole factor at its first row
-    ``first``.  A larger one is solved by halves in place on out:
-    with L = [[A, 0], [C, B]], y1 <- A^-1 y1, then y2 <- B^-1 (y2 - C y1),
-    and for L^T, y2 <- B^-T y2, then y1 <- A^-T (y1 - C^T y2).
+    A stack of at most _LEAF rows is multiplied by its leaf, or by the
+    leaf's inverse read from the leaves of the whole factor at its first
+    row ``first``.  A larger one goes by halves, L = [[A, 0], [C, B]],
+    and never reads L's zero triangle.  The off-diagonal block reads one
+    half of y, the source (y1 for L, y2 for L^T), and writes the other,
+    the target: a product multiplies the target by its diagonal block,
+    adds C y1 (C^T y2) and then multiplies the source; a solve solves the
+    source, subtracts and then solves the target.
     """
     n = L.shape[-1]
     if n <= _LEAF:
-        F = leaves[..., first:first + n, :n]
-        np.matmul(F.swapaxes(-1, -2) if transpose else F, x, out=out)
+        F = leaves[..., first:first + n, :n] if inverse else L
+        np.matmul(F.swapaxes(-1, -2) if transpose else F, y, out=y)
         return
-    if out is not x:
-        out[...] = x
     h = n // 2
-    A, C, B = L[..., :h, :h], L[..., h:, :h], L[..., h:, h:]
-    y1, y2 = out[..., :h, :], out[..., h:, :]
+    C = L[..., h:, :h]
+    top = (L[..., :h, :h], y[..., :h, :], first)
+    bottom = (L[..., h:, h:], y[..., h:, :], first + h)
+    # (diagonal block, half of y, first row) of the source and the target
     if transpose:
-        _tril_solve(B, leaves, y2, y2, True, first + h)
-        y1 -= C.swapaxes(-1, -2) @ y2
-        _tril_solve(A, leaves, y1, y1, True, first)
+        (D, x, at), (E, z, to), C = bottom, top, C.swapaxes(-1, -2)
     else:
-        _tril_solve(A, leaves, y1, y1, False, first)
-        y2 -= C @ y1
-        _tril_solve(B, leaves, y2, y2, False, first + h)
+        (D, x, at), (E, z, to) = top, bottom
+    if inverse:
+        _tril_apply(D, leaves, x, True, transpose, at)
+        z -= C @ x
+        _tril_apply(E, leaves, z, True, transpose, to)
+    else:
+        _tril_apply(E, leaves, z, False, transpose, to)
+        z += C @ x
+        _tril_apply(D, leaves, x, False, transpose, at)
 
 
 class GramFactor:
     """The Cholesky factor L of a block-diagonal Gram matrix, G = L L^T.
 
     ``blocks`` lists (first row, (cells, b, b) stack of lower-triangular
-    element factors, their ``_tril_inverse`` leaves) per stratum, or one
+    element factors, their ``_cholesky`` leaves) per stratum, or one
     (1, n, n) factor and its leaves for a dense Gram; rows outside them
     whiten by the identity.  No inverse of more than _LEAF rows is kept.
     ``mul_lt``, ``mul_l``, ``solve_l`` and ``solve_lt`` apply L^T
     (whitening), L, L^-1 and L^-T (unwhitening) to the rows of a vector
-    or matrix, block by block into a new array: one batched product per
-    block, or for a larger factor the solve by halves of ``_tril_solve``.
+    or matrix x, block by block in place on ``out``: a new array unless
+    given, which may be x itself or a view such as a column block.  Each
+    block takes one batched product, or for a larger factor the products
+    by halves of ``_tril_apply``.
     """
 
     def __init__(self, blocks):
         self.blocks = blocks
 
-    def _apply(self, x, inverse, transpose):
-        x = np.asarray(x, float)
-        cols = x if x.ndim == 2 else x[:, None]
-        out = np.empty(cols.shape)
-        done = 0
+    def _apply(self, x, inverse, transpose, out=None):
+        if out is None:
+            out = np.array(x, float)
+        elif out is not x:
+            out[...] = x
+        cols = out if out.ndim == 2 else out[:, None]
         for offset, L, leaves in self.blocks:
             cells, b = L.shape[:2]
-            stop = offset + cells * b
-            out[done:offset] = cols[done:offset]
-            shape = (cells, b, cols.shape[1])
-            src = cols[offset:stop].reshape(shape)
-            dst = out[offset:stop].reshape(shape)
-            if inverse:
-                _tril_solve(L, leaves, src, dst, transpose)
-            else:
-                np.matmul(L.transpose(0, 2, 1) if transpose else L, src,
-                          out=dst)
-            done = stop
-        out[done:] = cols[done:]
-        return out.reshape(x.shape)
+            y = cols[offset:offset + cells * b].reshape(
+                cells, b, cols.shape[1])
+            _tril_apply(L, leaves, y, inverse, transpose)
+        return out
 
     mul_lt = partialmethod(_apply, inverse=False, transpose=True)
     mul_l = partialmethod(_apply, inverse=False, transpose=False)
@@ -292,9 +335,10 @@ class LinearOp:
         out = np.bincount(slot.ravel(), terms.ravel(), minlength=n * k)
         return out.reshape((n,) + x.shape[1:])
 
-    def submatrix(self, rows=None, cols=None):
+    def submatrix(self, rows=None, cols=None, out=None):
         """The dense float rows ``rows`` and columns ``cols`` (all where
-        None), in the given order, scattered from the triplets."""
+        None), in the given order, scattered from the triplets into out:
+        a new array unless given, such as a view into a larger one."""
         index = list(self.triplets[:2])
         vals = self.triplets[2]
         shape = [self.codomain.dim, self.domain.dim]
@@ -306,7 +350,10 @@ class LinearOp:
                 index[axis] = pos[index[axis]]
                 keep &= index[axis] >= 0
                 shape[axis] = len(sel)
-        out = np.zeros(shape)
+        if out is None:
+            out = np.zeros(shape)
+        else:
+            out[...] = 0.0
         out[index[0][keep], index[1][keep]] = vals[keep]
         return out
 
@@ -350,8 +397,10 @@ def adjoint(op, x):
 
 # The element-block entry pairs a kernel Gram takes at a time: a basis
 # with dense rows has many pairs per cell, and their index and value
-# arrays would otherwise outweigh the dense basis they replace.
-_GRAM_PAIRS = 2 ** 16
+# arrays would otherwise outweigh the dense basis they replace, or the
+# Gram they fill (at 2^16 pairs, 2.8 MiB of traced peak for the 1.8 MiB
+# Gram of a 480-dim kernel; at 2^12, 2.0 MiB in the same time).
+_GRAM_PAIRS = 2 ** 12
 
 
 class Subspace:
@@ -360,8 +409,8 @@ class Subspace:
     diagonal on its ``free`` columns, or a dense float ``basis`` such as a
     Gram-orthonormal harmonic one.  Its metric is kept only as the dense
     Cholesky factor of its Gram Z^T G Z and the inverses of its diagonal
-    leaves, its whitening, built on first use from a Gram that is not
-    kept."""
+    leaves, its whitening, factored on first use in place of a Gram that
+    is not kept."""
 
     def __init__(self, ambient, basis=None, triplets=None, free=None):
         self.ambient = ambient
@@ -409,8 +458,8 @@ class Subspace:
 
     @cached_property
     def whitening(self):
-        L = np.linalg.cholesky(self.gram)[None]
-        return GramFactor([(0, L, _tril_inverse(L))])
+        L = self.gram[None]
+        return GramFactor([(0, L, _cholesky(L))])
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient.dim})"

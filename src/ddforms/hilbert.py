@@ -14,10 +14,13 @@ by one exact elimination per integer differential, which selects its
 independent rows and columns.  Only where it is positive is the space
 whitened, and one raw Householder QR of those rows and columns gives the
 harmonic basis from its reflectors, with no square Q; the per-index memo
-keeps that subspace alone.  The Laplace solve is one symmetric positive
-definite system in Gram form per index, assembled from the factors,
-dense blocks of the integer differentials freed after use, and the
-harmonic basis.  The metric pseudoinverse of the paper's regularizers
+keeps that subspace alone; S is written and whitened in place in one
+array, so the QR holds S and numpy's two copies of it.  The Laplace
+solve is one symmetric positive definite system in Gram form per index,
+K = F^T F, its blocks, from the dense blocks of the integer
+differentials and the harmonic basis, written and whitened in place in
+one array F: a solve holds F and K, then K, numpy's copy of it and the
+right-hand side.  The metric pseudoinverse of the paper's regularizers
 is a test reference (tests/reference.py); no command calls it.  The
 Laplacian, the metric adjoints and the whitened differentials apply
 the integer triplets to vectors and are never formed as matrices.
@@ -96,12 +99,14 @@ def harmonic_space(cx, i):
         basis = np.zeros((n, 0))
         if len(rows) + len(cols) < n:
             W = space.whitening
-            S = np.zeros((n, 0))
+            S = np.empty((n, len(rows) + len(cols)))
+            R, C = S[:, :len(rows)], S[:, len(rows):]
             if rows:
-                S = W.solve_l(cx.diffs[i].submatrix(rows=rows).T)
+                cx.diffs[i].submatrix(rows=rows, out=R.T)
+                W.solve_l(R, out=R)
             if cols:
-                S = np.hstack(
-                    [S, W.mul_lt(cx.diffs[i - 1].submatrix(cols=cols))])
+                cx.diffs[i - 1].submatrix(cols=cols, out=C)
+                W.mul_lt(C, out=C)
             basis = W.solve_lt(_trailing_q(*np.linalg.qr(S, mode="raw")))
         h = cx._harmonic[i] = Subspace(space, basis)
     return h
@@ -145,24 +150,29 @@ def laplace_solve(cx, i, f):
     K = A^T A + B^T B + (H^T G)^T (H^T G), A = L_{i+1}^T d_i and
     B = L_{i-1}^-1 (G d_{i-1})^T, that is K = G Laplacian + G H H^T G.
     The projector term vanishes off the harmonic space and the Laplacian
-    on it, so the solution is orthogonal to the harmonic forms.  Every
-    product with G goes through L; each dense differential block is
-    freed once its term is summed into K."""
+    on it, so the solution is orthogonal to the harmonic forms.  The
+    three blocks are scattered from the triplets and whitened in place in
+    one array F = [B; A; H^T G], every product with G going through L, so
+    K = F^T F is one product; F and its views are freed before the
+    solve."""
     W = cx.spaces[i].whitening
     H = harmonic_space(cx, i).basis
-    HG = W.mul_l(W.mul_lt(H)).T
-    p = H @ (HG @ f)
-    K = HG.T @ HG
-    if i < len(cx.diffs):
-        A = cx.spaces[i + 1].whitening.mul_lt(cx.diffs[i].submatrix())
-        K += A.T @ A
-        del A
+    below = cx.spaces[i - 1].dim if i > 0 else 0
+    above = cx.spaces[i + 1].dim if i < len(cx.diffs) else 0
+    F = np.empty((below + above + H.shape[1], len(H)))
+    B, A, HG = F[:below], F[below:below + above], F[below + above:]
+    GD, GH = B.T, HG.T
     if i > 0:
-        GD = W.mul_l(W.mul_lt(cx.diffs[i - 1].submatrix()))
-        B = cx.spaces[i - 1].whitening.solve_l(GD.T)
-        del GD
-        K += B.T @ B
-        del B
+        cx.diffs[i - 1].submatrix(out=GD)
+        W.mul_l(W.mul_lt(GD, out=GD), out=GD)
+        cx.spaces[i - 1].whitening.solve_l(B, out=B)
+    if i < len(cx.diffs):
+        cx.diffs[i].submatrix(out=A)
+        cx.spaces[i + 1].whitening.mul_lt(A, out=A)
+    W.mul_l(W.mul_lt(H, out=GH), out=GH)
+    p = H @ (HG @ f)
+    K = F.T @ F
+    del F, B, A, HG, GD, GH
     return np.linalg.solve(K, W.mul_l(W.mul_lt(f - p))), p
 
 

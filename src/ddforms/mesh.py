@@ -167,13 +167,14 @@ class RelativePair:
 
 def _euclid_orientation(vertices, coords):
     """Reorder an n-cell in ambient dim n to positive Euclidean volume.
-    Where the float determinant of its edges overflows, its sign is taken
-    from the exact determinant of the coordinates as fractions."""
+    Where the float determinant of its edges overflows or is zero (it may
+    underflow on a tiny cell), its sign is taken from the exact
+    determinant of the coordinates as fractions."""
     pts = [coords[v] for v in vertices]
     edges = np.array([[pj - p0 for pj, p0 in zip(p, pts[0])] for p in pts[1:]])
     with np.errstate(over="ignore", invalid="ignore"):
         det = float(np.linalg.det(edges))
-    if not math.isfinite(det):
+    if not math.isfinite(det) or det == 0.0:
         # imported here: fractions imports decimal, 0.4 MB in every command
         from fractions import Fraction
         rows = [[Fraction(pj) - Fraction(p0) for pj, p0 in zip(p, pts[0])]

@@ -10,7 +10,7 @@ import pytest
 import ddforms
 from ddforms import assembly, cli, distrib, exact, polyforms
 from ddforms.assembly import (AssemblyError, BrokenSpace, GramFactor,
-                              LinearOp, Subspace, _tril_inverse, adjoint,
+                              LinearOp, Subspace, _cholesky, adjoint,
                               broken_space, derivative_operator,
                               export_matrix, kernel_space, mesh_weight,
                               operator_D, operator_T, placement)
@@ -51,6 +51,24 @@ def test_mesh_weight_scaling(catalog):
     edge = pair.simplices(1)[0]
     assert mesh_weight(pair, cell) == pytest.approx(1.0)
     assert mesh_weight(pair, edge) == pytest.approx(pair.diameter(edge))
+
+
+@pytest.mark.parametrize("name,size,skeleton", [
+    ("square_grid", 1, None), ("square_grid", 4, None),
+    ("cube_tet", 1, 2)])
+def test_vertex_weights_equal_per_vertex_scan(name, size, skeleton):
+    """The vertex weights, read from each vertex's root edges gathered in
+    one pass, equal a scan of every root edge per vertex, on a mesh and
+    on a skeleton pair, whose edges are those of its root."""
+    pair = generate_mesh(name, size)
+    if skeleton is not None:
+        pair = skeleton_pair(pair, skeleton)
+    root = pair.parent or pair
+    for v in pair.simplices(0):
+        lengths = [pair.diameter(e) for e in root.simplices(1)
+                   if v.vertices[0] in e.vertices]
+        scan = (sum(lengths) / len(lengths)) ** root.top_dim
+        assert mesh_weight(pair, v) == scan, v
 
 
 @pytest.mark.parametrize("name", ["annulus", "cube_tet"])
@@ -126,8 +144,9 @@ def test_gram_factor_writes_blocks_and_keeps_other_rows():
     shape."""
     rng = np.random.default_rng(2)
     L = np.tril(rng.standard_normal((3, 2, 2))) + 3 * np.eye(2)
-    factor = GramFactor([(1, L, _tril_inverse(L)),
-                         (8, L[:1], _tril_inverse(L[:1]))])
+    L = L @ L.transpose(0, 2, 1)
+    leaves = _cholesky(L)
+    factor = GramFactor([(1, L, leaves), (8, L[:1], leaves[:1])])
     dense = np.eye(11)
     for c in range(3):
         dense[1 + 2 * c:3 + 2 * c, 1 + 2 * c:3 + 2 * c] = L[c]
@@ -463,9 +482,11 @@ def test_cold_solve_keeps_no_dense_operator_or_gram(monkeypatch):
 # The traced-memory bound of the cold solve above: it reads 24.0 MiB
 # where each kernel subspace also stores its dense Gram and each
 # differential a dense copy, 16.8 MiB where only the dense inverse of
-# each factor is kept, and 13.6 MiB where a factor keeps no inverse of
-# more than 128 rows.
-SOLVE_BUDGET_MIB = 16
+# each factor is kept, 13.6 MiB where a factor keeps no inverse of more
+# than 128 rows, and 11.5 MiB where the dense factors, the harmonic S
+# and the Laplace system's blocks are formed in place; the bound keeps
+# a margin of about 15%.
+SOLVE_BUDGET_MIB = 13.25
 
 
 def test_cold_solve_memory_budget():
@@ -600,8 +621,8 @@ def test_tril_solve_by_halves(n):
     inverse wider than the leaf beside L."""
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, n))
-    L = np.linalg.cholesky(a @ a.T + n * np.eye(n))[None]
-    leaves = _tril_inverse(L)
+    L = (a @ a.T + n * np.eye(n))[None]
+    leaves = _cholesky(L)
     assert leaves.shape[:2] == (1, n) and leaves.shape[2] <= 128
     if n <= 128:
         assert np.abs(leaves[0] @ L[0] - np.eye(n)).max() <= 1e-13
@@ -615,6 +636,54 @@ def test_tril_solve_by_halves(n):
             assert got.shape == x.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 257, 528])
+def test_factor_and_products_by_halves(n):
+    """The in-place Cholesky by halves equals np.linalg.cholesky, on a
+    contiguous Gram and on a view into a larger array, zeroing the upper
+    triangle and leaving the array around the view alone; and L, L^T,
+    L^-1 and L^-T applied in place to a contiguous matrix, a vector and a
+    column block of a larger matrix equal the dense products and solves,
+    leaving the other columns alone."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    gram = a @ a.T + n * np.eye(n)
+    want = np.linalg.cholesky(gram)
+    outer = rng.standard_normal((n + 3, n + 5))
+    for G in (gram[None].copy(), outer[None, 2:2 + n, 3:3 + n]):
+        before = outer.copy()
+        G[0] = gram
+        before[2:2 + n, 3:3 + n] = want
+        leaves = _cholesky(G)
+        assert np.abs(G[0] - want).max() <= 1e-13 * np.abs(want).max()
+        assert not np.triu(G[0], 1).any()
+        assert leaves.shape[:2] == (1, n) and leaves.shape[2] <= 128
+        if G.base is outer:
+            assert np.array_equal(np.delete(outer[2:2 + n], np.s_[3:3 + n],
+                                            axis=1),
+                                  np.delete(before[2:2 + n], np.s_[3:3 + n],
+                                            axis=1))
+            assert np.array_equal(outer[:2], before[:2])
+    factor = GramFactor([(0, G, leaves)])
+    L = G[0]
+    ops = ((factor.mul_l, lambda x: L @ x), (factor.mul_lt, lambda x: L.T @ x),
+           (factor.solve_l, lambda x: np.linalg.solve(L, x)),
+           (factor.solve_lt, lambda x: np.linalg.solve(L.T, x)))
+    for apply, dense_op in ops:
+        x = rng.standard_normal((n, 4))
+        block = rng.standard_normal((n, 9))
+        for y in (x.copy(), x[:, 0].copy(), block[:, 2:6]):
+            if y.base is block:
+                y[...] = x
+                rest = np.delete(block, np.s_[2:6], axis=1)
+            wanted = dense_op(y)
+            assert apply(y, out=y) is y
+            scale = np.abs(wanted).max()
+            assert np.abs(y - wanted).max() <= 1e-12 * scale
+            if y.base is block:
+                assert np.array_equal(np.delete(block, np.s_[2:6], axis=1),
+                                      rest)
 
 
 def test_export_matrix_format(tmp_path):

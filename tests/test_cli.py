@@ -357,6 +357,30 @@ def test_file_mesh_keeps_dangling_edge(tmp_path):
     assert json.loads(text)["mesh"]["simplices"] == {"0": 4, "1": 4, "2": 1}
 
 
+@pytest.mark.parametrize("last,scale", [([0, 0, 1], 1e-110),
+                                        ([1, 1, 0], 1.0)],
+                         ids=["tiny", "flat"])
+def test_betti_on_tiny_and_flat_tetrahedra(tmp_path, capsys, last, scale):
+    """A unit tetrahedron scaled by 1e-110, whose float orientation
+    determinant underflows to 0, is oriented by the exact determinant and
+    gets a verdict; an exactly degenerate one (its last vertex in the
+    plane of the others) still ends in one "degenerate cell" line."""
+    path = tmp_path / "tet.json"
+    vertices = scale * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], last])
+    path.write_text(json.dumps({"ambient_dim": 3,
+                                "vertices": vertices.tolist(),
+                                "cells": [[0, 1, 2, 3]]}))
+    code, text = run(["betti", "--mesh", str(path), "--format", "structured"])
+    err = capsys.readouterr().err
+    if scale < 1:
+        assert code == 0 and not err
+        assert json.loads(text)["report"]["betti"] == [1, 0, 0, 0]
+    else:
+        assert (code, text) == (2, "")
+        assert err.startswith("error: degenerate cell") and \
+            err.count("\n") == 1
+
+
 def test_non_pure_mesh_is_unsupported(tmp_path, capsys):
     path = tmp_path / "dangling.json"
     path.write_text(json.dumps({

@@ -382,6 +382,32 @@ def test_laplace_solve_matches_eigh_reference(name, mark, r):
     assert harmonic == {False, True}
 
 
+@pytest.mark.parametrize("name,mark,r", [("annulus", "full", 2),
+                                         ("cube_tet", "none", 1)])
+def test_laplace_solve_at_the_ends_matches_eigh_reference(name, mark, r):
+    """At the first index of a complex, with no incoming differential,
+    and at its last, with no outgoing one, (u, p) equal the dense eigh
+    reference: on each two-space piece of the total complex, whose ends
+    have both differentials inside the whole complex."""
+    pair = mark_pair(jittered(name, 1, seed=4), mark)
+    cx = distrib.total_complex(pair, Family("trimmed", r))
+    rng = np.random.default_rng(3)
+    solved = 0
+    for j in range(len(cx.diffs)):
+        piece = ComplexInstance(cx.spaces[j:j + 2], cx.diffs[j:j + 1])
+        for i in (0, 1):
+            if not piece.spaces[i].dim:
+                continue
+            f = rng.standard_normal(piece.spaces[i].dim)
+            u, p = laplace_solve(piece, i, f)
+            u_ref, p_ref, (zero, positive) = eigh_laplace_solve(piece, i, f)
+            assert np.abs(zero).max(initial=0.0) < 1e-9 * positive.min()
+            assert _rel(u, u_ref) <= 1e-11, (j, i)
+            assert np.linalg.norm(p - p_ref) <= 1e-11 * np.linalg.norm(f)
+            solved += 1
+    assert solved == 2 * len(cx.diffs)
+
+
 def test_solve_without_harmonic_forms_runs_no_qr(monkeypatch):
     """Where every harmonic dimension is 0 (solid_ring:1, half marked,
     trimmed r=2), ``solve`` takes no QR: the harmonic spaces are empty by
@@ -420,9 +446,9 @@ def test_chain_takes_no_square_decomposition(monkeypatch):
         qr_modes.append(mode)
         return qr(a, mode=mode)
 
-    def whole(op, rows=None, cols=None):
+    def whole(op, rows=None, cols=None, out=None):
         counts["matrix"] += rows is None and cols is None
-        return submatrix(op, rows, cols)
+        return submatrix(op, rows, cols, out)
 
     monkeypatch.setattr(LinearOp, "submatrix", whole)
     monkeypatch.setattr(BrokenSpace, "gram", property(counted("gram", gram)))
