@@ -173,7 +173,9 @@ def _tril_apply(L, leaves, y, inverse, transpose, first=0):
     n = L.shape[-1]
     if n <= _LEAF:
         F = leaves[..., first:first + n, :n] if inverse else L
-        np.matmul(F.swapaxes(-1, -2) if transpose else F, y, out=y)
+        # np.matmul(..., out=y) would copy y as well, since they overlap,
+        # and on a strided y, such as a transposed block, runs without BLAS
+        y[...] = (F.swapaxes(-1, -2) if transpose else F) @ y
         return
     h = n // 2
     C = L[..., h:, :h]
