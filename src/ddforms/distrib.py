@@ -419,7 +419,12 @@ def harmonic_family(pair, family):
 def check_conditions(pair, family):
     """The three structural conditions a family must satisfy on a mesh:
     per-simplex exactness, face decomposition, and local patch homology.
-    A non-pure complex raises MeshError."""
+    A non-pure complex raises MeshError.  The first two depend only on the
+    family, the simplex dimension and the degree, and are read off the
+    cached integer element tables that assembly shares, the decomposition
+    as exact comparisons of table products; the third ranks every open
+    star of the mesh at once, one elimination per dimension, from the
+    cached facet incidence that the Betti numbers share."""
     check_pure(pair)
     n = pair.top_dim
     local = {m: check_local_exactness(family, m) for m in range(n + 1)

@@ -19,11 +19,12 @@ array, so the QR holds S and numpy's two copies of it.  The Laplace
 solve is one symmetric positive definite system in Gram form per index,
 K = F^T F, its blocks, from the dense blocks of the integer
 differentials and the harmonic basis, written and whitened in place in
-one array F: a solve holds F and K, then K, numpy's copy of it and the
-right-hand side.  The metric pseudoinverse of the paper's regularizers
-is a test reference (tests/reference.py); no command calls it.  The
-Laplacian, the metric adjoints and the whitened differentials apply
-the integer triplets to vectors and are never formed as matrices.
+one array F: a solve holds F and K, then K, factored in place into its
+Cholesky factor, and the right-hand side, solved in place.  The metric
+pseudoinverse of the paper's regularizers is a test reference
+(tests/reference.py); no command calls it.  The Laplacian, the metric
+adjoints and the whitened differentials apply the integer triplets to
+vectors and are never formed as matrices.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from ddforms import exact
-from ddforms.assembly import AssemblyError, Subspace, adjoint
+from ddforms.assembly import (AssemblyError, Subspace, _cholesky,
+                              _tril_apply, adjoint)
 
 
 class ComplexInstance:
@@ -112,18 +114,32 @@ def harmonic_space(cx, i):
     return h
 
 
+# The most reflectors _trailing_q applies as one block.
+_BLOCK = 64
+
+
 def _trailing_q(raw, tau):
     """The last n - k columns of the complete Q = H_0 ... H_{k-1} of an
     n x k matrix, from its raw QR (k x n reflectors, scales tau): the
     reflectors H_j = I - tau_j v_j v_j^T, v_j = (0, 1, raw[j, j+1:]),
     applied last to first to the last n - k columns of the identity, with
-    no n x n Q formed."""
+    no n x n Q formed.  They go in blocks of at most _BLOCK: the product
+    of a block's reflectors is I - V T V^T, with T upper triangular and
+    T^-1 = striu(V^T V) + diag(1/tau), the UT transform (Joffrain et al.,
+    "Accumulating Householder transformations, revisited", ACM TOMS 32,
+    2006), so a block is three products and a triangular solve.  A
+    reflector with tau = 0 is the identity and is left out."""
     k, n = raw.shape
     Q = np.eye(n, n - k, -k)
-    for j in range(k - 1, -1, -1):
-        v = raw[j, j:].copy()
-        v[0] = 1.0
-        Q[j:] -= np.outer(tau[j] * v, v @ Q[j:])
+    for lo in reversed(range(0, k, _BLOCK)):
+        b = min(_BLOCK, k - lo)
+        V = np.tril(raw[lo:lo + b, lo:].T, -1)
+        V[np.arange(b), np.arange(b)] = 1.0
+        keep = np.flatnonzero(tau[lo:lo + b])
+        V = V[:, keep]
+        T_inv = np.triu(V.T @ V, 1)
+        T_inv[np.diag_indices(len(keep))] = 1.0 / tau[lo + keep]
+        Q[lo:] -= V @ np.linalg.solve(T_inv, V.T @ Q[lo:])
     return Q
 
 
@@ -153,8 +169,10 @@ def laplace_solve(cx, i, f):
     on it, so the solution is orthogonal to the harmonic forms.  The
     three blocks are scattered from the triplets and whitened in place in
     one array F = [B; A; H^T G], every product with G going through L, so
-    K = F^T F is one product; F and its views are freed before the
-    solve."""
+    K = F^T F is one product; F and its views are freed before K is
+    factored in place by ``_cholesky`` and the right-hand side solved in
+    place through the factor and its transpose.  A K that is not
+    numerically positive definite raises LinAlgError."""
     W = cx.spaces[i].whitening
     H = harmonic_space(cx, i).basis
     below = cx.spaces[i - 1].dim if i > 0 else 0
@@ -173,7 +191,11 @@ def laplace_solve(cx, i, f):
     p = H @ (HG @ f)
     K = F.T @ F
     del F, B, A, HG, GD, GH
-    return np.linalg.solve(K, W.mul_l(W.mul_lt(f - p))), p
+    u = W.mul_l(W.mul_lt(f - p))
+    leaves = _cholesky(K)
+    for transpose in (False, True):
+        _tril_apply(K, leaves, u.reshape(len(u), -1), True, transpose)
+    return u, p
 
 
 def subspace_transfer(a, b):

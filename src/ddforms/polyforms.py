@@ -5,14 +5,24 @@ lambda^alpha times a wedge of barycentric differentials d(lambda_i).  The
 wedge part is kept canonical by eliminating d(lambda_0) through the
 relation sum_i d(lambda_i) = 0, and the polynomial part can be reduced to
 the variables lambda_1..lambda_m for unique coefficient vectors.  On top
-of this the module provides the exterior derivative, traces, the
-batched simplex metrics behind every element Gram, the standard
-polynomial element families, trace-free (bubble) subspaces and extension
-operators, and checkers for local exactness and geometric
-decomposability.  ``SimplexGeometry`` (Hodge star, codifferential and
-exact L2 inner products on one simplex) is the tests' entry-by-entry
-reference for the element Grams and their Stokes calculus; the
-criterion-10 helpers built on it are in tests/reference.py.
+of this the module provides the exterior derivative, the batched simplex
+metrics behind every element Gram, the standard polynomial element
+families, and checkers for local exactness and geometric decomposability.
+
+A family space is spanned by symbolic generators (alpha, idx), and its
+basis is a subset of them; forms are read symbolically once per family
+and shape, into the generators' integer coordinates and the derivative
+tables.  Everything after that is integer tables: a generator traces onto
+a facet to a generator or to zero, so the trace tables are lifts of
+generators; the bubbles are the kernel of the stacked trace tables; an
+extension is a lift over the generators touching every vertex of a face,
+placed on the face; the trace onto any face is a product of facet tables;
+and the decomposition check compares table products exactly.
+``SimplexGeometry`` (Hodge star, codifferential and exact L2 inner
+products on one simplex) is the tests' entry-by-entry reference for the
+element Grams and their Stokes calculus; the criterion-10 helpers built
+on it, the symbolic trace and the symbolic decomposition check are in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -166,9 +176,6 @@ class BarycentricForm:
             out._add(key, c)
         return out
 
-    def __sub__(self, other):
-        return self + other * (-1.0)
-
     def __mul__(self, scalar):
         out = BarycentricForm(self.dim, self.degree)
         for key, c in self.terms.items():
@@ -176,9 +183,6 @@ class BarycentricForm:
         return out
 
     __rmul__ = __mul__
-
-    def is_zero(self, tol=0.0):
-        return all(abs(c) <= tol for c in self.terms.values())
 
     def derivative(self):
         """Exterior derivative, canonicalized.  Top-degree input gives 0."""
@@ -192,31 +196,6 @@ class BarycentricForm:
                 na = alpha[:i] + (ai - 1,) + alpha[i + 1:]
                 for nsig, w in _canon_wedge((i,) + sig, self.dim).items():
                     out._add((na, nsig), c * ai * w)
-        return out
-
-    def trace(self, positions):
-        """Pull back to the face spanned by the given vertex positions.
-
-        ``positions`` is the increasing tuple of local vertex indices of
-        the face inside this simplex.  Terms involving a dropped
-        barycentric variable or its differential vanish.
-        """
-        positions = tuple(positions)
-        kept = set(positions)
-        remap = {p: i for i, p in enumerate(positions)}
-        mf = len(positions) - 1
-        out = BarycentricForm(mf, self.degree)
-        if self.degree > mf:
-            return out
-        for (alpha, sig), c in self.terms.items():
-            if any(a > 0 and i not in kept for i, a in enumerate(alpha)):
-                continue
-            if any(i not in kept for i in sig):
-                continue
-            na = tuple(alpha[p] for p in positions)
-            new_idx = tuple(remap[i] for i in sig)
-            for nsig, w in _canon_wedge(new_idx, mf).items():
-                out._add((na, nsig), c * w)
         return out
 
     def reduced(self):
@@ -431,13 +410,17 @@ class Family:
 class ElementSpace:
     """A space of k-forms on one m-simplex, given by a basis of forms."""
 
-    def __init__(self, dim, degree, basis, frame_degree):
+    def __init__(self, dim, degree, basis, frame_degree, matrix=None,
+                 generators=None):
         self.dim = dim
         self.degree = degree
         self.basis = list(basis)
         self.frame_degree = frame_degree
         self.frame = reduced_frame(dim, max(degree, 0), frame_degree)
-        self.matrix = _coeff_matrix(self.basis, self.frame)
+        self.matrix = _coeff_matrix(self.basis, self.frame) \
+            if matrix is None else matrix
+        # the (alpha, idx) generator of each basis form, for a family space
+        self.generators = generators
 
     @property
     def size(self):
@@ -446,13 +429,6 @@ class ElementSpace:
     def coefficients(self, form):
         """Coordinates of a form in this basis; FormError if not a member."""
         return _solve_in_space(self, [form], FormError)[:, 0]
-
-    def from_coefficients(self, coeffs):
-        out = BarycentricForm(self.dim, self.degree)
-        for c, f in zip(coeffs, self.basis):
-            if c:
-                out = out + f * float(c)
-        return out
 
     @cached_property
     def reference_tensor(self):
@@ -521,41 +497,26 @@ def _monomial_times(alpha, form):
     return out
 
 
-def _empty_space(m, k, R):
-    return ElementSpace(m, max(k, 0), [], R)
-
-
 @lru_cache(maxsize=None)
 def _family_space(kind, r, m, k):
-    if k < 0 or k > m:
-        return _empty_space(m, k, 0)
+    """The family space of k-forms on an m-simplex, its basis a subset of
+    the generators: for the trimmed family the generators independent of
+    those before them (exactly: their coefficients are integers), for the
+    full family, all k-forms of polynomial degree <= r - k, the monomials
+    free of lambda_0 and d(lambda_0), which make up the reduced frame."""
+    if k < 0 or k > m or (kind == "full" and r < k):
+        return ElementSpace(m, max(k, 0), [], 0)
+    gens = _generators(kind, r, m, k)
+    forms, table = _generator_table(kind, r, m, k)
     if kind == "trimmed":
-        return _trimmed_space(m, k, r)
-    rp = r - k
-    if rp < 0:
-        return _empty_space(m, k, 0)
-    return _full_space(m, k, rp)
-
-
-def _full_space(m, k, rp):
-    """All k-forms of polynomial degree <= rp: monomial frame is a basis."""
-    basis = []
-    for alpha in sorted(_compositions_leq(rp, m)):
-        for sig in itertools.combinations(range(1, m + 1), k):
-            basis.append(BarycentricForm.monomial(m, (0,) + alpha, sig))
-    return ElementSpace(m, k, basis, rp)
-
-
-def _trimmed_space(m, k, r):
-    """Span of lambda^alpha * whitney_form(rho), |alpha| = r-1, reduced to the
-    generators that are independent of those before them (exactly: their
-    coefficients are integers)."""
-    gens = [_monomial_times(alpha, whitney_form(m, rho))
-            for rho in itertools.combinations(range(m + 1), k + 1)
-            for alpha in sorted(_compositions(r - 1, m + 1))]
-    table = _coeff_matrix(gens, reduced_frame(m, k, r)).T
-    keep = exact.echelon(exact.dense_rows(table))[0]
-    return ElementSpace(m, k, [gens[i] for i in keep], r)
+        keep = exact.echelon(exact.dense_rows(table.T))[0]
+    else:
+        keep = sorted((i for i, (alpha, sig) in enumerate(gens)
+                       if not alpha[0] and 0 not in sig),
+                      key=gens.__getitem__)
+    return ElementSpace(m, k, [forms[i] for i in keep],
+                        r if kind == "trimmed" else r - k, table[:, keep],
+                        [gens[i] for i in keep])
 
 
 # -- derivative / trace matrices, bubbles, extensions ---------------------
@@ -591,6 +552,20 @@ def _lift(A, B, error, reason):
     return K[:n, lead:].astype(np.int64)
 
 
+def _in_basis(A, B, error, reason):
+    """``_lift`` for an A of independent columns, such as a basis in its
+    frame, where A X = B has at most one solution: the float solution of
+    the normal equations, rounded, when it solves A X = B exactly in
+    integers, and otherwise the exact lift, which raises."""
+    try:
+        X = np.rint(np.linalg.solve(A.T @ A, A.T @ B)).astype(np.int64)
+    except np.linalg.LinAlgError:
+        X = None
+    if X is not None and np.array_equal(A @ X, B):
+        return X
+    return _lift(A, B, error, reason)
+
+
 def _solve_in_space(space, forms, error=FamilyError):
     """Integer coefficient matrix of the given forms in a space's basis, by
     one exact lift; raises ``error`` unless each form is an integer
@@ -600,8 +575,8 @@ def _solve_in_space(space, forms, error=FamilyError):
     if degree > space.frame_degree:
         frame = reduced_frame(space.dim, space.degree, degree)
         target = _coeff_matrix(space.basis, frame)
-    return _lift(target, _coeff_matrix(forms, frame), error,
-                 _NOT_A_MEMBER[error])
+    return _in_basis(target, _coeff_matrix(forms, frame), error,
+                     _NOT_A_MEMBER[error])
 
 
 @lru_cache(maxsize=None)
@@ -618,118 +593,146 @@ def _d_matrix(kind, r, m, k):
 def _trace_matrix(kind, r, m, k):
     """The matrices of the traces onto the facets of an m-simplex, stacked
     as (m + 1, target size, source size) and indexed by the omitted local
-    vertex; one exact lift solves for all of them."""
+    vertex j.  The trace of a generator onto that facet is zero where j is
+    in its monomial support or index set, and otherwise the facet's
+    generator with j dropped, so one lift of those generators into the
+    facet's basis gives every column."""
     src = _family_space(kind, r, m, k)
     tgt = _family_space(kind, r, m - 1, k)
-    facets = [tuple(i for i in range(m + 1) if i != j) for j in range(m + 1)]
-    if src.size == 0 or tgt.size == 0:
-        if k <= m - 1 and not all(f.trace(positions).is_zero()
-                                  for positions in facets for f in src.basis):
-            raise FamilyError("nonzero trace into an empty face space")
-        return np.zeros((m + 1, tgt.size, src.size), dtype=np.int64)
-    table = _solve_in_space(tgt, [f.trace(positions) for positions in facets
-                                  for f in src.basis])
-    return table.reshape(tgt.size, m + 1, src.size).transpose(1, 0, 2)
+    out = np.zeros((m + 1, tgt.size, src.size), dtype=np.int64)
+    if not out.size:
+        return out
+    index = _generator_index(kind, r, m - 1, k)
+    traced = [(j, i, index[alpha[:j] + alpha[j + 1:],
+                           tuple(v - (v > j) for v in idx)])
+              for i, (alpha, idx) in enumerate(src.generators)
+              for j in range(m + 1) if not alpha[j] and j not in idx]
+    gens = sorted({g for _j, _i, g in traced})
+    coords = _in_basis(tgt.matrix,
+                       _generator_table(kind, r, m - 1, k)[1][:, gens],
+                       FamilyError, _NOT_A_MEMBER[FamilyError])
+    at = {g: c for c, g in enumerate(gens)}
+    for j, i, g in traced:
+        out[j, :, i] = coords[:, at[g]]
+    return out
 
 
 @lru_cache(maxsize=None)
-def _bubble_space(kind, r, m, k):
-    """The trace-free subspace of the family space on an m-simplex.
-
-    Returns (space, coeffs) with coeffs, an integer basis of the kernel of
-    the stacked trace tables, mapping the bubble basis into the parent
-    basis.
-    """
-    src = _family_space(kind, r, m, k)
-    if src.size == 0:
-        return src, np.zeros((0, 0), dtype=np.int64)
-    if m == 0 or k > m - 1:
-        return src, np.eye(src.size, dtype=np.int64)
-    stacked = _trace_matrix(kind, r, m, k).reshape(-1, src.size)
-    null = _kernel(stacked)[0]
-    basis = [src.from_coefficients(null[:, i]) for i in range(null.shape[1])]
-    return ElementSpace(m, k, basis, src.frame_degree), null
+def _bubble_coeffs(kind, r, m, k):
+    """The trace-free subspace of the family space on an m-simplex: an
+    integer basis of the kernel of the stacked trace tables, mapping the
+    bubble basis into the family basis."""
+    size = _family_space(kind, r, m, k).size
+    if m == 0 or k > m - 1 or not size:
+        return np.eye(size, dtype=np.int64)
+    return _kernel(_trace_matrix(kind, r, m, k).reshape(-1, size))[0]
 
 
 @lru_cache(maxsize=None)
-def _full_support_generators(kind, r, mf, k):
-    """Symbolic generators on an mf-simplex touching every vertex.
-
-    Each generator is (alpha, idx): for the trimmed family idx names a
-    lowest-order form, for the full family a literal wedge.  Every local
-    vertex appears in the monomial support or the index set, which makes
-    instantiations on a larger simplex vanish on faces missing a vertex.
-    """
-    gens = []
-    everything = set(range(mf + 1))
+def _generators(kind, r, m, k):
+    """The symbolic generators spanning the family space on an m-simplex,
+    each (alpha, idx): for the trimmed family idx names a lowest-order
+    form, for the full family a literal wedge, over all m + 1 vertices."""
     if kind == "trimmed":
-        for rho in itertools.combinations(range(mf + 1), k + 1):
-            for alpha in sorted(_compositions(r - 1, mf + 1)):
-                supp = {i for i, a in enumerate(alpha) if a}
-                if supp | set(rho) == everything:
-                    gens.append((alpha, rho))
-    else:
-        rp = r - k
-        if rp < 0:
-            return ()
-        for sig in itertools.combinations(range(mf + 1), k):
-            for alpha in sorted(_compositions_leq(rp, mf + 1)):
-                supp = {i for i, a in enumerate(alpha) if a}
-                if supp | set(sig) == everything:
-                    gens.append((alpha, sig))
-    return tuple(gens)
+        return tuple((alpha, rho)
+                     for rho in itertools.combinations(range(m + 1), k + 1)
+                     for alpha in sorted(_compositions(r - 1, m + 1)))
+    return tuple((alpha, sig)
+                 for sig in itertools.combinations(range(m + 1), k)
+                 for alpha in sorted(_compositions_leq(r - k, m + 1)))
 
 
-def _instantiate_generator(kind, alpha, idx, positions, mc):
-    """Realize a symbolic face generator inside an mc-simplex."""
+@lru_cache(maxsize=None)
+def _generator_table(kind, r, m, k):
+    """The generators as forms, and their integer coefficients in the
+    reduced frame of the family's polynomial degree, one column each."""
+    forms = [_monomial_times(alpha, whitney_form(m, idx)) if kind == "trimmed"
+             else BarycentricForm.monomial(m, alpha, idx)
+             for alpha, idx in _generators(kind, r, m, k)]
+    degree = r if kind == "trimmed" else r - k
+    return forms, _coeff_matrix(forms, reduced_frame(m, k, degree))
+
+
+@lru_cache(maxsize=None)
+def _generator_coords(kind, r, m, k):
+    """The integer coordinates of the generators in the family basis, one
+    column each, by one lift."""
+    return _in_basis(_family_space(kind, r, m, k).matrix,
+                     _generator_table(kind, r, m, k)[1], FormError,
+                     _NOT_A_MEMBER[FormError])
+
+
+@lru_cache(maxsize=None)
+def _generator_index(kind, r, m, k):
+    return {g: i for i, g in enumerate(_generators(kind, r, m, k))}
+
+
+def _placed(alpha, idx, positions, mc):
+    """A face generator as the generator of the mc-simplex it becomes."""
     alpha_c = [0] * (mc + 1)
     for p, a in zip(positions, alpha):
         alpha_c[p] = a
-    mapped = tuple(positions[i] for i in idx)
-    if kind == "trimmed":
-        return _monomial_times(tuple(alpha_c), whitney_form(mc, mapped))
-    return BarycentricForm.monomial(mc, tuple(alpha_c), mapped)
+    return tuple(alpha_c), tuple(positions[i] for i in idx)
 
 
 @lru_cache(maxsize=None)
 def _extension_lift(kind, r, mf, k):
-    """Integer representation of the bubble basis over the full-support
-    generators, by one exact lift; raises if the span is insufficient."""
-    bubble, _coeffs = _bubble_space(kind, r, mf, k)
-    gens = _full_support_generators(kind, r, mf, k)
-    if bubble.size == 0:
+    """The full-support generators on an mf-simplex, and the integer
+    representation of the bubble basis over them, by one exact lift in the
+    family coordinates; raises if their span is insufficient.  A generator
+    has full support when every local vertex appears in its monomial
+    support or its index set, so that placed on a face of a larger simplex
+    it vanishes on the faces missing a vertex of that face."""
+    coeffs = _bubble_coeffs(kind, r, mf, k)
+    gens = tuple((alpha, idx) for alpha, idx in _generators(kind, r, mf, k)
+                 if {i for i, a in enumerate(alpha) if a} | set(idx)
+                 == set(range(mf + 1)))
+    if coeffs.shape[1] == 0:
         return gens, np.zeros((len(gens), 0), dtype=np.int64)
     if not gens:
         raise FamilyError(
             f"{kind}(r={r}): no full-support generators for k={k} on dim {mf}")
-    G = _coeff_matrix([_instantiate_generator(kind, a, i, tuple(range(mf + 1)),
-                                              mf) for a, i in gens],
-                      bubble.frame)
-    return gens, _lift(G, bubble.matrix, FamilyError, (
+    index = _generator_index(kind, r, mf, k)
+    A = _generator_coords(kind, r, mf, k)[:, [index[g] for g in gens]]
+    return gens, _lift(A, coeffs, FamilyError, (
         f"{kind}(r={r}): bubble space on dim {mf}, k={k} is not covered "
         "by full-support generators; no extension operator available"))
 
 
 @lru_cache(maxsize=None)
-def _extensions(kind, r, mf, k, mc):
-    """{positions of each mf-face of the mc-simplex: the extensions of the
-    face's bubble basis of k-forms}.  Extension i is column i of the lift
-    over the full-support generators instantiated at the face: it
-    restricts back to bubble form i, vanishes on faces not containing the
-    source face, and lands in the family space."""
+def _extension_coords(kind, r, mf, k, mc):
+    """The extensions of the bubble basis of every mf-face of the
+    mc-simplex, as integer coordinates in the family basis there: one
+    column per face (in ``combinations`` order) and bubble form.  The
+    extension of bubble form i is the full-support generators placed on
+    the face, weighted by column i of the lift: it restricts back to the
+    bubble form, vanishes on faces not containing the face, and lands in
+    the family space."""
     gens, lift = _extension_lift(kind, r, mf, k)
-    table = {}
-    for positions in itertools.combinations(range(mc + 1), mf + 1):
-        inst = [_instantiate_generator(kind, alpha, idx, positions, mc)
-                for alpha, idx in gens]
-        table[positions] = forms = []
-        for gc in lift.T:
-            out = BarycentricForm(mc, k)
-            for w, g in zip(gc.tolist(), inst):
-                if w:
-                    out = out + g * w
-            forms.append(out)
-    return table
+    size = _family_space(kind, r, mc, k).size
+    if lift.shape[1] == 0:
+        return np.zeros((size, 0), dtype=np.int64)
+    coords = _generator_coords(kind, r, mc, k)
+    index = _generator_index(kind, r, mc, k)
+    return np.hstack([
+        coords[:, [index[_placed(alpha, idx, positions, mc)]
+                   for alpha, idx in gens]] @ lift
+        for positions in itertools.combinations(range(mc + 1), mf + 1)])
+
+
+@lru_cache(maxsize=None)
+def _face_trace(kind, r, m, k, positions):
+    """The trace table from the m-simplex onto its face at the given
+    increasing positions: the product of facet tables, the omitted
+    vertices dropped highest first, so that the lower ones keep their
+    local index."""
+    omitted = [j for j in range(m + 1) if j not in positions]
+    if not omitted:
+        return np.eye(_family_space(kind, r, m, k).size, dtype=np.int64)
+    j = omitted[-1]
+    inner = tuple(p - (p > j) for p in positions)
+    return _face_trace(kind, r, m - 1, k, inner) @ \
+        _trace_matrix(kind, r, m, k)[j]
 
 
 # -- family condition checkers --------------------------------------------
@@ -765,38 +768,34 @@ def check_local_exactness(family, m):
     return report
 
 
-def _vanishes(form):
-    """Whether a form is zero: term-wise first, else on the reduced
-    coefficients, where forms equal only after sum(lambda) = 1 agree."""
-    return form.is_zero() or not form.reduced()
-
-
-def _check_extension_identities(family, mf, k, mc):
-    """Trace/extension identities for one face-in-simplex configuration."""
-    kind, r = family.kind, family.r
-    bubble, _ = _bubble_space(kind, r, mf, k)
-    if bubble.size == 0:
+def _extension_identities(kind, r, mf, k, mc):
+    """The trace/extension identities of the mf-face bubbles in the
+    mc-simplex, as exact integer comparisons of coordinates: traced onto
+    a proper face of dimension g >= mf (onto the simplex itself when
+    mf = mc), the extensions of the faces inside it are that face's
+    extensions, which for g = mf are its bubble forms, and those of the
+    faces not inside it vanish."""
+    coeffs = _bubble_coeffs(kind, r, mf, k)
+    nb = coeffs.shape[1]
+    if nb == 0:
         return True
-    for positions, exts in _extensions(kind, r, mf, k, mc).items():
-        pos_set = set(positions)
-        for i, (f, ext) in enumerate(zip(bubble.basis, exts)):
-            back = ext.trace(positions)
-            if not _vanishes(back - f):
+    faces = list(itertools.combinations(range(mc + 1), mf + 1))
+    ext = _extension_coords(kind, r, mf, k, mc)
+    for g in range(mf, max(mc, mf + 1)):
+        at = {p: i for i, p in
+              enumerate(itertools.combinations(range(g + 1), mf + 1))}
+        # (family basis on the g-face, face, bubble form)
+        inner = coeffs[:, None] if g == mf else \
+            _extension_coords(kind, r, mf, k, g).reshape(-1, len(at), nb)
+        for gpos in itertools.combinations(range(mc + 1), g + 1):
+            local = {p: i for i, p in enumerate(gpos)}
+            want = np.zeros((len(inner), len(faces), nb), np.int64)
+            for a, positions in enumerate(faces):
+                if set(positions) <= local.keys():
+                    want[:, a] = inner[:, at[tuple(map(local.get, positions))]]
+            if not np.array_equal(_face_trace(kind, r, mc, k, gpos) @ ext,
+                                  want.reshape(len(inner), -1)):
                 return False
-            for gsize in range(max(mf + 1, k + 1), mc + 1):
-                for gpos in itertools.combinations(range(mc + 1), gsize):
-                    gset = set(gpos)
-                    if gset == set(range(mc + 1)):
-                        continue
-                    tr = ext.trace(gpos)
-                    if pos_set <= gset:
-                        remap = tuple(sorted(gset)).index
-                        inner = tuple(remap(p) for p in positions)
-                        via = _extensions(kind, r, mf, k, gsize - 1)[inner][i]
-                        if not _vanishes(tr - via):
-                            return False
-                    elif not _vanishes(tr):
-                        return False
     return True
 
 
@@ -825,21 +824,19 @@ def check_geometric_decomposition(pair, family, k):
 def _decomposition_entry(family, m, k):
     """Decomposition report of the k-form element space on an m-simplex;
     raises FamilyError or FormError when a bubble cannot be extended."""
-    space = family.space(m, k)
-    exts = [ext for mf in range(k, m + 1)
-            for face in _extensions(family.kind, family.r, mf, k, m).values()
-            for ext in face]
+    kind, r = family.kind, family.r
+    size = family.space(m, k).size
     # the basis is independent, so the extensions' rank is their
     # coordinates' rank
-    coords = _solve_in_space(space, exts, error=FormError)
-    count = len(exts)
+    coords = np.hstack([_extension_coords(kind, r, mf, k, m)
+                        for mf in range(k, m + 1)])
+    count = coords.shape[1]
     rank = exact.rank(exact.dense_rows(coords.T))
-    identities = all(
-        _check_extension_identities(family, mf, k, m)
-        for mf in range(k, m + 1))
-    ok = count == space.size and rank == space.size and identities
+    identities = all(_extension_identities(kind, r, mf, k, m)
+                     for mf in range(k, m + 1))
+    ok = count == size and rank == size and identities
     return {
-        "space_dim": space.size,
+        "space_dim": size,
         "bubble_sum": count,
         "rank": rank,
         "identities": bool(identities),

@@ -3,25 +3,37 @@
 - ``pseudoinverse`` and the paper's regularizers ``regularizer_R`` and
   ``regularizer_S``, which invert the isomorphism steps' transfers
   (criteria 6 and 7, and the inverse-transfer test);
-- the mesh references ``boundary_matrix`` (dense relative incidence) and
-  ``patch_pair`` (one element patch as its own pair), against which the
-  Betti numbers and the one-pass patch condition are checked;
+- the mesh references ``boundary_matrix`` (dense relative incidence),
+  ``patch_pair`` (one element patch as its own pair) and
+  ``open_star_report`` (the patch condition, one elimination per star),
+  against which the Betti numbers and the patch condition are checked;
+- ``trailing_q``, the harmonic complement one reflector at a time;
 - the criterion-10 Stokes calculus on one simplex: ``geometry``,
   ``normal_trace`` and ``stokes_residual``, over ``SimplexGeometry``;
+- the symbolic form algebra (``trace``, ``is_zero``, ``minus``,
+  ``from_coefficients``, ``instantiate``, ``bubble_space``) and, on it,
+  the symbolic decomposition check ``decomposition_entry``: extensions
+  built as forms, traced and compared after reduction;
 - ``trimmed_dimension``, the closed-form dimension of a trimmed space;
 - ``stratum_slice``, the rows of one stratum of a broken space, read off
   its layout apart from ``assembly.placement``.
 """
 
+import itertools
 import math
 
 import numpy as np
 
+from ddforms import exact
 from ddforms.assembly import AssemblyError, operator_D, operator_T
 from ddforms.distrib import redirected_gamma, redirected_lambda
-from ddforms.mesh import (MeshError, RelativePair, Simplex,
+from ddforms.mesh import (MeshError, RelativePair, Simplex, _facet_signs,
                           _permutation_parity, facet_incidence)
-from ddforms.polyforms import SimplexGeometry
+from ddforms.polyforms import (BarycentricForm, ElementSpace, FormError,
+                               SimplexGeometry, _bubble_coeffs, _canon_wedge,
+                               _extension_lift, _family_space,
+                               _monomial_times, _placed, _solve_in_space,
+                               whitney_form)
 
 
 def stratum_slice(space, m):
@@ -85,6 +97,21 @@ def regularizer_S(pair, family, m, b, x):
     return _regularizer(cx, n - m, d_op, (-1.0) ** (b + n - m), x)
 
 
+# -- the harmonic basis ---------------------------------------------------
+
+
+def trailing_q(raw, tau):
+    """``hilbert._trailing_q`` one reflector at a time: H_j applied last to
+    first to the last n - k columns of the identity."""
+    k, n = raw.shape
+    Q = np.eye(n, n - k, -k)
+    for j in range(k - 1, -1, -1):
+        v = raw[j, j:].copy()
+        v[0] = 1.0
+        Q[j:] -= np.outer(tau[j] * v, v @ Q[j:])
+    return Q
+
+
 # -- mesh references ------------------------------------------------------
 
 
@@ -126,6 +153,50 @@ def patch_pair(pair, simplex):
     return RelativePair(pair.coords, members.values(), marked, top_dim=n)
 
 
+def open_star_report(pair):
+    """The patch report of ``mesh.check_local_patch_condition``, one
+    elimination per simplex and dimension: every open star collected in
+    one pass over the simplices, from the top dimension down (a simplex in
+    a top cell joins the star of each of its subsimplices), and ranked on
+    its own."""
+    n = pair.top_dim
+    star = {}
+    faces = {}
+    for m in range(n, -1, -1):
+        for g in pair.simplices(m):
+            # below the top, a simplex lies in a top cell exactly when that
+            # cell has put it in its own star
+            if m < n and (g.vertices not in star or g.vertices in pair.marked):
+                continue
+            if m:
+                faces[g.vertices] = list(zip(g.faces(),
+                                             _facet_signs(pair, g)))
+            for f in g.subsimplices():
+                star.setdefault(f, []).append(g.vertices)
+    entries = {}
+    failures = []
+    for f in pair.all_simplices():
+        b = _open_star_betti(star.get(f.vertices, ()), faces, n)
+        entries[f.vertices] = b
+        if any(b[m] != 0 for m in range(n)):
+            failures.append(f.vertices)
+    return {"betti": entries, "failures": failures, "passed": not failures}
+
+
+def _open_star_betti(chains, faces, n):
+    """Betti numbers of the relative chains of a patch, given its open star
+    by descending dimension, each dimension in ascending order, and the
+    signed facets of every simplex."""
+    by_dim = [[g for g in chains if len(g) == m + 1] for m in range(n + 1)]
+    ranks = [0] * (n + 2)
+    for m in range(1, n + 1):
+        index = {g: i for i, g in enumerate(by_dim[m - 1])}
+        ranks[m] = exact.rank(
+            {index[h]: sign for h, sign in faces[g] if h in index}
+            for g in by_dim[m])
+    return [len(by_dim[m]) - ranks[m] - ranks[m + 1] for m in range(n + 1)]
+
+
 # -- the criterion-10 Stokes calculus -------------------------------------
 
 
@@ -140,7 +211,7 @@ def normal_trace(form, positions, geo, face_geo=None):
     if face_geo is None:
         face_geo = geo.face(positions)
     starred = geo.star(form)
-    return face_geo.star_inverse(starred.trace(positions))
+    return face_geo.star_inverse(trace(starred, positions))
 
 
 def stokes_residual(w, e, geo, relative=False):
@@ -159,7 +230,7 @@ def stokes_residual(w, e, geo, relative=False):
     for j in range(m + 1):
         positions = tuple(i for i in range(m + 1) if i != j)
         fg = geo.face(positions)
-        tw = w.trace(positions)
+        tw = trace(w, positions)
         ne = normal_trace(e, positions, geo, fg)
         term = (-1) ** j * fg.inner_product(tw, ne)
         rhs += term
@@ -173,3 +244,139 @@ def stokes_residual(w, e, geo, relative=False):
 def trimmed_dimension(m, k, r):
     """Closed-form dimension of the trimmed space (used as an oracle)."""
     return math.comb(r + k - 1, k) * math.comb(r + m, m - k)
+
+
+# -- the symbolic form algebra --------------------------------------------
+
+
+def trace(form, positions):
+    """The pullback of a form to the face at the given vertex positions,
+    the increasing tuple of local vertex indices of the face inside the
+    form's simplex.  Terms involving a dropped barycentric variable or its
+    differential vanish."""
+    positions = tuple(positions)
+    kept = set(positions)
+    remap = {p: i for i, p in enumerate(positions)}
+    mf = len(positions) - 1
+    out = BarycentricForm(mf, form.degree)
+    if form.degree > mf:
+        return out
+    for (alpha, sig), c in form.terms.items():
+        if any(a > 0 and i not in kept for i, a in enumerate(alpha)):
+            continue
+        if any(i not in kept for i in sig):
+            continue
+        na = tuple(alpha[p] for p in positions)
+        new_idx = tuple(remap[i] for i in sig)
+        for nsig, w in _canon_wedge(new_idx, mf).items():
+            out._add((na, nsig), c * w)
+    return out
+
+
+def is_zero(form, tol=0.0):
+    """Whether every coefficient of a form is at most tol in size."""
+    return all(abs(c) <= tol for c in form.terms.values())
+
+
+def minus(a, b):
+    """The difference of two forms of equal degree."""
+    return a + b * -1.0
+
+
+# -- the symbolic decomposition check -------------------------------------
+
+
+def from_coefficients(space, coeffs):
+    """The form with the given coordinates in a space's basis."""
+    out = BarycentricForm(space.dim, space.degree)
+    for c, f in zip(coeffs, space.basis):
+        if c:
+            out = out + f * float(c)
+    return out
+
+
+def bubble_space(kind, r, m, k):
+    """The bubble space of the family on an m-simplex as an element space
+    of forms, and its coefficients in the family basis."""
+    src = _family_space(kind, r, m, k)
+    null = _bubble_coeffs(kind, r, m, k)
+    basis = [from_coefficients(src, c) for c in null.T]
+    return ElementSpace(m, src.degree, basis, src.frame_degree), null
+
+
+def instantiate(kind, alpha, idx, positions, mc):
+    """A generator of a face, placed at the given positions, as a form on
+    the mc-simplex."""
+    alpha_c, mapped = _placed(alpha, idx, positions, mc)
+    if kind == "trimmed":
+        return _monomial_times(alpha_c, whitney_form(mc, mapped))
+    return BarycentricForm.monomial(mc, alpha_c, mapped)
+
+
+def extensions(kind, r, mf, k, mc):
+    """{positions of each mf-face of the mc-simplex: the extensions of the
+    face's bubble basis of k-forms}, as forms.  Extension i is column i of
+    the lift over the full-support generators instantiated at the face."""
+    gens, lift = _extension_lift(kind, r, mf, k)
+    table = {}
+    for positions in itertools.combinations(range(mc + 1), mf + 1):
+        inst = [instantiate(kind, alpha, idx, positions, mc)
+                for alpha, idx in gens]
+        table[positions] = forms = []
+        for gc in lift.T:
+            out = BarycentricForm(mc, k)
+            for w, g in zip(gc.tolist(), inst):
+                if w:
+                    out = out + g * w
+            forms.append(out)
+    return table
+
+
+def _vanishes(form):
+    """Whether a form is zero: term-wise first, else on the reduced
+    coefficients, where forms equal only after sum(lambda) = 1 agree."""
+    return is_zero(form) or not form.reduced()
+
+
+def check_extension_identities(family, mf, k, mc):
+    """Trace/extension identities for one face-in-simplex configuration,
+    on symbolic traces of the extension forms."""
+    kind, r = family.kind, family.r
+    bubble, _ = bubble_space(kind, r, mf, k)
+    if bubble.size == 0:
+        return True
+    for positions, exts in extensions(kind, r, mf, k, mc).items():
+        pos_set = set(positions)
+        for i, (f, ext) in enumerate(zip(bubble.basis, exts)):
+            back = trace(ext, positions)
+            if not _vanishes(minus(back, f)):
+                return False
+            for gsize in range(max(mf + 1, k + 1), mc + 1):
+                for gpos in itertools.combinations(range(mc + 1), gsize):
+                    tr = trace(ext, gpos)
+                    if pos_set <= set(gpos):
+                        remap = gpos.index
+                        inner = tuple(remap(p) for p in positions)
+                        via = extensions(kind, r, mf, k, gsize - 1)[inner][i]
+                        if not _vanishes(minus(tr, via)):
+                            return False
+                    elif not _vanishes(tr):
+                        return False
+    return True
+
+
+def decomposition_entry(family, m, k):
+    """The decomposition report of the k-form element space on an
+    m-simplex, from the symbolic extensions and their traces."""
+    space = family.space(m, k)
+    exts = [ext for mf in range(k, m + 1)
+            for face in extensions(family.kind, family.r, mf, k, m).values()
+            for ext in face]
+    coords = _solve_in_space(space, exts, error=FormError)
+    count = len(exts)
+    rank = exact.rank(exact.dense_rows(coords.T))
+    identities = all(check_extension_identities(family, mf, k, m)
+                     for mf in range(k, m + 1))
+    ok = count == space.size and rank == space.size and identities
+    return {"space_dim": space.size, "bubble_sum": count, "rank": rank,
+            "identities": bool(identities), "ok": bool(ok)}

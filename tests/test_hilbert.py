@@ -18,7 +18,7 @@ from ddforms.polyforms import Family
 from ddforms import distrib, exact
 
 from conftest import RANK_RTOL, dense_basis, svd_null
-from reference import pseudoinverse
+from reference import pseudoinverse, trailing_q
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +511,22 @@ def test_trailing_q_is_the_complement_of_a_complete_qr(n, k):
     the complete Q, is orthonormal and is orthogonal to the matrix."""
     S = np.random.default_rng(n + k).standard_normal((n, k))
     check_trailing_q(S)
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (2, 1), (129, 64),
+                                 (129, 128), (480, 200), (480, 479)])
+def test_blocked_trailing_q_matches_reflector_loop(n, k):
+    """The reflectors applied in blocks give the reflector-by-reflector
+    complement; a first column with nothing below its diagonal has
+    tau = 0, whose reflector is the identity."""
+    S = np.random.default_rng(n * k).standard_normal((n, k))
+    if k > 1:
+        S[1:, 0] = 0.0
+    raw, tau = np.linalg.qr(S, mode="raw")
+    assert k <= 1 or tau[0] == 0.0
+    got = _trailing_q(raw, tau)
+    assert got.shape == (n, n - k)
+    assert np.abs(got - trailing_q(raw, tau)).max(initial=0.0) <= 1e-13
 
 
 def check_trailing_q(S):

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from ddforms import exact
-from ddforms.mesh import (MeshError, Simplex, betti_numbers, build_complex,
+from ddforms.mesh import (MeshError, Simplex, _grid_cells_2d, _kuhn_cells_3d,
+                          betti_numbers, build_complex,
                           check_local_patch_condition, generate_mesh,
                           load_mesh_file, mark_pair, orientation_sign,
                           save_mesh_file, skeleton_pair)
 
-from reference import boundary_matrix, patch_pair
+from reference import boundary_matrix, open_star_report, patch_pair
+
+CATALOG = ("interval", "triangle", "tetrahedron", "square_grid", "annulus",
+           "cube_tet", "solid_ring", "sphere_boundary")
 
 
 def test_simplex_faces_and_dim():
@@ -164,6 +168,43 @@ def test_patch_condition_pinched_fails():
     rep = check_local_patch_condition(build_complex(cells, coords))
     assert not rep["passed"]
     assert (2,) in rep["failures"]
+
+
+@pytest.mark.parametrize("mark", ["none", "full", "half"])
+def test_patch_condition_matches_open_star_reference(catalog, mark):
+    """Ranking all open stars together, one elimination per dimension,
+    gives every per-simplex Betti vector, the failures and the verdict of
+    ranking each star on its own."""
+    for name in CATALOG:
+        pair = catalog(name, 1, mark)
+        assert check_local_patch_condition(pair) == open_star_report(pair), \
+            (name, mark)
+
+
+def test_patch_condition_pinched_matches_reference():
+    cells = [[0, 1, 2], [2, 3, 4]]
+    coords = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (2.0, 2.0)]
+    pair = build_complex(cells, coords)
+    assert check_local_patch_condition(pair) == open_star_report(pair)
+
+
+@pytest.mark.parametrize("cells_coords,centre", [
+    (_grid_cells_2d([(i, j) for i in range(2) for j in range(2)]),
+     (1.0, 1.0)),
+    (_kuhn_cells_3d([(i, j, k) for i in range(2) for j in range(2)
+                     for k in range(2)]), (1.0, 1.0, 1.0)),
+])
+def test_marked_interior_vertex_breaks_its_star(cells_coords, centre):
+    """A marked interior vertex leaves its open star a punctured ball,
+    whose relative homology sits below the top index: the vertex fails,
+    and the failures are those of ranking each star on its own."""
+    cells, coords = cells_coords
+    vertex = coords.index(centre)
+    pair = build_complex(cells, coords, marked=[(vertex,)])
+    rep = check_local_patch_condition(pair)
+    assert rep["failures"] == [(vertex,)]
+    assert not rep["passed"]
+    assert rep == open_star_report(pair)
 
 
 def test_skeleton_pair(catalog):

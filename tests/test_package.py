@@ -3,7 +3,7 @@ import inspect
 import pathlib
 
 import ddforms
-from ddforms import cli, distrib
+from ddforms import cli, distrib, polyforms
 
 from test_reach import UNREACHED
 
@@ -44,6 +44,37 @@ def test_distrib_reads_no_stratum_layout():
              for node in ast.walk(_tree(distrib))
              if isinstance(node, (ast.Attribute, ast.Name))}
     assert not names & {"offset", "block", "stratum_slice"}
+
+
+# The element tables the decomposition check shares with assembly, which
+# read forms symbolically once per family and shape.
+SHARED_TABLES = {"_family_space", "_generator_table", "_trace_matrix"}
+
+
+def test_decomposition_check_takes_no_symbolic_trace():
+    """``check_geometric_decomposition`` and every polyforms function it
+    reaches by name, short of the shared element tables, call no
+    ``.trace``, ``.reduced`` or ``_vanishes``: the identities are integer
+    comparisons of table products."""
+    functions = {node.name: node for node in _tree(polyforms).body
+                 if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), ["check_geometric_decomposition"]
+    while todo:
+        name = todo.pop()
+        if name in seen or name in SHARED_TABLES:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "attr", None) or \
+                getattr(node.func, "id", None)
+            assert callee not in ("trace", "reduced", "_vanishes"), \
+                (name, callee)
+            if isinstance(node.func, ast.Name) and callee in functions:
+                todo.append(callee)
+    assert {"_decomposition_entry", "_extension_identities", "_face_trace",
+            "_extension_coords"} <= seen
 
 
 def _formats_a_float(node):

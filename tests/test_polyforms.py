@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 import sys
 
@@ -16,7 +17,9 @@ from ddforms.polyforms import (BarycentricForm, Family, FamilyError, FormError,
                                check_local_exactness, simplex_metrics,
                                whitney_form)
 
-from reference import geometry, stokes_residual, trimmed_dimension
+from reference import (bubble_space, decomposition_entry,
+                       from_coefficients, geometry, instantiate, is_zero,
+                       minus, stokes_residual, trace, trimmed_dimension)
 
 REF_TRI = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 REF_TET = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
@@ -48,14 +51,14 @@ def test_derivative_squares_to_zero():
         for k in range(m):
             f = random_form(rng, m, k)
             dd = f.derivative().derivative()
-            assert dd.is_zero(tol=1e-12)
+            assert is_zero(dd, tol=1e-12)
 
 
 def test_whitney_edge_derivative():
     # the edge form on (1,2) of a triangle has constant derivative
     w = whitney_form(2, (1, 2))
     expected = BarycentricForm.monomial(2, (0, 0, 0), (1, 2), 2.0)
-    assert (w.derivative() - expected).is_zero(tol=1e-12)
+    assert is_zero(minus(w.derivative(), expected), tol=1e-12)
 
 
 def test_monomial_integration_against_sympy():
@@ -86,16 +89,16 @@ def test_star_round_trip():
         for k in range(m + 1):
             f = random_form(rng, m, k)
             back = geo.star_inverse(geo.star(f))
-            assert (back - f).is_zero(tol=1e-9)
+            assert is_zero(minus(back, f), tol=1e-9)
 
 
 def test_star_of_one_is_volume_form():
     geo = SimplexGeometry(REF_TET)
     one = BarycentricForm.monomial(3, (0, 0, 0, 0))
     vol = geo.star(one)
-    diff = vol - BarycentricForm.monomial(3, (0, 0, 0, 0), (1, 2, 3),
-                                          geo.vol_coeff)
-    assert diff.is_zero(tol=1e-12)
+    diff = minus(vol, BarycentricForm.monomial(3, (0, 0, 0, 0), (1, 2, 3),
+                                               geo.vol_coeff))
+    assert is_zero(diff, tol=1e-12)
 
 
 def test_stokes_identity_random():
@@ -139,7 +142,7 @@ def test_full_family_closed_under_derivative():
             for i in range(space.size):
                 coeffs = np.zeros(space.size)
                 coeffs[i] = 1.0
-                df = space.from_coefficients(coeffs).derivative()
+                df = from_coefficients(space, coeffs).derivative()
                 target.coefficients(df)
 
 
@@ -176,6 +179,83 @@ def test_full_family_decomposition():
             assert len(failed) == (k == r)
             if failed:
                 assert "no full-support generators" in failed[0]["reason"]
+
+
+def reported(entry, family, m, k):
+    """A decomposition entry, or the failed entry check_geometric_decomposition
+    makes of the error it raises."""
+    try:
+        return entry(family, m, k)
+    except (FamilyError, FormError) as exc:
+        return {"ok": False, "reason": str(exc)}
+
+
+@pytest.mark.parametrize("kind", ["trimmed", "full"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_decomposition_matches_symbolic_reference(kind, r):
+    """The integer tables give the report the symbolic extensions and
+    their traces give, failures and reasons included."""
+    family = Family(kind, r)
+    for m in range(4):
+        for k in range(m + 1):
+            assert reported(polyforms._decomposition_entry, family, m, k) == \
+                reported(decomposition_entry, family, m, k), (kind, r, m, k)
+
+
+@pytest.fixture
+def fresh_tables():
+    """Cold element tables before and after a test that patches one, so
+    that no table built from a patched one outlives it."""
+
+    def clear():
+        for value in vars(polyforms).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def flipped(monkeypatch, name, key, entry):
+    """Patch the polyforms table function name so that, at the arguments
+    key, it returns a copy of its table with entry raised by one."""
+    table = getattr(polyforms, name)
+
+    def patched(*args):
+        out = table(*args)
+        if args == key:
+            out = out.copy()
+            out[entry] += 1
+        return out
+
+    monkeypatch.setattr(polyforms, name, patched)
+
+
+@pytest.mark.parametrize("name,key,entry", [
+    # the trace onto the edge (0, 1) of a triangle reads vertex 2
+    ("_face_trace", ("trimmed", 1, 2, 0, (0, 1)), (0, 2)),
+    # the extension of vertex 0 into a triangle gains lambda_1
+    ("_extension_coords", ("trimmed", 1, 0, 0, 2), (1, 0)),
+])
+def test_flipped_table_fails_the_identities(monkeypatch, fresh_tables, name,
+                                            key, entry):
+    """One entry flipped in a copy of a trace table or of the extension
+    coordinates breaks an identity: the decomposition and ``check``
+    fail."""
+    flipped(monkeypatch, name, key, entry)
+    pair = generate_mesh("square_grid", 1)
+    rep = check_geometric_decomposition(pair, Family("trimmed", 1), 0)
+    assert rep["dims"][2]["identities"] is False
+    assert rep["dims"][1]["identities"] is True
+    assert not rep["passed"]
+    out = io.StringIO()
+    assert main(["check", "--mesh", "catalog:square_grid", "--family",
+                 "trimmed", "--degree", "1", "--format", "structured"],
+                out=out) == 1
+    report = json.loads(out.getvalue())["report"]
+    assert report["decomposition"]["0"] is False
+    assert not report["passed"]
 
 
 def test_every_float_decomposition_is_rank_split(monkeypatch):
@@ -247,14 +327,14 @@ def test_geometry_orientation_from_mesh(catalog):
 
 
 def test_build_element_space_bubble_traces_vanish():
-    bubble, _coeffs = polyforms._bubble_space("trimmed", 2, 2, 1)
+    bubble, _coeffs = bubble_space("trimmed", 2, 2, 1)
     for i in range(bubble.size):
         coeffs = np.zeros(bubble.size)
         coeffs[i] = 1.0
-        f = bubble.from_coefficients(coeffs)
+        f = from_coefficients(bubble, coeffs)
         for j in range(3):
             positions = tuple(p for p in range(3) if p != j)
-            assert f.trace(positions).is_zero(tol=1e-9)
+            assert is_zero(trace(f, positions), tol=1e-9)
 
 
 def pairwise_gram(space, geo):
@@ -335,7 +415,7 @@ def float_greedy_trimmed(m, k, r):
 def test_trimmed_basis_matches_float_greedy(r):
     for m in range(4):
         for k in range(m + 1):
-            space = polyforms._trimmed_space(m, k, r)
+            space = polyforms._family_space("trimmed", r, m, k)
             ref = float_greedy_trimmed(m, k, r)
             assert [f.terms for f in space.basis] == [f.terms for f in ref]
             assert space.size == trimmed_dimension(m, k, r), (m, k, r)
@@ -347,7 +427,7 @@ def test_trimmed_basis_matches_float_greedy(r):
 def test_bubble_bases_are_exact_trace_kernels(kind, r):
     for m in range(1, 4):
         for k in range(m):
-            bubble, null = polyforms._bubble_space(kind, r, m, k)
+            bubble, null = bubble_space(kind, r, m, k)
             src = polyforms._family_space(kind, r, m, k)
             assert np.issubdtype(null.dtype, np.integer)
             assert null.shape == (src.size, bubble.size)
@@ -364,12 +444,12 @@ def lstsq_extension(form, positions, mc, family):
     lifted over the full-support generators."""
     kind, r, k = family.kind, family.r, form.degree
     mf = len(positions) - 1
-    bubble, _ = polyforms._bubble_space(kind, r, mf, k)
+    bubble, _ = bubble_space(kind, r, mf, k)
     gens, lift = polyforms._extension_lift(kind, r, mf, k)
     out = BarycentricForm(mc, k)
     for w, (alpha, idx) in zip(lift @ bubble.coefficients(form), gens):
         if abs(w) > 1e-14:
-            out = out + polyforms._instantiate_generator(
+            out = out + instantiate(
                 kind, alpha, idx, positions, mc) * float(w)
     return out
 
@@ -378,25 +458,30 @@ def lstsq_extension(form, positions, mc, family):
                                     ("trimmed", 3), ("full", 1), ("full", 2),
                                     ("full", 3)])
 def test_extension_table_matches_lstsq_extension(kind, r):
+    """The extension coordinates, one column per face and bubble form,
+    are those of the extensions lifted form by form."""
     family = Family(kind, r)
     for mc in range(4):
         for mf in range(mc + 1):
             for k in range(mf + 1):
-                bubble, _ = polyforms._bubble_space(kind, r, mf, k)
+                bubble, _ = bubble_space(kind, r, mf, k)
                 try:
-                    table = polyforms._extensions(kind, r, mf, k, mc)
+                    table = polyforms._extension_coords(kind, r, mf, k, mc)
                 except FamilyError:
                     with pytest.raises(FamilyError):
                         lstsq_extension(bubble.basis[0], tuple(range(mf + 1)),
                                         mc, family)
                     continue
-                assert list(table) == list(
-                    itertools.combinations(range(mc + 1), mf + 1))
-                for positions, exts in table.items():
-                    assert len(exts) == bubble.size
-                    for f, ext in zip(bubble.basis, exts):
+                faces = list(itertools.combinations(range(mc + 1), mf + 1))
+                space = family.space(mc, k)
+                assert table.shape == (space.size, len(faces) * bubble.size)
+                assert table.dtype == np.int64
+                exts = iter(table.T)
+                for positions in faces:
+                    for f in bubble.basis:
+                        ext = from_coefficients(space, next(exts))
                         ref = lstsq_extension(f, positions, mc, family)
-                        diff = (ext - ref).reduced().values()
+                        diff = minus(ext, ref).reduced().values()
                         assert max(map(abs, diff), default=0.0) <= 1e-12, \
                             (kind, r, mc, mf, k, positions)
 
@@ -416,7 +501,7 @@ def test_element_tables_are_exact_integer_lifts(kind, r):
                 positions = tuple(i for i in range(m + 1) if i != j)
                 cases.append((polyforms._trace_matrix(kind, r, m, k)[j],
                               polyforms._family_space(kind, r, m - 1, k),
-                              [f.trace(positions) for f in src.basis]))
+                              [trace(f, positions) for f in src.basis]))
             for table, target, images in cases:
                 assert table.dtype == np.int64
                 assert np.array_equal(

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from ddforms import distrib, exact
 from ddforms.hilbert import harmonic_space, hodge_laplacian, laplace_solve
-from ddforms.mesh import _grid_cells_2d, betti_numbers, build_complex
+from ddforms.mesh import (_grid_cells_2d, betti_numbers, build_complex,
+                          check_local_patch_condition)
 from ddforms.polyforms import Family, FamilyError, _lift
 
-from reference import regularizer_R, regularizer_S, stratum_slice
+from reference import (open_star_report, regularizer_R, regularizer_S,
+                       stratum_slice)
 
 JITTER = st.floats(-0.15, 0.15)
 
@@ -38,6 +40,14 @@ DRAWN = settings(max_examples=40, derandomize=True, deadline=None,
                  database=None,
                  suppress_health_check=[HealthCheck.filter_too_much,
                                         HealthCheck.too_slow])
+
+
+@DRAWN
+@given(marked_subgrids())
+def test_patch_condition_matches_open_star_reference(pair):
+    """The patch report, every per-simplex Betti vector included, is that
+    of ranking each open star on its own, on drawn meshes and markings."""
+    assert check_local_patch_condition(pair) == open_star_report(pair)
 
 
 @DRAWN
