@@ -19,12 +19,11 @@ array, so the QR holds S and numpy's two copies of it.  The Laplace
 solve is one symmetric positive definite system in Gram form per index,
 K = F^T F, its blocks, from the dense blocks of the integer
 differentials and the harmonic basis, written and whitened in place in
-one array F: a solve holds F and K, then K, factored in place into its
-Cholesky factor, and the right-hand side, solved in place.  The metric
-pseudoinverse of the paper's regularizers is a test reference
-(tests/reference.py); no command calls it.  The Laplacian, the metric
-adjoints and the whitened differentials apply the integer triplets to
-vectors and are never formed as matrices.
+one array F: a solve holds F and K, then K, numpy's copy of it and the
+right-hand side.  The metric pseudoinverse of the paper's regularizers
+is a test reference (tests/reference.py); no command calls it.  The
+Laplacian, the metric adjoints and the whitened differentials apply
+the integer triplets to vectors and are never formed as matrices.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ddforms import exact
-from ddforms.assembly import (AssemblyError, Subspace, _cholesky,
-                              _tril_apply, adjoint)
+from ddforms.assembly import AssemblyError, Subspace, adjoint
 
 
 class ComplexInstance:
@@ -115,7 +113,7 @@ def harmonic_space(cx, i):
 
 
 # The most reflectors _trailing_q applies as one block.
-_BLOCK = 64
+_BLOCK = 32
 
 
 def _trailing_q(raw, tau):
@@ -169,10 +167,8 @@ def laplace_solve(cx, i, f):
     on it, so the solution is orthogonal to the harmonic forms.  The
     three blocks are scattered from the triplets and whitened in place in
     one array F = [B; A; H^T G], every product with G going through L, so
-    K = F^T F is one product; F and its views are freed before K is
-    factored in place by ``_cholesky`` and the right-hand side solved in
-    place through the factor and its transpose.  A K that is not
-    numerically positive definite raises LinAlgError."""
+    K = F^T F is one product; F and its views are freed before the
+    solve."""
     W = cx.spaces[i].whitening
     H = harmonic_space(cx, i).basis
     below = cx.spaces[i - 1].dim if i > 0 else 0
@@ -191,11 +187,7 @@ def laplace_solve(cx, i, f):
     p = H @ (HG @ f)
     K = F.T @ F
     del F, B, A, HG, GD, GH
-    u = W.mul_l(W.mul_lt(f - p))
-    leaves = _cholesky(K)
-    for transpose in (False, True):
-        _tril_apply(K, leaves, u.reshape(len(u), -1), True, transpose)
-    return u, p
+    return np.linalg.solve(K, W.mul_l(W.mul_lt(f - p))), p
 
 
 def subspace_transfer(a, b):
