@@ -113,7 +113,7 @@ def harmonic_space(cx, i):
 
 
 # The most reflectors _trailing_q applies as one block.
-_BLOCK = 32
+_BLOCK = 64
 
 
 def _trailing_q(raw, tau):

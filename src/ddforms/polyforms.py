@@ -431,6 +431,21 @@ class ElementSpace:
         return _solve_in_space(self, [form], FormError)[:, 0]
 
     @cached_property
+    def inverse(self):
+        """(R, M, d): the rows R of the basis matrix A independent over
+        the integers, and an integer M and d > 0 with A[R] M = d I, from
+        one exact kernel of [A[R] | -I] on first use.  The basis is
+        independent, so A[R] is square and invertible."""
+        n = self.size
+        rows = exact.echelon(exact.dense_rows(self.matrix))[0]
+        K = _kernel(np.hstack([self.matrix[rows],
+                               -np.eye(n, dtype=np.int64)]))[0]
+        # column j of K is s_j (A[R]^-1 e_j, e_j), s_j > 0
+        scale = np.diagonal(K[n:]).tolist()
+        d = math.lcm(*scale)
+        return rows, K[:n] * np.array([d // s for s in scale], K.dtype), d
+
+    @cached_property
     def reference_tensor(self):
         """A[s, t, i, j]: the Gram of basis forms i, j on a unit-volume
         simplex, restricted to the wedges sigma_s of i and sigma_t of j.
@@ -552,30 +567,29 @@ def _lift(A, B, error, reason):
     return K[:n, lead:].astype(np.int64)
 
 
-def _in_basis(A, B, error, reason):
-    """``_lift`` for an A of independent columns, such as a basis in its
-    frame, where A X = B has at most one solution: the float solution of
-    the normal equations, rounded, when it solves A X = B exactly in
-    integers, and otherwise the exact lift, which raises."""
-    try:
-        X = np.rint(np.linalg.solve(A.T @ A, A.T @ B)).astype(np.int64)
-    except np.linalg.LinAlgError:
-        X = None
-    if X is not None and np.array_equal(A @ X, B):
-        return X
-    return _lift(A, B, error, reason)
+def _in_basis(space, B, error, reason):
+    """The integer X with A X = B for the basis matrix A of a space in its
+    frame, whose columns are independent, so that X = M B[R] / d is the
+    only candidate (see ``ElementSpace.inverse``); raises error(reason)
+    unless it is integral and solves A X = B exactly."""
+    rows, M, d = space.inverse
+    X, rest = np.divmod(M @ B[rows], d)
+    if rest.any() or not np.array_equal(space.matrix @ X, B):
+        raise error(reason)
+    return X.astype(np.int64)
 
 
 def _solve_in_space(space, forms, error=FamilyError):
-    """Integer coefficient matrix of the given forms in a space's basis, by
-    one exact lift; raises ``error`` unless each form is an integer
-    combination of the basis."""
-    frame, target = space.frame, space.matrix
+    """Integer coefficient matrix of the given forms in a space's basis,
+    exactly: through the space's inverse, or by one exact lift in a frame
+    of the forms' higher degree; raises ``error`` unless each form is an
+    integer combination of the basis."""
     degree = max((_form_poly_degree(f) for f in forms), default=0)
     if degree > space.frame_degree:
         frame = reduced_frame(space.dim, space.degree, degree)
-        target = _coeff_matrix(space.basis, frame)
-    return _in_basis(target, _coeff_matrix(forms, frame), error,
+        return _lift(_coeff_matrix(space.basis, frame),
+                     _coeff_matrix(forms, frame), error, _NOT_A_MEMBER[error])
+    return _in_basis(space, _coeff_matrix(forms, space.frame), error,
                      _NOT_A_MEMBER[error])
 
 
@@ -608,8 +622,7 @@ def _trace_matrix(kind, r, m, k):
               for i, (alpha, idx) in enumerate(src.generators)
               for j in range(m + 1) if not alpha[j] and j not in idx]
     gens = sorted({g for _j, _i, g in traced})
-    coords = _in_basis(tgt.matrix,
-                       _generator_table(kind, r, m - 1, k)[1][:, gens],
+    coords = _in_basis(tgt, _generator_table(kind, r, m - 1, k)[1][:, gens],
                        FamilyError, _NOT_A_MEMBER[FamilyError])
     at = {g: c for c, g in enumerate(gens)}
     for j, i, g in traced:
@@ -657,7 +670,7 @@ def _generator_table(kind, r, m, k):
 def _generator_coords(kind, r, m, k):
     """The integer coordinates of the generators in the family basis, one
     column each, by one lift."""
-    return _in_basis(_family_space(kind, r, m, k).matrix,
+    return _in_basis(_family_space(kind, r, m, k),
                      _generator_table(kind, r, m, k)[1], FormError,
                      _NOT_A_MEMBER[FormError])
 
