@@ -207,6 +207,14 @@ class BarycentricForm:
         out = {}
         m = self.dim
         for (alpha, sig), c in self.terms.items():
+            if not alpha[0]:
+                # lambda_0^0 = 1: the term is already reduced
+                v = out.get((alpha, sig), 0.0) + c
+                if v:
+                    out[alpha, sig] = v
+                else:
+                    out.pop((alpha, sig), None)
+                continue
             rest = alpha[1:]
             for combo, w in _one_minus_sum_power(alpha[0], m).items():
                 na = (0,) + tuple(r + e for r, e in zip(rest, combo))
@@ -234,25 +242,23 @@ def reduced_frame(m, k, R):
     return tuple(keys)
 
 
-def coeff_vector(form, frame):
-    """The integer coefficients of a form in a reduced frame; FormError for
-    a term outside the frame or a non-integral coefficient."""
-    index = _frame_index(frame)
-    v = np.zeros(len(frame), dtype=np.int64)
-    for key, c in form.reduced().items():
-        if key not in index:
-            raise FormError(f"term {key} outside frame")
-        if c != round(c):
-            raise FormError(f"non-integral coefficient {c} of term {key}")
-        v[index[key]] = c
-    return v
-
-
 def _coeff_matrix(forms, frame):
-    """The integer coefficient vectors of forms in a frame, as columns."""
-    out = np.zeros((len(frame), len(forms)), dtype=np.int64)
+    """The integer coefficient vectors of forms in a reduced frame, as
+    columns; FormError for a term outside the frame or a non-integral
+    coefficient."""
+    index = _frame_index(frame)
+    rows, cols, vals = [], [], []
     for j, f in enumerate(forms):
-        out[:, j] = coeff_vector(f, frame)
+        for key, c in f.reduced().items():
+            if key not in index:
+                raise FormError(f"term {key} outside frame")
+            if c != round(c):
+                raise FormError(f"non-integral coefficient {c} of term {key}")
+            rows.append(index[key])
+            cols.append(j)
+            vals.append(c)
+    out = np.zeros((len(frame), len(forms)), dtype=np.int64)
+    out[rows, cols] = vals
     return out
 
 

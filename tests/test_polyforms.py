@@ -397,7 +397,7 @@ def float_greedy_trimmed(m, k, r):
         w = whitney_form(m, rho)
         for alpha in sorted(polyforms._compositions(r - 1, m + 1)):
             gen = polyforms._monomial_times(alpha, w)
-            v = polyforms.coeff_vector(gen, frame)
+            v = polyforms._coeff_matrix([gen], frame)[:, 0]
             nv = np.linalg.norm(v)
             if nv < 1e-12:
                 continue
@@ -513,4 +513,4 @@ def test_element_tables_are_exact_integer_lifts(kind, r):
 def test_non_integral_coefficient_raises():
     half = BarycentricForm.monomial(2, (1, 0, 0), (1,), 0.5)
     with pytest.raises(FormError, match="non-integral"):
-        polyforms.coeff_vector(half, polyforms.reduced_frame(2, 1, 1))
+        polyforms._coeff_matrix([half], polyforms.reduced_frame(2, 1, 1))
