@@ -250,16 +250,22 @@ def orientation_sign(face, cell):
 
 
 def _facet_signs(pair, cell):
-    """o(F, C) for the facets F of C in ``faces()`` order.  Where C and its
+    """o(F, C) for the facets F of C in ``faces()`` order.  Where the
     facets keep their ascending orientation, the facet omitting the j-th
-    vertex has sign (-1)^j; ``orientation_sign`` runs only where an
-    orientation was turned, as on a top cell turned to the Euclidean
-    one."""
+    vertex has sign (-1)^j times that of the first, which is 1 unless C's
+    orientation was turned, as on a top cell turned to the Euclidean one;
+    ``orientation_sign`` runs on every facet only where a facet's
+    orientation was turned.  The turned simplices are collected once per
+    pair."""
     faces = cell.faces()
-    if cell.orientation == cell.vertices and all(
-            pair.simplex(f).orientation == f for f in faces):
-        return [(-1) ** j for j in range(len(faces))]
-    return [orientation_sign(pair.simplex(f), cell) for f in faces]
+    turned = pair.cached(("turned",), lambda: {
+        s.vertices for s in pair.all_simplices()
+        if s.orientation != s.vertices})
+    if not turned.isdisjoint(faces):
+        return [orientation_sign(pair.simplex(f), cell) for f in faces]
+    first = orientation_sign(pair.simplex(faces[0]), cell) \
+        if cell.vertices in turned else 1
+    return [first * (-1) ** j for j in range(len(faces))]
 
 
 def facet_incidence(pair, m):
