@@ -13,7 +13,6 @@ from ddforms.mesh import (
     Simplex,
     RelativePair,
     build_complex,
-    orientation_sign,
     betti_numbers,
     check_local_patch_condition,
     skeleton_pair,

@@ -3,9 +3,10 @@
 A mesh is a pair (T, U): a finite simplicial complex T together with a
 subcomplex U of marked simplices encoding boundary conditions.  Chain
 matrices are assembled over the unmarked simplices only, which realizes the
-relative chain complex as a quotient by deletion.  Ranks of the integer
-chain matrices are computed exactly (sparse fraction-free elimination), so
-Betti numbers carry no floating point tolerance.
+relative chain complex as a quotient by deletion.  A simplex keeps its
+orientation as a sign relative to its ascending vertex tuple.  Ranks of
+the integer chain matrices are computed exactly (sparse fraction-free
+elimination), so Betti numbers carry no floating point tolerance.
 """
 
 from __future__ import annotations
@@ -29,24 +30,21 @@ class MeshError(ValueError):
 class Simplex:
     """An oriented simplex, identified by its ascending vertex tuple.
 
-    ``orientation`` is an ordering of the same vertices; ascending order is
-    the positive orientation.  Top-dimensional cells in matching ambient
-    dimension may carry a swapped ordering so that their orientation is the
-    Euclidean one.
+    ``sign`` is its orientation, +1 or -1 times that of the ascending
+    order.  Top-dimensional cells in matching ambient dimension carry the
+    sign of their Euclidean orientation.
     """
 
     vertices: tuple
-    orientation: tuple = None
+    sign: int = 1
 
     def __post_init__(self):
         if not self.vertices:
             raise MeshError("simplex needs at least one vertex")
         if any(a >= b for a, b in zip(self.vertices, self.vertices[1:])):
             raise MeshError(f"vertices must be strictly increasing: {self.vertices}")
-        if self.orientation is None:
-            object.__setattr__(self, "orientation", self.vertices)
-        elif tuple(sorted(self.orientation)) != self.vertices:
-            raise MeshError("orientation must permute the vertex tuple")
+        if self.sign not in (1, -1):
+            raise MeshError(f"orientation sign must be 1 or -1: {self.sign}")
 
     @property
     def dim(self):
@@ -155,7 +153,7 @@ class RelativePair:
             for f in c.faces():
                 if len(f) >= 1:
                     count[f] = count.get(f, 0) + 1
-        return [self._lookup[f] for f, n in sorted(count.items()) if n == 1]
+        return [self.simplex(f) for f, n in sorted(count.items()) if n == 1]
 
     def __repr__(self):
         sizes = {m: len(self._by_dim[m]) for m in sorted(self._by_dim)}
@@ -166,10 +164,10 @@ class RelativePair:
 
 
 def _euclid_orientation(vertices, coords):
-    """Reorder an n-cell in ambient dim n to positive Euclidean volume.
-    Where the float determinant of its edges overflows or is zero (it may
-    underflow on a tiny cell), its sign is taken from the exact
-    determinant of the coordinates as fractions."""
+    """The sign of the Euclidean volume of an n-cell in ambient dim n, its
+    vertices in ascending order.  Where the float determinant of its edges
+    overflows or is zero (it may underflow on a tiny cell), its sign is
+    taken from the exact determinant of the coordinates as fractions."""
     pts = [coords[v] for v in vertices]
     edges = np.array([[pj - p0 for pj, p0 in zip(p, pts[0])] for p in pts[1:]])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -185,19 +183,15 @@ def _euclid_orientation(vertices, coords):
                   for perm in itertools.permutations(order))
     if det == 0.0:
         raise MeshError(f"degenerate cell {vertices}")
-    if det < 0:
-        v = list(vertices)
-        v[-1], v[-2] = v[-2], v[-1]
-        return tuple(v)
-    return tuple(vertices)
+    return 1 if det > 0 else -1
 
 
 def build_complex(cells, vertices, marked=()):
     """Close a list of cells (vertex-index lists) into a RelativePair.
 
     ``marked`` lists simplices whose closure forms the subcomplex U.  Cells
-    of full ambient dimension d >= 1 are stored with Euclidean (positive
-    volume) orientation.
+    of full ambient dimension d >= 1 carry the sign of their Euclidean
+    volume.
     """
     coords = [tuple(float(x) for x in p) for p in vertices]
     nv = len(coords)
@@ -216,10 +210,10 @@ def build_complex(cells, vertices, marked=()):
         if key in seen:
             raise MeshError(f"duplicate cell {cell}")
         seen.add(key)
-        orientation = key
+        sign = 1
         if 1 < len(key) == len(coords[0]) + 1:
-            orientation = _euclid_orientation(key, coords)
-        members[key] = Simplex(key, orientation)
+            sign = _euclid_orientation(key, coords)
+        members[key] = Simplex(key, sign)
         for r in range(1, len(key)):
             for f in itertools.combinations(key, r):
                 members.setdefault(f, Simplex(f))
@@ -237,51 +231,20 @@ def build_complex(cells, vertices, marked=()):
 # -- orientation and chain matrices ---------------------------------------
 
 
-def orientation_sign(face, cell):
-    """The incidence sign o(F, C) for a codimension-one face F of C."""
-    fset = set(face.vertices)
-    cset = set(cell.vertices)
-    if not fset < cset or len(cset) - len(fset) != 1 or face.dim != cell.dim - 1:
-        raise MeshError(f"{face} is not a codimension-1 face of {cell}")
-    (absent,) = cset - fset
-    j = cell.orientation.index(absent)
-    induced = tuple(v for v in cell.orientation if v != absent)
-    return (-1) ** j * _permutation_parity(induced, face.orientation)
-
-
-def _facet_signs(pair, cell):
-    """o(F, C) for the facets F of C in ``faces()`` order.  Where the
-    facets keep their ascending orientation, the facet omitting the j-th
-    vertex has sign (-1)^j times that of the first, which is 1 unless C's
-    orientation was turned, as on a top cell turned to the Euclidean one;
-    ``orientation_sign`` runs on every facet only where a facet's
-    orientation was turned.  The turned simplices are collected once per
-    pair."""
-    faces = cell.faces()
-    turned = pair.cached(("turned",), lambda: {
-        s.vertices for s in pair.all_simplices()
-        if s.orientation != s.vertices})
-    if not turned.isdisjoint(faces):
-        return [orientation_sign(pair.simplex(f), cell) for f in faces]
-    first = orientation_sign(pair.simplex(faces[0]), cell) \
-        if cell.vertices in turned else 1
-    return [first * (-1) ** j for j in range(len(faces))]
-
-
 def facet_incidence(pair, m):
     """The signed facet incidence of the m-stratum, computed once per pair:
-    int arrays (cell, facet, j, sign) with one entry per unmarked facet of
-    an unmarked m-cell; cell and facet index the m- and (m-1)-strata, j is
-    the local vertex the facet omits and sign is o(F, C)."""
+    int arrays (cell, facet, j, sign) with one entry per unmarked facet F
+    of an unmarked m-cell C; cell and facet index the m- and (m-1)-strata,
+    j is the local vertex F omits and sign is o(F, C) = (-1)^j s_C s_F."""
 
     def build():
-        index = {s.vertices: i for i, s in enumerate(pair.stratum(m - 1))}
-        entries = [(ci, index[f], j, sign)
+        facets = {s.vertices: (i, s.sign)
+                  for i, s in enumerate(pair.stratum(m - 1))}
+        entries = [(ci, j, c.sign) + facets[f]
                    for ci, c in enumerate(pair.stratum(m))
-                   for j, (f, sign) in enumerate(zip(c.faces(),
-                                                     _facet_signs(pair, c)))
-                   if f in index]
-        return np.array(entries, dtype=np.int64).reshape(-1, 4).T
+                   for j, f in enumerate(c.faces()) if f in facets]
+        cell, j, s_c, facet, s_f = np.array(entries, np.int64).reshape(-1, 5).T
+        return np.array([cell, facet, j, (-1) ** j * s_c * s_f])
 
     return pair.cached(("incidence", m), build)
 
@@ -472,18 +435,18 @@ def _kuhn_cells_3d(keep):
 
 def mark_pair(pair, mode):
     """Re-mark a pair, keeping every simplex of it: "none" marks nothing,
-    "full" every boundary facet, "half" the boundary facets lowest in the
-    last coordinate (a disk on the boundary for the catalog meshes).
-    Returns the pair itself when its marking does not change."""
+    "full" every boundary facet, "half" those lowest in the last coordinate
+    to within 1e-9 of their spread, at any scale (a disk on the boundary
+    for the catalog meshes).  Returns the pair itself when unchanged."""
     if mode not in ("none", "full", "half"):
         raise MeshError(f"unknown marking mode {mode!r}")
     facets = pair.boundary_facets() if mode != "none" else []
     if mode == "half" and facets:
-        def level(f):
-            return sum(p[-1] for p in pair.points(f)) / (f.dim + 1)
-
-        lo = min(level(f) for f in facets)
-        facets = [f for f in facets if level(f) < lo + 1e-9]
+        levels = [sum(p[-1] for p in pair.points(f)) / (f.dim + 1)
+                  for f in facets]
+        lo, hi = min(levels), max(levels)
+        facets = [f for f, x in zip(facets, levels)
+                  if x <= lo + 1e-9 * (hi - lo)]
     marked = {g for f in facets for g in f.subsimplices()}
     if marked == pair.marked:
         return pair

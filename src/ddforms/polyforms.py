@@ -13,11 +13,12 @@ A family space is spanned by symbolic generators (alpha, idx), and its
 basis is a subset of them; forms are read symbolically once per family
 and shape, into the generators' integer coordinates and the derivative
 tables.  Everything after that is integer tables: a generator traces onto
-a facet to a generator or to zero, so the trace tables are lifts of
-generators; the bubbles are the kernel of the stacked trace tables; an
+a facet to a generator or to zero, so the trace tables are generators'
+coordinates; the bubbles are the kernel of the stacked trace tables; an
 extension is a lift over the generators touching every vertex of a face,
 placed on the face; the trace onto any face is a product of facet tables;
-and the decomposition check compares table products exactly.
+and the decomposition check compares table products exactly.  Each table
+that solves A X = B does so by one ``_solve``, exact and in integers.
 ``SimplexGeometry`` (Hodge star, codifferential and exact L2 inner
 products on one simplex) is the tests' entry-by-entry reference for the
 element Grams and their Stokes calculus; the criterion-10 helpers built
@@ -227,10 +228,6 @@ class BarycentricForm:
         return out
 
 
-def _form_poly_degree(form):
-    return max((sum(a) for (a, _s) in form.terms), default=0)
-
-
 @lru_cache(maxsize=None)
 def reduced_frame(m, k, R):
     """Ordered reduced frame keys for k-forms of polynomial degree <= R."""
@@ -434,22 +431,16 @@ class ElementSpace:
 
     def coefficients(self, form):
         """Coordinates of a form in this basis; FormError if not a member."""
-        return _solve_in_space(self, [form], FormError)[:, 0]
+        reason = "form is not a member of the element space"
+        if not form.reduced().keys() <= _frame_index(self.frame).keys():
+            raise FormError(reason)
+        return _solve(self.matrix, _coeff_matrix([form], self.frame),
+                      FormError, reason, self.inverse)[:, 0]
 
     @cached_property
     def inverse(self):
-        """(R, M, d): the rows R of the basis matrix A independent over
-        the integers, and an integer M and d > 0 with A[R] M = d I, from
-        one exact kernel of [A[R] | -I] on first use.  The basis is
-        independent, so A[R] is square and invertible."""
-        n = self.size
-        rows = exact.echelon(exact.dense_rows(self.matrix))[0]
-        K = _kernel(np.hstack([self.matrix[rows],
-                               -np.eye(n, dtype=np.int64)]))[0]
-        # column j of K is s_j (A[R]^-1 e_j, e_j), s_j > 0
-        scale = np.diagonal(K[n:]).tolist()
-        d = math.lcm(*scale)
-        return rows, K[:n] * np.array([d // s for s in scale], K.dtype), d
+        """``_inverse`` of the independent basis matrix, on first use."""
+        return _inverse(self.matrix)
 
     @cached_property
     def reference_tensor(self):
@@ -543,12 +534,6 @@ def _family_space(kind, r, m, k):
 # -- derivative / trace matrices, bubbles, extensions ---------------------
 
 
-_NOT_A_MEMBER = {
-    FamilyError: "family is not closed under the requested operation",
-    FormError: "form is not a member of the element space",
-}
-
-
 def _kernel(table):
     """The exact integer kernel basis of a small dense integer table, as a
     dense array, and its free columns (see ``exact.kernel``)."""
@@ -559,44 +544,33 @@ def _kernel(table):
     return K, free
 
 
-def _lift(A, B, error, reason):
-    """The integer X with A X = B for integer A and B, read off the exact
-    kernel of [A | -B]; free columns of A get zero.  Raises error(reason)
-    unless every column of B is a free column of unit scale, i.e. unless
-    it is an integer combination of the pivot columns of A."""
-    n, nb = A.shape[1], B.shape[1]
-    K, free = _kernel(np.hstack([A, -B]))
-    lead = len(free) - nb
-    if lead < 0 or not np.array_equal(free[lead:], np.arange(n, n + nb)) \
-            or np.any(np.diagonal(K[n:, lead:]) != 1):
+def _inverse(A):
+    """(R, C, M, d) for an integer A: the rows R independent over the
+    integers and the pivot columns C, the first independent ones, from one
+    echelon, and an integer M and d > 0 with A[R, C] M = d I, from one
+    exact kernel of [A[R, C] | -I]; A[R, C] is square and invertible."""
+    rows, pivots = exact.echelon(exact.dense_rows(A))
+    cols = sorted(pivots)
+    n = len(cols)
+    K = _kernel(np.hstack([A[np.ix_(rows, cols)],
+                           -np.eye(n, dtype=np.int64)]))[0]
+    # column j of K is s_j (A[R, C]^-1 e_j, e_j), s_j > 0
+    scale = np.diagonal(K[n:]).tolist()
+    d = math.lcm(*scale)
+    return rows, cols, K[:n] * np.array([d // s for s in scale], K.dtype), d
+
+
+def _solve(A, B, error, reason, inverse=None):
+    """The integer X with A X = B for integer A and B that is zero off the
+    pivot columns C of A: X[C] = M B[R] / d by the given ``_inverse(A)``,
+    or by one taken here.  Raises error(reason) unless that is integral and
+    solves A X = B exactly, i.e. unless B is an integer combination of C."""
+    rows, cols, M, d = _inverse(A) if inverse is None else inverse
+    X = np.zeros((A.shape[1], B.shape[1]), np.int64)
+    X[cols], rest = np.divmod(M @ B[rows], d)
+    if rest.any() or not np.array_equal(A @ X, B):
         raise error(reason)
-    return K[:n, lead:].astype(np.int64)
-
-
-def _in_basis(space, B, error, reason):
-    """The integer X with A X = B for the basis matrix A of a space in its
-    frame, whose columns are independent, so that X = M B[R] / d is the
-    only candidate (see ``ElementSpace.inverse``); raises error(reason)
-    unless it is integral and solves A X = B exactly."""
-    rows, M, d = space.inverse
-    X, rest = np.divmod(M @ B[rows], d)
-    if rest.any() or not np.array_equal(space.matrix @ X, B):
-        raise error(reason)
-    return X.astype(np.int64)
-
-
-def _solve_in_space(space, forms, error=FamilyError):
-    """Integer coefficient matrix of the given forms in a space's basis,
-    exactly: through the space's inverse, or by one exact lift in a frame
-    of the forms' higher degree; raises ``error`` unless each form is an
-    integer combination of the basis."""
-    degree = max((_form_poly_degree(f) for f in forms), default=0)
-    if degree > space.frame_degree:
-        frame = reduced_frame(space.dim, space.degree, degree)
-        return _lift(_coeff_matrix(space.basis, frame),
-                     _coeff_matrix(forms, frame), error, _NOT_A_MEMBER[error])
-    return _in_basis(space, _coeff_matrix(forms, space.frame), error,
-                     _NOT_A_MEMBER[error])
+    return X
 
 
 @lru_cache(maxsize=None)
@@ -606,7 +580,10 @@ def _d_matrix(kind, r, m, k):
     tgt = _family_space(kind, r, m, k + 1)
     if src.size == 0 or k >= m:
         return np.zeros((tgt.size, src.size), dtype=np.int64)
-    return _solve_in_space(tgt, [f.derivative() for f in src.basis])
+    images = _coeff_matrix([f.derivative() for f in src.basis], tgt.frame)
+    return _solve(tgt.matrix, images, FamilyError,
+                  "family is not closed under the requested operation",
+                  tgt.inverse)
 
 
 @lru_cache(maxsize=None)
@@ -615,7 +592,7 @@ def _trace_matrix(kind, r, m, k):
     as (m + 1, target size, source size) and indexed by the omitted local
     vertex j.  The trace of a generator onto that facet is zero where j is
     in its monomial support or index set, and otherwise the facet's
-    generator with j dropped, so one lift of those generators into the
+    generator with j dropped, so one solve for those generators in the
     facet's basis gives every column."""
     src = _family_space(kind, r, m, k)
     tgt = _family_space(kind, r, m - 1, k)
@@ -628,8 +605,10 @@ def _trace_matrix(kind, r, m, k):
               for i, (alpha, idx) in enumerate(src.generators)
               for j in range(m + 1) if not alpha[j] and j not in idx]
     gens = sorted({g for _j, _i, g in traced})
-    coords = _in_basis(tgt, _generator_table(kind, r, m - 1, k)[1][:, gens],
-                       FamilyError, _NOT_A_MEMBER[FamilyError])
+    B = _generator_table(kind, r, m - 1, k)[1][:, gens]
+    coords = _solve(tgt.matrix, B, FamilyError,
+                    "family is not closed under the requested operation",
+                    tgt.inverse)
     at = {g: c for c, g in enumerate(gens)}
     for j, i, g in traced:
         out[j, :, i] = coords[:, at[g]]
@@ -675,10 +654,10 @@ def _generator_table(kind, r, m, k):
 @lru_cache(maxsize=None)
 def _generator_coords(kind, r, m, k):
     """The integer coordinates of the generators in the family basis, one
-    column each, by one lift."""
-    return _in_basis(_family_space(kind, r, m, k),
-                     _generator_table(kind, r, m, k)[1], FormError,
-                     _NOT_A_MEMBER[FormError])
+    column each, by one solve."""
+    space = _family_space(kind, r, m, k)
+    return _solve(space.matrix, _generator_table(kind, r, m, k)[1], FormError,
+                  "form is not a member of the element space", space.inverse)
 
 
 @lru_cache(maxsize=None)
@@ -697,11 +676,12 @@ def _placed(alpha, idx, positions, mc):
 @lru_cache(maxsize=None)
 def _extension_lift(kind, r, mf, k):
     """The full-support generators on an mf-simplex, and the integer
-    representation of the bubble basis over them, by one exact lift in the
-    family coordinates; raises if their span is insufficient.  A generator
-    has full support when every local vertex appears in its monomial
-    support or its index set, so that placed on a face of a larger simplex
-    it vanishes on the faces missing a vertex of that face."""
+    representation of the bubble basis over them, by one exact solve in the
+    family coordinates, zero on generators dependent on those before them;
+    raises if their span is insufficient.  A generator has full support
+    when every local vertex appears in its monomial support or its index
+    set, so that placed on a face of a larger simplex it vanishes on the
+    faces missing a vertex of that face."""
     coeffs = _bubble_coeffs(kind, r, mf, k)
     gens = tuple((alpha, idx) for alpha, idx in _generators(kind, r, mf, k)
                  if {i for i, a in enumerate(alpha) if a} | set(idx)
@@ -713,7 +693,7 @@ def _extension_lift(kind, r, mf, k):
             f"{kind}(r={r}): no full-support generators for k={k} on dim {mf}")
     index = _generator_index(kind, r, mf, k)
     A = _generator_coords(kind, r, mf, k)[:, [index[g] for g in gens]]
-    return gens, _lift(A, coeffs, FamilyError, (
+    return gens, _solve(A, coeffs, FamilyError, (
         f"{kind}(r={r}): bubble space on dim {mf}, k={k} is not covered "
         "by full-support generators; no extension operator available"))
 

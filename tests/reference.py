@@ -3,10 +3,14 @@
 - ``pseudoinverse`` and the paper's regularizers ``regularizer_R`` and
   ``regularizer_S``, which invert the isomorphism steps' transfers
   (criteria 6 and 7, and the inverse-transfer test);
-- the mesh references ``boundary_matrix`` (dense relative incidence),
-  ``patch_pair`` (one element patch as its own pair) and
+- the mesh references ``orientation_sign`` (the incidence sign from
+  explicit vertex orderings), ``boundary_matrix`` (dense relative
+  incidence), ``patch_pair`` (one element patch as its own pair) and
   ``open_star_report`` (the patch condition, one elimination per star),
-  against which the Betti numbers and the patch condition are checked;
+  against which the incidence, the Betti numbers and the patch condition
+  are checked;
+- ``kernel_lift``, the solve of A X = B read off the exact kernel of
+  [A | -B], against which ``polyforms._solve`` is checked;
 - ``trailing_q``, the harmonic complement one reflector at a time;
 - the criterion-10 Stokes calculus on one simplex: ``geometry``,
   ``normal_trace`` and ``stokes_residual``, over ``SimplexGeometry``;
@@ -27,12 +31,12 @@ import numpy as np
 from ddforms import exact
 from ddforms.assembly import AssemblyError, operator_D, operator_T
 from ddforms.distrib import redirected_gamma, redirected_lambda
-from ddforms.mesh import (MeshError, RelativePair, Simplex, _facet_signs,
+from ddforms.mesh import (MeshError, RelativePair, Simplex,
                           _permutation_parity, facet_incidence)
 from ddforms.polyforms import (BarycentricForm, ElementSpace, FormError,
                                SimplexGeometry, _bubble_coeffs, _canon_wedge,
-                               _extension_lift, _family_space,
-                               _monomial_times, _placed, _solve_in_space,
+                               _coeff_matrix, _extension_lift, _family_space,
+                               _kernel, _monomial_times, _placed, _solve,
                                whitney_form)
 
 
@@ -97,6 +101,23 @@ def regularizer_S(pair, family, m, b, x):
     return _regularizer(cx, n - m, d_op, (-1.0) ** (b + n - m), x)
 
 
+# -- the exact solve ------------------------------------------------------
+
+
+def kernel_lift(A, B, error, reason):
+    """The integer X with A X = B for integer A and B, read off the exact
+    kernel of [A | -B]; free columns of A get zero.  Raises error(reason)
+    unless every column of B is a free column of unit scale, i.e. unless
+    it is an integer combination of the pivot columns of A."""
+    n, nb = A.shape[1], B.shape[1]
+    K, free = _kernel(np.hstack([A, -B]))
+    lead = len(free) - nb
+    if lead < 0 or not np.array_equal(free[lead:], np.arange(n, n + nb)) \
+            or np.any(np.diagonal(K[n:, lead:]) != 1):
+        raise error(reason)
+    return K[:n, lead:].astype(np.int64)
+
+
 # -- the harmonic basis ---------------------------------------------------
 
 
@@ -113,6 +134,32 @@ def trailing_q(raw, tau):
 
 
 # -- mesh references ------------------------------------------------------
+
+
+def _ordering(simplex):
+    """An explicit vertex ordering of a simplex and the sign it leaves
+    over: a sign of -1 swaps the last two vertices of the ascending tuple
+    and leaves 1, except on a vertex, whose one ordering leaves its sign."""
+    v = simplex.vertices
+    if simplex.sign < 0 and len(v) > 1:
+        return v[:-2] + (v[-1], v[-2]), 1
+    return v, simplex.sign
+
+
+def orientation_sign(face, cell):
+    """The incidence sign o(F, C) for a codimension-one face F of C: C's
+    ordering with the absent vertex at position j induces an ordering of
+    F, and o(F, C) is (-1)^j times the parity taking it to F's ordering,
+    times the signs the orderings leave."""
+    fset = set(face.vertices)
+    cset = set(cell.vertices)
+    if not fset < cset or len(cset) - len(fset) != 1:
+        raise MeshError(f"{face} is not a codimension-1 face of {cell}")
+    (absent,) = cset - fset
+    (corder, csign), (forder, fsign) = _ordering(cell), _ordering(face)
+    j = corder.index(absent)
+    induced = tuple(v for v in corder if v != absent)
+    return (-1) ** j * _permutation_parity(induced, forder) * csign * fsign
 
 
 def boundary_matrix(pair, m):
@@ -169,8 +216,9 @@ def open_star_report(pair):
             if m < n and (g.vertices not in star or g.vertices in pair.marked):
                 continue
             if m:
-                faces[g.vertices] = list(zip(g.faces(),
-                                             _facet_signs(pair, g)))
+                faces[g.vertices] = [
+                    (f, orientation_sign(pair.simplex(f), g))
+                    for f in g.faces()]
             for f in g.subsimplices():
                 star.setdefault(f, []).append(g.vertices)
     entries = {}
@@ -201,9 +249,8 @@ def _open_star_betti(chains, faces, n):
 
 
 def geometry(pair, simplex):
-    """SimplexGeometry of a mesh simplex, honoring its stored orientation."""
-    parity = _permutation_parity(simplex.orientation, simplex.vertices)
-    return SimplexGeometry(pair.points(simplex), parity)
+    """SimplexGeometry of a mesh simplex, honoring its orientation sign."""
+    return SimplexGeometry(pair.points(simplex), simplex.sign)
 
 
 def normal_trace(form, positions, geo, face_geo=None):
@@ -372,7 +419,8 @@ def decomposition_entry(family, m, k):
     exts = [ext for mf in range(k, m + 1)
             for face in extensions(family.kind, family.r, mf, k, m).values()
             for ext in face]
-    coords = _solve_in_space(space, exts, error=FormError)
+    coords = _solve(space.matrix, _coeff_matrix(exts, space.frame), FormError,
+                    "form is not a member of the element space", space.inverse)
     count = len(exts)
     rank = exact.rank(exact.dense_rows(coords.T))
     identities = all(check_extension_identities(family, mf, k, m)

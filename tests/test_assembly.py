@@ -16,11 +16,12 @@ from ddforms.assembly import (AssemblyError, BrokenSpace, GramFactor,
                               operator_D, operator_T, placement)
 from ddforms.cli import main
 from ddforms.mesh import (RelativePair, build_complex, generate_mesh,
-                          orientation_sign, skeleton_pair)
+                          skeleton_pair)
 from ddforms.polyforms import (ElementSpace, Family, FamilyError,
                                simplex_metrics)
 
 from conftest import dense, dense_basis, svd_null
+from reference import orientation_sign
 
 
 def rel(a, scale):

@@ -8,10 +8,11 @@ from ddforms import exact
 from ddforms.mesh import (MeshError, Simplex, _grid_cells_2d, _kuhn_cells_3d,
                           betti_numbers, build_complex,
                           check_local_patch_condition, generate_mesh,
-                          load_mesh_file, mark_pair, orientation_sign,
-                          save_mesh_file, skeleton_pair)
+                          load_mesh_file, mark_pair, save_mesh_file,
+                          skeleton_pair)
 
-from reference import boundary_matrix, open_star_report, patch_pair
+from reference import (boundary_matrix, open_star_report, orientation_sign,
+                       patch_pair)
 
 CATALOG = ("interval", "triangle", "tetrahedron", "square_grid", "annulus",
            "cube_tet", "solid_ring", "sphere_boundary")
@@ -23,6 +24,9 @@ def test_simplex_faces_and_dim():
     assert s.faces() == [(2, 5), (0, 5), (0, 2)]
     with pytest.raises(MeshError):
         Simplex((2, 0, 5))
+    assert Simplex((0, 2)).sign == 1
+    with pytest.raises(MeshError):
+        Simplex((0, 2), 0)
 
 
 def test_orientation_sign_alternates():
@@ -44,8 +48,8 @@ def test_orientation_beyond_float_range(dim):
             pairs = [build_complex([list(range(dim + 1))], scale * vertices)
                      for scale in (1.0, 1e300)]
         cell = tuple(range(dim + 1))
-        assert pairs[0].simplex(cell).orientation == \
-            pairs[1].simplex(cell).orientation, turn
+        assert pairs[0].simplex(cell).sign == pairs[1].simplex(cell).sign \
+            == (-1 if turn else 1), turn
 
 
 def test_boundary_of_boundary_vanishes():
@@ -115,6 +119,21 @@ def test_mark_pair_keeps_simplices():
     assert mark_pair(full, "full") is full
     with pytest.raises(MeshError):
         mark_pair(pair, "file")
+
+
+@pytest.mark.parametrize("name,size", [("cube_tet", 1), ("square_grid", 3)])
+@pytest.mark.parametrize("scale", [2.0 ** -40, 1e-12])
+def test_mark_half_does_not_depend_on_scale(name, size, scale):
+    """"half" marks the same simplices on a mesh scaled down, and the
+    relative Betti numbers stay those of the unit mesh (all zero)."""
+    unit = generate_mesh(name, size)
+    cells = [list(c.vertices) for c in unit.simplices(unit.top_dim)]
+    small = build_complex(cells, scale * np.array(unit.coords))
+    want = mark_pair(unit, "half")
+    got = mark_pair(small, "half")
+    assert got.marked == want.marked
+    assert betti_numbers(got) == betti_numbers(want) == \
+        [0] * (unit.top_dim + 1)
 
 
 def test_marked_set_closure_enforced():

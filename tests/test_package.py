@@ -3,7 +3,7 @@ import inspect
 import pathlib
 
 import ddforms
-from ddforms import cli, distrib, polyforms
+from ddforms import cli, distrib, mesh, polyforms
 
 from test_reach import UNREACHED
 
@@ -30,6 +30,12 @@ def test_exports_name_nothing_test_only():
             test_only.add(name)
     assert sorted(test_only - USER_OUTPUTS) == []
 
+
+def test_incidence_reference_lives_in_tests():
+    """``mesh.facet_incidence`` computes the incidence signs inline; the
+    per-facet ``orientation_sign`` is the tests' reference alone."""
+    assert "orientation_sign" not in ddforms.__all__
+    assert not hasattr(mesh, "orientation_sign")
 
 
 def _tree(module):
@@ -75,6 +81,29 @@ def test_decomposition_check_takes_no_symbolic_trace():
                 todo.append(callee)
     assert {"_decomposition_entry", "_extension_identities", "_face_trace",
             "_extension_coords"} <= seen
+
+
+def test_element_tables_take_one_exact_solve():
+    """Within polyforms only ``_inverse`` and ``_bubble_coeffs`` name
+    ``_kernel``, and only ``_kernel`` names ``exact.kernel``: every table
+    that solves A X = B goes through ``_solve`` and an ``_inverse``."""
+    names = {"_kernel": set(), "exact.kernel": set()}
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                walk(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == "_kernel":
+                names["_kernel"].add(owner)
+            if isinstance(child, ast.Attribute) and child.attr == "kernel" \
+                    and getattr(child.value, "id", None) == "exact":
+                names["exact.kernel"].add(owner)
+            walk(child, owner)
+
+    walk(_tree(polyforms), None)
+    assert names == {"_kernel": {"_inverse", "_bubble_coeffs"},
+                     "exact.kernel": {"_kernel"}}
 
 
 def _formats_a_float(node):

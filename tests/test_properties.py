@@ -1,5 +1,5 @@
 """Property-based checks on random marked sub-grids of the square grid,
-and on the exact integer lift of the element layer."""
+their orientations, and the exact integer solve of the element layer."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from ddforms import distrib, exact
 from ddforms.hilbert import harmonic_space, hodge_laplacian, laplace_solve
-from ddforms.mesh import (_grid_cells_2d, betti_numbers, build_complex,
-                          check_local_patch_condition)
-from ddforms.polyforms import Family, FamilyError, _lift
+from ddforms.mesh import (RelativePair, Simplex, _grid_cells_2d,
+                          betti_numbers, build_complex,
+                          check_local_patch_condition, facet_incidence)
+from ddforms.polyforms import Family, FamilyError, _solve
 
-from reference import (open_star_report, regularizer_R, regularizer_S,
-                       stratum_slice)
+from reference import (kernel_lift, open_star_report, orientation_sign,
+                       regularizer_R, regularizer_S, stratum_slice)
 
 JITTER = st.floats(-0.15, 0.15)
 
@@ -48,6 +49,28 @@ def test_patch_condition_matches_open_star_reference(pair):
     """The patch report, every per-simplex Betti vector included, is that
     of ranking each open star on its own, on drawn meshes and markings."""
     assert check_local_patch_condition(pair) == open_star_report(pair)
+
+
+@DRAWN
+@given(marked_subgrids(), st.randoms(use_true_random=False))
+def test_flipped_orientations(pair, rng):
+    """Flipping the orientation signs of random simplices, vertices and
+    edges included, in a pair built directly: the incidence signs are the
+    reference's from explicit vertex orderings, the total complex still
+    squares to zero exactly, and the Betti numbers and the patch report
+    do not change."""
+    flipped = RelativePair(pair.coords, [
+        Simplex(s.vertices, -s.sign if rng.random() < 0.5 else s.sign)
+        for s in pair.all_simplices()], pair.marked)
+    for m in range(1, pair.top_dim + 1):
+        cells, facets = flipped.stratum(m), flipped.stratum(m - 1)
+        cell, facet, _j, sign = facet_incidence(flipped, m).tolist()
+        assert sign == [orientation_sign(facets[f], cells[c])
+                        for c, f in zip(cell, facet)]
+    distrib.total_complex(flipped, Family("trimmed", 1))
+    assert betti_numbers(flipped) == betti_numbers(pair)
+    assert check_local_patch_condition(flipped) == \
+        check_local_patch_condition(pair)
 
 
 @DRAWN
@@ -148,27 +171,51 @@ def injective_lifts(draw):
 
 @DRAWN
 @given(injective_lifts())
-def test_lift_recovers_integer_solution(ax):
+def test_solve_recovers_integer_solution(ax):
     A, X = ax
-    got = _lift(A, A @ X, FamilyError, "drawn")
+    got = _solve(A, A @ X, FamilyError, "drawn")
     assert got.dtype == np.int64
     assert np.array_equal(got, X)
 
 
 @DRAWN
 @given(injective_lifts(), st.lists(SMALL, min_size=6, max_size=6))
-def test_lift_refuses_column_outside_range(ax, col):
+def test_solve_refuses_column_outside_range(ax, col):
     A, X = ax
     b = np.array(col[:len(A)], dtype=np.int64)[:, None]
     assume(exact.rank(exact.dense_rows(np.hstack([A, b]))) > A.shape[1])
     with pytest.raises(FamilyError, match="drawn"):
-        _lift(A, np.hstack([A @ X, b]), FamilyError, "drawn")
+        _solve(A, np.hstack([A @ X, b]), FamilyError, "drawn")
 
 
 @DRAWN
 @given(injective_lifts())
-def test_lift_refuses_half_integral_solution(ax):
+def test_solve_refuses_half_integral_solution(ax):
     A, X = ax
     assume(np.any(X % 2))
     with pytest.raises(FamilyError, match="drawn"):
-        _lift(2 * A, A @ X, FamilyError, "drawn")
+        _solve(2 * A, A @ X, FamilyError, "drawn")
+
+
+@DRAWN
+@given(injective_lifts(), st.data())
+def test_solve_with_dependent_columns(ax, data):
+    """A = [A0 | A0 P] has the pivot columns of A0 and dependent ones
+    after them: the solution of A X = A Y is zero off the pivot columns
+    and is the one read off the exact kernel of [A | -B]."""
+    A0, _X = ax
+    n = A0.shape[1]
+    assume(n)
+    extra = data.draw(st.integers(1, 3))
+    P = np.array(data.draw(st.lists(SMALL, min_size=n * extra,
+                                    max_size=n * extra)),
+                 dtype=np.int64).reshape(n, extra)
+    Y = np.array(data.draw(st.lists(SMALL, min_size=(n + extra) * 2,
+                                    max_size=(n + extra) * 2)),
+                 dtype=np.int64).reshape(n + extra, 2)
+    A = np.hstack([A0, A0 @ P])
+    got = _solve(A, A @ Y, FamilyError, "drawn")
+    assert got.dtype == np.int64
+    assert not got[n:].any()
+    assert np.array_equal(A @ got, A @ Y)
+    assert np.array_equal(got, kernel_lift(A, A @ Y, FamilyError, "drawn"))
