@@ -37,13 +37,11 @@ from ddforms.assembly import (
     operator_T,
     derivative_operator,
     kernel_space,
-    adjoint,
     export_matrix,
 )
 from ddforms.hilbert import (
     ComplexInstance,
     harmonic_space,
-    hodge_laplacian,
     laplace_solve,
 )
 from ddforms.distrib import (

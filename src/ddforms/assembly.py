@@ -8,24 +8,23 @@ triplet operators, applied to vectors and matrices from the triplets, with
 dense rows or columns scattered only on request.  The stratum layout is
 read here alone: ``placement`` and a kernel subspace's ``embedding`` are
 the integer maps between spaces, applied by ``LinearOp.apply`` like any
-other.  It builds the mesh-weighted element Grams and
-their block Cholesky factors once per (family, m, k) stratum of a mesh,
-metric adjoints (applied to vectors) and kernel subspaces, once per pair,
-whose exact integer bases are kept as triplets and never as dense arrays,
-with Grams assembled element by element.  A space keeps its metric only
-as its Cholesky factor, the ``whitening``: the dense Gram of a space is a
-reference built on request and never stored, and no factor keeps an
-inverse of more than 128 rows.  One recursion by halves factors a Gram
-and applies L, L^T, L^-1 and L^-T, all in place, with general inverses
-only on diagonal leaves of at most 128 rows, of which the element blocks
-are the batched case.  So a factorisation holds at once the Gram, which
-becomes L, its leaf inverses and temporaries of at most half its size
-(a leaf and a 128-row strip for the factor, the off-diagonal product
-for a solve), and applying the factor to a matrix holds that matrix,
-written in place, and one product of half its rows.  The mesh weights,
-and so the
-metric, are a function of the pair alone: their exponent is the top
-dimension of the root mesh, read through ``pair.parent`` on a skeleton.
+other.  It builds the mesh-weighted element Grams and their block
+Cholesky factors once per (family, m, k) stratum of a mesh, and kernel
+subspaces once per pair, whose exact integer bases are kept as triplets
+and never as dense arrays, with Grams assembled element by element.
+A space keeps its metric only as its Cholesky factor, the ``whitening``:
+the dense Gram of a space is a reference built on request and never
+stored, and no factor keeps an inverse of more than 128 rows.  One
+recursion by halves factors a Gram and applies L, L^T, L^-1 and L^-T, all
+in place, with general inverses only on diagonal leaves of at most 128
+rows, of which the element blocks are the batched case.  So a
+factorisation holds at once the Gram, which becomes L, its leaf inverses
+and temporaries of at most half its size (a leaf and a 128-row strip for
+the factor, the off-diagonal product for a solve), and applying the
+factor to a matrix holds that matrix, written in place, and one product
+of half its rows.  The mesh weights, and so the metric, are a function of
+the pair alone: their exponent is the top dimension of the root mesh,
+read through ``pair.parent`` on a skeleton.
 """
 
 from __future__ import annotations
@@ -386,15 +385,6 @@ def placement(small, big):
         rows.append(t.offset + np.arange(s.block * len(s.simplices)))
     return LinearOp(small, big, (np.concatenate(rows), np.arange(small.dim),
                                  np.ones(small.dim, np.int64)))
-
-
-def adjoint(op, x):
-    """The adjoint with respect to the two spaces' Gram inner products,
-    applied to x: G_dom^-1 A^T G_cod x, with G = L L^T and
-    G^-1 = L^-T L^-1."""
-    dom, cod = op.domain.whitening, op.codomain.whitening
-    return dom.solve_lt(dom.solve_l(
-        op.apply(cod.mul_l(cod.mul_lt(x)), transpose=True)))
 
 
 # The element-block entry pairs a kernel Gram takes at a time: a basis

@@ -32,7 +32,7 @@ import numpy as np
 
 from ddforms import distrib
 from ddforms.assembly import export_matrix, operator_D, operator_T
-from ddforms.hilbert import harmonic_space, hodge_laplacian, laplace_solve
+from ddforms.hilbert import harmonic_space, laplace_solve, subspace_transfer
 from ddforms.mesh import (MeshError, betti_numbers, generate_mesh,
                           load_mesh_file, mark_pair)
 from ddforms.polyforms import Family, FamilyError, FormError
@@ -150,21 +150,24 @@ def run_solve(pair, family, args):
     rng = random.Random(20240823)
     for i in range(len(cx)):
         dim = cx.spaces[i].dim
-        if dim == 0:
-            out[i] = {"dim": 0, "residual": 0.0, "harmonic_overlap": 0.0,
-                      "ok": True}
-            continue
         f = np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
         u, p = laplace_solve(cx, i, f)
-        # Gram norms through the factor: x^T G x = |L^T x|^2
+        # in the orthonormal frame v = L^T u Gram norms are 2-norms, and
+        # the Laplacian is A_i^T A_i + A_{i-1} A_{i-1}^T, A a whitened_diff
         W = cx.spaces[i].whitening
-        res_vec = W.mul_lt(hodge_laplacian(cx, i, u) - (f - p))
+        v = W.mul_lt(u)
+        res_vec = -W.mul_lt(f - p)
+        if i < len(cx.diffs):
+            res_vec += cx.whitened_diff(i, cx.whitened_diff(i, v),
+                                        transpose=True)
+        if i > 0:
+            res_vec += cx.whitened_diff(i - 1, cx.whitened_diff(
+                i - 1, v, transpose=True))
         # relative to the source: f - p is roundoff when f is harmonic
         scale = max(np.linalg.norm(W.mul_lt(f)), 1e-30)
         residual = float(np.linalg.norm(res_vec) / scale)
         h = harmonic_space(cx, i)
-        overlap = float(np.linalg.norm(W.mul_lt(h.basis).T @ W.mul_lt(u))) \
-            if h.dim else 0.0
+        overlap = float(np.linalg.norm(subspace_transfer(h, u)))
         good = residual < tol and overlap < tol
         out[i] = {"dim": dim, "harmonic_dim": h.dim, "residual": residual,
                   "harmonic_overlap": overlap, "ok": good}

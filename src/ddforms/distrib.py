@@ -219,7 +219,7 @@ def iso_step(pair, family, side, index, b):
     transfer = np.zeros((h_tgt.dim, h_src.dim))
     if transfer.size:
         y = placement(h_src.ambient, h_tgt.ambient).apply(h_src.basis)
-        transfer = subspace_transfer(h_tgt, Subspace(h_tgt.ambient, y))
+        transfer = subspace_transfer(h_tgt, y)
     smin_rel, ok = _transfer_verdict(transfer, h_src.dim, h_tgt.dim)
     return {
         "side": side,
@@ -326,7 +326,7 @@ def skeleton_projection(pair, family, k):
     skel_cx = conforming_complex(skeleton_pair(pair, n - 1), family)
     emb = _embedded(harmonic_space(skel_cx, k - 1), skel_cx.spaces[k - 1])
     comp = placement(emb.ambient, h2.ambient).apply(h2.basis, transpose=True)
-    transfer = subspace_transfer(emb, Subspace(emb.ambient, comp))
+    transfer = subspace_transfer(emb, comp)
     smin_rel, ok = _transfer_verdict(transfer, h2.dim, emb.dim)
     return {
         "degree": k,

@@ -22,8 +22,9 @@ differentials and the harmonic basis, written and whitened in place in
 one array F: a solve holds F and K, then K, numpy's copy of it and the
 right-hand side.  The metric pseudoinverse of the paper's regularizers
 is a test reference (tests/reference.py); no command calls it.  The
-Laplacian, the metric adjoints and the whitened differentials apply
-the integer triplets to vectors and are never formed as matrices.
+whitened differentials, the one way to apply a differential through the
+metric, apply the integer triplets to vectors and are never formed as
+matrices; ``subspace_transfer`` is the one Gram pairing.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ddforms import exact
-from ddforms.assembly import AssemblyError, Subspace, adjoint
+from ddforms.assembly import AssemblyError, Subspace
 
 
 class ComplexInstance:
@@ -141,19 +142,6 @@ def _trailing_q(raw, tau):
     return Q
 
 
-def hodge_laplacian(cx, i, u):
-    """The Hodge Laplacian d*_i d_i + d_{i-1} d*_{i-1} at index i, a
-    Gram-self-adjoint operator, applied to u."""
-    out = np.zeros(np.shape(u))
-    if i < len(cx.diffs):
-        d = cx.diffs[i]
-        out += adjoint(d, d.apply(u))
-    if i > 0:
-        d = cx.diffs[i - 1]
-        out += d.apply(adjoint(d, u))
-    return out
-
-
 def laplace_solve(cx, i, f):
     """Solve the Hodge-Laplace problem: u orthogonal to harmonics with
     Laplacian(u) = f - p, p = H H^T G f the harmonic part of f, H the
@@ -190,14 +178,12 @@ def laplace_solve(cx, i, f):
     return np.linalg.solve(K, W.mul_l(W.mul_lt(f - p))), p
 
 
-def subspace_transfer(a, b):
-    """The Gram pairings a^T G b of a Gram-orthonormal basis a with a basis
-    b that need not be orthonormal, (L^T a)^T (L^T b) through the
-    ambient's Cholesky factor L: the coordinates of b's projection on a."""
-    if a.ambient is not b.ambient and a.ambient.dim != b.ambient.dim:
-        raise AssemblyError("subspaces live in different ambient spaces")
+def subspace_transfer(a, y):
+    """The Gram pairings a^T G y of a Gram-orthonormal basis a with an
+    array y of its ambient space, (L^T a)^T (L^T y) through the ambient's
+    Cholesky factor L: the coordinates of y's projection on a."""
     W = a.ambient.whitening
-    return W.mul_lt(a.basis).T @ W.mul_lt(b.basis)
+    return W.mul_lt(a.basis).T @ W.mul_lt(y)
 
 
 def subspace_equality_defect(a, b):
@@ -211,5 +197,5 @@ def subspace_equality_defect(a, b):
     if a.dim == 0:
         return 0.0
     # the thin SVD, as in distrib._transfer_verdict
-    s = np.linalg.svd(subspace_transfer(a, b), full_matrices=False)[1]
+    s = np.linalg.svd(subspace_transfer(a, b.basis), full_matrices=False)[1]
     return float(np.max(np.abs(s - 1.0)))

@@ -516,6 +516,8 @@ def _family_space(kind, r, m, k):
     those before them (exactly: their coefficients are integers), for the
     full family, all k-forms of polynomial degree <= r - k, the monomials
     free of lambda_0 and d(lambda_0), which make up the reduced frame."""
+    if m < 0:
+        raise FamilyError(f"no simplex of dimension {m}")
     if k < 0 or k > m or (kind == "full" and r < k):
         return ElementSpace(m, max(k, 0), [], 0)
     gens = _generators(kind, r, m, k)

@@ -1,5 +1,8 @@
 """References the tests check the package against, which no command uses.
 
+- ``dense_adjoint`` and ``dense_laplacian``, the metric adjoint and the
+  Hodge Laplacian as dense matrices from the dense Grams, against which
+  the whitened differentials and ``solve``'s residual are checked;
 - ``pseudoinverse`` and the paper's regularizers ``regularizer_R`` and
   ``regularizer_S``, which invert the isomorphism steps' transfers
   (criteria 6 and 7, and the inverse-transfer test);
@@ -44,6 +47,28 @@ def stratum_slice(space, m):
     """The rows of the stratum on dimension m of a broken space."""
     (s,) = [s for s in space.strata if s.m == m]
     return slice(s.offset, s.offset + s.block * len(s.simplices))
+
+
+# -- the metric ----------------------------------------------------------
+
+
+def dense_adjoint(op):
+    """The metric adjoint G_dom^-1 A^T G_cod of an operator A, as a dense
+    matrix from the two spaces' dense Grams."""
+    return np.linalg.solve(op.domain.gram,
+                           op.submatrix().T @ op.codomain.gram)
+
+
+def dense_laplacian(cx, i):
+    """The Hodge Laplacian d*_i d_i + d_{i-1} d*_{i-1} at index i of a
+    complex, as a dense matrix from the dense Grams and differentials."""
+    n = cx.spaces[i].dim
+    lap = np.zeros((n, n))
+    if i < len(cx.diffs):
+        lap += dense_adjoint(cx.diffs[i]) @ cx.diffs[i].submatrix()
+    if i > 0:
+        lap += cx.diffs[i - 1].submatrix() @ dense_adjoint(cx.diffs[i - 1])
+    return lap
 
 
 # -- the paper's regularizers ---------------------------------------------

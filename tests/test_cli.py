@@ -2,6 +2,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import warnings
@@ -14,9 +15,12 @@ from hypothesis import strategies as st
 from ddforms import cli, distrib
 from ddforms.assembly import operator_D, operator_T
 from ddforms.cli import main, resolve_mesh
+from ddforms.hilbert import harmonic_space, laplace_solve
 from ddforms.mesh import (MeshError, generate_mesh, load_mesh_file,
                           save_mesh_file)
 from ddforms.polyforms import Family
+
+from reference import dense_laplacian
 
 
 def run(args):
@@ -89,6 +93,52 @@ def test_solve_exit_zero():
     assert code == 0
     doc = json.loads(text)
     assert doc["report"]["passed"]
+
+
+@pytest.mark.parametrize("name,mark,family,r", [
+    ("triangle", "none", "trimmed", 1), ("tetrahedron", "half", "full", 2),
+    ("cube_tet", "none", "full", 2)])
+def test_solve_reports_every_index_alike(name, mark, family, r):
+    """Every index of a solve report has the same keys, an empty one too:
+    it reports harmonic dimension 0 and zero residual and overlap."""
+    code, text = run(["solve", "--mesh", f"catalog:{name}", "--mark", mark,
+                      "--family", family, "--degree", str(r),
+                      "--format", "structured"])
+    report = json.loads(text)["report"]
+    assert code == 0 and report.pop("passed")
+    assert all(e.keys() == {"dim", "harmonic_dim", "residual",
+                            "harmonic_overlap", "ok"} for e in report.values())
+    empty = [e for e in report.values() if e["dim"] == 0]
+    assert empty and all(e == {"dim": 0, "harmonic_dim": 0, "residual": 0.0,
+                               "harmonic_overlap": 0.0, "ok": True}
+                         for e in empty)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("name,mark", [("annulus", "none"), ("annulus", "full"),
+                                       ("cube_tet", "half")])
+def test_solve_residual_is_the_laplacians(name, mark, r):
+    """solve's residual, taken through the whitened differentials, is the
+    dense Laplacian's Gram-norm residual |lap u - (f - p)|_G / |f|_G, and
+    its harmonic overlap is |H^T G u|, for the source solve draws and the
+    u and p of laplace_solve."""
+    code, text = run(["solve", "--mesh", f"catalog:{name}", "--mark", mark,
+                      "--degree", str(r), "--format", "structured"])
+    report = json.loads(text)["report"]
+    assert code == 0
+    cx = distrib.conforming_complex(generate_mesh(name, 1, mark),
+                                    Family("trimmed", r))
+    rng = random.Random(20240823)
+    for i in range(len(cx)):
+        gram = cx.spaces[i].gram
+        f = np.array([rng.gauss(0.0, 1.0) for _ in range(cx.spaces[i].dim)])
+        u, p = laplace_solve(cx, i, f)
+        res = dense_laplacian(cx, i) @ u - (f - p)
+        residual = np.sqrt(res @ gram @ res) / \
+            max(np.sqrt(f @ gram @ f), 1e-30)
+        overlap = np.linalg.norm(harmonic_space(cx, i).basis.T @ gram @ u)
+        assert abs(report[str(i)]["residual"] - residual) <= 1e-13
+        assert abs(report[str(i)]["harmonic_overlap"] - overlap) <= 1e-13
 
 
 def test_solve_source_without_numpy_random():
@@ -460,7 +510,7 @@ def test_ladder_dimensions(name, r, mark):
         assert chain[str(k)]["dims"] == [betti[n - k]] * (2 * k + 5)
 
     solve = reports["solve"]
-    assert [[solve[str(i)]["dim"], solve[str(i)].get("harmonic_dim", 0)]
+    assert [[solve[str(i)]["dim"], solve[str(i)]["harmonic_dim"]]
             for i in range(n + 1)] == LADDER_SOLVE[(name, r, mark)]
 
     double = reports["check"]["double_complex"]

@@ -106,6 +106,46 @@ def test_element_tables_take_one_exact_solve():
                      "exact.kernel": {"_kernel"}}
 
 
+def _pairs_through_the_factor(node):
+    """A product ``….mul_lt(…).T @ …``: a Gram pairing through L."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
+        and isinstance(node.left, ast.Attribute) and node.left.attr == "T" \
+        and isinstance(node.left.value, ast.Call) \
+        and getattr(node.left.value.func, "attr", None) == "mul_lt"
+
+
+def test_one_laplacian_application_and_one_pairing():
+    """The metric has one path each way: no module in the package defines
+    ``adjoint`` or ``hodge_laplacian``, ``cli.run_solve`` applies the
+    differentials through ``whitened_diff`` and pairs through
+    ``subspace_transfer``, and only ``hilbert.subspace_transfer`` takes a
+    ``….mul_lt(…).T @ …`` product."""
+    defined, pairing = set(), set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                defined.add(child.name)
+                walk(child, f"{owner.partition('.')[0]}.{child.name}")
+                continue
+            if _pairs_through_the_factor(child):
+                pairing.add(owner)
+            walk(child, owner)
+
+    package = pathlib.Path(ddforms.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem)
+    assert not defined & {"adjoint", "hodge_laplacian"}
+    assert pairing == {"hilbert.subspace_transfer"}
+    (run_solve,) = [fn for fn in _tree(cli).body
+                    if isinstance(fn, ast.FunctionDef)
+                    and fn.name == "run_solve"]
+    called = {getattr(node.func, "attr", None) or
+              getattr(node.func, "id", None)
+              for node in ast.walk(run_solve) if isinstance(node, ast.Call)}
+    assert {"whitened_diff", "subspace_transfer"} <= called
+
+
 def _formats_a_float(node):
     """A float presentation type in a format spec, or a call of round or
     format."""

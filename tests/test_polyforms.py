@@ -312,6 +312,19 @@ def test_trace_surjectivity():
                     fam.space(m - 1, k).size
 
 
+@pytest.mark.parametrize("kind", ["trimmed", "full"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_negative_simplex_dimension_is_unsupported(kind, r):
+    """A family space on a simplex of negative dimension, asked for
+    directly or as the facet space of a vertex's traces, raises
+    FamilyError."""
+    fam = Family(kind, r)
+    with pytest.raises(FamilyError, match="dimension -1"):
+        fam.space(-1, 0)
+    with pytest.raises(FamilyError, match="dimension -1"):
+        fam.trace_matrix(0, 0)
+
+
 def test_element_space_membership_rejects_outside():
     space = Family("trimmed", 1).space(2, 1)
     quad = BarycentricForm.monomial(2, (2, 0, 0), (1,))

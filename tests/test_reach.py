@@ -56,11 +56,9 @@ UNREACHED = {
     "assembly.Subspace.__repr__": "repr",
     "hilbert.ComplexInstance.__repr__": "repr",
     "hilbert.ComplexInstance.dims": "the repr's dimensions, also read by tests",
-    # perfbench/tracer.py wraps them by name; the tests' dense references
+    # perfbench/tracer.py wraps it by name; the tests' dense reference
     "assembly.BrokenSpace.gram": "benchmark tracer and the tests' dense "
                                  "reference of the factor",
-    "hilbert.ComplexInstance.whitened_diff": "benchmark tracer and test "
-                                             "references",
 }
 
 
