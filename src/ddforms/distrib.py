@@ -337,28 +337,36 @@ def skeleton_projection(pair, family, k):
     }
 
 
+def _degree_zero_ranks(pair, family, m):
+    """rank D and rank [D; T] of the (m, 0) stratum, T from m >= 1, from
+    one elimination per pair, which the identities at m - 1 and m share."""
+
+    def build():
+        d = operator_D(pair, m, 0, family).integer_rows()
+        t = operator_T(pair, m, 0, family).integer_rows() if m else []
+        kept = exact.echelon(d + t)[0]
+        return sum(i < len(d) for i in kept), len(kept)
+
+    return pair.cached(("degree zero ranks", family, m), build)
+
+
 def skeleton_degree_zero_identity(pair, family, m):
     """Dimension identity for the degree-0 skeleton harmonic space.
 
     The cocycle space of 0-forms over the m-skeleton splits into the chain
     harmonic space at stratum m plus the traces of the one-higher-stratum
-    cellwise-constant space.
+    cellwise-constant space.  The m-skeleton's (m, 0) stratum, its D and
+    its T are the pair's own, so both sides are ranked on the pair.
     """
     n = pair.top_dim
     if m < 0 or m > n:
         raise AssemblyError("stratum out of range")
-    skel = skeleton_pair(pair, m)
-    d0 = operator_D(skel, m, 0, family)
-    rows = d0.integer_rows()
-    if m >= 1:
-        rows += operator_T(skel, m, 0, family).integer_rows()
-    lhs = d0.domain.dim - exact.rank(rows)
-    rhs = harmonic_chain(pair, family, m).dim
-    if m + 1 <= n:
-        # the rank of T on ker D: the T rows that raise the rank of [D; T]
-        d = operator_D(pair, m + 1, 0, family).integer_rows()
-        t = operator_T(pair, m + 1, 0, family).integer_rows()
-        rhs += sum(i >= len(d) for i in exact.echelon(d + t)[0])
+    lhs = broken_space(pair, m, 0, family).dim - \
+        _degree_zero_ranks(pair, family, m)[1]
+    # the rank of T on ker D: the T rows that raise the rank of [D; T]
+    rank_d, rank_dt = (_degree_zero_ranks(pair, family, m + 1) if m < n
+                       else (0, 0))
+    rhs = harmonic_chain(pair, family, m).dim + rank_dt - rank_d
     return {"lhs": int(lhs), "rhs": int(rhs), "ok": bool(lhs == rhs)}
 
 

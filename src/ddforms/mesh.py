@@ -57,14 +57,16 @@ class Simplex:
 
     def subsimplices(self):
         """All nonempty sub-vertex-tuples, including the simplex itself."""
-        v = self.vertices
-        out = []
-        for r in range(1, len(v) + 1):
-            out.extend(itertools.combinations(v, r))
-        return out
+        return list(_subtuples(self.vertices))
 
     def __repr__(self):
         return f"Simplex{self.vertices}"
+
+
+def _subtuples(v):
+    """The nonempty sub-tuples of v, by size; v itself comes last."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(v, r) for r in range(1, len(v) + 1))
 
 
 def _permutation_parity(seq, target):
@@ -114,10 +116,9 @@ class RelativePair:
         for v in self.marked:
             if v not in self._lookup:
                 raise MeshError(f"marked simplex {v} not in complex")
-            for r in range(1, len(v)):
-                for f in itertools.combinations(v, r):
-                    if f not in self.marked:
-                        raise MeshError(f"marked set not closed under faces at {f}")
+            for f in _subtuples(v):
+                if f not in self.marked:
+                    raise MeshError(f"marked set not closed under faces at {f}")
 
     # -- queries ----------------------------------------------------------
 
@@ -214,17 +215,14 @@ def build_complex(cells, vertices, marked=()):
         if 1 < len(key) == len(coords[0]) + 1:
             sign = _euclid_orientation(key, coords)
         members[key] = Simplex(key, sign)
-        for r in range(1, len(key)):
-            for f in itertools.combinations(key, r):
-                members.setdefault(f, Simplex(f))
+        members.update((f, Simplex(f)) for f in _subtuples(key)
+                       if f not in members)
     marked_closed = set()
     for msub in marked:
         key = tuple(sorted(msub))
         if key not in members:
             raise MeshError(f"marked simplex {msub} absent from the complex")
-        for r in range(1, len(key) + 1):
-            for f in itertools.combinations(key, r):
-                marked_closed.add(f)
+        marked_closed.update(_subtuples(key))
     return RelativePair(coords, members.values(), marked_closed)
 
 
@@ -313,8 +311,7 @@ def check_local_patch_condition(pair):
             members = [stratum[i] for i in pos]
         verts = np.array([g.vertices for g in members],
                          np.int64).reshape(-1, m + 1)
-        subsets = [local for size in range(1, m + 2)
-                   for local in itertools.combinations(range(m + 1), size)]
+        subsets = list(_subtuples(range(m + 1)))
         # row (F, G): F the subsimplex of member G at the local positions
         star = np.array([index[f] for local in subsets
                          for f in map(tuple, verts[:, local].tolist())],
@@ -387,50 +384,22 @@ def skeleton_pair(pair, m):
 # -- mesh catalog ---------------------------------------------------------
 
 
-def _grid_cells_2d(keep):
-    """Triangulate the listed unit squares (i, j) with a consistent diagonal."""
+def _kuhn_cells(keep):
+    """Kuhn's triangulation of the listed unit cubes of any dimension d,
+    each given by its lowest corner: d! simplices per cube, one per order
+    in which a path from that corner steps along the d axes to the
+    opposite one (Freudenthal, Ann. Math. 43, 1942).  Returns the cells
+    and the coordinates of their vertices, numbered as first reached."""
     verts = {}
     cells = []
-
-    def vid(i, j):
-        if (i, j) not in verts:
-            verts[(i, j)] = len(verts)
-        return verts[(i, j)]
-
-    for (i, j) in keep:
-        a, b = vid(i, j), vid(i + 1, j)
-        c, d = vid(i + 1, j + 1), vid(i, j + 1)
-        cells.append([a, b, c])
-        cells.append([a, c, d])
-    coords = [None] * len(verts)
-    for (i, j), k in verts.items():
-        coords[k] = (float(i), float(j))
-    return cells, coords
-
-
-def _kuhn_cells_3d(keep):
-    """Kuhn triangulation (6 tetrahedra per cube) of the listed unit cubes."""
-    verts = {}
-    cells = []
-
-    def vid(p):
-        if p not in verts:
-            verts[p] = len(verts)
-        return verts[p]
-
-    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for base in keep:
-        for perm in itertools.permutations(range(3)):
-            path = [base]
-            p = base
-            for ax in perm:
-                p = tuple(p[t] + axes[ax][t] for t in range(3))
-                path.append(p)
-            cells.append([vid(q) for q in path])
-    coords = [None] * len(verts)
-    for p, k in verts.items():
-        coords[k] = tuple(float(x) for x in p)
-    return cells, coords
+        for order in itertools.permutations(range(len(base))):
+            path = [tuple(base)]
+            for axis in order:
+                p = path[-1]
+                path.append(p[:axis] + (p[axis] + 1,) + p[axis + 1:])
+            cells.append([verts.setdefault(p, len(verts)) for p in path])
+    return cells, [tuple(map(float, p)) for p in verts]
 
 
 def mark_pair(pair, mode):
@@ -455,43 +424,31 @@ def mark_pair(pair, mode):
 
 
 def generate_mesh(name, size=1, mark="none"):
-    """Catalog meshes with boundary marking mode none / full / half."""
+    """Catalog meshes with boundary marking mode none / full / half: Kuhn
+    triangulations of unit cubes, or the p-faces of the corner d-simplex
+    {0, e_1, ..., e_d}; only the requested shape is built."""
     if size < 1:
         raise MeshError(f"invalid subdivision parameter {size}")
-    if name == "interval":
-        cells = [[i, i + 1] for i in range(size)]
-        coords = [(float(i),) for i in range(size + 1)]
-    elif name == "triangle":
-        cells = [[0, 1, 2]]
-        coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    elif name == "tetrahedron":
-        cells = [[0, 1, 2, 3]]
-        coords = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-    elif name == "square_grid":
-        keep = [(i, j) for i in range(size) for j in range(size)]
-        cells, coords = _grid_cells_2d(keep)
-    elif name == "annulus":
-        w = size + 2
-        hole = set(itertools.product(range(1, 1 + size), repeat=2))
-        keep = [(i, j) for i in range(w) for j in range(w) if (i, j) not in hole]
-        cells, coords = _grid_cells_2d(keep)
-    elif name == "cube_tet":
-        cells, coords = _kuhn_cells_3d([(0, 0, 0)])
-    elif name == "solid_ring":
-        w = size + 2
-        hole = set(itertools.product(range(1, 1 + size), repeat=2))
-        keep = [(i, j, 0) for i in range(w) for j in range(w) if (i, j) not in hole]
-        cells, coords = _kuhn_cells_3d(keep)
-    elif name == "sphere_boundary":
-        p = size
-        nv = p + 2
-        coords = [tuple(0.0 for _ in range(p + 1))]
-        for i in range(p + 1):
-            coords.append(tuple(1.0 if t == i else 0.0 for t in range(p + 1)))
-        cells = [list(c) for c in itertools.combinations(range(nv), p + 1)]
+
+    def ring(*tail):
+        """The squares of a (size + 2)^2 block about a size^2 hole."""
+        return [c + tail for c in itertools.product(range(size + 2), repeat=2)
+                if not all(0 < x <= size for x in c)]
+
+    cubes = {"interval": lambda: itertools.product(range(size)),
+             "square_grid": lambda: itertools.product(range(size), repeat=2),
+             "annulus": ring, "cube_tet": lambda: [(0, 0, 0)],
+             "solid_ring": lambda: ring(0)}
+    corners = {"triangle": (2, 2), "tetrahedron": (3, 3),
+               "sphere_boundary": (size + 1, size)}
+    if name in cubes:
+        cells, coords = _kuhn_cells(cubes[name]())
+    elif name in corners:
+        d, p = corners[name]
+        coords = [tuple(float(t == i) for t in range(d)) for i in range(-1, d)]
+        cells = list(itertools.combinations(range(d + 1), p + 1))
     else:
         raise MeshError(f"unknown catalog mesh {name!r}")
-
     return mark_pair(build_complex(cells, coords), mark)
 
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -16,8 +17,8 @@ from ddforms import cli, distrib
 from ddforms.assembly import operator_D, operator_T
 from ddforms.cli import main, resolve_mesh
 from ddforms.hilbert import harmonic_space, laplace_solve
-from ddforms.mesh import (MeshError, generate_mesh, load_mesh_file,
-                          save_mesh_file)
+from ddforms.mesh import (MeshError, _kuhn_cells, build_complex,
+                          generate_mesh, load_mesh_file, save_mesh_file)
 from ddforms.polyforms import Family
 
 from reference import dense_laplacian
@@ -44,6 +45,40 @@ def test_chain_annulus_structured():
     assert doc["passed"]
     assert doc["mesh"]["betti"] == [0, 1, 1]
     assert all(doc["report"][str(k)]["passed"] for k in range(3))
+
+
+PLATE_BETTI = {"none": [1, 2, 0], "full": [0, 2, 1], "half": [0, 2, 0]}
+
+
+@pytest.mark.parametrize("mark", sorted(PLATE_BETTI))
+@pytest.mark.parametrize("degree", ["1", "2"])
+def test_plate_with_two_holes(tmp_path, mark, degree):
+    """A plate of 5 x 3 squares without the squares (1, 1) and (3, 1) has
+    b_1 = 2, which no catalog mesh reaches: it meets the structural
+    conditions, the harmonic dimensions equal the Betti numbers, and the
+    isomorphism chain passes through transfers two wide."""
+    keep = [c for c in itertools.product(range(5), range(3))
+            if c not in ((1, 1), (3, 1))]
+    path = str(tmp_path / "plate.json")
+    save_mesh_file(build_complex(*_kuhn_cells(keep)), path)
+    args = ["--mesh", path, "--mark", mark, "--family", "trimmed",
+            "--degree", degree, "--format", "structured"]
+    betti = PLATE_BETTI[mark]
+    code, text = run(["check"] + args)
+    assert code == 0 and json.loads(text)["passed"]
+    code, text = run(["harmonic"] + args)
+    doc = json.loads(text)
+    assert code == 0 and doc["mesh"]["betti"] == betti
+    report = doc["report"]
+    assert [report["chain"][str(m)] for m in range(3)] == betti
+    assert [report["conforming"][str(k)] for k in range(3)] == betti[::-1]
+    code, text = run(["chain"] + args)
+    doc = json.loads(text)
+    assert code == 0 and doc["mesh"]["betti"] == betti
+    widths = [step["dims"][0] for k in range(3)
+              for label, step in doc["report"][str(k)]["steps"].items()
+              if "transfer" in label]
+    assert max(widths) == 2
 
 
 def test_structured_output_deterministic():

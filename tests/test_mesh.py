@@ -1,15 +1,16 @@
+import itertools
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from ddforms import exact
-from ddforms.mesh import (MeshError, Simplex, _grid_cells_2d, _kuhn_cells_3d,
-                          betti_numbers, build_complex,
-                          check_local_patch_condition, generate_mesh,
-                          load_mesh_file, mark_pair, save_mesh_file,
-                          skeleton_pair)
+from ddforms.mesh import (MeshError, Simplex, _kuhn_cells, betti_numbers,
+                          build_complex, check_local_patch_condition,
+                          generate_mesh, load_mesh_file, mark_pair,
+                          save_mesh_file, skeleton_pair)
 
 from reference import (boundary_matrix, open_star_report, orientation_sign,
                        patch_pair)
@@ -92,6 +93,30 @@ def test_betti_annulus_and_ring(catalog):
     assert betti_numbers(catalog("annulus", 1, "full")) == [0, 1, 1]
     assert betti_numbers(catalog("solid_ring")) == [1, 1, 0, 0]
     assert betti_numbers(catalog("solid_ring", 1, "full")) == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("keep,betti", [
+    # three of four unit intervals
+    ([(0,), (1,), (3,)], [2, 0]),
+    # a 3 x 3 block of squares without its centre
+    ([c for c in itertools.product(range(3), repeat=2) if c != (1, 1)],
+     [1, 1, 0]),
+    # a 3 x 3 x 3 block of cubes without its centre
+    ([c for c in itertools.product(range(3), repeat=3) if c != (1, 1, 1)],
+     [1, 0, 1, 0]),
+    # a 2^4 block of 4-cubes
+    (list(itertools.product(range(2), repeat=4)), [1, 0, 0, 0, 0]),
+], ids=["d1", "d2", "d3", "d4"])
+def test_kuhn_cells_any_dimension(keep, betti):
+    """Kuhn's triangulation splits each d-cube into d! simplices of volume
+    1/d!, which close into a complex with the homology of the union of
+    the cubes."""
+    cells, coords = _kuhn_cells(keep)
+    assert len(cells) == math.factorial(len(keep[0])) * len(keep)
+    edges = [np.subtract([coords[v] for v in c[1:]], coords[c[0]])
+             for c in cells]
+    assert np.allclose(np.abs(np.linalg.det(edges)), 1.0)
+    assert betti_numbers(build_complex(cells, coords)) == betti
 
 
 def test_betti_numbers_computed_once_per_pair(monkeypatch):
@@ -208,10 +233,10 @@ def test_patch_condition_pinched_matches_reference():
 
 
 @pytest.mark.parametrize("cells_coords,centre", [
-    (_grid_cells_2d([(i, j) for i in range(2) for j in range(2)]),
+    (_kuhn_cells([(i, j) for i in range(2) for j in range(2)]),
      (1.0, 1.0)),
-    (_kuhn_cells_3d([(i, j, k) for i in range(2) for j in range(2)
-                     for k in range(2)]), (1.0, 1.0, 1.0)),
+    (_kuhn_cells([(i, j, k) for i in range(2) for j in range(2)
+                  for k in range(2)]), (1.0, 1.0, 1.0)),
 ])
 def test_marked_interior_vertex_breaks_its_star(cells_coords, centre):
     """A marked interior vertex leaves its open star a punctured ball,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ddforms import distrib, exact
 from ddforms.hilbert import harmonic_space, laplace_solve
-from ddforms.mesh import (RelativePair, Simplex, _grid_cells_2d,
+from ddforms.mesh import (RelativePair, Simplex, _kuhn_cells,
                           betti_numbers, build_complex,
                           check_local_patch_condition, facet_incidence)
 from ddforms.polyforms import Family, FamilyError, _solve
@@ -29,7 +29,7 @@ def marked_subgrids(draw):
     squares = [(i, j) for i in range(w) for j in range(h)]
     holes = draw(st.sets(st.sampled_from(squares),
                          max_size=len(squares) - 1))
-    cells, coords = _grid_cells_2d([s for s in squares if s not in holes])
+    cells, coords = _kuhn_cells([s for s in squares if s not in holes])
     shifts = draw(st.lists(st.tuples(JITTER, JITTER), min_size=len(coords),
                            max_size=len(coords)))
     coords = [(x + a, y + b) for (x, y), (a, b) in zip(coords, shifts)]
