@@ -27,7 +27,7 @@ from ddforms.polyforms import (check_geometric_decomposition,
 from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
                               broken_space, derivative_operator, kernel_space,
                               operator_D, operator_T, placement)
-from ddforms.hilbert import (ComplexInstance, harmonic_space,
+from ddforms.hilbert import (ComplexInstance, harmonic_dim, harmonic_space,
                              subspace_equality_defect, subspace_transfer)
 
 
@@ -366,7 +366,8 @@ def skeleton_degree_zero_identity(pair, family, m):
     # the rank of T on ker D: the T rows that raise the rank of [D; T]
     rank_d, rank_dt = (_degree_zero_ranks(pair, family, m + 1) if m < n
                        else (0, 0))
-    rhs = harmonic_chain(pair, family, m).dim + rank_dt - rank_d
+    rhs = harmonic_dim(chainlike_complex(pair, family), n - m) + \
+        rank_dt - rank_d
     return {"lhs": int(lhs), "rhs": int(rhs), "ok": bool(lhs == rhs)}
 
 
@@ -409,18 +410,24 @@ def verify_double_complex(pair, family):
 
 
 def harmonic_family(pair, family):
-    """Dimension table of every graded harmonic space on this mesh."""
+    """Dimension table of every graded harmonic space on this mesh:
+    ``harmonic_dim`` on the complex and index that ``harmonic_lambda``,
+    ``harmonic_gamma``, ``harmonic_conforming`` and ``harmonic_chain``
+    read, so no basis is built."""
     n = pair.top_dim
     report = {"lambda": {}, "gamma": {}, "conforming": {}, "chain": {}}
     for k in range(n + 1):
-        report["conforming"][k] = harmonic_conforming(pair, family, k).dim
+        report["conforming"][k] = harmonic_dim(
+            conforming_complex(pair, family), k)
         for b in range(1, k + 2):
-            report["lambda"][(k, b)] = harmonic_lambda(
-                pair, family, k, b).dim
+            report["lambda"][(k, b)] = harmonic_dim(
+                redirected_lambda(pair, family, k - b + 1), k)
     for m in range(n + 1):
-        report["chain"][m] = harmonic_chain(pair, family, m).dim
+        report["chain"][m] = harmonic_dim(chainlike_complex(pair, family),
+                                          n - m)
         for b in range(1, n - m + 2):
-            report["gamma"][(m, b)] = harmonic_gamma(pair, family, m, b).dim
+            report["gamma"][(m, b)] = harmonic_dim(
+                redirected_gamma(pair, family, m + b - 1), n - m)
     return report
 
 

@@ -3,7 +3,10 @@
 The elimination takes a matrix by its rows, each a {column: value} dict of
 its nonzero integer entries.  One fraction-free elimination serves the
 rank, the independent rows and columns and the kernel, so none depends on
-a floating-point threshold.  The product takes two matrices as triplets
+a floating-point threshold.  Its one row step, ``_reduce``, works in place
+on a row the elimination owns, a copy of the caller's taken at its first
+reduction, and takes a gcd only at a non-unit pivot; the caller's rows
+are never modified.  The product takes two matrices as triplets
 (rows, cols, vals) of their nonzero entries.
 """
 
@@ -14,37 +17,29 @@ import math
 import numpy as np
 
 
-def _combine(r, p, c):
-    """A new row pv * r - f * p, f = r[c] and pv = p[c] reduced by their
-    gcd, so the entry at c cancels; divided by its content when pv is not a
-    unit."""
-    g = math.gcd(r[c], p[c])
-    f, pv = r[c] // g, p[c] // g
-    out = {cc: pv * v for cc, v in r.items()}
+def _reduce(r, p, c):
+    """Reduce the row r by the pivot row p at column c, in place:
+    r <- pv * r - f * p, f = r[c] and pv = p[c] reduced by their gcd, so
+    the entry at c cancels; divided by its content when pv is not a unit.
+    A +-1 pivot takes no gcd (g = 1) and no content division."""
+    f, pv = r[c], p[c]
+    if abs(pv) != 1:
+        g = math.gcd(f, pv)
+        f, pv = f // g, pv // g
+    if pv != 1:
+        for cc in r:
+            r[cc] *= pv
     for cc, v in p.items():
-        x = out.get(cc, 0) - f * v
+        x = r.get(cc, 0) - f * v
         if x:
-            out[cc] = x
+            r[cc] = x
         else:
-            out.pop(cc, None)
-    g = math.gcd(*out.values()) if out and abs(pv) != 1 else 1
-    return {cc: v // g for cc, v in out.items()} if g > 1 else out
-
-
-def _insert(pivots, r):
-    """Reduce row r by the pivots, {leading column: pivot row}, until it is
-    zero or leads a new column, with +-1 pivots preferred; whether it led
-    one, i.e. raised the rank.  The row itself is not modified."""
-    while r:
-        c = min(r)
-        p = pivots.get(c)
-        if p is None:
-            pivots[c] = r
-            return True
-        if abs(p[c]) != 1 and abs(r[c]) == 1:
-            pivots[c], r, p = r, p, r
-        r = _combine(r, p, c)
-    return False
+            r.pop(cc, None)
+    if abs(pv) != 1 and r:
+        g = math.gcd(*r.values())
+        if g > 1:
+            for cc in r:
+                r[cc] //= g
 
 
 def triplet_rows(rows, cols, vals, nrows):
@@ -77,9 +72,33 @@ def rank(rows):
 def echelon(rows):
     """The rows that raise the rank of those before them and the pivots,
     {leading column: pivot row}, whose sorted leading columns are likewise
-    the first maximal independent subset of the columns."""
+    the first maximal independent subset of the columns.
+
+    Each row is reduced by the pivots until it is zero or leads a new
+    column, with +-1 pivots preferred: a +-1 row takes the place of a
+    non-unit pivot, which is reduced in its stead.  A row is copied at its
+    first reduction, a displaced pivot again, and then reduced in place,
+    so the caller's rows are never modified; a row that leads a new column
+    untouched is kept as it is."""
     pivots = {}
-    return [i for i, r in enumerate(rows) if _insert(pivots, r)], pivots
+    kept = []
+    for i, r in enumerate(rows):
+        own = False
+        while r:
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r
+                kept.append(i)
+                break
+            if abs(p[c]) != 1 and abs(r[c]) == 1:
+                # the displaced pivot may be the caller's row
+                pivots[c], r, p = r, p, r
+                own = False
+            if not own:
+                r, own = dict(r), True
+            _reduce(r, p, c)
+    return kept, pivots
 
 
 def kernel(rows, ncols):
@@ -88,13 +107,17 @@ def kernel(rows, ncols):
     columns f, increasing.  The values are int64 when every one fits, else
     Python ints (object dtype).
 
-    Back-substitution brings the echelon rows to reduced form.  Column i
+    Back-substitution brings the echelon rows to reduced form, each pivot
+    row reduced in place in a copy of it by the pivots after it.  Column i
     belongs to f[i]: K[f[i], i] is the least positive integer that makes
     every pivot entry integral, other free entries are zero."""
     pivots = echelon(rows)[1]
     for c in sorted(pivots, reverse=True):
-        for cc in [cc for cc in pivots[c] if cc != c and cc in pivots]:
-            pivots[c] = _combine(pivots[c], pivots[cc], cc)
+        above = [cc for cc in pivots[c] if cc != c and cc in pivots]
+        if above:
+            r = pivots[c] = dict(pivots[c])
+            for cc in above:
+                _reduce(r, pivots[cc], cc)
     free = {f: i for i, f in enumerate(j for j in range(ncols)
                                        if j not in pivots)}
     scale = [1] * len(free)

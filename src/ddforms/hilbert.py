@@ -77,28 +77,39 @@ class ComplexInstance:
         return f"ComplexInstance({self.label!r}, dims={self.dims()})"
 
 
+def _independent(cx, i):
+    """The rows R of d_i and the columns C of d_{i-1} independent over the
+    integers, read off the one ``LinearOp.echelon`` of each."""
+    rows = cx.diffs[i].echelon[0] if i < len(cx.diffs) else []
+    cols = cx.diffs[i - 1].echelon[1] if i > 0 else []
+    return rows, cols
+
+
+def harmonic_dim(cx, i):
+    """The harmonic dimension at index i, h = n - |R| - |C|: R and C span
+    the row space of d_i and the range of d_{i-1}.  No float work runs."""
+    rows, cols = _independent(cx, i)
+    return cx.spaces[i].dim - len(rows) - len(cols)
+
+
 def harmonic_space(cx, i):
     """Harmonic forms at index i: ker d_i intersected with ker d*_{i-1}.
 
-    The rows R of d_i and the columns C of d_{i-1} independent over the
-    integers span the row space of d_i and the range of d_{i-1}, so the
-    harmonic dimension is h = n - |R| - |C|; R and C are read off the one
-    ``LinearOp.echelon`` of d_i and of d_{i-1}.  Where h = 0 the subspace
-    is empty and no float work runs.  Otherwise one Householder QR, kept
-    in raw form, runs on the whitened
-    S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], built from the two slices
-    alone; its blocks are orthogonal as d_i d_{i-1} = 0.  The trailing h
-    columns of its complete Q, unwhitened, are the Gram-orthonormal basis.
-    The subspace is memoised on the complex instance per index.
+    Where ``harmonic_dim`` is h = 0 the subspace is empty and no float
+    work runs.  Otherwise one Householder QR, kept in raw form, runs on
+    the whitened S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], built from the
+    slices of the independent rows R and columns C alone; its blocks are
+    orthogonal as d_i d_{i-1} = 0.  The trailing h columns of its complete
+    Q, unwhitened, are the Gram-orthonormal basis.  The subspace is
+    memoised on the complex instance per index.
     """
     h = cx._harmonic.get(i)
     if h is None:
         space = cx.spaces[i]
         n = space.dim
-        rows = cx.diffs[i].echelon[0] if i < len(cx.diffs) else []
-        cols = cx.diffs[i - 1].echelon[1] if i > 0 else []
+        rows, cols = _independent(cx, i)
         basis = np.zeros((n, 0))
-        if len(rows) + len(cols) < n:
+        if harmonic_dim(cx, i):
             W = space.whitening
             S = np.empty((n, len(rows) + len(cols)))
             R, C = S[:, :len(rows)], S[:, len(rows):]

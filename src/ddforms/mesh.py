@@ -164,27 +164,35 @@ class RelativePair:
 # -- construction ---------------------------------------------------------
 
 
-def _euclid_orientation(vertices, coords):
-    """The sign of the Euclidean volume of an n-cell in ambient dim n, its
-    vertices in ascending order.  Where the float determinant of its edges
-    overflows or is zero (it may underflow on a tiny cell), its sign is
-    taken from the exact determinant of the coordinates as fractions."""
-    pts = [coords[v] for v in vertices]
-    edges = np.array([[pj - p0 for pj, p0 in zip(p, pts[0])] for p in pts[1:]])
+def _euclid_orientations(cells, coords):
+    """The signs of the Euclidean volumes of n-cells in ambient dim n, each
+    given by its ascending vertices: one float determinant over the stack
+    of their edges.  Where a determinant overflows or is zero (it may
+    underflow on a tiny cell), its sign is taken from the exact
+    determinant of the coordinates as fractions; the first cell whose
+    exact determinant is zero raises MeshError."""
+    if not cells:
+        return []
+    pts = np.array(coords)[np.array(cells)]
     with np.errstate(over="ignore", invalid="ignore"):
-        det = float(np.linalg.det(edges))
-    if not math.isfinite(det) or det == 0.0:
-        # imported here: fractions imports decimal, 0.4 MB in every command
-        from fractions import Fraction
-        rows = [[Fraction(pj) - Fraction(p0) for pj, p0 in zip(p, pts[0])]
-                for p in pts[1:]]
-        order = tuple(range(len(rows)))
-        det = sum(_permutation_parity(perm, order)
-                  * math.prod(row[j] for row, j in zip(rows, perm))
-                  for perm in itertools.permutations(order))
-    if det == 0.0:
-        raise MeshError(f"degenerate cell {vertices}")
-    return 1 if det > 0 else -1
+        dets = np.linalg.det(pts[:, 1:] - pts[:, :1]).tolist()
+    signs = []
+    for vertices, det in zip(cells, dets):
+        if not math.isfinite(det) or det == 0.0:
+            # imported here: fractions imports decimal, 0.4 MB in every
+            # command
+            from fractions import Fraction
+            p0, *rest = (coords[v] for v in vertices)
+            rows = [[Fraction(x) - Fraction(x0) for x, x0 in zip(p, p0)]
+                    for p in rest]
+            order = tuple(range(len(rows)))
+            det = sum(_permutation_parity(perm, order)
+                      * math.prod(row[j] for row, j in zip(rows, perm))
+                      for perm in itertools.permutations(order))
+        if det == 0.0:
+            raise MeshError(f"degenerate cell {vertices}")
+        signs.append(1 if det > 0 else -1)
+    return signs
 
 
 def build_complex(cells, vertices, marked=()):
@@ -192,7 +200,8 @@ def build_complex(cells, vertices, marked=()):
 
     ``marked`` lists simplices whose closure forms the subcomplex U.  Cells
     of full ambient dimension d >= 1 carry the sign of their Euclidean
-    volume.
+    volume.  The cells before the first malformed one are oriented first,
+    so a degenerate cell among them is named before it.
     """
     coords = [tuple(float(x) for x in p) for p in vertices]
     nv = len(coords)
@@ -200,20 +209,27 @@ def build_complex(cells, vertices, marked=()):
         raise MeshError("no cells given")
     if len(set(coords)) != nv:
         raise MeshError("coincident vertex coordinates")
-    seen = set()
-    members = {}
+    if any(len(p) != len(coords[0]) for p in coords):
+        raise MeshError("inconsistent coordinate dimensions")
+    # each valid cell, in order, with its orientation sign
+    keys, fault = {}, None
     for cell in cells:
         key = tuple(sorted(cell))
         if len(set(cell)) != len(cell):
-            raise MeshError(f"repeated vertex in cell {cell}")
-        if any(v < 0 or v >= nv for v in cell):
-            raise MeshError(f"vertex index out of range in cell {cell}")
-        if key in seen:
-            raise MeshError(f"duplicate cell {cell}")
-        seen.add(key)
-        sign = 1
-        if 1 < len(key) == len(coords[0]) + 1:
-            sign = _euclid_orientation(key, coords)
+            fault = f"repeated vertex in cell {cell}"
+        elif any(v < 0 or v >= nv for v in cell):
+            fault = f"vertex index out of range in cell {cell}"
+        elif key in keys:
+            fault = f"duplicate cell {cell}"
+        if fault:
+            break
+        keys[key] = 1
+    full = [key for key in keys if 1 < len(key) == len(coords[0]) + 1]
+    keys.update(zip(full, _euclid_orientations(full, coords)))
+    if fault:
+        raise MeshError(fault)
+    members = {}
+    for key, sign in keys.items():
         members[key] = Simplex(key, sign)
         members.update((f, Simplex(f)) for f in _subtuples(key)
                        if f not in members)
@@ -348,10 +364,15 @@ def check_local_patch_condition(pair):
 def check_pure(pair):
     """MeshError unless every simplex lies in a top cell: the theory covers
     triangulations, so a non-pure complex is an unsupported configuration.
-    Names the stray simplex of highest dimension."""
-    covered = {g for c in pair.simplices(pair.top_dim)
-               for g in c.subsimplices()}
-    stray = [s for s in pair.all_simplices() if s.vertices not in covered]
+    Names the stray simplex of highest dimension; the strays are found
+    once per pair."""
+
+    def build():
+        covered = {g for c in pair.simplices(pair.top_dim)
+                   for g in c.subsimplices()}
+        return [s for s in pair.all_simplices() if s.vertices not in covered]
+
+    stray = pair.cached(("stray",), build)
     if stray:
         raise MeshError(f"unsupported configuration: non-pure complex, "
                         f"{stray[-1]} lies in no {pair.top_dim}-cell")
@@ -423,10 +444,17 @@ def mark_pair(pair, mode):
                         top_dim=pair.top_dim)
 
 
+# The most faces a catalog mesh may list: its cells with all their faces,
+# 2^(d+1) - 1 per d-cell, as build_complex closes them.  It bounds the
+# simplex count and the time and memory of building the mesh.
+MAX_CATALOG_FACES = 2 ** 19
+
+
 def generate_mesh(name, size=1, mark="none"):
     """Catalog meshes with boundary marking mode none / full / half: Kuhn
     triangulations of unit cubes, or the p-faces of the corner d-simplex
-    {0, e_1, ..., e_d}; only the requested shape is built."""
+    {0, e_1, ..., e_d}; only the requested shape is built, and only when
+    its cells list at most MAX_CATALOG_FACES faces."""
     if size < 1:
         raise MeshError(f"invalid subdivision parameter {size}")
 
@@ -435,20 +463,31 @@ def generate_mesh(name, size=1, mark="none"):
         return [c + tail for c in itertools.product(range(size + 2), repeat=2)
                 if not all(0 < x <= size for x in c)]
 
-    cubes = {"interval": lambda: itertools.product(range(size)),
-             "square_grid": lambda: itertools.product(range(size), repeat=2),
-             "annulus": ring, "cube_tet": lambda: [(0, 0, 0)],
-             "solid_ring": lambda: ring(0)}
-    corners = {"triangle": (2, 2), "tetrahedron": (3, 3),
-               "sphere_boundary": (size + 1, size)}
-    if name in cubes:
-        cells, coords = _kuhn_cells(cubes[name]())
-    elif name in corners:
-        d, p = corners[name]
-        coords = [tuple(float(t == i) for t in range(d)) for i in range(-1, d)]
-        cells = list(itertools.combinations(range(d + 1), p + 1))
-    else:
+    def corner(d, p):
+        return p, math.comb(d + 1, p + 1), lambda: (
+            list(itertools.combinations(range(d + 1), p + 1)),
+            [tuple(float(t == i) for t in range(d)) for i in range(-1, d)])
+
+    # shape: (cell dimension p, cell count, its cells and coordinates)
+    squares = (size + 2) ** 2 - size ** 2
+    shapes = {
+        "interval": (1, size, lambda: _kuhn_cells(
+            itertools.product(range(size)))),
+        "square_grid": (2, 2 * size ** 2, lambda: _kuhn_cells(
+            itertools.product(range(size), repeat=2))),
+        "annulus": (2, 2 * squares, lambda: _kuhn_cells(ring())),
+        "cube_tet": (3, 6, lambda: _kuhn_cells([(0, 0, 0)])),
+        "solid_ring": (3, 6 * squares, lambda: _kuhn_cells(ring(0))),
+        "triangle": corner(2, 2), "tetrahedron": corner(3, 3),
+        "sphere_boundary": corner(size + 1, size)}
+    if name not in shapes:
         raise MeshError(f"unknown catalog mesh {name!r}")
+    p, count, build = shapes[name]
+    # the exponent is capped, so a huge size costs no huge power
+    if count * (2 ** min(p + 1, 64) - 1) > MAX_CATALOG_FACES:
+        raise MeshError(f"catalog mesh {name}:{size} too large: its cells "
+                        f"list more than {MAX_CATALOG_FACES} faces")
+    cells, coords = build()
     return mark_pair(build_complex(cells, coords), mark)
 
 

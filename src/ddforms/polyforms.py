@@ -464,7 +464,7 @@ class ElementSpace:
                 C[sigs[s], i, alphas[a]] += c
         M = np.array([[_unit_monomial_integral(
             tuple(x + y for x, y in zip(a, b))) for b in alphas]
-            for a in alphas])
+            for a in alphas]).reshape(len(alphas), len(alphas))
         return np.einsum("sia,tja->stij", C @ M, C)
 
     def gram(self, volumes, grad_grams):

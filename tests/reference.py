@@ -14,6 +14,9 @@
   are checked;
 - ``kernel_lift``, the solve of A X = B read off the exact kernel of
   [A | -B], against which ``polyforms._solve`` is checked;
+- ``fresh_echelon`` and ``fresh_kernel``, the elimination whose every row
+  step builds a new row dict and takes a gcd, against which the in-place
+  steps of ``exact.echelon`` and ``exact.kernel`` are checked;
 - ``trailing_q``, the harmonic complement one reflector at a time;
 - the criterion-10 Stokes calculus on one simplex: ``geometry``,
   ``normal_trace`` and ``stokes_residual``, over ``SimplexGeometry``;
@@ -144,6 +147,71 @@ def kernel_lift(A, B, error, reason):
 
 
 # -- the harmonic basis ---------------------------------------------------
+
+
+def _combine(r, p, c):
+    """A new row pv * r - f * p, f = r[c] and pv = p[c] reduced by their
+    gcd, so the entry at c cancels; divided by its content when pv is not a
+    unit."""
+    g = math.gcd(r[c], p[c])
+    f, pv = r[c] // g, p[c] // g
+    out = {cc: pv * v for cc, v in r.items()}
+    for cc, v in p.items():
+        x = out.get(cc, 0) - f * v
+        if x:
+            out[cc] = x
+        else:
+            out.pop(cc, None)
+    g = math.gcd(*out.values()) if out and abs(pv) != 1 else 1
+    return {cc: v // g for cc, v in out.items()} if g > 1 else out
+
+
+def _insert(pivots, r):
+    """Reduce row r by the pivots, {leading column: pivot row}, until it is
+    zero or leads a new column, with +-1 pivots preferred; whether it led
+    one.  The row itself is not modified."""
+    while r:
+        c = min(r)
+        p = pivots.get(c)
+        if p is None:
+            pivots[c] = r
+            return True
+        if abs(p[c]) != 1 and abs(r[c]) == 1:
+            pivots[c], r, p = r, p, r
+        r = _combine(r, p, c)
+    return False
+
+
+def fresh_echelon(rows):
+    """``exact.echelon`` with a new row dict at every step."""
+    pivots = {}
+    return [i for i, r in enumerate(rows) if _insert(pivots, r)], pivots
+
+
+def fresh_kernel(rows, ncols):
+    """``exact.kernel`` with a new row dict at every step."""
+    pivots = fresh_echelon(rows)[1]
+    for c in sorted(pivots, reverse=True):
+        for cc in [cc for cc in pivots[c] if cc != c and cc in pivots]:
+            pivots[c] = _combine(pivots[c], pivots[cc], cc)
+    free = {f: i for i, f in enumerate(j for j in range(ncols)
+                                       if j not in pivots)}
+    scale = [1] * len(free)
+    for c, r in pivots.items():
+        for f, v in r.items():
+            if f != c:
+                scale[free[f]] = math.lcm(scale[free[f]],
+                                          abs(r[c]) // math.gcd(r[c], v))
+    entries = [(f, i, scale[i]) for f, i in free.items()]
+    entries += [(c, free[f], -v * scale[free[f]] // r[c])
+                for c, r in pivots.items() for f, v in r.items() if f != c]
+    entries.sort()
+    vals = [v for _c, _i, v in entries]
+    fits = all(-2**63 <= v < 2**63 for v in vals)
+    triplets = (np.array([c for c, _i, _v in entries], np.int64),
+                np.array([i for _c, i, _v in entries], np.int64),
+                np.array(vals, np.int64 if fits else object))
+    return triplets, np.fromiter(free, np.int64, len(free))
 
 
 def trailing_q(raw, tau):

@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddforms import cli, distrib
+from ddforms import cli, distrib, mesh
 from ddforms.assembly import operator_D, operator_T
 from ddforms.cli import main, resolve_mesh
 from ddforms.hilbert import harmonic_space, laplace_solve
@@ -399,6 +400,36 @@ def test_degree_two_family():
                       "--degree", "2", "--format", "structured"])
     assert code == 0
     assert json.loads(text)["passed"]
+
+
+@pytest.mark.parametrize("spec", ["catalog:sphere_boundary:60",
+                                  "catalog:square_grid:1000000"])
+def test_catalog_size_ceiling(capsys, spec):
+    """A catalog mesh whose cells list more than MAX_CATALOG_FACES faces
+    is refused before any cell is built: one error line within a second,
+    from every command."""
+    for command in ("betti", "chain"):
+        start = time.perf_counter()
+        assert _error_exit(capsys, [command, "--mesh", spec])
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("name,size,faces", [
+    ("interval", 10, 10 * 3), ("square_grid", 2, 8 * 7),
+    ("annulus", 1, 16 * 7), ("cube_tet", 1, 6 * 15),
+    ("solid_ring", 1, 48 * 15), ("triangle", 1, 7), ("tetrahedron", 1, 15),
+    ("sphere_boundary", 3, 5 * 15)])
+def test_catalog_ceiling_counts_faces(monkeypatch, name, size, faces):
+    """The ceiling counts 2^(p+1) - 1 faces per p-cell, before any cell is
+    built: a mesh that lists exactly the ceiling is built, and refused
+    under a ceiling one lower."""
+    monkeypatch.setattr(mesh, "MAX_CATALOG_FACES", faces)
+    pair = mesh.generate_mesh(name, size)
+    n = pair.top_dim
+    assert len(pair.simplices(n)) * (2 ** (n + 1) - 1) == faces
+    monkeypatch.setattr(mesh, "MAX_CATALOG_FACES", faces - 1)
+    with pytest.raises(MeshError, match="too large"):
+        mesh.generate_mesh(name, size)
 
 
 def test_bad_catalog_size(capsys):

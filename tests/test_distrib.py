@@ -12,7 +12,7 @@ from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
 from ddforms.cli import main
 from ddforms.hilbert import ComplexInstance, harmonic_space
 from ddforms.mesh import (MeshError, betti_numbers, build_complex,
-                          skeleton_pair)
+                          generate_mesh, skeleton_pair)
 from ddforms.polyforms import Family
 from ddforms import distrib
 
@@ -336,6 +336,27 @@ def test_harmonic_family_table(catalog):
     assert rep["conforming"][1] == rep["chain"][1] == 1
 
 
+def test_harmonic_family_builds_no_basis(monkeypatch):
+    """The dimension table and the degree-0 identities read counts: no QR
+    runs, and the counts are the dimensions of the harmonic spaces."""
+    pair = generate_mesh("annulus", 1, "none")
+    qr = np.linalg.qr
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("harmonic_family took a QR")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    rep = distrib.harmonic_family(pair, FAM)
+    for m in range(3):
+        assert distrib.skeleton_degree_zero_identity(pair, FAM, m)["ok"]
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    assert rep["lambda"][(1, 1)] == rep["chain"][1] == 1
+    for (k, b), h in rep["lambda"].items():
+        assert distrib.harmonic_lambda(pair, FAM, k, b).dim == h
+    for (m, b), h in rep["gamma"].items():
+        assert distrib.harmonic_gamma(pair, FAM, m, b).dim == h
+
+
 def test_every_complex_family_builds(catalog):
     pair = catalog("square_grid")
     skel = skeleton_pair(pair, 1)
@@ -389,10 +410,14 @@ def test_non_pure_complex_unsupported():
     pair = build_complex([[0, 1, 2], [2, 3]],
                          [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
     assert betti_numbers(pair) == [1, 0, 0]
-    with pytest.raises(MeshError, match=r"Simplex\(2, 3\) lies in no 2-cell"):
-        distrib.check_conditions(pair, FAM)
-    with pytest.raises(MeshError, match="unsupported configuration"):
-        distrib.verify_chain(pair, FAM, 1)
+    # the strays are found once per pair, and every call raises
+    for _ in range(2):
+        with pytest.raises(MeshError,
+                           match=r"Simplex\(2, 3\) lies in no 2-cell"):
+            distrib.check_conditions(pair, FAM)
+        for k in range(3):
+            with pytest.raises(MeshError, match="unsupported configuration"):
+                distrib.verify_chain(pair, FAM, k)
 
 
 def test_skeleton_ranks_are_exact(catalog):

@@ -1,10 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddforms import exact
 
 from conftest import dense
+from reference import fresh_echelon, fresh_kernel
 
 
 def sparse_rows(mat):
@@ -75,6 +80,63 @@ def test_elimination_leaves_rows_unchanged():
     exact.rank(rows)
     exact.echelon(rows)
     assert rows == before
+
+
+@st.composite
+def integer_rows(draw):
+    """Sparse integer rows, some with non-unit entries, some combinations
+    of two rows before them, and some with a +-1 entry at the leading
+    column of a row before them, which displaces a non-unit pivot."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.sampled_from([1, -1, 1, -1, 2, -2, 3, -4, 6])
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["sparse", "combination", "unit lead"]))
+        if kind == "combination" and len(rows) >= 2:
+            i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+            a, b = draw(entry), draw(entry)
+            row = {c: a * rows[i].get(c, 0) + b * rows[j].get(c, 0)
+                   for c in rows[i].keys() | rows[j].keys()}
+            row = {c: v for c, v in sorted(row.items()) if v}
+        else:
+            row = draw(st.dictionaries(st.integers(0, ncols - 1), entry,
+                                       max_size=4))
+            if kind == "unit lead" and rows and rows[-1]:
+                lead = min(rows[-1])
+                row = {c: v for c, v in row.items() if c > lead}
+                row[lead] = draw(st.sampled_from([1, -1]))
+        rows.append(row)
+    return rows, ncols
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(integer_rows())
+def test_in_place_elimination_equals_fresh_rows(case):
+    """The in-place row steps keep the same rows, build the same pivot
+    dicts and the same kernel triplets as the elimination that builds a
+    new dict at every step, and leave the caller's rows unchanged."""
+    rows, ncols = case
+    before = copy.deepcopy(rows)
+    assert exact.echelon(rows) == fresh_echelon(before)
+    (r, c, v), free = exact.kernel(rows, ncols)
+    (r0, c0, v0), free0 = fresh_kernel(before, ncols)
+    assert v.dtype == v0.dtype
+    for x, y in ((r, r0), (c, c0), (v, v0), (free, free0)):
+        assert x.tolist() == y.tolist()
+    assert rows == before
+
+
+def test_displaced_pivot_is_copied():
+    """A +-1 row displaces the non-unit pivot of its leading column, which
+    is then reduced in a copy: the caller's dict keeps its entries."""
+    first, second = {0: 2, 1: 1}, {0: 1, 2: 1}
+    kept, pivots = exact.echelon([first, second])
+    assert kept == [0, 1]
+    assert pivots == {0: {0: 1, 2: 1}, 1: {1: 1, 2: -2}}
+    assert pivots[0] is second
+    assert first == {0: 2, 1: 1} and second == {0: 1, 2: 1}
+    exact.kernel([first, second], 3)
+    assert first == {0: 2, 1: 1} and second == {0: 1, 2: 1}
 
 
 def test_rank_matches_sympy():

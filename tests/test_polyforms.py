@@ -390,6 +390,14 @@ def test_reference_tensor_gram_matches_pairwise(kind, r):
                     (kind, r, m, k, c)
 
 
+def test_reference_tensor_of_empty_space():
+    """P_{r-k} with r < k is empty: its reference tensor is a zero-size
+    tensor of rank four, not an einsum error."""
+    space = Family("full", 2).space(3, 3)
+    assert space.size == 0
+    assert space.reference_tensor.shape == (1, 1, 0, 0)
+
+
 def test_flat_simplex_in_stratum_raises():
     # two triangles in R^3, the second one flat (collinear vertices)
     coords = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (3, 0, 0)]

@@ -44,6 +44,33 @@ DRAWN = settings(max_examples=40, derandomize=True, deadline=None,
                                         HealthCheck.too_slow])
 
 
+@st.composite
+def jittered_blocks(draw):
+    """Some unit cubes of a 2 x 2 x 2 block, Kuhn-triangulated, with
+    jittered vertices."""
+    cubes = draw(st.sets(st.tuples(*[st.integers(0, 1)] * 3), min_size=1))
+    cells, coords = _kuhn_cells(sorted(cubes))
+    shifts = draw(st.lists(st.tuples(*[st.floats(-0.1, 0.1)] * 3),
+                           min_size=len(coords), max_size=len(coords)))
+    return cells, [tuple(x + a for x, a in zip(p, d))
+                   for p, d in zip(coords, shifts)]
+
+
+@DRAWN
+@given(st.one_of(marked_subgrids().map(lambda pair: (
+    [s.vertices for s in pair.simplices(2)], pair.coords)),
+    jittered_blocks()))
+def test_batched_orientations_equal_per_cell_signs(mesh):
+    """The signs ``build_complex`` takes from one determinant over the
+    stack of cells are those of each cell's own determinant."""
+    cells, coords = mesh
+    pair = build_complex(cells, coords)
+    for s in pair.simplices(pair.top_dim):
+        p0, *rest = (coords[v] for v in s.vertices)
+        edges = np.array([[x - x0 for x, x0 in zip(p, p0)] for p in rest])
+        assert s.sign == np.sign(np.linalg.det(edges))
+
+
 @DRAWN
 @given(marked_subgrids())
 def test_patch_condition_matches_open_star_reference(pair):
