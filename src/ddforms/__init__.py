@@ -22,9 +22,7 @@ from ddforms.mesh import (
     save_mesh_file,
 )
 from ddforms.polyforms import (
-    BarycentricForm,
     Family,
-    whitney_form,
     check_local_exactness,
     check_geometric_decomposition,
 )

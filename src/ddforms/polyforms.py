@@ -1,29 +1,32 @@
-"""Polynomial differential forms on a single simplex.
+"""Polynomial differential forms on a single simplex, as integer tables.
 
-Forms are stored in barycentric coordinates: each term is a monomial
-lambda^alpha times a wedge of barycentric differentials d(lambda_i).  The
-wedge part is kept canonical by eliminating d(lambda_0) through the
-relation sum_i d(lambda_i) = 0, and the polynomial part can be reduced to
-the variables lambda_1..lambda_m for unique coefficient vectors.  On top
-of this the module provides the exterior derivative, the batched simplex
-metrics behind every element Gram, the standard polynomial element
-families, and checkers for local exactness and geometric decomposability.
+A k-form on an m-simplex is written in barycentric coordinates, as terms
+lambda^alpha d(lambda_sigma) with integer coefficients.  Its unique
+coefficient vector lies in the reduced frame: lambda_0 is eliminated
+through lambda_0 = 1 - lambda_1 - ... - lambda_m and d(lambda_0) through
+d(lambda_0) = -(d(lambda_1) + ... + d(lambda_m)), leaving the monomials
+and wedges in the variables 1..m.  The element families are spanned by
+symbolic generators (alpha, idx): lambda^alpha phi_rho for the trimmed
+family, with phi_rho = sum_i (-1)^i lambda_{rho_i} d(lambda_{rho - rho_i})
+the lowest-order form, and lambda^alpha d(lambda_sigma) for the full one
+(Arnold, Falk and Winther, Acta Numerica 15, 2006).  A generator's terms
+are an integer dict, and its column in the reduced frame an integer
+expansion of them; a family basis is a subset of the generators.
 
-A family space is spanned by symbolic generators (alpha, idx), and its
-basis is a subset of them; forms are read symbolically once per family
-and shape, into the generators' integer coordinates and the derivative
-tables.  Everything after that is integer tables: a generator traces onto
-a facet to a generator or to zero, so the trace tables are generators'
-coordinates; the bubbles are the kernel of the stacked trace tables; an
-extension is a lift over the generators touching every vertex of a face,
-placed on the face; the trace onto any face is a product of facet tables;
-and the decomposition check compares table products exactly.  Each table
-that solves A X = B does so by one ``_solve``, exact and in integers.
-``SimplexGeometry`` (Hodge star, codifferential and exact L2 inner
-products on one simplex) is the tests' entry-by-entry reference for the
-element Grams and their Stokes calculus; the criterion-10 helpers built
-on it, the symbolic trace and the symbolic decomposition check are in
-tests/reference.py.
+Everything after that is integer maps on the frame and integer tables:
+the exterior derivative of the frame monomials is one integer matrix,
+applied to a basis's columns; a generator traces onto a facet to a
+generator or to zero, so the trace tables are generators' coordinates;
+the bubbles are the kernel of the stacked trace tables; an extension is
+a lift over the generators touching every vertex of a face, placed on
+the face; the trace onto any face is a product of facet tables; and the
+decomposition check compares table products exactly.  Each table that
+solves A X = B does so by one ``_solve``, exact and in integers.  The
+element Grams contract the batched simplex metrics with a reference
+tensor built from the basis generators' terms.  ``SimplexGeometry``
+keeps the exact L2 inner product of two forms on one simplex, the tests'
+entry-by-entry reference for the element Grams; the float form algebra
+the tests check these tables against is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -50,17 +53,6 @@ class FamilyError(ValueError):
 # -- combinatorial helpers ------------------------------------------------
 
 
-def _sort_with_parity(seq):
-    """Sort an index tuple, returning (sorted tuple, permutation sign).
-
-    Returns sign 0 when the tuple has a repeated index (the wedge is zero).
-    """
-    if len(set(seq)) != len(seq):
-        return (), 0
-    srt = tuple(sorted(seq))
-    return srt, _permutation_parity(seq, srt)
-
-
 @lru_cache(maxsize=None)
 def _canon_wedge(indices, m):
     """Expand a wedge of d(lambda_i) into the canonical frame on {1..m}.
@@ -78,8 +70,10 @@ def _canon_wedge(indices, m):
             for sig, c in _canon_wedge(rep, m).items():
                 out[sig] = out.get(sig, 0) - c
         return {s: c for s, c in out.items() if c}
-    srt, sign = _sort_with_parity(indices)
-    return {srt: sign} if sign else {}
+    if len(set(indices)) != len(indices):
+        return {}
+    srt = tuple(sorted(indices))
+    return {srt: _permutation_parity(indices, srt)}
 
 
 def _compositions(total, parts):
@@ -94,26 +88,21 @@ def _compositions(total, parts):
 
 
 @lru_cache(maxsize=None)
-def _one_minus_sum_power(a, m):
-    """Expansion of (1 - x_1 - ... - x_m)^a as {exponent tuple: coeff}."""
-    out = {}
-    for combo in _compositions_leq(a, m):
-        s = sum(combo)
-        coeff = (-1) ** s * math.factorial(a)
-        coeff //= math.factorial(a - s)
-        for j in combo:
-            coeff //= math.factorial(j)
-        out[combo] = float(coeff)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _compositions_leq(total, parts):
     """All tuples of ``parts`` nonnegative integers summing to <= total."""
     out = []
     for t in range(total + 1):
         out.extend(_compositions(t, parts))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _one_minus_sum_power(a, m):
+    """(1 - x_1 - ... - x_m)^a as {exponent tuple: integer coefficient}."""
+    return {combo: (-1) ** sum(combo) * math.factorial(a)
+            // math.factorial(a - sum(combo))
+            // math.prod(map(math.factorial, combo))
+            for combo in _compositions_leq(a, m)}
 
 
 def _unit_monomial_integral(alpha):
@@ -124,108 +113,7 @@ def _unit_monomial_integral(alpha):
     return num / math.factorial(sum(alpha) + m)
 
 
-# -- forms ----------------------------------------------------------------
-
-
-class BarycentricForm:
-    """A polynomial differential form on an m-simplex.
-
-    ``terms`` maps (alpha, sigma) to a coefficient, where alpha is an
-    exponent tuple over lambda_0..lambda_m and sigma is a strictly
-    increasing tuple in {1..m} naming the wedge d(lambda_sigma).
-    """
-
-    __slots__ = ("dim", "degree", "terms")
-
-    def __init__(self, dim, degree, terms=None):
-        self.dim = dim
-        self.degree = degree
-        self.terms = dict(terms) if terms else {}
-
-    def _add(self, key, coeff):
-        c = self.terms.get(key, 0.0) + coeff
-        if c:
-            self.terms[key] = c
-        else:
-            self.terms.pop(key, None)
-
-    @classmethod
-    def monomial(cls, dim, alpha, indices=(), coeff=1.0):
-        """The form coeff * lambda^alpha * wedge of d(lambda_i) over indices.
-
-        ``indices`` may mention index 0 and need not be sorted; the result
-        is canonicalized.
-        """
-        alpha = tuple(alpha)
-        if len(alpha) != dim + 1:
-            raise FormError(f"exponent tuple has length {len(alpha)}, need {dim + 1}")
-        f = cls(dim, len(indices))
-        for sig, c in _canon_wedge(tuple(indices), dim).items():
-            f._add((alpha, sig), coeff * c)
-        return f
-
-    def _like(self, other):
-        if self.dim != other.dim:
-            raise FormError("forms live on simplices of different dimension")
-
-    def __add__(self, other):
-        self._like(other)
-        if self.degree != other.degree:
-            raise FormError("degree mismatch in sum")
-        out = BarycentricForm(self.dim, self.degree, self.terms)
-        for key, c in other.terms.items():
-            out._add(key, c)
-        return out
-
-    def __mul__(self, scalar):
-        out = BarycentricForm(self.dim, self.degree)
-        for key, c in self.terms.items():
-            out._add(key, c * scalar)
-        return out
-
-    __rmul__ = __mul__
-
-    def derivative(self):
-        """Exterior derivative, canonicalized.  Top-degree input gives 0."""
-        out = BarycentricForm(self.dim, self.degree + 1)
-        if self.degree >= self.dim:
-            return out
-        for (alpha, sig), c in self.terms.items():
-            for i, ai in enumerate(alpha):
-                if ai == 0:
-                    continue
-                na = alpha[:i] + (ai - 1,) + alpha[i + 1:]
-                for nsig, w in _canon_wedge((i,) + sig, self.dim).items():
-                    out._add((na, nsig), c * ai * w)
-        return out
-
-    def reduced(self):
-        """Coefficients over the reduced frame (lambda_0 eliminated).
-
-        The result maps (alpha with alpha[0] = 0, sigma) to coefficients
-        and is a unique representation of the form.
-        """
-        out = {}
-        m = self.dim
-        for (alpha, sig), c in self.terms.items():
-            if not alpha[0]:
-                # lambda_0^0 = 1: the term is already reduced
-                v = out.get((alpha, sig), 0.0) + c
-                if v:
-                    out[alpha, sig] = v
-                else:
-                    out.pop((alpha, sig), None)
-                continue
-            rest = alpha[1:]
-            for combo, w in _one_minus_sum_power(alpha[0], m).items():
-                na = (0,) + tuple(r + e for r, e in zip(rest, combo))
-                key = (na, sig)
-                v = out.get(key, 0.0) + c * w
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return out
+# -- the reduced frame ----------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -239,29 +127,26 @@ def reduced_frame(m, k, R):
     return tuple(keys)
 
 
-def _coeff_matrix(forms, frame):
-    """The integer coefficient vectors of forms in a reduced frame, as
-    columns; FormError for a term outside the frame or a non-integral
-    coefficient."""
-    index = _frame_index(frame)
-    rows, cols, vals = [], [], []
-    for j, f in enumerate(forms):
-        for key, c in f.reduced().items():
-            if key not in index:
-                raise FormError(f"term {key} outside frame")
-            if c != round(c):
-                raise FormError(f"non-integral coefficient {c} of term {key}")
-            rows.append(index[key])
-            cols.append(j)
-            vals.append(c)
-    out = np.zeros((len(frame), len(forms)), dtype=np.int64)
-    out[rows, cols] = vals
-    return out
-
-
 @lru_cache(maxsize=None)
 def _frame_index(frame):
     return {key: i for i, key in enumerate(frame)}
+
+
+def _frame_table(forms, frame):
+    """The integer coefficients over a reduced frame of forms given by
+    their terms, {(alpha, sigma): integer} with sigma canonical, one column
+    each: lambda_0^a is expanded as (1 - lambda_1 - ... - lambda_m)^a."""
+    index = _frame_index(frame)
+    out = np.zeros((len(frame), len(forms)), np.int64)
+    for j, terms in enumerate(forms):
+        col = {}
+        for (alpha, sig), c in terms.items():
+            for combo, w in _one_minus_sum_power(alpha[0],
+                                                 len(alpha) - 1).items():
+                i = index[(0,) + tuple(map(sum, zip(alpha[1:], combo))), sig]
+                col[i] = col.get(i, 0) + c * w
+        out[list(col), j] = list(col.values())
+    return out
 
 
 # -- geometry -------------------------------------------------------------
@@ -302,7 +187,8 @@ def simplex_metrics(points):
 
 
 class SimplexGeometry:
-    """Metric data of an embedded m-simplex: volume, gradient Gram, star."""
+    """Metric data of an embedded m-simplex: volume and gradient Gram, and
+    the exact L2 inner product of two forms on it."""
 
     def __init__(self, points, parity=1):
         pts = np.asarray(points, float)
@@ -312,8 +198,6 @@ class SimplexGeometry:
         volumes, grad_grams = simplex_metrics(pts[None])
         self.volume = float(volumes[0])
         self.grad_gram = grad_grams[0]
-        # volume form = vol_coeff * dL1^...^dLm
-        self.vol_coeff = parity * math.factorial(self.dim) * self.volume
 
     def metric(self, sigma, tau):
         """Pointwise inner product g(dL_sigma, dL_tau) of constant wedges."""
@@ -329,7 +213,9 @@ class SimplexGeometry:
         return self.volume * _unit_monomial_integral(alpha)
 
     def inner_product(self, w, e):
-        """L2 inner product of two equal-degree forms on this simplex."""
+        """L2 inner product of two equal-degree forms on this simplex, each
+        read off its ``terms``, {(alpha, sigma): coefficient}, its
+        ``degree`` and its ``dim``."""
         if w.degree != e.degree or w.dim != self.dim or e.dim != self.dim:
             raise FormError("inner product needs equal degrees on this simplex")
         total = 0.0
@@ -340,40 +226,6 @@ class SimplexGeometry:
                     alpha = tuple(x + y for x, y in zip(a1, a2))
                     total += c1 * c2 * g * self.integrate_monomial(alpha)
         return total
-
-    def star(self, form):
-        """Hodge star with respect to the stored orientation."""
-        m = self.dim
-        k = form.degree
-        out = BarycentricForm(m, m - k)
-        all_idx = range(1, m + 1)
-        for (alpha, sig), c in form.terms.items():
-            for tau in itertools.combinations(all_idx, k):
-                g = self.metric(tau, sig)
-                if not g:
-                    continue
-                rho = tuple(i for i in all_idx if i not in tau)
-                _srt, sign = _sort_with_parity(tau + rho)
-                out._add((alpha, rho), c * sign * g * self.vol_coeff)
-        return out
-
-    def star_inverse(self, form):
-        """Inverse Hodge star, mapping j-forms back to (m-j)-forms."""
-        k = self.dim - form.degree
-        return self.star(form) * float((-1) ** (k * (self.dim - k)))
-
-    def codifferential(self, form):
-        """delta = (-1)^(m(k+1)+1) * star d star; zero on 0-forms."""
-        m, k = self.dim, form.degree
-        if k == 0:
-            return BarycentricForm(m, 0)
-        sign = float((-1) ** (m * (k + 1) + 1))
-        return self.star(self.star(form).derivative()) * sign
-
-    def face(self, positions):
-        """Geometry of the face at the given vertex positions (ascending
-        orientation)."""
-        return SimplexGeometry(self.points[list(positions)])
 
 
 # -- element spaces -------------------------------------------------------
@@ -411,31 +263,25 @@ class Family:
 
 
 class ElementSpace:
-    """A space of k-forms on one m-simplex, given by a basis of forms."""
+    """A space of k-forms on one m-simplex whose basis is a list of family
+    generators: their integer coefficients over the reduced frame of
+    polynomial degree ``frame_degree``, one column each, the generators
+    (alpha, idx) and their terms; with no matrix, the zero space."""
 
-    def __init__(self, dim, degree, basis, frame_degree, matrix=None,
-                 generators=None):
+    def __init__(self, dim, degree, frame_degree, matrix=None, generators=(),
+                 terms=()):
         self.dim = dim
         self.degree = degree
-        self.basis = list(basis)
         self.frame_degree = frame_degree
-        self.frame = reduced_frame(dim, max(degree, 0), frame_degree)
-        self.matrix = _coeff_matrix(self.basis, self.frame) \
+        self.frame = reduced_frame(dim, degree, frame_degree)
+        self.matrix = np.zeros((len(self.frame), 0), np.int64) \
             if matrix is None else matrix
-        # the (alpha, idx) generator of each basis form, for a family space
         self.generators = generators
+        self.terms = terms
 
     @property
     def size(self):
-        return len(self.basis)
-
-    def coefficients(self, form):
-        """Coordinates of a form in this basis; FormError if not a member."""
-        reason = "form is not a member of the element space"
-        if not form.reduced().keys() <= _frame_index(self.frame).keys():
-            raise FormError(reason)
-        return _solve(self.matrix, _coeff_matrix([form], self.frame),
-                      FormError, reason, self.inverse)[:, 0]
+        return self.matrix.shape[1]
 
     @cached_property
     def inverse(self):
@@ -450,17 +296,17 @@ class ElementSpace:
         With sigma_s running over the canonical k-subsets of {1..m}, the
         Gram on a simplex C is |C| * sum over (s, t) of
         det(g_C[sigma_s, sigma_t]) * A[s, t]: A does not depend on the
-        geometry.  Built from exact monomial integrals on first use and
-        kept on the space.
+        geometry.  Built from the basis generators' terms and exact
+        monomial integrals on first use and kept on the space.
         """
         m, n = self.dim, self.size
         sigs = {s: i for i, s in enumerate(
             itertools.combinations(range(1, m + 1), self.degree))}
         alphas = {a: i for i, a in enumerate(sorted(
-            {a for f in self.basis for a, _s in f.terms}))}
+            {a for terms in self.terms for a, _s in terms}))}
         C = np.zeros((len(sigs), n, len(alphas)))
-        for i, f in enumerate(self.basis):
-            for (a, s), c in f.terms.items():
+        for i, terms in enumerate(self.terms):
+            for (a, s), c in terms.items():
                 C[sigs[s], i, alphas[a]] += c
         M = np.array([[_unit_monomial_integral(
             tuple(x + y for x, y in zip(a, b))) for b in alphas]
@@ -489,26 +335,6 @@ class ElementSpace:
         return 0.5 * (G + G.transpose(0, 2, 1))
 
 
-def whitney_form(m, rho):
-    """The lowest-order form attached to the sub-vertex-tuple rho."""
-    k = len(rho) - 1
-    f = BarycentricForm(m, k)
-    for i, v in enumerate(rho):
-        rest = rho[:i] + rho[i + 1:]
-        alpha = tuple(1 if t == v else 0 for t in range(m + 1))
-        for sig, c in _canon_wedge(rest, m).items():
-            f._add((alpha, sig), (-1) ** i * c)
-    return f
-
-
-def _monomial_times(alpha, form):
-    out = BarycentricForm(form.dim, form.degree)
-    for (a, sig), c in form.terms.items():
-        na = tuple(x + y for x, y in zip(a, alpha))
-        out._add((na, sig), c)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _family_space(kind, r, m, k):
     """The family space of k-forms on an m-simplex, its basis a subset of
@@ -519,18 +345,19 @@ def _family_space(kind, r, m, k):
     if m < 0:
         raise FamilyError(f"no simplex of dimension {m}")
     if k < 0 or k > m or (kind == "full" and r < k):
-        return ElementSpace(m, max(k, 0), [], 0)
+        return ElementSpace(m, max(k, 0), 0)
     gens = _generators(kind, r, m, k)
-    forms, table = _generator_table(kind, r, m, k)
+    terms = _generator_terms(kind, r, m, k)
+    table = _generator_table(kind, r, m, k)
     if kind == "trimmed":
         keep = exact.echelon(exact.dense_rows(table.T))[0]
     else:
         keep = sorted((i for i, (alpha, sig) in enumerate(gens)
                        if not alpha[0] and 0 not in sig),
                       key=gens.__getitem__)
-    return ElementSpace(m, k, [forms[i] for i in keep],
-                        r if kind == "trimmed" else r - k, table[:, keep],
-                        [gens[i] for i in keep])
+    return ElementSpace(m, k, r if kind == "trimmed" else r - k,
+                        table[:, keep], [gens[i] for i in keep],
+                        [terms[i] for i in keep])
 
 
 # -- derivative / trace matrices, bubbles, extensions ---------------------
@@ -577,13 +404,21 @@ def _solve(A, B, error, reason, inverse=None):
 
 @lru_cache(maxsize=None)
 def _d_matrix(kind, r, m, k):
-    """Matrix of the exterior derivative space(m,k) -> space(m,k+1)."""
+    """Matrix of the exterior derivative space(m,k) -> space(m,k+1): the
+    derivative on the reduced frame, d(lambda^alpha d(lambda_sigma)) =
+    sum over i >= 1 of alpha_i lambda^(alpha - e_i) d(lambda_i) ^
+    d(lambda_sigma), is one integer matrix, applied to the source basis
+    and solved for in the target basis."""
     src = _family_space(kind, r, m, k)
     tgt = _family_space(kind, r, m, k + 1)
     if src.size == 0 or k >= m:
         return np.zeros((tgt.size, src.size), dtype=np.int64)
-    images = _coeff_matrix([f.derivative() for f in src.basis], tgt.frame)
-    return _solve(tgt.matrix, images, FamilyError,
+    d_frame = _frame_table(
+        [{(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:], s): alpha[i] * w
+          for i in range(1, m + 1) if alpha[i]
+          for s, w in _canon_wedge((i,) + sig, m).items()}
+         for alpha, sig in src.frame], tgt.frame)
+    return _solve(tgt.matrix, d_frame @ src.matrix, FamilyError,
                   "family is not closed under the requested operation",
                   tgt.inverse)
 
@@ -607,7 +442,7 @@ def _trace_matrix(kind, r, m, k):
               for i, (alpha, idx) in enumerate(src.generators)
               for j in range(m + 1) if not alpha[j] and j not in idx]
     gens = sorted({g for _j, _i, g in traced})
-    B = _generator_table(kind, r, m - 1, k)[1][:, gens]
+    B = _generator_table(kind, r, m - 1, k)[:, gens]
     coords = _solve(tgt.matrix, B, FamilyError,
                     "family is not closed under the requested operation",
                     tgt.inverse)
@@ -643,14 +478,29 @@ def _generators(kind, r, m, k):
 
 
 @lru_cache(maxsize=None)
+def _generator_terms(kind, r, m, k):
+    """The terms of each generator, {(alpha, sigma): integer} with sigma
+    canonical: lambda^alpha phi_rho, phi_rho = sum_i (-1)^i lambda_{rho_i}
+    d(lambda_{rho - rho_i}), for the trimmed family, and lambda^alpha
+    d(lambda_sigma) for the full one, d(lambda_0) expanded by
+    ``_canon_wedge``."""
+    out = []
+    for alpha, idx in _generators(kind, r, m, k):
+        parts = [(alpha[:v] + (alpha[v] + 1,) + alpha[v + 1:], (-1) ** i,
+                  idx[:i] + idx[i + 1:]) for i, v in enumerate(idx)] \
+            if kind == "trimmed" else [(alpha, 1, idx)]
+        out.append({(a, sig): sign * c for a, sign, rest in parts
+                    for sig, c in _canon_wedge(rest, m).items()})
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _generator_table(kind, r, m, k):
-    """The generators as forms, and their integer coefficients in the
-    reduced frame of the family's polynomial degree, one column each."""
-    forms = [_monomial_times(alpha, whitney_form(m, idx)) if kind == "trimmed"
-             else BarycentricForm.monomial(m, alpha, idx)
-             for alpha, idx in _generators(kind, r, m, k)]
+    """The generators' integer coefficients in the reduced frame of the
+    family's polynomial degree, one column each."""
     degree = r if kind == "trimmed" else r - k
-    return forms, _coeff_matrix(forms, reduced_frame(m, k, degree))
+    return _frame_table(_generator_terms(kind, r, m, k),
+                        reduced_frame(m, k, degree))
 
 
 @lru_cache(maxsize=None)
@@ -658,7 +508,7 @@ def _generator_coords(kind, r, m, k):
     """The integer coordinates of the generators in the family basis, one
     column each, by one solve."""
     space = _family_space(kind, r, m, k)
-    return _solve(space.matrix, _generator_table(kind, r, m, k)[1], FormError,
+    return _solve(space.matrix, _generator_table(kind, r, m, k), FormError,
                   "form is not a member of the element space", space.inverse)
 
 
@@ -708,7 +558,10 @@ def _extension_coords(kind, r, mf, k, mc):
     extension of bubble form i is the full-support generators placed on
     the face, weighted by column i of the lift: it restricts back to the
     bubble form, vanishes on faces not containing the face, and lands in
-    the family space."""
+    the family space.  The extension from a simplex to itself is the
+    identity: the bubble coefficients."""
+    if mf == mc:
+        return _bubble_coeffs(kind, r, mf, k)
     gens, lift = _extension_lift(kind, r, mf, k)
     size = _family_space(kind, r, mc, k).size
     if lift.shape[1] == 0:
@@ -756,9 +609,10 @@ def check_local_exactness(family, m):
             ok = nullity == 1 and n >= 1
             if ok and n:
                 space = family.space(m, 0)
-                const = BarycentricForm.monomial(m, tuple([0] * (m + 1)), ())
+                one = np.zeros((len(space.frame), 1), np.int64)
+                one[_frame_index(space.frame)[(0,) * (m + 1), ()]] = 1
                 try:
-                    space.coefficients(const)
+                    _solve(space.matrix, one, FormError, "", space.inverse)
                 except FormError:
                     ok = False
         else:

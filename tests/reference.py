@@ -18,12 +18,21 @@
   step builds a new row dict and takes a gcd, against which the in-place
   steps of ``exact.echelon`` and ``exact.kernel`` are checked;
 - ``trailing_q``, the harmonic complement one reflector at a time;
+- the float form algebra: ``BarycentricForm`` (sums, scalar multiples,
+  the exterior derivative and the reduction to the reduced frame),
+  ``whitney_form``, ``coeff_matrix`` and ``FormSpace``, a space spanned
+  by forms with its coefficients solved for exactly; on it the family
+  bases as forms (``family_forms``) and the element tables the package
+  builds as integer maps on the reduced frame, here read off forms:
+  ``generator_table``, ``d_table``, ``trace_tables``, ``bubble_table``,
+  ``extension_table`` and ``reference_tensor``;
 - the criterion-10 Stokes calculus on one simplex: ``geometry``,
+  ``star``, ``star_inverse``, ``codifferential``, ``face``,
   ``normal_trace`` and ``stokes_residual``, over ``SimplexGeometry``;
-- the symbolic form algebra (``trace``, ``is_zero``, ``minus``,
-  ``from_coefficients``, ``instantiate``, ``bubble_space``) and, on it,
-  the symbolic decomposition check ``decomposition_entry``: extensions
-  built as forms, traced and compared after reduction;
+- the symbolic trace and decomposition (``trace``, ``is_zero``,
+  ``minus``, ``from_coefficients``, ``instantiate``, ``bubble_space``)
+  and, on them, the symbolic decomposition check ``decomposition_entry``:
+  extensions built as forms, traced and compared after reduction;
 - ``trimmed_dimension``, the closed-form dimension of a trimmed space;
 - ``stratum_slice``, the rows of one stratum of a broken space, read off
   its layout apart from ``assembly.placement``.
@@ -31,6 +40,7 @@
 
 import itertools
 import math
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,11 +49,12 @@ from ddforms.assembly import AssemblyError, operator_D, operator_T
 from ddforms.distrib import redirected_gamma, redirected_lambda
 from ddforms.mesh import (MeshError, RelativePair, Simplex,
                           _permutation_parity, facet_incidence)
-from ddforms.polyforms import (BarycentricForm, ElementSpace, FormError,
-                               SimplexGeometry, _bubble_coeffs, _canon_wedge,
-                               _coeff_matrix, _extension_lift, _family_space,
-                               _kernel, _monomial_times, _placed, _solve,
-                               whitney_form)
+from ddforms.polyforms import (FamilyError, FormError, SimplexGeometry,
+                               _bubble_coeffs, _canon_wedge,
+                               _compositions_leq, _extension_lift,
+                               _family_space, _frame_index, _generators,
+                               _inverse, _kernel, _placed, _solve,
+                               _unit_monomial_integral, reduced_frame)
 
 
 def stratum_slice(space, m):
@@ -338,6 +349,289 @@ def _open_star_betti(chains, faces, n):
     return [len(by_dim[m]) - ranks[m] - ranks[m + 1] for m in range(n + 1)]
 
 
+# -- the float form algebra -----------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _one_minus_sum_power(a, m):
+    """Expansion of (1 - x_1 - ... - x_m)^a as {exponent tuple: coeff}."""
+    out = {}
+    for combo in _compositions_leq(a, m):
+        s = sum(combo)
+        coeff = (-1) ** s * math.factorial(a)
+        coeff //= math.factorial(a - s)
+        for j in combo:
+            coeff //= math.factorial(j)
+        out[combo] = float(coeff)
+    return out
+
+
+class BarycentricForm:
+    """A polynomial differential form on an m-simplex.
+
+    ``terms`` maps (alpha, sigma) to a coefficient, where alpha is an
+    exponent tuple over lambda_0..lambda_m and sigma is a strictly
+    increasing tuple in {1..m} naming the wedge d(lambda_sigma).
+    """
+
+    __slots__ = ("dim", "degree", "terms")
+
+    def __init__(self, dim, degree, terms=None):
+        self.dim = dim
+        self.degree = degree
+        self.terms = dict(terms) if terms else {}
+
+    def _add(self, key, coeff):
+        c = self.terms.get(key, 0.0) + coeff
+        if c:
+            self.terms[key] = c
+        else:
+            self.terms.pop(key, None)
+
+    @classmethod
+    def monomial(cls, dim, alpha, indices=(), coeff=1.0):
+        """The form coeff * lambda^alpha * wedge of d(lambda_i) over indices.
+
+        ``indices`` may mention index 0 and need not be sorted; the result
+        is canonicalized.
+        """
+        alpha = tuple(alpha)
+        if len(alpha) != dim + 1:
+            raise FormError(f"exponent tuple has length {len(alpha)}, need {dim + 1}")
+        f = cls(dim, len(indices))
+        for sig, c in _canon_wedge(tuple(indices), dim).items():
+            f._add((alpha, sig), coeff * c)
+        return f
+
+    def _like(self, other):
+        if self.dim != other.dim:
+            raise FormError("forms live on simplices of different dimension")
+
+    def __add__(self, other):
+        self._like(other)
+        if self.degree != other.degree:
+            raise FormError("degree mismatch in sum")
+        out = BarycentricForm(self.dim, self.degree, self.terms)
+        for key, c in other.terms.items():
+            out._add(key, c)
+        return out
+
+    def __mul__(self, scalar):
+        out = BarycentricForm(self.dim, self.degree)
+        for key, c in self.terms.items():
+            out._add(key, c * scalar)
+        return out
+
+    __rmul__ = __mul__
+
+    def derivative(self):
+        """Exterior derivative, canonicalized.  Top-degree input gives 0."""
+        out = BarycentricForm(self.dim, self.degree + 1)
+        if self.degree >= self.dim:
+            return out
+        for (alpha, sig), c in self.terms.items():
+            for i, ai in enumerate(alpha):
+                if ai == 0:
+                    continue
+                na = alpha[:i] + (ai - 1,) + alpha[i + 1:]
+                for nsig, w in _canon_wedge((i,) + sig, self.dim).items():
+                    out._add((na, nsig), c * ai * w)
+        return out
+
+    def reduced(self):
+        """Coefficients over the reduced frame (lambda_0 eliminated).
+
+        The result maps (alpha with alpha[0] = 0, sigma) to coefficients
+        and is a unique representation of the form.
+        """
+        out = {}
+        m = self.dim
+        for (alpha, sig), c in self.terms.items():
+            if not alpha[0]:
+                # lambda_0^0 = 1: the term is already reduced
+                v = out.get((alpha, sig), 0.0) + c
+                if v:
+                    out[alpha, sig] = v
+                else:
+                    out.pop((alpha, sig), None)
+                continue
+            rest = alpha[1:]
+            for combo, w in _one_minus_sum_power(alpha[0], m).items():
+                na = (0,) + tuple(r + e for r, e in zip(rest, combo))
+                key = (na, sig)
+                v = out.get(key, 0.0) + c * w
+                if v:
+                    out[key] = v
+                else:
+                    out.pop(key, None)
+        return out
+
+
+def whitney_form(m, rho):
+    """The lowest-order form attached to the sub-vertex-tuple rho."""
+    k = len(rho) - 1
+    f = BarycentricForm(m, k)
+    for i, v in enumerate(rho):
+        rest = rho[:i] + rho[i + 1:]
+        alpha = tuple(1 if t == v else 0 for t in range(m + 1))
+        for sig, c in _canon_wedge(rest, m).items():
+            f._add((alpha, sig), (-1) ** i * c)
+    return f
+
+
+def monomial_times(alpha, form):
+    """lambda^alpha times a form."""
+    out = BarycentricForm(form.dim, form.degree)
+    for (a, sig), c in form.terms.items():
+        na = tuple(x + y for x, y in zip(a, alpha))
+        out._add((na, sig), c)
+    return out
+
+
+def coeff_matrix(forms, frame):
+    """The integer coefficient vectors of forms in a reduced frame, as
+    columns; FormError for a term outside the frame or a non-integral
+    coefficient."""
+    index = _frame_index(frame)
+    rows, cols, vals = [], [], []
+    for j, f in enumerate(forms):
+        for key, c in f.reduced().items():
+            if key not in index:
+                raise FormError(f"term {key} outside frame")
+            if c != round(c):
+                raise FormError(f"non-integral coefficient {c} of term {key}")
+            rows.append(index[key])
+            cols.append(j)
+            vals.append(c)
+    out = np.zeros((len(frame), len(forms)), dtype=np.int64)
+    out[rows, cols] = vals
+    return out
+
+
+class FormSpace:
+    """A space of k-forms on one m-simplex spanned by a list of forms, with
+    their integer coefficients over a reduced frame."""
+
+    def __init__(self, dim, degree, basis, frame):
+        self.dim = dim
+        self.degree = degree
+        self.basis = list(basis)
+        self.frame = frame
+        self.matrix = coeff_matrix(self.basis, frame)
+
+    @property
+    def size(self):
+        return len(self.basis)
+
+    @cached_property
+    def inverse(self):
+        return _inverse(self.matrix)
+
+    def coefficients(self, form):
+        """Coordinates of a form in this basis; FormError if not a member."""
+        reason = "form is not a member of the element space"
+        if not form.reduced().keys() <= _frame_index(self.frame).keys():
+            raise FormError(reason)
+        return _solve(self.matrix, coeff_matrix([form], self.frame),
+                      FormError, reason, self.inverse)[:, 0]
+
+
+def generator_form(kind, m, alpha, idx):
+    """A generator of a family on the m-simplex as a form: lambda^alpha
+    times the lowest-order form of idx (trimmed), or lambda^alpha times
+    the wedge of idx (full)."""
+    if kind == "trimmed":
+        return monomial_times(alpha, whitney_form(m, idx))
+    return BarycentricForm.monomial(m, alpha, idx)
+
+
+def generator_table(kind, r, m, k):
+    """Every generator's coefficients in the reduced frame of the family's
+    polynomial degree, one column each, read off the forms."""
+    degree = r if kind == "trimmed" else r - k
+    return coeff_matrix([generator_form(kind, m, alpha, idx)
+                         for alpha, idx in _generators(kind, r, m, k)],
+                        reduced_frame(m, k, degree))
+
+
+def family_forms(kind, r, m, k):
+    """The basis of a family space as forms, built from its generators."""
+    space = _family_space(kind, r, m, k)
+    return FormSpace(m, space.degree,
+                     [generator_form(kind, m, alpha, idx)
+                      for alpha, idx in space.generators], space.frame)
+
+
+def _images(tgt, images, error):
+    """The coordinates of forms in the basis of a FormSpace."""
+    return _solve(tgt.matrix, coeff_matrix(images, tgt.frame), error,
+                  "family is not closed under the requested operation",
+                  tgt.inverse)
+
+
+def d_table(kind, r, m, k):
+    """The d table: the derivatives of the basis forms, in the target
+    basis."""
+    src = family_forms(kind, r, m, k)
+    tgt = family_forms(kind, r, m, k + 1)
+    if not src.size or k >= m:
+        return np.zeros((tgt.size, src.size), np.int64)
+    return _images(tgt, [f.derivative() for f in src.basis], FamilyError)
+
+
+def trace_tables(kind, r, m, k):
+    """The trace tables onto the facets, stacked by the omitted vertex:
+    the symbolic traces of the basis forms, in the facet's basis."""
+    src = family_forms(kind, r, m, k)
+    tgt = family_forms(kind, r, m - 1, k)
+    out = np.zeros((m + 1, tgt.size, src.size), np.int64)
+    if not out.size:
+        return out
+    for j in range(m + 1):
+        positions = tuple(i for i in range(m + 1) if i != j)
+        out[j] = _images(tgt, [trace(f, positions) for f in src.basis],
+                         FamilyError)
+    return out
+
+
+def bubble_table(kind, r, m, k):
+    """The bubble coefficients: the kernel of the stacked trace tables."""
+    size = family_forms(kind, r, m, k).size
+    if m == 0 or k > m - 1 or not size:
+        return np.eye(size, dtype=np.int64)
+    return _kernel(trace_tables(kind, r, m, k).reshape(-1, size))[0]
+
+
+def extension_table(kind, r, mf, k, mc):
+    """The coordinates of the symbolic extensions of every mf-face's
+    bubble forms in the family basis of the mc-simplex, one column per
+    face and bubble form."""
+    forms = [ext for face in extensions(kind, r, mf, k, mc).values()
+             for ext in face]
+    tgt = family_forms(kind, r, mc, k)
+    if not forms:
+        return np.zeros((tgt.size, 0), np.int64)
+    return _images(tgt, forms, FormError)
+
+
+def reference_tensor(space):
+    """The Gram reference tensor A[s, t, i, j] of a FormSpace, read off
+    the terms of its basis forms (see ``ElementSpace.reference_tensor``)."""
+    m, n = space.dim, space.size
+    sigs = {s: i for i, s in enumerate(
+        itertools.combinations(range(1, m + 1), space.degree))}
+    alphas = {a: i for i, a in enumerate(sorted(
+        {a for f in space.basis for a, _s in f.terms}))}
+    C = np.zeros((len(sigs), n, len(alphas)))
+    for i, f in enumerate(space.basis):
+        for (a, s), c in f.terms.items():
+            C[sigs[s], i, alphas[a]] += c
+    M = np.array([[_unit_monomial_integral(
+        tuple(x + y for x, y in zip(a, b))) for b in alphas]
+        for a in alphas]).reshape(len(alphas), len(alphas))
+    return np.einsum("sia,tja->stij", C @ M, C)
+
+
 # -- the criterion-10 Stokes calculus -------------------------------------
 
 
@@ -346,12 +640,54 @@ def geometry(pair, simplex):
     return SimplexGeometry(pair.points(simplex), simplex.sign)
 
 
+def vol_coeff(geo):
+    """The volume form of a simplex as vol_coeff * dL1^...^dLm."""
+    return geo.parity * math.factorial(geo.dim) * geo.volume
+
+
+def star(geo, form):
+    """Hodge star with respect to the simplex's orientation."""
+    m = geo.dim
+    k = form.degree
+    out = BarycentricForm(m, m - k)
+    all_idx = tuple(range(1, m + 1))
+    for (alpha, sig), c in form.terms.items():
+        for tau in itertools.combinations(all_idx, k):
+            g = geo.metric(tau, sig)
+            if not g:
+                continue
+            rho = tuple(i for i in all_idx if i not in tau)
+            sign = _permutation_parity(tau + rho, all_idx)
+            out._add((alpha, rho), c * sign * g * vol_coeff(geo))
+    return out
+
+
+def star_inverse(geo, form):
+    """Inverse Hodge star, mapping j-forms back to (m-j)-forms."""
+    k = geo.dim - form.degree
+    return star(geo, form) * float((-1) ** (k * (geo.dim - k)))
+
+
+def codifferential(geo, form):
+    """delta = (-1)^(m(k+1)+1) * star d star; zero on 0-forms."""
+    m, k = geo.dim, form.degree
+    if k == 0:
+        return BarycentricForm(m, 0)
+    sign = float((-1) ** (m * (k + 1) + 1))
+    return star(geo, star(geo, form).derivative()) * sign
+
+
+def face(geo, positions):
+    """Geometry of the face at the given vertex positions (ascending
+    orientation)."""
+    return SimplexGeometry(geo.points[list(positions)])
+
+
 def normal_trace(form, positions, geo, face_geo=None):
     """The normal trace: inverse face star of the trace of the star."""
     if face_geo is None:
-        face_geo = geo.face(positions)
-    starred = geo.star(form)
-    return face_geo.star_inverse(trace(starred, positions))
+        face_geo = face(geo, positions)
+    return star_inverse(face_geo, trace(star(geo, form), positions))
 
 
 def stokes_residual(w, e, geo, relative=False):
@@ -364,12 +700,12 @@ def stokes_residual(w, e, geo, relative=False):
     """
     m = geo.dim
     t1 = geo.inner_product(w.derivative(), e)
-    t2 = geo.inner_product(w, geo.codifferential(e))
+    t2 = geo.inner_product(w, codifferential(geo, e))
     rhs = 0.0
     scale = abs(t1) + abs(t2)
     for j in range(m + 1):
         positions = tuple(i for i in range(m + 1) if i != j)
-        fg = geo.face(positions)
+        fg = face(geo, positions)
         tw = trace(w, positions)
         ne = normal_trace(e, positions, geo, fg)
         term = (-1) ** j * fg.inner_product(tw, ne)
@@ -438,25 +774,25 @@ def from_coefficients(space, coeffs):
 def bubble_space(kind, r, m, k):
     """The bubble space of the family on an m-simplex as an element space
     of forms, and its coefficients in the family basis."""
-    src = _family_space(kind, r, m, k)
+    src = family_forms(kind, r, m, k)
     null = _bubble_coeffs(kind, r, m, k)
     basis = [from_coefficients(src, c) for c in null.T]
-    return ElementSpace(m, src.degree, basis, src.frame_degree), null
+    return FormSpace(m, src.degree, basis, src.frame), null
 
 
 def instantiate(kind, alpha, idx, positions, mc):
     """A generator of a face, placed at the given positions, as a form on
     the mc-simplex."""
-    alpha_c, mapped = _placed(alpha, idx, positions, mc)
-    if kind == "trimmed":
-        return _monomial_times(alpha_c, whitney_form(mc, mapped))
-    return BarycentricForm.monomial(mc, alpha_c, mapped)
+    return generator_form(kind, mc, *_placed(alpha, idx, positions, mc))
 
 
 def extensions(kind, r, mf, k, mc):
     """{positions of each mf-face of the mc-simplex: the extensions of the
     face's bubble basis of k-forms}, as forms.  Extension i is column i of
-    the lift over the full-support generators instantiated at the face."""
+    the lift over the full-support generators instantiated at the face;
+    the extension from a simplex to itself is the identity."""
+    if mf == mc:
+        return {tuple(range(mc + 1)): bubble_space(kind, r, mf, k)[0].basis}
     gens, lift = _extension_lift(kind, r, mf, k)
     table = {}
     for positions in itertools.combinations(range(mc + 1), mf + 1):
@@ -508,11 +844,11 @@ def check_extension_identities(family, mf, k, mc):
 def decomposition_entry(family, m, k):
     """The decomposition report of the k-form element space on an
     m-simplex, from the symbolic extensions and their traces."""
-    space = family.space(m, k)
+    space = family_forms(family.kind, family.r, m, k)
     exts = [ext for mf in range(k, m + 1)
             for face in extensions(family.kind, family.r, mf, k, m).values()
             for ext in face]
-    coords = _solve(space.matrix, _coeff_matrix(exts, space.frame), FormError,
+    coords = _solve(space.matrix, coeff_matrix(exts, space.frame), FormError,
                     "form is not a member of the element space", space.inverse)
     count = len(exts)
     rank = exact.rank(exact.dense_rows(coords.T))

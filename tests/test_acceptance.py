@@ -13,11 +13,12 @@ import numpy as np
 from ddforms.assembly import operator_D, operator_T
 from ddforms.hilbert import harmonic_space, laplace_solve
 from ddforms.mesh import betti_numbers, build_complex, generate_mesh
-from ddforms.polyforms import BarycentricForm, Family, SimplexGeometry
+from ddforms.polyforms import Family, SimplexGeometry
 from ddforms import distrib
 
-from reference import (dense_laplacian, pseudoinverse, regularizer_R,
-                       regularizer_S, stokes_residual, stratum_slice)
+from reference import (BarycentricForm, dense_laplacian, pseudoinverse,
+                       regularizer_R, regularizer_S, stokes_residual,
+                       stratum_slice)
 
 WHITNEY = Family("trimmed", 1)
 TRIMMED2 = Family("trimmed", 2)

@@ -589,8 +589,9 @@ def test_triplet_operators_and_exact_kernels(catalog, name, family):
 
 @pytest.mark.parametrize("table", ["d_matrix", "trace_matrix"])
 def test_non_integral_element_table_raises(monkeypatch, table):
-    """A target space whose basis is twice the Whitney basis gives the
-    table half-integral coordinates, which the exact lift refuses."""
+    """A target space whose basis is twice the Whitney basis (its
+    generators' terms and coefficient columns doubled) gives the table
+    half-integral coordinates, which the exact lift refuses."""
     target = (2, 1) if table == "d_matrix" else (1, 0)
     space = polyforms._family_space
 
@@ -598,8 +599,10 @@ def test_non_integral_element_table_raises(monkeypatch, table):
         src = space(kind, r, m, k)
         if (m, k) != target:
             return src
-        return ElementSpace(m, k, [f * 2 for f in src.basis],
-                            src.frame_degree)
+        return ElementSpace(m, k, src.frame_degree, 2 * src.matrix,
+                            src.generators,
+                            [{key: 2 * c for key, c in terms.items()}
+                             for terms in src.terms])
 
     monkeypatch.setattr(polyforms, "_family_space", doubled)
     pair = generate_mesh("square_grid", 1)

@@ -82,6 +82,30 @@ def test_plate_with_two_holes(tmp_path, mark, degree):
     assert max(widths) == 2
 
 
+@pytest.mark.parametrize("mark", ["none", "half"])
+def test_four_dimensional_cube(tmp_path, mark):
+    """The Kuhn triangulation of the unit 4-cube, 24 simplices, runs the
+    element tables in dimension 4: check passes, the harmonic dimensions
+    equal the Betti numbers, and the isomorphism chain passes."""
+    path = str(tmp_path / "cube4.json")
+    pair = build_complex(*_kuhn_cells([(0, 0, 0, 0)]))
+    assert len(pair.simplices(4)) == 24
+    save_mesh_file(pair, path)
+    args = ["--mesh", path, "--mark", mark, "--family", "trimmed",
+            "--degree", "1", "--format", "structured"]
+    betti = [int(mark == "none"), 0, 0, 0, 0]
+    code, text = run(["check"] + args)
+    assert code == 0 and json.loads(text)["passed"]
+    code, text = run(["harmonic"] + args)
+    doc = json.loads(text)
+    assert code == 0 and doc["mesh"]["betti"] == betti
+    report = doc["report"]
+    assert [report["chain"][str(m)] for m in range(5)] == betti
+    assert [report["conforming"][str(k)] for k in range(5)] == betti[::-1]
+    code, text = run(["chain"] + args)
+    assert code == 0 and json.loads(text)["passed"]
+
+
 def test_structured_output_deterministic():
     """Both output formats, written from one canonical walk of the report,
     are byte-identical from run to run."""
@@ -442,7 +466,7 @@ def test_bad_catalog_size(capsys):
 
 
 def test_unsupported_full_family(capsys):
-    """The full family at r <= n has no geometric decomposition on the
+    """The full family at r < n has no geometric decomposition on the
     triangle: the condition check reports it and the run gives a verdict."""
     args = ["--mesh", "catalog:triangle", "--family", "full", "--degree", "1",
             "--format", "structured"]

@@ -52,22 +52,41 @@ def test_distrib_reads_no_stratum_layout():
     assert not names & {"offset", "block", "stratum_slice"}
 
 
-# The element tables the decomposition check shares with assembly, which
-# read forms symbolically once per family and shape.
-SHARED_TABLES = {"_family_space", "_generator_table", "_trace_matrix"}
+def test_form_algebra_lives_in_tests():
+    """The element layer builds its tables as integer maps on the reduced
+    frame: polyforms defines no float form algebra, its element spaces
+    carry no basis of forms, and ``SimplexGeometry`` keeps only the metric
+    methods the benchmark tracer reads.  The form algebra is the tests'
+    reference in tests/reference.py."""
+    for name in ("BarycentricForm", "whitney_form", "_monomial_times",
+                 "_coeff_matrix"):
+        assert name not in ddforms.__all__, name
+        assert not hasattr(polyforms, name), name
+    space = polyforms.Family("trimmed", 1).space(2, 1)
+    assert not hasattr(space, "basis") and not hasattr(space, "coefficients")
+    methods = {name for name, value in vars(polyforms.SimplexGeometry).items()
+               if inspect.isfunction(value)}
+    assert methods == {"__init__", "metric", "integrate_monomial",
+                       "inner_product"}
+
+
+# The element tables the decomposition check shares with assembly: integer
+# maps on the reduced frame, which the walk below reaches and checks too.
+ELEMENT_TABLES = {"_family_space", "_generator_terms", "_generator_table",
+                  "_frame_table", "_trace_matrix"}
 
 
 def test_decomposition_check_takes_no_symbolic_trace():
     """``check_geometric_decomposition`` and every polyforms function it
-    reaches by name, short of the shared element tables, call no
-    ``.trace``, ``.reduced`` or ``_vanishes``: the identities are integer
-    comparisons of table products."""
+    reaches by name, the element tables included, call no ``.trace``,
+    ``.reduced``, ``.derivative`` or ``_vanishes``: the identities are
+    integer comparisons of table products, and the tables integer maps."""
     functions = {node.name: node for node in _tree(polyforms).body
                  if isinstance(node, ast.FunctionDef)}
     seen, todo = set(), ["check_geometric_decomposition"]
     while todo:
         name = todo.pop()
-        if name in seen or name in SHARED_TABLES:
+        if name in seen:
             continue
         seen.add(name)
         for node in ast.walk(functions[name]):
@@ -75,12 +94,12 @@ def test_decomposition_check_takes_no_symbolic_trace():
                 continue
             callee = getattr(node.func, "attr", None) or \
                 getattr(node.func, "id", None)
-            assert callee not in ("trace", "reduced", "_vanishes"), \
-                (name, callee)
+            assert callee not in ("trace", "reduced", "derivative",
+                                  "_vanishes"), (name, callee)
             if isinstance(node.func, ast.Name) and callee in functions:
                 todo.append(callee)
     assert {"_decomposition_entry", "_extension_identities", "_face_trace",
-            "_extension_coords"} <= seen
+            "_extension_coords"} | ELEMENT_TABLES <= seen
 
 
 def test_element_tables_take_one_exact_solve():

@@ -12,14 +12,17 @@ from ddforms import exact, polyforms
 from ddforms.assembly import broken_space
 from ddforms.cli import main
 from ddforms.mesh import build_complex, generate_mesh
-from ddforms.polyforms import (BarycentricForm, Family, FamilyError, FormError,
+from ddforms.polyforms import (Family, FamilyError, FormError,
                                SimplexGeometry, check_geometric_decomposition,
-                               check_local_exactness, simplex_metrics,
-                               whitney_form)
+                               check_local_exactness, simplex_metrics)
 
-from reference import (bubble_space, decomposition_entry,
-                       from_coefficients, geometry, instantiate, is_zero,
-                       minus, stokes_residual, trace, trimmed_dimension)
+from reference import (BarycentricForm, bubble_space, bubble_table,
+                       coeff_matrix, d_table, decomposition_entry,
+                       extension_table, family_forms, from_coefficients,
+                       generator_table, geometry, instantiate, is_zero, minus,
+                       monomial_times, reference_tensor, star, star_inverse,
+                       stokes_residual, trace, trace_tables, trimmed_dimension,
+                       vol_coeff, whitney_form)
 
 REF_TRI = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 REF_TET = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
@@ -88,16 +91,16 @@ def test_star_round_trip():
         geo = random_geometry(rng, m)
         for k in range(m + 1):
             f = random_form(rng, m, k)
-            back = geo.star_inverse(geo.star(f))
+            back = star_inverse(geo, star(geo, f))
             assert is_zero(minus(back, f), tol=1e-9)
 
 
 def test_star_of_one_is_volume_form():
     geo = SimplexGeometry(REF_TET)
     one = BarycentricForm.monomial(3, (0, 0, 0, 0))
-    vol = geo.star(one)
+    vol = star(geo, one)
     diff = minus(vol, BarycentricForm.monomial(3, (0, 0, 0, 0), (1, 2, 3),
-                                               geo.vol_coeff))
+                                               vol_coeff(geo)))
     assert is_zero(diff, tol=1e-12)
 
 
@@ -134,11 +137,10 @@ def test_whitney_space_sizes():
 
 
 def test_full_family_closed_under_derivative():
-    fam = Family("full", 2)
     for m in (1, 2):
         for k in range(m):
-            space = fam.space(m, k)
-            target = fam.space(m, k + 1)
+            space = family_forms("full", 2, m, k)
+            target = family_forms("full", 2, m, k + 1)
             for i in range(space.size):
                 coeffs = np.zeros(space.size)
                 coeffs[i] = 1.0
@@ -161,24 +163,35 @@ def test_geometric_decomposition(catalog):
             assert rep["passed"], (fam.label, k)
 
 
+def decomposes(kind, r, m, k):
+    """The theory's verdict on the decomposition of the k-forms of a
+    family on an m-simplex (Arnold, Falk and Winther, CMAME 198, 2009):
+    every trimmed space decomposes, and the full space P_(r-k) of k-forms
+    fails only at k = r on m > r, where the constant top-degree bubbles of
+    the r-faces have no extension."""
+    return not (kind == "full" and k == r and m > r)
+
+
 def test_full_family_decomposition():
-    # above the dimension every degree decomposes, identities included
-    for name, r in (("square_grid", 3), ("cube_tet", 4)):
+    """The decomposition verdict of every simplex dimension is the
+    theory's, identities included, so on a mesh of dimension n the full
+    family decomposes in every degree exactly when r >= n."""
+    for name in ("triangle", "square_grid", "tetrahedron", "cube_tet"):
         pair = generate_mesh(name)
-        for k in range(pair.top_dim + 1):
-            rep = check_geometric_decomposition(pair, Family("full", r), k)
-            assert rep["passed"], (name, r, k, rep)
-            assert all(e["identities"] for e in rep["dims"].values())
-    # at r <= n only degree r fails: its P_0 bubble has no extension
-    for name, r in (("square_grid", 2), ("cube_tet", 3)):
-        pair = generate_mesh(name)
-        for k in range(pair.top_dim + 1):
-            rep = check_geometric_decomposition(pair, Family("full", r), k)
-            assert rep["passed"] == (k != r), (name, r, k, rep)
-            failed = [e for e in rep["dims"].values() if not e["ok"]]
-            assert len(failed) == (k == r)
-            if failed:
-                assert "no full-support generators" in failed[0]["reason"]
+        n = pair.top_dim
+        for r in range(1, n + 2):
+            passed = []
+            for k in range(n + 1):
+                rep = check_geometric_decomposition(pair, Family("full", r), k)
+                for m, entry in rep["dims"].items():
+                    assert entry["ok"] == decomposes("full", r, m, k), \
+                        (name, r, k, m, entry)
+                    if entry["ok"]:
+                        assert entry["identities"]
+                    else:
+                        assert "no full-support generators" in entry["reason"]
+                passed.append(rep["passed"])
+            assert all(passed) == (r >= n), (name, r)
 
 
 def reported(entry, family, m, k):
@@ -194,12 +207,15 @@ def reported(entry, family, m, k):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_decomposition_matches_symbolic_reference(kind, r):
     """The integer tables give the report the symbolic extensions and
-    their traces give, failures and reasons included."""
+    their traces give, failures and reasons included, and its verdict is
+    the theory's."""
     family = Family(kind, r)
     for m in range(4):
         for k in range(m + 1):
-            assert reported(polyforms._decomposition_entry, family, m, k) == \
-                reported(decomposition_entry, family, m, k), (kind, r, m, k)
+            entry = reported(polyforms._decomposition_entry, family, m, k)
+            assert entry == reported(decomposition_entry, family, m, k), \
+                (kind, r, m, k)
+            assert entry["ok"] == decomposes(kind, r, m, k), (kind, r, m, k)
 
 
 @pytest.fixture
@@ -326,7 +342,7 @@ def test_negative_simplex_dimension_is_unsupported(kind, r):
 
 
 def test_element_space_membership_rejects_outside():
-    space = Family("trimmed", 1).space(2, 1)
+    space = family_forms("trimmed", 1, 2, 1)
     quad = BarycentricForm.monomial(2, (2, 0, 0), (1,))
     with pytest.raises((FamilyError, FormError)):
         space.coefficients(quad)
@@ -350,13 +366,13 @@ def test_build_element_space_bubble_traces_vanish():
             assert is_zero(trace(f, positions), tol=1e-9)
 
 
-def pairwise_gram(space, geo):
+def pairwise_gram(forms, geo):
     """The element Gram entry by entry from SimplexGeometry.inner_product."""
-    n = space.size
+    n = forms.size
     G = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            G[i, j] = geo.inner_product(space.basis[i], space.basis[j])
+            G[i, j] = geo.inner_product(forms.basis[i], forms.basis[j])
     return G
 
 
@@ -381,10 +397,11 @@ def test_reference_tensor_gram_matches_pairwise(kind, r):
         volumes, grad_grams = simplex_metrics(pts)
         for k in range(m + 1):
             space = fam.space(m, k)
+            forms = family_forms(kind, r, m, k)
             stack = space.gram(volumes, grad_grams)
             assert stack.shape == (len(pts), space.size, space.size)
             for c, cell in enumerate(pts):
-                ref = pairwise_gram(space, SimplexGeometry(cell))
+                ref = pairwise_gram(forms, SimplexGeometry(cell))
                 scale = max(np.abs(ref).max(initial=0.0), 1e-300)
                 assert np.abs(stack[c] - ref).max(initial=0.0) <= 1e-12 * scale, \
                     (kind, r, m, k, c)
@@ -411,14 +428,15 @@ def test_flat_simplex_in_stratum_raises():
 def float_greedy_trimmed(m, k, r):
     """The trimmed basis as the float greedy loop chose it: a generator is
     kept unless one least-squares solve puts it within 1e-8 of the span of
-    those kept before it."""
+    those kept before it.  Returns the kept generators (alpha, rho), their
+    forms and their coefficient vectors."""
     frame = polyforms.reduced_frame(m, k, r)
-    basis, vectors = [], []
+    gens, basis, vectors = [], [], []
     for rho in itertools.combinations(range(m + 1), k + 1):
         w = whitney_form(m, rho)
         for alpha in sorted(polyforms._compositions(r - 1, m + 1)):
-            gen = polyforms._monomial_times(alpha, w)
-            v = polyforms._coeff_matrix([gen], frame)[:, 0]
+            gen = monomial_times(alpha, w)
+            v = coeff_matrix([gen], frame)[:, 0]
             nv = np.linalg.norm(v)
             if nv < 1e-12:
                 continue
@@ -427,18 +445,24 @@ def float_greedy_trimmed(m, k, r):
                 sol, *_ = np.linalg.lstsq(A, v, rcond=None)
                 if np.linalg.norm(A @ sol - v) < 1e-8 * nv:
                     continue
+            gens.append((alpha, rho))
             basis.append(gen)
             vectors.append(v)
-    return basis
+    return gens, basis, vectors
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_trimmed_basis_matches_float_greedy(r):
+    """The trimmed basis keeps the generators the float greedy loop keeps:
+    the same generators, the same terms and the same coefficient
+    columns."""
     for m in range(4):
         for k in range(m + 1):
             space = polyforms._family_space("trimmed", r, m, k)
-            ref = float_greedy_trimmed(m, k, r)
-            assert [f.terms for f in space.basis] == [f.terms for f in ref]
+            gens, basis, vectors = float_greedy_trimmed(m, k, r)
+            assert list(space.generators) == gens, (m, k, r)
+            assert list(space.terms) == [f.terms for f in basis], (m, k, r)
+            assert np.array_equal(space.matrix, np.column_stack(vectors))
             assert space.size == trimmed_dimension(m, k, r), (m, k, r)
 
 
@@ -462,9 +486,12 @@ def test_bubble_bases_are_exact_trace_kernels(kind, r):
 
 def lstsq_extension(form, positions, mc, family):
     """One form's extension, from its coordinates in the bubble basis
-    lifted over the full-support generators."""
+    lifted over the full-support generators; from a simplex to itself,
+    the form."""
     kind, r, k = family.kind, family.r, form.degree
     mf = len(positions) - 1
+    if mf == mc:
+        return form
     bubble, _ = bubble_space(kind, r, mf, k)
     gens, lift = polyforms._extension_lift(kind, r, mf, k)
     out = BarycentricForm(mc, k)
@@ -480,21 +507,26 @@ def lstsq_extension(form, positions, mc, family):
                                     ("full", 3)])
 def test_extension_table_matches_lstsq_extension(kind, r):
     """The extension coordinates, one column per face and bubble form,
-    are those of the extensions lifted form by form."""
+    are those of the extensions lifted form by form.  Only the constant
+    top-degree bubbles of the full family at k = r have no extension, into
+    every larger simplex, as the theory says."""
     family = Family(kind, r)
     for mc in range(4):
         for mf in range(mc + 1):
             for k in range(mf + 1):
                 bubble, _ = bubble_space(kind, r, mf, k)
+                unextended = kind == "full" and k == r == mf < mc
                 try:
                     table = polyforms._extension_coords(kind, r, mf, k, mc)
                 except FamilyError:
+                    assert unextended, (kind, r, mc, mf, k)
                     with pytest.raises(FamilyError):
                         lstsq_extension(bubble.basis[0], tuple(range(mf + 1)),
                                         mc, family)
                     continue
+                assert not unextended, (kind, r, mc, mf, k)
                 faces = list(itertools.combinations(range(mc + 1), mf + 1))
-                space = family.space(mc, k)
+                space = family_forms(kind, r, mc, k)
                 assert table.shape == (space.size, len(faces) * bubble.size)
                 assert table.dtype == np.int64
                 exts = iter(table.T)
@@ -514,7 +546,7 @@ def test_element_tables_are_exact_integer_lifts(kind, r):
     coefficients of its images in the target basis, exactly."""
     for m in range(4):
         for k in range(m + 1):
-            src = polyforms._family_space(kind, r, m, k)
+            src = family_forms(kind, r, m, k)
             cases = [(polyforms._d_matrix(kind, r, m, k),
                       polyforms._family_space(kind, r, m, k + 1),
                       [f.derivative() for f in src.basis])]
@@ -527,11 +559,52 @@ def test_element_tables_are_exact_integer_lifts(kind, r):
                 assert table.dtype == np.int64
                 assert np.array_equal(
                     target.matrix @ table,
-                    polyforms._coeff_matrix(images, target.frame)), \
+                    coeff_matrix(images, target.frame)), \
                     (kind, r, m, k)
+
+
+def assert_tables_match_form_algebra(kind, r, m):
+    """Every element table of the family on an m-simplex equals the one
+    the references' float form algebra reads off forms, bit for bit."""
+    for k in range(m + 1):
+        key = (kind, r, m, k)
+        space = polyforms._family_space(*key)
+        forms = family_forms(*key)
+        table = polyforms._generator_table(*key)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, generator_table(*key)), key
+        assert np.array_equal(space.matrix, forms.matrix), key
+        assert np.array_equal(polyforms._d_matrix(*key), d_table(*key)), key
+        if m:
+            assert np.array_equal(polyforms._trace_matrix(*key),
+                                  trace_tables(*key)), key
+        assert np.array_equal(polyforms._bubble_coeffs(*key),
+                              bubble_table(*key)), key
+        for mf in range(k, m + 1):
+            try:
+                ext = polyforms._extension_coords(kind, r, mf, k, m)
+            except FamilyError:
+                with pytest.raises(FamilyError):
+                    extension_table(kind, r, mf, k, m)
+                continue
+            assert np.array_equal(ext, extension_table(kind, r, mf, k, m)), \
+                (key, mf)
+        assert np.array_equal(space.reference_tensor, reference_tensor(forms)), \
+            key
+
+
+@pytest.mark.parametrize("kind", ["trimmed", "full"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_integer_tables_match_form_algebra(fresh_tables, kind, r):
+    """The tables built as integer maps on the reduced frame (generator
+    tables, d and trace tables, bubble and extension coordinates and the
+    Gram reference tensors) are those the float form algebra gives, on
+    every simplex up to dimension 4."""
+    for m in range(5):
+        assert_tables_match_form_algebra(kind, r, m)
 
 
 def test_non_integral_coefficient_raises():
     half = BarycentricForm.monomial(2, (1, 0, 0), (1,), 0.5)
     with pytest.raises(FormError, match="non-integral"):
-        polyforms._coeff_matrix([half], polyforms.reduced_frame(2, 1, 1))
+        coeff_matrix([half], polyforms.reduced_frame(2, 1, 1))

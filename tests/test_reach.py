@@ -31,23 +31,13 @@ UNREACHED = {
     "cli.dump_operators": "operator dump",
     "assembly.export_matrix": "operator dump",
     "distrib.total_complex": "operator dump, and the tests' total complex",
-    # SimplexGeometry, the Stokes calculus the tests check the element
-    # Grams and criterion 10 with: perfbench/tracer.py wraps inner_product
-    # by name, so the class stays whole
+    # SimplexGeometry, the tests' entry-by-entry reference of the element
+    # Grams and of the Stokes calculus of criterion 10: perfbench/tracer.py
+    # wraps inner_product by name, so the class stays with its metric
     "polyforms.SimplexGeometry.__init__": "benchmark tracer",
     "polyforms.SimplexGeometry.metric": "benchmark tracer",
     "polyforms.SimplexGeometry.integrate_monomial": "benchmark tracer",
     "polyforms.SimplexGeometry.inner_product": "benchmark tracer",
-    "polyforms.SimplexGeometry.star": "benchmark tracer",
-    "polyforms.SimplexGeometry.star_inverse": "benchmark tracer",
-    "polyforms.SimplexGeometry.codifferential": "benchmark tracer",
-    "polyforms.SimplexGeometry.face": "benchmark tracer",
-    # the form algebra of SimplexGeometry's star and of the tests'
-    # symbolic references, which no element table reads
-    "polyforms.BarycentricForm._like": "form algebra of the test references",
-    "polyforms.BarycentricForm.__add__": "form algebra of the test references",
-    "polyforms.BarycentricForm.__mul__": "SimplexGeometry's star inverse, "
-                                         "and the test references",
     # __repr__s
     "mesh.Simplex.__repr__": "repr",
     "mesh.RelativePair.__repr__": "repr",
