@@ -51,7 +51,6 @@ from ddforms.distrib import (
     harmonic_lambda,
     harmonic_gamma,
     harmonic_family,
-    iso_step,
     verify_chain,
     skeleton_projection,
     verify_double_complex,

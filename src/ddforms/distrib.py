@@ -4,15 +4,18 @@ This module builds every complex family the library knows, each once per
 pair: the degree- and stratum-redirected complexes, whose ends are the
 conforming complex (degree n), the chain-like complex (stratum 0) and the
 full graded (total) complex they share, and their skeleton variants.  On
-top of the builders sit the isomorphism steps between harmonic spaces of
-consecutive gradings, each the matrix that the stratum injection induces
-on them (the paper's regularizers, which the tests keep as references,
-invert it), taken through the integer maps ``assembly.placement`` and
-``Subspace.embedding``, and end-to-end verification routines: homology
-dimensions against the mesh's Betti numbers, the full isomorphism chain
-from simplicial homology to conforming harmonic forms, the row and column
-exactness of the broken double complex, and the skeleton projection and
-degree-0 identities.
+top of the builders sit the harmonic spaces of every grading, each at the
+complex and position that ``_graded`` gives, and one ``_transfer``: the
+matrix that an inclusion, a kernel embedding ``Subspace.embedding`` and a
+stratum injection ``assembly.placement``, induces on two harmonic spaces
+(the paper's regularizers, which the tests keep as references, invert
+it).  ``verify_chain`` walks one ladder of harmonic spaces, from the
+chain-like end through the total complex to the conforming end, and
+reads every step off that transfer: equalities by their defect,
+isomorphism steps by their singular values.  The other end-to-end
+routines check homology dimensions against the mesh's Betti numbers, the
+row and column exactness of the broken double complex, and the skeleton
+projection and degree-0 identities.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
                               broken_space, derivative_operator, kernel_space,
                               operator_D, operator_T, placement)
 from ddforms.hilbert import (ComplexInstance, harmonic_dim, harmonic_space,
-                             subspace_equality_defect, subspace_transfer)
+                             subspace_transfer)
 
 
 # The smallest relative singular value a harmonic transfer between equal
@@ -143,94 +146,84 @@ def chainlike_complex(pair, family):
 # -- harmonic spaces ------------------------------------------------------
 
 
+def _graded(pair, family, side, index, b):
+    """The complex and position of the harmonic space at grading depth b:
+    side "lambda" fixes the degree k = index, at position k of
+    redirected_lambda(k - b + 1), b = 1..k+1; side "gamma" fixes the
+    stratum m = index, at position n - m of redirected_gamma(m + b - 1),
+    b = 1..n-m+1."""
+    degree = side == "lambda"
+    pos = index if degree else pair.top_dim - index
+    if not 1 <= b <= pos + 1:
+        raise AssemblyError(f"grading depth {b} out of range for "
+                            f"{'degree' if degree else 'stratum'} {index}")
+    if degree:
+        return redirected_lambda(pair, family, index - b + 1), pos
+    return redirected_gamma(pair, family, index + b - 1), pos
+
+
 def harmonic_lambda(pair, family, k, b):
     """The degree-k harmonic space at grading depth b (b = 1..k+1)."""
-    if not 1 <= b <= k + 1:
-        raise AssemblyError(f"grading depth {b} out of range for degree {k}")
-    cx = redirected_lambda(pair, family, k - b + 1)
-    return harmonic_space(cx, k)
+    return harmonic_space(*_graded(pair, family, "lambda", k, b))
 
 
 def harmonic_gamma(pair, family, m, b):
     """The chain-side harmonic space over the m-stratum at depth b."""
-    n = pair.top_dim
-    if not 1 <= b <= n - m + 1:
-        raise AssemblyError(f"grading depth {b} out of range for stratum {m}")
-    cx = redirected_gamma(pair, family, m + b - 1)
-    return harmonic_space(cx, n - m)
+    return harmonic_space(*_graded(pair, family, "gamma", m, b))
 
 
-def harmonic_conforming(pair, family, k):
-    return harmonic_space(conforming_complex(pair, family), k)
-
-
-def harmonic_chain(pair, family, m):
-    cx = chainlike_complex(pair, family)
-    return harmonic_space(cx, pair.top_dim - m)
-
-
-def _embedded(coord_harmonic, space):
+def _embedded(h):
     """A harmonic basis H of a kernel subspace seen in its broken space, Z H
-    by its ``embedding``; a broken space's is returned as it is."""
+    by its ``embedding``; one of a broken space is returned as it is."""
+    space = h.ambient
     if isinstance(space, BrokenSpace):
-        return coord_harmonic
-    return Subspace(space.ambient, space.embedding.apply(coord_harmonic.basis))
+        return h
+    return Subspace(space.ambient, space.embedding.apply(h.basis))
 
 
 # -- isomorphism steps ----------------------------------------------------
 
 
-def _transfer_verdict(transfer, src_dim, tgt_dim):
-    """The smallest relative singular value of a harmonic transfer matrix
-    and whether it is a bijection: equal dimensions, and either both zero
-    or smin_rel above SMIN_TOL."""
-    if src_dim and src_dim == tgt_dim:
-        # the thin SVD, not the values-only one: that LAPACK path raised
-        # the peak RSS of a chain on square_grid:6 by 0.6 MB
-        s = np.linalg.svd(transfer, full_matrices=False)[1]
+def _transfer(src, tgt):
+    """The map that the inclusion of src's space in tgt's induces on
+    cohomology, in the two harmonic bases: h^T G ι(y), with y and h the
+    bases seen in their broken spaces, ι the stratum injection, the
+    ``placement`` of the one broken space in the other, and the pairing
+    ``subspace_transfer``.  Harmonic forms are cocycles, so no projection
+    is needed.  Where either space is empty the transfer is empty and no
+    space is whitened."""
+    if not (src.dim and tgt.dim):
+        return np.zeros((tgt.dim, src.dim))
+    src, tgt = _embedded(src), _embedded(tgt)
+    y = placement(src.ambient, tgt.ambient).apply(src.basis)
+    return subspace_transfer(tgt, y)
+
+
+def _singular_values(transfer):
+    # the thin SVD, not the values-only one: that LAPACK path raised the
+    # peak RSS of a chain on square_grid:6 by 0.6 MB
+    return np.linalg.svd(transfer, full_matrices=False)[1]
+
+
+def _bijection(transfer):
+    """The smallest relative singular value of a transfer and whether it
+    is a bijection: square, and either empty or smin_rel above SMIN_TOL."""
+    rows, cols = transfer.shape
+    smin_rel = float(rows == cols)
+    if transfer.size and rows == cols:
+        s = _singular_values(transfer)
         smin_rel = float(s[-1] / s[0]) if s[0] > 0 else 0.0
-    else:
-        smin_rel = 1.0 if src_dim == tgt_dim else 0.0
-    ok = src_dim == tgt_dim and (src_dim == 0 or smin_rel > SMIN_TOL)
-    return smin_rel, ok
+    return smin_rel, rows == cols and (not rows or smin_rel > SMIN_TOL)
 
 
-def iso_step(pair, family, side, index, b):
-    """One harmonic-space transfer between grading depths b-1 and b.
-
-    side "lambda" fixes the form degree (index = k), side "gamma" fixes
-    the stratum (index = m).  The stratum injection ι, the ``placement``
-    of the source's broken space in the target's, places the source
-    harmonic forms y, cocycles, there; the transfer h^T G ι(y), taken by
-    ``subspace_transfer``, is the map ι induces on cohomology in the two
-    harmonic bases, and the theory makes it a bijection.  The paper's
-    regularizer R, a test reference, gives its inverse transpose
-    (R h)^T G ι(y), with the same smin_rel.  Where either harmonic space
-    is empty the transfer is empty and no space is whitened.
-    """
-    if side == "lambda":
-        h_src = harmonic_lambda(pair, family, index, b - 1)
-        h_tgt = harmonic_lambda(pair, family, index, b)
-    elif side == "gamma":
-        h_src = harmonic_gamma(pair, family, index, b - 1)
-        h_tgt = harmonic_gamma(pair, family, index, b)
-    else:
-        raise AssemblyError(f"unknown side {side!r}")
-    transfer = np.zeros((h_tgt.dim, h_src.dim))
-    if transfer.size:
-        y = placement(h_src.ambient, h_tgt.ambient).apply(h_src.basis)
-        transfer = subspace_transfer(h_tgt, y)
-    smin_rel, ok = _transfer_verdict(transfer, h_src.dim, h_tgt.dim)
-    return {
-        "side": side,
-        "index": index,
-        "b": b,
-        "src_dim": h_src.dim,
-        "tgt_dim": h_tgt.dim,
-        "smin_rel": smin_rel,
-        "ok": bool(ok),
-        "transfer": transfer,
-    }
+def _defect(src, tgt):
+    """Zero iff two harmonic spaces coincide in their broken space: the
+    dimension gap, or else how far the singular values of the transfer
+    between their Gram-orthonormal bases are from one.  A space coincides
+    with itself with no transfer taken."""
+    if src is tgt or src.dim != tgt.dim or not src.dim:
+        return float(abs(src.dim - tgt.dim))
+    return float(np.max(np.abs(_singular_values(_transfer(src, tgt)) - 1.0)))
 
 
 # -- end-to-end verification ----------------------------------------------
@@ -240,66 +233,57 @@ def verify_chain(pair, family, k):
     """The full isomorphism chain from simplicial homology at index n-k to
     the conforming harmonic space of degree k.
 
+    One ladder of 2k + 4 harmonic spaces, all at position k: the
+    chain-like complex's, the stratum-graded ones at depths 1..k+1, the
+    degree-graded ones at depths k+1..1 and the conforming complex's.
+    The two graded runs meet at the total complex, one shared instance,
+    so no step compares it with itself.  Each other neighbouring pair is
+    one step, read off the ``_transfer`` of the inclusion between them,
+    which points from each end towards the total complex: between an end
+    space and its depth-1 space an equality, checked by the ``_defect``
+    of the two subspaces, and between two depths an isomorphism step,
+    checked by the singular values of the transfer.  At k = n each
+    depth-1 equality compares one end instance with itself, a defect of
+    0 taken with no SVD; both stay so that every degree reports the same
+    steps.
+
     Returns the report of the degree: the Betti number, the ``dims`` of
-    every space along the chain, and ``steps``, one entry per step keyed
-    by its label.  Equalities are checked as subspace coincidences and
-    isomorphism steps by the singular values of the harmonic transfer
-    matrices.  The two transfer ladders meet at the
-    total complex, one shared instance, so no step compares it with itself.
-    At k = n each depth-1 equality compares one end instance with itself,
-    a defect of 0 taken with no SVD; both stay so that every degree reports
-    the same steps.
+    every space along the ladder, and ``steps``, one entry per step keyed
+    by its label.
     """
     check_pure(pair)
     n = pair.top_dim
     m = n - k
     target = betti_numbers(pair)[m]
-    steps = {}
-
-    def record(label, ok, **extra):
-        steps[label] = {"ok": bool(ok), **extra}
-
-    # simplicial homology vs the chain-complex harmonic space
-    c0 = harmonic_chain(pair, family, m)
-    record("homology vs chain harmonic", c0.dim == target,
-           dims=(target, c0.dim))
-
-    # depth-1 equality on the chain side
-    cg1 = harmonic_gamma(pair, family, m, 1)
-    chain_cx = chainlike_complex(pair, family)
-    emb0 = _embedded(c0, chain_cx.spaces[n - m])
-    defect = subspace_equality_defect(emb0, cg1)
-    record("chain harmonic depth-1 equality", defect < 1e-8, defect=defect)
-
-    # chain-side isomorphism steps
-    for b in range(2, k + 2):
-        st = iso_step(pair, family, "gamma", m, b)
-        record(f"chain transfer depth {b - 1}->{b}",
-               st["ok"] and st["src_dim"] == target,
-               dims=(st["src_dim"], st["tgt_dim"]), smin=st["smin_rel"])
-
-    # degree-side isomorphism steps
-    for b in range(k + 1, 1, -1):
-        st = iso_step(pair, family, "lambda", k, b)
-        record(f"degree transfer depth {b - 1}->{b}",
-               st["ok"] and st["src_dim"] == target,
-               dims=(st["src_dim"], st["tgt_dim"]), smin=st["smin_rel"])
-
-    # depth-1 equality on the degree side
-    h1 = harmonic_lambda(pair, family, k, 1)
-    hc = harmonic_conforming(pair, family, k)
-    conf_cx = conforming_complex(pair, family)
-    embc = _embedded(hc, conf_cx.spaces[k])
-    defect = subspace_equality_defect(embc, h1)
-    record("conforming harmonic depth-1 equality", defect < 1e-8,
-           defect=defect)
-    record("conforming dimension", hc.dim == target, dims=(target, hc.dim))
-
-    dims = [target, c0.dim, cg1.dim]
-    dims += [harmonic_gamma(pair, family, m, b).dim for b in range(2, k + 2)]
-    dims += [harmonic_lambda(pair, family, k, b).dim
-             for b in range(k + 1, 0, -1)]
-    dims.append(hc.dim)
+    ladder = [harmonic_space(chainlike_complex(pair, family), k),
+              *(harmonic_gamma(pair, family, m, b) for b in range(1, k + 2)),
+              *(harmonic_lambda(pair, family, k, b)
+                for b in range(k + 1, 0, -1)),
+              harmonic_space(conforming_complex(pair, family), k)]
+    steps = {"homology vs chain harmonic": {
+        "ok": ladder[0].dim == target, "dims": (target, ladder[0].dim)}}
+    for j in range(2 * k + 3):
+        if j == k + 1:
+            continue
+        chain_side = j <= k
+        src, tgt = ladder[j], ladder[j + 1]
+        if not chain_side:
+            src, tgt = tgt, src
+        depth = j if chain_side else 2 * k + 2 - j
+        if not depth:
+            end = "chain" if chain_side else "conforming"
+            defect = _defect(src, tgt)
+            steps[f"{end} harmonic depth-1 equality"] = {
+                "ok": defect < 1e-8, "defect": defect}
+            continue
+        smin_rel, ok = _bijection(_transfer(src, tgt))
+        side = "chain" if chain_side else "degree"
+        steps[f"{side} transfer depth {depth}->{depth + 1}"] = {
+            "ok": ok and src.dim == target, "dims": (src.dim, tgt.dim),
+            "smin": smin_rel}
+    steps["conforming dimension"] = {
+        "ok": ladder[-1].dim == target, "dims": (target, ladder[-1].dim)}
+    dims = [target] + [h.dim for h in ladder]
     return {
         "betti": target,
         "dims": dims,
@@ -324,10 +308,10 @@ def skeleton_projection(pair, family, k):
         raise AssemblyError("the skeleton projection needs k >= 2")
     h2 = harmonic_lambda(pair, family, k, 2)
     skel_cx = conforming_complex(skeleton_pair(pair, n - 1), family)
-    emb = _embedded(harmonic_space(skel_cx, k - 1), skel_cx.spaces[k - 1])
+    emb = _embedded(harmonic_space(skel_cx, k - 1))
     comp = placement(emb.ambient, h2.ambient).apply(h2.basis, transpose=True)
     transfer = subspace_transfer(emb, comp)
-    smin_rel, ok = _transfer_verdict(transfer, h2.dim, emb.dim)
+    smin_rel, ok = _bijection(transfer)
     return {
         "degree": k,
         "dims": (h2.dim, emb.dim),
@@ -411,23 +395,20 @@ def verify_double_complex(pair, family):
 
 def harmonic_family(pair, family):
     """Dimension table of every graded harmonic space on this mesh:
-    ``harmonic_dim`` on the complex and index that ``harmonic_lambda``,
-    ``harmonic_gamma``, ``harmonic_conforming`` and ``harmonic_chain``
-    read, so no basis is built."""
+    ``harmonic_dim`` on the complex and position that ``_graded`` gives
+    ``harmonic_lambda`` and ``harmonic_gamma``, and on the conforming and
+    chain-like ends, so no basis is built."""
     n = pair.top_dim
     report = {"lambda": {}, "gamma": {}, "conforming": {}, "chain": {}}
-    for k in range(n + 1):
-        report["conforming"][k] = harmonic_dim(
-            conforming_complex(pair, family), k)
-        for b in range(1, k + 2):
-            report["lambda"][(k, b)] = harmonic_dim(
-                redirected_lambda(pair, family, k - b + 1), k)
-    for m in range(n + 1):
-        report["chain"][m] = harmonic_dim(chainlike_complex(pair, family),
-                                          n - m)
-        for b in range(1, n - m + 2):
-            report["gamma"][(m, b)] = harmonic_dim(
-                redirected_gamma(pair, family, m + b - 1), n - m)
+    ends = {"lambda": ("conforming", conforming_complex(pair, family)),
+            "gamma": ("chain", chainlike_complex(pair, family))}
+    for side, (end, cx) in ends.items():
+        for index in range(n + 1):
+            pos = index if side == "lambda" else n - index
+            report[end][index] = harmonic_dim(cx, pos)
+            for b in range(1, pos + 2):
+                report[side][(index, b)] = harmonic_dim(
+                    *_graded(pair, family, side, index, b))
     return report
 
 

@@ -24,7 +24,8 @@ right-hand side.  The metric pseudoinverse of the paper's regularizers
 is a test reference (tests/reference.py); no command calls it.  The
 whitened differentials, the one way to apply a differential through the
 metric, apply the integer triplets to vectors and are never formed as
-matrices; ``subspace_transfer`` is the one Gram pairing.
+matrices; ``subspace_transfer`` is the one Gram pairing, which every
+isomorphism step and subspace equality of distrib reads.
 """
 
 from __future__ import annotations
@@ -196,17 +197,3 @@ def subspace_transfer(a, y):
     W = a.ambient.whitening
     return W.mul_lt(a.basis).T @ W.mul_lt(y)
 
-
-def subspace_equality_defect(a, b):
-    """Zero iff the two subspaces coincide: combines the dimension gap and
-    the deviation of the principal cosines from one.  A subspace
-    coincides with itself without an SVD."""
-    if a is b:
-        return 0.0
-    if a.dim != b.dim:
-        return float(abs(a.dim - b.dim))
-    if a.dim == 0:
-        return 0.0
-    # the thin SVD, as in distrib._transfer_verdict
-    s = np.linalg.svd(subspace_transfer(a, b.basis), full_matrices=False)[1]
-    return float(np.max(np.abs(s - 1.0)))

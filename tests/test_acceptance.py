@@ -127,7 +127,8 @@ def test_criterion_04_harmonic_dimensions(catalog):
         betti = betti_numbers(pair)
         n = pair.top_dim
         for k in range(n + 1):
-            dim = distrib.harmonic_conforming(pair, WHITNEY, k).dim
+            dim = harmonic_space(distrib.conforming_complex(pair, WHITNEY),
+                                 k).dim
             ok = ok and dim == betti[n - k]
     report(4, "conforming harmonic dims equal Betti numbers", ok)
 

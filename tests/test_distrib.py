@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 
 import numpy as np
@@ -11,8 +12,9 @@ from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
                               operator_D, operator_T, placement)
 from ddforms.cli import main
 from ddforms.hilbert import ComplexInstance, harmonic_space
-from ddforms.mesh import (MeshError, betti_numbers, build_complex,
-                          generate_mesh, skeleton_pair)
+from ddforms.mesh import (MeshError, _kuhn_cells, betti_numbers,
+                          build_complex, generate_mesh, mark_pair,
+                          skeleton_pair)
 from ddforms.polyforms import Family
 from ddforms import distrib
 
@@ -228,7 +230,8 @@ def _failed(report):
 
 def test_verify_chain_fails_a_zero_transfer(catalog, monkeypatch):
     """A stratum placement that maps everything to zero makes every
-    transfer zero, which no step forgives."""
+    transfer zero, which no step forgives: neither the isomorphism steps
+    nor the depth-1 equalities, whose transfers go through it too."""
     pair = catalog("annulus", 1, "full")
     assert distrib.verify_chain(pair, FAM, 1)["passed"]
 
@@ -238,32 +241,52 @@ def test_verify_chain_fails_a_zero_transfer(catalog, monkeypatch):
 
     monkeypatch.setattr(distrib, "placement", zero_placement)
     report = distrib.verify_chain(pair, FAM, 1)
-    assert _failed(report) == ["chain transfer depth 1->2",
-                               "degree transfer depth 1->2"]
+    assert _failed(report) == ["chain harmonic depth-1 equality",
+                               "chain transfer depth 1->2",
+                               "degree transfer depth 1->2",
+                               "conforming harmonic depth-1 equality"]
     assert not report["passed"]
 
 
 @pytest.mark.parametrize("side", ["chain", "conforming"])
 def test_verify_chain_fails_a_perturbed_harmonic_basis(catalog, monkeypatch,
                                                        side):
-    """A harmonic basis moved off its space, with its dimension kept, fails
-    the depth-1 equality that reads it."""
+    """A harmonic basis at an end of the ladder moved off its space, with
+    its dimension kept, fails the depth-1 equality that reads it."""
     pair = catalog("annulus", 1, "full")
     assert distrib.verify_chain(pair, FAM, 1)["passed"]
-    name = f"harmonic_{side}"
-    unperturbed = getattr(distrib, name)
+    end = {"chain": distrib.chainlike_complex,
+           "conforming": distrib.conforming_complex}[side](pair, FAM)
     rng = np.random.default_rng(22)
 
-    def perturbed(*args):
-        h = unperturbed(*args)
+    def perturbed(cx, i):
+        h = harmonic_space(cx, i)
+        if cx is not end:
+            return h
         noise = rng.standard_normal(h.basis.shape)
         return Subspace(h.ambient, h.basis + 1e-4 * np.abs(h.basis).max()
                         * noise)
 
-    monkeypatch.setattr(distrib, name, perturbed)
+    monkeypatch.setattr(distrib, "harmonic_space", perturbed)
     report = distrib.verify_chain(pair, FAM, 1)
     assert _failed(report) == [f"{side} harmonic depth-1 equality"]
     assert not report["passed"]
+
+
+def test_verdict_helpers_on_edge_transfers(catalog):
+    """A non-square transfer is no bijection, and its two spaces differ
+    by their dimension gap; an empty one is a bijection between spaces
+    that coincide."""
+    sp = broken_space(catalog("annulus"), 2, 1, FAM)
+    one, three, empty, other = (Subspace(sp, np.eye(sp.dim, j))
+                                for j in (1, 3, 0, 0))
+    assert distrib._transfer(one, three).shape == (3, 1)
+    assert distrib._bijection(distrib._transfer(one, three)) == (0.0, False)
+    assert distrib._defect(one, three) == distrib._defect(three, one) == 2.0
+    assert distrib._transfer(empty, other).shape == (0, 0)
+    assert distrib._bijection(distrib._transfer(empty, other)) == (1.0, True)
+    assert distrib._defect(empty, other) == 0.0
+    assert distrib._defect(one, one) == 0.0
 
 
 def test_verify_chain_rebuilds_nothing(catalog, monkeypatch):
@@ -532,15 +555,11 @@ def _cocycle_projector(space, matrix):
 def _step(pair, family, side, index, b):
     """The complex and index of an isomorphism step's target space, the
     regularizer of its side, and the source and target harmonic spaces."""
-    if side == "lambda":
-        return (distrib.redirected_lambda(pair, family, index - b + 1), index,
-                regularizer_R,
-                distrib.harmonic_lambda(pair, family, index, b - 1),
-                distrib.harmonic_lambda(pair, family, index, b))
-    return (distrib.redirected_gamma(pair, family, index + b - 1),
-            pair.top_dim - index, regularizer_S,
-            distrib.harmonic_gamma(pair, family, index, b - 1),
-            distrib.harmonic_gamma(pair, family, index, b))
+    cx, pos = distrib._graded(pair, family, side, index, b)
+    reg = regularizer_R if side == "lambda" else regularizer_S
+    return (cx, pos, reg,
+            harmonic_space(*distrib._graded(pair, family, side, index, b - 1)),
+            harmonic_space(cx, pos))
 
 
 def _steps(n):
@@ -599,8 +618,8 @@ def test_transfers_match_cocycle_projection(catalog, name, family):
         pair = catalog(name, 1, mark)
         n = pair.top_dim
         for side, index, b in _steps(n):
-            st = distrib.iso_step(pair, family, side, index, b)
-            assert _close(st["transfer"],
+            _cx, _pos, _reg, h_src, h_tgt = _step(pair, family, side, index, b)
+            assert _close(distrib._transfer(h_src, h_tgt),
                           projected_iso_step(pair, family, side, index, b)), \
                 (mark, side, index, b)
         for k in range(2, n + 1):
@@ -624,11 +643,11 @@ def _inverse_transfer_widths(pair, family):
         sp = cx.spaces[pos]
         y = placement(h_src.ambient, sp).apply(h_src.basis)
         assert np.array_equal(regularizer(pair, family, index, b, y), y)
-        st = distrib.iso_step(pair, family, side, index, b)
-        assert st["ok"] == (st["src_dim"] == st["tgt_dim"])
+        transfer = distrib._transfer(h_src, h_tgt)
+        assert distrib._bijection(transfer)[1] == (h_src.dim == h_tgt.dim)
         t_r = regularizer(pair, family, index, b, h_tgt.basis).T @ \
             sp.gram @ y
-        assert np.linalg.norm(t_r.T @ st["transfer"]
+        assert np.linalg.norm(t_r.T @ transfer
                               - np.eye(h_src.dim)) <= 1e-12, \
             (side, index, b)
         widths.append(h_src.dim)
@@ -654,3 +673,51 @@ def test_regularized_transfer_inverts_the_transfer(catalog):
 
     drawn()
     assert max(widths) >= 2
+
+
+def _torus():
+    """A 3 x 3 torus surface in R^3: the Kuhn triangles of a 3 x 3 grid
+    of squares with opposite sides glued, 18 triangles on 9 vertices,
+    each cell in sorted orientation."""
+    cells, coords = _kuhn_cells(list(itertools.product(range(3), repeat=2)))
+    glued = [3 * (int(x) % 3) + int(y) % 3 for x, y in coords]
+    angles = [2 * np.pi * np.array(divmod(v, 3)) / 3 for v in range(9)]
+    points = [((2 + np.cos(p)) * np.cos(t), (2 + np.cos(p)) * np.sin(t),
+               np.sin(p)) for t, p in angles]
+    return build_complex([sorted(glued[v] for v in c) for c in cells],
+                         points)
+
+
+def _tunnel_block():
+    """A 5 x 3 x 1 Kuhn block without the cubes (1, 1) and (3, 1): two
+    tunnels, 78 tetrahedra."""
+    keep = [c + (0,) for c in itertools.product(range(5), range(3))
+            if c not in ((1, 1), (3, 1))]
+    return build_complex(*_kuhn_cells(keep))
+
+
+@pytest.mark.parametrize("mesh,mark,betti", [
+    (_torus, "none", [1, 2, 1]),
+    (_tunnel_block, "none", [1, 2, 0, 0]),
+    (_tunnel_block, "full", [0, 0, 2, 1])],
+    ids=["torus", "block", "block-marked"])
+def test_wide_transfers(mesh, mark, betti):
+    """Homology two wide, which no catalog mesh has: the isomorphism chain
+    passes at every degree through transfers two wide, and every graded
+    harmonic dimension equals the Betti number of its index."""
+    pair = mark_pair(mesh(), mark)
+    n = pair.top_dim
+    assert len(pair.simplices(n)) == {2: 18, 3: 78}[n]
+    assert list(betti_numbers(pair)) == betti
+    widths = []
+    for k in range(n + 1):
+        rep = distrib.verify_chain(pair, FAM, k)
+        assert rep["passed"], (k, rep["steps"])
+        widths += [step["dims"][0] for label, step in rep["steps"].items()
+                   if "transfer" in label]
+    assert max(widths) == 2
+    table = distrib.harmonic_family(pair, FAM)
+    assert [table["chain"][m] for m in range(n + 1)] == betti
+    assert [table["conforming"][k] for k in range(n + 1)] == betti[::-1]
+    assert all(h == betti[n - k] for (k, _b), h in table["lambda"].items())
+    assert all(h == betti[m] for (m, _b), h in table["gamma"].items())

@@ -276,9 +276,10 @@ def test_flipped_table_fails_the_identities(monkeypatch, fresh_tables, name,
 
 def test_every_float_decomposition_is_rank_split(monkeypatch):
     """A chain, a solve and a check, each with cold element tables, take
-    the only SVDs in the two harmonic-transfer metrics and every QR inside
-    the harmonic space; no SVD runs under the harmonic space, the Laplace
-    solve or the structural conditions, and no pinv or lstsq runs at all."""
+    every SVD in one function, which both harmonic-transfer verdicts read,
+    and every QR inside the harmonic space; no SVD runs under the harmonic
+    space, the Laplace solve or the structural conditions, and no pinv or
+    lstsq runs at all."""
     callers = {"svd": set(), "qr": set()}
     svd_under = set()
 
@@ -311,8 +312,8 @@ def test_every_float_decomposition_is_rank_split(monkeypatch):
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
         assert main(argv, out=io.StringIO()) == 0, argv
-    assert callers == {"svd": {"_transfer_verdict", "subspace_equality_defect"},
-                       "qr": {"harmonic_space"}}
+    assert callers == {"svd": {"_singular_values"}, "qr": {"harmonic_space"}}
+    assert {"_bijection", "_defect"} <= svd_under
     assert not svd_under & {"harmonic_space", "laplace_solve",
                             "check_conditions"}
 

@@ -109,8 +109,9 @@ def test_harmonic_dimensions_match_betti(pair):
     betti = betti_numbers(pair)
     n = pair.top_dim
     for k in range(n + 1):
-        assert distrib.harmonic_conforming(pair, fam, k).dim == betti[n - k]
-        assert distrib.harmonic_chain(pair, fam, n - k).dim == betti[n - k]
+        for cx in (distrib.conforming_complex(pair, fam),
+                   distrib.chainlike_complex(pair, fam)):
+            assert harmonic_space(cx, k).dim == betti[n - k]
         assert distrib.verify_chain(pair, fam, k)["passed"]
 
 
