@@ -358,16 +358,31 @@ class LinearOp:
         out[index[0][keep], index[1][keep]] = vals[keep]
         return out
 
-    def integer_rows(self):
-        """The rows as {column: value} dicts."""
-        return exact.triplet_rows(*self.triplets, self.codomain.dim)
+    @property
+    def shape(self):
+        """(rows, columns): the codomain's and the domain's dimension."""
+        return self.codomain.dim, self.domain.dim
 
     @cached_property
     def echelon(self):
-        """The first maximal independent rows and the sorted pivot columns
-        of one exact elimination; the pivot rows are not kept."""
-        rows, pivots = exact.echelon(self.integer_rows())
-        return rows, sorted(pivots)
+        """The first maximal independent rows R and columns C, from one
+        exact elimination of the short orientation (``exact.independent``);
+        the pivot rows are not kept."""
+        return exact.independent(self.triplets, self.shape)
+
+    def kernel(self, transpose=False):
+        """An integer basis of ker A, or of ker A^T, as ``exact.kernel``
+        gives it, from the independent rows R (columns C) alone, so that
+        no row is reduced to zero."""
+        rows, cols, vals = self.triplets
+        (height, n), keep = self.shape, self.echelon[transpose]
+        if transpose:
+            rows, cols, height, n = cols, rows, n, height
+        at = np.full(height, -1)
+        at[keep] = np.arange(len(keep))
+        on = at[rows] >= 0
+        return exact.kernel(exact.triplet_rows(
+            at[rows[on]], cols[on], vals[on], len(keep)), n)
 
     def __repr__(self):
         return f"LinearOp({self.codomain.dim}x{self.domain.dim})"
@@ -541,7 +556,7 @@ def kernel_space(pair, m, k, family, which):
 
     def build():
         op = ops[which](pair, m, k, family)
-        triplets, free = exact.kernel(op.integer_rows(), op.domain.dim)
+        triplets, free = op.kernel()
         return Subspace(op.domain, triplets=triplets, free=free)
 
     return pair.cached(("kernel", which, family, m, k), build)

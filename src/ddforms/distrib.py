@@ -326,10 +326,16 @@ def _degree_zero_ranks(pair, family, m):
     one elimination per pair, which the identities at m - 1 and m share."""
 
     def build():
-        d = operator_D(pair, m, 0, family).integer_rows()
-        t = operator_T(pair, m, 0, family).integer_rows() if m else []
-        kept = exact.echelon(d + t)[0]
-        return sum(i < len(d) for i in kept), len(kept)
+        d = operator_D(pair, m, 0, family)
+        stack, height = [d.triplets], d.codomain.dim
+        if m:
+            t = operator_T(pair, m, 0, family)
+            rows, cols, vals = t.triplets
+            stack.append((rows + height, cols, vals))
+            height += t.codomain.dim
+        kept = exact.independent([np.concatenate(a) for a in zip(*stack)],
+                                 (height, d.domain.dim))[0]
+        return sum(i < d.codomain.dim for i in kept), len(kept)
 
     return pair.cached(("degree zero ranks", family, m), build)
 
@@ -376,14 +382,13 @@ def verify_double_complex(pair, family):
 
     for m in range(n + 1):
         ks = range(m + 1)
-        ranks = [exact.rank(operator_D(pair, m, k, family)
-                            .integer_rows()) for k in ks]
+        ranks = [len(operator_D(pair, m, k, family).echelon[0]) for k in ks]
         report["rows"][m] = _exact_sequence(
             ks, dims([(m, k) for k in ks]), ranks, len(pair.stratum(m)))
     for k in range(n + 1):
         ms = range(n, k - 1, -1)
-        ranks = [exact.rank(operator_T(pair, m, k, family)
-                            .integer_rows()) if m > k else 0 for m in ms]
+        ranks = [len(operator_T(pair, m, k, family).echelon[0]) if m > k
+                 else 0 for m in ms]
         ds = dims([(m, k) for m in ms])
         # the front is the conforming space ker T on the top stratum
         report["columns"][k] = _exact_sequence(ms, ds, ranks,

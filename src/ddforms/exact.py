@@ -6,8 +6,12 @@ rank, the independent rows and columns and the kernel, so none depends on
 a floating-point threshold.  Its one row step, ``_reduce``, works in place
 on a row the elimination owns, a copy of the caller's taken at its first
 reduction, and takes a gcd only at a non-unit pivot; the caller's rows
-are never modified.  The product takes two matrices as triplets
-(rows, cols, vals) of their nonzero entries.
+are never modified.  A caller that reads only the independent rows R and
+columns C, or the rank, goes through ``independent``, which eliminates
+the short orientation of a matrix given as triplets, the matrix or its
+transpose, whichever has fewer rows, so the fewest rows are reduced to
+zero.  The product takes two matrices as triplets (rows, cols, vals) of
+their nonzero entries.
 """
 
 from __future__ import annotations
@@ -64,9 +68,27 @@ def dense_rows(mat):
     return triplet_rows(*dense_triplets(mat), len(mat))
 
 
-def rank(rows):
-    """Exact rank of integer rows."""
-    return len(echelon(rows)[0])
+def independent(triplets, shape):
+    """(R, C) of an integer matrix of the given shape, given as triplets
+    with distinct (row, col) pairs: its first maximal independent rows R
+    and columns C, each increasing, from one ``echelon`` of its short
+    orientation, the matrix or its transpose, whichever has fewer rows.
+
+    The rows one orientation keeps are the sorted leading columns of the
+    other, so R and C do not depend on the orientation; the short one
+    leaves the fewest rows (rows - rank) to reduce to zero."""
+    rows, cols, vals = triplets
+    if shape[0] <= shape[1]:
+        kept, pivots = echelon(triplet_rows(rows, cols, vals, shape[0]))
+        return kept, sorted(pivots)
+    kept, pivots = echelon(triplet_rows(cols, rows, vals, shape[1]))
+    return sorted(pivots), kept
+
+
+def rank(triplets, shape):
+    """Exact rank of an integer matrix given as triplets, by
+    ``independent``."""
+    return len(independent(triplets, shape)[0])
 
 
 def echelon(rows):
@@ -138,14 +160,6 @@ def kernel(rows, ncols):
     return triplets, np.fromiter(free, np.int64, len(free))
 
 
-def _order(keys):
-    """The permutation that sorts integer keys, by Python's sort: numpy's
-    would page in a few hundred KB of sort code, more than the few
-    thousand keys here are worth."""
-    keys = np.asarray(keys).tolist()
-    return np.array(sorted(range(len(keys)), key=keys.__getitem__), np.intp)
-
-
 def product(a, b, shape):
     """The nonzero entries of A B as triplets (rows, cols, vals), in
     row-major order, for integer matrices A and B given as triplets with
@@ -160,7 +174,7 @@ def product(a, b, shape):
     (ar, ac, av), (br, bc, bv) = ([np.asarray(x) for x in m] for m in (a, b))
     va, vb = (float(np.abs(v).max(initial=0)) for v in (av, bv))
     dtype = np.int64 if len(av) * va * vb < 2.0 ** 62 else object
-    by_row = _order(br)
+    by_row = np.argsort(br, kind="stable")
     br, bc, bv = br[by_row], bc[by_row], bv[by_row]
     start = np.searchsorted(br, ac)
     count = np.searchsorted(br, ac, side="right") - start
@@ -170,7 +184,7 @@ def product(a, b, shape):
     nz = (start - np.cumsum(count) + count)[pick] + np.arange(len(pick))
     key = ar[pick] * shape[1] + bc[nz]
     terms = av.astype(dtype)[pick] * bv.astype(dtype)[nz]
-    by_key = _order(key)
+    by_key = np.argsort(key, kind="stable")
     key = key[by_key]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     vals = np.add.reduceat(terms[by_key], first)

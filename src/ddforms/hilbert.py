@@ -10,12 +10,15 @@ Grams), maps to an orthonormal frame.  A metric is read only through its
 factor, G x = L (L^T x) and x^T G x = |L^T x|^2, and L^-1 and L^-T by
 halves from L, so no dense Gram and no dense inverse of a factor of more
 than 128 rows is stored.  A harmonic dimension is decided
-by one exact elimination per integer differential, which selects its
-independent rows and columns.  Only where it is positive is the space
-whitened, and one raw Householder QR of those rows and columns gives the
-harmonic basis from its reflectors, with no square Q; the per-index memo
-keeps that subspace alone; S is written and whitened in place in one
-array, so the QR holds S and numpy's two copies of it.  The Laplace
+by one exact elimination per integer differential, in its short
+orientation, which selects its independent rows R and columns C.  Only
+where it is positive is the space whitened.  At an end index, where R or
+C is empty, the harmonic space is an exact integer kernel, and a thin QR
+of its h whitened columns gives the basis.  At an interior index one raw
+Householder QR of S, built from R and C, gives the harmonic basis from
+its reflectors, with no square Q; S is written and whitened in place in
+one array, so the QR holds S and numpy's two copies of it.  The per-index
+memo keeps the harmonic subspace alone.  The Laplace
 solve is one symmetric positive definite system in Gram form per index,
 K = F^T F, its blocks, from the dense blocks of the integer
 differentials and the harmonic basis, written and whitened in place in
@@ -34,6 +37,7 @@ import numpy as np
 
 from ddforms import exact
 from ddforms.assembly import AssemblyError, Subspace
+from ddforms.polyforms import FormError
 
 
 class ComplexInstance:
@@ -97,12 +101,17 @@ def harmonic_space(cx, i):
     """Harmonic forms at index i: ker d_i intersected with ker d*_{i-1}.
 
     Where ``harmonic_dim`` is h = 0 the subspace is empty and no float
-    work runs.  Otherwise one Householder QR, kept in raw form, runs on
-    the whitened S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], built from the
-    slices of the independent rows R and columns C alone; its blocks are
-    orthogonal as d_i d_{i-1} = 0.  The trailing h columns of its complete
-    Q, unwhitened, are the Gram-orthonormal basis.  The subspace is
-    memoised on the complex instance per index.
+    work runs.  At an end index, where C or R is empty, the harmonic
+    space is an exact integer kernel: ker d_i (C empty), or ker d*_{i-1},
+    which the whitening maps from ker d_{i-1}^T (R empty).  Its basis is
+    that kernel whitened, L^T Z or L^-1 W, and G-orthonormalised by one
+    thin QR of its h columns.  At an interior index one Householder QR,
+    kept in raw form, runs on the whitened
+    S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], built from the slices of R and
+    C alone; its blocks are orthogonal as d_i d_{i-1} = 0.  The trailing h
+    columns of its complete Q are the whitened basis.  Either way the
+    whitened basis, unwhitened, is the Gram-orthonormal basis.  The
+    subspace is memoised on the complex instance per index.
     """
     h = cx._harmonic.get(i)
     if h is None:
@@ -112,17 +121,39 @@ def harmonic_space(cx, i):
         basis = np.zeros((n, 0))
         if harmonic_dim(cx, i):
             W = space.whitening
-            S = np.empty((n, len(rows) + len(cols)))
-            R, C = S[:, :len(rows)], S[:, len(rows):]
-            if rows:
+            if rows and cols:
+                S = np.empty((n, len(rows) + len(cols)))
+                R, C = S[:, :len(rows)], S[:, len(rows):]
                 cx.diffs[i].submatrix(rows=rows, out=R.T)
                 W.solve_l(R, out=R)
-            if cols:
                 cx.diffs[i - 1].submatrix(cols=cols, out=C)
                 W.mul_lt(C, out=C)
-            basis = W.solve_lt(_trailing_q(*np.linalg.qr(S, mode="raw")))
+                Q = _trailing_q(*np.linalg.qr(S, mode="raw"))
+            elif cols:
+                Z = _kernel_basis(cx.diffs[i - 1].kernel(transpose=True), n)
+                Q = np.linalg.qr(W.solve_l(Z, out=Z))[0]
+            elif rows:
+                Z = _kernel_basis(cx.diffs[i].kernel(), n)
+                Q = np.linalg.qr(W.mul_lt(Z, out=Z))[0]
+            else:
+                Q = np.eye(n)
+            basis = W.solve_lt(Q)
         h = cx._harmonic[i] = Subspace(space, basis)
     return h
+
+
+def _kernel_basis(kernel, n):
+    """The dense float n x h basis of an ``exact.kernel`` result; entries
+    past int64 (object dtype) are converted one by one, and a FormError
+    names an entry beyond the floating-point range."""
+    (rows, cols, vals), free = kernel
+    Z = np.zeros((n, len(free)))
+    try:
+        Z[rows, cols] = vals
+    except OverflowError:
+        raise FormError("integer kernel basis beyond the floating-point "
+                        "range") from None
+    return Z
 
 
 # The most reflectors _trailing_q applies as one block.

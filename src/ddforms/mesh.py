@@ -273,8 +273,8 @@ def betti_numbers(pair):
         ranks = [0] * (n + 2)
         for m in range(1, n + 1):
             cell, facet, _j, sign = facet_incidence(pair, m)
-            ranks[m] = exact.rank(exact.triplet_rows(
-                facet, cell, sign, len(pair.stratum(m - 1))))
+            ranks[m] = exact.rank((facet, cell, sign), (
+                len(pair.stratum(m - 1)), len(pair.stratum(m))))
         return [dims[m] - ranks[m] - ranks[m + 1] for m in range(n + 1)]
 
     return list(pair.cached(("betti",), build))

@@ -350,7 +350,7 @@ def _family_space(kind, r, m, k):
     terms = _generator_terms(kind, r, m, k)
     table = _generator_table(kind, r, m, k)
     if kind == "trimmed":
-        keep = exact.echelon(exact.dense_rows(table.T))[0]
+        keep = _independent(table)[1]
     else:
         keep = sorted((i for i, (alpha, sig) in enumerate(gens)
                        if not alpha[0] and 0 not in sig),
@@ -373,13 +373,17 @@ def _kernel(table):
     return K, free
 
 
+def _independent(table):
+    """(R, C) of a dense integer table, by ``exact.independent``."""
+    return exact.independent(exact.dense_triplets(table), table.shape)
+
+
 def _inverse(A):
     """(R, C, M, d) for an integer A: the rows R independent over the
     integers and the pivot columns C, the first independent ones, from one
     echelon, and an integer M and d > 0 with A[R, C] M = d I, from one
     exact kernel of [A[R, C] | -I]; A[R, C] is square and invertible."""
-    rows, pivots = exact.echelon(exact.dense_rows(A))
-    cols = sorted(pivots)
+    rows, cols = _independent(A)
     n = len(cols)
     K = _kernel(np.hstack([A[np.ix_(rows, cols)],
                            -np.eye(n, dtype=np.int64)]))[0]
@@ -600,7 +604,7 @@ def check_local_exactness(family, m):
     surjectivity onto the top-degree space.
     """
     report = {"dim": m, "family": family.label, "indices": {}, "passed": True}
-    ranks = {k: exact.rank(exact.dense_rows(family.d_matrix(m, k)))
+    ranks = {k: len(_independent(family.d_matrix(m, k))[0])
              for k in range(m + 1)}
     for k in range(m + 1):
         n = family.space(m, k).size
@@ -686,7 +690,7 @@ def _decomposition_entry(family, m, k):
     coords = np.hstack([_extension_coords(kind, r, mf, k, m)
                         for mf in range(k, m + 1)])
     count = coords.shape[1]
-    rank = exact.rank(exact.dense_rows(coords.T))
+    rank = len(_independent(coords)[0])
     identities = all(_extension_identities(kind, r, mf, k, m)
                      for mf in range(k, m + 1))
     ok = count == size and rank == size and identities

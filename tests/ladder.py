@@ -9,8 +9,10 @@ trimmed r=2 and full r=2, --format structured) against CHECKOUT/src, by
 default the checkout this file is in, and prints one line per command:
 its argv, its exit code and the sha256 of its stdout and of its stderr.
 Two checkouts are compared by running it on each and diffing the two
-outputs.  BLAS runs one thread, so the floats do not depend on the
-host's thread count.  pytest does not collect this file.
+outputs.  The commands run on one worker per CPU this process may use,
+and their lines are printed in ladder order, so the output is that of
+one command after another.  BLAS runs one thread, so the floats do not
+depend on the host's thread count.  pytest does not collect this file.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 COMMANDS = ("betti", "check", "harmonic", "chain", "solve")
 MESHES = ("interval", "triangle", "square_grid", "annulus", "tetrahedron",
@@ -41,12 +44,17 @@ def main():
                         else pathlib.Path(__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    for argv in ladder():
+
+    def line(argv):
         run = subprocess.run([sys.executable, "-m", "ddforms.cli", *argv],
                              capture_output=True, env=env)
         out, err = (hashlib.sha256(x).hexdigest()
                     for x in (run.stdout, run.stderr))
-        print(" ".join(argv), run.returncode, out, err, flush=True)
+        return " ".join([*argv, str(run.returncode), out, err])
+
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        for text in pool.map(line, ladder()):
+            print(text, flush=True)
 
 
 if __name__ == "__main__":

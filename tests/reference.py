@@ -343,9 +343,9 @@ def _open_star_betti(chains, faces, n):
     ranks = [0] * (n + 2)
     for m in range(1, n + 1):
         index = {g: i for i, g in enumerate(by_dim[m - 1])}
-        ranks[m] = exact.rank(
-            {index[h]: sign for h, sign in faces[g] if h in index}
-            for g in by_dim[m])
+        ranks[m] = len(exact.echelon(
+            [{index[h]: sign for h, sign in faces[g] if h in index}
+             for g in by_dim[m]])[0])
     return [len(by_dim[m]) - ranks[m] - ranks[m + 1] for m in range(n + 1)]
 
 
@@ -851,7 +851,7 @@ def decomposition_entry(family, m, k):
     coords = _solve(space.matrix, coeff_matrix(exts, space.frame), FormError,
                     "form is not a member of the element space", space.inverse)
     count = len(exts)
-    rank = exact.rank(exact.dense_rows(coords.T))
+    rank = len(exact.echelon(exact.dense_rows(coords.T))[0])
     identities = all(check_extension_identities(family, mf, k, m)
                      for mf in range(k, m + 1))
     ok = count == space.size and rank == space.size and identities

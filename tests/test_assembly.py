@@ -321,7 +321,8 @@ def test_kernel_space_is_exact_kernel(catalog):
     for which, build in (("vertical", operator_T), ("horizontal", operator_D)):
         sub = kernel_space(pair, 2, 1, fam, which)
         op = build(pair, 2, 1, fam)
-        triplets, free = exact.kernel(op.integer_rows(), op.domain.dim)
+        triplets, free = exact.kernel(
+            exact.triplet_rows(*op.triplets, op.codomain.dim), op.domain.dim)
         assert sub.dim and all(map(np.array_equal, sub.triplets, triplets))
         assert np.array_equal(sub.free, free)
         assert sub.basis is None
@@ -575,7 +576,8 @@ def test_triplet_operators_and_exact_kernels(catalog, name, family):
             A = build(pair, m, k, family)
             ref = reference_fill(pair, family, op, m, k)
             assert np.abs(A.submatrix() - ref).max(initial=0.0) <= 1e-12
-            triplets, free = exact.kernel(A.integer_rows(), A.domain.dim)
+            triplets, free = exact.kernel(
+                exact.triplet_rows(*A.triplets, A.codomain.dim), A.domain.dim)
             K = dense(triplets, (A.domain.dim, len(free)))
             rows, cols, vals = A.triplets
             AK = np.zeros((A.codomain.dim, K.shape[1]), dtype=np.int64)
@@ -692,3 +694,30 @@ def test_export_matrix_format(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].split() == ["3", "2", "2"]
     assert lines[1:] == ["0 0 3", "1 1 -2"]
+
+
+def test_echelon_takes_the_short_orientation(catalog, monkeypatch):
+    """``LinearOp.echelon`` hands ``exact.echelon`` min(rows, cols) rows,
+    tall operators and wide ones among them, and its (R, C) are those of
+    the elimination of every row in order."""
+    calls = []
+    echelon = exact.echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return echelon(rows)
+
+    pair, fam = catalog("annulus"), Family("trimmed", 2)
+    ops = [build(pair, m, k, fam) for build, lo in ((operator_D, 0),
+                                                    (operator_T, 1))
+           for m in range(lo, 3) for k in range(m)]
+    ops.append(derivative_operator(BrokenSpace(pair, [(2, 1), (1, 0)], fam)))
+    shapes = [op.shape for op in ops]
+    assert any(a > b for a, b in shapes) and any(a < b for a, b in shapes)
+    monkeypatch.setattr(exact, "echelon", counted)
+    for op in ops:
+        calls.clear()
+        rows, cols = op.echelon
+        assert calls == [min(op.shape)]
+        kept, pivots = echelon(exact.triplet_rows(*op.triplets, op.shape[0]))
+        assert (rows, cols) == (kept, sorted(pivots))

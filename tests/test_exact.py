@@ -16,6 +16,11 @@ def sparse_rows(mat):
     return [{j: int(v) for j, v in enumerate(row) if v} for row in mat]
 
 
+def dense_rank(mat):
+    mat = np.asarray(mat)
+    return exact.rank(exact.dense_triplets(mat), mat.shape)
+
+
 def dense_kernel(rows, ncols):
     """exact.kernel as a dense basis and its free columns, after checking
     that its triplets list distinct nonzero entries sorted by row, then
@@ -48,7 +53,7 @@ def test_kernel_matches_sympy_nullity():
         diag = K[free]
         assert np.array_equal(diag, np.diag(np.diag(diag)))
         assert np.all(np.diag(diag) > 0)
-        assert exact.rank(sparse_rows(mat)) == cols - nullity
+        assert dense_rank(mat) == cols - nullity
 
 
 def test_kernel_basis_is_integral_and_independent():
@@ -70,16 +75,24 @@ def test_kernel_of_no_rows_is_identity():
         [[0, 1], [0, 0], [-1, 1]]
     assert free.tolist() == [1]
     assert all(len(x) == 0 for x in exact.kernel([{0: 1}], 1)[0])
-    assert exact.rank([]) == 0
+    assert dense_rank(np.zeros((0, 3), int)) == 0
+    assert dense_rank(np.zeros((3, 0), int)) == 0
 
 
 def test_elimination_leaves_rows_unchanged():
-    rows = sparse_rows(np.array([[1, 2, 0], [2, 4, 1], [0, 0, 3]]))
+    mat = np.array([[1, 2, 0], [2, 4, 1], [0, 0, 3]])
+    rows = sparse_rows(mat)
     before = [dict(r) for r in rows]
     exact.kernel(rows, 3)
-    exact.rank(rows)
     exact.echelon(rows)
     assert rows == before
+    # the triplets that rank and independent read are not modified either
+    for shape in (mat.shape, (3, 4), (4, 3)):
+        triplets = exact.dense_triplets(np.pad(mat, [(0, shape[0] - 3),
+                                                     (0, shape[1] - 3)]))
+        kept = [a.copy() for a in triplets]
+        exact.rank(triplets, shape)
+        assert all(map(np.array_equal, triplets, kept))
 
 
 @st.composite
@@ -143,8 +156,7 @@ def test_rank_matches_sympy():
     rng = np.random.default_rng(7)
     for _ in range(20):
         mat = rng.integers(-3, 4, size=rng.integers(1, 7, size=2))
-        assert exact.rank(exact.dense_rows(mat)) == \
-            sympy.Matrix(mat.tolist()).rank()
+        assert dense_rank(mat) == sympy.Matrix(mat.tolist()).rank()
     # larger sparse boundary-like matrices: a few +-1 (sometimes +-2)
     # entries per column, some columns combinations of others
     for trial in range(6):
@@ -157,8 +169,8 @@ def test_rank_matches_sympy():
         for j in rng.choice(cols, size=8, replace=False):
             a, b = rng.choice(cols, size=2, replace=False)
             mat[:, j] = mat[:, a] - 2 * mat[:, b]
-        assert exact.rank(exact.dense_rows(mat)) == \
-            sympy.Matrix(mat.tolist()).rank()
+        assert dense_rank(mat) == sympy.Matrix(mat.tolist()).rank()
+        assert dense_rank(mat.T) == sympy.Matrix(mat.tolist()).rank()
 
 
 def test_kernel_past_int64_stays_exact():
@@ -282,3 +294,41 @@ def test_product_degenerate():
         assert not any(map(len, exact.product(x, y, shape)))
     assert dense_product((rows, cols, vals), b, (3, 2)) == \
         python_int_product((rows, cols, vals), b, (3, 2))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sparse integer matrices, wide, tall or square, empty or of rank 0
+    included: some rows, then some columns, are combinations of two
+    before them, so both orientations have dependent lines."""
+    kind = draw(st.sampled_from(["wide", "tall", "square", "empty",
+                                 "zero"]))
+    a, b = sorted(draw(st.integers(1, 9)) for _ in range(2))
+    shape = {"wide": (a, b + 1), "tall": (b + 1, a), "square": (a, a),
+             "empty": draw(st.sampled_from([(0, a), (a, 0), (0, 0)])),
+             "zero": (a, b)}[kind]
+    entry = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -3])
+    mat = np.array(draw(st.lists(entry, min_size=shape[0] * shape[1],
+                                 max_size=shape[0] * shape[1])),
+                   np.int64).reshape(shape)
+    if kind == "zero":
+        mat[...] = 0
+    for axis in (0, 1):
+        view = mat if axis == 0 else mat.T
+        for i in range(2, len(view)):
+            if draw(st.booleans()):
+                j, k = (draw(st.integers(0, i - 1)) for _ in range(2))
+                view[i] = draw(entry) * view[j] + draw(entry) * view[k]
+    return mat
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(integer_matrices())
+def test_short_orientation_keeps_rows_and_columns(mat):
+    """``independent`` eliminates the short orientation, yet gives the R
+    and C that the elimination of the rows in order gives: the kept rows
+    and the sorted pivot columns."""
+    kept, pivots = exact.echelon(exact.dense_rows(mat))
+    got = exact.independent(exact.dense_triplets(mat), mat.shape)
+    assert got == (kept, sorted(pivots))
+    assert dense_rank(mat) == len(kept) == dense_rank(mat.T)

@@ -1,4 +1,3 @@
-import inspect
 import io
 import json
 from functools import cached_property
@@ -12,9 +11,10 @@ from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
 from ddforms.cli import main
 from ddforms.hilbert import (ComplexInstance, _trailing_q, harmonic_space,
                              laplace_solve, subspace_transfer)
-from ddforms.mesh import betti_numbers, build_complex, generate_mesh, mark_pair
-from ddforms.polyforms import Family
-from ddforms import distrib, exact
+from ddforms.mesh import (betti_numbers, build_complex, generate_mesh,
+                          load_mesh_file, mark_pair, save_mesh_file)
+from ddforms.polyforms import Family, FormError
+from ddforms import distrib, exact, hilbert
 
 from conftest import RANK_RTOL, dense_basis, svd_null
 from reference import (dense_adjoint, dense_laplacian, pseudoinverse,
@@ -50,7 +50,6 @@ def test_complex_checks_composition_on_triplets(catalog, monkeypatch):
         raise AssertionError("dict rows built")
 
     monkeypatch.setattr(exact, "triplet_rows", refused)
-    monkeypatch.setattr(LinearOp, "integer_rows", refused)
     ComplexInstance(cx.spaces, diffs, "triplets")
     assert not any("matrix" in vars(d) for d in diffs)
 
@@ -435,14 +434,17 @@ def test_solve_without_harmonic_forms_runs_no_qr(monkeypatch):
 
 def test_chain_takes_no_square_decomposition(monkeypatch):
     """A cold chain builds neither a whole dense differential nor a dense
-    broken-space Gram, and takes each harmonic QR in raw form; where every
-    harmonic space is empty (square_grid:6, half marked) it factors no
-    Gram and takes no QR."""
+    broken-space Gram.  It takes a raw QR of S only at an interior index,
+    where R and C are both nonempty, and at an end index a thin QR of the
+    h kernel columns alone; on square_grid:6, whose harmonic indices are
+    all end indices, it takes no raw QR, and where every harmonic space
+    is empty (half marked) it factors no Gram and takes no QR."""
     counts = {"matrix": 0, "gram": 0, "cholesky": 0}
-    qr_modes = []
+    qrs, last = [], []
     submatrix = LinearOp.submatrix
     gram = BrokenSpace.gram.fget
     cholesky, qr = np.linalg.cholesky, np.linalg.qr
+    independent = hilbert._independent
 
     def counted(name, call, fresh=lambda *args: True):
         def wrapper(*args, **kwargs):
@@ -450,8 +452,18 @@ def test_chain_takes_no_square_decomposition(monkeypatch):
             return call(*args, **kwargs)
         return wrapper
 
+    def seen(cx, i):
+        last[:] = [independent(cx, i), cx.spaces[i].dim]
+        return last[0]
+
     def counted_qr(a, mode="reduced"):
-        qr_modes.append(mode)
+        (rows, cols), n = last
+        qrs.append(mode)
+        if mode == "raw":
+            assert rows and cols and a.shape == (n, len(rows) + len(cols))
+        else:
+            assert bool(rows) != bool(cols)
+            assert a.shape == (n, n - len(rows) - len(cols))
         return qr(a, mode=mode)
 
     def whole(op, rows=None, cols=None, out=None):
@@ -462,15 +474,21 @@ def test_chain_takes_no_square_decomposition(monkeypatch):
     monkeypatch.setattr(BrokenSpace, "gram", property(counted("gram", gram)))
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(hilbert, "_independent", seen)
     for mark in ("none", "full", "half"):
         assert main(["chain", "--mesh", "catalog:annulus", "--mark", mark,
                      "--degree", "2"], out=io.StringIO()) == 0, mark
         assert counts["matrix"] == counts["gram"] == 0, (mark, counts)
-    assert qr_modes and set(qr_modes) == {"raw"}
-    counts["cholesky"], qr_modes[:] = 0, []
+    assert set(qrs) == {"raw", "reduced"}
+    for mark in ("none", "full"):
+        qrs.clear()
+        assert main(["chain", "--mesh", "catalog:square_grid:6", "--mark",
+                     mark], out=io.StringIO()) == 0
+        assert qrs and set(qrs) == {"reduced"}, mark
+    counts["cholesky"], qrs[:] = 0, []
     assert main(["chain", "--mesh", "catalog:square_grid:6", "--mark",
                  "half"], out=io.StringIO()) == 0
-    assert counts["cholesky"] == 0 and not qr_modes
+    assert counts["cholesky"] == 0 and not qrs
 
 
 def test_each_integer_matrix_is_eliminated_once(monkeypatch):
@@ -549,26 +567,23 @@ def check_trailing_q(S):
 
 
 def test_trailing_q_of_catalog_harmonic_spaces(catalog):
-    """On the whitened S of each catalog harmonic space with forms, the
-    reflector complement is the complete Q's, and unwhitened it is the
-    harmonic basis."""
+    """On the whitened S of each catalog harmonic space with forms at an
+    interior index, where R and C are both nonempty, the reflector
+    complement is the complete Q's, and unwhitened it is the harmonic
+    basis."""
     pair = catalog("annulus", 1, "full")
     seen = 0
     for cx in (distrib.total_complex(pair, Family("trimmed", 2)),
                distrib.chainlike_complex(pair, Family("trimmed", 1))):
         for i in range(len(cx)):
             h = harmonic_space(cx, i)
-            if not h.dim:
+            rows, cols = hilbert._independent(cx, i)
+            if not (h.dim and rows and cols):
                 continue
             W = cx.spaces[i].whitening
-            parts = [np.zeros((cx.spaces[i].dim, 0))]
-            if i < len(cx.diffs):
-                rows = cx.diffs[i].echelon[0]
-                parts.append(W.solve_l(cx.diffs[i].submatrix()[rows].T))
-            if i > 0:
-                cols = cx.diffs[i - 1].echelon[1]
-                parts.append(W.mul_lt(cx.diffs[i - 1].submatrix()[:, cols]))
-            S = np.hstack(parts)
+            S = np.hstack([
+                W.solve_l(cx.diffs[i].submatrix()[rows].T),
+                W.mul_lt(cx.diffs[i - 1].submatrix()[:, cols])])
             check_trailing_q(S)
             basis = W.solve_lt(_trailing_q(*np.linalg.qr(S, mode="raw")))
             assert np.abs(basis - h.basis).max() <= 1e-13 * \
@@ -647,29 +662,43 @@ def test_exact_dims_on_squeezed_meshes(record_property):
 
 def test_one_elimination_per_differential(monkeypatch):
     """The harmonic spaces and the Laplace solves at every index of a
-    complex eliminate each integer differential once: its rows R and the
-    columns C read by the next index come from the same echelon."""
-    calls = []
-    echelon = exact.echelon
+    complex eliminate each integer differential once, in its short
+    orientation: its rows R and the columns C read by the next index come
+    from the same echelon.  The only other eliminations are those of the
+    end-index kernels, each of independent rows alone, none reduced to
+    zero."""
+    calls, shapes, kernels = [], [], []
+    echelon, independent, kernel = exact.echelon, exact.independent, \
+        exact.kernel
 
     def counted(rows):
         calls.append(len(rows))
         return echelon(rows)
 
+    def counted_independent(triplets, shape):
+        shapes.append(shape)
+        return independent(triplets, shape)
+
+    def counted_kernel(rows, ncols):
+        kernels.append(len(rows))
+        assert len(echelon(rows)[0]) == len(rows)
+        return kernel(rows, ncols)
+
     rng = np.random.default_rng(3)
     for build in (distrib.conforming_complex, distrib.total_complex):
         cx = build(generate_mesh("cube_tet", 1, "half"), Family("trimmed", 2))
-        calls.clear()
+        calls.clear(), shapes.clear(), kernels.clear()
         monkeypatch.setattr(exact, "echelon", counted)
+        monkeypatch.setattr(exact, "independent", counted_independent)
+        monkeypatch.setattr(exact, "kernel", counted_kernel)
         for i in range(len(cx)):
             harmonic_space(cx, i)
             if cx.spaces[i].dim:
                 laplace_solve(cx, i, rng.standard_normal(cx.spaces[i].dim))
         monkeypatch.undo()
-        assert len(calls) == len(cx.diffs)
+        assert sorted(shapes) == sorted(d.shape for d in cx.diffs)
+        assert sorted(calls) == sorted([min(s) for s in shapes] + kernels)
         assert all("echelon" in vars(d) for d in cx.diffs)
-    assert list(inspect.signature(LinearOp.integer_rows).parameters) == \
-        ["self"]
 
 
 def test_pseudoinverse_of_float_operator_names_the_cause(catalog):
@@ -719,3 +748,73 @@ def test_applied_operators_match_dense(catalog, name):
                 got += cx.whitened_diff(i - 1, cx.whitened_diff(
                     i - 1, v, transpose=True))
             assert _rel(got, ref @ v) <= 1e-12
+
+
+def s_qr_basis(cx, i):
+    """The harmonic basis at index i by the complete QR of the whitened
+    S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], at any index."""
+    rows, cols = hilbert._independent(cx, i)
+    W, n = cx.spaces[i].whitening, cx.spaces[i].dim
+    parts = [np.zeros((n, 0))]
+    if rows:
+        parts.append(W.solve_l(cx.diffs[i].submatrix()[rows].T))
+    if cols:
+        parts.append(W.mul_lt(cx.diffs[i - 1].submatrix()[:, cols]))
+    S = np.hstack(parts)
+    return W.solve_lt(np.linalg.qr(S, mode="complete")[0][:, S.shape[1]:])
+
+
+def test_end_index_bases_span_the_s_qr_subspace(catalog, tmp_path):
+    """At an end index, where R or C is empty, the basis from the exact
+    kernel and the S-QR reference span one subspace: every singular value
+    of their Gram pairing is within 1e-13 of 1.  Both ends of every
+    complex are checked, on catalog meshes and on a file of two disjoint
+    triangles, whose end indices have h = 2 (b0 = 2 unmarked, b2 = 2
+    fully marked)."""
+    path = tmp_path / "two_triangles.json"
+    save_mesh_file(build_complex([[0, 1, 2], [3, 4, 5]],
+                                 [[0, 0], [1, 0], [0, 1],
+                                  [3, 0], [4, 0], [3, 1]]), path)
+    two = load_mesh_file(path)
+    pairs = [(catalog(name, 1, mark), name)
+             for name in ("interval", "annulus", "tetrahedron")
+             for mark in ("none", "full", "half")]
+    pairs += [(mark_pair(two, mark), "two") for mark in ("none", "full")]
+    widths, ends = set(), 0
+    for pair, name in pairs:
+        for cx in (distrib.conforming_complex(pair, Family("trimmed", 1)),
+                   distrib.total_complex(pair, Family("trimmed", 1)),
+                   distrib.chainlike_complex(pair, Family("trimmed", 2))):
+            for i in range(len(cx)):
+                rows, cols = hilbert._independent(cx, i)
+                h = harmonic_space(cx, i)
+                if rows and cols:
+                    continue
+                ends += i in (0, len(cx) - 1)
+                s = np.linalg.svd(subspace_transfer(h, s_qr_basis(cx, i)),
+                                  compute_uv=False)
+                assert len(s) == h.dim
+                assert np.abs(s - 1.0).max(initial=0.0) <= 1e-13, \
+                    (name, cx.label, i)
+                if name == "two":
+                    widths.add(h.dim)
+    assert ends and 2 in widths
+    assert betti_numbers(two) == [2, 0, 0]
+    assert betti_numbers(mark_pair(two, "full")) == [0, 0, 2]
+
+
+def test_kernel_basis_past_int64():
+    """An exact kernel with entries past int64 (object dtype) converts to
+    finite floats; past the floating-point range it is a one-line
+    FormError."""
+    n = 69
+    kernel = exact.kernel([{i: 2, i + 1: -1} for i in range(n)], n + 1)
+    assert kernel[0][2].dtype == object
+    Z = hilbert._kernel_basis(kernel, n + 1)
+    assert Z.dtype == float and np.all(np.isfinite(Z))
+    assert Z[:, 0].tolist() == [2.0 ** i for i in range(n + 1)]
+    (rows, cols, vals), free = kernel
+    huge = np.array([v * 10 ** 400 for v in vals], object)
+    with pytest.raises(FormError, match="floating-point range") as err:
+        hilbert._kernel_basis(((rows, cols, huge), free), n + 1)
+    assert "\n" not in str(err.value)

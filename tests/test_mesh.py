@@ -124,7 +124,7 @@ def test_betti_numbers_computed_once_per_pair(monkeypatch):
     first = betti_numbers(pair)
     first[0] = 99
 
-    def no_rank(rows):
+    def no_rank(*_args):
         raise AssertionError("Betti numbers recomputed")
 
     monkeypatch.setattr(exact, "rank", no_rank)
