@@ -336,14 +336,15 @@ class LinearOp:
         out = np.bincount(slot.ravel(), terms.ravel(), minlength=n * k)
         return out.reshape((n,) + x.shape[1:])
 
-    def submatrix(self, rows=None, cols=None, out=None):
-        """The dense float rows ``rows`` and columns ``cols`` (all where
-        None), in the given order, scattered from the triplets into out:
-        a new array unless given, such as a view into a larger one."""
-        index = list(self.triplets[:2])
-        vals = self.triplets[2]
-        shape = [self.codomain.dim, self.domain.dim]
-        keep = np.ones(len(vals), bool)
+    def restrict(self, rows=None, cols=None, transpose=False):
+        """The triplets of the rows ``rows`` and columns ``cols`` of A, or
+        of A^T (all where None), each index renumbered by its place in
+        the given order, and their shape."""
+        index, shape = list(self.triplets[:2]), list(self.shape)
+        if transpose:
+            index.reverse()
+            shape.reverse()
+        keep = np.ones(len(self.triplets[2]), bool)
         for axis, sel in enumerate((rows, cols)):
             if sel is not None:
                 pos = np.full(shape[axis], -1)
@@ -351,11 +352,20 @@ class LinearOp:
                 index[axis] = pos[index[axis]]
                 keep &= index[axis] >= 0
                 shape[axis] = len(sel)
+        return (index[0][keep], index[1][keep],
+                self.triplets[2][keep]), tuple(shape)
+
+    def submatrix(self, rows=None, cols=None, out=None, transpose=False):
+        """The dense float rows ``rows`` and columns ``cols`` of A, or of
+        A^T, as ``restrict`` selects them, scattered from the triplets
+        into out: a new array unless given, such as a view into a larger
+        one."""
+        (r, c, v), shape = self.restrict(rows, cols, transpose)
         if out is None:
             out = np.zeros(shape)
         else:
             out[...] = 0.0
-        out[index[0][keep], index[1][keep]] = vals[keep]
+        out[r, c] = v
         return out
 
     @property
@@ -370,19 +380,15 @@ class LinearOp:
         the pivot rows are not kept."""
         return exact.independent(self.triplets, self.shape)
 
-    def kernel(self, transpose=False):
+    def kernel(self, transpose=False, free=None):
         """An integer basis of ker A, or of ker A^T, as ``exact.kernel``
-        gives it, from the independent rows R (columns C) alone, so that
-        no row is reduced to zero."""
-        rows, cols, vals = self.triplets
-        (height, n), keep = self.shape, self.echelon[transpose]
-        if transpose:
-            rows, cols, height, n = cols, rows, n, height
-        at = np.full(height, -1)
-        at[keep] = np.arange(len(keep))
-        on = at[rows] >= 0
-        return exact.kernel(exact.triplet_rows(
-            at[rows[on]], cols[on], vals[on], len(keep)), n)
+        gives it (of the free columns ``free`` alone, if given), from the
+        independent rows R (columns C) alone, so that no row is reduced to
+        zero."""
+        (rows, cols, vals), (height, n) = self.restrict(
+            self.echelon[transpose], transpose=transpose)
+        return exact.kernel(exact.triplet_rows(rows, cols, vals, height), n,
+                            free)
 
     def __repr__(self):
         return f"LinearOp({self.codomain.dim}x{self.domain.dim})"

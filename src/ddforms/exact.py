@@ -123,25 +123,34 @@ def echelon(rows):
     return kept, pivots
 
 
-def kernel(rows, ncols):
+def kernel(rows, ncols, free=None):
     """An integer basis K of {x : A x = 0}, of shape (ncols, nullity), as
     triplets (rows, cols, vals) sorted by row, then column, and its free
     columns f, increasing.  The values are int64 when every one fits, else
-    Python ints (object dtype).
+    Python ints (object dtype).  Given ``free``, an increasing subset of
+    the free columns, K is those columns of the basis alone.
 
     Back-substitution brings the echelon rows to reduced form, each pivot
-    row reduced in place in a copy of it by the pivots after it.  Column i
+    row reduced in place by the pivots after it, in a copy of it, which
+    drops the entries of the free columns not asked for: that scales a
+    reduced row at most, so no ratio r[f] / r[c] kept changes.  Column i
     belongs to f[i]: K[f[i], i] is the least positive integer that makes
     every pivot entry integral, other free entries are zero."""
     pivots = echelon(rows)[1]
+    keep = None if free is None else set(free)
     for c in sorted(pivots, reverse=True):
-        above = [cc for cc in pivots[c] if cc != c and cc in pivots]
-        if above:
-            r = pivots[c] = dict(pivots[c])
-            for cc in above:
-                _reduce(r, pivots[cc], cc)
-    free = {f: i for i, f in enumerate(j for j in range(ncols)
-                                       if j not in pivots)}
+        r = pivots[c]
+        if keep is not None:
+            r = pivots[c] = {cc: v for cc, v in r.items()
+                             if cc in pivots or cc in keep}
+        above = [cc for cc in r if cc != c and cc in pivots]
+        if above and keep is None:
+            r = pivots[c] = dict(r)
+        for cc in above:
+            _reduce(r, pivots[cc], cc)
+    if free is None:
+        free = [j for j in range(ncols) if j not in pivots]
+    free = {f: i for i, f in enumerate(free)}
     scale = [1] * len(free)
     for c, r in pivots.items():
         for f, v in r.items():

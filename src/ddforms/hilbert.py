@@ -9,17 +9,14 @@ basis is kept as triplets and whose Gram is assembled from the element
 Grams), maps to an orthonormal frame.  A metric is read only through its
 factor, G x = L (L^T x) and x^T G x = |L^T x|^2, and L^-1 and L^-T by
 halves from L, so no dense Gram and no dense inverse of a factor of more
-than 128 rows is stored.  A harmonic dimension is decided
-by one exact elimination per integer differential, in its short
-orientation, which selects its independent rows R and columns C.  Only
-where it is positive is the space whitened.  At an end index, where R or
-C is empty, the harmonic space is an exact integer kernel, and a thin QR
-of its h whitened columns gives the basis.  At an interior index one raw
-Householder QR of S, built from R and C, gives the harmonic basis from
-its reflectors, with no square Q; S is written and whitened in place in
-one array, so the QR holds S and numpy's two copies of it.  The per-index
-memo keeps the harmonic subspace alone.  The Laplace
-solve is one symmetric positive definite system in Gram form per index,
+than 128 rows is stored.  A harmonic dimension is decided by one exact
+elimination per integer differential, in its short orientation, which
+selects its independent rows R and columns C.  Only where it is positive
+is the space whitened, and the basis is h columns of an exact integer
+kernel, chosen exactly and projected off the narrower whitened block of
+d_i[R] and d_{i-1}[:, C]; no array is wider than that block or h.  The
+per-index memo keeps the harmonic subspace alone.  The Laplace solve is
+one symmetric positive definite system in Gram form per index,
 K = F^T F, its blocks, from the dense blocks of the integer
 differentials and the harmonic basis, written and whitened in place in
 one array F: a solve holds F and K, then K, numpy's copy of it and the
@@ -101,43 +98,50 @@ def harmonic_space(cx, i):
     """Harmonic forms at index i: ker d_i intersected with ker d*_{i-1}.
 
     Where ``harmonic_dim`` is h = 0 the subspace is empty and no float
-    work runs.  At an end index, where C or R is empty, the harmonic
-    space is an exact integer kernel: ker d_i (C empty), or ker d*_{i-1},
-    which the whitening maps from ker d_{i-1}^T (R empty).  Its basis is
-    that kernel whitened, L^T Z or L^-1 W, and G-orthonormalised by one
-    thin QR of its h columns.  At an interior index one Householder QR,
-    kept in raw form, runs on the whitened
-    S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], built from the slices of R and
-    C alone; its blocks are orthogonal as d_i d_{i-1} = 0.  The trailing h
-    columns of its complete Q are the whitened basis.  Either way the
-    whitened basis, unwhitened, is the Gram-orthonormal basis.  The
-    subspace is memoised on the complex instance per index.
+    work runs.  Otherwise h exact representatives are projected off the
+    narrower of two whitened blocks.  On the C side (|C| <= |R|) they are
+    columns of the exact kernel Z of d_i, whitened by L^T, projected off
+    L^T d_{i-1}[:, C]; on the R side, the mirror image, columns of the
+    exact kernel of d_{i-1}^T, whitened by L^-1 into ker d*_{i-1},
+    projected off L^-1 d_i[R]^T.  The other block is orthogonal to them
+    already, as d_i[R] Z = 0.  A kernel basis is diagonal on its free
+    rows F and the block's columns lie in the kernel, so the block's rows
+    F have full column rank: one ``exact.independent`` of them picks
+    |block| rows of F, and the kernel columns of the other h, alone
+    back-substituted, are the representatives.  At an end index the block
+    is empty and the kernel's h columns are all representatives; with no
+    differential the kernel is the identity.  The block's reduced QR
+    projects them off it twice, and a thin QR of the h columns gives the
+    whitened basis, which unwhitened is Gram-orthonormal.  The subspace
+    is memoised on the complex instance per index.
     """
     h = cx._harmonic.get(i)
     if h is None:
         space = cx.spaces[i]
         n = space.dim
-        rows, cols = _independent(cx, i)
         basis = np.zeros((n, 0))
         if harmonic_dim(cx, i):
             W = space.whitening
-            if rows and cols:
-                S = np.empty((n, len(rows) + len(cols)))
-                R, C = S[:, :len(rows)], S[:, len(rows):]
-                cx.diffs[i].submatrix(rows=rows, out=R.T)
-                W.solve_l(R, out=R)
-                cx.diffs[i - 1].submatrix(cols=cols, out=C)
-                W.mul_lt(C, out=C)
-                Q = _trailing_q(*np.linalg.qr(S, mode="raw"))
-            elif cols:
-                Z = _kernel_basis(cx.diffs[i - 1].kernel(transpose=True), n)
-                Q = np.linalg.qr(W.solve_l(Z, out=Z))[0]
-            elif rows:
-                Z = _kernel_basis(cx.diffs[i].kernel(), n)
-                Q = np.linalg.qr(W.mul_lt(Z, out=Z))[0]
-            else:
-                Q = np.eye(n)
-            basis = W.solve_lt(Q)
+            rows, cols = _independent(cx, i)
+            side = len(rows) < len(cols)  # the R side, else the C side
+            block, whiten = (rows, W.solve_l) if side else (cols, W.mul_lt)
+            kern = cx.diffs[i - side] if i - side < len(cx.diffs) else None
+            free, Q = None, np.zeros((n, 0))
+            if block:
+                d = cx.diffs[i - 1 + side]
+                free = np.ones(n, bool)
+                free[kern.echelon[not side]] = False
+                free = np.flatnonzero(free)
+                free = np.delete(free, exact.independent(
+                    *d.restrict(free, block, side))[0]).tolist()
+                B = d.submatrix(cols=block, transpose=side)
+                Q = np.linalg.qr(whiten(B, out=B))[0]
+            X = _kernel_basis(kern.kernel(side, free) if kern
+                              else exact.kernel([], n), n)
+            whiten(X, out=X)
+            for _ in range(2):
+                X -= Q @ (Q.T @ X)
+            basis = W.solve_lt(np.linalg.qr(X)[0])
         h = cx._harmonic[i] = Subspace(space, basis)
     return h
 
@@ -154,35 +158,6 @@ def _kernel_basis(kernel, n):
         raise FormError("integer kernel basis beyond the floating-point "
                         "range") from None
     return Z
-
-
-# The most reflectors _trailing_q applies as one block.
-_BLOCK = 64
-
-
-def _trailing_q(raw, tau):
-    """The last n - k columns of the complete Q = H_0 ... H_{k-1} of an
-    n x k matrix, from its raw QR (k x n reflectors, scales tau): the
-    reflectors H_j = I - tau_j v_j v_j^T, v_j = (0, 1, raw[j, j+1:]),
-    applied last to first to the last n - k columns of the identity, with
-    no n x n Q formed.  They go in blocks of at most _BLOCK: the product
-    of a block's reflectors is I - V T V^T, with T upper triangular and
-    T^-1 = striu(V^T V) + diag(1/tau), the UT transform (Joffrain et al.,
-    "Accumulating Householder transformations, revisited", ACM TOMS 32,
-    2006), so a block is three products and a triangular solve.  A
-    reflector with tau = 0 is the identity and is left out."""
-    k, n = raw.shape
-    Q = np.eye(n, n - k, -k)
-    for lo in reversed(range(0, k, _BLOCK)):
-        b = min(_BLOCK, k - lo)
-        V = np.tril(raw[lo:lo + b, lo:].T, -1)
-        V[np.arange(b), np.arange(b)] = 1.0
-        keep = np.flatnonzero(tau[lo:lo + b])
-        V = V[:, keep]
-        T_inv = np.triu(V.T @ V, 1)
-        T_inv[np.diag_indices(len(keep))] = 1.0 / tau[lo + keep]
-        Q[lo:] -= V @ np.linalg.solve(T_inv, V.T @ Q[lo:])
-    return Q
 
 
 def laplace_solve(cx, i, f):

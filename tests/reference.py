@@ -17,7 +17,8 @@
 - ``fresh_echelon`` and ``fresh_kernel``, the elimination whose every row
   step builds a new row dict and takes a gcd, against which the in-place
   steps of ``exact.echelon`` and ``exact.kernel`` are checked;
-- ``trailing_q``, the harmonic complement one reflector at a time;
+- ``s_qr_basis``, the harmonic basis as the complement of the whitened
+  S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]] in a complete QR;
 - the float form algebra: ``BarycentricForm`` (sums, scalar multiples,
   the exterior derivative and the reduction to the reduced frame),
   ``whitney_form``, ``coeff_matrix`` and ``FormSpace``, a space spanned
@@ -44,7 +45,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ddforms import exact
+from ddforms import exact, hilbert
 from ddforms.assembly import AssemblyError, operator_D, operator_T
 from ddforms.distrib import redirected_gamma, redirected_lambda
 from ddforms.mesh import (MeshError, RelativePair, Simplex,
@@ -225,16 +226,19 @@ def fresh_kernel(rows, ncols):
     return triplets, np.fromiter(free, np.int64, len(free))
 
 
-def trailing_q(raw, tau):
-    """``hilbert._trailing_q`` one reflector at a time: H_j applied last to
-    first to the last n - k columns of the identity."""
-    k, n = raw.shape
-    Q = np.eye(n, n - k, -k)
-    for j in range(k - 1, -1, -1):
-        v = raw[j, j:].copy()
-        v[0] = 1.0
-        Q[j:] -= np.outer(tau[j] * v, v @ Q[j:])
-    return Q
+def s_qr_basis(cx, i):
+    """The harmonic basis at index i by the complete QR of the whitened
+    S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], at any index: its trailing
+    n - |R| - |C| columns, unwhitened."""
+    rows, cols = hilbert._independent(cx, i)
+    W, n = cx.spaces[i].whitening, cx.spaces[i].dim
+    parts = [np.zeros((n, 0))]
+    if rows:
+        parts.append(W.solve_l(cx.diffs[i].submatrix()[rows].T))
+    if cols:
+        parts.append(W.mul_lt(cx.diffs[i - 1].submatrix()[:, cols]))
+    S = np.hstack(parts)
+    return W.solve_lt(np.linalg.qr(S, mode="complete")[0][:, S.shape[1]:])
 
 
 # -- mesh references ------------------------------------------------------

@@ -139,6 +139,56 @@ def test_in_place_elimination_equals_fresh_rows(case):
     assert rows == before
 
 
+def check_subset_kernel(rows, ncols, chosen, full):
+    """exact.kernel of the free columns ``chosen`` alone is the columns
+    of the full kernel ``full`` at them, renumbered in order, with the
+    same values, int64 exactly when they all fit."""
+    (r, c, v), free = full
+    (rs, cs, vs), fs = exact.kernel(rows, ncols, free=chosen)
+    assert fs.dtype == np.int64 and fs.tolist() == list(chosen)
+    at = {f: i for i, f in enumerate(free.tolist())}
+    renumber = {at[f]: j for j, f in enumerate(chosen)}
+    pick = np.isin(c, list(renumber))
+    assert rs.tolist() == r[pick].tolist()
+    assert cs.tolist() == [renumber[x] for x in c[pick].tolist()]
+    assert vs.tolist() == v[pick].tolist()
+    fits = all(-2**63 <= x < 2**63 for x in vs.tolist())
+    assert vs.dtype == (np.int64 if fits else object)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(integer_rows(), st.data())
+def test_subset_kernel_is_the_full_kernels_columns(case, data):
+    """For any increasing subset of the free columns, among them none and
+    every one, the kernel of those columns alone equals the full kernel's
+    columns at them, and leaves the caller's rows unchanged."""
+    rows, ncols = case
+    before = copy.deepcopy(rows)
+    full = exact.kernel(rows, ncols)
+    free = full[1].tolist()
+    mask = data.draw(st.lists(st.booleans(), min_size=len(free),
+                              max_size=len(free)))
+    chosen = [f for f, keep in zip(free, mask) if keep]
+    for subset in ([], free, chosen):
+        check_subset_kernel(rows, ncols, subset, full)
+    assert rows == before
+
+
+def test_subset_kernel_past_int64():
+    """A subset kernel keeps Python ints (object dtype) where its own
+    values pass int64, and int64 where they fit though the full kernel's
+    do not: column n has entries 2^k up to 2^69, column n + 1 is small."""
+    n = 69
+    rows = [{i: 2, i + 1: -1} for i in range(n)]
+    rows[0][n + 1] = 1
+    full = exact.kernel(rows, n + 2)
+    assert full[1].tolist() == [n, n + 1] and full[0][2].dtype == object
+    for subset in ([], [n], [n + 1], [n, n + 1]):
+        check_subset_kernel(rows, n + 2, subset, full)
+    assert exact.kernel(rows, n + 2, free=[n])[0][2].dtype == object
+    assert exact.kernel(rows, n + 2, free=[n + 1])[0][2].dtype == np.int64
+
+
 def test_displaced_pivot_is_copied():
     """A +-1 row displaces the non-unit pivot of its leading column, which
     is then reduced in a copy: the caller's dict keeps its entries."""

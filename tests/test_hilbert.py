@@ -9,8 +9,8 @@ from ddforms.assembly import (AssemblyError, BrokenSpace, LinearOp, Subspace,
                               derivative_operator, kernel_space, operator_D,
                               operator_T)
 from ddforms.cli import main
-from ddforms.hilbert import (ComplexInstance, _trailing_q, harmonic_space,
-                             laplace_solve, subspace_transfer)
+from ddforms.hilbert import (ComplexInstance, harmonic_space, laplace_solve,
+                             subspace_transfer)
 from ddforms.mesh import (betti_numbers, build_complex, generate_mesh,
                           load_mesh_file, mark_pair, save_mesh_file)
 from ddforms.polyforms import Family, FormError
@@ -18,7 +18,8 @@ from ddforms import distrib, exact, hilbert
 
 from conftest import RANK_RTOL, dense_basis, svd_null
 from reference import (dense_adjoint, dense_laplacian, pseudoinverse,
-                       trailing_q)
+                       s_qr_basis)
+from test_distrib import _torus, _tunnel_block
 
 
 @pytest.fixture(scope="module")
@@ -434,10 +435,11 @@ def test_solve_without_harmonic_forms_runs_no_qr(monkeypatch):
 
 def test_chain_takes_no_square_decomposition(monkeypatch):
     """A cold chain builds neither a whole dense differential nor a dense
-    broken-space Gram.  It takes a raw QR of S only at an interior index,
-    where R and C are both nonempty, and at an end index a thin QR of the
-    h kernel columns alone; on square_grid:6, whose harmonic indices are
-    all end indices, it takes no raw QR, and where every harmonic space
+    broken-space Gram, and takes no raw QR.  Each QR is reduced, of the
+    n x |block| whitened block the representatives are projected off,
+    the narrower of R and C, or of the n x h projected representatives;
+    on square_grid:6, whose harmonic indices are all end indices, the
+    block is empty and every QR is n x h, and where every harmonic space
     is empty (half marked) it factors no Gram and takes no QR."""
     counts = {"matrix": 0, "gram": 0, "cholesky": 0}
     qrs, last = [], []
@@ -458,17 +460,14 @@ def test_chain_takes_no_square_decomposition(monkeypatch):
 
     def counted_qr(a, mode="reduced"):
         (rows, cols), n = last
-        qrs.append(mode)
-        if mode == "raw":
-            assert rows and cols and a.shape == (n, len(rows) + len(cols))
-        else:
-            assert bool(rows) != bool(cols)
-            assert a.shape == (n, n - len(rows) - len(cols))
+        h, block = n - len(rows) - len(cols), min(len(rows), len(cols))
+        assert mode == "reduced" and a.shape in {(n, h), (n, block)}
+        qrs.append("basis" if a.shape[1] == h else "block")
         return qr(a, mode=mode)
 
-    def whole(op, rows=None, cols=None, out=None):
+    def whole(op, rows=None, cols=None, out=None, transpose=False):
         counts["matrix"] += rows is None and cols is None
-        return submatrix(op, rows, cols, out)
+        return submatrix(op, rows, cols, out, transpose)
 
     monkeypatch.setattr(LinearOp, "submatrix", whole)
     monkeypatch.setattr(BrokenSpace, "gram", property(counted("gram", gram)))
@@ -479,12 +478,12 @@ def test_chain_takes_no_square_decomposition(monkeypatch):
         assert main(["chain", "--mesh", "catalog:annulus", "--mark", mark,
                      "--degree", "2"], out=io.StringIO()) == 0, mark
         assert counts["matrix"] == counts["gram"] == 0, (mark, counts)
-    assert set(qrs) == {"raw", "reduced"}
+    assert set(qrs) == {"basis", "block"}
     for mark in ("none", "full"):
         qrs.clear()
         assert main(["chain", "--mesh", "catalog:square_grid:6", "--mark",
                      mark], out=io.StringIO()) == 0
-        assert qrs and set(qrs) == {"reduced"}, mark
+        assert qrs and set(qrs) == {"basis"}, mark
     counts["cholesky"], qrs[:] = 0, []
     assert main(["chain", "--mesh", "catalog:square_grid:6", "--mark",
                  "half"], out=io.StringIO()) == 0
@@ -529,67 +528,6 @@ def test_each_integer_matrix_is_eliminated_once(monkeypatch):
     assert main(["harmonic", "--mesh", "catalog:annulus", "--degree", "2"],
                 out=io.StringIO()) == 0
     assert not grams
-
-
-@pytest.mark.parametrize("n,k", [(9, 0), (9, 8), (12, 5), (40, 39)])
-def test_trailing_q_is_the_complement_of_a_complete_qr(n, k):
-    """The reflector complement of a raw QR equals the trailing columns of
-    the complete Q, is orthonormal and is orthogonal to the matrix."""
-    S = np.random.default_rng(n + k).standard_normal((n, k))
-    check_trailing_q(S)
-
-
-@pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (2, 1), (129, 64),
-                                 (129, 128), (480, 200), (480, 479)])
-def test_blocked_trailing_q_matches_reflector_loop(n, k):
-    """The reflectors applied in blocks give the reflector-by-reflector
-    complement; a first column with nothing below its diagonal has
-    tau = 0, whose reflector is the identity."""
-    S = np.random.default_rng(n * k).standard_normal((n, k))
-    if k > 1:
-        S[1:, 0] = 0.0
-    raw, tau = np.linalg.qr(S, mode="raw")
-    assert k <= 1 or tau[0] == 0.0
-    got = _trailing_q(raw, tau)
-    assert got.shape == (n, n - k)
-    assert np.abs(got - trailing_q(raw, tau)).max(initial=0.0) <= 1e-13
-
-
-def check_trailing_q(S):
-    n, k = S.shape
-    got = _trailing_q(*np.linalg.qr(S, mode="raw"))
-    assert got.shape == (n, n - k)
-    want = np.linalg.qr(S, mode="complete")[0][:, k:]
-    assert np.abs(got - want).max(initial=0.0) <= 1e-13
-    assert np.abs(got.T @ got - np.eye(n - k)).max(initial=0.0) <= 1e-13
-    scale = max(np.linalg.norm(S, 2), 1.0) if S.size else 1.0
-    assert np.abs(S.T @ got).max(initial=0.0) <= 1e-13 * scale
-
-
-def test_trailing_q_of_catalog_harmonic_spaces(catalog):
-    """On the whitened S of each catalog harmonic space with forms at an
-    interior index, where R and C are both nonempty, the reflector
-    complement is the complete Q's, and unwhitened it is the harmonic
-    basis."""
-    pair = catalog("annulus", 1, "full")
-    seen = 0
-    for cx in (distrib.total_complex(pair, Family("trimmed", 2)),
-               distrib.chainlike_complex(pair, Family("trimmed", 1))):
-        for i in range(len(cx)):
-            h = harmonic_space(cx, i)
-            rows, cols = hilbert._independent(cx, i)
-            if not (h.dim and rows and cols):
-                continue
-            W = cx.spaces[i].whitening
-            S = np.hstack([
-                W.solve_l(cx.diffs[i].submatrix()[rows].T),
-                W.mul_lt(cx.diffs[i - 1].submatrix()[:, cols])])
-            check_trailing_q(S)
-            basis = W.solve_lt(_trailing_q(*np.linalg.qr(S, mode="raw")))
-            assert np.abs(basis - h.basis).max() <= 1e-13 * \
-                max(np.abs(basis).max(), 1.0)
-            seen += 1
-    assert seen
 
 
 def test_harmonic_memo_holds_no_square_array():
@@ -665,8 +603,10 @@ def test_one_elimination_per_differential(monkeypatch):
     complex eliminate each integer differential once, in its short
     orientation: its rows R and the columns C read by the next index come
     from the same echelon.  The only other eliminations are those of the
-    end-index kernels, each of independent rows alone, none reduced to
-    zero."""
+    representatives' kernels, each of independent rows alone, none
+    reduced to zero, and at an interior index with harmonic forms one
+    selection of the representatives, of the (h + |block|) x |block|
+    rows of the block on the kernel's free rows."""
     calls, shapes, kernels = [], [], []
     echelon, independent, kernel = exact.echelon, exact.independent, \
         exact.kernel
@@ -679,26 +619,40 @@ def test_one_elimination_per_differential(monkeypatch):
         shapes.append(shape)
         return independent(triplets, shape)
 
-    def counted_kernel(rows, ncols):
+    def counted_kernel(rows, ncols, free=None):
         kernels.append(len(rows))
         assert len(echelon(rows)[0]) == len(rows)
-        return kernel(rows, ncols)
+        return kernel(rows, ncols, free)
 
     rng = np.random.default_rng(3)
-    for build in (distrib.conforming_complex, distrib.total_complex):
-        cx = build(generate_mesh("cube_tet", 1, "half"), Family("trimmed", 2))
-        calls.clear(), shapes.clear(), kernels.clear()
-        monkeypatch.setattr(exact, "echelon", counted)
-        monkeypatch.setattr(exact, "independent", counted_independent)
-        monkeypatch.setattr(exact, "kernel", counted_kernel)
-        for i in range(len(cx)):
-            harmonic_space(cx, i)
-            if cx.spaces[i].dim:
-                laplace_solve(cx, i, rng.standard_normal(cx.spaces[i].dim))
-        monkeypatch.undo()
-        assert sorted(shapes) == sorted(d.shape for d in cx.diffs)
-        assert sorted(calls) == sorted([min(s) for s in shapes] + kernels)
-        assert all("echelon" in vars(d) for d in cx.diffs)
+    selected = 0
+    for name, mark in (("cube_tet", "half"), ("annulus", "none"),
+                       ("annulus", "full")):
+        for build in (distrib.conforming_complex, distrib.total_complex):
+            cx = build(generate_mesh(name, 1, mark), Family("trimmed", 2))
+            calls.clear(), shapes.clear(), kernels.clear()
+            monkeypatch.setattr(exact, "echelon", counted)
+            monkeypatch.setattr(exact, "independent", counted_independent)
+            monkeypatch.setattr(exact, "kernel", counted_kernel)
+            for i in range(len(cx)):
+                harmonic_space(cx, i)
+                if cx.spaces[i].dim:
+                    laplace_solve(cx, i,
+                                  rng.standard_normal(cx.spaces[i].dim))
+            monkeypatch.undo()
+            selections = []
+            for i in range(len(cx)):
+                h = hilbert.harmonic_dim(cx, i)
+                block = min(map(len, hilbert._independent(cx, i)))
+                if block and h:
+                    selections.append((h + block, block))
+            assert sorted(shapes) == sorted([d.shape for d in cx.diffs]
+                                            + selections)
+            assert sorted(calls) == sorted([min(s) for s in shapes]
+                                           + kernels)
+            assert all("echelon" in vars(d) for d in cx.diffs)
+            selected += len(selections)
+    assert selected
 
 
 def test_pseudoinverse_of_float_operator_names_the_cause(catalog):
@@ -750,27 +704,16 @@ def test_applied_operators_match_dense(catalog, name):
             assert _rel(got, ref @ v) <= 1e-12
 
 
-def s_qr_basis(cx, i):
-    """The harmonic basis at index i by the complete QR of the whitened
-    S = [L^-1 d_i[R]^T | L^T d_{i-1}[:, C]], at any index."""
-    rows, cols = hilbert._independent(cx, i)
-    W, n = cx.spaces[i].whitening, cx.spaces[i].dim
-    parts = [np.zeros((n, 0))]
-    if rows:
-        parts.append(W.solve_l(cx.diffs[i].submatrix()[rows].T))
-    if cols:
-        parts.append(W.mul_lt(cx.diffs[i - 1].submatrix()[:, cols]))
-    S = np.hstack(parts)
-    return W.solve_lt(np.linalg.qr(S, mode="complete")[0][:, S.shape[1]:])
-
-
-def test_end_index_bases_span_the_s_qr_subspace(catalog, tmp_path):
-    """At an end index, where R or C is empty, the basis from the exact
-    kernel and the S-QR reference span one subspace: every singular value
-    of their Gram pairing is within 1e-13 of 1.  Both ends of every
-    complex are checked, on catalog meshes and on a file of two disjoint
-    triangles, whose end indices have h = 2 (b0 = 2 unmarked, b2 = 2
-    fully marked)."""
+def test_bases_span_the_s_qr_subspace(catalog, tmp_path):
+    """At every index the basis from exact representatives and the S-QR
+    reference span one subspace: every singular value of their Gram
+    pairing is within 1e-13 of 1.  Every index of every complex is
+    checked, on catalog meshes, on a file of two disjoint triangles,
+    whose end indices have h = 2 (b0 = 2 unmarked, b2 = 2 fully marked),
+    and on the conforming complexes of the torus surface and the
+    two-tunnel block, which have h = 2 at an interior index.  The cases
+    seen include both sides of an interior index and an index where R
+    and C are both empty."""
     path = tmp_path / "two_triangles.json"
     save_mesh_file(build_complex([[0, 1, 2], [3, 4, 5]],
                                  [[0, 0], [1, 0], [0, 1],
@@ -780,25 +723,32 @@ def test_end_index_bases_span_the_s_qr_subspace(catalog, tmp_path):
              for name in ("interval", "annulus", "tetrahedron")
              for mark in ("none", "full", "half")]
     pairs += [(mark_pair(two, mark), "two") for mark in ("none", "full")]
-    widths, ends = set(), 0
-    for pair, name in pairs:
-        for cx in (distrib.conforming_complex(pair, Family("trimmed", 1)),
-                   distrib.total_complex(pair, Family("trimmed", 1)),
-                   distrib.chainlike_complex(pair, Family("trimmed", 2))):
-            for i in range(len(cx)):
-                rows, cols = hilbert._independent(cx, i)
-                h = harmonic_space(cx, i)
-                if rows and cols:
-                    continue
-                ends += i in (0, len(cx) - 1)
-                s = np.linalg.svd(subspace_transfer(h, s_qr_basis(cx, i)),
-                                  compute_uv=False)
-                assert len(s) == h.dim
-                assert np.abs(s - 1.0).max(initial=0.0) <= 1e-13, \
-                    (name, cx.label, i)
-                if name == "two":
-                    widths.add(h.dim)
-    assert ends and 2 in widths
+    complexes = [(build(pair, family), name) for pair, name in pairs
+                 for build, family in (
+                     (distrib.conforming_complex, Family("trimmed", 1)),
+                     (distrib.total_complex, Family("trimmed", 1)),
+                     (distrib.chainlike_complex, Family("trimmed", 2)))]
+    complexes += [(distrib.conforming_complex(mark_pair(mesh(), "none"),
+                                              Family("trimmed", 1)), name)
+                  for mesh, name in ((_torus, "torus"),
+                                     (_tunnel_block, "block"))]
+    widths, cases = set(), set()
+    for cx, name in complexes:
+        for i in range(len(cx)):
+            rows, cols = hilbert._independent(cx, i)
+            h = harmonic_space(cx, i)
+            s = np.linalg.svd(subspace_transfer(h, s_qr_basis(cx, i)),
+                              compute_uv=False)
+            assert len(s) == h.dim
+            assert np.abs(s - 1.0).max(initial=0.0) <= 1e-13, \
+                (name, cx.label, i)
+            if h.dim:
+                cases.add((bool(rows), bool(cols), len(rows) < len(cols)))
+                widths.add((name, h.dim, bool(rows and cols)))
+    assert {(False, False, False), (True, True, True),
+            (True, True, False)} <= cases
+    assert {("two", 2, False), ("torus", 2, True),
+            ("block", 2, True)} <= widths
     assert betti_numbers(two) == [2, 0, 0]
     assert betti_numbers(mark_pair(two, "full")) == [0, 0, 2]
 
